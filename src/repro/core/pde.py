@@ -23,8 +23,9 @@ Three engines are available (the registry of
 :mod:`repro.core.source_detection`):
 
 * ``engine="batched"`` (default) — per-level detection via one ``sigma``-
-  truncated multi-source Dijkstra; fastest, cost independent of ``|S|``,
-  output identical to ``"logical"``.
+  truncated multi-source bucket-queue search on the graph interned once per
+  solve; fastest, cost independent of ``|S|``, output identical to
+  ``"logical"``.
 * ``engine="logical"`` — per-level detection computed centrally with one
   pruned Dijkstra per source (identical output, analytic round/message
   bounds).
@@ -39,7 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import (Dict, Hashable, Iterable, List, NamedTuple, Optional, Set,
+                    Tuple)
 
 from ..congest.metrics import CongestMetrics, merge_metrics
 from ..graphs.weighted_graph import WeightedGraph
@@ -47,9 +49,10 @@ from ..obs.metrics import NULL_REGISTRY
 from .source_detection import (
     DETECTION_ENGINES,
     DetectionEntry,
-    IntAdjacency,
+    GraphCSR,
     SourceDetectionResult,
     detect_sources,
+    materialize_detection,
 )
 from .weight_rounding import RoundingScheme
 
@@ -60,8 +63,8 @@ __all__ = [
     "solve_pde",
     "pde_engine_names",
     "validate_pde_instance",
-    "weight_adjacency",
     "level_adjacency",
+    "intern_detection_lists",
     "fold_detection_lists",
     "finalize_pde_result",
 ]
@@ -74,8 +77,7 @@ __all__ = [
 PARALLEL_PDE_ENGINES = ("logical", "batched")
 
 
-@dataclass(frozen=True)
-class PDEEntry:
+class PDEEntry(NamedTuple):
     """One entry of a node's PDE output list ``L_v``."""
 
     estimate: float
@@ -233,83 +235,84 @@ def validate_pde_instance(graph: WeightedGraph, sources: Iterable[Hashable],
     return source_set
 
 
-def weight_adjacency(graph: WeightedGraph
-                     ) -> Dict[Hashable, List[Tuple[Hashable, int]]]:
-    """Directed weight adjacency ``{v: [(u, w), ...]}``, hoisted once.
-
-    One ``solve_pde`` call runs ``imax + 1`` independent detections on the
-    same graph; materialising the neighbour lists once and deriving each
-    level's integer lengths from them (:func:`level_adjacency`) replaces
-    ``imax + 1`` full adjacency-map traversals with list comprehensions
-    over flat tuples.
-    """
-    return {v: list(graph.neighbor_weights(v).items()) for v in graph.nodes()}
+#: Int-space fold state: ``table[v][rank] = (estimate, from id, level)`` for
+#: node id ``v`` and source rank ``rank`` (see
+#: :func:`~repro.core.source_detection.bucket_detect` for the id spaces).
+FoldTable = List[Dict[int, Tuple[float, int, int]]]
 
 
-def level_adjacency(weight_adj: Dict[Hashable, List[Tuple[Hashable, int]]],
-                    base: float) -> IntAdjacency:
-    """Integer-length adjacency of the virtual graph ``G_i``.
+def level_adjacency(weights: List[int], base: float) -> List[int]:
+    """Integer edge lengths of the virtual graph ``G_i``, per CSR edge.
 
-    Computes ``max(1, ceil(w / b(i)))`` per directed edge — bit-identical
-    to routing every weight through
+    Computes ``max(1, ceil(w / b(i)))`` over the flat weight list of a
+    :class:`~repro.core.source_detection.GraphCSR` — bit-identical to routing
+    every weight through
     :meth:`~repro.core.weight_rounding.RoundingScheme.edge_length_fn`, which
-    is what keeps hoisted-adjacency detections (and parallel build workers,
-    which run this exact function) indistinguishable from the per-level
-    callback path.
+    is what keeps the interned detections (and parallel build workers, which
+    run this exact function) indistinguishable from the per-level callback
+    path.
     """
-    return {
-        v: [(u, max(1, math.ceil(w / base))) for u, w in nbrs]
-        for v, nbrs in weight_adj.items()
-    }
+    return [max(1, math.ceil(w / base)) for w in weights]
 
 
-def fold_detection_lists(lists: Dict[Hashable, List[DetectionEntry]],
+def intern_detection_lists(lists: Dict[Hashable, List[DetectionEntry]],
+                           node_id: Dict[Hashable, int],
+                           rank: Dict[Hashable, int],
+                           ) -> Dict[int, List[Tuple[int, int, int]]]:
+    """Translate a labelled engine's lists to the int space the fold works in."""
+    return {node_id[v]: [(d, rank[s], node_id.get(hop, -1))
+                         for d, s, hop in entries]
+            for v, entries in lists.items()}
+
+
+def fold_detection_lists(lists: Dict[int, List[Tuple[int, int, int]]],
                          rounding: RoundingScheme, level: int,
-                         estimates: Dict[Hashable, Dict[Hashable, float]],
-                         next_hops: Dict[Hashable, Dict[Hashable, Optional[Hashable]]],
-                         levels_used: Dict[Hashable, Dict[Hashable, int]]) -> None:
-    """Fold one rounding level's detection lists into the running minimum.
+                         table: FoldTable) -> None:
+    """Fold one rounding level's int-space detection lists into the minimum.
 
     The strict ``<`` means the *earliest* level achieving a value wins the
     tie; callers must therefore fold levels in increasing order — the
     parallel merge relies on this being the whole ordering contract.
     """
-    for node, entries in lists.items():
-        if node not in estimates:
-            continue  # ignore any virtual helper nodes
-        for entry in entries:
-            value = rounding.scaled_distance(level, entry.distance)
-            current = estimates[node].get(entry.source)
-            if current is None or value < current:
-                estimates[node][entry.source] = value
-                next_hops[node][entry.source] = entry.next_hop
-                levels_used[node][entry.source] = level
+    base = rounding.base(level)
+    for v, entries in lists.items():
+        row = table[v]
+        for distance, rank, hop in entries:
+            value = base * distance
+            current = row.get(rank)
+            if current is None or value < current[0]:
+                row[rank] = (value, hop, level)
 
 
-def finalize_pde_result(graph: WeightedGraph, source_set: Set[Hashable],
+def finalize_pde_result(nodes: List[Hashable], ranked: List[Hashable],
                         h: int, sigma: int, epsilon: float,
-                        rounding: RoundingScheme,
-                        estimates: Dict[Hashable, Dict[Hashable, float]],
-                        next_hops: Dict[Hashable, Dict[Hashable, Optional[Hashable]]],
-                        levels_used: Dict[Hashable, Dict[Hashable, int]],
+                        rounding: RoundingScheme, table: FoldTable,
                         level_metrics: List[CongestMetrics],
                         per_level: Dict[int, SourceDetectionResult],
                         store_levels: bool) -> PDEResult:
-    """Assemble the :class:`PDEResult` from fully-folded estimate tables."""
+    """Assemble the labelled :class:`PDEResult` from a fully-folded table.
+
+    ``nodes`` are the labels by node id and ``ranked`` the sources by rank
+    (``sorted(S, key=repr)``), so sorting ``(estimate, rank)`` pairs is the
+    paper's ``(wd', source)`` order.  Rows keep the fold's insertion order.
+    """
+    hop_label = list(nodes) + [None]        # from id -1 -> no next hop
     lists: Dict[Hashable, List[PDEEntry]] = {}
-    for node in graph.nodes():
-        entries = [
-            PDEEntry(estimate=est, source=s,
-                     next_hop=next_hops[node].get(s),
-                     level=levels_used[node].get(s, 0))
-            for s, est in estimates[node].items()
-        ]
-        entries.sort(key=lambda e: e.key())
-        lists[node] = entries[:sigma]
+    estimates: Dict[Hashable, Dict[Hashable, float]] = {}
+    next_hops: Dict[Hashable, Dict[Hashable, Optional[Hashable]]] = {}
+    levels_used: Dict[Hashable, Dict[Hashable, int]] = {}
+    for node, row in zip(nodes, table):
+        estimates[node] = {ranked[r]: e[0] for r, e in row.items()}
+        next_hops[node] = {ranked[r]: hop_label[e[1]] for r, e in row.items()}
+        levels_used[node] = {ranked[r]: e[2] for r, e in row.items()}
+        top = sorted((est, r, hop, level)
+                     for r, (est, hop, level) in row.items())[:sigma]
+        lists[node] = [PDEEntry(est, ranked[r], hop_label[hop], level)
+                       for est, r, hop, level in top]
 
     metrics = merge_metrics(*level_metrics, sequential=True)
     return PDEResult(
-        sources=source_set,
+        sources=set(ranked),
         h=h,
         sigma=sigma,
         epsilon=epsilon,
@@ -392,38 +395,43 @@ def solve_pde(graph: WeightedGraph, sources: Iterable[Hashable], h: int, sigma: 
     rounding = RoundingScheme(epsilon=epsilon, max_weight=graph.max_weight())
     horizon = rounding.horizon(h)
 
-    estimates: Dict[Hashable, Dict[Hashable, float]] = {v: {} for v in graph.nodes()}
-    next_hops: Dict[Hashable, Dict[Hashable, Optional[Hashable]]] = {
-        v: {} for v in graph.nodes()}
-    levels_used: Dict[Hashable, Dict[Hashable, int]] = {v: {} for v in graph.nodes()}
-
-    weight_adj = weight_adjacency(graph) if engine == "batched" else None
+    # Intern once: node id = position in graph.nodes(), source rank =
+    # position in repr order.  The fold works on ints for every engine.
+    csr = GraphCSR.from_graph(graph)
+    nodes, node_id = csr.nodes, csr.node_ids()
+    ranked = sorted(source_set, key=repr)
+    table: FoldTable = [{} for _ in nodes]
+    source_ids = [node_id[s] for s in ranked]
+    rank = {s: r for r, s in enumerate(ranked)}
 
     per_level: Dict[int, SourceDetectionResult] = {}
     level_metrics: List[CongestMetrics] = []
     for level in rounding.levels():
-        length_fn = rounding.edge_length_fn(level)
-        engine_kwargs = {}
-        if engine == "simulate":
-            engine_kwargs["message_cap"] = message_cap
-        elif engine == "batched":
-            engine_kwargs["adjacency"] = level_adjacency(
-                weight_adj, rounding.base(level))
+        if engine == "batched":
+            engine_kwargs = {"interned": (csr, source_ids, level_adjacency(
+                csr.weights, rounding.base(level)))}
+        else:
+            engine_kwargs = {"edge_length": rounding.edge_length_fn(level)}
+            if engine == "simulate":
+                engine_kwargs["message_cap"] = message_cap
         with obs.span("level_solve"):
             detection = detect_sources(graph, source_set, horizon, sigma,
-                                       edge_length=length_fn, engine=engine,
-                                       **engine_kwargs)
+                                       engine=engine, **engine_kwargs)
         level_metrics.append(detection.metrics)
         # Fold this level into the running minimum right away; the raw
         # detection result is retained only when the caller asked for it.
-        fold_detection_lists(detection.lists, rounding, level,
-                             estimates, next_hops, levels_used)
+        if engine == "batched":
+            lists = detection.lists
+            if store_levels:
+                detection = materialize_detection(detection, nodes, ranked)
+        else:
+            lists = intern_detection_lists(detection.lists, node_id, rank)
+        fold_detection_lists(lists, rounding, level, table)
         if store_levels:
             per_level[level] = detection
 
-    return finalize_pde_result(graph, source_set, h, sigma, epsilon, rounding,
-                               estimates, next_hops, levels_used,
-                               level_metrics, per_level, store_levels)
+    return finalize_pde_result(nodes, ranked, h, sigma, epsilon, rounding,
+                               table, level_metrics, per_level, store_levels)
 
 
 def pde_engine_names() -> List[str]:

@@ -16,12 +16,12 @@ the :data:`DETECTION_ENGINES` registry / :func:`detect_sources` dispatcher:
   supports integer *edge lengths*, which is how the virtual subdivided graphs
   ``G_i`` of Section 3 are handled without materialising them.
 * ``"batched"`` — :func:`detect_sources_batched`, a single lexicographic
-  multi-source Dijkstra in which every node retains at most ``sigma``
+  multi-source search in which every node retains at most ``sigma``
   ``(distance, source)`` labels and only surviving labels propagate.  This is
   the centralized mirror of the paper's key insight (a node never needs more
-  than its top-``sigma`` labels): total cost ``O(sigma * (m + n log n))``
-  *independent of* ``|S|``, versus ``O(|S| * (m + n log n))`` for the
-  per-source engine.  Output lists are identical to ``"logical"``.
+  than its top-``sigma`` labels): total cost ``O(sigma * m)`` queue
+  operations *independent of* ``|S|``, versus ``O(|S| * (m + n log n))`` for
+  the per-source engine.  Output lists are identical to ``"logical"``.
 * ``"simulate"`` — :class:`LenzenPelegSourceDetection`, the faithful
   per-round CONGEST algorithm, run via
   :class:`~repro.congest.network.CongestNetwork` on an explicitly subdivided
@@ -29,6 +29,28 @@ the :data:`DETECTION_ENGINES` registry / :func:`detect_sources` dispatcher:
   per-node broadcast counts and optionally applies the Lemma 3.4 message cap.
 
 Tests assert the engines agree list-for-list.
+
+**Rounds are buckets.**  The distributed algorithm proceeds round by round
+over integer distances, and so does the batched kernel
+(:func:`bucket_detect`): the label queue is an array of buckets indexed by
+tentative distance instead of a heap.  Every edge length is at least 1, so
+all labels of distance ``d`` are queued before round ``d`` is processed;
+sorting that bucket by ``(source rank, push counter)`` therefore visits
+labels in exactly the order a heap keyed ``(distance, rank, counter)`` would
+pop them — same lists, same next-hop tie-breaks — while a push is a
+``list.append`` and a whole round costs one sort of machine ints.
+
+What is interned where: a caller interns the graph once into a
+:class:`GraphCSR` (node id = position in ``graph.nodes()``; flat
+``indptr``/``indices``/``weights`` lists in ``neighbor_weights`` order) and
+the sources into ranks (position in ``sorted(S, key=repr)``, the paper's
+lexicographic source order as integer comparisons).  The kernel sees only
+those ints plus one flat list of per-edge integer lengths, and emits plain
+``(distance, rank, from id)`` triples; :class:`DetectionEntry` objects and
+``Hashable`` labels exist only on the outside of
+:func:`materialize_detection`.  The PDE solver folds the triples as they are,
+and parallel build workers receive the same ``GraphCSR`` and run the same
+kernel.
 
 Boundary semantics: the detection engines accept the degenerate parameters
 ``h = 0`` (only sources detect themselves, at distance 0) and ``sigma = 0``
@@ -42,8 +64,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import count
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional, Set,
+                    Tuple)
 
 from ..congest.message import BROADCAST, Message
 from ..congest.metrics import CongestMetrics
@@ -55,10 +77,12 @@ __all__ = [
     "DetectionEntry",
     "SourceDetectionResult",
     "DETECTION_ENGINES",
-    "IntAdjacency",
+    "GraphCSR",
     "detect_sources",
     "detect_sources_logical",
     "detect_sources_batched",
+    "bucket_detect",
+    "materialize_detection",
     "LenzenPelegSourceDetection",
     "expand_with_edge_lengths",
     "run_source_detection_simulation",
@@ -69,8 +93,7 @@ __all__ = [
 LengthFn = Callable[[Hashable, Hashable, int], int]
 
 
-@dataclass(frozen=True)
-class DetectionEntry:
+class DetectionEntry(NamedTuple):
     """One list entry: a detected source, its distance and the next hop toward it."""
 
     distance: int
@@ -188,16 +211,122 @@ def detect_sources_logical(graph: WeightedGraph, sources: Set[Hashable], h: int,
 # ----------------------------------------------------------------------
 # batched engine
 # ----------------------------------------------------------------------
-#: Precomputed directed adjacency with integer lengths:
-#: ``adjacency[v] = [(u, length), ...]`` for every node ``v``.
-IntAdjacency = Dict[Hashable, List[Tuple[Hashable, int]]]
+class GraphCSR(NamedTuple):
+    """A graph interned to ints: node id = position in ``graph.nodes()``.
+
+    Row ``v`` of the adjacency is ``indices[indptr[v]:indptr[v + 1]]`` with
+    the matching ``weights`` slice, in ``graph.neighbor_weights(v)`` order
+    (neighbour order breaks next-hop ties, so it is part of the data).  Four
+    flat builtins — this is also what parallel build workers are sent.
+    """
+
+    nodes: List[Hashable]
+    indptr: List[int]
+    indices: List[int]
+    weights: List[int]
+
+    def node_ids(self) -> Dict[Hashable, int]:
+        return {v: i for i, v in enumerate(self.nodes)}
+
+    @classmethod
+    def from_graph(cls, graph: WeightedGraph) -> "GraphCSR":
+        nodes = graph.nodes()
+        node_id = {v: i for i, v in enumerate(nodes)}
+        indptr, indices, weights = [0], [], []
+        for v in nodes:
+            row = graph.neighbor_weights(v)
+            indices.extend([node_id[u] for u in row])
+            weights.extend(row.values())
+            indptr.append(len(indices))
+        return cls(nodes, indptr, indices, weights)
+
+
+def bucket_detect(csr: GraphCSR, lengths: List[int], source_ids: List[int],
+                  h: int, sigma: int) -> List[List[Tuple[int, int, int]]]:
+    """The detection kernel, in int space (see "Rounds are buckets" above).
+
+    ``lengths[j] >= 1`` is the integer length of directed edge ``j`` of
+    ``csr`` and ``source_ids[r]`` the node id of the source of rank ``r``.
+    Returns, per node id, the settled ``(distance, source rank, from id)``
+    triples in lexicographic ``(distance, rank)`` order; ``from id`` is the
+    neighbour the label arrived from (the next hop toward the source), ``-1``
+    at the source itself.
+
+    ``buckets[d]`` holds the labels of tentative distance ``d``, each packed
+    into one int ``rank | seq | node | from + 1`` (high to low bits, ``seq``
+    the global push counter), so sorting a bucket orders it by ``(rank,
+    seq)``.  ``state[v][rank]`` is the tentative distance of a label, ``-1``
+    once settled; a ``(node, rank, distance)`` is pushed at most once (pushes
+    need a strict improvement), so the queued item that still matches
+    ``state`` owns the next hop.
+    """
+    indptr, indices = csr.indptr, csr.indices
+    n = len(indptr) - 1
+    rows = [list(zip(indices[a:b], lengths[a:b]))
+            for a, b in zip(indptr, indptr[1:])]
+    bits = n.bit_length()                   # node < n and from + 1 <= n fit
+    mask = (1 << bits) - 1
+    seq_shift = 2 * bits
+    # Each settled label relaxes its node's row once and a node settles at
+    # most sigma labels, which bounds the push counter.
+    pushes = len(source_ids) + min(sigma, len(source_ids)) * len(indices)
+    rank_shift = seq_shift + pushes.bit_length()
+
+    lists: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
+    state: List[Dict[int, int]] = [{} for _ in range(n)]
+    buckets: List[List[int]] = [[] for _ in range(h + 1)]
+    limit = h + 1
+    seq = 0
+    for rank, v in enumerate(source_ids):
+        state[v][rank] = 0
+        buckets[0].append(rank << rank_shift | seq << seq_shift | v << bits)
+        seq += 1
+
+    for d, bucket in enumerate(buckets):
+        if not bucket:
+            continue
+        bucket.sort()
+        buckets[d] = None                   # release the round's items
+        for item in bucket:
+            v = item >> bits & mask
+            settled = lists[v]
+            if len(settled) >= sigma:
+                continue
+            rank = item >> rank_shift
+            labels = state[v]
+            if labels[rank] != d:
+                continue    # settled already, or superseded by a shorter label
+            labels[rank] = -1
+            settled.append((d, rank, (item & mask) - 1))
+            tag = rank << rank_shift | v + 1
+            for u, step in rows[v]:
+                nd = d + step
+                # A full node settles nothing more; a settled label is -1.
+                if nd < state[u].get(rank, limit) and len(lists[u]) < sigma:
+                    state[u][rank] = nd
+                    buckets[nd].append(tag | seq << seq_shift | u << bits)
+                    seq += 1
+    return lists
+
+
+def materialize_detection(result: "SourceDetectionResult",
+                          nodes: List[Hashable], ranked: List[Hashable],
+                          ) -> "SourceDetectionResult":
+    """Translate an int-space result (see :func:`bucket_detect`) to labels."""
+    hop = list(nodes) + [None]              # from id -1 -> no next hop
+    lists = {nodes[v]: [DetectionEntry(d, ranked[r], hop[f])
+                        for d, r, f in entries]
+             for v, entries in result.lists.items()}
+    return SourceDetectionResult(lists=lists, h=result.h, sigma=result.sigma,
+                                 metrics=result.metrics)
 
 
 def detect_sources_batched(graph: WeightedGraph, sources: Set[Hashable], h: int,
                            sigma: int, edge_length: Optional[LengthFn] = None,
-                           adjacency: Optional[IntAdjacency] = None,
+                           interned: Optional[Tuple[GraphCSR, List[int],
+                                                    List[int]]] = None,
                            ) -> SourceDetectionResult:
-    """Compute ``(S, h, sigma)``-detection with one multi-source Dijkstra.
+    """Compute ``(S, h, sigma)``-detection with one multi-source search.
 
     Instead of one pruned Dijkstra per source, a single search settles
     ``(distance, source)`` labels in global lexicographic order and keeps at
@@ -211,90 +340,46 @@ def detect_sources_batched(graph: WeightedGraph, sources: Set[Hashable], h: int,
     output entry, and the produced lists are identical to
     :func:`detect_sources_logical`.
 
-    Cost is ``O(sigma * (m + n log n))`` heap operations, independent of
-    ``|S|``.  Next hops point along a shortest path realising the listed
-    distance (they may differ from the per-source engine's choice when
-    multiple shortest paths exist; the ``(distance, source)`` lists do not).
+    Cost is ``O(sigma * m)`` queue operations, independent of ``|S|``.  Next
+    hops point along a shortest path realising the listed distance (they may
+    differ from the per-source engine's choice when multiple shortest paths
+    exist; the ``(distance, source)`` lists do not).
 
     Accepts the same degenerate boundaries as the logical engine: ``h = 0``
     and ``sigma = 0``.
 
-    ``adjacency`` optionally supplies the integer-length adjacency
-    ``{v: [(u, length), ...]}`` (one entry per node of ``graph``, lengths
-    equal to ``max(1, int(edge_length(v, u, w)))``) so callers solving many
-    detection instances on the same graph — the PDE solver iterating
-    rounding levels, and parallel build workers — hoist the materialisation
-    out of this function instead of paying it per call.  When given,
-    ``edge_length`` is ignored; the caller owns the equivalence.
+    ``interned`` optionally supplies ``(csr, source_ids, lengths)`` — the
+    arguments of :func:`bucket_detect` — so callers solving many instances on
+    one graph (the PDE solver iterating rounding levels) intern once instead
+    of per call.  ``graph``, ``sources`` and ``edge_length`` are then ignored
+    (the caller owns the equivalence) and the result stays in int space:
+    ``lists`` is keyed by node id and holds the kernel's plain triples;
+    :func:`materialize_detection` translates it.
     """
     if h < 0 or sigma < 0:
         raise ValueError("h and sigma must be non-negative")
-    length = edge_length if edge_length is not None else (lambda u, v, w: 1)
-    for s in sources:
-        if not graph.has_node(s):
-            raise ValueError(f"source {s!r} is not a node of the graph")
-
-    lists: Dict[Hashable, List[DetectionEntry]] = {v: [] for v in graph.nodes()}
-    if sigma == 0:
-        metrics = CongestMetrics(rounds=h + sigma, measured=False)
-        return SourceDetectionResult(lists=lists, h=h, sigma=sigma, metrics=metrics)
-
-    # Tentative labels: best[v][s] = (distance, next hop from v toward s).
-    best: Dict[Hashable, Dict[Hashable, Tuple[int, Optional[Hashable]]]] = {
-        v: {} for v in graph.nodes()
-    }
-    # Sources settled per node, in lexicographic (distance, repr(source))
-    # order — lists[v] is therefore built already sorted.
-    done: Dict[Hashable, Set[Hashable]] = {v: set() for v in graph.nodes()}
-
-    # Directed adjacency with the integer lengths materialised once (unless
-    # the caller hoisted it): each edge is otherwise re-measured on every
-    # one of its up-to-sigma relaxations, and the length callback dominates
-    # the inner loop.
-    if adjacency is None:
-        adjacency = {
-            v: [(u, max(1, int(length(v, u, w))))
-                for u, w in graph.neighbor_weights(v).items()]
-            for v in graph.nodes()
-        }
-
-    # Heap keys are (distance, source rank, tiebreak) where ranks enumerate
-    # the sources in repr order — integer comparisons instead of string
-    # comparisons, matching the paper's lexicographic (distance, source)
-    # order.  Node and source ride along as payload because arbitrary
-    # Hashables need not be comparable.
-    tiebreak = count()
-    heap: List[Tuple[int, int, int, Hashable, Hashable]] = []
-    for rank, s in enumerate(sorted(sources, key=repr)):
-        best[s][s] = (0, None)
-        heapq.heappush(heap, (0, rank, next(tiebreak), s, s))
-
-    while heap:
-        d, srank, _, v, s = heapq.heappop(heap)
-        done_v = done[v]
-        if s in done_v or len(done_v) >= sigma:
-            continue
-        current = best[v].get(s)
-        if current is None or current[0] != d:
-            continue  # stale entry superseded by a shorter label
-        done_v.add(s)
-        lists[v].append(DetectionEntry(distance=d, source=s, next_hop=current[1]))
-        if d == h:
-            continue  # any relaxation would exceed the horizon
-        for u, step in adjacency[v]:
-            # A node with a full list settles no further labels, and every
-            # future label is lexicographically larger than its sigma-th
-            # settled one — skip the push outright.
-            done_u = done[u]
-            if len(done_u) >= sigma or s in done_u:
-                continue
-            nd = d + step
-            if nd <= h and nd < best[u].get(s, (h + 1,))[0]:
-                best[u][s] = (nd, v)
-                heapq.heappush(heap, (nd, srank, next(tiebreak), u, s))
-
-    metrics = CongestMetrics(rounds=h + sigma, measured=False)
-    return SourceDetectionResult(lists=lists, h=h, sigma=sigma, metrics=metrics)
+    if interned is not None:
+        csr, source_ids, lengths = interned
+    else:
+        for s in sources:
+            if not graph.has_node(s):
+                raise ValueError(f"source {s!r} is not a node of the graph")
+        csr = GraphCSR.from_graph(graph)
+        if edge_length is None:
+            lengths = [1] * len(csr.indices)
+        else:
+            lengths = [max(1, int(edge_length(v, u, w))) for v in csr.nodes
+                       for u, w in graph.neighbor_weights(v).items()]
+        node_id = csr.node_ids()
+        ranked = sorted(sources, key=repr)
+        source_ids = [node_id[s] for s in ranked]
+    lists = bucket_detect(csr, lengths, source_ids, h, sigma)
+    result = SourceDetectionResult(
+        lists=dict(enumerate(lists)), h=h, sigma=sigma,
+        metrics=CongestMetrics(rounds=h + sigma, measured=False))
+    if interned is not None:
+        return result
+    return materialize_detection(result, csr.nodes, ranked)
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,11 @@ dimensions the sequential code walks one at a time:
 
 This module flattens both dimensions into one task list — one task per
 ``(instance, rounding level)`` pair — and runs it on a spawn-based
-:class:`~concurrent.futures.ProcessPoolExecutor`.  Workers receive the graph
-state once (via the pool initializer), rebuild it lazily per token, hoist
-the weight adjacency exactly as the sequential solver does, and return raw
-detection lists as plain tuples.
+:class:`~concurrent.futures.ProcessPoolExecutor`.  Workers receive each graph
+once (via the pool initializer) as the sequential solver's own interned
+:class:`~repro.core.source_detection.GraphCSR`, run the same
+:func:`~repro.core.source_detection.bucket_detect` kernel on it, and reply
+with its int-space ``(distance, source rank, from id)`` triples.
 
 **Determinism contract.**  The parallel build produces *identical* results
 to the sequential one — identical down to the artifact payload checksum:
@@ -21,7 +22,7 @@ to the sequential one — identical down to the artifact payload checksum:
 * Each detection task is a pure function of ``(graph, S, h', sigma, b(i))``;
   every quantity is computed in the parent and shipped verbatim, so a worker
   computes the same lists the sequential loop would.
-* The merge folds rounding levels in increasing ``i`` via the same
+* The merge folds rounding levels in increasing ``i`` via the same int-space
   :func:`~repro.core.pde.fold_detection_lists` the sequential solver uses —
   the strict ``<`` there makes "earliest level wins ties" the *only*
   ordering the fold depends on, and the parent replays it exactly
@@ -45,23 +46,25 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from ..congest.metrics import CongestMetrics
 from ..core.pde import (
     PARALLEL_PDE_ENGINES,
+    FoldTable,
     PDEResult,
     finalize_pde_result,
     fold_detection_lists,
+    intern_detection_lists,
     level_adjacency,
     validate_pde_instance,
-    weight_adjacency,
 )
 from ..core.source_detection import (
-    DetectionEntry,
+    GraphCSR,
     SourceDetectionResult,
-    detect_sources_batched,
+    bucket_detect,
     detect_sources_logical,
+    materialize_detection,
 )
 from ..core.weight_rounding import RoundingScheme
 from ..graphs.weighted_graph import WeightedGraph
@@ -111,51 +114,55 @@ class PDEInstance:
 # ----------------------------------------------------------------------
 # worker side (spawned processes)
 # ----------------------------------------------------------------------
-#: Graph states shipped once via the pool initializer, and the per-process
-#: cache of graphs (plus hoisted weight adjacency) materialised from them.
-_WORKER_GRAPH_STATES: Dict[str, dict] = {}
-_WORKER_GRAPHS: Dict[str, Tuple[WeightedGraph, Dict]] = {}
+#: Interned graphs shipped once via the pool initializer, and the labelled
+#: graphs the ``logical`` engine needs, rebuilt from them once per process.
+_WORKER_CSRS: Dict[str, GraphCSR] = {}
+_WORKER_GRAPHS: Dict[str, WeightedGraph] = {}
 
 
-def _init_worker(graph_states: Dict[str, dict]) -> None:
-    global _WORKER_GRAPH_STATES
-    _WORKER_GRAPH_STATES = dict(graph_states)
+def _init_worker(csrs: Dict[str, GraphCSR]) -> None:
+    global _WORKER_CSRS
+    _WORKER_CSRS = dict(csrs)
     _WORKER_GRAPHS.clear()
 
 
-def _worker_graph(token: str) -> Tuple[WeightedGraph, Dict]:
-    entry = _WORKER_GRAPHS.get(token)
-    if entry is None:
-        graph = WeightedGraph.from_state(_WORKER_GRAPH_STATES[token])
-        entry = (graph, weight_adjacency(graph))
-        _WORKER_GRAPHS[token] = entry
-    return entry
+def _worker_graph(token: str) -> WeightedGraph:
+    graph = _WORKER_GRAPHS.get(token)
+    if graph is None:
+        nodes, indptr, indices, weights = _WORKER_CSRS[token]
+        # Row order is adjacency order, so this is the parent's graph exactly.
+        graph = WeightedGraph.from_state({"nodes": nodes, "adjacency": [
+            (v, [(nodes[indices[j]], weights[j]) for j in range(a, b)])
+            for v, a, b in zip(nodes, indptr, indptr[1:])]})
+        _WORKER_GRAPHS[token] = graph
+    return graph
 
 
 def _run_detection_task(task: dict) -> dict:
     """Solve one ``(instance, rounding level)`` detection; returns plain data.
 
-    The return value carries only builtins — ``(distance, source, next_hop)``
-    triples per node plus the wall-clock spent — so the reply pickle stays
-    small and the parent reconstructs :class:`DetectionEntry` objects and
-    the analytic metrics itself.
+    The reply carries only builtins — the int-space ``{node id: [(distance,
+    source rank, from id), ...]}`` lists plus the wall-clock spent —
+    so the reply pickle stays small and the parent folds it as is.
     """
     if os.environ.get(CRASH_ENV_VAR) == f"{task['token']}:{task['level']}":
         os._exit(19)  # simulated hard worker death (tests only)
     started = time.perf_counter()
-    graph, weight_adj = _worker_graph(task["token"])
-    sources = set(task["sources"])
-    base = task["base"]
+    csr = _WORKER_CSRS[task["token"]]
+    source_ids, base = task["source_ids"], task["base"]
     if task["engine"] == "batched":
-        detection = detect_sources_batched(
-            graph, sources, task["horizon"], task["sigma"],
-            adjacency=level_adjacency(weight_adj, base))
+        lists = dict(enumerate(bucket_detect(
+            csr, level_adjacency(csr.weights, base), source_ids,
+            task["horizon"], task["sigma"])))
     else:
+        ranked = [csr.nodes[i] for i in source_ids]
         detection = detect_sources_logical(
-            graph, sources, task["horizon"], task["sigma"],
+            _worker_graph(task["token"]), set(ranked), task["horizon"],
+            task["sigma"],
             edge_length=lambda u, v, w: max(1, math.ceil(w / base)))
-    lists = {node: [(e.distance, e.source, e.next_hop) for e in entries]
-             for node, entries in detection.lists.items()}
+        lists = intern_detection_lists(
+            detection.lists, csr.node_ids(),
+            {s: r for r, s in enumerate(ranked)})
     return {"lists": lists, "seconds": time.perf_counter() - started}
 
 
@@ -212,24 +219,24 @@ def solve_pde_instances(instances: Sequence[PDEInstance],
                                            inst.sigma, inst.engine)
         rounding = RoundingScheme(epsilon=inst.epsilon,
                                   max_weight=graph.max_weight())
-        prepared.append((inst, graph, source_set, rounding,
+        prepared.append((inst, sorted(source_set, key=repr), rounding,
                          rounding.horizon(inst.h)))
 
-    states = {token: g.export_state() for token, g in graphs.items()}
+    csrs = {token: GraphCSR.from_graph(g) for token, g in graphs.items()}
     executor = ProcessPoolExecutor(max_workers=build_workers,
                                    mp_context=get_context("spawn"),
                                    initializer=_init_worker,
-                                   initargs=(states,))
+                                   initargs=(csrs,))
     try:
         futures = {}
         with obs.span("build_scatter"):
-            for idx, (inst, graph, source_set, rounding, horizon) \
-                    in enumerate(prepared):
-                sorted_sources = sorted(source_set, key=repr)
+            for idx, (inst, ranked, rounding, horizon) in enumerate(prepared):
+                node_id = csrs[inst.token].node_ids()
+                source_ids = [node_id[s] for s in ranked]
                 for level in rounding.levels():
                     task = {
                         "token": inst.token,
-                        "sources": sorted_sources,
+                        "source_ids": source_ids,
                         "horizon": horizon,
                         "sigma": inst.sigma,
                         "base": rounding.base(level),
@@ -240,41 +247,30 @@ def solve_pde_instances(instances: Sequence[PDEInstance],
                         _run_detection_task, task)
 
         results: List[PDEResult] = []
-        for idx, (inst, graph, source_set, rounding, horizon) \
-                in enumerate(prepared):
-            estimates: Dict[Hashable, Dict[Hashable, float]] = {
-                v: {} for v in graph.nodes()}
-            next_hops: Dict[Hashable, Dict[Hashable, Optional[Hashable]]] = {
-                v: {} for v in graph.nodes()}
-            levels_used: Dict[Hashable, Dict[Hashable, int]] = {
-                v: {} for v in graph.nodes()}
+        for idx, (inst, ranked, rounding, horizon) in enumerate(prepared):
+            nodes = csrs[inst.token].nodes
+            table: FoldTable = [{} for _ in nodes]
             per_level: Dict[int, SourceDetectionResult] = {}
             level_metrics: List[CongestMetrics] = []
             with obs.span("build_merge"):
                 for level in rounding.levels():
                     payload = _await_task(futures.pop((idx, level)))
                     obs.histogram("level_solve").observe(payload["seconds"])
-                    lists = {
-                        node: [DetectionEntry(distance=d, source=s,
-                                              next_hop=nh)
-                               for d, s, nh in entries]
-                        for node, entries in payload["lists"].items()
-                    }
+                    lists = payload["lists"]
                     # Both pool-eligible engines report the same analytic
                     # cost; rebuilding it here keeps reply pickles lean.
                     metrics = CongestMetrics(rounds=horizon + inst.sigma,
                                              measured=False)
                     level_metrics.append(metrics)
-                    fold_detection_lists(lists, rounding, level,
-                                         estimates, next_hops, levels_used)
+                    fold_detection_lists(lists, rounding, level, table)
                     if inst.store_levels:
-                        per_level[level] = SourceDetectionResult(
-                            lists=lists, h=horizon, sigma=inst.sigma,
-                            metrics=metrics)
+                        per_level[level] = materialize_detection(
+                            SourceDetectionResult(
+                                lists=lists, h=horizon, sigma=inst.sigma,
+                                metrics=metrics), nodes, ranked)
             results.append(finalize_pde_result(
-                graph, source_set, inst.h, inst.sigma, inst.epsilon,
-                rounding, estimates, next_hops, levels_used,
-                level_metrics, per_level, inst.store_levels))
+                nodes, ranked, inst.h, inst.sigma, inst.epsilon, rounding,
+                table, level_metrics, per_level, inst.store_levels))
         return results
     finally:
         executor.shutdown(wait=False, cancel_futures=True)

@@ -196,6 +196,12 @@ class RoutingServer:
         self._closed = True
         self._stop.set()
         if self._listener is not None:
+            # close() alone does not wake an accept() blocked in another
+            # thread on Linux; shutdown() makes it return with an error.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -19,6 +19,7 @@ import gc
 import io
 import struct
 import threading
+import time
 import warnings
 
 import pytest
@@ -457,6 +458,18 @@ class TestConnectConfig:
             config = ServingConfig(connect=srv.address)
             with pytest.raises(ValueError, match="advertise a graph spec"):
                 run_serving_session(config)
+
+
+def test_close_of_idle_server_wakes_accept_thread(local_backend):
+    # close() must wake the accept() blocked in the accept thread (closing
+    # the listener from another thread does not, on Linux) instead of
+    # waiting out the 5 s join timeout with the thread still alive.
+    srv = RoutingServer(local_backend, "127.0.0.1:0").start()
+    time.sleep(0.2)     # let the accept thread block in accept()
+    started = time.monotonic()
+    srv.close()
+    assert time.monotonic() - started < 1.0
+    assert not srv._accept_thread.is_alive()
 
 
 # ======================================================================
