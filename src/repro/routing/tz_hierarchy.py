@@ -708,7 +708,7 @@ class CompactRoutingHierarchy:
         ``"dict"`` always returns ``None`` (the per-pair path);
         ``"columnar"`` and ``"auto"`` return the attached columnar kernel
         when the backing store provides one, falling back to ``None`` for
-        v1 / in-memory hierarchies whose levels have no record tables.
+        in-memory hierarchies whose levels have no record tables.
         """
         if kernel == "dict":
             return None
@@ -725,7 +725,7 @@ class CompactRoutingHierarchy:
         the batch is answered straight from the record tables: labels are
         interned once, pairs are grouped by source, and each ``(level,
         source)`` bunch row is decoded at most once for the whole batch.
-        Otherwise — v1 or in-memory hierarchies, or ``kernel="dict"`` —
+        Otherwise — in-memory hierarchies, or ``kernel="dict"`` —
         this is per-pair :meth:`distance` with label-lookup amortization
         in the shared :meth:`pivot_row` cache.  Answers are list-for-list
         identical between the two paths.
@@ -960,10 +960,10 @@ class CompactRoutingHierarchy:
     def export_state(self) -> Dict[str, object]:
         """Snapshot of all query-relevant state as plain builtins.
 
-        Together with :meth:`from_state` this is the contract behind the
-        serving layer's persistent artifacts: the snapshot contains no
-        ``repro`` classes (only dicts / lists / tuples / scalars), so the
-        on-disk format survives refactors of the in-memory classes.
+        The structural-equality oracle of the artifact round-trip and
+        parallel-build tests: the snapshot contains no ``repro`` classes
+        (only dicts / lists / tuples / scalars), so two hierarchies are
+        the same build exactly when their snapshots compare equal.
         Runtime caches and raw per-level PDE results are excluded; dict
         insertion orders are preserved because query tie-breaking (skeleton
         anchors, exact-path repair) follows iteration order.
@@ -1007,57 +1007,3 @@ class CompactRoutingHierarchy:
             "metrics": self.metrics.export_state(),
             "build_params": dict(self.build_params),
         }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "CompactRoutingHierarchy":
-        """Rebuild a hierarchy from :meth:`export_state`.
-
-        The reloaded instance answers every ``route`` / ``distance`` query
-        identically to the instance that was exported (asserted by the
-        serving round-trip tests).
-        """
-        version = state.get("state_version")
-        if version != cls.STATE_VERSION:
-            raise ValueError(f"unsupported hierarchy state version {version!r} "
-                             f"(expected {cls.STATE_VERSION})")
-
-        def family(tree_state) -> Optional[TreeFamily]:
-            return None if tree_state is None else TreeFamily.from_state(tree_state)
-
-        level_data = []
-        for data_state in state["level_data"]:
-            level_data.append(_LevelData(
-                sources=set(data_state["sources"]),
-                h=data_state["h"],
-                sigma=data_state["sigma"],
-                estimates={v: dict(row)
-                           for v, row in data_state["estimates"].items()},
-                bunches={v: dict(row) for v, row in data_state["bunches"].items()},
-                next_pivot=dict(data_state["next_pivot"]),
-                next_pivot_dist=dict(data_state["next_pivot_dist"]),
-                trees=family(data_state["trees"]),
-                skeleton_level=data_state["skeleton_level"],
-                overflow_count=data_state["overflow_count"],
-            ))
-        hierarchy = cls(
-            graph=WeightedGraph.from_state(state["graph"]),
-            k=state["k"],
-            epsilon=state["epsilon"],
-            mode=state["mode"],
-            l0=state["l0"],
-            levels=dict(state["levels"]),
-            level_sets=[set(s) for s in state["level_sets"]],
-            level_data=level_data,
-            pivots={l: dict(m) for l, m in state["pivots"].items()},
-            pivot_dists={l: dict(m) for l, m in state["pivot_dists"].items()},
-            pde_skel=(PDEResult.from_state(state["pde_skel"])
-                      if state["pde_skel"] is not None else None),
-            skeleton_graph=(WeightedGraph.from_state(state["skeleton_graph"])
-                            if state["skeleton_graph"] is not None else None),
-            attach_trees=family(state["attach_trees"]),
-            skeleton_trees={l: TreeFamily.from_state(s)
-                            for l, s in state["skeleton_trees"].items()},
-            metrics=CongestMetrics.from_state(state["metrics"]),
-        )
-        hierarchy.build_params = dict(state["build_params"])
-        return hierarchy

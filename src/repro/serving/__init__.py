@@ -14,8 +14,9 @@ The public surface (API v2) is one typed, policy-pluggable contract:
 * :mod:`repro.serving.registry`  — string-keyed registries for
   partitioners, cache policies, hot-set policies and workloads
   (``register_*`` to extend, names resolve everywhere configs are used);
-* :mod:`repro.serving.artifacts` — versioned save/load of built hierarchies
-  and PDE results with integrity checking and lossless round-trips;
+* :mod:`repro.serving.artifacts` — the one mmap-able artifact format:
+  save/load of built hierarchies and PDE results with integrity checking
+  and lossless round-trips;
 * :mod:`repro.serving.service`   — the :class:`RoutingService` local
   backend: build-or-load, single and batched ``route`` /
   ``distance_estimate`` / full-path queries;
@@ -32,7 +33,7 @@ The public surface (API v2) is one typed, policy-pluggable contract:
 * :mod:`repro.serving.policies`  — hot-set policies (explicit
   precomputation and online promotion from LRU hit counts);
 * :mod:`repro.serving.partitioners` — shard partitioners (round-robin,
-  stable-hash, and hit-rate-adaptive);
+  stable pair hash, stable source hash);
 * :mod:`repro.serving.workloads` — reproducible uniform / Zipf / locality /
   bursty query-stream generators;
 * :mod:`repro.serving.wire`      — the framed message layer for networked
@@ -59,12 +60,10 @@ from .artifacts import (
     artifact_info,
     load_hierarchy,
     load_pde,
-    read_artifact,
     save_hierarchy,
     save_pde,
     shard_artifact_path,
     verify_artifact,
-    write_artifact,
     write_artifact_v2,
     write_shard_artifacts,
 )
@@ -96,16 +95,19 @@ from .service import (
     RoutingService,
     answer_batch,
     build_or_load_service,
-    execute_query_shard,
     resolve_query_kernel,
 )
 from .sharded import ShardError, ShardedRoutingService
-from .fleet import FleetConfig, FleetError, FleetSupervisor, RoutingEpoch
+from .fleet import (
+    FleetConfig,
+    FleetError,
+    FleetSupervisor,
+    HitRateWindow,
+    RoutingEpoch,
+)
 from .partitioners import (
-    AdaptivePartitioner,
     HashPairPartitioner,
     HashSourcePartitioner,
-    HitRateWindow,
     Partitioner,
     RoundRobinPartitioner,
     make_partitioner,
@@ -148,8 +150,6 @@ __all__ = [
     "ArtifactInfo",
     "ArtifactV2Reader",
     "artifact_info",
-    "read_artifact",
-    "write_artifact",
     "write_artifact_v2",
     "verify_artifact",
     "save_hierarchy",
@@ -195,8 +195,6 @@ __all__ = [
     "RoundRobinPartitioner",
     "HashPairPartitioner",
     "HashSourcePartitioner",
-    "AdaptivePartitioner",
-    "HitRateWindow",
     "make_partitioner",
     # backends
     "LRUCache",
@@ -205,12 +203,12 @@ __all__ = [
     "RoutingService",
     "build_or_load_service",
     "answer_batch",
-    "execute_query_shard",
     "ShardedRoutingService",
     "ShardError",
     "FleetConfig",
     "FleetError",
     "FleetSupervisor",
+    "HitRateWindow",
     "RoutingEpoch",
     # transport: wire protocol, sessions, server
     "PROTOCOL_VERSION",

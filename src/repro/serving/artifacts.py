@@ -7,21 +7,9 @@ number of serving processes load it back and answer queries *identically* to
 the in-memory original (the round-trip tests assert bit-for-bit equal query
 answers).
 
-Two on-disk formats are readable; format 2 is the default writer.
-
-Format 1 (legacy, still loadable)::
-
-    REPRO-ARTIFACT v1\\n                      <- magic + format version
-    {header JSON}\\n                          <- kind, payload size + sha256,
-                                                state version, metadata
-    <payload bytes>                           <- pickled builtin-only state
-
-The v1 payload is the ``export_state()`` snapshot of the object serialised
-with :mod:`pickle` — loading deserialises the *entire* hierarchy up front,
-which at scale dominates process start-up and gives every co-located worker
-a private copy of every table.
-
-Format 2 (section table, mmap-able)::
+One on-disk format (a section table, mmap-able); any other version in the
+magic line — including the retired monolithic-pickle format 1 — is refused
+with a typed :class:`ArtifactError` before a payload byte is read::
 
     REPRO-ARTIFACT v2\\n                      <- magic + format version
     {header JSON}\\n                          <- kind, state version, metadata,
@@ -39,17 +27,17 @@ cache instead of holding N private copies.  Construction-time state
 (per-level estimates, destination trees, skeleton structures) lives in
 separate pickled sections materialised lazily on first access.
 
-Every section carries its own SHA-256.  Opening a v2 artifact validates the
+Every section carries its own SHA-256.  Opening an artifact validates the
 header and section bounds (truncation and out-of-range offsets fail fast)
 and verifies the query-hot record tables' checksums — a sequential hash
 over the mapping, no deserialisation — so corrupt records can never answer
 queries; lazily-pickled sections are verified when they first materialise,
-and :func:`verify_artifact` checks every section of either format on
+and :func:`verify_artifact` checks every section on
 demand (the CI smoke job and the corruption tests use it).  Artifacts are trusted
 local files (pickle is not safe against adversarial bytes — checksums
 detect corruption, not tampering).
 
-Per-shard **sub-artifacts** (:func:`write_shard_artifacts`) slice a format-2
+Per-shard **sub-artifacts** (:func:`write_shard_artifacts`) slice an
 artifact by *source node*: shard ``w`` keeps the bunch rows (and the
 destination trees they can reach) only for sources with
 ``stable_node_hash(source) % workers == w``, and drops the construction-time
@@ -95,9 +83,7 @@ __all__ = [
     "SUPPORTED_FORMATS",
     "KIND_HIERARCHY",
     "KIND_PDE",
-    "write_artifact",
     "write_artifact_v2",
-    "read_artifact",
     "artifact_info",
     "verify_artifact",
     "save_hierarchy",
@@ -110,9 +96,9 @@ __all__ = [
 
 MAGIC = b"REPRO-ARTIFACT"
 
-#: The default *writer* format; both listed formats stay loadable.
+#: The one format this build writes and reads.
 FORMAT_VERSION = 2
-SUPPORTED_FORMATS = (1, 2)
+SUPPORTED_FORMATS = (FORMAT_VERSION,)
 
 KIND_HIERARCHY = "routing_hierarchy"
 KIND_PDE = "pde_result"
@@ -129,7 +115,7 @@ class ArtifactError(RuntimeError):
 class ArtifactInfo:
     """Parsed artifact header (everything except the payload).
 
-    For format-2 artifacts ``sections`` maps each section name to its
+    ``sections`` maps each section name to its
     ``{"offset", "length", "sha256"}`` entry, ``payload_bytes`` is the total
     section byte count, and ``payload_sha256`` is the SHA-256 over the
     concatenated per-section digests (a stable content identity that can be
@@ -143,7 +129,7 @@ class ArtifactInfo:
     payload_sha256: str
     metadata: Dict[str, Any] = field(default_factory=dict)
     path: Optional[str] = None
-    sections: Optional[Dict[str, Dict[str, Any]]] = None
+    sections: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -154,14 +140,13 @@ class ArtifactInfo:
             "payload_sha256": self.payload_sha256,
             "metadata": dict(self.metadata),
             "path": self.path,
-            "sections": (None if self.sections is None
-                         else {name: dict(entry)
-                               for name, entry in self.sections.items()}),
+            "sections": {name: dict(entry)
+                         for name, entry in self.sections.items()},
         }
 
 
 # ----------------------------------------------------------------------
-# header parsing (shared by both formats)
+# header parsing
 # ----------------------------------------------------------------------
 def _parse_magic(magic_line: bytes, path: str) -> int:
     if not magic_line.startswith(MAGIC):
@@ -188,10 +173,6 @@ def _read_header(fh: io.BufferedReader, path: str) -> ArtifactInfo:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArtifactError(f"{path}: corrupt artifact header: {exc}") from exc
     try:
-        sections = None
-        if version >= 2:
-            sections = {name: dict(entry)
-                        for name, entry in header["sections"].items()}
         return ArtifactInfo(
             kind=header["kind"],
             format_version=version,
@@ -200,7 +181,8 @@ def _read_header(fh: io.BufferedReader, path: str) -> ArtifactInfo:
             payload_sha256=header["payload_sha256"],
             metadata=dict(header.get("metadata", {})),
             path=path,
-            sections=sections,
+            sections={name: dict(entry)
+                      for name, entry in header["sections"].items()},
         )
     except (KeyError, TypeError, AttributeError) as exc:
         raise ArtifactError(f"{path}: artifact header is missing {exc}") from exc
@@ -210,79 +192,6 @@ def artifact_info(path: str) -> ArtifactInfo:
     """Read only the header of an artifact (cheap; payload is not touched)."""
     with open(path, "rb") as fh:
         return _read_header(fh, path)
-
-
-# ----------------------------------------------------------------------
-# format 1: monolithic pickled payload
-# ----------------------------------------------------------------------
-def write_artifact(path: str, kind: str, state: Dict[str, Any],
-                   metadata: Optional[Dict[str, Any]] = None,
-                   state_version: int = 1) -> ArtifactInfo:
-    """Write ``state`` (a builtin-only snapshot) as a format-1 artifact.
-
-    Returns the :class:`ArtifactInfo` that was written.  The write goes
-    through a temporary file in the same directory followed by an atomic
-    rename, so readers never observe a half-written artifact.
-    """
-    payload = pickle.dumps(state, protocol=_PICKLE_PROTOCOL)
-    info = ArtifactInfo(
-        kind=kind,
-        format_version=1,
-        state_version=state_version,
-        payload_bytes=len(payload),
-        payload_sha256=hashlib.sha256(payload).hexdigest(),
-        metadata=dict(metadata or {}),
-        path=path,
-    )
-    header = {
-        "kind": info.kind,
-        "state_version": info.state_version,
-        "payload_bytes": info.payload_bytes,
-        "payload_sha256": info.payload_sha256,
-        "metadata": info.metadata,
-    }
-    _atomic_write(path, b"".join([
-        MAGIC + b" v1\n",
-        json.dumps(header, sort_keys=True).encode("utf-8") + b"\n",
-        payload,
-    ]))
-    return info
-
-
-def read_artifact(path: str, expected_kind: Optional[str] = None
-                  ) -> Tuple[Dict[str, Any], ArtifactInfo]:
-    """Read a format-1 artifact, verifying integrity; returns ``(state, info)``.
-
-    Raises :class:`ArtifactError` on bad magic, unsupported version, kind
-    mismatch, truncation, or checksum failure.  Format-2 artifacts hold a
-    section table rather than one pickled state blob — read those through
-    :func:`load_hierarchy` / :func:`load_pde` or :class:`ArtifactV2Reader`.
-    """
-    with open(path, "rb") as fh:
-        info = _read_header(fh, path)
-        if info.format_version != 1:
-            raise ArtifactError(
-                f"{path}: format-{info.format_version} artifact has no "
-                f"monolithic payload; use load_hierarchy/load_pde or "
-                f"ArtifactV2Reader instead of read_artifact")
-        if expected_kind is not None and info.kind != expected_kind:
-            raise ArtifactError(
-                f"{path}: artifact holds a {info.kind!r}, expected "
-                f"{expected_kind!r}")
-        payload = fh.read()
-    if len(payload) != info.payload_bytes:
-        raise ArtifactError(
-            f"{path}: truncated payload ({len(payload)} bytes, header "
-            f"says {info.payload_bytes})")
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != info.payload_sha256:
-        raise ArtifactError(f"{path}: payload checksum mismatch "
-                            f"({digest} != {info.payload_sha256})")
-    try:
-        state = pickle.loads(payload)
-    except Exception as exc:  # pickle raises a zoo of exception types
-        raise ArtifactError(f"{path}: payload failed to deserialise: {exc}") from exc
-    return state, info
 
 
 def _atomic_write(path: str, blob: bytes) -> None:
@@ -300,13 +209,15 @@ def _atomic_write(path: str, blob: bytes) -> None:
 
 
 # ----------------------------------------------------------------------
-# format 2: offset-indexed section table
+# the offset-indexed section table
 # ----------------------------------------------------------------------
 def write_artifact_v2(path: str, kind: str, sections: Dict[str, bytes],
                       metadata: Optional[Dict[str, Any]] = None,
                       state_version: int = 1) -> ArtifactInfo:
-    """Write named byte sections as a format-2 artifact (atomically).
+    """Write named byte sections as an artifact.
 
+    The write goes through a temporary file in the same directory followed
+    by an atomic rename, so readers never observe a half-written artifact.
     Section order is preserved; offsets are relative to the payload start
     (the byte after the header line), so the header can be built before any
     payload byte is written.
@@ -322,7 +233,7 @@ def write_artifact_v2(path: str, kind: str, sections: Dict[str, bytes],
         offset += len(blob)
     info = ArtifactInfo(
         kind=kind,
-        format_version=2,
+        format_version=FORMAT_VERSION,
         state_version=state_version,
         payload_bytes=offset,
         payload_sha256=identity.hexdigest(),
@@ -346,7 +257,7 @@ def write_artifact_v2(path: str, kind: str, sections: Dict[str, bytes],
 
 
 class ArtifactV2Reader:
-    """mmap-backed reader for one format-2 artifact.
+    """mmap-backed reader for one artifact.
 
     Opening validates the header and that every section lies within the
     mapped payload (truncated files and out-of-range offsets raise
@@ -365,10 +276,6 @@ class ArtifactV2Reader:
         self.path = path
         with open(path, "rb") as fh:
             self.info = _read_header(fh, path)
-            if self.info.format_version != 2:
-                raise ArtifactError(
-                    f"{path}: expected a format-2 artifact, found format "
-                    f"{self.info.format_version}")
             if expected_kind is not None and self.info.kind != expected_kind:
                 raise ArtifactError(
                     f"{path}: artifact holds a {self.info.kind!r}, expected "
@@ -510,25 +417,8 @@ class ArtifactV2Reader:
 
 
 def verify_artifact(path: str) -> ArtifactInfo:
-    """Full integrity check of either format; returns the header info.
-
-    Format 1: payload length + checksum.  Format 2: every section's bounds
-    and SHA-256.  Raises :class:`ArtifactError` on any mismatch.
-    """
-    info = artifact_info(path)
-    if info.format_version == 1:
-        with open(path, "rb") as fh:
-            _read_header(fh, path)
-            payload = fh.read()
-        if len(payload) != info.payload_bytes:
-            raise ArtifactError(
-                f"{path}: truncated payload ({len(payload)} bytes, header "
-                f"says {info.payload_bytes})")
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != info.payload_sha256:
-            raise ArtifactError(f"{path}: payload checksum mismatch "
-                                f"({digest} != {info.payload_sha256})")
-        return info
+    """Full integrity check (every section's bounds and SHA-256); returns
+    the header info.  Raises :class:`ArtifactError` on any mismatch."""
     reader = ArtifactV2Reader(path)
     try:
         return reader.verify()
@@ -537,7 +427,7 @@ def verify_artifact(path: str) -> ArtifactInfo:
 
 
 # ----------------------------------------------------------------------
-# hierarchy <-> v2 sections
+# hierarchy <-> sections
 # ----------------------------------------------------------------------
 def _dumps(state: Any) -> bytes:
     return pickle.dumps(state, protocol=_PICKLE_PROTOCOL)
@@ -565,7 +455,7 @@ def _hierarchy_meta(hierarchy: CompactRoutingHierarchy,
 
 def _hierarchy_sections(hierarchy: CompactRoutingHierarchy,
                         compress_node_table: bool = False) -> Dict[str, bytes]:
-    """Encode a built hierarchy as the format-2 section family."""
+    """Encode a built hierarchy as its section family."""
     graph_nodes = hierarchy.graph.nodes()
     intern = NodeInternTable(graph_nodes)
     index_of = intern.index_of
@@ -697,7 +587,15 @@ def _load_level_trees(reader: ArtifactV2Reader, level: int
     return None if state is None else TreeFamily.from_state(state)
 
 
-def _load_hierarchy_v2(path: str) -> Tuple[CompactRoutingHierarchy, ArtifactInfo]:
+# ----------------------------------------------------------------------
+# typed entry points
+# ----------------------------------------------------------------------
+def load_hierarchy(path: str) -> Tuple[CompactRoutingHierarchy, ArtifactInfo]:
+    """Load a hierarchy artifact; returns ``(hierarchy, info)``.
+
+    The hierarchy comes back mmap-backed and lazy: query answers are
+    identical to the built original, but tables page in on demand.
+    """
     reader = ArtifactV2Reader(path, expected_kind=KIND_HIERARCHY)
     try:
         meta = reader.load_json("meta")
@@ -777,22 +675,25 @@ def _load_hierarchy_v2(path: str) -> Tuple[CompactRoutingHierarchy, ArtifactInfo
         raise
 
 
-# ----------------------------------------------------------------------
-# typed entry points
-# ----------------------------------------------------------------------
+def _require_supported_format(format: int) -> None:
+    if format not in SUPPORTED_FORMATS:
+        raise ValueError(f"format must be one of {list(SUPPORTED_FORMATS)}, "
+                         f"got {format!r}")
+
+
 def save_hierarchy(hierarchy: CompactRoutingHierarchy, path: str,
                    metadata: Optional[Dict[str, Any]] = None,
                    format: int = FORMAT_VERSION,
                    compress_node_table: bool = False) -> ArtifactInfo:
     """Persist a built compact-routing hierarchy.
 
-    ``format=2`` (the default) writes the mmap-able section-table layout;
-    ``format=1`` writes the legacy monolithic pickle.  Build parameters
-    (k, epsilon, mode, l0, seed, engine, ...) are merged into the header
-    metadata either way, so :func:`artifact_info` answers "what is this
-    file?" without touching the payload.
+    ``format`` accepts only :data:`FORMAT_VERSION` (anything else raises
+    ``ValueError``).  Build parameters (k, epsilon, mode, l0, seed,
+    engine, ...) are merged into the header metadata, so
+    :func:`artifact_info` answers "what is this file?" without touching
+    the payload.
 
-    ``compress_node_table=True`` (format 2 only) front-codes the node
+    ``compress_node_table=True`` front-codes the node
     intern table — string labels store shared-prefix lengths plus
     suffixes — and records ``node_table_encoding: "front_coded"`` in the
     header.  Current readers auto-detect either encoding; readers
@@ -800,19 +701,10 @@ def save_hierarchy(hierarchy: CompactRoutingHierarchy, path: str,
     error rather than misreading it.  Query answers never depend on the
     encoding.
     """
-    if format not in SUPPORTED_FORMATS:
-        raise ValueError(f"format must be one of {list(SUPPORTED_FORMATS)}, "
-                         f"got {format!r}")
-    if compress_node_table and format == 1:
-        raise ValueError("compress_node_table requires the format-2 "
-                         "section layout (format=2)")
+    _require_supported_format(format)
     merged = {"n": hierarchy.graph.num_nodes, "m": hierarchy.graph.num_edges}
     merged.update(hierarchy.build_params)
     merged.update(metadata or {})
-    if format == 1:
-        return write_artifact(path, KIND_HIERARCHY, hierarchy.export_state(),
-                              metadata=merged,
-                              state_version=hierarchy.STATE_VERSION)
     merged["node_table_encoding"] = ("front_coded" if compress_node_table
                                      else "tagged")
     return write_artifact_v2(path, KIND_HIERARCHY,
@@ -823,38 +715,14 @@ def save_hierarchy(hierarchy: CompactRoutingHierarchy, path: str,
                              state_version=hierarchy.STATE_VERSION)
 
 
-def load_hierarchy(path: str) -> Tuple[CompactRoutingHierarchy, ArtifactInfo]:
-    """Load a hierarchy artifact; returns ``(hierarchy, info)``.
-
-    Format is auto-detected: format-1 artifacts deserialise eagerly (the
-    legacy behaviour), format-2 artifacts come back as an mmap-backed lazy
-    hierarchy whose query answers are identical but whose tables page in
-    on demand.
-    """
-    info = artifact_info(path)
-    if info.format_version == 1:
-        state, info = read_artifact(path, expected_kind=KIND_HIERARCHY)
-        try:
-            hierarchy = CompactRoutingHierarchy.from_state(state)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArtifactError(f"{path}: invalid hierarchy state: {exc}") from exc
-        return hierarchy, info
-    return _load_hierarchy_v2(path)
-
-
 def save_pde(pde: PDEResult, path: str,
              metadata: Optional[Dict[str, Any]] = None,
              format: int = FORMAT_VERSION) -> ArtifactInfo:
     """Persist a PDE result (estimates, lists, next hops, accounting)."""
-    if format not in SUPPORTED_FORMATS:
-        raise ValueError(f"format must be one of {list(SUPPORTED_FORMATS)}, "
-                         f"got {format!r}")
+    _require_supported_format(format)
     merged = {"sources": len(pde.sources), "h": pde.h, "sigma": pde.sigma,
               "epsilon": pde.epsilon}
     merged.update(metadata or {})
-    if format == 1:
-        return write_artifact(path, KIND_PDE, pde.export_state(),
-                              metadata=merged)
     meta = {"h": pde.h, "sigma": pde.sigma, "epsilon": pde.epsilon,
             "sources": len(pde.sources)}
     sections = {
@@ -865,17 +733,13 @@ def save_pde(pde: PDEResult, path: str,
 
 
 def load_pde(path: str) -> Tuple[PDEResult, ArtifactInfo]:
-    """Load a PDE artifact (either format); returns ``(pde, info)``."""
-    info = artifact_info(path)
-    if info.format_version == 1:
-        state, info = read_artifact(path, expected_kind=KIND_PDE)
-    else:
-        reader = ArtifactV2Reader(path, expected_kind=KIND_PDE)
-        try:
-            state = reader.load_pickle("state")
-            info = reader.info
-        finally:
-            reader.close()
+    """Load a PDE artifact; returns ``(pde, info)``."""
+    reader = ArtifactV2Reader(path, expected_kind=KIND_PDE)
+    try:
+        state = reader.load_pickle("state")
+        info = reader.info
+    finally:
+        reader.close()
     try:
         pde = PDEResult.from_state(state)
     except (KeyError, TypeError, ValueError) as exc:
@@ -892,7 +756,7 @@ def shard_artifact_path(artifact_path: str, shard: int, workers: int) -> str:
 
 
 def _decode_slicing_state(reader, num_workers: int) -> Dict[str, Any]:
-    """Decode everything shard slicing needs from an open v2 reader."""
+    """Decode everything shard slicing needs from an open reader."""
     meta = reader.load_json("meta")
     intern = NodeInternTable.decode(reader.section_bytes("nodes"))
     # Copy the bunch section out of the mapping: the slicer reads every
@@ -987,7 +851,7 @@ def _shard_slice_job(artifact_path: str, shard: int, num_workers: int,
 def write_shard_artifacts(artifact_path: str, num_workers: int,
                           partitioner: str = "hash_source",
                           build_workers: int = 1) -> List[str]:
-    """Materialise per-shard sub-artifacts of a format-2 hierarchy artifact.
+    """Materialise per-shard sub-artifacts of a hierarchy artifact.
 
     Shard ``w`` owns the source nodes with ``stable_node_hash(node) %
     num_workers == w`` (exactly the assignment of the ``hash_source``
@@ -1018,14 +882,6 @@ def write_shard_artifacts(artifact_path: str, num_workers: int,
             f"sub-artifact slicing is defined for the source-hash "
             f"assignment only (partitioner='hash_source'), got "
             f"{partitioner!r}")
-    info = artifact_info(artifact_path)
-    if info.format_version != 2:
-        raise ArtifactError(
-            f"{artifact_path}: sub-artifacts require a format-2 artifact; "
-            f"delete this file and rebuild it with artifact_format=2 (the "
-            f"default) — an existing artifact is served as-is regardless "
-            f"of the requested format, so changing the config alone does "
-            f"not rewrite it")
     if build_workers > 1 and num_workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool

@@ -19,9 +19,9 @@ v2 surface collapses that into one typed contract and one factory:
 
 The answers a backend gives depend only on the built hierarchy — never on
 which backend answers or how queries are cached, partitioned or promoted.
-The v2 acceptance tests pin this: ``open_service`` backends answer
-list-for-list identically to the pre-redesign paths on every workload
-shape.
+The v2 acceptance tests pin this: every ``open_service`` backend answers
+list-for-list identically to a directly constructed local
+``RoutingService`` on every workload shape.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ def open_service(config: ServingConfig,
       workers; the first query batch also starts it lazily.  With
       ``config.sub_artifacts`` the parent additionally materialises (or
       refreshes) per-shard sub-artifact slices and each worker loads only
-      its own — requires a format-2 artifact and a source-partitioning
-      strategy (``partitioner="hash_source"``).
+      its own — requires a source-partitioning strategy
+      (``partitioner="hash_source"``).
 
     ``graph`` supplies the build-path graph (and the freshness check's
     expected size); when omitted, ``config.graph_spec`` is parsed instead.
@@ -210,7 +210,6 @@ def open_service(config: ServingConfig,
     return ShardedRoutingService(
         config.artifact_path, num_workers=config.workers,
         partitioner=config.partitioner,
-        partitioner_params=config.partitioner_params,
         cache_config=config.cache,
         pipeline_depth=config.pipeline_depth,
         max_inflight=config.max_inflight,

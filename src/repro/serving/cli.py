@@ -5,12 +5,15 @@ The console entry point wired in ``setup.py``.  Typical session::
     repro-serve --graph er:n=300,p=0.03,seed=1 --artifact /tmp/er300.artifact \\
                 --k 3 --workload zipf --queries 2000 --batch-size 64
 
-Every flag maps onto a field of the serving API v2 config family (see
-:data:`FLAG_CONFIG_FIELDS`); the CLI is a thin shell around
-``open_service(ServingConfig(...))``: it parses flags into a
-:class:`~repro.serving.config.ServingConfig`, opens the backend the config
-describes (local for ``--workers 1``, sharded above that), replays the
-requested query workload in batches, and prints throughput plus the
+The CLI is a thin shell around ``open_service(ServingConfig(...))``, and
+:data:`FLAGS` is its single source of truth: one row per flag naming the
+:class:`~repro.serving.config.ServingConfig` field it lands in.  The parser
+is derived from the table (each flag's type and default are read off the
+dataclass field, so neither can drift from the config family) and so is
+the config (``ServingConfig.from_dict`` over the dotted paths).  A session
+parses flags into a config, opens the backend it describes (local for
+``--workers 1``, sharded above that), replays the requested query workload
+in batches, and prints throughput plus the
 :class:`~repro.serving.cache.ServingStats` counters.
 
 Graph specs are ``name:key=value,key=value`` with an optional
@@ -21,15 +24,26 @@ see :mod:`repro.serving.specs`.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
-from typing import Dict, Optional, Tuple
+import typing
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..obs.metrics import Histogram
 from ..obs.trace import TraceRecorder
 from .backend import open_service
-from .config import BuildConfig, CacheConfig, ServingConfig, WorkloadConfig
+from .config import ServingConfig
 from .policies import ExplicitHotSet
 from .registry import (
     CACHE_POLICIES,
@@ -42,82 +56,209 @@ from .service import answer_batch
 from .specs import parse_graph_spec
 from .workloads import make_workload
 
-__all__ = ["parse_graph_spec", "FLAG_CONFIG_FIELDS", "build_parser",
+__all__ = ["parse_graph_spec", "Flag", "FLAGS", "build_parser",
            "config_from_args", "run_serving_session", "advertised_config",
            "run_server_mode",
            "main"]
 
-#: Which config field each ``repro-serve`` flag (by argparse dest) maps to.
-#: Paths are dotted from :class:`ServingConfig`; ``workload.params.<key>``
-#: lands in the workload's free-form params dict.  ``None`` marks flags
-#: that deliberately configure no declarative field: ``--json`` is
-#: presentation-only, and ``--hot`` *derives* an explicit hot set from the
-#: generated workload at runtime (the pairs cannot be known before the
-#: graph and stream exist), installing it on the opened backend instead of
-#: baking pair lists into the config.  The CLI-parity test asserts this
-#: mapping is total over the parser and that every named field exists.
-FLAG_CONFIG_FIELDS: Dict[str, Optional[str]] = {
-    "graph": "graph_spec",
-    "artifact": "artifact_path",
-    "k": "build.k",
-    "epsilon": "build.epsilon",
-    "mode": "build.mode",
-    "seed": "build.seed",
-    "engine": "build.engine",
-    "workload": "workload.name",
-    "queries": "workload.num_queries",
-    "skew": "workload.params.skew",
-    "hop_radius": "workload.params.hop_radius",
-    "bias": "workload.params.bias",
-    "burst_rate": "workload.params.burst_rate",
-    "burst_length": "workload.params.burst_length",
-    "burst_intensity": "workload.params.burst_intensity",
-    "drift_period": "workload.params.drift_period",
-    "batch_size": "batch_size",
-    "kind": "kind",
-    "kernel": "kernel",
-    "cache_size": "cache.capacity",
-    "cache_policy": "cache.policy",
-    "pivot_cache_cap": "cache.pivot_cache_cap",
-    "hot": None,        # derives cache.hot_pairs from the workload at runtime
-    "hot_set": "cache.hot_set",
-    "hot_threshold": "cache.hot_threshold",
-    "hot_capacity": "cache.hot_capacity",
-    "hot_decay_window": "cache.hot_decay_window",
-    "hot_decay_threshold": "cache.hot_decay_threshold",
-    "artifact_format": "build.artifact_format",
-    "build_workers": "build.build_workers",
-    "sub_artifacts": "sub_artifacts",
-    "workers": "workers",
-    "partitioner": "partitioner",
-    "telemetry": "telemetry",
-    "connect": "connect",
-    "pipeline_depth": "pipeline_depth",
-    "max_inflight": "max_inflight",
-    "admission": "admission",
-    "fleet": "fleet",
-    "min_workers": "min_workers",
-    "max_workers": "max_workers",
-    "heartbeat_interval": "heartbeat_interval",
-    "respawn_limit": "respawn_limit",
-    "serve": None,      # runtime deployment mode: where to bind, not what
-                        # to serve — every serving field stays declarative
-    "trace_path": "workload.params.trace_path",
-    "trace_out": None,  # runtime capture target, not serving behaviour
-    "json": None,       # output format, not serving behaviour
-}
+#: ``Flag.default`` of a flag whose default is its config field's.
+_FROM_FIELD = object()
 
-#: Workload shapes each shape-specific flag applies to (anything else errors).
-_WORKLOAD_FLAG_SHAPES = {
-    "skew": ("zipf", "bursty"),
-    "hop_radius": ("locality",),
-    "bias": ("locality",),
-    "burst_rate": ("bursty",),
-    "burst_length": ("bursty",),
-    "burst_intensity": ("bursty",),
-    "drift_period": ("bursty",),
-    "trace_path": ("trace",),
-}
+
+class Flag(NamedTuple):
+    """One ``repro-serve`` flag: where it lands and what ``--help`` says.
+
+    ``path`` is dotted from :class:`ServingConfig`; ``workload.params.<key>``
+    lands in the workload's free-form params dict and ``None`` marks a flag
+    that configures no declarative field (a deployment mode, a capture
+    target, an output format).  A flag backed by a dataclass field takes
+    its type and default from that field; ``type`` / ``default`` are for
+    the flags that have none.  ``choices`` may be a callable so registry
+    names are read when the parser is built, not when this module loads.
+    ``shapes`` lists the workload shapes a ``workload.params`` flag applies
+    to (any other ``--workload`` makes the flag an error).
+    """
+
+    name: str
+    path: Optional[str]
+    help: Optional[str] = None
+    choices: Union[None, Sequence[str], Callable[[], Sequence[str]]] = None
+    type: Optional[Callable[[str], Any]] = None
+    default: Any = _FROM_FIELD
+    metavar: Optional[str] = None
+    shapes: Tuple[str, ...] = ()
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+
+FLAGS: Tuple[Flag, ...] = (
+    Flag("--graph", "graph_spec", "generator spec, e.g. er:n=300,p=0.03"),
+    Flag("--artifact", "artifact_path",
+         "artifact path to build-or-load; omitted = build in memory only"),
+    Flag("--k", "build.k"),
+    Flag("--epsilon", "build.epsilon"),
+    Flag("--mode", "build.mode",
+         choices=("auto", "budget", "spd", "truncated")),
+    Flag("--seed", "build.seed"),
+    Flag("--engine", "build.engine"),
+    Flag("--workload", "workload.name", choices=WORKLOADS.names),
+    Flag("--queries", "workload.num_queries"),
+    Flag("--skew", "workload.params.skew",
+         "Zipf exponent (zipf/bursty workloads only; default 1.2)",
+         type=float, shapes=("zipf", "bursty")),
+    Flag("--hop-radius", "workload.params.hop_radius",
+         "locality ball radius in hops (locality workload only; default 2)",
+         type=int, shapes=("locality",)),
+    Flag("--bias", "workload.params.bias",
+         "probability a target is drawn from the source's ball (locality "
+         "workload only; default 0.8)",
+         type=float, shapes=("locality",)),
+    Flag("--burst-rate", "workload.params.burst_rate",
+         "probability a query starts a burst (bursty workload only; "
+         "default 0.02)",
+         type=float, shapes=("bursty",)),
+    Flag("--burst-length", "workload.params.burst_length",
+         "queries per burst phase (bursty workload only; default 40)",
+         type=int, shapes=("bursty",)),
+    Flag("--burst-intensity", "workload.params.burst_intensity",
+         "probability an in-burst query repeats the burst pair (bursty "
+         "workload only; default 0.8)",
+         type=float, shapes=("bursty",)),
+    Flag("--drift-period", "workload.params.drift_period",
+         "queries per full rotation of the popularity ranking (bursty "
+         "workload only; default 500)",
+         type=int, shapes=("bursty",)),
+    Flag("--trace-path", "workload.params.trace_path",
+         "trace artifact to replay (--workload trace only)",
+         shapes=("trace",)),
+    Flag("--batch-size", "batch_size"),
+    Flag("--cache-size", "cache.capacity",
+         "result-cache capacity (per worker when sharded)"),
+    Flag("--cache-policy", "cache.policy",
+         "result-cache policy (from the cache-policy registry)",
+         choices=CACHE_POLICIES.names),
+    Flag("--kind", "kind", choices=("route", "distance")),
+    Flag("--kernel", "kernel",
+         "batch query kernel: 'columnar' answers batches straight from the "
+         "artifact's record tables, 'dict' is the per-pair path, 'auto' "
+         "picks columnar whenever the backing store supports it (answers "
+         "are identical either way)",
+         choices=QUERY_KERNELS.names),
+    Flag("--pivot-cache-cap", "cache.pivot_cache_cap",
+         "bound on the hierarchy's pivot-row LRU (0 disables it)"),
+    # Derives an explicit hot set from the generated workload at runtime
+    # (the pairs cannot be known before the graph and stream exist) and
+    # installs it on the opened backend instead of baking pair lists into
+    # the config.
+    Flag("--hot", None,
+         "pin the N most frequent workload pairs up front (explicit hot "
+         "set; single-process only)",
+         type=int, default=0),
+    Flag("--hot-set", "cache.hot_set",
+         "hot-set policy; 'online' promotes pairs whose LRU hit counts "
+         "cross --hot-threshold (explicit pinning is spelled --hot N)",
+         choices=lambda: [name for name in HOT_SET_POLICIES.names()
+                          if name != "explicit"]),
+    Flag("--hot-threshold", "cache.hot_threshold",
+         "LRU hit count that promotes a pair (--hot-set online)"),
+    Flag("--hot-capacity", "cache.hot_capacity",
+         "max online promotions per query kind (--hot-set online)"),
+    Flag("--hot-decay-window", "cache.hot_decay_window",
+         "hit events per decay sweep; promoted pairs whose windowed hot "
+         "hits fall below --hot-decay-threshold are unpinned (--hot-set "
+         "online; 0 disables decay)"),
+    Flag("--hot-decay-threshold", "cache.hot_decay_threshold",
+         "windowed hot-hit count a promoted pair needs to stay pinned "
+         "(--hot-decay-window > 0)"),
+    Flag("--build-workers", "build.build_workers",
+         "process-pool width for hierarchy construction and sub-artifact "
+         "slicing; the parallel build is checksum-identical to the "
+         "sequential one (default 1 = sequential)"),
+    Flag("--workers", "workers",
+         "worker processes; >1 serves through a sharded front-end "
+         "(requires --artifact)"),
+    # Left unset, the partitioner follows the deployment shape (see
+    # config_from_args), so the parser must see "unset", not the field's
+    # default.
+    Flag("--partitioner", "partitioner",
+         "shard partition strategy (--workers > 1 only; default "
+         "round_robin, or hash_source when --sub-artifacts or --fleet is "
+         "set)",
+         choices=PARTITIONERS.names, default=None),
+    Flag("--sub-artifacts", "sub_artifacts",
+         "slice the artifact into per-shard sub-artifacts so each worker "
+         "loads only its partition's tables (--workers > 1, source "
+         "partitioning)"),
+    Flag("--telemetry", "telemetry",
+         "enable the per-stage telemetry registry: span histograms for "
+         "artifact load, hierarchy build, cache probes/fills, kernel "
+         "batches and sharded scatter/gather ride along in "
+         "stats.extra['telemetry'] (off by default: the null registry "
+         "costs nothing)"),
+    # Where to bind, not what to serve: every serving field stays
+    # declarative.
+    Flag("--serve", None,
+         "serve the opened backend on a TCP endpoint instead of replaying "
+         "a workload; port 0 binds an ephemeral port (printed on stdout). "
+         "Shut down gracefully with SIGINT/SIGTERM",
+         metavar="HOST:PORT"),
+    Flag("--connect", "connect",
+         "replay the workload against a running --serve server instead of "
+         "opening a backend in-process (graph/artifact/cache flags then "
+         "belong to the server)",
+         metavar="HOST:PORT"),
+    Flag("--pipeline-depth", "pipeline_depth",
+         "max batches in flight through the pipelined scatter/gather (also "
+         "the --connect client's in-flight window)"),
+    Flag("--max-inflight", "max_inflight",
+         "max outstanding batches per shard worker (--workers > 1)"),
+    Flag("--admission", "admission",
+         "at the pipeline bounds: 'block' delays submitters, 'reject' "
+         "raises BackpressureError",
+         choices=("block", "reject")),
+    Flag("--fleet", "fleet",
+         "supervise the shard workers as an elastic fleet: dead workers "
+         "are respawned while siblings cover their partition, and the "
+         "worker count scales between --min-workers and --max-workers on "
+         "sustained queue depth (--workers > 1; answers stay identical)"),
+    Flag("--min-workers", "min_workers",
+         "fleet scale-down floor (--fleet; default 1)"),
+    Flag("--max-workers", "max_workers",
+         "fleet scale-up ceiling (--fleet; default --workers)"),
+    Flag("--heartbeat-interval", "heartbeat_interval",
+         "fleet supervisor beat period in seconds (--fleet): liveness "
+         "checks, respawns and scaling decisions happen on this cadence"),
+    Flag("--respawn-limit", "respawn_limit",
+         "worker respawns tolerated before the fleet degrades to a "
+         "FleetError (--fleet)"),
+    Flag("--trace-out", None,
+         "capture the served query stream (pairs, kinds, batch boundaries, "
+         "arrival offsets) into a trace artifact at PATH, replayable later "
+         "with --workload trace --trace-path PATH"),
+    Flag("--json", None, "emit the result record as JSON on stdout",
+         type=bool),
+)
+
+
+def _field_specs(config: Any = None, prefix: str = ""
+                 ) -> Dict[str, Tuple[Any, Any]]:
+    """``{dotted path: (type, default)}`` of every leaf config field, read
+    off the dataclasses (``Optional[X]`` counts as ``X``)."""
+    config = ServingConfig() if config is None else config
+    hints = typing.get_type_hints(type(config))
+    specs: Dict[str, Tuple[Any, Any]] = {}
+    for field in dataclasses.fields(config):
+        value, hint = getattr(config, field.name), hints[field.name]
+        if dataclasses.is_dataclass(value):
+            specs.update(_field_specs(value, f"{prefix}{field.name}."))
+            continue
+        if typing.get_origin(hint) is Union:
+            hint = next(arg for arg in typing.get_args(hint)
+                        if arg is not type(None))
+        specs[prefix + field.name] = (hint, value)
+    return specs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,161 +266,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-serve",
         description="Build or load a compact-routing artifact and run a "
                     "query workload against it.")
-    parser.add_argument("--graph", help="generator spec, e.g. er:n=300,p=0.03")
-    parser.add_argument("--artifact", help="artifact path to build-or-load; "
-                        "omitted = build in memory only")
-    parser.add_argument("--k", type=int, default=3)
-    parser.add_argument("--epsilon", type=float, default=0.25)
-    parser.add_argument("--mode", default="auto",
-                        choices=["auto", "budget", "spd", "truncated"])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--engine", default="batched")
-    parser.add_argument("--workload", default="zipf",
-                        choices=list(WORKLOADS.names()))
-    parser.add_argument("--queries", type=int, default=1000)
-    parser.add_argument("--skew", type=float, default=None,
-                        help="Zipf exponent (zipf/bursty workloads only; "
-                             "default 1.2)")
-    parser.add_argument("--hop-radius", type=int, default=None,
-                        help="locality ball radius in hops "
-                             "(locality workload only; default 2)")
-    parser.add_argument("--bias", type=float, default=None,
-                        help="probability a target is drawn from the source's "
-                             "ball (locality workload only; default 0.8)")
-    parser.add_argument("--burst-rate", type=float, default=None,
-                        help="probability a query starts a burst "
-                             "(bursty workload only; default 0.02)")
-    parser.add_argument("--burst-length", type=int, default=None,
-                        help="queries per burst phase "
-                             "(bursty workload only; default 40)")
-    parser.add_argument("--burst-intensity", type=float, default=None,
-                        help="probability an in-burst query repeats the "
-                             "burst pair (bursty workload only; default 0.8)")
-    parser.add_argument("--drift-period", type=int, default=None,
-                        help="queries per full rotation of the popularity "
-                             "ranking (bursty workload only; default 500)")
-    parser.add_argument("--batch-size", type=int, default=64)
-    parser.add_argument("--cache-size", type=int, default=4096,
-                        help="result-cache capacity (per worker when "
-                             "sharded)")
-    parser.add_argument("--cache-policy", default="lru",
-                        choices=list(CACHE_POLICIES.names()),
-                        help="result-cache policy (from the cache-policy "
-                             "registry)")
-    parser.add_argument("--kind", default="route", choices=["route", "distance"])
-    parser.add_argument("--kernel", default="auto",
-                        choices=list(QUERY_KERNELS.names()),
-                        help="batch query kernel: 'columnar' answers batches "
-                             "straight from the v2 record tables, 'dict' is "
-                             "the per-pair path, 'auto' picks columnar "
-                             "whenever the backing store supports it "
-                             "(answers are identical either way)")
-    parser.add_argument("--pivot-cache-cap", type=int, default=65536,
-                        help="bound on the hierarchy's pivot-row LRU "
-                             "(0 disables it)")
-    parser.add_argument("--hot", type=int, default=0,
-                        help="pin the N most frequent workload pairs up "
-                             "front (explicit hot set; single-process only)")
-    parser.add_argument("--hot-set", default="none",
-                        choices=[name for name in HOT_SET_POLICIES.names()
-                                 if name != "explicit"],
-                        help="hot-set policy; 'online' promotes pairs whose "
-                             "LRU hit counts cross --hot-threshold "
-                             "(explicit pinning is spelled --hot N)")
-    parser.add_argument("--hot-threshold", type=int, default=8,
-                        help="LRU hit count that promotes a pair "
-                             "(--hot-set online)")
-    parser.add_argument("--hot-capacity", type=int, default=256,
-                        help="max online promotions per query kind "
-                             "(--hot-set online)")
-    parser.add_argument("--hot-decay-window", type=int, default=0,
-                        help="hit events per decay sweep; promoted pairs "
-                             "whose windowed hot hits fall below "
-                             "--hot-decay-threshold are unpinned "
-                             "(--hot-set online; 0 disables decay)")
-    parser.add_argument("--hot-decay-threshold", type=int, default=1,
-                        help="windowed hot-hit count a promoted pair needs "
-                             "to stay pinned (--hot-decay-window > 0)")
-    parser.add_argument("--build-workers", type=int, default=1,
-                        help="process-pool width for hierarchy construction "
-                             "and sub-artifact slicing; the parallel build "
-                             "is checksum-identical to the sequential one "
-                             "(default 1 = sequential)")
-    parser.add_argument("--artifact-format", type=int, default=2,
-                        choices=[1, 2],
-                        help="on-disk layout written on the build path: "
-                             "2 = mmap-able section table (default), "
-                             "1 = legacy monolithic pickle")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes; >1 serves through a sharded "
-                             "front-end (requires --artifact)")
-    parser.add_argument("--partitioner", default=None,
-                        choices=list(PARTITIONERS.names()),
-                        help="shard partition strategy (--workers > 1 only; "
-                             "default round_robin, or hash_source when "
-                             "--sub-artifacts is set)")
-    parser.add_argument("--sub-artifacts", action="store_true",
-                        help="slice the artifact into per-shard "
-                             "sub-artifacts so each worker loads only its "
-                             "partition's tables (--workers > 1, format-2 "
-                             "artifact, source partitioning)")
-    parser.add_argument("--telemetry", action="store_true",
-                        help="enable the per-stage telemetry registry: span "
-                             "histograms for artifact load, hierarchy build, "
-                             "cache probes/fills, kernel batches and sharded "
-                             "scatter/gather ride along in stats.extra"
-                             "['telemetry'] (off by default: the null "
-                             "registry costs nothing)")
-    parser.add_argument("--serve", default=None, metavar="HOST:PORT",
-                        help="serve the opened backend on a TCP endpoint "
-                             "instead of replaying a workload; port 0 binds "
-                             "an ephemeral port (printed on stdout). "
-                             "Shut down gracefully with SIGINT/SIGTERM")
-    parser.add_argument("--connect", default=None, metavar="HOST:PORT",
-                        help="replay the workload against a running --serve "
-                             "server instead of opening a backend "
-                             "in-process (graph/artifact/cache flags then "
-                             "belong to the server)")
-    parser.add_argument("--pipeline-depth", type=int, default=8,
-                        help="max batches in flight through the pipelined "
-                             "scatter/gather (also the --connect client's "
-                             "in-flight window)")
-    parser.add_argument("--max-inflight", type=int, default=4,
-                        help="max outstanding batches per shard worker "
-                             "(--workers > 1)")
-    parser.add_argument("--admission", default="block",
-                        choices=["block", "reject"],
-                        help="at the pipeline bounds: 'block' delays "
-                             "submitters, 'reject' raises BackpressureError")
-    parser.add_argument("--fleet", action="store_true",
-                        help="supervise the shard workers as an elastic "
-                             "fleet: dead workers are respawned while "
-                             "siblings cover their partition, and the "
-                             "worker count scales between --min-workers "
-                             "and --max-workers on sustained queue depth "
-                             "(--workers > 1; answers stay identical)")
-    parser.add_argument("--min-workers", type=int, default=None,
-                        help="fleet scale-down floor (--fleet; default 1)")
-    parser.add_argument("--max-workers", type=int, default=None,
-                        help="fleet scale-up ceiling (--fleet; default "
-                             "--workers)")
-    parser.add_argument("--heartbeat-interval", type=float, default=0.5,
-                        help="fleet supervisor beat period in seconds "
-                             "(--fleet): liveness checks, respawns and "
-                             "scaling decisions happen on this cadence")
-    parser.add_argument("--respawn-limit", type=int, default=3,
-                        help="worker respawns tolerated before the fleet "
-                             "degrades to a FleetError (--fleet)")
-    parser.add_argument("--trace-path", default=None,
-                        help="trace artifact to replay "
-                             "(--workload trace only)")
-    parser.add_argument("--trace-out", default=None,
-                        help="capture the served query stream (pairs, kinds, "
-                             "batch boundaries, arrival offsets) into a "
-                             "trace artifact at PATH, replayable later with "
-                             "--workload trace --trace-path PATH")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the result record as JSON on stdout")
+    specs = _field_specs()
+    for flag in FLAGS:
+        # Only runtime-only flags and free-form workload.params keys have
+        # no dataclass field; any other unknown path is a table typo.
+        field_type, field_default = (
+            (None, None) if flag.path is None
+            or flag.path.startswith("workload.params.")
+            else specs[flag.path])
+        value_type = flag.type or field_type
+        if value_type is bool:
+            parser.add_argument(flag.name, action="store_true",
+                                help=flag.help)
+            continue
+        choices = flag.choices() if callable(flag.choices) else flag.choices
+        parser.add_argument(
+            flag.name, type=value_type, choices=choices,
+            default=(field_default if flag.default is _FROM_FIELD
+                     else flag.default),
+            metavar=flag.metavar, help=flag.help)
     return parser
 
 
@@ -315,18 +320,13 @@ def config_from_args(args: argparse.Namespace,
 
     # Workload parameters are validated here instead of silently ignored:
     # a flag that does not apply to the chosen shape is an error.
-    workload_params: Dict[str, object] = {}
-    for dest, shapes in _WORKLOAD_FLAG_SHAPES.items():
-        value = getattr(args, dest)
-        if value is None:
-            continue
-        if args.workload not in shapes:
-            flag = "--" + dest.replace("_", "-")
+    for flag in FLAGS:
+        if (flag.shapes and getattr(args, flag.dest) is not None
+                and args.workload not in flag.shapes):
             parser.error(
-                f"{flag} applies to the {'/'.join(shapes)} workload"
-                f"{'s' if len(shapes) > 1 else ''} only "
+                f"{flag.name} applies to the {'/'.join(flag.shapes)} "
+                f"workload{'s' if len(flag.shapes) > 1 else ''} only "
                 f"(got --workload {args.workload})")
-        workload_params[dest] = value
 
     if args.workload == "trace" and args.trace_path is None:
         parser.error("--workload trace requires --trace-path FILE "
@@ -352,9 +352,6 @@ def config_from_args(args: argparse.Namespace,
         if args.workers <= 1:
             parser.error("--sub-artifacts requires --workers > 1 "
                          "(slicing exists to shrink per-worker tables)")
-        if args.artifact_format != 2:
-            parser.error("--sub-artifacts requires --artifact-format 2 "
-                         "(slices are section subsets)")
         if args.partitioner not in (None, "hash_source"):
             parser.error("--sub-artifacts requires source partitioning "
                          "(--partitioner hash_source): workers only hold "
@@ -372,49 +369,25 @@ def config_from_args(args: argparse.Namespace,
                          "--partitioner hash_source or omit it")
     elif args.min_workers is not None or args.max_workers is not None:
         parser.error("--min-workers/--max-workers apply with --fleet only")
-    partitioner = args.partitioner
-    if partitioner is None:
-        partitioner = ("hash_source"
-                       if args.sub_artifacts or args.fleet
-                       else "round_robin")
 
+    # Walk each flag's dotted path into the nested dict from_dict expects;
+    # unset workload.params flags stay out of the free-form dict.
+    nested: Dict[str, Any] = {"cache": {"hot_kind": args.kind}}
+    for flag in FLAGS:
+        value = getattr(args, flag.dest)
+        if flag.path is None or (flag.shapes and value is None):
+            continue
+        *parents, leaf = flag.path.split(".")
+        node = nested
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+    if args.partitioner is None:
+        nested["partitioner"] = ("hash_source"
+                                 if args.sub_artifacts or args.fleet
+                                 else "round_robin")
     try:
-        return ServingConfig(
-            artifact_path=args.artifact,
-            graph_spec=args.graph,
-            workers=args.workers,
-            partitioner=partitioner,
-            sub_artifacts=args.sub_artifacts,
-            batch_size=args.batch_size,
-            kind=args.kind,
-            kernel=args.kernel,
-            telemetry=args.telemetry,
-            connect=args.connect,
-            pipeline_depth=args.pipeline_depth,
-            max_inflight=args.max_inflight,
-            admission=args.admission,
-            fleet=args.fleet,
-            min_workers=args.min_workers,
-            max_workers=args.max_workers,
-            heartbeat_interval=args.heartbeat_interval,
-            respawn_limit=args.respawn_limit,
-            build=BuildConfig(k=args.k, epsilon=args.epsilon, seed=args.seed,
-                              mode=args.mode, engine=args.engine,
-                              artifact_format=args.artifact_format,
-                              build_workers=args.build_workers),
-            cache=CacheConfig(policy=args.cache_policy,
-                              capacity=args.cache_size,
-                              hot_set=args.hot_set,
-                              hot_kind=args.kind,
-                              hot_threshold=args.hot_threshold,
-                              hot_capacity=args.hot_capacity,
-                              hot_decay_window=args.hot_decay_window,
-                              hot_decay_threshold=args.hot_decay_threshold,
-                              pivot_cache_cap=args.pivot_cache_cap),
-            workload=WorkloadConfig(name=args.workload,
-                                    num_queries=args.queries,
-                                    params=workload_params),
-        )
+        return ServingConfig.from_dict(nested)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -557,8 +530,6 @@ def advertised_config(config: ServingConfig) -> ServingConfig:
     """
     if config.graph_spec is not None or config.artifact_path is None:
         return config
-    import dataclasses
-
     from .artifacts import artifact_info
     built_by = artifact_info(config.artifact_path).metadata.get(
         "serving_config") or {}

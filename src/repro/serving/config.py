@@ -63,12 +63,7 @@ class BuildConfig:
     against an existing artifact's header: requesting a build with a config
     that differs from what an artifact was built with raises
     :class:`~repro.serving.artifacts.ArtifactError` instead of silently
-    serving stale answers.  ``artifact_format`` selects the on-disk layout
-    written on the build path (2 = mmap-able section table, the default;
-    1 = legacy monolithic pickle) — it is a storage detail, not a build
-    parameter, so it does *not* participate in the freshness check: an
-    existing artifact of either format with matching build parameters is
-    served as-is.  ``build_workers`` likewise stays out of the freshness
+    serving stale answers.  ``build_workers`` stays out of the freshness
     check: the parallel build is checksum-identical to the sequential one,
     so how many processes built an artifact never makes it stale (the
     worker count is still recorded in the header provenance via the
@@ -80,7 +75,6 @@ class BuildConfig:
     seed: int = 0
     mode: str = "auto"
     engine: str = "batched"
-    artifact_format: int = 2
     build_workers: int = 1
 
     def __post_init__(self) -> None:
@@ -88,9 +82,6 @@ class BuildConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.artifact_format not in (1, 2):
-            raise ValueError(f"artifact_format must be 1 or 2, "
-                             f"got {self.artifact_format!r}")
         if not isinstance(self.build_workers, int) \
                 or isinstance(self.build_workers, bool) \
                 or self.build_workers < 1:
@@ -231,7 +222,7 @@ class ServingConfig:
     ``workers > 1`` serves through the multi-process sharded front-end and
     requires ``artifact_path`` (workers load the hierarchy by path).
     ``sub_artifacts`` additionally materialises per-shard sub-artifacts
-    (format-2 slices holding only each shard's bunch rows and reachable
+    (slices holding only each shard's bunch rows and reachable
     trees) so every worker maps only its partition's tables; it requires a
     source-partitioning strategy (``partitioner="hash_source"``), since the
     slices are only complete for queries routed to their source's shard.
@@ -271,7 +262,6 @@ class ServingConfig:
     save_artifact: bool = True
     workers: int = 1
     partitioner: str = "round_robin"
-    partitioner_params: Dict[str, Any] = field(default_factory=dict)
     sub_artifacts: bool = False
     batch_size: int = 64
     kind: str = "route"
@@ -368,7 +358,6 @@ class ServingConfig:
             "save_artifact": self.save_artifact,
             "workers": self.workers,
             "partitioner": self.partitioner,
-            "partitioner_params": dict(self.partitioner_params),
             "sub_artifacts": self.sub_artifacts,
             "batch_size": self.batch_size,
             "kind": self.kind,
@@ -402,8 +391,6 @@ class ServingConfig:
             data["cache"] = CacheConfig.from_dict(data["cache"])
         if "workload" in data:
             data["workload"] = WorkloadConfig.from_dict(data["workload"])
-        if "partitioner_params" in data:
-            data["partitioner_params"] = dict(data["partitioner_params"])
         return cls(**data)
 
     def workload_seed(self) -> int:

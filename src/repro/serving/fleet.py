@@ -20,10 +20,9 @@ adds three behaviours, all without ever changing an answer:
   if the file vanished.  In-flight and subsequent batches stay
   list-for-list identical to single-process serving; only latency spikes.
 * **load rebalancing** — the source-hash partition map is adjusted against
-  observed per-shard load using the same windowed hit-rate feedback as
-  :class:`~repro.serving.partitioners.AdaptivePartitioner`
-  (:class:`~repro.serving.partitioners.HitRateWindow`): cold sources are
-  migrated first, so warm cache entries stay where they are.
+  observed per-shard load using windowed hit-rate feedback
+  (:class:`HitRateWindow`): cold sources are migrated first, so warm
+  cache entries stay where they are.
 * **elastic scaling** — sustained front-end queue depth (the
   ``pipeline_depth`` admission signal) scales the worker count up or down
   between configured bounds; scaled-down workers drain and park, scale-ups
@@ -58,14 +57,14 @@ import os
 import threading
 import time
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cache import ServingStats
-from .partitioners import HitRateWindow
 from .sharded import ShardError, _DEFERRED_SLOT
 from .workloads import stable_node_hash
 
-__all__ = ["FleetConfig", "FleetError", "FleetSupervisor", "RoutingEpoch"]
+__all__ = ["FleetConfig", "FleetError", "FleetSupervisor", "HitRateWindow",
+           "RoutingEpoch"]
 
 
 class FleetError(ShardError):
@@ -136,6 +135,66 @@ class FleetConfig:
 
     def to_dict(self) -> Dict[str, object]:
         return dataclasses.asdict(self)
+
+
+class HitRateWindow:
+    """Per-shard cache hit rates over the window since the last evaluation.
+
+    The windowed-feedback core of the supervisor's rebalancer: given fresh
+    per-worker :class:`~repro.serving.cache.ServingStats` snapshots,
+    compute each shard's hit rate over the *delta* since the last evaluated window.
+    Sub-threshold windows (fewer than ``min_window`` probes in total)
+    return ``None`` without advancing the baseline, so small windows
+    accumulate across observations instead of being consumed and
+    discarded.  Hot-store hits count as hits — a promoted pair is the
+    cache working as intended, not a sign of overload.
+    """
+
+    __slots__ = ("num_shards", "min_window", "_last_hits", "_last_misses")
+
+    def __init__(self, num_shards: int, min_window: int = 64) -> None:
+        self.num_shards = num_shards
+        self.min_window = min_window
+        self._last_hits = [0] * num_shards
+        self._last_misses = [0] * num_shards
+
+    def resize(self, num_shards: int) -> None:
+        """Grow the baseline for newly added shards (fleet scale-up)."""
+        while len(self._last_hits) < num_shards:
+            self._last_hits.append(0)
+            self._last_misses.append(0)
+        self.num_shards = num_shards
+
+    def reset_shard(self, shard: int) -> None:
+        """Zero one shard's baseline (its worker restarted from scratch)."""
+        if 0 <= shard < len(self._last_hits):
+            self._last_hits[shard] = 0
+            self._last_misses[shard] = 0
+
+    def rates(self, worker_stats: Sequence[ServingStats],
+              ) -> Optional[List[float]]:
+        """Windowed hit rates, or ``None`` when the window is too small."""
+        if len(worker_stats) != self.num_shards:
+            return None
+        total_hits = [stats.cache_hits + stats.hot_hits
+                      for stats in worker_stats]
+        total_misses = [stats.cache_misses for stats in worker_stats]
+        deltas = []
+        for shard in range(self.num_shards):
+            d_hits = total_hits[shard] - self._last_hits[shard]
+            d_misses = total_misses[shard] - self._last_misses[shard]
+            if d_hits < 0 or d_misses < 0:
+                # The worker restarted (counters reset); its lifetime totals
+                # ARE the window.
+                d_hits, d_misses = total_hits[shard], total_misses[shard]
+            deltas.append((d_hits, d_misses))
+        if sum(d_hits + d_misses for d_hits, d_misses in deltas) \
+                < self.min_window:
+            return None
+        self._last_hits = total_hits
+        self._last_misses = total_misses
+        return [d_hits / (d_hits + d_misses) if d_hits + d_misses else 1.0
+                for d_hits, d_misses in deltas]
 
 
 class RoutingEpoch:

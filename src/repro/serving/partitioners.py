@@ -11,103 +11,35 @@ named plug-point (:data:`~repro.serving.registry.PARTITIONERS`):
 * ``"hash_pair"``   — shard by a stable hash of the pair, so every
   occurrence of a hot pair warms exactly one shard's cache
   (:class:`HashPairPartitioner`);
-* ``"adaptive"``    — start from the stable hash and *migrate* pairs away
-  from shards whose observed cache hit rate lags the best shard
-  (:class:`AdaptivePartitioner`), the ROADMAP's "adaptive partitioning
-  driven by observed per-shard hit rates".
+* ``"hash_source"`` — shard by a stable hash of the source node, the
+  assignment per-shard sub-artifacts are sliced by
+  (:class:`HashSourcePartitioner`).
 
-Stateful partitioners receive feedback: when a partitioner sets
-``wants_feedback``, the sharded front-end calls :meth:`Partitioner.observe`
-with fresh per-worker :class:`~repro.serving.cache.ServingStats` snapshots
-every ``feedback_every`` batches.  Everything is deterministic — the same
-query stream and the same observed stats produce the same shard assignment —
-so sharded serving stays reproducible.
+Partitioning is deterministic — the same query stream produces the same
+shard assignment — so sharded serving stays reproducible.  Rebalancing on
+observed per-shard hit rates lives in one place, the fleet supervisor
+(:mod:`repro.serving.fleet`).
 
-Custom partitioners register a factory ``(num_shards, **params) ->
-Partitioner``.
+Custom partitioners register a factory ``(num_shards) -> Partitioner``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Sequence, Tuple
 
-from .cache import ServingStats
-from .registry import register_partitioner
-from .workloads import _stable_pair_hash, partition_pairs
+from .registry import get_partitioner, register_partitioner
+from .workloads import partition_pairs
 
 __all__ = [
     "Partitioner",
     "RoundRobinPartitioner",
     "HashPairPartitioner",
     "HashSourcePartitioner",
-    "AdaptivePartitioner",
-    "HitRateWindow",
     "make_partitioner",
 ]
 
 _Pair = Tuple[Hashable, Hashable]
 _Shards = List[List[Tuple[int, _Pair]]]
-
-
-class HitRateWindow:
-    """Per-shard cache hit rates over the window since the last evaluation.
-
-    The windowed-feedback core shared by :class:`AdaptivePartitioner` and
-    the fleet supervisor's rebalancer: given fresh per-worker
-    :class:`~repro.serving.cache.ServingStats` snapshots, compute each
-    shard's hit rate over the *delta* since the last evaluated window.
-    Sub-threshold windows (fewer than ``min_window`` probes in total)
-    return ``None`` without advancing the baseline, so small windows
-    accumulate across observations instead of being consumed and
-    discarded.  Hot-store hits count as hits — a promoted pair is the
-    cache working as intended, not a sign of overload.
-    """
-
-    __slots__ = ("num_shards", "min_window", "_last_hits", "_last_misses")
-
-    def __init__(self, num_shards: int, min_window: int = 64) -> None:
-        self.num_shards = num_shards
-        self.min_window = min_window
-        self._last_hits = [0] * num_shards
-        self._last_misses = [0] * num_shards
-
-    def resize(self, num_shards: int) -> None:
-        """Grow the baseline for newly added shards (fleet scale-up)."""
-        while len(self._last_hits) < num_shards:
-            self._last_hits.append(0)
-            self._last_misses.append(0)
-        self.num_shards = num_shards
-
-    def reset_shard(self, shard: int) -> None:
-        """Zero one shard's baseline (its worker restarted from scratch)."""
-        if 0 <= shard < len(self._last_hits):
-            self._last_hits[shard] = 0
-            self._last_misses[shard] = 0
-
-    def rates(self, worker_stats: Sequence[ServingStats],
-              ) -> Optional[List[float]]:
-        """Windowed hit rates, or ``None`` when the window is too small."""
-        if len(worker_stats) != self.num_shards:
-            return None
-        total_hits = [stats.cache_hits + stats.hot_hits
-                      for stats in worker_stats]
-        total_misses = [stats.cache_misses for stats in worker_stats]
-        deltas = []
-        for shard in range(self.num_shards):
-            d_hits = total_hits[shard] - self._last_hits[shard]
-            d_misses = total_misses[shard] - self._last_misses[shard]
-            if d_hits < 0 or d_misses < 0:
-                # The worker restarted (counters reset); its lifetime totals
-                # ARE the window.
-                d_hits, d_misses = total_hits[shard], total_misses[shard]
-            deltas.append((d_hits, d_misses))
-        if sum(d_hits + d_misses for d_hits, d_misses in deltas) \
-                < self.min_window:
-            return None
-        self._last_hits = total_hits
-        self._last_misses = total_misses
-        return [d_hits / (d_hits + d_misses) if d_hits + d_misses else 1.0
-                for d_hits, d_misses in deltas]
 
 
 class Partitioner:
@@ -119,14 +51,10 @@ class Partitioner:
     """
 
     name = "base"
-    #: Whether the front-end should feed observed per-worker stats back.
-    wants_feedback = False
-    #: How often (in scatter batches) feedback is delivered, when wanted.
-    feedback_every = 1
     #: Whether every query is routed to a shard determined by its *source*
-    #: node alone (and never migrated).  Per-shard sub-artifacts slice
-    #: their tables by source, so the sharded front-end requires a
-    #: source-partitioning strategy before it will serve from slices.
+    #: node alone.  Per-shard sub-artifacts slice their tables by source,
+    #: so the sharded front-end requires a source-partitioning strategy
+    #: before it will serve from slices.
     partitions_by_source = False
 
     def __init__(self, num_shards: int) -> None:
@@ -136,13 +64,6 @@ class Partitioner:
 
     def partition(self, pairs: Sequence[_Pair]) -> _Shards:
         raise NotImplementedError
-
-    def observe(self, worker_stats: Sequence[ServingStats]) -> None:
-        """Feedback hook; stateless partitioners ignore it."""
-
-    def describe(self) -> Dict[str, object]:
-        """Provenance extras folded into the merged stats."""
-        return {}
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(num_shards={self.num_shards})"
@@ -181,102 +102,11 @@ class HashSourcePartitioner(Partitioner):
         return partition_pairs(pairs, self.num_shards, strategy="hash_source")
 
 
-class AdaptivePartitioner(Partitioner):
-    """Hash-affine partitioning that rebalances on observed hit rates.
-
-    Each pair starts on its stable-hash shard (so, like ``hash_pair``, every
-    occurrence of a pair lands on one shard and warms one cache).  After
-    every ``feedback_every`` batches the front-end hands over per-worker
-    stats; the partitioner computes each shard's hit rate over the *window
-    since the last observation* and, when the worst shard lags the best by
-    more than ``min_gap``, migrates ``migrate_fraction`` of the worst
-    shard's assigned pairs to the best shard.
-
-    The rationale: a persistently low hit rate means that shard's assigned
-    working set overflows its cache (or is colder than its peers), while a
-    high hit rate means headroom; shedding distinct pairs from the former
-    to the latter raises the aggregate hit rate without any coordination
-    inside the workers.  Migration changes future *placement* only — answers
-    are computed from the same shared artifact everywhere, so the sharded
-    identity invariant is untouched.
-
-    Migration order is deterministic (pairs sorted by stable hash), so a
-    replayed session partitions identically.
-    """
-
-    name = "adaptive"
-    wants_feedback = True
-
-    def __init__(self, num_shards: int, feedback_every: int = 4,
-                 min_gap: float = 0.1, migrate_fraction: float = 0.25,
-                 min_window: int = 64) -> None:
-        super().__init__(num_shards)
-        if feedback_every < 1:
-            raise ValueError(f"feedback_every must be >= 1, "
-                             f"got {feedback_every}")
-        if not 0.0 <= min_gap <= 1.0:
-            raise ValueError(f"min_gap must be in [0, 1], got {min_gap}")
-        if not 0.0 < migrate_fraction <= 1.0:
-            raise ValueError(f"migrate_fraction must be in (0, 1], "
-                             f"got {migrate_fraction}")
-        self.feedback_every = feedback_every
-        self.min_gap = min_gap
-        self.migrate_fraction = migrate_fraction
-        self.min_window = min_window
-        self.migrations = 0
-        self.rebalances = 0
-        self._assigned: Dict[_Pair, int] = {}
-        self._window = HitRateWindow(num_shards, min_window=min_window)
-
-    def shard_of(self, pair: _Pair) -> int:
-        """Current shard assignment for ``pair`` (assigning it if new)."""
-        shard = self._assigned.get(pair)
-        if shard is None:
-            shard = _stable_pair_hash(pair) % self.num_shards
-            self._assigned[pair] = shard
-        return shard
-
-    def partition(self, pairs: Sequence[_Pair]) -> _Shards:
-        shards: _Shards = [[] for _ in range(self.num_shards)]
-        for index, pair in enumerate(pairs):
-            shards[self.shard_of(pair)].append((index, pair))
-        return shards
-
-    def observe(self, worker_stats: Sequence[ServingStats]) -> None:
-        if len(worker_stats) != self.num_shards or self.num_shards < 2:
-            return
-        window_rates = self._window.rates(worker_stats)
-        if window_rates is None:
-            return
-        worst = min(range(self.num_shards), key=lambda s: window_rates[s])
-        best = max(range(self.num_shards), key=lambda s: window_rates[s])
-        if worst == best or window_rates[best] - window_rates[worst] < self.min_gap:
-            return
-        resident = sorted(
-            (pair for pair, shard in self._assigned.items()
-             if shard == worst),
-            key=_stable_pair_hash)
-        quota = max(1, int(len(resident) * self.migrate_fraction)) \
-            if resident else 0
-        for pair in resident[:quota]:
-            self._assigned[pair] = best
-        if quota:
-            self.migrations += quota
-            self.rebalances += 1
-
-    def describe(self) -> Dict[str, object]:
-        return {"partitioner_migrations": self.migrations,
-                "partitioner_rebalances": self.rebalances}
-
-
 register_partitioner("round_robin", RoundRobinPartitioner)
 register_partitioner("hash_pair", HashPairPartitioner)
 register_partitioner("hash_source", HashSourcePartitioner)
-register_partitioner("adaptive", AdaptivePartitioner)
 
 
-def make_partitioner(name: str, num_shards: int, **params) -> Partitioner:
+def make_partitioner(name: str, num_shards: int) -> Partitioner:
     """Instantiate a registered partitioner by name."""
-    from .registry import get_partitioner
-
-    return get_partitioner(name)(num_shards, **params)
+    return get_partitioner(name)(num_shards)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..graphs.weighted_graph import WeightedGraph
@@ -45,7 +44,7 @@ from .policies import HotSetPolicy, make_hot_set_policy
 from .registry import get_cache_policy, get_query_kernel, register_query_kernel
 
 __all__ = ["RoutingService", "build_or_load_service", "answer_batch",
-           "execute_query_shard", "resolve_query_kernel"]
+           "resolve_query_kernel"]
 
 _Pair = Tuple[Hashable, Hashable]
 
@@ -68,7 +67,7 @@ def _dict_kernel(hierarchy: CompactRoutingHierarchy) -> str:
 @register_query_kernel("columnar")
 def _columnar_kernel(hierarchy: CompactRoutingHierarchy) -> str:
     """Array-native batch kernel over v2 record tables; falls back to the
-    dict path when the backing store is v1/in-memory (no record tables)."""
+    dict path when the backing store is in-memory (no record tables)."""
     return "columnar" if hierarchy.has_columnar_kernel() else "dict"
 
 
@@ -96,25 +95,23 @@ class RoutingService:
     ----------
     hierarchy:
         The underlying compact-routing hierarchy.
-    cache_size:
-        Capacity of *each* result cache (routes and distances are cached
-        separately since route traces are much heavier).  ``0`` disables
-        result caching — the benchmarks use this as the cold baseline.
-        Ignored when ``cache_config`` is given.
     stats:
         Optional pre-populated stats object (used by the factory
         constructors to carry build/load timings into the service).
     cache_config:
         Full cache behaviour as a :class:`~repro.serving.config.CacheConfig`
         — selects the result-cache policy from the cache-policy registry and
-        installs the configured hot-set policy.  When omitted, an LRU of
-        ``cache_size`` with no hot-set policy (the v1 behaviour).
+        installs the configured hot-set policy.  ``capacity`` applies to
+        *each* result cache (routes and distances are cached separately
+        since route traces are much heavier); ``0`` disables result caching
+        — the benchmarks use this as the cold baseline.  Defaults to
+        ``CacheConfig()``.
     kernel:
         Query-kernel selector (``"dict"`` / ``"columnar"`` / ``"auto"``,
         resolved through the query-kernel registry).  Controls how batch
         queries probe the routing tables; answers are identical across
         kernels, so ``"auto"`` (columnar whenever the backing store is a
-        v2 mmap artifact) is safe everywhere.
+        loaded mmap artifact) is safe everywhere.
     telemetry:
         When true, per-stage spans (cache probes, kernel batches, group
         decodes, warm-up) record into a live
@@ -128,13 +125,12 @@ class RoutingService:
     """
 
     def __init__(self, hierarchy: CompactRoutingHierarchy,
-                 cache_size: int = 4096,
                  stats: Optional[ServingStats] = None,
                  cache_config: Optional[CacheConfig] = None,
                  kernel: str = "auto", telemetry: bool = False,
                  metrics=None) -> None:
         if cache_config is None:
-            cache_config = CacheConfig(capacity=cache_size)
+            cache_config = CacheConfig()
         self.hierarchy = hierarchy
         self.cache_config = cache_config
         self.kernel = kernel
@@ -169,7 +165,6 @@ class RoutingService:
     @classmethod
     def build(cls, graph: WeightedGraph, k: int = 3, epsilon: float = 0.25,
               seed: int = 0, mode: str = "auto", engine: str = "batched",
-              cache_size: int = 4096,
               cache_config: Optional[CacheConfig] = None,
               kernel: str = "auto", telemetry: bool = False,
               **build_kwargs) -> "RoutingService":
@@ -190,21 +185,19 @@ class RoutingService:
                                               engine=engine, registry=metrics,
                                               **build_kwargs)
         stats.build_seconds = time.perf_counter() - start
-        return cls(hierarchy, cache_size=cache_size, stats=stats,
-                   cache_config=cache_config, kernel=kernel, metrics=metrics)
+        return cls(hierarchy, stats=stats, cache_config=cache_config,
+                   kernel=kernel, metrics=metrics)
 
     @classmethod
-    def load(cls, path: str, cache_size: int = 4096,
-             cache_config: Optional[CacheConfig] = None,
+    def load(cls, path: str, cache_config: Optional[CacheConfig] = None,
              kernel: str = "auto", telemetry: bool = False,
              ) -> "RoutingService":
         """Load a persisted hierarchy artifact and serve from it.
 
-        The artifact format decides the load path: format 1 unpickles the
-        whole hierarchy eagerly; format 2 maps the file and pages tables
-        lazily.  Both are recorded in the stats extras
+        The file is mapped and its tables page in lazily; the stats extras
         (``artifact_format`` / ``artifact_load`` / ``loaded_table_bytes``)
-        so ``repro-serve --json`` reports how this service got its tables.
+        record how this service got its tables, so ``repro-serve --json``
+        can report it.
         """
         stats = ServingStats()
         metrics = make_registry(telemetry)
@@ -215,47 +208,21 @@ class RoutingService:
         stats.artifact_bytes = info.payload_bytes
         stats.extra["artifact_path"] = path
         stats.extra["artifact_format"] = info.format_version
-        stats.extra["artifact_load"] = ("mmap" if info.format_version >= 2
-                                        else "pickle")
+        stats.extra["artifact_load"] = "mmap"
         stats.extra["loaded_table_bytes"] = info.payload_bytes
         sub = info.metadata.get("sub_artifact")
         if sub is not None:
             stats.extra["sub_artifact_shard"] = sub.get("shard")
-        madvised = getattr(hierarchy, "_madvise_sections", None)
-        if madvised is not None:
-            stats.extra["madvise_sections"] = list(madvised)
-        return cls(hierarchy, cache_size=cache_size, stats=stats,
-                   cache_config=cache_config, kernel=kernel, metrics=metrics)
-
-    @classmethod
-    def build_or_load(cls, path: str, graph: Optional[WeightedGraph] = None,
-                      k: int = 3, epsilon: float = 0.25, seed: int = 0,
-                      mode: str = "auto", engine: str = "batched",
-                      cache_size: int = 4096, save: bool = True,
-                      **build_kwargs) -> "RoutingService":
-        """Deprecated kwargs shim over :func:`build_or_load_service`.
-
-        Use ``open_service(ServingConfig(artifact_path=..., build=...,
-        cache=...))`` (or :func:`build_or_load_service` directly) instead;
-        this wrapper only repackages the kwargs chain into the typed configs
-        and will be removed after a deprecation period.
-        """
-        warnings.warn(
-            "RoutingService.build_or_load(...) is deprecated; use "
-            "repro.serving.open_service(ServingConfig(artifact_path=...)) "
-            "or build_or_load_service(...)",
-            DeprecationWarning, stacklevel=2)
-        return build_or_load_service(
-            path, graph=graph,
-            build=BuildConfig(k=k, epsilon=epsilon, seed=seed, mode=mode,
-                              engine=engine),
-            cache=CacheConfig(capacity=cache_size), save=save, **build_kwargs)
+        stats.extra["madvise_sections"] = list(hierarchy._madvise_sections)
+        return cls(hierarchy, stats=stats, cache_config=cache_config,
+                   kernel=kernel, metrics=metrics)
 
     def save(self, path: str, metadata: Optional[Dict[str, object]] = None,
              format: int = 2,
              compress_node_table: bool = False) -> ArtifactInfo:
         """Persist the underlying hierarchy as a versioned artifact
-        (``format=2`` — the mmap-able section table — by default;
+        (``format`` accepts only ``2``, see
+        :func:`~repro.serving.artifacts.save_hierarchy`;
         ``compress_node_table=True`` front-codes the node intern table)."""
         return save_hierarchy(self.hierarchy, path, metadata=metadata,
                               format=format,
@@ -668,8 +635,7 @@ def build_or_load_service(path: str, graph: Optional[WeightedGraph] = None,
         mode=build.mode, engine=build.engine, cache_config=cache,
         kernel=kernel, telemetry=telemetry, **build_kwargs)
     if save:
-        info = service.save(path, metadata=metadata,
-                            format=build.artifact_format)
+        info = service.save(path, metadata=metadata)
         service.stats.artifact_bytes = info.payload_bytes
         service.stats.extra["artifact_path"] = path
         service.stats.extra["artifact_format"] = info.format_version
@@ -684,28 +650,11 @@ def answer_batch(service: RoutingService, kind: str,
                  pairs: Sequence[_Pair]) -> List:
     """Dispatch one batch to the service by query kind.
 
-    The shared kind registry for the CLI, the sharded front-end's workers
-    and :func:`execute_query_shard`.
+    The shared kind registry for the CLI and the sharded front-end's
+    workers.
     """
     if kind == "route":
         return service.route_batch(pairs)
     if kind == "distance":
         return service.distance_batch(pairs)
     raise ValueError(f"kind must be route or distance, got {kind!r}")
-
-
-def execute_query_shard(artifact_path: str, pairs: Sequence[_Pair],
-                        kind: str = "route", cache_size: int = 4096,
-                        kernel: str = "auto") -> Tuple[List, ServingStats]:
-    """One-shot shard execution: load the artifact, answer ``pairs``.
-
-    A module-level function (hence picklable) so pool-style multiprocessing
-    — ``Pool.starmap(execute_query_shard, ...)`` — can fan a partitioned
-    stream out to worker processes without any shared state beyond the
-    artifact file.  Returns ``(results, stats)``; results are in the order
-    of ``pairs``.  The persistent-worker equivalent lives in
-    :mod:`repro.serving.sharded`.
-    """
-    service = RoutingService.load(artifact_path, cache_size=cache_size,
-                                  kernel=kernel)
-    return answer_batch(service, kind, list(pairs)), service.query_stats()

@@ -417,11 +417,21 @@ class ClientSession:
         return request_id
 
     def gather(self, request_id: int) -> List:
-        """Results for one submitted batch (blocking until they arrive)."""
+        """Results for one submitted batch (blocking until they arrive).
+
+        An id that is neither in flight nor answered — never submitted, or
+        already gathered — raises ``KeyError`` at once: no reply will ever
+        carry it, so waiting would only burn ``reply_timeout`` and tear
+        down a healthy session.
+        """
         while request_id not in self._results:
             if self._closed:
                 raise SessionClosedError(
                     f"session to {self.endpoint} is closed")
+            if request_id not in self._pending:
+                raise KeyError(
+                    f"request id {request_id!r} is not in flight on this "
+                    f"session (never submitted, or already gathered)")
             self._read_answer()
         outcome = self._results.pop(request_id)
         if isinstance(outcome, WireError):

@@ -69,9 +69,9 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from ..graphs.weighted_graph import WeightedGraph
 from ..obs.metrics import make_registry, merge_exports
 from .cache import ServingStats
-from .config import BuildConfig, CacheConfig
+from .config import CacheConfig
 from .partitioners import make_partitioner
-from .service import RoutingService, answer_batch, build_or_load_service
+from .service import RoutingService, answer_batch
 from .wire import BackpressureError
 from .workloads import stable_node_hash
 
@@ -433,25 +433,19 @@ class ShardedRoutingService:
     Parameters
     ----------
     artifact_path:
-        Persisted hierarchy every worker loads (must already exist; use
-        :meth:`build_or_load` to create it from a graph first).
+        Persisted hierarchy every worker loads (must already exist;
+        :func:`~repro.serving.backend.open_service` builds it first).
     num_workers:
         Worker process count (>= 1).
     partitioner:
         A name from the partitioner registry (``round_robin`` /
-        ``hash_pair`` / ``adaptive`` built in — see
-        :mod:`repro.serving.partitioners`); ``partitioner_params`` are
-        forwarded to the partitioner factory.  A partitioner that declares
-        ``wants_feedback`` is handed fresh per-worker stats every
-        ``feedback_every`` completed batches so it can rebalance on
-        observed hit rates.
-    cache_size:
-        Per-worker LRU result-cache capacity (each worker caches only its
-        own partition, so aggregate capacity is ``num_workers * cache_size``).
-        Ignored when ``cache_config`` is given.
+        ``hash_pair`` / ``hash_source`` built in — see
+        :mod:`repro.serving.partitioners`).
     cache_config:
         Full per-worker cache behaviour (policy, capacity, hot-set policy)
-        as a :class:`~repro.serving.config.CacheConfig`.
+        as a :class:`~repro.serving.config.CacheConfig`; each worker caches
+        only its own partition, so aggregate capacity is ``num_workers *
+        cache_config.capacity``.  Defaults to ``CacheConfig()``.
     sub_artifact_paths:
         Optional per-shard sub-artifact paths (one per worker, shard
         order — see
@@ -484,9 +478,8 @@ class ShardedRoutingService:
     """
 
     def __init__(self, artifact_path: str, num_workers: int = 2,
-                 partitioner: str = "round_robin", cache_size: int = 4096,
+                 partitioner: str = "round_robin",
                  cache_config: Optional[CacheConfig] = None,
-                 partitioner_params: Optional[Dict[str, object]] = None,
                  sub_artifact_paths: Optional[Sequence[str]] = None,
                  pipeline_depth: int = 8, max_inflight: int = 4,
                  admission: str = "block",
@@ -512,8 +505,7 @@ class ShardedRoutingService:
                              f"got {admission!r}")
         # Resolving the partitioner up front also validates the name (the
         # registry raises "unknown partition strategy ..." for typos).
-        self._partitioner = make_partitioner(partitioner, num_workers,
-                                             **(partitioner_params or {}))
+        self._partitioner = make_partitioner(partitioner, num_workers)
         if not os.path.exists(artifact_path):
             raise FileNotFoundError(
                 f"artifact {artifact_path!r} does not exist; build it first "
@@ -533,7 +525,7 @@ class ShardedRoutingService:
                     f"got {partitioner!r}")
             self._validate_sub_artifacts(artifact_path, sub_artifact_paths)
         if cache_config is None:
-            cache_config = CacheConfig(capacity=cache_size)
+            cache_config = CacheConfig()
         if cache_config.hot_set == "explicit":
             # Workers apply the cache config independently, so an explicit
             # pair list would be recomputed and pinned N times while each
@@ -549,7 +541,6 @@ class ShardedRoutingService:
         self.num_workers = num_workers
         self.partitioner = partitioner
         self.cache_config = cache_config
-        self.cache_size = cache_config.capacity
         self.sub_artifact_paths = sub_artifact_paths
         self.pipeline_depth = pipeline_depth
         self.max_inflight = max_inflight
@@ -600,8 +591,6 @@ class ShardedRoutingService:
         self._collector: Optional[threading.Thread] = None
         self._collector_stop = threading.Event()
         self._failure: Optional[ShardError] = None
-        self._completed_batches = 0
-        self._next_feedback = self._partitioner.feedback_every
         self._close_lock = threading.Lock()
         # Fleet mode: a FleetSupervisor owns the worker set — liveness,
         # respawn, rebalancing and scaling — and replaces the static
@@ -644,10 +633,6 @@ class ShardedRoutingService:
 
         workers = len(sub_artifact_paths)
         parent = artifact_info(artifact_path)
-        if parent.sections is None:
-            raise ValueError(
-                f"sub-artifacts require a format-2 parent artifact; "
-                f"{artifact_path!r} is format {parent.format_version}")
         for shard, sub_path in enumerate(sub_artifact_paths):
             if not os.path.exists(sub_path):
                 raise FileNotFoundError(
@@ -672,43 +657,6 @@ class ShardedRoutingService:
                         f"of {artifact_path!r} (section {section!r} "
                         f"differs); re-run write_shard_artifacts — stale "
                         f"slices would silently serve the old tables")
-
-    # ==================================================================
-    # construction
-    # ==================================================================
-    @classmethod
-    def build_or_load(cls, path: str, graph: Optional[WeightedGraph] = None,
-                      k: int = 3, epsilon: float = 0.25, seed: int = 0,
-                      mode: str = "auto", engine: str = "batched",
-                      num_workers: int = 2, partitioner: str = "round_robin",
-                      cache_size: int = 4096,
-                      start_method: Optional[str] = None,
-                      **build_kwargs) -> "ShardedRoutingService":
-        """Deprecated kwargs shim; use ``open_service(ServingConfig(...))``.
-
-        The v2 factory covers this exactly: ``open_service`` with
-        ``workers > 1`` builds (or freshness-checks) the artifact in the
-        parent and returns a sharded front-end over it.  This wrapper only
-        repackages the kwargs chain and will be removed after a deprecation
-        period.
-        """
-        warnings.warn(
-            "ShardedRoutingService.build_or_load(...) is deprecated; use "
-            "repro.serving.open_service(ServingConfig(artifact_path=..., "
-            "workers=N))",
-            DeprecationWarning, stacklevel=2)
-        parent = build_or_load_service(
-            path, graph=graph,
-            build=BuildConfig(k=k, epsilon=epsilon, seed=seed, mode=mode,
-                              engine=engine),
-            cache=CacheConfig(capacity=0), save=True, **build_kwargs)
-        stats = ServingStats(build_seconds=parent.stats.build_seconds,
-                             load_seconds=parent.stats.load_seconds,
-                             artifact_bytes=parent.stats.artifact_bytes,
-                             extra=dict(parent.stats.extra))
-        return cls(path, num_workers=num_workers, partitioner=partitioner,
-                   cache_size=cache_size, start_method=start_method,
-                   graph=parent.hierarchy.graph, stats=stats)
 
     # ==================================================================
     # worker lifecycle
@@ -998,7 +946,6 @@ class ShardedRoutingService:
                     0, self._inflight.get(worker_id, 0) - 1)
                 if not ticket.outstanding:
                     del self._tickets[request_id]
-                    self._completed_batches += 1
                     ticket.done.set()
                 self._can_submit.notify_all()
             return
@@ -1091,7 +1038,6 @@ class ShardedRoutingService:
             self.stats.batches += 1
             self.stats.batched_queries += len(pairs)
             if not pairs:
-                self._completed_batches += 1
                 return _BatchTicket(0, kind, 0)
             scatter_start = time.perf_counter()
             epoch = None
@@ -1184,17 +1130,6 @@ class ShardedRoutingService:
             with self._lock:
                 self.metrics.histogram("gather").observe(
                     time.perf_counter() - gather_start)
-        if self._partitioner.wants_feedback:
-            with self._lock:
-                due = self._completed_batches >= self._next_feedback
-                if due:
-                    self._next_feedback = (self._completed_batches
-                                           + self._partitioner.feedback_every)
-            if due and not self._closed:
-                # Adaptive partitioners rebalance on observed per-worker
-                # hit rates; the stats round trip is only paid when asked
-                # for.
-                self._partitioner.observe(self.worker_stats())
         return ticket.results
 
     # ==================================================================
@@ -1213,10 +1148,10 @@ class ShardedRoutingService:
                 raise self._failure
             # Only alive workers are asked; dead/warming/parked slots get
             # placeholders below so the list stays aligned with the slot
-            # order (the adaptive partitioner and the fleet rebalancer
-            # index it by shard).  The fleet death handler scrubs waiters
-            # for workers that die mid-request, so this cannot hang on a
-            # slot that will never answer.
+            # order (the fleet rebalancer indexes it by shard).  The fleet
+            # death handler scrubs waiters for workers that die
+            # mid-request, so this cannot hang on a slot that will never
+            # answer.
             queried = [h for h in self._workers
                        if h.state == "alive" and h.process.is_alive()]
             waiter = {"remaining": {h.worker_id for h in queried},
@@ -1282,7 +1217,6 @@ class ShardedRoutingService:
                 front_end = self.metrics.export()
             merged.extra["telemetry"] = merge_exports(
                 [merged.extra.get("telemetry", {}), front_end])
-        merged.extra.update(self._partitioner.describe())
         if self._fleet is not None:
             merged.extra["fleet"] = self._fleet.status()
         if self._undrained_workers:

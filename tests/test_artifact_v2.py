@@ -1,10 +1,10 @@
 """Artifact format v2: mmap layout, lazy loads, corruption, sub-artifacts.
 
-The format-1 (monolithic pickle) contract is pinned by
-``test_serving_artifacts.py``; this module covers the section-table format
-that is now the default writer:
+The format-agnostic contract (headers, refused bytes, reload identity over
+every pair) is pinned by ``test_serving_artifacts.py``; this module covers
+the section-table layout itself:
 
-* v1 <-> v2 round trips answer every query identically (hierarchy and PDE);
+* the lazy mmap reload exports the built hierarchy's exact state;
 * the on-disk layout is what the docstring promises (magic, header section
   table, offset-addressed sections);
 * per-section integrity: truncation, flipped bytes and wrong offsets are
@@ -54,21 +54,19 @@ def _graph_family():
 
 
 @pytest.fixture(scope="module", params=sorted(_graph_family()))
-def saved_both_formats(request, tmp_path_factory):
+def saved_artifact(request, tmp_path_factory):
     name = request.param
     graph, k = _graph_family()[name]
     hierarchy = build_compact_routing(graph, k=k, seed=7)
-    base = tmp_path_factory.mktemp("artifacts_v2")
-    v1_path = str(base / f"{name}.v1.artifact")
-    v2_path = str(base / f"{name}.v2.artifact")
-    save_hierarchy(hierarchy, v1_path, format=1)
-    info = save_hierarchy(hierarchy, v2_path)      # format 2 is the default
-    return graph, hierarchy, v1_path, v2_path, info
+    v2_path = str(tmp_path_factory.mktemp("artifacts_v2")
+                  / f"{name}.v2.artifact")
+    info = save_hierarchy(hierarchy, v2_path)
+    return graph, hierarchy, v2_path, info
 
 
 class TestLayout:
-    def test_magic_and_section_table_on_disk(self, saved_both_formats):
-        _, _, _, v2_path, written = saved_both_formats
+    def test_magic_and_section_table_on_disk(self, saved_artifact):
+        _, _, v2_path, written = saved_artifact
         with open(v2_path, "rb") as fh:
             assert fh.readline() == b"REPRO-ARTIFACT v2\n"
             header = json.loads(fh.readline().decode("utf-8"))
@@ -85,8 +83,8 @@ class TestLayout:
             position += entry["length"]
         assert position == header["payload_bytes"] == written.payload_bytes
 
-    def test_artifact_info_reports_format_2(self, saved_both_formats):
-        graph, hierarchy, _, v2_path, _ = saved_both_formats
+    def test_artifact_info_reports_format_2(self, saved_artifact):
+        graph, hierarchy, v2_path, _ = saved_artifact
         info = artifact_info(v2_path)
         assert info.format_version == 2
         assert info.kind == "routing_hierarchy"
@@ -94,50 +92,29 @@ class TestLayout:
         assert info.metadata["n"] == graph.num_nodes
         assert info.metadata["k"] == hierarchy.k
 
-    def test_verify_artifact_passes_on_clean_file(self, saved_both_formats):
-        _, _, v1_path, v2_path, _ = saved_both_formats
+    def test_verify_artifact_passes_on_clean_file(self, saved_artifact):
+        _, _, v2_path, _ = saved_artifact
         assert verify_artifact(v2_path).format_version == 2
-        assert verify_artifact(v1_path).format_version == 1
 
 
 class TestRoundTrip:
-    def test_v1_and_v2_answer_identically(self, saved_both_formats):
-        """The acceptance criterion: every distance and route query answers
-        identically across the built hierarchy, the v1 reload and the v2
-        mmap reload."""
-        graph, built, v1_path, v2_path, _ = saved_both_formats
-        from_v1, _ = load_hierarchy(v1_path)
-        from_v2, info = load_hierarchy(v2_path)
-        assert info.format_version == 2
-        for u, v in itertools.permutations(graph.nodes(), 2):
-            expected = built.distance(u, v)
-            assert from_v1.distance(u, v) == expected
-            assert from_v2.distance(u, v) == expected
-            fresh = built.route(u, v)
-            for reloaded in (from_v1, from_v2):
-                trace = reloaded.route(u, v)
-                assert trace.path == fresh.path
-                assert trace.weight == fresh.weight
-                assert trace.delivered == fresh.delivered
-                assert trace.fallback_hops == fresh.fallback_hops
-
-    def test_pivot_rows_match_eager_hierarchy(self, saved_both_formats):
-        graph, built, _, v2_path, _ = saved_both_formats
+    def test_pivot_rows_match_eager_hierarchy(self, saved_artifact):
+        graph, built, v2_path, _ = saved_artifact
         from_v2, _ = load_hierarchy(v2_path)
         assert from_v2._pivot_backend is not None    # mmap fast path active
         for node in graph.nodes():
             assert from_v2.pivot_row(node) == built.pivot_row(node)
 
-    def test_lazy_hierarchy_exports_original_state(self, saved_both_formats):
+    def test_lazy_hierarchy_exports_original_state(self, saved_artifact):
         """Materialising every lazy section reproduces the exact export —
         nothing is lost to the section split."""
-        _, built, _, v2_path, _ = saved_both_formats
+        _, built, v2_path, _ = saved_artifact
         from_v2, _ = load_hierarchy(v2_path)
         assert from_v2.export_state() == built.export_state()
         assert from_v2.build_params == built.build_params
 
-    def test_resave_of_v2_load_round_trips(self, saved_both_formats, tmp_path):
-        graph, built, _, v2_path, _ = saved_both_formats
+    def test_resave_of_v2_load_round_trips(self, saved_artifact, tmp_path):
+        graph, built, v2_path, _ = saved_artifact
         from_v2, _ = load_hierarchy(v2_path)
         again_path = str(tmp_path / "again.artifact")
         save_hierarchy(from_v2, again_path)
@@ -151,13 +128,11 @@ class TestRoundTrip:
         sources = graph.nodes()[:6]
         pde = solve_pde(graph, sources, h=6, sigma=4, epsilon=0.5,
                         store_levels=False)
-        v1_path, v2_path = str(tmp_path / "p.v1"), str(tmp_path / "p.v2")
-        save_pde(pde, v1_path, format=1)
+        v2_path = str(tmp_path / "p.v2")
         info = save_pde(pde, v2_path)
         assert info.format_version == 2
-        from_v1, _ = load_pde(v1_path)
         from_v2, _ = load_pde(v2_path)
-        assert from_v2.estimates == pde.estimates == from_v1.estimates
+        assert from_v2.estimates == pde.estimates
         assert from_v2.next_hops == pde.next_hops
         for v in graph.nodes():
             assert ([e.key() for e in from_v2.list_of(v)]
@@ -174,8 +149,8 @@ class TestIntegrity:
         return str(out)
 
     def test_flipped_byte_in_every_section_is_detected(
-            self, saved_both_formats, tmp_path):
-        _, _, _, v2_path, info = saved_both_formats
+            self, saved_artifact, tmp_path):
+        _, _, v2_path, info = saved_artifact
         with open(v2_path, "rb") as fh:
             fh.readline()
             fh.readline()
@@ -189,19 +164,19 @@ class TestIntegrity:
             with pytest.raises(ArtifactError, match="checksum mismatch"):
                 verify_artifact(corrupt)
 
-    def test_truncated_file_is_detected_at_open(self, saved_both_formats,
+    def test_truncated_file_is_detected_at_open(self, saved_artifact,
                                                 tmp_path):
-        _, _, _, v2_path, _ = saved_both_formats
+        _, _, v2_path, _ = saved_artifact
         corrupt = self._corrupt(v2_path, tmp_path,
                                 lambda blob: blob.__delitem__(
                                     slice(len(blob) - 20, len(blob))))
         with pytest.raises(ArtifactError, match="truncated"):
             load_hierarchy(corrupt)
 
-    def test_wrong_offset_is_detected(self, saved_both_formats, tmp_path):
+    def test_wrong_offset_is_detected(self, saved_artifact, tmp_path):
         """An out-of-bounds offset fails bounds validation at open; an
         in-bounds-but-wrong offset fails the section checksum."""
-        _, _, _, v2_path, _ = saved_both_formats
+        _, _, v2_path, _ = saved_artifact
 
         def rewrite_offset(new_offset):
             with open(v2_path, "rb") as fh:
@@ -219,11 +194,11 @@ class TestIntegrity:
         with pytest.raises(ArtifactError, match="checksum mismatch"):
             verify_artifact(rewrite_offset(0))
 
-    def test_corrupt_record_table_fails_at_load(self, saved_both_formats,
+    def test_corrupt_record_table_fails_at_load(self, saved_artifact,
                                                 tmp_path):
         """The query-hot sections (pivots, bunches) are hash-verified at
         open — a flipped record byte can never silently answer queries."""
-        _, _, _, v2_path, info = saved_both_formats
+        _, _, v2_path, info = saved_artifact
         with open(v2_path, "rb") as fh:
             fh.readline()
             fh.readline()
@@ -238,11 +213,11 @@ class TestIntegrity:
             with pytest.raises(ArtifactError, match="checksum mismatch"):
                 load_hierarchy(corrupt)
 
-    def test_corrupt_lazy_section_raises_on_access(self, saved_both_formats,
+    def test_corrupt_lazy_section_raises_on_access(self, saved_artifact,
                                                    tmp_path):
         """A flipped byte in a lazily-loaded pickled section surfaces as
         ArtifactError when (and only when) that section materialises."""
-        _, _, _, v2_path, info = saved_both_formats
+        _, _, v2_path, info = saved_artifact
         entry = info.sections["skeleton"]
         with open(v2_path, "rb") as fh:
             fh.readline()
@@ -392,12 +367,14 @@ class TestSubArtifacts:
         assert service.sub_artifact_paths == fresh_paths
 
     def test_v1_artifact_cannot_be_sliced(self, tmp_path):
-        graph, k = _graph_family()["grid_k2"]
-        hierarchy = build_compact_routing(graph, k=k, seed=7)
-        v1_path = str(tmp_path / "old.artifact")
-        save_hierarchy(hierarchy, v1_path, format=1)
-        with pytest.raises(ArtifactError, match="format-2"):
-            write_shard_artifacts(v1_path, 2)
+        v1_path = tmp_path / "old.artifact"
+        v1_path.write_bytes(b"REPRO-ARTIFACT v1\n{}\n")
+        with pytest.raises(ArtifactError, match="unsupported"):
+            write_shard_artifacts(str(v1_path), 2)
+        with pytest.raises(ArtifactError, match="unsupported"):
+            ShardedRoutingService(str(v1_path), num_workers=2,
+                                  partitioner="hash_source",
+                                  sub_artifact_paths=["a", "b"])
 
 
 class TestOpenServiceIntegration:
@@ -418,26 +395,6 @@ class TestOpenServiceIntegration:
             assert extras["artifact_load"] == "mmap"
             assert extras["loaded_table_bytes"] == artifact_info(
                 path).payload_bytes
-
-    def test_build_path_honours_artifact_format_1(self, tmp_path):
-        graph, k = _graph_family()["grid_k2"]
-        path = str(tmp_path / "legacy.artifact")
-        config = ServingConfig(
-            artifact_path=path,
-            build=BuildConfig(k=k, seed=7, artifact_format=1),
-            cache=CacheConfig(capacity=128))
-        with open_service(config, graph=graph):
-            pass
-        assert artifact_info(path).format_version == 1
-        # Reloading a v1 artifact with a format-2 request serves it as-is:
-        # the format is a storage detail, not a freshness parameter.
-        v2_request = ServingConfig(artifact_path=path,
-                                   build=BuildConfig(k=k, seed=7),
-                                   cache=CacheConfig(capacity=128))
-        with open_service(v2_request, graph=graph) as service:
-            extras = service.query_stats().extra
-            assert extras["artifact_format"] == 1
-            assert extras["artifact_load"] == "pickle"
 
     def test_sub_artifact_config_requires_source_partitioning(self):
         with pytest.raises(ValueError, match="workers"):
@@ -535,6 +492,6 @@ class TestFrontCodedNodeTable:
     def test_compression_requires_format_2(self, tmp_path):
         graph, k = _graph_family()["grid_k2"]
         hierarchy = build_compact_routing(graph, k=k, seed=7)
-        with pytest.raises(ValueError, match="format-2"):
+        with pytest.raises(ValueError, match=r"format must be one of \[2\]"):
             save_hierarchy(hierarchy, str(tmp_path / "x.artifact"),
                            format=1, compress_node_table=True)

@@ -16,13 +16,17 @@ import pytest
 
 from repro import graphs
 from repro.serving import (
+    BuildConfig,
     FleetConfig,
     FleetError,
+    HitRateWindow,
     RoutingEpoch,
     RoutingService,
     ServingConfig,
+    ServingStats,
     ShardError,
     ShardedRoutingService,
+    build_or_load_service,
     make_workload,
     stable_node_hash,
     write_shard_artifacts,
@@ -38,7 +42,8 @@ def fleet_graph():
 @pytest.fixture(scope="module")
 def artifact_path(fleet_graph, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("fleet") / "hierarchy.artifact")
-    RoutingService.build_or_load(path, graph=fleet_graph, k=3, seed=4)
+    build_or_load_service(path, graph=fleet_graph,
+                          build=BuildConfig(k=3, seed=4))
     return path
 
 
@@ -73,6 +78,27 @@ def wait_for(predicate, deadline=20.0, message="condition"):
             return
         time.sleep(0.02)
     raise AssertionError(f"timed out waiting for {message}")
+
+
+class TestHitRateWindow:
+    def test_small_windows_accumulate_instead_of_being_consumed(self):
+        """Regression: sub-threshold windows used to advance the hit/miss
+        baselines, so with small batches the deltas never summed past
+        ``min_window`` and the rebalancer stayed inert forever."""
+        window = HitRateWindow(2, min_window=100)
+        # Cumulative worker counters grow a little at a time; each single
+        # window is below min_window.
+        assert window.rates([ServingStats(cache_hits=1, cache_misses=24),
+                             ServingStats(cache_hits=24, cache_misses=1)]) \
+            is None
+        # Accumulated window is now 120 >= 100: rates over the whole delta.
+        assert window.rates([ServingStats(cache_hits=2, cache_misses=58),
+                             ServingStats(cache_hits=58, cache_misses=2)]) \
+            == [2 / 60, 58 / 60]
+        # The baseline advanced: the next window starts from zero again.
+        assert window.rates([ServingStats(cache_hits=3, cache_misses=59),
+                             ServingStats(cache_hits=59, cache_misses=3)]) \
+            is None
 
 
 class TestRoutingEpoch:

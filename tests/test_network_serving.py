@@ -303,6 +303,26 @@ class TestNetworkedIdentity:
                 assert client.gather(ticket) == \
                     local_backend.distance_batch(batch)
 
+    def test_gather_of_unknown_id_raises_at_once(self, server, local_backend,
+                                                 net_graph):
+        """Never-hang contract: an id no reply will ever carry — never
+        submitted, or already gathered — used to sit in ``_read_answer``
+        for the whole ``reply_timeout`` and then tear the session down."""
+        batch = uniform_workload(net_graph.nodes(), 10, seed=5).pairs
+        with ClientSession.connect(server.address, timeout=5.0,
+                                   reply_timeout=30.0) as client:
+            start = time.monotonic()
+            with pytest.raises(KeyError, match="12345"):
+                client.gather(12345)
+            ticket = client.submit("distance", batch)
+            expected = local_backend.distance_batch(batch)
+            assert client.gather(ticket) == expected
+            with pytest.raises(KeyError, match=str(ticket)):
+                client.gather(ticket)
+            # the socket was never touched: the session is still healthy
+            assert client.gather(client.submit("distance", batch)) == expected
+            assert time.monotonic() - start < 1.0
+
     def test_concurrent_clients_each_identical(self, server, local_backend,
                                                net_graph):
         nodes = net_graph.nodes()

@@ -2,7 +2,7 @@
 
 The kernel's contract is strict: whatever the probing strategy, answers are
 list-for-list identical to the per-pair dict path — across workload shapes,
-input orderings, duplicate pairs, artifact formats, and deployment shapes
+input orderings, duplicate pairs, backing stores, and deployment shapes
 (local and sharded).  These tests pin that contract, plus the satellites
 that ride along: the bounded pivot-row LRU and the numpy-optional twin
 paths.
@@ -128,30 +128,19 @@ class TestKernelSelection:
             with pytest.raises(ValueError, match="unknown query kernel"):
                 service.hierarchy.distance_batch([], kernel="nope")
 
-    def test_v1_artifact_falls_back_to_dict(self, kernel_graph, tmp_path,
-                                            artifact_path):
-        v1_path = str(tmp_path / "hierarchy_v1.artifact")
-        v1_config = ServingConfig(artifact_path=v1_path,
-                                  build=BuildConfig(k=3, seed=5,
-                                                    artifact_format=1),
-                                  cache=CacheConfig(capacity=0),
-                                  kernel="columnar")
-        open_service(v1_config, graph=kernel_graph).close()
-        pairs = make_workload("zipf", kernel_graph, 200, seed=1).pairs
-        with open_service(v1_config) as v1_service, \
-                open_with(artifact_path, "columnar") as v2_service:
-            # Requesting columnar on a v1 pickle load degrades gracefully —
-            # no record tables to scan — and answers stay identical.
-            assert v1_service.query_stats().extra["kernel_active"] == "dict"
-            assert (v1_service.distance_batch(pairs)
-                    == v2_service.distance_batch(pairs))
-
-    def test_in_memory_build_falls_back_to_dict(self, kernel_graph):
+    def test_in_memory_build_falls_back_to_dict(self, kernel_graph,
+                                                artifact_path):
         config = ServingConfig(build=BuildConfig(k=3, seed=5),
                                cache=CacheConfig(capacity=0),
                                kernel="columnar")
-        with open_service(config, graph=kernel_graph) as service:
-            assert service.query_stats().extra["kernel_active"] == "dict"
+        pairs = make_workload("zipf", kernel_graph, 200, seed=1).pairs
+        with open_service(config, graph=kernel_graph) as built, \
+                open_with(artifact_path, "columnar") as loaded:
+            # Requesting columnar on a hierarchy without record tables
+            # degrades gracefully, and answers stay identical.
+            assert built.query_stats().extra["kernel_active"] == "dict"
+            assert (built.distance_batch(pairs)
+                    == loaded.distance_batch(pairs))
 
 
 class TestKernelStats:

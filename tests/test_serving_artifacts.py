@@ -1,14 +1,18 @@
 """Artifact persistence: format header, integrity checking, lossless round-trips.
 
-This module pins the *format-1* (monolithic pickle) contract — the fixture
-saves with ``format=1`` explicitly, since format 2 (the mmap-able section
-table) became the default writer.  The format-2 layout, lazy loading,
-corruption detection and sub-artifact slicing are covered by
+The contract every artifact reader and writer keeps, through the typed
+entry points (``save_*`` / ``load_*`` / ``artifact_info`` /
+``verify_artifact``): what the header says, which bytes are refused, and
+that a reload answers like the original.  The section layout itself, lazy
+loading, per-section corruption and sub-artifact slicing are covered by
 ``test_artifact_v2.py``.
 """
 
+import hashlib
 import itertools
 import json
+import os
+import pickle
 
 import pytest
 
@@ -17,13 +21,14 @@ from repro.core import solve_pde
 from repro.routing import build_compact_routing
 from repro.serving import (
     ArtifactError,
+    RoutingService,
     artifact_info,
     load_hierarchy,
     load_pde,
-    read_artifact,
     save_hierarchy,
     save_pde,
-    write_artifact,
+    verify_artifact,
+    write_artifact_v2,
 )
 
 
@@ -43,8 +48,37 @@ def saved_hierarchy(request, tmp_path_factory):
     graph, k = _graph_family()[name]
     hierarchy = build_compact_routing(graph, k=k, seed=7)
     path = tmp_path_factory.mktemp("artifacts") / f"{name}.artifact"
-    info = save_hierarchy(hierarchy, str(path), format=1)
+    info = save_hierarchy(hierarchy, str(path))
     return graph, hierarchy, str(path), info
+
+
+_UNPICKLED = []
+
+
+def _trip(note):
+    _UNPICKLED.append(note)
+
+
+class _Tripwire:
+    """Unpickling this runs code of the file's choosing (here: a note)."""
+
+    def __reduce__(self):
+        return (_trip, ("payload was unpickled",))
+
+
+def _legacy_artifact(path, version):
+    """A well-formed monolithic-pickle artifact claiming format ``version``:
+    byte for byte what the retired format-1 writer produced."""
+    payload = pickle.dumps({"state_version": 1, "bomb": _Tripwire()},
+                           protocol=4)
+    header = {"kind": "routing_hierarchy", "state_version": 1,
+              "payload_bytes": len(payload),
+              "payload_sha256": hashlib.sha256(payload).hexdigest(),
+              "metadata": {"n": 3}}
+    path.write_bytes(b"REPRO-ARTIFACT v%d\n" % version
+                     + json.dumps(header, sort_keys=True).encode("utf-8")
+                     + b"\n" + payload)
+    return str(path)
 
 
 class TestFormat:
@@ -52,7 +86,7 @@ class TestFormat:
         graph, hierarchy, path, written = saved_hierarchy
         info = artifact_info(path)
         assert info.kind == "routing_hierarchy"
-        assert info.format_version == 1
+        assert info.format_version == 2
         assert info.payload_sha256 == written.payload_sha256
         assert info.metadata["n"] == graph.num_nodes
         assert info.metadata["k"] == hierarchy.k
@@ -61,7 +95,7 @@ class TestFormat:
     def test_magic_line_and_json_header_on_disk(self, saved_hierarchy):
         _, _, path, _ = saved_hierarchy
         with open(path, "rb") as fh:
-            assert fh.readline() == b"REPRO-ARTIFACT v1\n"
+            assert fh.readline() == b"REPRO-ARTIFACT v2\n"
             header = json.loads(fh.readline().decode("utf-8"))
         assert header["kind"] == "routing_hierarchy"
         assert header["payload_bytes"] > 0
@@ -78,6 +112,56 @@ class TestFormat:
         with pytest.raises(ArtifactError, match="unsupported"):
             artifact_info(str(path))
 
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_other_format_versions_are_refused_unread(self, tmp_path,
+                                                      version):
+        """Legacy (v1) and unknown (v3) files get a typed error naming the
+        supported versions from every reader — never an unpickle, never an
+        ``AttributeError``/``KeyError`` from a half-understood header."""
+        path = _legacy_artifact(tmp_path / f"v{version}.artifact", version)
+        del _UNPICKLED[:]
+        for reader in (artifact_info, load_hierarchy, load_pde,
+                       verify_artifact, RoutingService.load):
+            with pytest.raises(ArtifactError,
+                               match=r"unsupported.*reads versions \[2\]"):
+                reader(path)
+        assert not _UNPICKLED
+        with open(path, "rb") as fh:                 # the tripwire is live
+            pickle.loads(fh.read().split(b"\n", 2)[2])
+        assert _UNPICKLED
+
+    def test_only_the_supported_format_is_writable(self, saved_hierarchy,
+                                                   tmp_path):
+        _, hierarchy, _, _ = saved_hierarchy
+        path = str(tmp_path / "never.artifact")
+        for bad in (1, 3, "2"):
+            with pytest.raises(ValueError, match="format must be one of"):
+                save_hierarchy(hierarchy, path, format=bad)
+            with pytest.raises(ValueError, match="format must be one of"):
+                RoutingService(hierarchy).save(path, format=bad)
+        assert not os.path.exists(path)
+        assert save_hierarchy(hierarchy, path, format=2).format_version == 2
+
+    def test_failed_write_leaves_the_old_artifact_intact(
+            self, saved_hierarchy, tmp_path, monkeypatch):
+        """Writes go through a temp file and an atomic rename: a writer that
+        dies before the rename changes nothing and leaves nothing behind."""
+        _, hierarchy, path, _ = saved_hierarchy
+        target = tmp_path / "live.artifact"
+        target.write_bytes(open(path, "rb").read())
+        before = target.read_bytes()
+
+        def dying_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", dying_replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_hierarchy(hierarchy, str(target))
+        monkeypatch.undo()
+        assert target.read_bytes() == before
+        assert os.listdir(tmp_path) == ["live.artifact"]
+        verify_artifact(str(target))
+
 
 class TestIntegrity:
     def test_payload_corruption_is_detected(self, saved_hierarchy, tmp_path):
@@ -87,26 +171,32 @@ class TestIntegrity:
         corrupt = tmp_path / "corrupt.artifact"
         corrupt.write_bytes(bytes(blob))
         with pytest.raises(ArtifactError, match="checksum"):
-            read_artifact(str(corrupt))
+            verify_artifact(str(corrupt))
 
     def test_truncation_is_detected(self, saved_hierarchy, tmp_path):
         _, _, path, _ = saved_hierarchy
         blob = open(path, "rb").read()
         truncated = tmp_path / "truncated.artifact"
         truncated.write_bytes(blob[:-20])
-        with pytest.raises(ArtifactError, match="truncated"):
-            read_artifact(str(truncated))
+        for reader in (verify_artifact, load_hierarchy):
+            with pytest.raises(ArtifactError, match="truncated"):
+                reader(str(truncated))
 
     def test_kind_mismatch_is_detected(self, tmp_path):
         path = tmp_path / "other.artifact"
-        write_artifact(str(path), "something_else", {"x": 1})
+        write_artifact_v2(str(path), "something_else", {"x": b"1"})
         with pytest.raises(ArtifactError, match="expected"):
             load_hierarchy(str(path))
+        with pytest.raises(ArtifactError, match="expected"):
+            load_pde(str(path))
 
     def test_invalid_state_version_is_rejected(self, tmp_path):
         path = tmp_path / "bad_state.artifact"
-        write_artifact(str(path), "routing_hierarchy", {"state_version": 999})
-        with pytest.raises(ArtifactError, match="invalid hierarchy state"):
+        write_artifact_v2(str(path), "routing_hierarchy",
+                          {"meta": json.dumps({"state_version": 999})
+                           .encode("utf-8")})
+        with pytest.raises(ArtifactError,
+                           match="unsupported hierarchy state version 999"):
             load_hierarchy(str(path))
 
 
@@ -132,12 +222,11 @@ class TestHierarchyRoundTrip:
         _, _, path, _ = saved_hierarchy
         reloaded, _ = load_hierarchy(path)
         again_path = str(tmp_path / "again.artifact")
-        save_hierarchy(reloaded, again_path, format=1)
+        save_hierarchy(reloaded, again_path)
         # Save -> load -> save must be a fixed point at the state level (the
         # raw bytes may differ through pickle string-interning memo effects).
-        first_state, _ = read_artifact(path)
-        second_state, _ = read_artifact(again_path)
-        assert first_state == second_state
+        again, _ = load_hierarchy(again_path)
+        assert again.export_state() == reloaded.export_state()
 
     def test_graph_adjacency_order_survives(self, saved_hierarchy):
         graph, _, path, _ = saved_hierarchy

@@ -5,11 +5,13 @@ import pytest
 from repro import graphs
 from repro.routing import build_compact_routing, evaluate_routing, sample_pairs
 from repro.serving import (
+    BuildConfig,
     CacheConfig,
     LFUCache,
     LRUCache,
     RoutingService,
     ServingStats,
+    build_or_load_service,
     zipf_workload,
 )
 from repro.serving.cli import main as serve_main, parse_graph_spec
@@ -217,7 +219,8 @@ class TestSingleQueries:
         assert service.stats.cache_misses == 1
 
     def test_cache_disabled_still_correct(self, service_graph, built_service):
-        uncached = RoutingService(built_service.hierarchy, cache_size=0)
+        uncached = RoutingService(built_service.hierarchy,
+                                  cache_config=CacheConfig(capacity=0))
         u, v = service_graph.nodes()[2], service_graph.nodes()[9]
         assert uncached.route(u, v).path == built_service.route(u, v).path
         assert uncached.stats.cache_hits == 0
@@ -262,7 +265,7 @@ class TestBatchedQueries:
 class TestHotPairs:
     def test_hot_pairs_bypass_lru(self, service_graph):
         service = RoutingService.build(service_graph, k=2, seed=5,
-                                       cache_size=0)
+                                       cache_config=CacheConfig(capacity=0))
         u, v = service_graph.nodes()[0], service_graph.nodes()[7]
         assert service.precompute_hot_pairs([(u, v)], kind="both") == 1
         trace = service.route(u, v)
@@ -304,12 +307,12 @@ class TestHotPairs:
 class TestBuildOrLoad:
     def test_builds_then_loads(self, service_graph, tmp_path):
         path = str(tmp_path / "service.artifact")
-        first = RoutingService.build_or_load(path, graph=service_graph,
-                                             k=3, seed=4)
+        first = build_or_load_service(path, graph=service_graph,
+                                      build=BuildConfig(k=3, seed=4))
         assert first.stats.build_seconds is not None
         assert first.stats.artifact_bytes > 0
 
-        second = RoutingService.build_or_load(path)
+        second = build_or_load_service(path)
         assert second.stats.load_seconds is not None
         assert second.stats.build_seconds is None
 
@@ -320,44 +323,49 @@ class TestBuildOrLoad:
 
     def test_missing_artifact_without_graph_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no graph"):
-            RoutingService.build_or_load(str(tmp_path / "absent.artifact"))
+            build_or_load_service(str(tmp_path / "absent.artifact"))
 
     def test_stale_artifact_params_rejected(self, service_graph, tmp_path):
         from repro.serving import ArtifactError
 
         path = str(tmp_path / "stale.artifact")
-        RoutingService.build_or_load(path, graph=service_graph, k=2, seed=4)
+        k2 = BuildConfig(k=2, seed=4)
+        build_or_load_service(path, graph=service_graph, build=k2)
         # Same parameters: loads fine.
-        RoutingService.build_or_load(path, graph=service_graph, k=2, seed=4)
+        build_or_load_service(path, graph=service_graph, build=k2)
         # Different k with a build intent: refuse to serve stale answers.
         with pytest.raises(ArtifactError, match="different parameters"):
-            RoutingService.build_or_load(path, graph=service_graph, k=3, seed=4)
+            build_or_load_service(path, graph=service_graph,
+                                  build=BuildConfig(k=3, seed=4))
         # Pure load intent (no graph) accepts whatever is persisted.
-        RoutingService.build_or_load(path)
+        build_or_load_service(path, build=BuildConfig(k=3, seed=4))
 
     def test_header_missing_requested_key_is_stale(self, service_graph,
                                                    tmp_path):
         """Regression: a requested parameter *absent* from the header (an
         artifact predating it) used to be silently skipped by the freshness
         check, so a mismatched artifact could be served as fresh."""
-        from repro.routing import build_compact_routing
-        from repro.serving import ArtifactError
-        from repro.serving.artifacts import KIND_HIERARCHY, write_artifact
+        import json
 
-        hierarchy = build_compact_routing(service_graph, k=2, seed=4)
+        from repro.serving import ArtifactError
+
         path = str(tmp_path / "pre-engine.artifact")
-        metadata = {"n": service_graph.num_nodes,
-                    "m": service_graph.num_edges}
-        metadata.update(hierarchy.build_params)
-        del metadata["engine"]        # simulate an artifact predating "engine"
-        write_artifact(path, KIND_HIERARCHY, hierarchy.export_state(),
-                       metadata=metadata,
-                       state_version=hierarchy.STATE_VERSION)
+        RoutingService.build(service_graph, k=2, seed=4).save(path)
+        # Simulate an artifact predating "engine": section offsets are
+        # relative to the payload, so the header line can be rewritten.
+        with open(path, "rb") as fh:
+            magic = fh.readline()
+            header = json.loads(fh.readline().decode("utf-8"))
+            payload = fh.read()
+        del header["metadata"]["engine"]
+        with open(path, "wb") as fh:
+            fh.write(magic + json.dumps(header, sort_keys=True)
+                     .encode("utf-8") + b"\n" + payload)
         with pytest.raises(ArtifactError, match="engine"):
-            RoutingService.build_or_load(path, graph=service_graph, k=2,
-                                         seed=4)
+            build_or_load_service(path, graph=service_graph,
+                                  build=BuildConfig(k=2, seed=4))
         # Without a build intent the artifact still loads as-is.
-        RoutingService.build_or_load(path)
+        build_or_load_service(path)
 
     def test_mode_mismatch_with_auto_request_is_stale(self, service_graph,
                                                       tmp_path):
@@ -366,13 +374,13 @@ class TestBuildOrLoad:
         from repro.serving import ArtifactError
 
         path = str(tmp_path / "explicit-mode.artifact")
-        RoutingService.build_or_load(path, graph=service_graph, k=3, seed=4,
-                                     mode="budget")
-        RoutingService.build_or_load(path, graph=service_graph, k=3, seed=4,
-                                     mode="budget")   # same request: fine
+        budget = BuildConfig(k=3, seed=4, mode="budget")
+        build_or_load_service(path, graph=service_graph, build=budget)
+        build_or_load_service(path, graph=service_graph,
+                              build=budget)           # same request: fine
         with pytest.raises(ArtifactError, match="mode"):
-            RoutingService.build_or_load(path, graph=service_graph, k=3,
-                                         seed=4, mode="auto")
+            build_or_load_service(path, graph=service_graph,
+                                  build=BuildConfig(k=3, seed=4, mode="auto"))
 
 
 class TestStretchRoundTrip:
@@ -534,7 +542,7 @@ class TestServingStats:
 
     def test_serving_a_zipf_stream_hits_cache(self, service_graph,
                                               built_service):
-        service = RoutingService(built_service.hierarchy, cache_size=4096)
+        service = RoutingService(built_service.hierarchy)
         workload = zipf_workload(service_graph.nodes(), 400, seed=8)
         service.route_batch(workload.pairs)
         service.route_batch(workload.pairs)

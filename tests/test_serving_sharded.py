@@ -5,13 +5,16 @@ import pytest
 from repro import graphs
 from repro.analysis.experiments import run_sharded_experiment
 from repro.serving import (
+    BuildConfig,
     RoutingService,
+    ServingConfig,
     ServingStats,
     ShardError,
     ShardedRoutingService,
     WORKLOAD_NAMES,
-    execute_query_shard,
+    build_or_load_service,
     make_workload,
+    open_service,
     partition_pairs,
 )
 
@@ -25,7 +28,8 @@ def shard_graph():
 @pytest.fixture(scope="module")
 def artifact_path(shard_graph, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("sharded") / "hierarchy.artifact")
-    RoutingService.build_or_load(path, graph=shard_graph, k=3, seed=4)
+    build_or_load_service(path, graph=shard_graph,
+                          build=BuildConfig(k=3, seed=4))
     return path
 
 
@@ -140,24 +144,6 @@ class TestShardedIdentity:
             assert sharded.distance_batch(pairs) == expected
             assert sharded.route_batch([]) == []
 
-    def test_execute_query_shard_via_pool(self, shard_graph, artifact_path,
-                                          reference_service):
-        """The one-shot picklable entry point fans out with a plain Pool."""
-        import multiprocessing
-
-        workload = make_workload("uniform", shard_graph, 90, seed=12)
-        shards = partition_pairs(workload.pairs, 2, strategy="round_robin")
-        jobs = [(artifact_path, [pair for _, pair in shard], "distance")
-                for shard in shards]
-        with multiprocessing.Pool(2) as pool:
-            outcomes = pool.starmap(execute_query_shard, jobs)
-        gathered = [None] * len(workload.pairs)
-        for shard, (values, stats) in zip(shards, outcomes):
-            assert stats.distance_queries == len(shard)
-            for (index, _), value in zip(shard, values):
-                gathered[index] = value
-        assert gathered == reference_service.distance_batch(workload.pairs)
-
     def test_experiment_runner_confirms_identity(self, shard_graph):
         record = run_sharded_experiment(shard_graph, k=2, num_queries=120,
                                         worker_counts=(1, 2), batch_size=60)
@@ -210,9 +196,10 @@ class TestLifecycle:
 
     def test_build_or_load_creates_artifact(self, shard_graph, tmp_path):
         path = str(tmp_path / "fresh.artifact")
-        sharded = ShardedRoutingService.build_or_load(path, graph=shard_graph,
-                                                      k=2, seed=1,
-                                                      num_workers=2)
+        sharded = open_service(
+            ServingConfig(artifact_path=path, workers=2,
+                          build=BuildConfig(k=2, seed=1)),
+            graph=shard_graph)
         try:
             assert sharded.stats.build_seconds is not None
             assert sharded.graph is shard_graph

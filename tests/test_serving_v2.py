@@ -1,4 +1,4 @@
-"""Serving API v2: QueryBackend protocol, open_service, policies, shims."""
+"""Serving API v2: QueryBackend protocol, open_service, policies."""
 
 import gc
 import warnings
@@ -7,7 +7,6 @@ import pytest
 
 from repro import graphs
 from repro.serving import (
-    AdaptivePartitioner,
     BuildConfig,
     CacheConfig,
     ExplicitHotSet,
@@ -85,13 +84,14 @@ class TestQueryBackendProtocol:
 
 
 class TestOpenServiceIdentity:
-    """Acceptance: v2 backends answer identically to the pre-redesign paths."""
+    """Acceptance: every ``open_service`` backend answers identically to a
+    directly constructed service."""
 
     @pytest.mark.parametrize("shape", WORKLOAD_NAMES)
     def test_local_backend_matches_v1_service(self, v2_graph, v2_config,
                                               shape):
         workload = make_workload(shape, v2_graph, 150, seed=9)
-        v1 = RoutingService.build(v2_graph, k=3, seed=4)     # pre-redesign path
+        v1 = RoutingService.build(v2_graph, k=3, seed=4)     # direct path
         v2 = open_service(v2_config)
         v1_routes = v1.route_batch(workload.pairs)
         v2_routes = v2.route_batch(workload.pairs)
@@ -106,10 +106,8 @@ class TestOpenServiceIdentity:
         import dataclasses
 
         workload = make_workload(shape, v2_graph, 120, seed=5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            v1 = ShardedRoutingService.build_or_load(
-                artifact_path, graph=v2_graph, k=3, seed=4, num_workers=2)
+        v1 = ShardedRoutingService(artifact_path, num_workers=2,
+                                   graph=v2_graph)           # direct path
         with v1:
             v1_routes = v1.route_batch(workload.pairs)
             v1_dists = v1.distance_batch(workload.pairs)
@@ -121,15 +119,14 @@ class TestOpenServiceIdentity:
         assert v2_dists == v1_dists
 
     def test_identity_holds_with_all_policies_on(self, v2_graph, v2_config):
-        """Hot-set promotion and adaptive partitioning change where repeats
+        """Hot-set promotion and pair-hash partitioning change where repeats
         are answered, never what the answer is."""
         import dataclasses
 
         workload = make_workload("bursty", v2_graph, 200, seed=3)
         reference = open_service(v2_config).route_batch(workload.pairs)
         config = dataclasses.replace(
-            v2_config, workers=2, partitioner="adaptive",
-            partitioner_params={"feedback_every": 1, "min_window": 1},
+            v2_config, workers=2, partitioner="hash_pair",
             cache=CacheConfig(capacity=64, hot_set="online",
                               hot_threshold=2, hot_capacity=16))
         with open_service(config, graph=v2_graph) as fancy:
@@ -138,42 +135,6 @@ class TestOpenServiceIdentity:
                 answers.extend(fancy.route_batch(workload.pairs[lo:lo + 50]))
         assert [t.path for t in answers] == [t.path for t in reference]
         assert [t.weight for t in answers] == [t.weight for t in reference]
-
-
-class TestDeprecationShims:
-    def test_routing_service_shim_warns_once_and_works(self, v2_graph,
-                                                       tmp_path):
-        path = str(tmp_path / "shim.artifact")
-        with pytest.warns(DeprecationWarning) as record:
-            service = RoutingService.build_or_load(path, graph=v2_graph,
-                                                   k=2, seed=1)
-        assert len([w for w in record
-                    if w.category is DeprecationWarning]) == 1
-        nodes = v2_graph.nodes()
-        assert service.route(nodes[0], nodes[1]).delivered
-
-    def test_sharded_shim_warns_once_and_works(self, v2_graph, tmp_path):
-        path = str(tmp_path / "sharded-shim.artifact")
-        with pytest.warns(DeprecationWarning) as record:
-            sharded = ShardedRoutingService.build_or_load(
-                path, graph=v2_graph, k=2, seed=1, num_workers=2)
-        assert len([w for w in record
-                    if w.category is DeprecationWarning]) == 1
-        nodes = v2_graph.nodes()
-        with sharded:
-            assert len(sharded.distance_batch([(nodes[0], nodes[2])])) == 1
-
-    def test_new_api_path_is_warning_free(self, v2_config, v2_graph):
-        import dataclasses
-
-        nodes = v2_graph.nodes()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            local = open_service(v2_config)
-            local.route_batch([(nodes[0], nodes[1])])
-            with open_service(dataclasses.replace(v2_config, workers=2),
-                              graph=v2_graph) as sharded:
-                sharded.route_batch([(nodes[0], nodes[1])])
 
 
 class TestResourceWarningOnImplicitTeardown:
@@ -302,94 +263,6 @@ class TestOnlineHotSet:
         service.install_hot_set(None)
         assert "hot_set" not in service.stats.extra
         assert (u, v) in service._hot_routes   # pinned pairs stay pinned
-
-
-class TestAdaptivePartitioner:
-    PAIRS = [(i, i + 1) for i in range(24)]
-
-    def starved_and_thriving(self):
-        return [ServingStats(cache_hits=2, cache_misses=98),
-                ServingStats(cache_hits=95, cache_misses=5)]
-
-    def test_starts_hash_affine_and_deterministic(self):
-        a = AdaptivePartitioner(3)
-        b = AdaptivePartitioner(3)
-        assert a.partition(self.PAIRS) == b.partition(self.PAIRS)
-        # Every occurrence of a pair lands on one shard (hash-affine).
-        shards = a.partition(self.PAIRS + self.PAIRS)
-        seen = {}
-        for shard_id, shard in enumerate(shards):
-            for _, pair in shard:
-                seen.setdefault(pair, set()).add(shard_id)
-        assert all(len(ids) == 1 for ids in seen.values())
-
-    def test_migrates_away_from_low_hit_rate_shard(self):
-        partitioner = AdaptivePartitioner(2, feedback_every=1,
-                                          min_gap=0.1,
-                                          migrate_fraction=0.5, min_window=1)
-        before = partitioner.partition(self.PAIRS)
-        assert before[0] and before[1]         # both shards populated
-        partitioner.observe(self.starved_and_thriving())
-        assert partitioner.migrations > 0
-        after = partitioner.partition(self.PAIRS)
-        assert len(after[0]) < len(before[0])
-        assert len(after[1]) > len(before[1])
-        # Still a partition: every index exactly once.
-        indices = sorted(i for shard in after for i, _ in shard)
-        assert indices == list(range(len(self.PAIRS)))
-
-    def test_small_windows_accumulate_instead_of_being_consumed(self):
-        """Regression: observe() used to advance its hit/miss baselines even
-        when the window was below min_window, so with small batches the
-        deltas never summed past the threshold and the partitioner stayed
-        inert forever.  Sub-threshold windows must accumulate."""
-        partitioner = AdaptivePartitioner(2, feedback_every=1, min_gap=0.1,
-                                          migrate_fraction=0.5,
-                                          min_window=100)
-        partitioner.partition(self.PAIRS)
-        # Cumulative worker counters grow a little at a time; each single
-        # window is below min_window.
-        partitioner.observe([ServingStats(cache_hits=1, cache_misses=24),
-                             ServingStats(cache_hits=24, cache_misses=1)])
-        assert partitioner.migrations == 0
-        partitioner.observe([ServingStats(cache_hits=2, cache_misses=58),
-                             ServingStats(cache_hits=58, cache_misses=2)])
-        # Accumulated window is now 120 >= 100: the rebalance must fire.
-        assert partitioner.migrations > 0
-
-    def test_small_windows_and_small_gaps_do_not_rebalance(self):
-        partitioner = AdaptivePartitioner(2, min_window=1000)
-        partitioner.partition(self.PAIRS)
-        partitioner.observe(self.starved_and_thriving())
-        assert partitioner.migrations == 0     # window below min_window
-        balanced = AdaptivePartitioner(2, min_gap=0.5, min_window=1)
-        balanced.partition(self.PAIRS)
-        balanced.observe([ServingStats(cache_hits=60, cache_misses=40),
-                          ServingStats(cache_hits=70, cache_misses=30)])
-        assert balanced.migrations == 0        # gap 0.1 below min_gap 0.5
-
-    def test_end_to_end_adaptive_sharding_reports_migrations(
-            self, v2_graph, artifact_path):
-        workload = make_workload("zipf", v2_graph, 300, seed=2)
-        reference = RoutingService.load(artifact_path)
-        expected = reference.distance_batch(workload.pairs)
-        with ShardedRoutingService(
-                artifact_path, num_workers=2, partitioner="adaptive",
-                partitioner_params={"feedback_every": 1, "min_window": 1,
-                                    "min_gap": 0.01},
-                cache_config=CacheConfig(capacity=32)) as sharded:
-            answers = []
-            for lo in range(0, len(workload.pairs), 60):
-                answers.extend(
-                    sharded.distance_batch(workload.pairs[lo:lo + 60]))
-            merged = sharded.merged_stats()
-        assert answers == expected
-        assert "partitioner_migrations" in merged.extra
-        assert merged.extra["partitioner"] == "adaptive"
-
-    def test_unknown_partitioner_rejected(self, artifact_path):
-        with pytest.raises(ValueError, match="partition strategy"):
-            ShardedRoutingService(artifact_path, partitioner="modulo")
 
 
 class TestShardedConfigRejections:
