@@ -4,9 +4,9 @@ Hierarchy construction is dominated by the per-level ``solve_pde`` source
 detections, and those are embarrassingly parallel: each rounding level's
 sigma-truncated detection depends only on the graph, the level's sources
 and its integer edge lengths — never on another level's output.
-``build_workers > 1`` fans them across a spawn-based process pool
-(:mod:`repro.routing.parallel_build`) and merges deterministically, so the
-parallel build must be **checksum-identical** to the sequential one: the
+``build_workers > 1`` runs the same task list on a spawn-based process pool
+(:mod:`repro.core.build_runner`) and folds it in the same order, so the
+parallel build must be **checksum-identical** to the one-worker one: the
 saved artifact's ``payload_sha256`` is compared across every worker count
 and any mismatch fails the benchmark unconditionally.
 

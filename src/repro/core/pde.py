@@ -34,18 +34,34 @@ Three engines are available (the registry of
 
 Per Corollary 3.5 the expected cost is ``O((h + sigma)/eps^2 * log n + D)``
 rounds and ``O(sigma^2 / eps * log n)`` broadcasts per node.
+
+**One loop.**  The levels are independent, so the solver is written once as
+a task list and a fold: :func:`level_stream` turns ``(S, h, sigma)``
+instances into one ``(instance, rounding level)`` task each, solved by
+:func:`_solve_level` (the only place an ``engine`` name picks the code that
+solves a level), and hands the list to
+:func:`~repro.core.build_runner.run_tasks`; :func:`solve_pde` folds its
+instance's replies in level order (:func:`fold_detection_lists`, then
+:func:`finalize_pde_result`).  ``build_workers`` only tells the runner
+whether the list runs in-process or on a pool — sequential is the one-worker
+case of the same code, which is why the result cannot depend on it.  A
+hierarchy build puts all its instances on one stream
+(:func:`solve_pde_instances`) so a pool sees every task at once.
 """
 
 from __future__ import annotations
 
 import math
+import time
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
-from typing import (Dict, Hashable, Iterable, List, NamedTuple, Optional, Set,
-                    Tuple)
+from typing import (Dict, Hashable, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 from ..congest.metrics import CongestMetrics, merge_metrics
 from ..graphs.weighted_graph import WeightedGraph
 from ..obs.metrics import NULL_REGISTRY
+from .build_runner import run_tasks
 from .source_detection import (
     DETECTION_ENGINES,
     DetectionEntry,
@@ -60,7 +76,9 @@ __all__ = [
     "PDEEntry",
     "PDEResult",
     "PARALLEL_PDE_ENGINES",
+    "PDEInstance",
     "solve_pde",
+    "solve_pde_instances",
     "pde_engine_names",
     "validate_pde_instance",
     "level_adjacency",
@@ -69,8 +87,8 @@ __all__ = [
     "finalize_pde_result",
 ]
 
-#: Engines whose per-level detections may be fanned out to parallel build
-#: workers (see :mod:`repro.routing.parallel_build`): those that are pure
+#: Engines whose per-level detections may be fanned out to pool workers
+#: (``build_workers > 1``, see :func:`level_stream`): those that are pure
 #: functions of ``(graph, S, h', sigma)`` with analytic metrics.  The
 #: faithful CONGEST simulator is excluded — its measured metrics are the
 #: point of running it, and they must be produced by one coherent run.
@@ -217,9 +235,8 @@ def validate_pde_instance(graph: WeightedGraph, sources: Iterable[Hashable],
                           h: int, sigma: int, engine: str) -> Set[Hashable]:
     """Validate one ``(S, h, sigma)`` instance; returns the source set.
 
-    Shared by the sequential solver and the parallel orchestrator so both
-    reject malformed instances with identical errors *before* any worker
-    process is spawned.
+    Runs when the level tasks are made, so a malformed instance is rejected
+    *before* any worker process is spawned.
     """
     source_set = set(sources)
     if not source_set:
@@ -248,9 +265,8 @@ def level_adjacency(weights: List[int], base: float) -> List[int]:
     :class:`~repro.core.source_detection.GraphCSR` — bit-identical to routing
     every weight through
     :meth:`~repro.core.weight_rounding.RoundingScheme.edge_length_fn`, which
-    is what keeps the interned detections (and parallel build workers, which
-    run this exact function) indistinguishable from the per-level callback
-    path.
+    is what keeps the interned detections indistinguishable from the
+    per-level callback path of the labelled engines.
     """
     return [max(1, math.ceil(w / base)) for w in weights]
 
@@ -271,8 +287,8 @@ def fold_detection_lists(lists: Dict[int, List[Tuple[int, int, int]]],
     """Fold one rounding level's int-space detection lists into the minimum.
 
     The strict ``<`` means the *earliest* level achieving a value wins the
-    tie; callers must therefore fold levels in increasing order — the
-    parallel merge relies on this being the whole ordering contract.
+    tie; callers must therefore fold levels in increasing order — that is
+    the whole ordering contract, at every worker count.
     """
     base = rounding.base(level)
     for v, entries in lists.items():
@@ -326,10 +342,138 @@ def finalize_pde_result(nodes: List[Hashable], ranked: List[Hashable],
     )
 
 
+@dataclass(frozen=True)
+class PDEInstance:
+    """One ``(S, h, sigma)``-estimation on a shared level stream.
+
+    ``token`` names the graph (in the ``graphs`` mapping given to
+    :func:`level_stream`) the instance runs on — many instances may share
+    one token, and the graph is interned (and shipped to a pool) once.
+    """
+
+    token: str
+    sources: Tuple[Hashable, ...]
+    h: int
+    sigma: int
+    epsilon: float
+    engine: str = "batched"
+    store_levels: bool = False
+
+
+class _LevelGraph:
+    """One graph as level tasks see it: interned always, labelled on demand.
+
+    Pickles as its :class:`~repro.core.source_detection.GraphCSR` alone (the
+    smaller pickle); a pool worker rebuilds the labelled graph the
+    ``logical`` engine walks on first use and keeps it for its later tasks.
+    """
+
+    def __init__(self, graph: Optional[WeightedGraph],
+                 csr: Optional[GraphCSR] = None) -> None:
+        self.csr = csr if csr is not None else GraphCSR.from_graph(graph)
+        self.node_id = self.csr.node_ids()
+        self._graph = graph
+
+    def __reduce__(self):
+        return _LevelGraph, (None, self.csr)
+
+    @property
+    def graph(self) -> WeightedGraph:
+        if self._graph is None:
+            nodes, indptr, indices, weights = self.csr
+            # Row order is adjacency order, so this is the parent's graph.
+            self._graph = WeightedGraph.from_state({"nodes": nodes, "adjacency": [
+                (v, [(nodes[indices[j]], weights[j]) for j in range(a, b)])
+                for v, a, b in zip(nodes, indptr, indptr[1:])]})
+        return self._graph
+
+
+def _solve_level(task: dict, graphs: Dict[str, _LevelGraph]):
+    """Solve one ``(instance, rounding level)`` detection with any engine.
+
+    Returns ``(lists, metrics, seconds)``: the int-space ``{node id:
+    [(distance, source rank, from id), ...]}`` lists the fold consumes, the
+    engine's round/message accounting and the wall clock spent — plain data,
+    so a pool reply stays small.
+    """
+    started = time.perf_counter()
+    interned = graphs[task["token"]]
+    csr, source_ids = interned.csr, task["source_ids"]
+    rounding, level, engine = task["rounding"], task["level"], task["engine"]
+    if engine == "batched":
+        detection = detect_sources(
+            None, None, task["horizon"], task["sigma"], engine=engine,
+            interned=(csr, source_ids,
+                      level_adjacency(csr.weights, rounding.base(level))))
+        lists = detection.lists
+    else:
+        ranked = [csr.nodes[i] for i in source_ids]
+        engine_kwargs = ({"message_cap": task["message_cap"]}
+                         if engine == "simulate" else {})
+        detection = detect_sources(
+            interned.graph, set(ranked), task["horizon"], task["sigma"],
+            edge_length=rounding.edge_length_fn(level), engine=engine,
+            **engine_kwargs)
+        lists = intern_detection_lists(
+            detection.lists, interned.node_id,
+            {s: r for r, s in enumerate(ranked)})
+    return lists, detection.metrics, time.perf_counter() - started
+
+
+def _plan_instance(graph: WeightedGraph, sources: Iterable[Hashable], h: int,
+                   sigma: int, epsilon: float, engine: str,
+                   ) -> Tuple[List[Hashable], RoundingScheme, int]:
+    """Validate one instance; returns ``(sources by rank, rounding, h')``."""
+    source_set = validate_pde_instance(graph, sources, h, sigma, engine)
+    rounding = RoundingScheme(epsilon=epsilon, max_weight=graph.max_weight())
+    return sorted(source_set, key=repr), rounding, rounding.horizon(h)
+
+
+def level_stream(instances: Sequence[PDEInstance],
+                 graphs: Dict[str, WeightedGraph], build_workers: int = 1,
+                 registry=None, message_cap: bool = True) -> Iterator[tuple]:
+    """The per-level detection replies of many instances, as one stream.
+
+    Yields one :func:`_solve_level` reply per ``(instance, rounding level)``
+    in instance-then-level order — the order :func:`solve_pde` consumes them
+    in.  Malformed instances, a bad ``build_workers`` and a pool-ineligible
+    engine are rejected here, before anything runs.  Close the stream if it
+    is not exhausted (it may own a worker pool).
+    """
+    if build_workers > 1:
+        for inst in instances:
+            if inst.engine not in PARALLEL_PDE_ENGINES:
+                raise ValueError(
+                    f"engine {inst.engine!r} does not support parallel "
+                    f"builds; build_workers > 1 requires one of "
+                    f"{sorted(PARALLEL_PDE_ENGINES)}")
+    shared = {token: _LevelGraph(g) for token, g in graphs.items()}
+    tasks = []
+    for inst in instances:
+        try:
+            graph = graphs[inst.token]
+        except KeyError:
+            raise ValueError(f"instance references unregistered graph "
+                             f"token {inst.token!r}") from None
+        ranked, rounding, horizon = _plan_instance(
+            graph, inst.sources, inst.h, inst.sigma, inst.epsilon, inst.engine)
+        node_id = shared[inst.token].node_id
+        source_ids = [node_id[s] for s in ranked]
+        tasks.extend(
+            (f"{inst.token}:{level}",
+             {"token": inst.token, "source_ids": source_ids,
+              "horizon": horizon, "sigma": inst.sigma, "rounding": rounding,
+              "level": level, "engine": inst.engine,
+              "message_cap": message_cap})
+            for level in rounding.levels())
+    return run_tasks(_solve_level, tasks, shared, build_workers, registry)
+
+
 def solve_pde(graph: WeightedGraph, sources: Iterable[Hashable], h: int, sigma: int,
               epsilon: float, engine: str = "batched", message_cap: bool = True,
               store_levels: bool = True, build_workers: int = 1,
-              registry=None) -> PDEResult:
+              registry=None, _levels: Optional[Iterator[tuple]] = None,
+              ) -> PDEResult:
     """Solve ``(1+eps)``-approximate ``(S, h, sigma)``-estimation (Theorem 3.3).
 
     Parameters
@@ -356,82 +500,75 @@ def solve_pde(graph: WeightedGraph, sources: Iterable[Hashable], h: int, sigma: 
         Apply the Lemma 3.4 per-node broadcast cap in the simulator.
     store_levels:
         Keep the raw per-level detection results on the result object.  When
-        ``False`` each level's detection output is folded into the estimates
-        as soon as it is computed and the raw
-        :class:`~repro.core.source_detection.SourceDetectionResult` is
-        released immediately instead of being retained for all levels.  (The
-        folded ``estimates`` tables themselves can still hold up to the
+        ``False`` each level's detection output is released as soon as it is
+        folded into the estimates instead of being retained for all levels.
+        (The folded ``estimates`` tables themselves can still hold up to the
         union of every level's top-``sigma`` sources per node.)
     build_workers:
         Number of processes to solve the per-rounding-level detections with.
-        The default ``1`` runs everything in-process; ``> 1`` fans the
-        independent levels across a spawn-based pool
-        (:mod:`repro.routing.parallel_build`) with a deterministic merge —
-        the result is identical to the sequential solve.  Only the pure
-        engines (:data:`PARALLEL_PDE_ENGINES`) support it.
+        The default ``1`` runs each level in-process when the fold reaches
+        it; ``> 1`` runs the same task list on a spawn-based pool
+        (:mod:`repro.core.build_runner`) — the result is identical.  Only
+        the pure engines (:data:`PARALLEL_PDE_ENGINES`) support it.
     registry:
-        Optional telemetry registry; each level's detection is timed under a
-        ``level_solve`` span (plus ``build_scatter``/``build_merge`` on the
-        parallel path).  ``None`` disables instrumentation.
+        Optional telemetry registry: each level's solve time lands in the
+        ``level_solve`` histogram and each level's fold under a
+        ``build_merge`` span (plus ``build_scatter`` around a pool's task
+        submission).  ``None`` disables instrumentation.
+    _levels:
+        Private: a :func:`level_stream` positioned at this instance's first
+        level (how :func:`solve_pde_instances` shares one stream, and one
+        pool, between instances).  ``build_workers`` and ``message_cap``
+        then belong to whoever made the stream.
     """
     obs = registry if registry is not None else NULL_REGISTRY
-    source_set = validate_pde_instance(graph, sources, h, sigma, engine)
-    if build_workers < 1:
-        raise ValueError("build_workers must be >= 1")
-    if build_workers > 1:
-        if engine not in PARALLEL_PDE_ENGINES:
-            raise ValueError(
-                f"engine {engine!r} does not support parallel builds; "
-                f"build_workers > 1 requires one of "
-                f"{sorted(PARALLEL_PDE_ENGINES)}")
-        # Imported lazily: routing.parallel_build depends on this module.
-        from ..routing.parallel_build import solve_pde_parallel
-
-        return solve_pde_parallel(graph, source_set, h=h, sigma=sigma,
-                                  epsilon=epsilon, engine=engine,
-                                  build_workers=build_workers,
-                                  store_levels=store_levels, registry=obs)
-
-    rounding = RoundingScheme(epsilon=epsilon, max_weight=graph.max_weight())
-    horizon = rounding.horizon(h)
-
-    # Intern once: node id = position in graph.nodes(), source rank =
-    # position in repr order.  The fold works on ints for every engine.
-    csr = GraphCSR.from_graph(graph)
-    nodes, node_id = csr.nodes, csr.node_ids()
-    ranked = sorted(source_set, key=repr)
+    ranked, rounding, horizon = _plan_instance(graph, sources, h, sigma,
+                                               epsilon, engine)
+    # Node id = position in graph.nodes(), source rank = position in repr
+    # order: the fold works on ints for every engine.
+    nodes = graph.nodes()
     table: FoldTable = [{} for _ in nodes]
-    source_ids = [node_id[s] for s in ranked]
-    rank = {s: r for r, s in enumerate(ranked)}
-
     per_level: Dict[int, SourceDetectionResult] = {}
     level_metrics: List[CongestMetrics] = []
-    for level in rounding.levels():
-        if engine == "batched":
-            engine_kwargs = {"interned": (csr, source_ids, level_adjacency(
-                csr.weights, rounding.base(level)))}
-        else:
-            engine_kwargs = {"edge_length": rounding.edge_length_fn(level)}
-            if engine == "simulate":
-                engine_kwargs["message_cap"] = message_cap
-        with obs.span("level_solve"):
-            detection = detect_sources(graph, source_set, horizon, sigma,
-                                       engine=engine, **engine_kwargs)
-        level_metrics.append(detection.metrics)
-        # Fold this level into the running minimum right away; the raw
-        # detection result is retained only when the caller asked for it.
-        if engine == "batched":
-            lists = detection.lists
-            if store_levels:
-                detection = materialize_detection(detection, nodes, ranked)
-        else:
-            lists = intern_detection_lists(detection.lists, node_id, rank)
-        fold_detection_lists(lists, rounding, level, table)
-        if store_levels:
-            per_level[level] = detection
+    with ExitStack() as stack:
+        if _levels is None:
+            _levels = stack.enter_context(closing(level_stream(
+                [PDEInstance("graph", tuple(ranked), h, sigma, epsilon, engine)],
+                {"graph": graph}, build_workers, obs, message_cap)))
+        # Levels fold in increasing order (see fold_detection_lists).
+        for level in rounding.levels():
+            lists, metrics, seconds = next(_levels)
+            obs.histogram("level_solve").observe(seconds)
+            level_metrics.append(metrics)
+            with obs.span("build_merge"):
+                fold_detection_lists(lists, rounding, level, table)
+                if store_levels:
+                    per_level[level] = materialize_detection(
+                        SourceDetectionResult(lists=lists, h=horizon,
+                                              sigma=sigma, metrics=metrics),
+                        nodes, ranked)
 
     return finalize_pde_result(nodes, ranked, h, sigma, epsilon, rounding,
                                table, level_metrics, per_level, store_levels)
+
+
+def solve_pde_instances(instances: Sequence[PDEInstance],
+                        graphs: Dict[str, WeightedGraph],
+                        build_workers: int = 1,
+                        registry=None) -> List[PDEResult]:
+    """Solve many instances off one level stream; results in ``instances`` order.
+
+    Each instance still goes through :func:`solve_pde`, so the results are
+    what separate calls would return — but a pool sees the levels of all
+    instances at once, and each graph is interned once.
+    """
+    with closing(level_stream(instances, graphs, build_workers,
+                              registry)) as levels:
+        return [solve_pde(graphs[inst.token], inst.sources, inst.h, inst.sigma,
+                          inst.epsilon, engine=inst.engine,
+                          store_levels=inst.store_levels, registry=registry,
+                          _levels=levels)
+                for inst in instances]
 
 
 def pde_engine_names() -> List[str]:

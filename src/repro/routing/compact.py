@@ -48,9 +48,9 @@ def build_compact_routing(graph: WeightedGraph, k: int, epsilon: float = 0.25,
     construction with the corollary's ``l0`` when ``k >= 3`` (for ``k = 2``
     the corollary's minimum is attained by the non-truncated construction).
 
-    ``build_workers > 1`` fans the independent per-level PDE instances
-    across a process pool (:mod:`repro.routing.parallel_build`); the result
-    is identical to the sequential build.  ``registry`` receives build-stage
+    ``build_workers > 1`` runs the per-level PDE instances' level stream on
+    a process pool (:mod:`repro.core.build_runner`); the result is identical
+    to the one-worker build.  ``registry`` receives build-stage
     telemetry spans when given.
     """
     if mode == "auto":

@@ -41,7 +41,7 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from ..congest.bfs import build_bfs_tree, pipelined_broadcast_rounds
 from ..congest.metrics import CongestMetrics, merge_metrics
-from ..core.pde import PARALLEL_PDE_ENGINES, PDEResult, solve_pde
+from ..core.pde import PDEInstance, PDEResult, solve_pde_instances
 from ..graphs.distances import dijkstra, path_weight, shortest_path_diameter
 from ..graphs.weighted_graph import WeightedGraph
 from ..obs.metrics import NULL_REGISTRY
@@ -297,12 +297,13 @@ class CompactRoutingHierarchy:
             globally simulated per Lemma 4.12, so ``"simulate"`` falls back
             to ``"logical"`` there (the rounds are accounted analytically).
         build_workers:
-            Processes to fan the independent per-level (and per-rounding-
-            level) detection instances across
-            (:mod:`repro.routing.parallel_build`).  ``1`` (default) builds
-            sequentially in-process; ``> 1`` requires a pure engine
-            (``"logical"``/``"batched"``).  The built hierarchy is
-            *identical* either way — down to the artifact checksum.
+            Processes the level stream runs on.  The per-level instances
+            are always put on one stream
+            (:func:`repro.core.pde.solve_pde_instances`); ``1`` (default)
+            solves each rounding level in-process as its fold comes up,
+            ``> 1`` (pure engines ``"logical"``/``"batched"`` only) on a
+            pool.  The built hierarchy is *identical* either way — down to
+            the artifact checksum.
         registry:
             Optional telemetry registry for build-stage spans
             (``level_solve``, ``build_scatter``, ``build_merge``).
@@ -311,13 +312,6 @@ class CompactRoutingHierarchy:
             raise ValueError("k must be >= 1")
         if mode not in ("budget", "spd", "truncated"):
             raise ValueError(f"unknown mode {mode!r}")
-        if build_workers < 1:
-            raise ValueError("build_workers must be >= 1")
-        if build_workers > 1 and engine not in PARALLEL_PDE_ENGINES:
-            raise ValueError(
-                f"engine {engine!r} does not support parallel builds; "
-                f"build_workers > 1 requires one of "
-                f"{sorted(PARALLEL_PDE_ENGINES)}")
         obs = registry if registry is not None else NULL_REGISTRY
         if mode == "truncated":
             if k < 2:
@@ -358,50 +352,29 @@ class CompactRoutingHierarchy:
 
         # --- levels computed directly on G --------------------------------
         # In truncated mode the level-l0 skeleton estimation also runs on G
-        # and is independent of the direct levels, so the parallel path
-        # scatters it in the same batch (phase A); skeleton levels depend on
-        # its output and form a second batch (phase B) below.
+        # and is independent of the direct levels, so it rides on the same
+        # level stream (phase A); skeleton levels depend on its output and
+        # form a second stream (phase B) below.
         direct_levels = list(range(k) if mode != "truncated" else range(l0))
         direct_budgets = {l: level_budgets(l) for l in direct_levels}
-        skel_budget: Optional[Tuple[int, int]] = None
+        instances = [
+            PDEInstance(token="graph", sources=tuple(level_sets[l]),
+                        h=direct_budgets[l][0], sigma=direct_budgets[l][1],
+                        epsilon=epsilon, engine=engine)
+            for l in direct_levels
+        ]
         if mode == "truncated":
             h_l0 = max(1, min(n, int(math.ceil(
                 budget_constant * n ** (l0 / k) * log_n))))
-            skel_budget = (h_l0, max(1, len(level_sets[l0])))
-
-        pde_skel: Optional[PDEResult] = None
-        if build_workers > 1:
-            from .parallel_build import PDEInstance, solve_pde_instances
-
-            instances = [
-                PDEInstance(token="graph", sources=tuple(level_sets[l]),
-                            h=direct_budgets[l][0], sigma=direct_budgets[l][1],
-                            epsilon=epsilon, engine=engine)
-                for l in direct_levels
-            ]
-            if skel_budget is not None:
-                instances.append(
-                    PDEInstance(token="graph", sources=tuple(level_sets[l0]),
-                                h=skel_budget[0], sigma=skel_budget[1],
-                                epsilon=epsilon, engine=engine))
-            solved = solve_pde_instances(instances, {"graph": graph},
-                                         build_workers=build_workers,
-                                         registry=obs)
-            direct_pdes = solved[:len(direct_levels)]
-            if skel_budget is not None:
-                pde_skel = solved[-1]
-        else:
-            direct_pdes = [
-                solve_pde(graph, level_sets[l], h=direct_budgets[l][0],
-                          sigma=direct_budgets[l][1], epsilon=epsilon,
-                          engine=engine, store_levels=False, registry=obs)
-                for l in direct_levels
-            ]
-            if skel_budget is not None:
-                pde_skel = solve_pde(graph, level_sets[l0], h=skel_budget[0],
-                                     sigma=skel_budget[1], epsilon=epsilon,
-                                     engine=engine, store_levels=False,
-                                     registry=obs)
+            instances.append(
+                PDEInstance(token="graph", sources=tuple(level_sets[l0]),
+                            h=h_l0, sigma=max(1, len(level_sets[l0])),
+                            epsilon=epsilon, engine=engine))
+        direct_pdes = solve_pde_instances(instances, {"graph": graph},
+                                          build_workers=build_workers,
+                                          registry=obs)
+        pde_skel: Optional[PDEResult] = (direct_pdes.pop()
+                                         if mode == "truncated" else None)
 
         for l, pde in zip(direct_levels, direct_pdes):
             h, sigma = direct_budgets[l]
@@ -435,32 +408,14 @@ class CompactRoutingHierarchy:
                 solvable = (skeleton_graph.num_edges > 0
                             and len(level_sets[l]) > 0)
                 skel_levels.append((l, h_skel, sigma, solvable))
-            to_solve = [(l, h_skel, sigma)
-                        for l, h_skel, sigma, ok in skel_levels if ok]
-            if build_workers > 1 and to_solve:
-                from .parallel_build import PDEInstance, solve_pde_instances
-
-                sk_instances = [
-                    PDEInstance(token="skeleton",
-                                sources=tuple(level_sets[l]), h=h_skel,
-                                sigma=sigma, epsilon=epsilon,
-                                engine=skeleton_engine)
-                    for l, h_skel, sigma in to_solve
-                ]
-                sk_solved = dict(zip(
-                    (l for l, _, _ in to_solve),
-                    solve_pde_instances(sk_instances,
-                                        {"skeleton": skeleton_graph},
-                                        build_workers=build_workers,
-                                        registry=obs)))
-            else:
-                sk_solved = {
-                    l: solve_pde(skeleton_graph, level_sets[l], h=h_skel,
-                                 sigma=sigma, epsilon=epsilon,
-                                 engine=skeleton_engine, store_levels=False,
-                                 registry=obs)
-                    for l, h_skel, sigma in to_solve
-                }
+            sk_instances = {
+                l: PDEInstance(token="skeleton", sources=tuple(level_sets[l]),
+                               h=h_skel, sigma=sigma, epsilon=epsilon,
+                               engine=skeleton_engine)
+                for l, h_skel, sigma, solvable in skel_levels if solvable}
+            sk_solved = dict(zip(sk_instances, solve_pde_instances(
+                list(sk_instances.values()), {"skeleton": skeleton_graph},
+                build_workers=build_workers, registry=obs)))
 
             for l, h_skel, sigma, solvable in skel_levels:
                 if not solvable:

@@ -105,13 +105,7 @@ from .fleet import (
     HitRateWindow,
     RoutingEpoch,
 )
-from .partitioners import (
-    HashPairPartitioner,
-    HashSourcePartitioner,
-    Partitioner,
-    RoundRobinPartitioner,
-    make_partitioner,
-)
+from .partitioners import Partitioner, make_partitioner, partition_pairs
 from .backend import QueryBackend, open_service
 from .wire import (
     MAX_FRAME_BYTES,
@@ -131,13 +125,11 @@ from .session import ClientSession, ServerSession
 from .server import RoutingServer
 from .specs import parse_graph_spec
 from .workloads import (
-    PARTITION_STRATEGIES,
     QueryWorkload,
     WORKLOAD_NAMES,
     bursty_workload,
     locality_workload,
     make_workload,
-    partition_pairs,
     stable_node_hash,
     uniform_workload,
     workload_names,
@@ -192,9 +184,6 @@ __all__ = [
     "ExplicitHotSet",
     "OnlineHotSet",
     "Partitioner",
-    "RoundRobinPartitioner",
-    "HashPairPartitioner",
-    "HashSourcePartitioner",
     "make_partitioner",
     # backends
     "LRUCache",
@@ -235,7 +224,6 @@ __all__ = [
     "locality_workload",
     "bursty_workload",
     "make_workload",
-    "PARTITION_STRATEGIES",
     "partition_pairs",
     "stable_node_hash",
 ]

@@ -59,6 +59,7 @@ from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..congest.metrics import CongestMetrics
+from ..core.build_runner import run_tasks
 from ..core.pde import PDEResult
 from ..graphs.weighted_graph import WeightedGraph
 from ..routing.cluster_trees import TreeFamily
@@ -781,10 +782,20 @@ def _decode_slicing_state(reader, num_workers: int) -> Dict[str, Any]:
     }
 
 
-def _write_one_shard_slice(state: Dict[str, Any], artifact_path: str,
-                           shard: int, num_workers: int,
-                           partitioner: str) -> str:
-    """Slice and write one shard's sub-artifact from decoded parent state."""
+def _write_one_shard_slice(shard: int, shared: Dict[str, Any]) -> str:
+    """Slice and write one shard's sub-artifact (a ``run_tasks`` task).
+
+    The parent artifact is decoded once per process, by whichever task gets
+    there first — nothing heavy is pickled to a pool worker.
+    """
+    artifact_path, num_workers = shared["artifact_path"], shared["num_workers"]
+    if "state" not in shared:
+        reader = ArtifactV2Reader(artifact_path, expected_kind=KIND_HIERARCHY)
+        try:
+            shared["state"] = _decode_slicing_state(reader, num_workers)
+        finally:
+            reader.close()
+    state = shared["state"]
     meta, intern = state["meta"], state["intern"]
     bunch_table, k, n = state["bunch_table"], state["k"], state["n"]
     owner, tree_states, copied = (state["owner"], state["tree_states"],
@@ -804,7 +815,7 @@ def _write_one_shard_slice(state: Dict[str, Any], artifact_path: str,
                 bunch_rows.append(None)
 
     provenance = {"shard": shard, "workers": num_workers,
-                  "partitioner": partitioner}
+                  "partitioner": shared["partitioner"]}
     sub_meta = dict(meta)
     sub_meta["sub_artifact"] = provenance
 
@@ -836,18 +847,6 @@ def _write_one_shard_slice(state: Dict[str, Any], artifact_path: str,
     return out_path
 
 
-def _shard_slice_job(artifact_path: str, shard: int, num_workers: int,
-                     partitioner: str) -> str:
-    """Slice one shard in a worker process (opens its own reader)."""
-    reader = ArtifactV2Reader(artifact_path, expected_kind=KIND_HIERARCHY)
-    try:
-        state = _decode_slicing_state(reader, num_workers)
-        return _write_one_shard_slice(state, artifact_path, shard,
-                                      num_workers, partitioner)
-    finally:
-        reader.close()
-
-
 def write_shard_artifacts(artifact_path: str, num_workers: int,
                           partitioner: str = "hash_source",
                           build_workers: int = 1) -> List[str]:
@@ -864,47 +863,26 @@ def write_shard_artifacts(artifact_path: str, num_workers: int,
     queries whose source it owns answers identically to full-artifact
     serving while loading a fraction of the table bytes.
 
-    ``build_workers > 1`` fans the per-shard slicing across a spawn-based
-    process pool (each worker opens the parent artifact by path — nothing
-    heavy is pickled); the fleet respawn path uses this so regenerating a
-    missing slice does not serialise on one core while siblings cover.
-    Slice contents are identical either way.
+    The slices are one task each on the build runner
+    (:func:`~repro.core.build_runner.run_tasks`), so ``build_workers > 1``
+    slices on a pool (each worker opens the parent artifact by path); the
+    fleet respawn path uses this so regenerating a missing slice does not
+    serialise on one core while siblings cover.  Slice contents are
+    identical either way.
 
     Returns the sub-artifact paths in shard order (written atomically,
     overwriting earlier slices).
     """
     if num_workers < 1:
         raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    if build_workers < 1:
-        raise ValueError(f"build_workers must be >= 1, got {build_workers}")
     if partitioner != "hash_source":
         raise ValueError(
             f"sub-artifact slicing is defined for the source-hash "
             f"assignment only (partitioner='hash_source'), got "
             f"{partitioner!r}")
-    if build_workers > 1 and num_workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-        from multiprocessing import get_context
-
-        from ..routing.parallel_build import ParallelBuildError
-
-        with ProcessPoolExecutor(max_workers=min(build_workers, num_workers),
-                                 mp_context=get_context("spawn")) as pool:
-            futures = [pool.submit(_shard_slice_job, artifact_path, shard,
-                                   num_workers, partitioner)
-                       for shard in range(num_workers)]
-            try:
-                return [future.result() for future in futures]
-            except BrokenProcessPool as exc:
-                raise ParallelBuildError(
-                    "a shard-slicing worker died before completing its "
-                    "sub-artifact") from exc
-    reader = ArtifactV2Reader(artifact_path, expected_kind=KIND_HIERARCHY)
-    try:
-        state = _decode_slicing_state(reader, num_workers)
-        return [_write_one_shard_slice(state, artifact_path, shard,
-                                       num_workers, partitioner)
-                for shard in range(num_workers)]
-    finally:
-        reader.close()
+    shared = {"artifact_path": artifact_path, "num_workers": num_workers,
+              "partitioner": partitioner}
+    return list(run_tasks(_write_one_shard_slice,
+                          [(f"shard:{shard}", shard)
+                           for shard in range(num_workers)],
+                          shared, build_workers))

@@ -3,110 +3,102 @@
 The sharded front-end scatters each batch across its workers and reassembles
 the answers in input order, so partitioning can never change an answer —
 only *where* it is computed and therefore which worker's cache warms up.
-That makes the partitioner a pure policy decision, and v2 turns it into a
-named plug-point (:data:`~repro.serving.registry.PARTITIONERS`):
+That makes the partitioner a pure policy decision, looked up by name in one
+table, the registry (:data:`~repro.serving.registry.PARTITIONERS`).  An
+entry is a factory ``(num_shards) -> Partitioner``; the built-ins are the
+same :class:`Partitioner` around three shard-key functions:
 
 * ``"round_robin"`` — query ``i`` goes to shard ``i % N``; balances load
-  exactly regardless of content (:class:`RoundRobinPartitioner`);
-* ``"hash_pair"``   — shard by a stable hash of the pair, so every
-  occurrence of a hot pair warms exactly one shard's cache
-  (:class:`HashPairPartitioner`);
-* ``"hash_source"`` — shard by a stable hash of the source node, the
-  assignment per-shard sub-artifacts are sliced by
-  (:class:`HashSourcePartitioner`).
+  exactly regardless of content;
+* ``"hash_pair"``   — shard by a stable hash of the pair, so *every*
+  occurrence of a hot pair lands on the same shard and warms exactly one
+  shard's result cache instead of smearing its repeats across all of them
+  (needs node ids with a deterministic ``repr``: ints, strings);
+* ``"hash_source"`` — shard by a stable hash of the *source* node alone
+  (:func:`~repro.serving.workloads.stable_node_hash`, the assignment
+  :func:`~repro.serving.artifacts.write_shard_artifacts` slices bunch tables
+  by), so a worker holding only its shard's sub-artifact is never handed a
+  query whose source rows it lacks.
 
 Partitioning is deterministic — the same query stream produces the same
 shard assignment — so sharded serving stays reproducible.  Rebalancing on
 observed per-shard hit rates lives in one place, the fleet supervisor
 (:mod:`repro.serving.fleet`).
-
-Custom partitioners register a factory ``(num_shards) -> Partitioner``.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Sequence, Tuple
+import zlib
+from functools import partial
+from typing import Callable, Hashable, List, Sequence, Tuple
 
 from .registry import get_partitioner, register_partitioner
-from .workloads import partition_pairs
+from .workloads import stable_node_hash
 
-__all__ = [
-    "Partitioner",
-    "RoundRobinPartitioner",
-    "HashPairPartitioner",
-    "HashSourcePartitioner",
-    "make_partitioner",
-]
+__all__ = ["Partitioner", "make_partitioner", "partition_pairs"]
 
 _Pair = Tuple[Hashable, Hashable]
 _Shards = List[List[Tuple[int, _Pair]]]
 
 
 class Partitioner:
-    """Base partitioner: split an indexed stream across ``num_shards``.
+    """Split an indexed stream across ``num_shards`` by a shard-key function.
 
-    ``partition`` returns ``num_shards`` lists of ``(original_index, pair)``
-    preserving stream order within each shard (the contract of
-    :func:`~repro.serving.workloads.partition_pairs`).
+    ``shard_key(index, pair)`` returns any deterministic int; the query goes
+    to shard ``key % num_shards``.  ``partitions_by_source`` declares that
+    the key depends on the pair's *source* node alone — per-shard
+    sub-artifacts slice their tables by source, so the sharded front-end
+    requires it before it will serve from slices.
     """
 
-    name = "base"
-    #: Whether every query is routed to a shard determined by its *source*
-    #: node alone.  Per-shard sub-artifacts slice their tables by source,
-    #: so the sharded front-end requires a source-partitioning strategy
-    #: before it will serve from slices.
-    partitions_by_source = False
-
-    def __init__(self, num_shards: int) -> None:
+    def __init__(self, name: str, num_shards: int,
+                 shard_key: Callable[[int, _Pair], int],
+                 partitions_by_source: bool = False) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
+        self.name = name
         self.num_shards = num_shards
+        self.shard_key = shard_key
+        self.partitions_by_source = partitions_by_source
 
     def partition(self, pairs: Sequence[_Pair]) -> _Shards:
-        raise NotImplementedError
+        """``num_shards`` lists of ``(original_index, pair)``.
+
+        Stream order is preserved within each shard, and the indices let
+        the caller reassemble answers in input order after a scatter/gather.
+        """
+        shards: _Shards = [[] for _ in range(self.num_shards)]
+        for index, pair in enumerate(pairs):
+            shards[self.shard_key(index, pair) % self.num_shards].append(
+                (index, pair))
+        return shards
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(num_shards={self.num_shards})"
+        return f"Partitioner({self.name!r}, num_shards={self.num_shards})"
 
 
-class RoundRobinPartitioner(Partitioner):
-    name = "round_robin"
-
-    def partition(self, pairs: Sequence[_Pair]) -> _Shards:
-        return partition_pairs(pairs, self.num_shards, strategy="round_robin")
+def _stable_pair_hash(pair: _Pair) -> int:
+    """Deterministic across processes and runs (``hash()`` is salted)."""
+    return zlib.crc32(repr(pair).encode("utf-8"))
 
 
-class HashPairPartitioner(Partitioner):
-    name = "hash_pair"
-
-    def partition(self, pairs: Sequence[_Pair]) -> _Shards:
-        return partition_pairs(pairs, self.num_shards, strategy="hash_pair")
-
-
-class HashSourcePartitioner(Partitioner):
-    """Shard by a stable hash of the query's *source* node.
-
-    The shard of ``(s, t)`` depends on ``s`` alone, using the same
-    :func:`~repro.serving.workloads.stable_node_hash` assignment that
-    :func:`~repro.serving.artifacts.write_shard_artifacts` slices bunch
-    tables by — so a worker holding only its shard's sub-artifact is
-    never handed a query whose source rows it lacks.  Like ``hash_pair``,
-    every occurrence of a pair lands on one shard (a source's repeats warm
-    exactly one cache).
-    """
-
-    name = "hash_source"
-    partitions_by_source = True
-
-    def partition(self, pairs: Sequence[_Pair]) -> _Shards:
-        return partition_pairs(pairs, self.num_shards, strategy="hash_source")
-
-
-register_partitioner("round_robin", RoundRobinPartitioner)
-register_partitioner("hash_pair", HashPairPartitioner)
-register_partitioner("hash_source", HashSourcePartitioner)
+register_partitioner("round_robin", partial(
+    Partitioner, "round_robin", shard_key=lambda index, pair: index))
+register_partitioner("hash_pair", partial(
+    Partitioner, "hash_pair",
+    shard_key=lambda index, pair: _stable_pair_hash(pair)))
+register_partitioner("hash_source", partial(
+    Partitioner, "hash_source",
+    shard_key=lambda index, pair: stable_node_hash(pair[0]),
+    partitions_by_source=True))
 
 
 def make_partitioner(name: str, num_shards: int) -> Partitioner:
     """Instantiate a registered partitioner by name."""
     return get_partitioner(name)(num_shards)
+
+
+def partition_pairs(pairs: Sequence[_Pair], num_shards: int,
+                    strategy: str = "round_robin") -> _Shards:
+    """Deterministically split a query stream with the named strategy."""
+    return make_partitioner(strategy, num_shards).partition(pairs)

@@ -13,11 +13,13 @@ Layering (top to bottom)::
       CompactRoutingHierarchy   tables/labels, pivot-row cache (batch hook)
         artifacts               persistence (build once, serve anywhere)
 
-Batched queries amortize label lookups: the hierarchy resolves each distinct
-target's per-level pivot row once per batch (see
-:meth:`~repro.routing.tz_hierarchy.CompactRoutingHierarchy.pivot_row`), and
-the service computes each *distinct* pair once, fanning the result out to
-every duplicate in the batch.
+Every query — single or batched, route or distance — goes through one
+routine (:meth:`RoutingService._answer`): hot store, then result cache, then
+the hierarchy, once per *distinct* pair, fanning the result out to every
+duplicate.  Batched queries additionally amortize label lookups: all of a
+batch's misses reach the hierarchy as one call, which resolves each distinct
+target's per-level pivot row once (see
+:meth:`~repro.routing.tz_hierarchy.CompactRoutingHierarchy.pivot_row`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import time
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..graphs.weighted_graph import WeightedGraph
-from ..obs.metrics import make_registry
+from ..obs.metrics import NULL_REGISTRY, make_registry
 from ..routing.compact import build_compact_routing
 from ..routing.tables import RouteTrace
 from ..routing.tz_hierarchy import CompactRoutingHierarchy
@@ -237,57 +239,15 @@ class RoutingService:
 
     def distance_estimate(self, source: Hashable, target: Hashable) -> float:
         """Distance estimate for one pair (cached)."""
-        self._validate_node(source)
-        self._validate_node(target)
-        self.stats.queries += 1
-        self.stats.distance_queries += 1
-        key = (source, target)
-        hot = self._hot_distances.get(key, _MISS)
-        if hot is not _MISS:
-            self.stats.hot_hits += 1
-            if self._hot_policy is not None:
-                self._hot_policy.on_hot_hit(self, key, "distance")
-            return hot
-        cached = self.distance_cache.get(key, _MISS)
-        if cached is not _MISS:
-            self.stats.cache_hits += 1
-            if self._hot_policy is not None:
-                self._hot_policy.on_cache_hit(self, key, "distance", cached)
-            return cached
-        self.stats.cache_misses += 1
-        estimate = self.hierarchy.distance(source, target)
-        self.distance_cache.put(key, estimate)
-        return estimate
+        return self._answer("distance", [(source, target)], batched=False)[0]
 
     def route(self, source: Hashable, target: Hashable) -> RouteTrace:
         """Route one pair, returning the full :class:`RouteTrace` (cached)."""
-        self._validate_node(source)
-        self._validate_node(target)
-        self.stats.queries += 1
-        self.stats.route_queries += 1
-        return self._route_cached((source, target))
+        return self._answer("route", [(source, target)], batched=False)[0]
 
     def full_path(self, source: Hashable, target: Hashable) -> List[Hashable]:
         """The routed node sequence from ``source`` to ``target``."""
         return self.route(source, target).path
-
-    def _route_cached(self, key: _Pair) -> RouteTrace:
-        hot = self._hot_routes.get(key, _MISS)
-        if hot is not _MISS:
-            self.stats.hot_hits += 1
-            if self._hot_policy is not None:
-                self._hot_policy.on_hot_hit(self, key, "route")
-            return hot
-        cached = self.route_cache.get(key, _MISS)
-        if cached is not _MISS:
-            self.stats.cache_hits += 1
-            if self._hot_policy is not None:
-                self._hot_policy.on_cache_hit(self, key, "route", cached)
-            return cached
-        self.stats.cache_misses += 1
-        trace = self.hierarchy.route(*key)
-        self.route_cache.put(key, trace)
-        return trace
 
     # ==================================================================
     # batched queries
@@ -298,98 +258,72 @@ class RoutingService:
         Each distinct pair is computed at most once; distinct targets
         resolve their pivot rows once via the hierarchy's batch hook.
         """
-        pairs = list(pairs)
-        for s, t in pairs:
-            self._validate_node(s)
-            self._validate_node(t)
-        self.stats.queries += len(pairs)
-        self.stats.distance_queries += len(pairs)
-        self.stats.batches += 1
-        self.stats.batched_queries += len(pairs)
-
-        resolved: Dict[_Pair, float] = {}
-        misses: List[_Pair] = []
-        pending = set()
-        with self.metrics.span("cache_probe"):
-            for key in pairs:
-                if key in resolved or key in pending:
-                    continue
-                hot = self._hot_distances.get(key, _MISS)
-                if hot is not _MISS:
-                    self.stats.hot_hits += 1
-                    if self._hot_policy is not None:
-                        self._hot_policy.on_hot_hit(self, key, "distance")
-                    resolved[key] = hot
-                    continue
-                cached = self.distance_cache.get(key, _MISS)
-                if cached is not _MISS:
-                    self.stats.cache_hits += 1
-                    if self._hot_policy is not None:
-                        self._hot_policy.on_cache_hit(self, key, "distance",
-                                                      cached)
-                    resolved[key] = cached
-                else:
-                    self.stats.cache_misses += 1
-                    pending.add(key)
-                    misses.append(key)
-        if misses:
-            with self.metrics.span("cache_miss_fill"):
-                answers = self.hierarchy.distance_batch(
-                    misses, kernel=self._kernel_active)
-                for key, estimate in zip(misses, answers):
-                    resolved[key] = estimate
-                    self.distance_cache.put(key, estimate)
-        return [resolved[key] for key in pairs]
+        return self._answer("distance", list(pairs), batched=True)
 
     def route_batch(self, pairs: Sequence[_Pair]) -> List[RouteTrace]:
-        """Route a batch of pairs; duplicates are served from one computation.
+        """Route a batch of pairs; duplicates are served from one computation."""
+        return self._answer("route", list(pairs), batched=True)
 
-        Mirrors :meth:`distance_batch`: hot-store and result-cache probes
-        (and hot-set policy hooks) run once per *distinct* pair, then all
-        cache misses go to the hierarchy as one batch through the active
-        query kernel.
+    def _answer(self, kind: str, pairs: List[_Pair], batched: bool) -> List:
+        """Hot store, then result cache, then the hierarchy — the one probe.
+
+        Probes (and hot-set policy hooks) run once per *distinct* pair.  A
+        batch sends all its misses to the hierarchy as one call through the
+        active query kernel, counts as a batch and times its two halves
+        under ``cache_probe`` / ``cache_miss_fill``; a single query asks the
+        hierarchy per pair and records neither.
         """
-        pairs = list(pairs)
         for s, t in pairs:
             self._validate_node(s)
             self._validate_node(t)
-        self.stats.queries += len(pairs)
-        self.stats.route_queries += len(pairs)
-        self.stats.batches += 1
-        self.stats.batched_queries += len(pairs)
+        route = kind == "route"
+        hot_store, cache = ((self._hot_routes, self.route_cache) if route
+                            else (self._hot_distances, self.distance_cache))
+        stats, policy, hierarchy = self.stats, self._hot_policy, self.hierarchy
+        stats.queries += len(pairs)
+        if route:
+            stats.route_queries += len(pairs)
+        else:
+            stats.distance_queries += len(pairs)
+        metrics = NULL_REGISTRY
+        if batched:
+            metrics = self.metrics
+            stats.batches += 1
+            stats.batched_queries += len(pairs)
 
-        resolved: Dict[_Pair, RouteTrace] = {}
+        resolved: Dict[_Pair, Any] = {}     # _MISS while a pair is pending
         misses: List[_Pair] = []
-        pending = set()
-        with self.metrics.span("cache_probe"):
+        with metrics.span("cache_probe"):
             for key in pairs:
-                if key in resolved or key in pending:
+                if key in resolved:
                     continue
-                hot = self._hot_routes.get(key, _MISS)
-                if hot is not _MISS:
-                    self.stats.hot_hits += 1
-                    if self._hot_policy is not None:
-                        self._hot_policy.on_hot_hit(self, key, "route")
-                    resolved[key] = hot
-                    continue
-                cached = self.route_cache.get(key, _MISS)
-                if cached is not _MISS:
-                    self.stats.cache_hits += 1
-                    if self._hot_policy is not None:
-                        self._hot_policy.on_cache_hit(self, key, "route",
-                                                      cached)
-                    resolved[key] = cached
+                value = hot_store.get(key, _MISS)
+                if value is not _MISS:
+                    stats.hot_hits += 1
+                    if policy is not None:
+                        policy.on_hot_hit(self, key, kind)
                 else:
-                    self.stats.cache_misses += 1
-                    pending.add(key)
-                    misses.append(key)
+                    value = cache.get(key, _MISS)
+                    if value is not _MISS:
+                        stats.cache_hits += 1
+                        if policy is not None:
+                            policy.on_cache_hit(self, key, kind, value)
+                    else:
+                        stats.cache_misses += 1
+                        misses.append(key)
+                resolved[key] = value
         if misses:
-            with self.metrics.span("cache_miss_fill"):
-                answers = self.hierarchy.route_batch(
-                    misses, kernel=self._kernel_active)
-                for key, trace in zip(misses, answers):
-                    resolved[key] = trace
-                    self.route_cache.put(key, trace)
+            with metrics.span("cache_miss_fill"):
+                if batched:
+                    answers = (hierarchy.route_batch if route
+                               else hierarchy.distance_batch)(
+                        misses, kernel=self._kernel_active)
+                else:
+                    answer = hierarchy.route if route else hierarchy.distance
+                    answers = [answer(*key) for key in misses]
+                for key, value in zip(misses, answers):
+                    resolved[key] = value
+                    cache.put(key, value)
         return [resolved[key] for key in pairs]
 
     # ==================================================================

@@ -12,7 +12,7 @@ stream with a local :class:`RoutingService`.
 list-for-list identical to a single-process :class:`RoutingService` on the
 same workload.  Sharding changes *where* a query is answered, never *what*
 the answer is.  Partitioning is deterministic
-(:func:`~repro.serving.workloads.partition_pairs`): ``round_robin`` balances
+(:func:`~repro.serving.partitioners.partition_pairs`): ``round_robin`` balances
 load exactly, ``hash_pair`` sends every occurrence of a pair to the same
 shard so hot pairs warm exactly one shard's cache.
 
@@ -66,6 +66,7 @@ import warnings
 import weakref
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
+from ..core.build_runner import check_build_workers
 from ..graphs.weighted_graph import WeightedGraph
 from ..obs.metrics import make_registry, merge_exports
 from .cache import ServingStats
@@ -491,9 +492,7 @@ class ShardedRoutingService:
                  fleet=None, build_workers: int = 1) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        if build_workers < 1:
-            raise ValueError(f"build_workers must be >= 1, "
-                             f"got {build_workers}")
+        check_build_workers(build_workers)   # used later, on fleet respawn
         if pipeline_depth < 1:
             raise ValueError(f"pipeline_depth must be >= 1, "
                              f"got {pipeline_depth}")
@@ -1030,14 +1029,8 @@ class ShardedRoutingService:
         with self._can_submit:
             if self._failure is not None:
                 raise self._failure
-            self.stats.queries += len(pairs)
-            if kind == "route":
-                self.stats.route_queries += len(pairs)
-            else:
-                self.stats.distance_queries += len(pairs)
-            self.stats.batches += 1
-            self.stats.batched_queries += len(pairs)
             if not pairs:
+                self._count_batch(kind, 0)
                 return _BatchTicket(0, kind, 0)
             scatter_start = time.perf_counter()
             epoch = None
@@ -1087,6 +1080,8 @@ class ShardedRoutingService:
                         f"admission control made no progress within "
                         f"{self._reply_timeout}s")
             waited = time.perf_counter() - wait_start
+            # Counted only once admitted: a bounced submission was not served.
+            self._count_batch(kind, len(pairs))
             self._request_counter += 1
             request_id = self._request_counter
             ticket = _BatchTicket(request_id, kind, len(pairs),
@@ -1109,6 +1104,15 @@ class ShardedRoutingService:
                 self.metrics.histogram("queue_depth", lo=1.0,
                                        hi=4096.0).observe(len(self._tickets))
         return ticket
+
+    def _count_batch(self, kind: str, size: int) -> None:
+        self.stats.queries += size
+        if kind == "route":
+            self.stats.route_queries += size
+        else:
+            self.stats.distance_queries += size
+        self.stats.batches += 1
+        self.stats.batched_queries += size
 
     def wait_batch(self, ticket: _BatchTicket) -> List:
         """Block until one submitted batch completes; results in input

@@ -50,8 +50,6 @@ __all__ = [
     "WORKLOAD_NAMES",
     "workload_names",
     "make_workload",
-    "PARTITION_STRATEGIES",
-    "partition_pairs",
     "stable_node_hash",
 ]
 
@@ -379,13 +377,6 @@ def workload_names() -> Tuple[str, ...]:
 WORKLOAD_NAMES = tuple(name for name in workload_names()
                        if name != "trace")
 
-PARTITION_STRATEGIES = ("round_robin", "hash_pair", "hash_source")
-
-
-def _stable_pair_hash(pair: Tuple[Hashable, Hashable]) -> int:
-    """Deterministic across processes and runs (``hash()`` is salted)."""
-    return zlib.crc32(repr(pair).encode("utf-8"))
-
 
 def stable_node_hash(node: Hashable) -> int:
     """Deterministic per-node hash (processes and runs agree).
@@ -397,44 +388,6 @@ def stable_node_hash(node: Hashable) -> int:
     whose source rows its artifact slice does not hold.
     """
     return zlib.crc32(repr(node).encode("utf-8"))
-
-
-def partition_pairs(pairs: Sequence[Tuple[Hashable, Hashable]],
-                    num_shards: int, strategy: str = "round_robin",
-                    ) -> List[List[Tuple[int, Tuple[Hashable, Hashable]]]]:
-    """Deterministically split a query stream across ``num_shards`` shards.
-
-    Returns ``num_shards`` lists of ``(original_index, pair)``; within each
-    shard the original stream order is preserved, and the indices let the
-    caller reassemble answers in input order after a scatter/gather.
-
-    * ``"round_robin"`` — query ``i`` goes to shard ``i % num_shards``;
-      balances load exactly regardless of content.
-    * ``"hash_pair"`` — shard by a stable hash of the pair, so *every*
-      occurrence of a hot pair lands on the same shard and warms exactly one
-      shard's result cache instead of smearing its repeats across all of
-      them.  Requires node ids with a deterministic ``repr`` (ints, strings).
-    * ``"hash_source"`` — shard by a stable hash of the *source* node, so a
-      shard only ever answers queries originating at its own sources — the
-      assignment per-shard sub-artifacts slice their bunch tables by.
-    """
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    shards: List[List[Tuple[int, Tuple[Hashable, Hashable]]]] = \
-        [[] for _ in range(num_shards)]
-    if strategy == "round_robin":
-        for index, pair in enumerate(pairs):
-            shards[index % num_shards].append((index, pair))
-    elif strategy == "hash_pair":
-        for index, pair in enumerate(pairs):
-            shards[_stable_pair_hash(pair) % num_shards].append((index, pair))
-    elif strategy == "hash_source":
-        for index, pair in enumerate(pairs):
-            shards[stable_node_hash(pair[0]) % num_shards].append((index, pair))
-    else:
-        raise ValueError(f"unknown partition strategy {strategy!r}; "
-                         f"available: {', '.join(PARTITION_STRATEGIES)}")
-    return shards
 
 
 def make_workload(name: str, graph: WeightedGraph, num_queries: int,

@@ -1,0 +1,64 @@
+"""The import graph points one way: algorithm layers never reach upwards.
+
+``repro.core`` (with ``repro.graphs`` and ``repro.congest`` below it) is the
+paper's algorithm; ``repro.routing``, ``repro.serving`` and
+``repro.analysis`` are applications built on it.  A lower layer importing an
+upper one — even lazily, inside a function — means the algorithm is written
+in two places, so the scan covers every import statement in the file, not
+only the module-level ones.
+"""
+
+import ast
+import os
+
+import repro
+
+LOWER = ("core", "graphs", "congest")
+UPPER = ("routing", "serving", "analysis")
+PACKAGE_ROOT = os.path.dirname(repro.__file__)
+
+
+def _imported_modules(path, package):
+    """Absolute dotted names of everything ``path`` imports, at any depth."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = package.split(".")
+            if node.level:
+                base = base[:len(base) - (node.level - 1)]
+                module = ".".join(base + ([node.module] if node.module else []))
+            else:
+                module = node.module
+            yield node.lineno, module
+            for alias in node.names:     # ``from .. import routing``
+                yield node.lineno, f"{module}.{alias.name}"
+
+
+def test_lower_layers_never_import_upper_layers():
+    offences = []
+    for layer in LOWER:
+        for folder, _, files in os.walk(os.path.join(PACKAGE_ROOT, layer)):
+            relative = os.path.relpath(folder, os.path.dirname(PACKAGE_ROOT))
+            package = relative.replace(os.sep, ".")
+            for name in sorted(files):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(folder, name)
+                for lineno, module in _imported_modules(path, package):
+                    if module.startswith(tuple(f"repro.{u}" for u in UPPER)):
+                        offences.append(f"{path}:{lineno} imports {module}")
+    assert not offences, "\n".join(offences)
+
+
+def test_scan_resolves_relative_imports(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("def f():\n    from ..routing.compact import x\n"
+                    "from . import pde\nimport repro.serving\n")
+    found = {module for _, module in
+             _imported_modules(str(path), "repro.core")}
+    assert {"repro.routing.compact", "repro.core.pde",
+            "repro.serving"} <= found

@@ -525,10 +525,19 @@ class TestPipelinedSharded:
             service.distance_batch(pairs[:4])   # warm: spawn cost paid
             first = service.submit_batch("distance", pairs)
             # depth 1 is occupied until the collector drains `first`;
-            # a second submission must bounce, not queue.
+            # a second submission must bounce, not queue — and a bounced
+            # submission was not served, so no counter may move.
+            before = dataclasses.replace(service.stats)
             with pytest.raises(BackpressureError, match="pipeline full"):
                 service.submit_batch("distance", pairs[:4])
+            for name in ("queries", "route_queries", "distance_queries",
+                         "batches", "batched_queries"):
+                assert getattr(service.stats, name) == getattr(before, name)
             assert len(service.wait_batch(first)) == len(pairs)
+            assert service.stats.queries == len(pairs) + 4
+            merged = service.merged_stats()
+            assert merged.queries == service.stats.queries
+            assert merged.extra["scatter_batches"] == 2
 
     def test_admission_block_completes_beyond_depth(self, net_config,
                                                     net_graph):

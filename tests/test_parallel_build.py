@@ -2,11 +2,12 @@
 
 The contract under test is absolute: ``build_workers`` may change wall
 clock and nothing else.  A hierarchy built on N processes must be
-*artifact-checksum-identical* to the sequential build — same
+*artifact-checksum-identical* to the one-worker build — same
 ``payload_sha256``, not merely the same answers — across every
-construction mode and pool-eligible engine.  A worker crash mid-build
-must surface a typed error without hanging and without leaving a partial
-artifact behind.
+construction mode and pool-eligible engine (both run the same task list
+through :func:`repro.core.build_runner.run_tasks`).  A worker crash
+mid-build must surface a typed error without hanging and without leaving a
+partial artifact behind; the in-process path never honours the crash hook.
 """
 
 import os
@@ -15,15 +16,15 @@ import tempfile
 import pytest
 
 from repro import graphs
+from repro.core.build_runner import CRASH_ENV_VAR, ParallelBuildError
 from repro.core.pde import solve_pde
 from repro.routing.compact import build_compact_routing
-from repro.routing.parallel_build import (
-    CRASH_ENV_VAR,
-    ParallelBuildError,
-    solve_pde_parallel,
-)
 from repro.serving import BuildConfig, ServingConfig, open_service
-from repro.serving.artifacts import artifact_info, save_hierarchy
+from repro.serving.artifacts import (
+    artifact_info,
+    save_hierarchy,
+    write_shard_artifacts,
+)
 from repro.serving.cli import build_parser, config_from_args
 
 
@@ -114,8 +115,20 @@ def test_worker_crash_surfaces_typed_error(monkeypatch):
     sources = sorted(graph.nodes())[:4]
     monkeypatch.setenv(CRASH_ENV_VAR, "graph:0")
     with pytest.raises(ParallelBuildError, match="worker died"):
-        solve_pde_parallel(graph, sources, h=5, sigma=2, epsilon=0.25,
-                           engine="batched", build_workers=2)
+        solve_pde(graph, sources, h=5, sigma=2, epsilon=0.25,
+                  engine="batched", build_workers=2)
+
+
+def test_crash_hook_is_pool_side_only(monkeypatch):
+    # One worker runs the same task list in the driving process, which
+    # must never be the one to die.
+    graph = small_graph(30)
+    sources = sorted(graph.nodes())[:4]
+    clean = solve_pde(graph, sources, h=5, sigma=2, epsilon=0.25)
+    monkeypatch.setenv(CRASH_ENV_VAR, "graph:0")
+    hooked = solve_pde(graph, sources, h=5, sigma=2, epsilon=0.25,
+                       build_workers=1)
+    assert hooked.export_state() == clean.export_state()
 
 
 def test_worker_crash_leaves_no_partial_artifact(monkeypatch):
@@ -130,6 +143,23 @@ def test_worker_crash_leaves_no_partial_artifact(monkeypatch):
             open_service(config, graph=graph)
         assert not os.path.exists(path)
         assert os.listdir(tmp) == []   # no tmp-file debris either
+
+
+# ----------------------------------------------------------------------
+# shard slices run on the same runner
+# ----------------------------------------------------------------------
+def test_pooled_shard_slices_checksum_identical():
+    graph = small_graph(30)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "parent.artifact")
+        save_hierarchy(build_compact_routing(graph, 3, seed=2), path)
+        checksums = {}
+        for build_workers in (1, 2):
+            paths = write_shard_artifacts(path, 2, build_workers=build_workers)
+            checksums[build_workers] = [artifact_info(p).payload_sha256
+                                        for p in paths]
+        assert checksums[2] == checksums[1]
+        assert len(set(checksums[1])) == 2     # the slices do differ
 
 
 # ----------------------------------------------------------------------

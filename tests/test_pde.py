@@ -3,7 +3,7 @@
 import pytest
 
 from repro import graphs
-from repro.core import solve_pde
+from repro.core import DETECTION_ENGINES, solve_pde
 from repro.graphs import all_pairs_weighted_distances, dijkstra_with_hops
 
 
@@ -152,6 +152,25 @@ class TestSimulatedEngine:
         per_level_cap = sigma * (sigma + 1) // 2
         levels = simulated.rounding.num_levels
         assert simulated.metrics.max_broadcasts() <= per_level_cap * levels
+
+    def test_message_cap_reaches_the_simulator(self, monkeypatch):
+        seen = []
+        simulate = DETECTION_ENGINES["simulate"]
+
+        def spy(*args, message_cap=True, **kwargs):
+            seen.append(message_cap)
+            return simulate(*args, message_cap=message_cap, **kwargs)
+
+        monkeypatch.setitem(DETECTION_ENGINES, "simulate", spy)
+        g = graphs.grid_graph(3, 4, graphs.uniform_weights(1, 20), seed=1)
+        capped = solve_pde(g, g.nodes(), h=5, sigma=3, epsilon=0.5,
+                           engine="simulate")
+        uncapped = solve_pde(g, g.nodes(), h=5, sigma=3, epsilon=0.5,
+                             engine="simulate", message_cap=False)
+        levels = capped.rounding.num_levels
+        assert seen == [True] * levels + [False] * levels
+        # Lemma 3.4: the cap only stops what would not be sent anyway.
+        assert uncapped.export_state() == capped.export_state()
 
     def test_feasibility_of_simulated(self):
         g = graphs.grid_graph(3, 4, graphs.uniform_weights(1, 15), seed=2)
