@@ -310,9 +310,11 @@ def main(argv=None) -> int:
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="exit non-zero unless the largest worker count "
                              "reaches this steady-state speedup over 1 worker")
-    parser.add_argument("--pipeline-workers", type=int, default=4,
-                        help="worker count for the pipelined-vs-sequential "
-                             "comparison (0 skips it)")
+    parser.add_argument("--pipeline-workers", type=int, nargs="+",
+                        default=[4],
+                        help="worker count(s) for the pipelined-vs-"
+                             "sequential comparison, one record each "
+                             "(0 skips it)")
     parser.add_argument("--pipeline-queries", type=int, default=6000)
     parser.add_argument("--pipeline-batch-size", type=int, default=20,
                         help="small on purpose: the sequential driver must "
@@ -345,13 +347,16 @@ def main(argv=None) -> int:
               f"(hit rate {entry['steady_cache_hit_rate']:.0%}, "
               f"speedup {entry['steady_speedup']}x)")
 
-    pipeline_record = None
-    if args.pipeline_workers > 0:
+    pipeline_records = []
+    for pipeline_workers in args.pipeline_workers:
+        if pipeline_workers <= 0:
+            continue
         pipeline_record = run_pipeline_comparison(
-            args.n, workers=args.pipeline_workers, seed=args.seed, k=args.k,
+            args.n, workers=pipeline_workers, seed=args.seed, k=args.k,
             num_queries=args.pipeline_queries,
             batch_size=args.pipeline_batch_size,
             window=args.pipeline_window)
+        pipeline_records.append(pipeline_record)
         print(f"pipeline ({pipeline_record['workers']} workers, "
               f"batch {pipeline_record['batch_size']}, "
               f"window {pipeline_record['window']}): "
@@ -373,7 +378,7 @@ def main(argv=None) -> int:
                     "query stream replayed after one warming pass",
         "records": [record],
     }
-    if pipeline_record is not None:
+    if pipeline_records:
         payload["pipeline"] = {
             "description": "pipelined vs sequential scatter/gather on one "
                            "warm sharded front-end: the same small-batch "
@@ -382,7 +387,7 @@ def main(argv=None) -> int:
                            "is hidden IPC round-trip latency, so it holds "
                            "on single-core hosts (answers asserted "
                            "identical between drivers)",
-            "records": [pipeline_record],
+            "records": pipeline_records,
         }
     record_benchmark_run(
         "bench_shard_scaling", payload,
@@ -402,15 +407,17 @@ def main(argv=None) -> int:
             print(f"FAIL: steady speedup {achieved}x < "
                   f"required {args.min_speedup}x")
             failed = True
-    if args.min_pipeline_speedup is not None and pipeline_record is not None:
-        achieved = pipeline_record["pipelined_speedup"]
-        if not pipeline_record["identical_answers"]:
-            print("FAIL: pipelined answers differ from sequential")
-            failed = True
-        if achieved < args.min_pipeline_speedup:
-            print(f"FAIL: pipelined speedup {achieved}x < "
-                  f"required {args.min_pipeline_speedup}x")
-            failed = True
+    if args.min_pipeline_speedup is not None:
+        for pipeline_record in pipeline_records:
+            achieved = pipeline_record["pipelined_speedup"]
+            if not pipeline_record["identical_answers"]:
+                print("FAIL: pipelined answers differ from sequential")
+                failed = True
+            if achieved < args.min_pipeline_speedup:
+                print(f"FAIL: pipelined speedup {achieved}x at "
+                      f"{pipeline_record['workers']} workers < "
+                      f"required {args.min_pipeline_speedup}x")
+                failed = True
     return 1 if failed else 0
 
 

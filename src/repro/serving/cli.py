@@ -24,6 +24,7 @@ see :mod:`repro.serving.specs`.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import sys
@@ -403,6 +404,35 @@ def _round_opt(value: Optional[float], digits: int = 4) -> Optional[float]:
     return None if value is None else round(value, digits)
 
 
+def _answered(target, batches, window: int):
+    """``(kind, chunk, seconds, results)`` per batch, in stream order.
+
+    ``window > 1`` says ``target`` is a session with ``submit`` /
+    ``gather`` (``--connect``): its window is kept full — ``submit`` only
+    blocks once ``window`` batches are in flight — so the server's session
+    pipeline has something to overlap, and a batch's ``seconds`` run from
+    its submit to its answers.  Any other backend is closed-loop.
+    """
+    inflight: collections.deque = collections.deque()
+
+    def gathered():
+        kind, chunk, start, ticket = inflight.popleft()
+        results = target.gather(ticket)
+        return kind, chunk, time.perf_counter() - start, results
+
+    for kind, chunk in batches:
+        start = time.perf_counter()
+        if window > 1:
+            inflight.append((kind, chunk, start, target.submit(kind, chunk)))
+            if len(inflight) >= window:
+                yield gathered()
+        else:
+            results = answer_batch(target, kind, chunk)
+            yield kind, chunk, time.perf_counter() - start, results
+    while inflight:
+        yield gathered()
+
+
 def run_serving_session(config: ServingConfig, hot: int = 0,
                         trace_out: Optional[str] = None
                         ) -> Tuple[Dict, object, bool]:
@@ -418,7 +448,8 @@ def run_serving_session(config: ServingConfig, hot: int = 0,
 
     Every session measures per-batch serving latency into a fixed-bucket
     :class:`~repro.obs.metrics.Histogram` (always on: one ``observe`` per
-    batch is nothing next to the batch itself) and reports the
+    batch is nothing next to the batch itself; a ``--connect`` session
+    keeps its window full, see :func:`_answered`) and reports the
     build/load/warm/query stage split under ``stage_seconds``.  Hot-pair
     precompute (``hot > 0``) runs *before* the timed query window but is
     not dropped on the floor: the service accounts it in
@@ -455,6 +486,9 @@ def run_serving_session(config: ServingConfig, hot: int = 0,
 
     recorder = TraceRecorder(backend) if trace_out else None
     target = recorder if recorder is not None else backend
+    # A recorder captures batches at route_batch / distance_batch, so a
+    # recorded session stays closed-loop.
+    window = getattr(backend, "window", 1) if recorder is None else 1
     latency = Histogram()
     delivered = 0
     route_total = route_delivered = 0
@@ -464,11 +498,10 @@ def run_serving_session(config: ServingConfig, hot: int = 0,
         # workers outside the timed window, so the reported throughput is
         # serving cost, not one-time process start-up.
         start = time.perf_counter()
-        for batch_kind, chunk in workload.iter_batches(config.batch_size,
-                                                       config.kind):
-            batch_start = time.perf_counter()
-            results = answer_batch(target, batch_kind, chunk)
-            latency.observe(time.perf_counter() - batch_start)
+        for batch_kind, chunk, seconds, results in _answered(
+                target, workload.iter_batches(config.batch_size, config.kind),
+                window):
+            latency.observe(seconds)
             if batch_kind == "route":
                 route_total += len(chunk)
                 good = sum(1 for trace in results if trace.delivered)

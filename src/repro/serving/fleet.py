@@ -12,7 +12,8 @@ adds three behaviours, all without ever changing an answer:
 
 * **failure recovery** — liveness is watched two ways (``Process.is_alive``
   polling plus a heartbeat ``ping``/``pong`` over the existing task/result
-  queues, catching hung-but-alive workers).  On a death the supervisor
+  pipes, catching hung-but-alive workers; a task write that finds no
+  reader reports the death at once).  On a death the supervisor
   immediately re-scatters the dead slot's unanswered shards to sibling
   workers — every worker can answer any query, from its own slice or from
   the lazily-loaded full-artifact *cover* — and respawns the worker in the
@@ -538,8 +539,11 @@ class FleetSupervisor:
         for slot, shard in sorted(regrouped.items()):
             ticket.outstanding.setdefault(slot, []).append(shard)
             service._inflight[slot] = service._inflight.get(slot, 0) + 1
-            service._workers[slot].task_queue.put(
-                ("query", ticket.request_id, ticket.kind, shard))
+            # Never waits (this may be the collector thread): the
+            # collector finishes what a full pipe does not take, and a
+            # sibling that is dead too is caught by the next poll.
+            service._send(service._workers[slot],
+                          ("query", ticket.request_id, ticket.kind, shard))
 
     def _drain_deferred(self, service) -> None:
         """Flush deferred shards now that a worker is routable again."""
@@ -590,16 +594,13 @@ class FleetSupervisor:
             self._ping_seq += 1
             seq = self._ping_seq
         for handle in alive:
-            try:
-                handle.task_queue.put(("ping", seq))
-            except (OSError, ValueError):
-                pass
+            service._send(handle, ("ping", seq))
 
     def _check_hangs(self, service) -> None:
         """Terminate hung-but-alive workers so death handling kicks in.
 
         A worker grinding through a long batch answers pings late (the
-        task queue is FIFO), so ``hang_timeout`` must dominate the worst
+        task pipe is FIFO), so ``hang_timeout`` must dominate the worst
         expected batch; the default (30s) is far above any benchmarked
         batch here.
         """
@@ -652,10 +653,8 @@ class FleetSupervisor:
                     handle.process.terminate()
                     return
                 old = service._workers[worker_id]
-                try:
-                    old.task_queue.close()
-                except (OSError, ValueError):
-                    pass
+                if old.tasks is not None:
+                    old.tasks.close()
                 if old.channel is not None:
                     # Retire, don't close: the collector may be mid-select
                     # on this fd, and closing it now could hand the fd
@@ -668,6 +667,7 @@ class FleetSupervisor:
                     old.channel.exhausted = True
                     service._retired_channels.append(old.channel)
                 service._workers[worker_id] = handle
+                service._pipe_snapshot = None
                 service._inflight[worker_id] = 0
                 self._spawn_reason[worker_id] = reason
                 self._last_pong[worker_id] = time.monotonic()
@@ -738,10 +738,7 @@ class FleetSupervisor:
                          if slot != victim.worker_id}
             self._publish(service, overrides)
             self.scale_downs += 1
-            try:
-                victim.task_queue.put(("shutdown",))
-            except (OSError, ValueError):
-                pass
+            service._send(victim, ("shutdown",))
             if service.metrics.enabled:
                 service.metrics.histogram("scale").observe(
                     time.monotonic() - start)
@@ -867,13 +864,4 @@ def _make_placeholder(service, worker_id: int):
         def join(timeout=None) -> None:
             pass
 
-    class _NullQueue:
-        @staticmethod
-        def put(_item) -> None:
-            raise OSError("placeholder slot has no worker yet")
-
-        @staticmethod
-        def close() -> None:
-            pass
-
-    return _WorkerHandle(worker_id, _NeverAlive(), _NullQueue())
+    return _WorkerHandle(worker_id, _NeverAlive())

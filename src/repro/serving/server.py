@@ -2,28 +2,33 @@
 
 Layer three of the transport refactor.  :class:`RoutingServer` owns one
 opened backend (local or sharded) and serves any number of concurrent
-:class:`~repro.serving.session.ServerSession` clients over it with a
-thread per connection — the stdlib-only sibling of an asyncio front-end,
-chosen because the backend work (pickle + IPC + routing-table lookups)
-releases the GIL at every blocking boundary and because it keeps the
-session code identical between tests (in-memory streams) and production
-(sockets).
+:class:`~repro.serving.session.ServerSession` clients over it with two
+threads per connection — the session's reader (the thread started here,
+which reads, decodes and starts answers) and the reply writer it spawns
+(which resolves, encodes and sends them in arrival order).  This is the
+stdlib-only sibling of an asyncio front-end, chosen because the backend
+work (pickle + IPC + routing-table lookups) releases the GIL at every
+blocking boundary and because it keeps the session code identical between
+tests (in-memory streams) and production (sockets).
 
-Concurrent sessions never corrupt a shared backend:
+Concurrent sessions never corrupt a shared backend, and the server has no
+say in how: it hands every session the same backend and the same lock,
+and the session's one serve loop does the rest —
 
 * a **local** :class:`RoutingService` is single-threaded by construction
-  (LRU mutation, hot-store promotion), so batches are serialised through
-  one lock — clients still overlap their serialization and wire time
-  with each other's compute;
+  (LRU mutation, hot-store promotion), so its batches run under that one
+  lock, in each session's writer — clients still overlap their decoding
+  and wire time with each other's compute;
 * a **sharded** front-end advertises ``submit_batch`` / ``wait_batch``
-  (the PR-8 pipelined scatter/gather, internally synchronised), so
-  sessions feed the worker pipeline concurrently and admission control /
+  (the pipelined scatter/gather, internally synchronised), so readers
+  feed the worker pipeline concurrently and admission control /
   per-worker in-flight windows provide the backpressure.
 
 Graceful shutdown honours in-flight work: :meth:`close` stops accepting,
-waits up to ``drain_timeout`` for busy sessions to finish the batch they
-are answering (each session's final ``answers`` frame still goes out),
-then disconnects idle sessions and joins every thread.
+waits up to ``drain_timeout`` for busy sessions — ``busy`` covers every
+outstanding reply up to and including its write, so the ``answers`` frame
+of a batch already computed still goes out — then disconnects idle
+sessions and joins every thread.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..obs.metrics import make_registry, merge_exports
 from .cache import ServingStats
@@ -89,10 +94,8 @@ class RoutingServer:
         self._stop = threading.Event()
         self._started = False
         self._closed = False
-        #: Sharded front-ends expose the pipelined submit/wait pair; a
-        #: local service does not and gets the serialised path instead.
-        self._pipelined = (hasattr(backend, "submit_batch")
-                           and hasattr(backend, "wait_batch"))
+        #: Shared by every session: serialises calls into a backend that
+        #: has no submit/wait pair (see ServerSession).
         self._backend_lock = threading.Lock()
         self.sessions_served = 0
 
@@ -144,26 +147,17 @@ class RoutingServer:
                 self.sessions_served += 1
             thread.start()
 
-    def _answer(self, kind: str, pairs: Sequence) -> List:
-        if self._pipelined:
-            # Sessions interleave in the sharded pipeline: submit is
-            # internally synchronised, and waiting here does not block
-            # other sessions' submissions.
-            return self.backend.wait_batch(self.backend.submit_batch(kind,
-                                                                     pairs))
-        with self._backend_lock:
-            if kind == "route":
-                return self.backend.route_batch(pairs)
-            return self.backend.distance_batch(pairs)
-
     def _run_session(self, sock: socket.socket, addr) -> None:
         peer = f"{addr[0]}:{addr[1]}"
         session = None
         try:
+            # Replies are small frames written back to back; Nagle would
+            # hold each behind the previous one's ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             rfile = sock.makefile("rb")
             wfile = sock.makefile("wb")
             session = ServerSession(
-                self.backend, rfile, wfile, answer=self._answer,
+                self.backend, rfile, wfile, lock=self._backend_lock,
                 config=self.config, server_name=self.server_name,
                 peer=peer, telemetry=self.telemetry)
             with self._lock:
@@ -187,9 +181,9 @@ class RoutingServer:
     def close(self, drain: bool = True) -> None:
         """Stop accepting, drain busy sessions, join everything (idempotent).
 
-        ``drain=True`` lets every session finish the batch it is
-        currently answering (bounded by ``drain_timeout``); idle sessions
-        are disconnected immediately — their next read sees a clean EOF.
+        ``drain=True`` lets every session write the replies it still
+        owes (bounded by ``drain_timeout``); idle sessions are
+        disconnected immediately — their next read sees a clean EOF.
         """
         if self._closed:
             return

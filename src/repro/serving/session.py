@@ -17,12 +17,18 @@ Both ends are transport-agnostic: anything with blocking ``read`` /
 ``write`` / ``flush`` works (socket makefiles in production,
 ``io.BytesIO`` pairs in tests).
 
-The client pipelines: up to ``window`` query frames may be in flight
-before it insists on reading answers back, overlapping serialization of
-the next batch with the server's work on the previous ones.  Answers are
-matched by request id (the server answers in arrival order), and the
-time spent blocked on a full window is recorded under the
-``inflight_wait`` telemetry span.
+Both ends pipeline.  The client keeps up to ``window`` query frames in
+flight before it insists on reading answers back; answers are matched by
+request id, and the time spent blocked on a full window is recorded under
+the ``inflight_wait`` telemetry span.  The server side of a session is
+two stages joined by a bounded FIFO of reply thunks: the reader decodes
+frame ``i+1`` and starts its answer while the writer is still waiting
+for, encoding or sending answer ``i``.  What bounds the overlap is the
+smaller of the client's ``window`` and the backend's ``pipeline_depth``
+(the FIFO's size); what it never changes is the order — every reply of
+every kind leaves in the order its request arrived — or the error model:
+a bad request or a refused batch is an ``error`` frame in that request's
+own slot.
 
 Config negotiation: the server's ``welcome`` frame carries its resolved
 :class:`~repro.serving.config.ServingConfig` (``to_dict`` form), so the
@@ -38,7 +44,10 @@ that is garbage-collected while still connected emits a
 
 from __future__ import annotations
 
+import functools
+import queue
 import socket
+import threading
 import warnings
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
@@ -47,6 +56,7 @@ from ..graphs.weighted_graph import WeightedGraph
 from ..obs.metrics import make_registry, merge_exports
 from .cache import ServingStats
 from .config import ServingConfig
+from .service import answer_batch
 from .wire import (
     PROTOCOL_VERSION,
     BackpressureError,
@@ -71,8 +81,38 @@ __all__ = ["ServerSession", "ClientSession"]
 _Pair = Tuple[Hashable, Hashable]
 
 
+#: Reply-FIFO bound for a backend that has no ``pipeline_depth`` of its own
+#: (a local service); equals the client's default ``window``, beyond which
+#: a single client cannot put more requests in flight anyway.
+LOCAL_PIPELINE_DEPTH = 8
+
+
 class ServerSession:
-    """One client's lifetime on the server side.
+    """One client's lifetime on the server side: a two-stage pipeline.
+
+    The thread that calls :meth:`serve` is the *reader*: it reads and
+    decodes a frame, starts its answer, and appends a reply thunk to a
+    bounded FIFO.  One *writer* thread drains the FIFO strictly in arrival
+    order: resolve the thunk, encode, write the frame.  So while the
+    writer waits for batch ``i`` (or encodes and sends it), the reader has
+    already decoded and started batches ``i+1 ..`` — a client's ``window``
+    finally overlaps work inside the server.  Every reply kind goes
+    through the same FIFO (``answers``, per-request ``error``,
+    ``stats_reply``, ``bye``), which is what keeps protocol v1's "replies
+    in arrival order" true.
+
+    "Starts its answer" is the only backend-dependent step: a backend with
+    the ``submit_batch`` / ``wait_batch`` pair (the sharded front-end) is
+    submitted to at once and the thunk waits on the ticket; any other
+    backend is single-threaded by construction, so the thunk makes the
+    call itself, under ``lock``, when the writer reaches it.  The FIFO
+    holds at most the backend's ``pipeline_depth`` replies
+    (:data:`LOCAL_PIPELINE_DEPTH` without one); the reader blocks there,
+    which is the session's backpressure on a client that sends faster
+    than answers leave.
+
+    The two threads record disjoint metrics (reads vs. serialisation and
+    sends), so the session's registry needs no lock.
 
     Parameters
     ----------
@@ -80,11 +120,10 @@ class ServerSession:
         The :class:`QueryBackend` answering this session's batches.
     rfile / wfile:
         Blocking binary streams (typically ``socket.makefile``).
-    answer:
-        Optional override for how a batch is answered — the network
-        server passes a callable that serialises access to a shared local
-        backend (or rides the sharded front-end's pipelined submit/wait
-        path); defaults to calling the backend directly.
+    lock:
+        Serialises calls into a backend without ``submit_batch`` — the
+        network server passes one lock shared by all its sessions;
+        defaults to a private one.
     config:
         The resolved :class:`ServingConfig` advertised to the client in
         the ``welcome`` frame (config negotiation).
@@ -93,7 +132,7 @@ class ServerSession:
     """
 
     def __init__(self, backend, rfile, wfile, *,
-                 answer: Optional[Callable[[str, Sequence[_Pair]], List]] = None,
+                 lock: Optional[threading.Lock] = None,
                  config: Optional[ServingConfig] = None,
                  server_name: str = "repro-serve", peer: str = "?",
                  telemetry: bool = False) -> None:
@@ -104,19 +143,28 @@ class ServerSession:
         self.server_name = server_name
         self.peer = peer
         self.metrics = make_registry(telemetry)
-        self._answer = answer if answer is not None else self._answer_direct
+        self._lock = lock if lock is not None else threading.Lock()
+        self._pipelined = (hasattr(backend, "submit_batch")
+                           and hasattr(backend, "wait_batch"))
+        #: Reply thunks in arrival order; ``None`` ends the writer.
+        self._replies: queue.Queue = queue.Queue(
+            getattr(backend, "pipeline_depth", LOCAL_PIPELINE_DEPTH))
+        #: Set by the reader between reading a request and queueing its
+        #: reply, so ``busy`` has no gap while an answer is being started.
+        self._starting = False
+        #: The writer's first transport failure; ends the session.
+        self._write_error: Optional[Exception] = None
         #: Queries/batches answered by this session (ride along in every
         #: ``answers`` frame as the incremental ServingStats block).
         self.served_queries = 0
         self.served_batches = 0
-        #: True exactly while a batch is being answered — the server's
-        #: graceful close waits for busy sessions to finish their batch.
-        self.busy = False
 
-    def _answer_direct(self, kind: str, pairs: Sequence[_Pair]) -> List:
-        if kind == "route":
-            return self.backend.route_batch(pairs)
-        return self.backend.distance_batch(pairs)
+    @property
+    def busy(self) -> bool:
+        """True while any reply is outstanding — started, queued, or being
+        written.  The server's graceful close waits for this to clear, so
+        a computed answer is never cut off between compute and send."""
+        return self._starting or self._replies.unfinished_tasks > 0
 
     def _send(self, message: Dict[str, Any]) -> None:
         write_frame(self.wfile, message, self.metrics)
@@ -148,64 +196,134 @@ class ServerSession:
         """Serve until the client closes (``close`` frame or disconnect).
 
         Bad requests are answered with per-request ``error`` frames and
-        the session survives; only transport failures end it.
+        the session survives; only transport failures end it.  Whatever
+        ends the reading — ``close``, EOF, a corrupt frame — every reply
+        already queued is still resolved and written before this returns.
         """
         if not self.handshake():
             return
-        while True:
+        writer = threading.Thread(target=self._write_replies, daemon=True,
+                                  name=f"repro-serve-writer-{self.peer}")
+        writer.start()
+        try:
+            self._read_requests()
+        finally:
+            self._replies.put(None)
+            writer.join()
+
+    # -- stage one: read, decode, start ---------------------------------
+    def _read_requests(self) -> None:
+        while self._write_error is None:
             try:
                 message = read_frame(self.rfile, self.metrics)
             except SessionClosedError:
                 return  # client went away without a close frame
-            kind = message.get("type")
+            self._starting = True
+            try:
+                kind = message.get("type")
+                if kind == "query":
+                    reply = self._start_query(message)
+                elif kind == "stats":
+                    reply = self._stats_reply
+                elif kind == "close":
+                    reply = self._bye
+                else:
+                    reply = _constant(_error_message(
+                        "bad-request", f"unknown message type {kind!r}"))
+                self._replies.put(reply)
+            finally:
+                self._starting = False
             if kind == "close":
-                self._send({"type": "bye", "stats": self._stats_dict(),
-                            "served": {"queries": self.served_queries,
-                                       "batches": self.served_batches}})
                 return
-            if kind == "stats":
-                self._send({"type": "stats_reply",
-                            "stats": self._stats_dict()})
-                continue
-            if kind != "query":
-                self._send({"type": "error", "code": "bad-request",
-                            "message": f"unknown message type {kind!r}"})
-                continue
-            self._handle_query(message)
 
-    def _handle_query(self, message: Dict[str, Any]) -> None:
+    def _stats_reply(self) -> Dict[str, Any]:
+        return {"type": "stats_reply", "stats": self._stats_dict()}
+
+    def _bye(self) -> Dict[str, Any]:
+        return {"type": "bye", "stats": self._stats_dict(),
+                "served": {"queries": self.served_queries,
+                           "batches": self.served_batches}}
+
+    def _start_query(self, message: Dict[str, Any]
+                     ) -> Callable[[], Dict[str, Any]]:
+        """Start one batch; the returned thunk yields its reply frame."""
         request_id = message.get("id")
         query_kind = message.get("kind")
         if query_kind not in ("route", "distance"):
-            self._send({"type": "error", "id": request_id,
-                        "code": "bad-request",
-                        "message": f"unknown query kind {query_kind!r}"})
-            return
+            return _constant(_error_message(
+                "bad-request", f"unknown query kind {query_kind!r}",
+                id=request_id))
         try:
             pairs = unpack_pairs(message.get("pairs", []))
         except FrameError as exc:
-            self._send({"type": "error", "id": request_id,
-                        "code": "bad-request", "message": str(exc)})
-            return
-        self.busy = True
-        try:
-            values = self._answer(query_kind, pairs)
-        except BackpressureError as exc:
-            self._send({"type": "error", "id": request_id,
-                        "code": "backpressure", "message": str(exc)})
-            return
-        except Exception as exc:
-            self._send({"type": "error", "id": request_id, "code": "backend",
-                        "message": f"{type(exc).__name__}: {exc}"})
-            return
-        finally:
-            self.busy = False
-        self.served_queries += len(pairs)
-        self.served_batches += 1
-        self._send({"type": "answers", "id": request_id, "kind": query_kind,
-                    "values": encode_answers(query_kind, values),
+            return _constant(_error_message("bad-request", str(exc),
+                                            id=request_id))
+        if self._pipelined:
+            try:
+                ticket = self.backend.submit_batch(query_kind, pairs)
+            except Exception as exc:
+                return _constant(_failure_message(request_id, exc))
+            resolve = functools.partial(self.backend.wait_batch, ticket)
+        else:
+            resolve = functools.partial(self._locked_call, query_kind, pairs)
+        count = len(pairs)      # the thunk need not keep the pairs alive
+
+        def reply() -> Dict[str, Any]:
+            try:
+                values = encode_answers(query_kind, resolve())
+            except Exception as exc:
+                return _failure_message(request_id, exc)
+            self.served_queries += count
+            self.served_batches += 1
+            return {"type": "answers", "id": request_id, "kind": query_kind,
+                    "values": values,
                     "served": {"queries": self.served_queries,
-                               "batches": self.served_batches}})
+                               "batches": self.served_batches}}
+        return reply
+
+    def _locked_call(self, kind: str, pairs: Sequence[_Pair]) -> List:
+        with self._lock:
+            return answer_batch(self.backend, kind, pairs)
+
+    # -- stage two: resolve, encode, write ------------------------------
+    def _write_replies(self) -> None:
+        while True:
+            reply = self._replies.get()
+            try:
+                if reply is None:
+                    return
+                if self._write_error is None:
+                    message = reply()
+                    try:
+                        self._send(message)
+                    except WireError as exc:
+                        # The reply cannot be framed (oversize) and nothing
+                        # of it was written: say so in its slot instead.
+                        self._send(_error_message("backend", str(exc),
+                                                  id=message.get("id")))
+            except Exception as exc:
+                # The peer is gone (or the stream is unusable): stop
+                # writing, but keep taking thunks so the reader can never
+                # block on a full FIFO; it stops at its next frame.
+                self._write_error = exc
+            finally:
+                self._replies.task_done()
+
+
+def _constant(message: Dict[str, Any]) -> Callable[[], Dict[str, Any]]:
+    return lambda: message
+
+
+def _error_message(code: str, text: str, **fields) -> Dict[str, Any]:
+    return {"type": "error", "code": code, "message": text, **fields}
+
+
+def _failure_message(request_id, exc: Exception) -> Dict[str, Any]:
+    """The per-request ``error`` frame for a backend exception."""
+    if isinstance(exc, BackpressureError):
+        return _error_message("backpressure", str(exc), id=request_id)
+    return _error_message("backend", f"{type(exc).__name__}: {exc}",
+                          id=request_id)
 
 
 class ClientSession:
@@ -277,6 +395,9 @@ class ClientSession:
                                         timeout=timeout)
         sock.settimeout(reply_timeout)
         try:
+            # Queries are small frames sent back to back while the window
+            # fills; Nagle would hold each behind the previous one's ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             return cls(sock.makefile("rb"), sock.makefile("wb"),
                        endpoint=endpoint, client_name=client_name,
                        window=window, telemetry=telemetry, sock=sock)

@@ -27,15 +27,23 @@ Sharding buys two things:
 
 Scatter/gather is **pipelined** (the PR-8 transport refactor): the
 front-end may keep several batches in flight at once.  :meth:`submit_batch`
-partitions a batch, applies admission control, and enqueues the shards
-without waiting; a background *collector* thread multiplexes the
-per-worker reply pipes (kill-safe by construction: no cross-process lock a
-dying worker could poison) and completes tickets as workers answer;
-:meth:`wait_batch` blocks on one ticket.  ``route_batch`` / ``distance_batch`` stay strictly synchronous
+partitions a batch, applies admission control, and writes each shard
+straight onto its worker's task pipe without waiting for answers; a
+background *collector* thread multiplexes the per-worker reply pipes and
+completes tickets as workers answer; :meth:`wait_batch` blocks on one
+ticket.  Both directions use the same private, single-writer framed pipe
+(:class:`_FramedPipe`) — kill-safe by construction: there is no
+cross-process lock a dying worker could poison and no feeder thread
+between a ``put`` and the pipe.  A task write never blocks while a
+service lock is held: what a full pipe does not take is finished by the
+submitter after it releases the lock, or by the collector, and a write
+that finds the worker dead enters the same death path as a liveness poll
+(the fail-stop latch, or the fleet's re-scatter).
+``route_batch`` / ``distance_batch`` stay strictly synchronous
 (submit + wait), so sequential callers see exactly the old behaviour, while
-pipelined drivers (the network server's concurrent sessions, the
-benchmarks) overlap batch serialization with worker compute and keep every
-worker's task queue non-empty.  Two knobs bound the pipeline:
+pipelined drivers (a network session's reader thread, concurrent sessions,
+the benchmarks) overlap batch serialization with worker compute and keep
+every worker's task pipe non-empty.  Two knobs bound the pipeline:
 ``pipeline_depth`` caps front-end-wide outstanding batches and
 ``max_inflight`` caps per-worker outstanding batches; at either bound
 ``admission="block"`` delays the submitter (the ``inflight_wait`` telemetry
@@ -102,54 +110,92 @@ class ShardError(RuntimeError):
         self.pending_request_ids: Tuple[int, ...] = tuple(pending_request_ids)
 
 
-class _ResultWriter:
-    """Worker end of its private result pipe: length-framed pickles.
+class _FramedPipe:
+    """One end of a one-way pipe carrying length-framed pickles.
 
-    Each worker owns one pipe to the parent, written only by the worker's
-    main thread — there is no lock to poison.  A shared
-    ``multiprocessing.Queue`` is *not* kill-safe here: a SIGKILL landing
-    while a worker's queue-feeder thread holds the queue's cross-process
-    write lock leaves that lock acquired forever, silently wedging every
-    sibling's replies — the exact failure mode the fleet supervisor
-    exists to survive.  With one single-writer pipe per worker, a kill
-    mid-write can only truncate that worker's own final frame, which the
-    parent discards along with the dead worker's channel.
+    Every worker has two of these pipes, each with exactly one writing
+    process and one reading process: *tasks* (front-end → worker) and
+    *results* (worker → front-end).  A ``multiprocessing.Queue`` is *not*
+    kill-safe in either direction: it moves every message through a
+    feeder thread that takes a cross-process lock, and a SIGKILL landing
+    while a worker's feeder holds the shared result queue's write lock
+    leaves it acquired forever, silently wedging every sibling's replies —
+    the exact failure mode the fleet supervisor exists to survive.  A
+    private pipe has no lock to poison: a kill mid-write only truncates
+    the dying worker's own last result frame, a kill mid-read only loses
+    the task frame it was reading, and the front-end discards both pipes
+    with the dead worker (tickets say which shards to re-scatter).
+    Writing from the calling thread also means no feeder thread and no
+    scheduler hop between ``put`` and the pipe.
+
+    Writer end — :meth:`put` frames one message and writes it.  On the
+    front-end's task pipes the fd is non-blocking: what a full pipe does
+    not take stays queued here, in order, and :meth:`flush` sends more
+    once ``select`` reports the pipe writable, so ``put`` never blocks a
+    thread that holds a service lock.  A worker's result pipe is blocking
+    and ``put`` returns with the frame written.  A write to a pipe whose
+    reader is gone raises ``OSError`` and marks the end ``exhausted``.
+
+    Reader end — :meth:`read_ready` drains whatever bytes the pipe holds
+    with one ``read`` (the front-end calls it only after ``select``
+    reports readability, so it never blocks there) and returns the
+    complete messages parsed from them; a partial frame just stays in the
+    buffer until the pipe is discarded with its dead peer.  :meth:`get`
+    is the worker's blocking read of its next task.
     """
 
-    __slots__ = ("_conn",)
-
-    def __init__(self, conn) -> None:
-        self._conn = conn
-
-    def put(self, message) -> None:
-        payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        data = len(payload).to_bytes(4, "big") + payload
-        fd = self._conn.fileno()
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-
-
-class _ResultChannel:
-    """Parent end of one worker's result pipe (single reader, no locks).
-
-    ``read_ready`` drains whatever bytes the pipe holds *without ever
-    blocking* (it is only called after ``select`` reports readability) and
-    returns the complete messages parsed from them; a partial frame — a
-    worker killed mid-write — just stays in the buffer until the channel
-    is discarded with its dead worker.
-    """
-
-    __slots__ = ("_conn", "_buffer", "exhausted")
+    __slots__ = ("_conn", "_buffer", "_backlog", "_unsent", "_send_lock",
+                 "exhausted")
 
     def __init__(self, conn) -> None:
         self._conn = conn
         self._buffer = bytearray()
+        self._backlog: collections.deque = collections.deque()
+        self._unsent = bytearray()
+        self._send_lock = threading.Lock()
         self.exhausted = False
 
     def fileno(self) -> int:
         return self._conn.fileno()
 
+    # -- writer end -----------------------------------------------------
+    @property
+    def pending(self) -> bool:
+        """True while bytes of an earlier ``put`` still wait for room."""
+        return bool(self._unsent)
+
+    def put(self, message) -> None:
+        payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        frame = len(payload).to_bytes(4, "big") + payload
+        with self._send_lock:
+            if not self._unsent:
+                frame = frame[self._write(frame):]
+            # Behind an unfinished frame (or the tail a full pipe did not
+            # take): kept in order for the next flush.
+            self._unsent += frame
+
+    def flush(self) -> None:
+        with self._send_lock:
+            del self._unsent[:self._write(self._unsent)]
+
+    def _write(self, data) -> int:
+        """Write as much of ``data`` as the pipe takes; bytes written."""
+        sent = 0
+        try:
+            fd = self._conn.fileno()
+            with memoryview(data) as view:
+                while sent < len(view):
+                    sent += os.write(fd, view[sent:])
+        except BlockingIOError:
+            pass        # pipe full: the rest goes out on a later flush
+        except OSError:
+            # The read end is gone (dead worker) or this end was closed.
+            self.exhausted = True
+            del self._unsent[:]
+            raise
+        return sent
+
+    # -- reader end -----------------------------------------------------
     def read_ready(self) -> List:
         messages: List = []
         try:
@@ -159,7 +205,7 @@ class _ResultChannel:
             return messages
         if not chunk:
             # EOF: every copy of the write end is gone; nothing more can
-            # arrive, so drop the channel from the select set.
+            # arrive, so drop the pipe from the select set.
             self.exhausted = True
         self._buffer.extend(chunk)
         while len(self._buffer) >= 4:
@@ -171,37 +217,58 @@ class _ResultChannel:
             messages.append(pickle.loads(payload))
         return messages
 
+    def get(self):
+        """Block until the next message; ``EOFError`` once the writer is
+        gone and everything it sent has been handed out."""
+        while not self._backlog:
+            if self.exhausted:
+                raise EOFError("pipe closed by its writer")
+            self._backlog.extend(self.read_ready())
+        return self._backlog.popleft()
+
     def close(self) -> None:
-        self.exhausted = True
-        try:
-            self._conn.close()
-        except OSError:
-            pass
+        # Under the send lock, so no write is using the fd while it closes.
+        with self._send_lock:
+            self.exhausted = True
+            del self._unsent[:]
+            try:
+                self._conn.close()
+            except OSError:
+                pass
 
 
-def _poll_channels(channels, backlog, timeout: float):
+def _poll_channels(channels, backlog, timeout: float, senders=()):
     """The next message from ``channels`` into/out of ``backlog``, or None.
 
     Module-level on purpose: the collector thread blocks here holding
-    only the channel list and the backlog deque — never the service —
+    only the pipe lists and the backlog deque — never the service —
     so dropping the last external service reference still triggers
     ``__del__`` promptly (the unclosed-service ``ResourceWarning``
     contract).  Multiplexes with ``select`` and parses frames without
     ever blocking on a single pipe, so a worker killed mid-write can
     never wedge the caller (complete messages parse; its half-written
-    frame dies with its channel).
+    frame dies with its channel).  ``senders`` are the task pipes: one
+    with unsent bytes is flushed as soon as it has room, here, so the
+    thread that drains results can never itself be stuck behind a full
+    task pipe.
     """
     if backlog:
         return backlog.popleft()
-    if not channels:
+    unsent = [pipe for pipe in senders if pipe.pending]
+    if not channels and not unsent:
         time.sleep(min(timeout, 0.05))
         return None
     try:
-        ready, _, _ = select.select(channels, [], [], timeout)
+        ready, writable, _ = select.select(channels, unsent, [], timeout)
     except (OSError, ValueError):
-        # A channel was closed under us (worker respawn swapped it
+        # A pipe was closed under us (worker respawn swapped it
         # out); the caller retries against a fresh snapshot.
         return None
+    for pipe in writable:
+        try:
+            pipe.flush()
+        except OSError:
+            pass    # dead worker: the pipe is now exhausted, liveness acts
     for channel in ready:
         backlog.extend(channel.read_ready())
     if backlog:
@@ -211,7 +278,7 @@ def _poll_channels(channels, backlog, timeout: float):
 
 def _shard_worker(worker_id: int, artifact_path: str,
                   cache_config: CacheConfig, kernel: str, telemetry: bool,
-                  task_queue, result_conn,
+                  task_conn, result_conn,
                   cover_artifact_path: Optional[str] = None,
                   slice_spec: Optional[Tuple[int, int]] = None) -> None:
     """Worker main loop (module-level so it stays picklable under spawn).
@@ -232,7 +299,7 @@ def _shard_worker(worker_id: int, artifact_path: str,
     * in  ``("ping", seq)`` → out ``("pong", worker_id, seq)``
     * in  ``("shutdown",)`` → out ``("bye", worker_id, ServingStats)``, exit
 
-    The task queue is FIFO, so several ``query`` messages may be queued at
+    The task pipe is FIFO, so several ``query`` messages may be queued at
     once (the front-end's per-worker in-flight window); the worker simply
     answers them in order — pipelining needs no worker-side changes, and
     the front-end relies on the FIFO order to know *which* queries a dead
@@ -249,17 +316,19 @@ def _shard_worker(worker_id: int, artifact_path: str,
 
     Warm-up emits ``("ready", worker_id, load_seconds)`` on success or
     ``("failed", worker_id, summary)`` if the artifact cannot be loaded.
-    Replies travel over ``result_conn``, this worker's private pipe to the
-    parent (see :class:`_ResultWriter` for why it is not a shared queue).
+    Tasks arrive over ``task_conn`` and replies leave over ``result_conn``,
+    this worker's two private pipes (see :class:`_FramedPipe` for why
+    neither is a shared queue).  The worker also exits if the task pipe
+    reaches EOF: every write end is closed, so no task can ever arrive.
     """
-    result_queue = _ResultWriter(result_conn)
+    tasks = _FramedPipe(task_conn)
+    results = _FramedPipe(result_conn)
     try:
         service = RoutingService.load(artifact_path,
                                       cache_config=cache_config,
                                       kernel=kernel, telemetry=telemetry)
     except BaseException as exc:
-        result_queue.put(("failed", worker_id,
-                          f"{type(exc).__name__}: {exc}"))
+        results.put(("failed", worker_id, f"{type(exc).__name__}: {exc}"))
         return
     service.stats.extra["worker_id"] = worker_id
     cover_service: Optional[RoutingService] = None
@@ -297,24 +366,27 @@ def _shard_worker(worker_id: int, artifact_path: str,
                  cover.extra.get("telemetry", {})])
         return merged
 
-    result_queue.put(("ready", worker_id, service.stats.load_seconds))
+    results.put(("ready", worker_id, service.stats.load_seconds))
     while True:
-        message = task_queue.get()
+        try:
+            message = tasks.get()
+        except EOFError:
+            return
         tag = message[0]
         if tag == "shutdown":
             # query_stats() refreshes the hierarchy-level snapshots (pivot
             # cache, kernel groups) so the merged stats see final values.
-            result_queue.put(("bye", worker_id, snapshot()))
+            results.put(("bye", worker_id, snapshot()))
             return
         if tag == "stats":
-            result_queue.put(("stats", worker_id, snapshot()))
+            results.put(("stats", worker_id, snapshot()))
             continue
         if tag == "ping":
-            result_queue.put(("pong", worker_id, message[1]))
+            results.put(("pong", worker_id, message[1]))
             continue
         if tag != "query":
-            result_queue.put(("error", worker_id, None,
-                              f"unknown command {tag!r}", ""))
+            results.put(("error", worker_id, None,
+                         f"unknown command {tag!r}", ""))
             continue
         _, request_id, kind, indexed_pairs = message
         try:
@@ -336,11 +408,11 @@ def _shard_worker(worker_id: int, artifact_path: str,
                     (index, value) for (index, _), value
                     in zip(other, values))
         except Exception as exc:
-            result_queue.put(("error", worker_id, request_id,
-                              f"{type(exc).__name__}: {exc}",
-                              traceback.format_exc()))
+            results.put(("error", worker_id, request_id,
+                         f"{type(exc).__name__}: {exc}",
+                         traceback.format_exc()))
             continue
-        result_queue.put(("ok", worker_id, request_id, indexed_values))
+        results.put(("ok", worker_id, request_id, indexed_values))
 
 
 def _collector_main(service_ref, stop: threading.Event) -> None:
@@ -351,18 +423,16 @@ def _collector_main(service_ref, stop: threading.Event) -> None:
     service ``ResourceWarning`` contract — could never fire.  The service
     is re-derefed only for the microseconds a snapshot is taken or a
     message dispatched; while blocked in ``select`` the thread holds
-    nothing but the channel list and the backlog deque.
+    nothing but the pipe lists and the backlog deque.
     """
     while not stop.is_set():
         service = service_ref()
         if service is None:
             return
         backlog = service._result_backlog
-        with service._lock:
-            channels = [h.channel for h in service._workers
-                        if h.channel is not None and not h.channel.exhausted]
+        channels, senders = service._live_pipes()
         del service
-        message = _poll_channels(channels, backlog, timeout=0.1)
+        message = _poll_channels(channels, backlog, 0.1, senders)
         service = service_ref()
         if service is None:
             return
@@ -374,8 +444,10 @@ def _collector_main(service_ref, stop: threading.Event) -> None:
 
 
 class _WorkerHandle:
-    """Parent-side record of one worker: its process, private task queue,
-    and the parent end of its private result pipe (``channel``).
+    """Parent-side record of one worker: its process and the parent ends
+    of its two private pipes — ``tasks`` (written) and ``channel``
+    (results, read).  Both are ``None`` on a placeholder that only
+    reserves a slot index.
 
     ``state`` is the supervisor's slot lifecycle (always ``"alive"``
     outside fleet mode): ``alive`` → serving; ``warming`` → respawned,
@@ -384,14 +456,16 @@ class _WorkerHandle:
     ``final_stats``).
     """
 
-    __slots__ = ("worker_id", "process", "task_queue", "channel", "state",
+    __slots__ = ("worker_id", "process", "tasks", "channel", "state",
                  "final_stats")
 
-    def __init__(self, worker_id, process, task_queue, channel=None):
+    def __init__(self, worker_id, process,
+                 tasks: Optional[_FramedPipe] = None,
+                 channel: Optional[_FramedPipe] = None):
         self.worker_id = worker_id
         self.process = process
-        self.task_queue = task_queue
-        self.channel: Optional[_ResultChannel] = channel
+        self.tasks = tasks
+        self.channel = channel
         self.state = "alive"
         self.final_stats: Optional[ServingStats] = None
 
@@ -573,7 +647,12 @@ class ShardedRoutingService:
         # Channels of respawn-replaced workers: kept open (but out of the
         # select set) until close(), so their fd numbers cannot be reused
         # while the collector might still hold a stale reference.
-        self._retired_channels: List[_ResultChannel] = []
+        self._retired_channels: List[_FramedPipe] = []
+        # (result channels, task pipes) the collector selects on.  Set to
+        # None under ``_lock`` wherever a handle is installed (spawn,
+        # respawn); a parked or dead worker's channel drops out when it
+        # reaches EOF (see _live_pipes).
+        self._pipe_snapshot: Optional[Tuple[List, List]] = None
         self._request_counter = 0
         self._started = False
         self._closed = False
@@ -669,8 +748,11 @@ class ShardedRoutingService:
         artifact as its cover path, so it can answer out-of-slice queries
         while a sibling is down.
         """
-        task_queue = self._ctx.Queue()
-        reader, writer = self._ctx.Pipe(duplex=False)
+        task_reader, task_writer = self._ctx.Pipe(duplex=False)
+        result_reader, result_writer = self._ctx.Pipe(duplex=False)
+        # Only this end: O_NONBLOCK belongs to the open file description,
+        # and the worker's read end of the same pipe is another one.
+        os.set_blocking(task_writer.fileno(), False)
         if (self.sub_artifact_paths is not None
                 and worker_id < len(self.sub_artifact_paths)):
             worker_artifact = self.sub_artifact_paths[worker_id]
@@ -683,15 +765,17 @@ class ShardedRoutingService:
         process = self._ctx.Process(
             target=_shard_worker,
             args=(worker_id, worker_artifact, self.cache_config,
-                  self.kernel, self.telemetry, task_queue,
-                  writer, cover, slice_spec),
+                  self.kernel, self.telemetry, task_reader,
+                  result_writer, cover, slice_spec),
             daemon=True, name=f"repro-shard-{worker_id}")
         process.start()
-        # The child owns the write end now; dropping the parent's copy
-        # keeps the fd table bounded across respawns.
-        writer.close()
-        return _WorkerHandle(worker_id, process, task_queue,
-                             channel=_ResultChannel(reader))
+        # The child owns these ends now; dropping the parent's copies keeps
+        # the fd table bounded across respawns and lets a write to a dead
+        # worker fail (no reader left) instead of filling the pipe.
+        task_reader.close()
+        result_writer.close()
+        return _WorkerHandle(worker_id, process, _FramedPipe(task_writer),
+                             _FramedPipe(result_reader))
 
     def start(self) -> "ShardedRoutingService":
         """Spawn the workers and block until every one has warmed up."""
@@ -771,12 +855,9 @@ class ShardedRoutingService:
             if drain:
                 expecting = set()
                 for handle in self._workers:
-                    if handle.process.is_alive():
-                        try:
-                            handle.task_queue.put(("shutdown",))
-                            expecting.add(handle.worker_id)
-                        except (OSError, ValueError):
-                            pass
+                    if (handle.process.is_alive()
+                            and self._send(handle, ("shutdown",))):
+                        expecting.add(handle.worker_id)
                 while expecting and time.monotonic() < deadline:
                     message = self._next_message(timeout=0.05)
                     if message is None:
@@ -811,9 +892,9 @@ class ShardedRoutingService:
                     handle.process.join(timeout=5.0)
             self._final_worker_stats = final_stats
             for handle in self._workers:
-                handle.task_queue.close()
-                if handle.channel is not None:
-                    handle.channel.close()
+                for pipe in (handle.tasks, handle.channel):
+                    if pipe is not None:
+                        pipe.close()
             for channel in self._retired_channels:
                 channel.close()
             self._retired_channels = []
@@ -882,16 +963,92 @@ class ShardedRoutingService:
     def _next_message(self, timeout: float):
         """The next worker→parent message, or ``None`` after ``timeout``.
 
-        Thin wrapper over :func:`_poll_channels` against a fresh channel
+        Thin wrapper over :func:`_poll_channels` against the current pipe
         snapshot.  Consumed by one thread at a time: ``start()`` during
         warm-up, the collector while serving, and ``close()`` during the
         drain (the collector itself snapshots and polls directly so it
         never holds the service while blocked).
         """
+        channels, senders = self._live_pipes()
+        return _poll_channels(channels, self._result_backlog, timeout,
+                              senders)
+
+    def _live_pipes(self) -> Tuple[List[_FramedPipe], List[_FramedPipe]]:
+        """``(result channels, task pipes)`` of the current workers.
+
+        Cached: a message costs no lock and no list build.  Rebuilt after
+        an invalidation (a handle was installed) or once a channel in the
+        snapshot is exhausted — EOF from a parked or dead worker, or a
+        respawn retiring it — which would otherwise read as ready forever.
+        """
+        snapshot = self._pipe_snapshot
+        if snapshot is None or any(c.exhausted for c in snapshot[0]):
+            with self._lock:
+                snapshot = (
+                    [h.channel for h in self._workers if h.channel is not None
+                     and not h.channel.exhausted],
+                    [h.tasks for h in self._workers if h.tasks is not None
+                     and not h.tasks.exhausted])
+                self._pipe_snapshot = snapshot
+        return snapshot
+
+    # ==================================================================
+    # task pipes: the submitting thread writes, nobody blocks under a lock
+    # ==================================================================
+    @staticmethod
+    def _send(handle: _WorkerHandle, message) -> bool:
+        """Frame ``message`` onto ``handle``'s task pipe; never blocks.
+
+        Safe under ``_can_submit`` — which is what keeps a worker's frames
+        in the order the lock handed out its slots: what a full pipe does
+        not take stays queued in the pipe object and goes out through
+        :meth:`_finish_sends` or the collector.  False when the worker is
+        gone (its pipe is then ``exhausted``); the error never escapes.
+        """
+        try:
+            handle.tasks.put(message)
+        except OSError:
+            return False
+        return True
+
+    def _finish_sends(self, handles: Sequence[_WorkerHandle],
+                      deadline: float) -> None:
+        """Wait, holding no service lock, for frames just queued for
+        ``handles`` to fit into their pipes, and report dead workers.
+
+        The wait is the submitter's backpressure for a worker that is not
+        reading yet.  It must happen outside ``_can_submit``: the
+        collector needs that lock to retire results, a worker blocked
+        writing results does not read tasks, and a submitter blocked on
+        that worker's full task pipe with the lock held would close the
+        cycle.  The collector flushes the same pipes whenever it wakes,
+        so frames queued by threads that cannot wait (the collector
+        itself, re-scattering a dead worker's shards) still leave.
+        """
+        for handle in handles:
+            pipe = handle.tasks
+            try:
+                while pipe.pending and time.monotonic() < deadline:
+                    select.select([], [pipe], [], 0.2)
+                    pipe.flush()
+            except (OSError, ValueError):
+                pass    # reader gone, or the pipe was closed under us
+            if pipe.exhausted:
+                self._worker_lost(handle)
+
+    def _worker_lost(self, handle: _WorkerHandle) -> None:
+        """A task write found no reader: enter the worker-death path now
+        instead of waiting for the next liveness poll."""
         with self._lock:
-            channels = [h.channel for h in self._workers
-                        if h.channel is not None and not h.channel.exhausted]
-        return _poll_channels(channels, self._result_backlog, timeout)
+            if self._closed or self._workers[handle.worker_id] is not handle:
+                return      # teardown, or a respawn already replaced it
+        if self._fleet is not None:
+            self._fleet.on_worker_death(handle.worker_id,
+                                        "task pipe has no reader")
+        else:
+            self._latch_failure(ShardError(
+                f"worker {handle.worker_id} died (its task pipe has no "
+                f"reader)"))
 
     def _check_liveness(self) -> None:
         """Notice workers that died without replying (OOM kill, segfault)."""
@@ -1089,11 +1246,12 @@ class ShardedRoutingService:
                                    for worker_id, shard in assignments})
             self._tickets[request_id] = ticket
             enqueue_start = time.perf_counter()
-            for worker_id, shard in assignments:
+            handles = [self._workers[worker_id]
+                       for worker_id, _ in assignments]
+            for handle, (worker_id, shard) in zip(handles, assignments):
                 self._inflight[worker_id] = \
                     self._inflight.get(worker_id, 0) + 1
-                self._workers[worker_id].task_queue.put(
-                    ("query", request_id, kind, shard))
+                self._send(handle, ("query", request_id, kind, shard))
             if self.metrics.enabled:
                 # scatter = partition + enqueue; the admission wait is its
                 # own span so backpressure is visible, not folded in.
@@ -1103,6 +1261,7 @@ class ShardedRoutingService:
                 self.metrics.histogram("inflight_wait").observe(waited)
                 self.metrics.histogram("queue_depth", lo=1.0,
                                        hi=4096.0).observe(len(self._tickets))
+        self._finish_sends(handles, deadline)
         return ticket
 
     def _count_batch(self, kind: str, size: int) -> None:
@@ -1165,12 +1324,10 @@ class ShardedRoutingService:
                 self._stats_waiters.append(waiter)
             else:
                 waiter["done"].set()
-        for handle in queried:
-            try:
-                handle.task_queue.put(("stats",))
-            except (OSError, ValueError):
-                pass
+            for handle in queried:
+                self._send(handle, ("stats",))
         deadline = time.monotonic() + self._reply_timeout
+        self._finish_sends(queried, deadline)
         while not waiter["done"].wait(timeout=0.2):
             if time.monotonic() >= deadline:
                 self._latch_failure(ShardError(

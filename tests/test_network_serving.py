@@ -15,9 +15,13 @@ Three layers under test, bottom up:
 """
 
 import dataclasses
+import functools
 import gc
 import io
+import os
+import signal
 import struct
+import sys
 import threading
 import time
 import warnings
@@ -38,7 +42,9 @@ from repro.serving import (
     RoutingServer,
     ServerSession,
     ServingConfig,
+    ServingStats,
     SessionClosedError,
+    ShardError,
     ShardedRoutingService,
     WireError,
     open_service,
@@ -587,3 +593,373 @@ class TestPipelinedSharded:
             for thread in threads:
                 thread.join(timeout=60.0)
         assert not failures, failures
+
+
+# ======================================================================
+# server-side session pipeline
+# ======================================================================
+def watchdog(seconds):
+    """Run the test body on a daemon thread and fail — instead of hanging
+    the suite — when it is still running after ``seconds``."""
+    def wrap(test):
+        @functools.wraps(test)
+        def run(*args, **kwargs):
+            outcome = {}
+
+            def body():
+                try:
+                    test(*args, **kwargs)
+                except BaseException as exc:   # noqa: BLE001 - re-raised
+                    outcome["error"] = exc
+
+            thread = threading.Thread(target=body, daemon=True)
+            thread.start()
+            thread.join(seconds)
+            if thread.is_alive():
+                pytest.fail(f"{test.__name__} still running after "
+                            f"{seconds}s (a blocking call hung)")
+            if "error" in outcome:
+                raise outcome["error"]
+        return run
+    return wrap
+
+
+class _Ticket:
+    def __init__(self, number, kind, pairs):
+        self.number = number
+        self.kind = kind
+        self.pairs = pairs
+        self.done = threading.Event()
+
+
+class FakePipelinedBackend:
+    """A ``submit_batch`` / ``wait_batch`` backend that answers distance
+    ``float(s + t)`` and records what the session did with it."""
+
+    pipeline_depth = 8
+
+    def __init__(self, delay=0.0, complete="at_once"):
+        self.delay = delay
+        self.complete = complete      # "at_once" | "manual"
+        self.tickets = []
+        self.events = []              # ("submit"|"wait"|"stats", number)
+        self.in_flight = 0
+        self.max_in_flight = 0
+        self.reject = set()           # ticket numbers bounced at submit
+        self._lock = threading.Lock()
+
+    def submit_batch(self, kind, pairs):
+        with self._lock:
+            number = len(self.tickets) + 1
+            ticket = _Ticket(number, kind, list(pairs))
+            self.tickets.append(ticket)
+            if number in self.reject:
+                raise BackpressureError("pipeline full (fake)")
+            self.events.append(("submit", number))
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        if self.complete == "at_once":
+            ticket.done.set()
+        return ticket
+
+    def wait_batch(self, ticket):
+        assert ticket.done.wait(timeout=20.0), "fake ticket never completed"
+        time.sleep(self.delay)
+        with self._lock:
+            self.events.append(("wait", ticket.number))
+            self.in_flight -= 1
+        return [float(s + t) for s, t in ticket.pairs]
+
+    def query_stats(self):
+        with self._lock:
+            self.events.append(("stats", len(self.tickets)))
+        return ServingStats()
+
+
+def _query(request_id, pairs, kind="distance"):
+    return encode_frame({"type": "query", "id": request_id, "kind": kind,
+                         "pairs": pack_pairs(pairs)})
+
+
+def _serve_frames(backend, *frames):
+    """Run one ServerSession over in-memory streams; its reply frames."""
+    rfile = io.BytesIO(encode_frame(hello_message()) + b"".join(frames))
+    wfile = io.BytesIO()
+    ServerSession(backend, rfile, wfile).serve()
+    replies = io.BytesIO(wfile.getvalue())
+    out = []
+    while True:
+        try:
+            out.append(read_frame(replies))
+        except SessionClosedError:
+            return out[1:]      # drop the welcome
+
+
+class TestServerPipelining:
+    @watchdog(30.0)
+    @pytest.mark.parametrize("window,expected", [(8, None), (1, 1)])
+    def test_one_client_keeps_tickets_in_flight(self, window, expected):
+        backend = FakePipelinedBackend(delay=0.005)
+        batches = [[(i, j) for j in range(4)] for i in range(16)]
+        with RoutingServer(backend, "127.0.0.1:0") as srv:
+            with ClientSession.connect(srv.address, timeout=5.0,
+                                       reply_timeout=20.0,
+                                       window=window) as client:
+                tickets = [client.submit("distance", b) for b in batches]
+                got = [client.gather(t) for t in tickets]
+        assert got == [[float(s + t) for s, t in b] for b in batches]
+        if expected is None:
+            assert backend.max_in_flight >= 2
+        else:
+            assert backend.max_in_flight == expected
+
+    @watchdog(30.0)
+    def test_replies_keep_arrival_order_when_later_ticket_completes_first(
+            self):
+        backend = FakePipelinedBackend(complete="manual")
+
+        def complete_in_reverse():
+            while len(backend.tickets) < 3:
+                time.sleep(0.005)
+            for ticket in reversed(backend.tickets):
+                ticket.done.set()
+                time.sleep(0.02)
+
+        completer = threading.Thread(target=complete_in_reverse, daemon=True)
+        completer.start()
+        replies = _serve_frames(
+            backend, _query(11, [(1, 2)]), _query(12, [(3, 4)]),
+            _query(13, [(5, 6)]), encode_frame({"type": "close"}))
+        completer.join(timeout=10.0)
+        assert [(r["type"], r.get("id")) for r in replies] == [
+            ("answers", 11), ("answers", 12), ("answers", 13), ("bye", None)]
+        assert [r["values"] for r in replies[:3]] == [[3.0], [7.0], [11.0]]
+        # all three were submitted before the first was waited for
+        assert backend.events[:3] == [("submit", 1), ("submit", 2),
+                                      ("submit", 3)]
+
+    @watchdog(30.0)
+    def test_bad_request_and_backpressure_are_errors_in_their_own_slot(
+            self):
+        backend = FakePipelinedBackend()
+        backend.reject = {2}          # the second batch that reaches submit
+        replies = _serve_frames(
+            backend,
+            _query(1, [(1, 1)]),
+            _query(2, [(2, 2)], kind="teleport"),     # never reaches submit
+            _query(3, [(3, 3)]),                      # bounced by admission
+            _query(4, [(4, 4)]),
+            encode_frame({"type": "close"}))
+        assert [(r["type"], r.get("id"), r.get("code")) for r in replies] == [
+            ("answers", 1, None), ("error", 2, "bad-request"),
+            ("error", 3, "backpressure"), ("answers", 4, None),
+            ("bye", None, None)]
+        # the session survived both: the bye still counts two served batches
+        assert replies[-1]["served"] == {"queries": 2, "batches": 2}
+
+    @watchdog(30.0)
+    def test_backpressure_from_a_real_rejecting_front_end(self, net_config,
+                                                          net_graph):
+        config = dataclasses.replace(net_config, workers=2, pipeline_depth=1,
+                                     admission="reject")
+        pairs = zipf_workload(net_graph.nodes(), 3000, seed=2).pairs
+        with open_service(config, graph=net_graph) as service:
+            service.distance_batch(pairs[:4])       # spawn cost paid
+            with RoutingServer(service, "127.0.0.1:0") as srv, \
+                    ClientSession.connect(srv.address, timeout=5.0,
+                                          reply_timeout=30.0) as client:
+                first = client.submit("distance", pairs)
+                second = client.submit("distance", pairs[:4])
+                assert len(client.gather(first)) == len(pairs)
+                with pytest.raises(BackpressureError, match="pipeline full"):
+                    client.gather(second)
+                assert len(client.distance_batch(pairs[:4])) == 4
+
+    @watchdog(30.0)
+    def test_stats_is_answered_after_the_answers_pending_before_it(self):
+        backend = FakePipelinedBackend(delay=0.01)
+        replies = _serve_frames(
+            backend, _query(1, [(1, 1)]), _query(2, [(2, 2)]),
+            encode_frame({"type": "stats"}), _query(3, [(3, 3)]),
+            encode_frame({"type": "close"}))
+        assert [(r["type"], r.get("id")) for r in replies] == [
+            ("answers", 1), ("answers", 2), ("stats_reply", None),
+            ("answers", 3), ("bye", None)]
+        order = [event for event in backend.events if event[0] != "submit"]
+        assert order[:4] == [("wait", 1), ("wait", 2), ("stats", 3),
+                             ("wait", 3)]
+
+    @watchdog(30.0)
+    def test_eof_without_close_still_flushes_every_queued_reply(
+            self, local_backend, net_graph):
+        nodes = net_graph.nodes()
+        batches = [[(nodes[i], nodes[i + 1])] for i in range(5)]
+        for backend in (FakePipelinedBackend(delay=0.01), local_backend):
+            if backend is local_backend:
+                frames = [_query(i, b) for i, b in enumerate(batches)]
+                want = [local_backend.distance_batch(b) for b in batches]
+            else:
+                frames = [_query(i, [(i, i)]) for i in range(5)]
+                want = [[float(2 * i)] for i in range(5)]
+            replies = _serve_frames(backend, *frames)       # no close frame
+            assert [r["type"] for r in replies] == ["answers"] * 5
+            assert [r["id"] for r in replies] == list(range(5))
+            assert [r["values"] for r in replies] == want
+
+    @watchdog(30.0)
+    def test_unframeable_reply_is_an_error_in_its_slot(self, monkeypatch):
+        # The writer is not the thread that reads, so a reply it cannot
+        # frame must not end the session silently (the client would wait
+        # out its reply timeout): it becomes that request's error.
+        import repro.serving.wire as wire_mod
+        frames = [_query(1, [(i, i) for i in range(12)]),
+                  _query(2, [(i, i) for i in range(12)] * 40),
+                  _query(3, [(5, 5)]),
+                  encode_frame({"type": "close"})]
+        # from here on only the 480-answer reply (~2 kB) is too large
+        monkeypatch.setattr(wire_mod, "MAX_FRAME_BYTES", 1000)
+        replies = _serve_frames(FakePipelinedBackend(), *frames)
+        assert [(r["type"], r.get("id"), r.get("code")) for r in replies] \
+            == [("answers", 1, None), ("error", 2, "backend"),
+                ("answers", 3, None), ("bye", None, None)]
+        assert "frame bound" in replies[1]["message"]
+
+    @watchdog(120.0)
+    def test_four_pipelined_large_route_batches_complete(
+            self, sharded_service, local_backend, net_graph):
+        # 10 000 pairs per worker per batch: every task frame and every
+        # result frame is far larger than a pipe buffer, so a submitter
+        # that waited for pipe room under the service lock — or a
+        # collector that waited behind a task write — would deadlock here.
+        pairs = zipf_workload(net_graph.nodes(), 20000, seed=17).pairs
+        want = local_backend.route_batch(pairs)
+        with RoutingServer(sharded_service, "127.0.0.1:0") as srv, \
+                ClientSession.connect(srv.address, timeout=5.0,
+                                      reply_timeout=100.0) as client:
+            tickets = [client.submit("route", pairs) for _ in range(4)]
+            for ticket in tickets:
+                assert client.gather(ticket) == want
+        assert not [t.name for t in threading.enumerate()
+                    if "QueueFeederThread" in t.name]
+
+    @watchdog(120.0)
+    def test_concurrent_submitters_keep_task_frames_whole_and_ordered(
+            self, sharded_service, local_backend, net_graph):
+        # More submitting threads than cores, frames larger than a pipe
+        # buffer (so most writes are partial and finished later, by the
+        # submitter or by the collector) and a tiny switch interval: a
+        # torn or reordered frame would crash a worker or misplace answers.
+        size = 16000
+        streams = [zipf_workload(net_graph.nodes(), 3 * size,
+                                 seed=40 + i).pairs for i in range(4)]
+        want = [[local_backend.distance_batch(s[lo:lo + size])
+                 for lo in range(0, len(s), size)] for s in streams]
+        got = [None] * len(streams)
+
+        def drive(index):
+            stream = streams[index]
+            tickets = [sharded_service.submit_batch("distance",
+                                                    stream[lo:lo + size])
+                       for lo in range(0, len(stream), size)]
+            got[index] = [sharded_service.wait_batch(t) for t in tickets]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=drive, args=(i,), daemon=True)
+                       for i in range(len(streams))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=100.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
+
+    @watchdog(60.0)
+    def test_worker_killed_between_submit_and_reply_is_a_typed_error(
+            self, net_config, net_graph):
+        config = dataclasses.replace(net_config, workers=2)
+        pairs = zipf_workload(net_graph.nodes(), 20000, seed=3).pairs
+        with open_service(config, graph=net_graph) as service:
+            service.distance_batch(pairs[:4])       # spawn cost paid
+            with RoutingServer(service, "127.0.0.1:0") as srv, \
+                    ClientSession.connect(srv.address, timeout=5.0,
+                                          reply_timeout=30.0) as client:
+                ticket = client.submit("route", pairs)
+                os.kill(service._workers[0].process.pid, signal.SIGKILL)
+                started = time.monotonic()
+                with pytest.raises(RemoteError, match="ShardError"):
+                    client.gather(ticket)
+                assert time.monotonic() - started < 20.0
+                # fail-stop: later batches get the same typed error, and a
+                # write to the dead worker's pipe never escapes as EPIPE
+                with pytest.raises(RemoteError, match="ShardError"):
+                    client.distance_batch(pairs[:4])
+
+    @watchdog(60.0)
+    def test_submit_to_a_dead_worker_enters_the_death_path(self, net_config,
+                                                           net_graph):
+        config = dataclasses.replace(net_config, workers=2)
+        pairs = zipf_workload(net_graph.nodes(), 64, seed=3).pairs
+        with open_service(config, graph=net_graph) as service:
+            service.distance_batch(pairs)
+            victim = service._workers[1].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+            assert not victim.is_alive()
+            # the write finds no reader: no BrokenPipeError escapes, the
+            # latch is set by the submit itself, the wait raises it
+            ticket = service.submit_batch("distance", pairs)
+            assert isinstance(service._failure, ShardError)
+            with pytest.raises(ShardError, match="worker 1 died"):
+                service.wait_batch(ticket)
+
+
+class _SlowToEncode(list):
+    """Distance answers whose encoding takes a while, like a large route
+    batch's — the window the drain used to lose the frame in."""
+
+    def __iter__(self):
+        time.sleep(0.3)
+        return super().__iter__()
+
+
+class _ClosingBackend:
+    """A local-style backend whose answer arrives while the server is
+    already draining: the batch itself asks for ``close(drain=True)``."""
+
+    def __init__(self):
+        self.server = None
+        self.closer = None
+
+    def distance_batch(self, pairs):
+        self.closer = threading.Thread(target=self.server.close,
+                                       kwargs={"drain": True}, daemon=True)
+        self.closer.start()
+        time.sleep(0.1)             # close() is now polling ``busy``
+        return _SlowToEncode(float(s + t) for s, t in pairs)
+
+    route_batch = distance_batch
+
+    def query_stats(self):
+        return ServingStats()
+
+
+@watchdog(30.0)
+def test_drain_keeps_the_answer_computed_while_closing():
+    """``busy`` used to clear before the answers frame was encoded and
+    written, so ``close(drain=True)`` could shut the socket in between and
+    the client lost a frame the server had promised to send."""
+    backend = _ClosingBackend()
+    backend.server = RoutingServer(backend, "127.0.0.1:0",
+                                   drain_timeout=10.0).start()
+    client = ClientSession.connect(backend.server.address, timeout=5.0,
+                                   reply_timeout=10.0)
+    try:
+        assert client.distance_batch([(1, 2), (3, 4)]) == [3.0, 7.0]
+    finally:
+        client.close()
+        backend.closer.join(timeout=15.0)
+    assert not backend.closer.is_alive()
