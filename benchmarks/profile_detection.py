@@ -1,22 +1,28 @@
 """Profile the ``batched`` detection core on the ledger's two build graphs.
 
     PYTHONPATH=src python benchmarks/profile_detection.py --out FILE
+    PYTHONPATH=src python benchmarks/profile_detection.py \
+        --graph road:rows=50,cols=50 --out FILE
 
 Runs one ``build_compact_routing`` on the ``build_er`` graph (ER n=300,
 weights 1..64) and one ``approximate_apsp`` on the ``apsp_er`` graph (ER
-n=200) — the same generator calls and seed as ``benchmarks/e2e`` — each
-under ``cProfile``, and writes the top 25 functions by own time plus the
-queue traffic of the detection kernel: pushes, pops and settles.
+n=200) — the same generator calls and seed as ``benchmarks/e2e`` — or, with
+``--graph SPEC`` (any ``repro.serving`` graph spec), one
+``build_compact_routing`` on that graph.  Each runs under ``cProfile``, and
+the report holds the top 25 functions by own time plus the queue traffic of
+the detection kernel: pushes, pops and settles, in total and per instance
+shape ``(kernel, |S|, h', sigma)``.
 
 The counts come from a separate pass under ``sys.setprofile`` that tallies
-the builtin calls made *from the kernel's own frame*, so the kernel carries
-no counters: a heap kernel shows up as ``heappush``/``heappop`` calls, a
-bucket kernel as ``append`` calls (queue pushes plus one per settle; every
-pushed item is drained, so pops equal pushes).  Settles are the entries of
-the returned lists.  (``cProfile``'s own caller table is not used: it keys
-bound builtin methods by object address and loses them at this scale.)
-``cProfile`` inflates call-heavy code, so the seconds here rank candidates;
-``benchmarks/e2e/run.py`` measures.
+the builtin calls made *from the kernel's own frame* and reads the triples
+off the frame's return value, so the kernel carries no counters; each entry
+of :data:`KERNELS` says how one kernel's calls add up to its pushes (every
+pushed item is drained, so pops equal pushes).  The counts repeat exactly
+from run to run and host to host — CI diffs the ``detections`` lines against
+``benchmarks/profiles/detection_pr16.txt``.  (``cProfile``'s own caller
+table is not used: it keys bound builtin methods by object address and loses
+them at this scale.)  ``cProfile`` inflates call-heavy code, so the seconds
+here rank candidates; ``benchmarks/e2e/run.py`` measures.
 """
 
 import argparse
@@ -26,11 +32,25 @@ import sys
 
 from repro import graphs
 from repro.core import approximate_apsp
-from repro.core import pde as pde_module
 from repro.routing import build_compact_routing
+from repro.serving import parse_graph_spec
 
-#: Functions of ``core/source_detection.py`` that own the queue loop.
-KERNELS = ("detect_sources_batched", "bucket_detect")
+#: The frames of ``core/source_detection.py`` that own a queue loop, each
+#: with ``(builtin calls of one kernel call, its settles) -> (pushes,
+#: non-empty buckets drained)``.
+KERNELS = {
+    # Every push is an ``append`` and so is every settle; a non-empty bucket
+    # is sorted once.
+    "_detect_pruned": lambda calls, settles: (
+        calls.get("append", 0) - settles, calls.get("sort", 0)),
+    # A bucket is born as a one-item list literal — a push no call records —
+    # and measured by one ``len`` when it is drained (one more ``len`` sizes
+    # the scratch lists); later pushes ``append`` to it.  A settle appends
+    # twice: to the source's settle order, then to the node's list.
+    "_detect_per_source": lambda calls, settles: (
+        calls.get("len", 0) - 1 + calls.get("append", 0) - 2 * settles,
+        calls.get("len", 0) - 1),
+}
 DEFAULT_SEED = 20150721
 
 
@@ -46,46 +66,59 @@ WORKLOADS = {
 }
 
 
-def count_kernel_calls(name, seed):
-    """``(detections, settles, {builtin name: calls from the kernel frame})``."""
-    settled = [0, 0]
-    calls = {}
-    original = pde_module.detect_sources
+def count_kernel_calls(workload):
+    """Queue traffic of every kernel call ``workload()`` makes.
 
-    def counting(*args, **kwargs):
-        result = original(*args, **kwargs)
-        settled[0] += 1
-        settled[1] += sum(len(entries) for entries in result.lists.values())
-        return result
+    Returns ``{(kernel, |S|, h', sigma): [calls, pushes, buckets, settles]}``
+    and ``{builtin name: calls from a kernel frame}``.
+    """
+    shapes = {}
+    totals = {}
+    current = {}
 
     def on_event(frame, event, arg):
-        if event == "c_call" and frame.f_code.co_name in KERNELS:
-            calls[arg.__name__] = calls.get(arg.__name__, 0) + 1
+        kernel = frame.f_code.co_name
+        if kernel not in KERNELS:
+            return
+        if event == "c_call":
+            current[arg.__name__] = current.get(arg.__name__, 0) + 1
+        elif event == "return" and arg is not None:
+            settles = sum(map(len, arg))
+            pushes, buckets = KERNELS[kernel](current, settles)
+            args = frame.f_locals
+            shape = (kernel, len(args["source_ids"]), args["h"],
+                     args.get("sigma", "-"))
+            row = shapes.setdefault(shape, [0, 0, 0, 0])
+            for i, value in enumerate((1, pushes, buckets, settles)):
+                row[i] += value
+            for name, count in current.items():
+                totals[name] = totals.get(name, 0) + count
+            current.clear()
 
-    pde_module.detect_sources = counting
     sys.setprofile(on_event)
     try:
-        WORKLOADS[name](seed)
+        workload()
     finally:
         sys.setprofile(None)
-        pde_module.detect_sources = original
-    return settled[0], settled[1], calls
+    return shapes, totals
 
 
-def profile_workload(name, seed, out):
-    detections, settles, calls = count_kernel_calls(name, seed)
-    if "heappush" in calls:
-        pushes, pops = calls["heappush"], calls["heappop"]
-    else:
-        pushes = pops = calls.get("append", 0) - settles
-    out.write(f"== {name} (seed {seed}) ==\n")
-    out.write(f"detections {detections}  pushes {pushes}  pops {pops}  "
+def profile_workload(title, workload, out):
+    shapes, totals = count_kernel_calls(workload)
+    detections, pushes, _, settles = map(sum, zip(*shapes.values()))
+    out.write(f"== {title} ==\n")
+    out.write(f"detections {detections}  pushes {pushes}  pops {pushes}  "
               f"settles {settles}\n")
-    out.write("builtin calls from the kernel frame: "
-              + ", ".join(f"{k} {v}" for k, v in sorted(calls.items()))
+    out.write("builtin calls from the kernel frames: "
+              + ", ".join(f"{k} {v}" for k, v in sorted(totals.items()))
               + "\n")
+    out.write(f"{'kernel':<20}{'|S|':>6}{'h_':>7}{'sigma':>7}{'calls':>7}"
+              f"{'pushes':>12}{'buckets':>10}{'settles':>12}\n")
+    for shape, row in sorted(shapes.items(), key=lambda item: -item[1][1]):
+        out.write("{:<20}{:>6}{:>7}{:>7}{:>7}{:>12}{:>10}{:>12}\n"
+                  .format(*shape, *row))
     profiler = cProfile.Profile()
-    profiler.runcall(WORKLOADS[name], seed)
+    profiler.runcall(workload)
     pstats.Stats(profiler, stream=out).strip_dirs() \
         .sort_stats("tottime").print_stats(25)
 
@@ -93,13 +126,26 @@ def profile_workload(name, seed, out):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--graph", default=None, metavar="SPEC",
+                        help="profile one hierarchy build on this graph spec "
+                             "(e.g. road:rows=50,cols=50) instead of the two "
+                             "ledger graphs")
     parser.add_argument("--out", default=None,
                         help="write the report here (default: stdout)")
     args = parser.parse_args(argv)
+    if args.graph:
+        graph = parse_graph_spec(args.graph)
+        runs = {f"{args.graph} (n={graph.num_nodes} m={graph.num_edges})":
+                lambda: build_compact_routing(graph, k=3, epsilon=0.25,
+                                              engine="batched")}
+    else:
+        runs = {f"{name} (seed {args.seed})":
+                lambda workload=workload: workload(args.seed)
+                for name, workload in WORKLOADS.items()}
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for name in WORKLOADS:
-            profile_workload(name, args.seed, out)
+        for title, workload in runs.items():
+            profile_workload(title, workload, out)
     finally:
         if args.out:
             out.close()

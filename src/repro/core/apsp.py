@@ -27,7 +27,11 @@ __all__ = ["APSPResult", "approximate_apsp", "stretch_statistics"]
 
 @dataclass
 class APSPResult:
-    """All-pairs distance estimates produced by the Theorem 4.1 algorithm."""
+    """All-pairs distance estimates produced by the Theorem 4.1 algorithm.
+
+    ``estimates``/``next_hops`` *are* ``pde``'s tables (half the footprint of
+    copies: each ``n x n`` table is held once), so treat them as read-only.
+    """
 
     epsilon: float
     estimates: Dict[Hashable, Dict[Hashable, float]]
@@ -69,10 +73,8 @@ def approximate_apsp(graph: WeightedGraph, epsilon: float,
         raise ValueError("APSP needs at least two nodes")
     pde = solve_pde(graph, graph.nodes(), h=n, sigma=n, epsilon=epsilon,
                     engine=engine, store_levels=False)
-    estimates = {v: dict(pde.estimates[v]) for v in graph.nodes()}
-    next_hops = {v: dict(pde.next_hops[v]) for v in graph.nodes()}
-    return APSPResult(epsilon=epsilon, estimates=estimates, next_hops=next_hops,
-                      metrics=pde.metrics, pde=pde)
+    return APSPResult(epsilon=epsilon, estimates=pde.estimates,
+                      next_hops=pde.next_hops, metrics=pde.metrics, pde=pde)
 
 
 def stretch_statistics(estimates: Dict[Hashable, Dict[Hashable, float]],

@@ -40,6 +40,13 @@ labels in exactly the order a heap keyed ``(distance, rank, counter)`` would
 pop them — same lists, same next-hop tie-breaks — while a push is a
 ``list.append`` and a whole round costs one sort of machine ints.
 
+**sigma >= |S|: one search per source.**  With ``sigma >= |S|`` (Theorem 4.1's
+``S = V, h = sigma = n``; upper hierarchy levels) no list fills up and ranks
+never interact, so the kernel runs Dial's algorithm with FIFO buckets once per
+source.  Next hops agree too: the truncated loop visits one rank's labels in
+``(distance, push counter)`` order, which *is* that rank's FIFO order, and in
+both the first push reaching ``(node, rank)`` at final distance owns the hop.
+
 What is interned where: a caller interns the graph once into a
 :class:`GraphCSR` (node id = position in ``graph.nodes()``; flat
 ``indptr``/``indices``/``weights`` lists in ``neighbor_weights`` order) and
@@ -250,7 +257,20 @@ def bucket_detect(csr: GraphCSR, lengths: List[int], source_ids: List[int],
     Returns, per node id, the settled ``(distance, source rank, from id)``
     triples in lexicographic ``(distance, rank)`` order; ``from id`` is the
     neighbour the label arrived from (the next hop toward the source), ``-1``
-    at the source itself.
+    at the source itself.  The one branch is on the input: both loops return
+    the same triples wherever ``sigma >= |S|``, the per-source one sooner.
+    """
+    indptr, indices = csr.indptr, csr.indices
+    rows = [list(zip(indices[a:b], lengths[a:b]))
+            for a, b in zip(indptr, indptr[1:])]
+    if sigma >= len(source_ids):
+        return _detect_per_source(rows, source_ids, h)
+    return _detect_pruned(rows, source_ids, h, sigma)
+
+
+def _detect_pruned(rows: List[List[Tuple[int, int]]], source_ids: List[int],
+                   h: int, sigma: int) -> List[List[Tuple[int, int, int]]]:
+    """The truncated loop: one multi-source search, correct for every ``sigma``.
 
     ``buckets[d]`` holds the labels of tentative distance ``d``, each packed
     into one int ``rank | seq | node | from + 1`` (high to low bits, ``seq``
@@ -260,16 +280,13 @@ def bucket_detect(csr: GraphCSR, lengths: List[int], source_ids: List[int],
     need a strict improvement), so the queued item that still matches
     ``state`` owns the next hop.
     """
-    indptr, indices = csr.indptr, csr.indices
-    n = len(indptr) - 1
-    rows = [list(zip(indices[a:b], lengths[a:b]))
-            for a, b in zip(indptr, indptr[1:])]
+    n = len(rows)
     bits = n.bit_length()                   # node < n and from + 1 <= n fit
     mask = (1 << bits) - 1
     seq_shift = 2 * bits
     # Each settled label relaxes its node's row once and a node settles at
     # most sigma labels, which bounds the push counter.
-    pushes = len(source_ids) + min(sigma, len(source_ids)) * len(indices)
+    pushes = len(source_ids) + min(sigma, len(source_ids)) * sum(map(len, rows))
     rank_shift = seq_shift + pushes.bit_length()
 
     lists: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
@@ -306,6 +323,46 @@ def bucket_detect(csr: GraphCSR, lengths: List[int], source_ids: List[int],
                     state[u][rank] = nd
                     buckets[nd].append(tag | seq << seq_shift | u << bits)
                     seq += 1
+    return lists
+
+
+def _detect_per_source(rows: List[List[Tuple[int, int]]], source_ids: List[int],
+                       h: int) -> List[List[Tuple[int, int, int]]]:
+    """``sigma >= |S|``: Dial's algorithm from one source at a time."""
+    n = len(rows)
+    limit = h + 1
+    lists: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
+    dist = [limit] * n                      # scratch shared by all sources: a
+    hop = [-1] * n                          # source resets what it settled
+    buckets: List[Optional[List[int]]] = [None] * limit     # FIFOs of node ids
+    for rank, source in enumerate(source_ids):
+        dist[source], hop[source], buckets[0] = 0, -1, [source]
+        queued, d, order = 1, 0, []
+        while queued:
+            bucket = buckets[d]
+            if bucket is not None:
+                buckets[d] = None
+                queued -= len(bucket)
+                for v in bucket:
+                    if dist[v] != d:
+                        continue            # superseded by a shorter label
+                    order.append(v)
+                    for u, step in rows[v]:
+                        nd = d + step
+                        if nd < dist[u]:
+                            dist[u] = nd
+                            hop[u] = v
+                            queued += 1
+                            if buckets[nd] is None:
+                                buckets[nd] = [u]
+                            else:
+                                buckets[nd].append(u)
+            d += 1
+        for v in order:
+            lists[v].append((dist[v], rank, hop[v]))
+            dist[v] = limit
+    for entries in lists:
+        entries.sort()                      # emitted by rank, read by distance
     return lists
 
 

@@ -39,6 +39,12 @@ class TestApproximateAPSP:
         hop = result.next_hop(v, w)
         assert hop is None or g.has_edge(v, hop)
 
+    def test_tables_are_shared_with_the_pde_result(self, small_weighted_graph):
+        result = approximate_apsp(small_weighted_graph, epsilon=0.25)
+        assert result.estimates is result.pde.estimates
+        assert result.next_hops is result.pde.next_hops
+        assert list(result.estimates) == small_weighted_graph.nodes()
+
     def test_estimates_symmetric_enough(self, small_weighted_graph):
         """Both directions satisfy the same (1+eps) guarantee (the estimates
         themselves need not be identical)."""

@@ -15,6 +15,8 @@ import sys
 import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import graphs
 from repro.core import (
@@ -23,7 +25,8 @@ from repro.core import (
     detect_sources_logical,
     solve_pde,
 )
-from repro.core.source_detection import GraphCSR, bucket_detect
+from repro.core.source_detection import (GraphCSR, _detect_pruned,
+                                         bucket_detect)
 from repro.graphs import WeightedGraph
 from repro.routing.compact import build_compact_routing
 from repro.serving import parse_graph_spec
@@ -191,6 +194,55 @@ def test_csr_layout_and_int_space_kernel():
     lists = bucket_detect(csr, csr.weights, [2, 3], h=9, sigma=2)
     assert lists == [[], [(1, 1, 3), (3, 0, 3)], [(0, 0, -1), (2, 1, 3)],
                      [(0, 1, -1), (2, 0, 2)]]
+
+
+# ----------------------------------------------------------------------
+# sigma >= |S|: the per-source path against the loop that is correct for any
+# sigma
+# ----------------------------------------------------------------------
+def _tie_heavy_graphs():
+    """Graphs on which most labels have several shortest paths to choose from."""
+    two_islands = WeightedGraph.from_edges(
+        [(i, (i + 1) % 6, 1 + i % 2) for i in range(6)]
+        + [(10, 11, 1), (11, 12, 1), (12, 13, 2), (10, 13, 2), (10, 12, 2)],
+        nodes=[99])
+    return {
+        "unit grid 6x6": graphs.grid_graph(6, 6, graphs.unit_weights(), seed=0),
+        "er lengths 1..2": graphs.erdos_renyi_graph(
+            30, 0.15, graphs.uniform_weights(1, 2), seed=7),
+        "dense er lengths 1..2": graphs.erdos_renyi_graph(
+            24, 0.3, graphs.uniform_weights(1, 2), seed=11),
+        "disconnected": two_islands,
+    }
+
+
+def _edge_rows(csr):
+    """The ``(neighbour id, length)`` rows ``bucket_detect`` hands its loops."""
+    return [list(zip(csr.indices[a:b], csr.weights[a:b]))
+            for a, b in zip(csr.indptr, csr.indptr[1:])]
+
+
+TIE_HEAVY = {name: (csr, _edge_rows(csr)) for name, csr in
+             ((name, GraphCSR.from_graph(g))
+              for name, g in _tie_heavy_graphs().items())}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_per_source_path_equals_pruned_loop_including_next_hops(data):
+    csr, rows = TIE_HEAVY[data.draw(st.sampled_from(sorted(TIE_HEAVY)))]
+    n = len(csr.nodes)
+    # Several sources per component, so one source's explored region overlaps
+    # the next one's and a scratch entry left dirty would change a triple.
+    source_ids = data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                    max_size=n))
+    # 0 and 1 truncate nearly every source, 3 some of them, 64 none.
+    h = data.draw(st.sampled_from([0, 1, 3, 64]))
+    for sigma in {max(0, len(source_ids) - 1), len(source_ids),
+                  len(source_ids) + 1, n}:
+        assert bucket_detect(csr, csr.weights, source_ids, h, sigma) \
+            == _detect_pruned(rows, source_ids, h, sigma), sigma
 
 
 # ----------------------------------------------------------------------
