@@ -3,8 +3,9 @@
 The elastic fleet supervisor (``ShardedRoutingService(fleet=...)``) turns
 worker death from a service outage into a bounded latency blip:
 
-* **liveness** — heartbeat pings plus ``Process.is_alive()`` catch a killed
-  worker within a couple of beat intervals;
+* **liveness** — the front-end's collector sees a killed worker's result
+  pipe reach EOF within one ``select`` round (the heartbeat only catches
+  hung-but-alive workers), so the blip does not scale with the beat;
 * **recovery** — queries the dead worker never answered are re-scattered to
   surviving siblings, and a replacement is respawned and warmed in the
   background, all behind an epoch-versioned routing table;
@@ -235,11 +236,12 @@ def main(argv=None) -> int:
     payload = {
         "benchmark": "fleet_recovery",
         "description": "SIGKILL one of N fleet workers mid-stream under "
-                       "bursty load: the supervisor detects the death via "
-                       "heartbeats, re-scatters the dead worker's pending "
-                       "queries to survivors behind an epoch-versioned "
-                       "routing table, and respawns a replacement in the "
-                       "background; the answer stream is asserted "
+                       "bursty load: the front-end sees the death on the "
+                       "worker's result pipe (EOF), re-scatters its pending "
+                       "queries to survivors behind the supervisor's "
+                       "epoch-versioned routing table, and the supervisor "
+                       "respawns a replacement in the background; the "
+                       "answer stream is asserted "
                        "list-for-list identical (paths and weights) to "
                        "single-process serving, and the per-batch latency "
                        "series bounds the recovery blip",

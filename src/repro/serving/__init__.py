@@ -23,11 +23,13 @@ The public surface (API v2) is one typed, policy-pluggable contract:
 * :mod:`repro.serving.sharded`   — the :class:`ShardedRoutingService`
   backend: one query stream scattered across N worker processes, each
   serving its partition from the same artifact;
+* :mod:`repro.serving.worker`    — one such worker: the framed pipes, the
+  process's main loop and its parent-side ``Worker`` endpoint;
 * :mod:`repro.serving.fleet`     — the :class:`FleetSupervisor` elastic
-  layer over the sharded backend (``ServingConfig.fleet``): heartbeat
-  liveness, worker respawn with sibling cover, windowed load rebalancing
-  through an epoch-versioned routing table, and queue-depth-driven
-  scaling between ``min_workers`` and ``max_workers``;
+  policy over the sharded backend (``ServingConfig.fleet``): worker
+  respawn with sibling cover, a heartbeat for hung workers, windowed load
+  rebalancing through an epoch-versioned routing table, and
+  queue-depth-driven scaling between ``min_workers`` and ``max_workers``;
 * :mod:`repro.serving.cache`     — LRU result caching and the
   :class:`ServingStats` counters;
 * :mod:`repro.serving.policies`  — hot-set policies (explicit

@@ -306,6 +306,16 @@ class ServingStats:
                        "loaded_table_bytes", "kernel_stats",
                        "pivot_row_cache", "cover_queries")
 
+    #: The additive integer counters, in export order.  ``as_dict``,
+    #: ``from_dict``, :meth:`merge` and the shard worker's cover-service
+    #: fold all read this tuple, so a counter added to the dataclass is
+    #: added here and nowhere else.  ``OPTIONALS`` are the ``None``-able
+    #: provenance fields that follow them in a record.
+    COUNTERS = ("queries", "route_queries", "distance_queries", "batches",
+                "batched_queries", "cache_hits", "cache_misses", "hot_hits")
+    OPTIONALS = ("build_seconds", "load_seconds", "warm_seconds",
+                 "artifact_bytes")
+
     queries: int = 0
     route_queries: int = 0
     distance_queries: int = 0
@@ -331,22 +341,11 @@ class ServingStats:
         Extras live under the ``"extra"`` sub-dict so a free-form key such as
         ``"queries"`` can never shadow a core counter in exported records.
         """
-        return {
-            "queries": self.queries,
-            "route_queries": self.route_queries,
-            "distance_queries": self.distance_queries,
-            "batches": self.batches,
-            "batched_queries": self.batched_queries,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "hot_hits": self.hot_hits,
-            "build_seconds": self.build_seconds,
-            "load_seconds": self.load_seconds,
-            "warm_seconds": self.warm_seconds,
-            "artifact_bytes": self.artifact_bytes,
-            "extra": dict(self.extra),
-        }
+        record = {name: getattr(self, name)
+                  for name in self.COUNTERS + self.OPTIONALS}
+        record["cache_hit_rate"] = self.cache_hit_rate
+        record["extra"] = dict(self.extra)
+        return record
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ServingStats":
@@ -360,10 +359,7 @@ class ServingStats:
         if not isinstance(data, dict):
             raise ValueError(f"ServingStats.from_dict expects a dict, "
                              f"got {type(data).__name__}")
-        known = {"queries", "route_queries", "distance_queries", "batches",
-                 "batched_queries", "cache_hits", "cache_misses",
-                 "hot_hits", "build_seconds", "load_seconds",
-                 "warm_seconds", "artifact_bytes", "extra"}
+        known = {*cls.COUNTERS, *cls.OPTIONALS, "extra"}
         unknown = sorted(set(data) - known - {"cache_hit_rate"})
         if unknown:
             raise ValueError(f"unknown ServingStats key(s) {unknown}")
@@ -391,14 +387,9 @@ class ServingStats:
         payload_bytes = []
         extra_values: Dict[str, list] = {}
         for item in stats:
-            merged.queries += item.queries
-            merged.route_queries += item.route_queries
-            merged.distance_queries += item.distance_queries
-            merged.batches += item.batches
-            merged.batched_queries += item.batched_queries
-            merged.cache_hits += item.cache_hits
-            merged.cache_misses += item.cache_misses
-            merged.hot_hits += item.hot_hits
+            for name in cls.COUNTERS:
+                setattr(merged, name,
+                        getattr(merged, name) + getattr(item, name))
             for key in seconds:
                 value = getattr(item, key)
                 if value is not None:

@@ -229,7 +229,7 @@ FLAGS: Tuple[Flag, ...] = (
     Flag("--max-workers", "max_workers",
          "fleet scale-up ceiling (--fleet; default --workers)"),
     Flag("--heartbeat-interval", "heartbeat_interval",
-         "fleet supervisor beat period in seconds (--fleet): liveness "
+         "fleet supervisor beat period in seconds (--fleet): hang "
          "checks, respawns and scaling decisions happen on this cadence"),
     Flag("--respawn-limit", "respawn_limit",
          "worker respawns tolerated before the fleet degrades to a "
@@ -291,20 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace,
                      parser: argparse.ArgumentParser) -> ServingConfig:
-    """Validate flags and assemble the :class:`ServingConfig` they describe."""
+    """Validate flags and assemble the :class:`ServingConfig` they describe.
+
+    Only flag-level facts are checked here (flags with no config field,
+    workload-shape applicability, partitioner defaults); whatever the
+    config can express is validated once, by ``ServingConfig.__post_init__``,
+    and reaches the user through the ``parser.error`` at the bottom.
+    """
     if args.connect is not None:
         if args.serve is not None:
             parser.error("--serve and --connect are mutually exclusive "
                          "(one process is either the server or a client)")
-        if args.graph is not None or args.artifact is not None:
-            parser.error("--connect sessions take the graph and artifact "
-                         "from the server; drop --graph/--artifact")
-        if args.workers > 1:
-            parser.error("--connect keeps --workers 1: the *server* owns "
-                         "the deployment shape (start it with --workers N)")
-        if args.sub_artifacts:
-            parser.error("--sub-artifacts is a server-side flag; it does "
-                         "not combine with --connect")
         if args.hot > 0:
             parser.error("--hot pins pairs into an in-process cache; it "
                          "does not combine with --connect")
@@ -332,8 +329,6 @@ def config_from_args(args: argparse.Namespace,
     if args.workload == "trace" and args.trace_path is None:
         parser.error("--workload trace requires --trace-path FILE "
                      "(record one with --trace-out)")
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
     if args.workers > 1 and args.artifact is None:
         parser.error("--workers > 1 requires --artifact "
                      "(workers load the hierarchy by path)")
@@ -349,27 +344,14 @@ def config_from_args(args: argparse.Namespace,
         parser.error("--hot-decay-window applies to --hot-set online only "
                      "(decay demotes online promotions)")
 
-    if args.sub_artifacts:
-        if args.workers <= 1:
-            parser.error("--sub-artifacts requires --workers > 1 "
-                         "(slicing exists to shrink per-worker tables)")
-        if args.partitioner not in (None, "hash_source"):
-            parser.error("--sub-artifacts requires source partitioning "
-                         "(--partitioner hash_source): workers only hold "
-                         "their own sources' tables")
-    if args.fleet:
-        if args.workers <= 1:
-            parser.error("--fleet requires --workers > 1 (siblings cover "
-                         "a dead worker's partition)")
-        if args.connect is not None:
-            parser.error("--fleet is a deployment-side flag; it does not "
-                         "combine with --connect")
-        if args.partitioner not in (None, "hash_source"):
-            parser.error("--fleet routes by source hash (the epoch table "
-                         "must agree with sub-artifact slicing); use "
-                         "--partitioner hash_source or omit it")
-    elif args.min_workers is not None or args.max_workers is not None:
-        parser.error("--min-workers/--max-workers apply with --fleet only")
+    if args.sub_artifacts and args.partitioner not in (None, "hash_source"):
+        parser.error("--sub-artifacts requires source partitioning "
+                     "(--partitioner hash_source): workers only hold "
+                     "their own sources' tables")
+    if args.fleet and args.partitioner not in (None, "hash_source"):
+        parser.error("--fleet routes by source hash (the epoch table "
+                     "must agree with sub-artifact slicing); use "
+                     "--partitioner hash_source or omit it")
 
     # Walk each flag's dotted path into the nested dict from_dict expects;
     # unset workload.params flags stay out of the free-form dict.

@@ -249,8 +249,9 @@ class ServingConfig:
     :class:`~repro.serving.wire.BackpressureError`.
     ``fleet`` puts the sharded front-end under a
     :class:`~repro.serving.fleet.FleetSupervisor`: dead workers are
-    respawned (``respawn_limit`` deaths tolerated, checked every
-    ``heartbeat_interval`` seconds) while siblings cover their partition,
+    respawned (``respawn_limit`` deaths tolerated; respawns, hang checks
+    and scaling run every ``heartbeat_interval`` seconds) while siblings
+    cover their partition from the moment the death is seen,
     and the worker count scales between ``min_workers`` and
     ``max_workers`` on sustained queue depth.  Fleet mode requires
     ``workers >= 2`` and a source-partitioning strategy
@@ -352,33 +353,10 @@ class ServingConfig:
                                  f"got {type(value).__name__}")
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "artifact_path": self.artifact_path,
-            "graph_spec": self.graph_spec,
-            "save_artifact": self.save_artifact,
-            "workers": self.workers,
-            "partitioner": self.partitioner,
-            "sub_artifacts": self.sub_artifacts,
-            "batch_size": self.batch_size,
-            "kind": self.kind,
-            "kernel": self.kernel,
-            "telemetry": self.telemetry,
-            "connect": self.connect,
-            "pipeline_depth": self.pipeline_depth,
-            "max_inflight": self.max_inflight,
-            "admission": self.admission,
-            "start_method": self.start_method,
-            "warm_timeout": self.warm_timeout,
-            "reply_timeout": self.reply_timeout,
-            "fleet": self.fleet,
-            "min_workers": self.min_workers,
-            "max_workers": self.max_workers,
-            "heartbeat_interval": self.heartbeat_interval,
-            "respawn_limit": self.respawn_limit,
-            "build": self.build.to_dict(),
-            "cache": self.cache.to_dict(),
-            "workload": self.workload.to_dict(),
-        }
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("build", "cache", "workload"):
+            record[name] = record[name].to_dict()
+        return record
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ServingConfig":

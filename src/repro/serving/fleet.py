@@ -1,4 +1,4 @@
-"""Elastic shard fleet: supervise, respawn, rebalance and scale workers.
+"""Elastic shard fleet: the policy that respawns, rebalances and scales workers.
 
 :class:`~repro.serving.sharded.ShardedRoutingService` on its own is
 fail-stop: one worker death latches a :class:`ShardError` and the whole
@@ -7,19 +7,29 @@ a long-lived serving session wants the opposite — worker processes *will*
 die (OOM kills, node maintenance, plain bugs) and the session should keep
 answering, identically, while the fleet heals.
 
-:class:`FleetSupervisor` owns the worker set of a sharded front-end and
-adds three behaviours, all without ever changing an answer:
+:class:`FleetSupervisor` is that session's *policy*, and only that: the
+front-end owns the slots, the tickets and the pipes, notices deaths and
+re-scatters; the supervisor owns the routing table, the respawn budget,
+the heartbeat and the scale/rebalance decisions, and drives the front-end
+through a handful of public members (``lock``, ``workers``, ``serving``,
+``closed``, ``batches_in_flight``, ``reserve_slot()``,
+``install_worker()``, ``park_worker()``, ``fail()``, ``worker_died()``,
+``worker_stats()``, ``metrics`` and the config attributes) — a stub with
+those members is all its tests need.  Three behaviours, none of which
+ever changes an answer:
 
-* **failure recovery** — liveness is watched two ways (``Process.is_alive``
-  polling plus a heartbeat ``ping``/``pong`` over the existing task/result
-  pipes, catching hung-but-alive workers; a task write that finds no
-  reader reports the death at once).  On a death the supervisor
-  immediately re-scatters the dead slot's unanswered shards to sibling
-  workers — every worker can answer any query, from its own slice or from
-  the lazily-loaded full-artifact *cover* — and respawns the worker in the
-  background, regenerating its sub-artifact slice from the parent artifact
-  if the file vanished.  In-flight and subsequent batches stay
-  list-for-list identical to single-process serving; only latency spikes.
+* **failure recovery** — when the front-end reports a death, the
+  supervisor publishes a table without the slot (the front-end then
+  re-scatters the slot's unanswered shards to siblings: every worker can
+  answer any query, from its own slice or from the lazily-loaded
+  full-artifact *cover*) and respawns the worker in the background,
+  regenerating its sub-artifact slice from the parent artifact if the file
+  vanished.  In-flight and subsequent batches stay list-for-list identical
+  to single-process serving; only latency spikes.  When the respawn budget
+  (``respawn_limit``) is exhausted, the next death is answered with a
+  typed :class:`FleetError` for the front-end to latch.  A heartbeat
+  ``ping``/``pong`` over the existing pipes catches the one death a pipe
+  cannot show: a worker that is alive but hung.
 * **load rebalancing** — the source-hash partition map is adjusted against
   observed per-shard load using windowed hit-rate feedback
   (:class:`HitRateWindow`): cold sources are migrated first, so warm
@@ -29,18 +39,10 @@ adds three behaviours, all without ever changing an answer:
   between configured bounds; scaled-down workers drain and park, scale-ups
   prefer unparking before spawning fresh dynamic slots.
 
-Routing goes through an **epoch-versioned table** (:class:`RoutingEpoch`):
-every source's base slot is ``stable_node_hash(source) % base_slots`` —
-the same assignment as the ``hash_source`` partitioner and the
-sub-artifact slicer — with an ``overrides`` map for migrations and a
-deterministic fallback over the currently routable slots for dead ones.
-Tables are immutable and published under the service lock; the scatter
+Routing goes through an **epoch-versioned table** (:class:`RoutingEpoch`);
+tables are immutable and published under the service lock, and the scatter
 path re-partitions whenever the epoch moved while it waited, so a scatter
 can never race a migration.
-
-When the respawn budget (``respawn_limit``) is exhausted, the next death
-latches a typed :class:`FleetError` carrying the in-flight request ids —
-the session degrades loudly instead of hanging.
 
 Telemetry (when the service's registry is enabled): supervisor spans
 ``respawn``/``rebalance``/``scale``, counters ``fleet_worker_deaths`` /
@@ -61,7 +63,7 @@ import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cache import ServingStats
-from .sharded import ShardError, _DEFERRED_SLOT
+from .sharded import ShardError
 from .workloads import stable_node_hash
 
 __all__ = ["FleetConfig", "FleetError", "FleetSupervisor", "HitRateWindow",
@@ -232,6 +234,16 @@ class RoutingEpoch:
                              "parked)")
         return self.routable[stable_node_hash(source) % len(self.routable)]
 
+    def assign(self, items) -> List[Tuple[int, List]]:
+        """Group ``(index, pair)`` items by their source's slot:
+        ``[(slot, [item, ...]), ...]`` in slot order, stream order kept
+        within a slot.  The one grouping loop behind both a fresh scatter
+        and the re-scatter of a dead slot's shards."""
+        shards: Dict[int, List] = {}
+        for item in items:
+            shards.setdefault(self.slot_of(item[1][0]), []).append(item)
+        return sorted(shards.items())
+
     def __repr__(self) -> str:
         return (f"RoutingEpoch(epoch={self.epoch}, "
                 f"base_slots={self.base_slots}, "
@@ -253,23 +265,27 @@ def _supervisor_main(supervisor: "FleetSupervisor",
             if not supervisor.beat():
                 return
         except Exception:
-            # A supervisor bug must not kill the heartbeat: liveness
-            # detection is the one thing that has to outlive everything.
+            # A supervisor bug must not kill the heartbeat: hang
+            # detection and respawns have to outlive everything.
             continue
 
 
 class FleetSupervisor:
-    """Owns the worker set of one sharded front-end (see module docstring).
+    """The policy of one sharded front-end (see the module docstring).
 
-    All mutable routing state — the published table, per-source counts,
-    the respawn queue, worker slot states — is guarded by the *service's*
-    lock: the scatter path, the collector and the beat thread already
-    synchronise on it, so the supervisor adds no second lock order.
+    All mutable state here — the published table, per-source counts, the
+    respawn queue and budget, pong times — is guarded by the *service's*
+    lock, handed over once at construction: the scatter path, the
+    collector and the beat thread already synchronise on it, so the
+    supervisor adds no second lock order.  The front-end calls
+    :meth:`worker_ready`, :meth:`worker_failed`, :meth:`worker_died` and
+    :meth:`pong` with that lock held, after it has updated the slot.
     """
 
     def __init__(self, service, config: FleetConfig) -> None:
         self.config = config
         self._service_ref = weakref.ref(service)
+        self._lock = service.lock
         self.base_slots = service.num_workers
         self.min_workers = config.min_workers
         self.max_workers = (config.max_workers
@@ -280,7 +296,8 @@ class FleetSupervisor:
             raise ValueError(
                 f"min_workers ({self.min_workers}) must be <= the initial "
                 f"worker count ({service.num_workers})")
-        self._table = RoutingEpoch(0, self.base_slots, {}, ())
+        #: The published routing table; replaced, never mutated.
+        self.table = RoutingEpoch(0, self.base_slots, {}, ())
         self._window = HitRateWindow(service.num_workers,
                                      min_window=config.min_window)
         # Monotonic counters, exposed via status() whether or not the
@@ -292,10 +309,13 @@ class FleetSupervisor:
         self.scale_downs = 0
         self._respawns_started = 0
         self._source_counts: Dict[object, int] = {}
-        self._respawn_queue: List[Tuple[int, str]] = []
-        self._spawn_reason: Dict[int, str] = {}
-        self._death_time: Dict[int, float] = {}
+        # Slots awaiting install_worker.  A slot with a ``_spawn_time``
+        # entry is a scale-up (written under the lock when it is queued,
+        # so the worker's "ready" can never beat the bookkeeping); any
+        # other queued slot is a respawn.
+        self._respawn_queue: List[int] = []
         self._spawn_time: Dict[int, float] = {}
+        self._death_time: Dict[int, float] = {}
         self._last_pong: Dict[int, float] = {}
         self._ping_seq = 0
         self._beats = 0
@@ -304,18 +324,14 @@ class FleetSupervisor:
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
-    # -- service access -------------------------------------------------
-    def _service(self):
-        return self._service_ref()
-
     # -- lifecycle ------------------------------------------------------
     def start(self) -> None:
         """Publish the initial table and start the heartbeat thread."""
-        service = self._service()
+        service = self._service_ref()
         now = time.monotonic()
-        with service._can_submit:
-            for handle in service._workers:
-                self._last_pong[handle.worker_id] = now
+        with self._lock:
+            for worker in service.workers:
+                self._last_pong[worker.worker_id] = now
             self._publish(service)
         self._stop.clear()
         self._thread = threading.Thread(
@@ -331,14 +347,6 @@ class FleetSupervisor:
         self._thread = None
 
     # -- routing --------------------------------------------------------
-    @property
-    def epoch(self) -> int:
-        return self._table.epoch
-
-    @property
-    def has_routable(self) -> bool:
-        return bool(self._table.routable)
-
     def partition(self, pairs) -> Tuple[int, List[Tuple[int, List]]]:
         """Scatter assignment under the current table (service lock held).
 
@@ -347,14 +355,9 @@ class FleetSupervisor:
         admission.  Observed source frequencies feed the rebalancer's
         cold-first migration order.
         """
-        table = self._table
-        shards: Dict[int, List] = {}
         counts = self._source_counts
-        for index, pair in enumerate(pairs):
-            source = pair[0]
-            shards.setdefault(table.slot_of(source), []).append(
-                (index, pair))
-            counts[source] = counts.get(source, 0) + 1
+        for pair in pairs:
+            counts[pair[0]] = counts.get(pair[0], 0) + 1
         if len(counts) > 131072:
             # Bound the frequency map on huge keyspaces: drop the cold
             # half (they were the migration candidates anyway; losing
@@ -362,223 +365,102 @@ class FleetSupervisor:
             keep = sorted(counts.items(), key=lambda kv: kv[1],
                           reverse=True)[:65536]
             self._source_counts = dict(keep)
-        return table.epoch, sorted(shards.items())
+        return self.table.epoch, self.table.assign(enumerate(pairs))
 
     def _publish(self, service,
-                 overrides: Optional[Dict[object, int]] = None) -> None:
-        """Publish a new epoch (service lock held by the caller)."""
-        routable = tuple(h.worker_id for h in service._workers
-                         if h.state == "alive")
+                 overrides: Optional[Dict[object, int]] = None,
+                 without=None) -> None:
+        """Publish a new epoch over the serving slots, minus ``without``
+        (service lock held by the caller)."""
+        routable = tuple(w.worker_id for w in service.serving
+                         if w is not without)
         if overrides is None:
-            overrides = self._table.overrides
-        self._table = RoutingEpoch(self._table.epoch + 1, self.base_slots,
-                                   dict(overrides), routable)
+            overrides = self.table.overrides
+        self.table = RoutingEpoch(self.table.epoch + 1, self.base_slots,
+                                  dict(overrides), routable)
 
-    # -- collector-routed worker messages -------------------------------
-    def on_message(self, message) -> None:
-        tag = message[0]
-        if tag == "pong":
-            self._last_pong[message[1]] = time.monotonic()
-        elif tag == "ready":
-            self.on_worker_ready(message[1])
-        elif tag == "failed":
-            self.on_worker_failed(message[1], message[2])
-        elif tag == "bye":
-            self.on_worker_bye(message[1], message[2])
+    # -- slot events, called by the front-end with the lock held --------
+    def pong(self, worker_id: int) -> None:
+        self._last_pong[worker_id] = time.monotonic()
 
-    def on_worker_ready(self, worker_id: int) -> None:
-        """A respawned or scaled-up worker finished warming: route to it."""
-        service = self._service()
-        if service is None:
-            return
-        with service._can_submit:
-            if service._closed:
-                return
-            handle = service._workers[worker_id]
-            if handle.state != "warming":
-                return
-            handle.state = "alive"
-            handle.final_stats = None
-            self._last_pong[worker_id] = time.monotonic()
-            self._window.resize(len(service._workers))
-            self._window.reset_shard(worker_id)
-            reason = self._spawn_reason.pop(worker_id, "respawn")
-            overrides = None
-            if reason == "respawn":
-                self.respawns += 1
-                died_at = self._death_time.pop(worker_id, None)
-                if service.metrics.enabled:
-                    service.metrics.counter("fleet_respawns").inc()
-                    if died_at is not None:
-                        service.metrics.histogram("respawn").observe(
-                            time.monotonic() - died_at)
-            else:
-                self.scale_ups += 1
-                spawned_at = self._spawn_time.pop(worker_id, None)
-                if service.metrics.enabled and spawned_at is not None:
-                    service.metrics.histogram("scale").observe(
-                        time.monotonic() - spawned_at)
-                if worker_id >= self.base_slots:
-                    # Fresh dynamic slot: nothing hashes to it, so seed it
-                    # with the coldest observed sources (hot sources keep
-                    # their warm caches where they are).
-                    overrides = self._seed_dynamic_slot(worker_id)
-            self._publish(service, overrides)
-            self._drain_deferred(service)
-            service._can_submit.notify_all()
-
-    def on_worker_failed(self, worker_id: int, summary: str) -> None:
-        """A respawned worker could not load its artifact."""
-        service = self._service()
-        if service is None:
-            return
-        with service._can_submit:
-            if service._closed or service._failure is not None:
-                return
-            handle = service._workers[worker_id]
-            if handle.state != "warming":
-                return
-            handle.state = "dead"
-            reason = self._spawn_reason.pop(worker_id, "respawn")
-            if reason != "respawn":
-                return  # a failed scale-up is dropped, not retried
-            if self._respawns_started >= self.config.respawn_limit:
-                service._latch_failure(FleetError(
-                    f"worker {worker_id} failed to warm up after respawn "
-                    f"({summary}) and the respawn budget "
-                    f"({self.config.respawn_limit}) is exhausted"))
-                return
-            self._respawns_started += 1
-            self._respawn_queue.append((worker_id, "respawn"))
-
-    def on_worker_bye(self, worker_id: int, stats: ServingStats) -> None:
-        """Final snapshot from a worker parked by scale-down."""
-        service = self._service()
-        if service is None:
-            return
-        with service._can_submit:
-            handle = service._workers[worker_id]
-            if handle.state == "parked":
-                handle.final_stats = stats
-
-    # -- liveness and recovery ------------------------------------------
-    def poll_liveness(self) -> None:
-        """Notice exited workers (called by the collector and each beat)."""
-        service = self._service()
-        if service is None or self._stop.is_set():
-            return
-        with service._can_submit:
-            dead = [h.worker_id for h in service._workers
-                    if h.state == "alive" and not h.process.is_alive()]
-        for worker_id in dead:
-            self.on_worker_death(worker_id, "process exited")
-
-    def on_worker_death(self, worker_id: int, why: str) -> None:
-        """Recover from one worker's death, or latch when out of budget.
-
-        Under the service lock: mark the slot dead, publish a table
-        without it, re-scatter its unanswered shards to siblings (FIFO
-        bookkeeping on the tickets says exactly which those are), scrub
-        pending stats requests, and queue the background respawn.
-        """
-        service = self._service()
-        if service is None:
-            return
-        with service._can_submit:
-            if service._closed or service._failure is not None:
-                return
-            handle = service._workers[worker_id]
-            if handle.state != "alive":
-                return
-            handle.state = "dead"
-            self.worker_deaths += 1
-            self._death_time[worker_id] = time.monotonic()
-            service._inflight[worker_id] = 0
-            self._window.reset_shard(worker_id)
+    def worker_ready(self, worker_id: int) -> None:
+        """A respawned or scaled-up worker finished warming and its slot
+        is serving again: account for it and route to it."""
+        service = self._service_ref()
+        now = time.monotonic()
+        self._last_pong[worker_id] = now
+        self._window.resize(len(service.workers))
+        self._window.reset_shard(worker_id)
+        overrides = None
+        spawned_at = self._spawn_time.pop(worker_id, None)
+        if spawned_at is None:
+            self.respawns += 1
+            died_at = self._death_time.pop(worker_id, None)
             if service.metrics.enabled:
-                service.metrics.counter("fleet_worker_deaths").inc()
-            self._publish(service)
-            if self._respawns_started >= self.config.respawn_limit:
-                service._latch_failure(FleetError(
-                    f"worker {worker_id} died ({why}) and the respawn "
-                    f"budget ({self.config.respawn_limit}) is exhausted; "
-                    f"raise respawn_limit or investigate the crashes"))
-                return
-            self._respawns_started += 1
-            self._retry_outstanding(service, worker_id)
-            self._scrub_stats_waiters(service, worker_id)
-            self._respawn_queue.append((worker_id, "respawn"))
-            service._can_submit.notify_all()
+                service.metrics.counter("fleet_respawns").inc()
+                if died_at is not None:
+                    service.metrics.histogram("respawn").observe(
+                        now - died_at)
+        else:
+            self.scale_ups += 1
+            if service.metrics.enabled:
+                service.metrics.histogram("scale").observe(now - spawned_at)
+            if worker_id >= self.base_slots:
+                # Fresh dynamic slot: nothing hashes to it, so seed it
+                # with the coldest observed sources (hot sources keep
+                # their warm caches where they are).
+                overrides = self._seed_dynamic_slot(service, worker_id)
+        self._publish(service, overrides)
 
-    def _retry_outstanding(self, service, worker_id: int) -> None:
-        """Re-scatter every unanswered shard of ``worker_id`` (lock held)."""
-        for ticket in list(service._tickets.values()):
-            shards = ticket.outstanding.pop(worker_id, None)
-            if not shards:
-                continue
-            items = [item for shard in shards for item in shard]
-            self._scatter_items(service, ticket, items)
+    def worker_failed(self, worker_id: int,
+                      summary: str) -> Optional[FleetError]:
+        """A warming worker could not load its artifact: a failed
+        scale-up is dropped, a failed respawn is retried within the
+        budget."""
+        if self._spawn_time.pop(worker_id, None) is not None:
+            return None
+        return self._queue_respawn(
+            worker_id, f"failed to warm up after respawn ({summary})")
 
-    def _scatter_items(self, service, ticket, items) -> None:
-        """Route orphaned ``(index, pair)`` items by the current table.
+    def worker_died(self, worker_id: int, why: str) -> Optional[FleetError]:
+        """A serving slot died: publish a table without it and queue the
+        background respawn.  Returns the error to latch when the respawn
+        budget is exhausted — the session degrades loudly instead of
+        hanging — and ``None`` when the front-end should re-scatter."""
+        service = self._service_ref()
+        self.worker_deaths += 1
+        self._death_time[worker_id] = time.monotonic()
+        self._window.reset_shard(worker_id)
+        if service.metrics.enabled:
+            service.metrics.counter("fleet_worker_deaths").inc()
+        self._publish(service)
+        return self._queue_respawn(worker_id, f"died ({why})")
 
-        With no routable worker the items are stashed under the deferred
-        pseudo-slot — the ticket stays incomplete (so nobody reads a
-        half-filled result list) and the next ``on_worker_ready`` drains
-        the stash.
-        """
-        table = self._table
-        if not table.routable:
-            ticket.outstanding.setdefault(_DEFERRED_SLOT, []).append(
-                list(items))
-            return
-        regrouped: Dict[int, List] = {}
-        for index, pair in items:
-            regrouped.setdefault(table.slot_of(pair[0]), []).append(
-                (index, pair))
-        for slot, shard in sorted(regrouped.items()):
-            ticket.outstanding.setdefault(slot, []).append(shard)
-            service._inflight[slot] = service._inflight.get(slot, 0) + 1
-            # Never waits (this may be the collector thread): the
-            # collector finishes what a full pipe does not take, and a
-            # sibling that is dead too is caught by the next poll.
-            service._send(service._workers[slot],
-                          ("query", ticket.request_id, ticket.kind, shard))
-
-    def _drain_deferred(self, service) -> None:
-        """Flush deferred shards now that a worker is routable again."""
-        for ticket in list(service._tickets.values()):
-            shards = ticket.outstanding.pop(_DEFERRED_SLOT, None)
-            if not shards:
-                continue
-            items = [item for shard in shards for item in shard]
-            self._scatter_items(service, ticket, items)
-
-    @staticmethod
-    def _scrub_stats_waiters(service, worker_id: int) -> None:
-        """A dead worker will never answer ``("stats",)``: fill a
-        placeholder so :meth:`worker_stats` completes instead of timing
-        out (lock held)."""
-        for waiter in list(service._stats_waiters):
-            if worker_id in waiter["remaining"]:
-                waiter["remaining"].discard(worker_id)
-                waiter["snapshots"][worker_id] = ServingStats()
-                if not waiter["remaining"]:
-                    service._stats_waiters.remove(waiter)
-                    waiter["done"].set()
+    def _queue_respawn(self, worker_id: int,
+                       what: str) -> Optional[FleetError]:
+        if self._respawns_started >= self.config.respawn_limit:
+            return FleetError(
+                f"worker {worker_id} {what} and the respawn budget "
+                f"({self.config.respawn_limit}) is exhausted; raise "
+                f"respawn_limit or investigate the crashes")
+        self._respawns_started += 1
+        self._respawn_queue.append(worker_id)
+        return None
 
     # -- the heartbeat --------------------------------------------------
     def beat(self) -> bool:
-        """One supervisor heartbeat; returns False to stop the thread."""
-        service = self._service()
-        if service is None or self._stop.is_set():
+        """One supervisor heartbeat; returns False to stop the thread.
+
+        Deaths are not looked for here: the front-end's collector sees a
+        dead worker's result pipe reach EOF within a ``select`` round.
+        The beat only catches what a pipe cannot show — a worker that is
+        alive but hung — and does the slow work: respawns, scaling,
+        rebalancing.
+        """
+        service = self._service_ref()
+        if service is None or self._stop.is_set() or service.closed:
             return False
-        if service._closed:
-            return False
-        if service._failure is not None:
-            return True  # latched: keep the thread idling until close()
         self._beats += 1
-        self.poll_liveness()
         self._check_hangs(service)
         self._send_pings(service)
         self._run_respawns(service)
@@ -589,15 +471,14 @@ class FleetSupervisor:
         return True
 
     def _send_pings(self, service) -> None:
-        with service._can_submit:
-            alive = [h for h in service._workers if h.state == "alive"]
+        with self._lock:
+            serving = service.serving
             self._ping_seq += 1
-            seq = self._ping_seq
-        for handle in alive:
-            service._send(handle, ("ping", seq))
+        for worker in serving:
+            worker.ping(self._ping_seq)
 
     def _check_hangs(self, service) -> None:
-        """Terminate hung-but-alive workers so death handling kicks in.
+        """Report hung-but-alive workers dead and terminate them.
 
         A worker grinding through a long batch answers pings late (the
         task pipe is FIFO), so ``hang_timeout`` must dominate the worst
@@ -605,78 +486,50 @@ class FleetSupervisor:
         batch here.
         """
         now = time.monotonic()
-        with service._can_submit:
-            hung = [h for h in service._workers
-                    if h.state == "alive"
-                    and now - self._last_pong.get(h.worker_id, now)
+        with self._lock:
+            hung = [w for w in service.serving
+                    if now - self._last_pong.get(w.worker_id, now)
                     > self.config.hang_timeout]
-        for handle in hung:
-            handle.process.terminate()
-            handle.process.join(timeout=5.0)
-            self.on_worker_death(handle.worker_id, "hung (no pong within "
-                                 f"{self.config.hang_timeout}s)")
+        for worker in hung:
+            # Reported first, so siblings take over its shards without
+            # waiting for the process to be reaped (and so the reason on
+            # record is the hang, not the EOF the kill then causes).
+            service.worker_died(worker, f"hung (no pong within "
+                                        f"{self.config.hang_timeout}s)")
+            worker.stop()
 
     def _run_respawns(self, service) -> None:
-        """Execute queued respawns/unparks (beat thread, slow path).
-
-        The slice regeneration and the process spawn run outside the
-        lock; only the handle swap is locked.  The new worker's
-        ``("ready", ...)`` flows through the collector into
-        :meth:`on_worker_ready`, which makes the slot routable again.
-        """
+        """Execute queued respawns/unparks/scale-ups (beat thread, slow
+        path: slice regeneration and the process spawn run outside the
+        lock).  The new worker's ``ready`` comes back through the
+        front-end as :meth:`worker_ready`."""
         while True:
-            with service._can_submit:
+            with self._lock:
                 if not self._respawn_queue:
                     return
-                worker_id, reason = self._respawn_queue.pop(0)
-            if (service.sub_artifact_paths is not None
-                    and worker_id < len(service.sub_artifact_paths)
-                    and not os.path.exists(
-                        service.sub_artifact_paths[worker_id])):
+                worker_id = self._respawn_queue.pop(0)
+            paths = service.sub_artifact_paths
+            if (paths is not None and worker_id < len(paths)
+                    and not os.path.exists(paths[worker_id])):
                 # The slice file vanished (scratch disk, operator error):
                 # regenerate the whole slice set from the parent artifact.
                 from .artifacts import write_shard_artifacts
                 try:
                     write_shard_artifacts(
-                        service.artifact_path,
-                        len(service.sub_artifact_paths),
-                        build_workers=getattr(service, "build_workers", 1))
+                        service.artifact_path, len(paths),
+                        build_workers=service.build_workers)
                 except Exception as exc:
-                    service._latch_failure(FleetError(
+                    service.fail(FleetError(
                         f"could not regenerate the sub-artifact slice for "
                         f"worker {worker_id}: {type(exc).__name__}: {exc}"))
                     return
-            handle = service._spawn_worker(worker_id)
-            handle.state = "warming"
-            with service._can_submit:
-                if service._closed:
-                    handle.process.terminate()
-                    return
-                old = service._workers[worker_id]
-                if old.tasks is not None:
-                    old.tasks.close()
-                if old.channel is not None:
-                    # Retire, don't close: the collector may be mid-select
-                    # on this fd, and closing it now could hand the fd
-                    # number to the replacement's pipe.  ``exhausted``
-                    # removes it from the select set; the service closes
-                    # retired channels for real at teardown.  Late replies
-                    # are droppable (the dead slot's shards were already
-                    # re-scattered); a half-written frame dies with the
-                    # channel.
-                    old.channel.exhausted = True
-                    service._retired_channels.append(old.channel)
-                service._workers[worker_id] = handle
-                service._pipe_snapshot = None
-                service._inflight[worker_id] = 0
-                self._spawn_reason[worker_id] = reason
-                self._last_pong[worker_id] = time.monotonic()
+            if not service.install_worker(worker_id):
+                return
 
     def _observe_depth(self, service) -> None:
-        with service._can_submit:
-            depth = len(service._tickets)
-        if service.metrics.enabled:
-            with service._lock:
+        with self._lock:
+            depth = service.batches_in_flight
+            if service.metrics.enabled:
                 service.metrics.gauge("fleet_queue_depth").set(depth)
         ratio = depth / service.pipeline_depth
         self._high_beats = (self._high_beats + 1
@@ -686,12 +539,11 @@ class FleetSupervisor:
 
     # -- elastic scaling ------------------------------------------------
     def _maybe_scale(self, service) -> None:
-        with service._can_submit:
-            if self._respawn_queue or any(h.state == "warming"
-                                          for h in service._workers):
+        with self._lock:
+            if self._respawn_queue or any(w.state == "warming"
+                                          for w in service.workers):
                 return  # one lifecycle operation at a time
-            active = sum(1 for h in service._workers
-                         if h.state == "alive")
+            active = len(service.serving)
         if (self._high_beats >= self.config.sustain_beats
                 and active < self.max_workers):
             self._high_beats = 0
@@ -702,56 +554,46 @@ class FleetSupervisor:
             self._scale_down(service)
 
     def _scale_up(self, service) -> None:
-        with service._can_submit:
-            if service._closed or service._failure is not None:
+        """Queue one more worker: unpark before reserving a fresh slot."""
+        with self._lock:
+            if service.closed:
                 return
-            parked = [h.worker_id for h in service._workers
-                      if h.state == "parked"]
-            if parked:
-                slot = parked[-1]
-            else:
-                slot = len(service._workers)
-                # Reserve the dynamic slot with a dead placeholder so the
-                # worker_id == index invariant holds before the spawn.
-                placeholder = _make_placeholder(service, slot)
-                placeholder.state = "dead"
-                service._workers.append(placeholder)
+            parked = [w.worker_id for w in service.workers
+                      if w.state == "parked"]
+            slot = parked[-1] if parked else service.reserve_slot()
             self._spawn_time[slot] = time.monotonic()
-            self._respawn_queue.append((slot, "scale_up"))
+            self._respawn_queue.append(slot)
 
     def _scale_down(self, service) -> None:
         start = time.monotonic()
-        with service._can_submit:
-            if service._closed or service._failure is not None:
+        with self._lock:
+            serving = service.serving
+            if service.closed or len(serving) <= self.min_workers:
                 return
-            alive = [h for h in service._workers if h.state == "alive"]
-            if len(alive) <= self.min_workers:
-                return
-            victim = alive[-1]
-            victim.state = "parked"
+            victim = serving[-1]
             # Redirect migrated sources off the victim, then publish the
-            # exclusion *before* the shutdown message: after this epoch no
+            # exclusion *before* it is told to exit: after this epoch no
             # scatter targets it, and FIFO guarantees it answers
             # everything already queued before saying bye.
             overrides = {source: slot
-                         for source, slot in self._table.overrides.items()
+                         for source, slot in self.table.overrides.items()
                          if slot != victim.worker_id}
-            self._publish(service, overrides)
+            self._publish(service, overrides, without=victim)
             self.scale_downs += 1
-            service._send(victim, ("shutdown",))
+            service.park_worker(victim)
             if service.metrics.enabled:
                 service.metrics.histogram("scale").observe(
                     time.monotonic() - start)
 
-    def _seed_dynamic_slot(self, worker_id: int) -> Dict[object, int]:
-        """Overrides moving the coldest sources to a new slot (lock held)."""
-        service = self._service()
-        routable_after = sum(1 for h in service._workers
-                             if h.state == "alive") + 1
+    def _seed_dynamic_slot(self, service,
+                           worker_id: int) -> Dict[object, int]:
+        """Overrides moving the coldest sources to a new slot: its fair
+        share, one ``len(serving)``-th — the new slot is already serving
+        and counted once (lock held)."""
         ranked = sorted(self._source_counts.items(),
                         key=lambda kv: (kv[1], str(kv[0])))
-        quota = len(ranked) // max(1, routable_after)
-        overrides = dict(self._table.overrides)
+        quota = len(ranked) // len(service.serving)
+        overrides = dict(self.table.overrides)
         for source, _ in ranked[:quota]:
             overrides[source] = worker_id
         self.migrated_pairs += quota
@@ -763,14 +605,13 @@ class FleetSupervisor:
     def _maybe_rebalance(self, service) -> None:
         """Migrate cold sources off the worst-performing shard.
 
-        Reuses the adaptive partitioner's windowed hit-rate feedback: the
-        shard with the lowest windowed hit rate is thrashing its cache
-        (too many distinct sources), so its *coldest* observed sources
-        move to the best shard — the hot ones keep their warm entries.
+        The shard with the lowest windowed hit rate
+        (:class:`HitRateWindow`) is thrashing its cache (too many
+        distinct sources), so its *coldest* observed sources move to the
+        best shard — the hot ones keep their warm entries.
         """
-        with service._can_submit:
-            routable = [h.worker_id for h in service._workers
-                        if h.state == "alive"]
+        with self._lock:
+            routable = [w.worker_id for w in service.serving]
         if len(routable) < 2:
             return
         try:
@@ -778,10 +619,10 @@ class FleetSupervisor:
         except ShardError:
             return
         start = time.monotonic()
-        with service._can_submit:
-            if service._closed or service._failure is not None:
+        with self._lock:
+            if service.closed:
                 return
-            self._window.resize(len(service._workers))
+            self._window.resize(len(service.workers))
             rates = self._window.rates(worker_stats)
             if rates is None:
                 return
@@ -793,7 +634,7 @@ class FleetSupervisor:
             best_rate, best = max(candidates)
             if worst == best or best_rate - worst_rate < 0.05:
                 return
-            table = self._table
+            table = self.table
             ranked = sorted(
                 ((count, source)
                  for source, count in self._source_counts.items()
@@ -817,8 +658,8 @@ class FleetSupervisor:
     # -- introspection --------------------------------------------------
     def status(self) -> Dict[str, object]:
         """JSON-able snapshot for ``merged_stats().extra["fleet"]``."""
-        service = self._service()
-        table = self._table
+        service = self._service_ref()
+        table = self.table
         out: Dict[str, object] = {
             "epoch": table.epoch,
             "base_slots": table.base_slots,
@@ -835,33 +676,11 @@ class FleetSupervisor:
             "heartbeat_interval": self.config.heartbeat_interval,
         }
         if service is not None:
-            out["workers"] = {str(h.worker_id): h.state
-                              for h in service._workers}
+            out["workers"] = {str(w.worker_id): w.state
+                              for w in service.workers}
         return out
 
     def __repr__(self) -> str:
-        return (f"FleetSupervisor(epoch={self._table.epoch}, "
-                f"routable={list(self._table.routable)}, "
+        return (f"FleetSupervisor(epoch={self.table.epoch}, "
+                f"routable={list(self.table.routable)}, "
                 f"deaths={self.worker_deaths}, respawns={self.respawns})")
-
-
-def _make_placeholder(service, worker_id: int):
-    """A dead stand-in handle reserving a dynamic slot index."""
-    from .sharded import _WorkerHandle
-
-    class _NeverAlive:
-        pid = None
-
-        @staticmethod
-        def is_alive() -> bool:
-            return False
-
-        @staticmethod
-        def terminate() -> None:
-            pass
-
-        @staticmethod
-        def join(timeout=None) -> None:
-            pass
-
-    return _WorkerHandle(worker_id, _NeverAlive())

@@ -44,6 +44,7 @@ that is garbage-collected while still connected emits a
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import queue
 import socket
@@ -583,8 +584,10 @@ class ClientSession:
         """The server backend's stats, with this session's wire telemetry
         folded into ``extra`` (``wire`` counters + client-side spans)."""
         if self._closed:
-            stats = (self._final_stats if self._final_stats is not None
-                     else ServingStats())
+            # A copy: the fold below must not compound in the cached bye.
+            stats = (dataclasses.replace(self._final_stats,
+                                         extra=dict(self._final_stats.extra))
+                     if self._final_stats is not None else ServingStats())
         else:
             while self._pending:   # stats_reply follows pending answers
                 self._read_answer()

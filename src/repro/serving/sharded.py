@@ -27,49 +27,51 @@ Sharding buys two things:
 
 Scatter/gather is **pipelined** (the PR-8 transport refactor): the
 front-end may keep several batches in flight at once.  :meth:`submit_batch`
-partitions a batch, applies admission control, and writes each shard
-straight onto its worker's task pipe without waiting for answers; a
-background *collector* thread multiplexes the per-worker reply pipes and
-completes tickets as workers answer; :meth:`wait_batch` blocks on one
-ticket.  Both directions use the same private, single-writer framed pipe
-(:class:`_FramedPipe`) — kill-safe by construction: there is no
-cross-process lock a dying worker could poison and no feeder thread
-between a ``put`` and the pipe.  A task write never blocks while a
-service lock is held: what a full pipe does not take is finished by the
-submitter after it releases the lock, or by the collector, and a write
-that finds the worker dead enters the same death path as a liveness poll
-(the fail-stop latch, or the fleet's re-scatter).
-``route_batch`` / ``distance_batch`` stay strictly synchronous
-(submit + wait), so sequential callers see exactly the old behaviour, while
-pipelined drivers (a network session's reader thread, concurrent sessions,
-the benchmarks) overlap batch serialization with worker compute and keep
-every worker's task pipe non-empty.  Two knobs bound the pipeline:
-``pipeline_depth`` caps front-end-wide outstanding batches and
-``max_inflight`` caps per-worker outstanding batches; at either bound
-``admission="block"`` delays the submitter (the ``inflight_wait`` telemetry
-span) and ``admission="reject"`` raises
+partitions a batch, applies admission control, and hands each shard to
+its :class:`~repro.serving.worker.Worker` endpoint without waiting for
+answers; a background *collector* thread multiplexes the workers' result
+pipes and completes tickets as workers answer; :meth:`wait_batch` blocks
+on one ticket.  ``route_batch`` / ``distance_batch`` stay strictly
+synchronous (submit + wait), so sequential callers see exactly the old
+behaviour, while pipelined drivers (a network session's reader thread,
+concurrent sessions, the benchmarks) overlap batch serialization with
+worker compute and keep every worker's task pipe non-empty.  Two knobs
+bound the pipeline: ``pipeline_depth`` caps front-end-wide outstanding
+batches and ``max_inflight`` caps per-worker outstanding batches; at
+either bound ``admission="block"`` delays the submitter (the
+``inflight_wait`` telemetry span) and ``admission="reject"`` raises
 :class:`~repro.serving.wire.BackpressureError` instead.
+
+One owner per fact.  :mod:`repro.serving.worker` owns the pipes, the
+message tuples and the worker process; this module owns the *slots* (the
+list of endpoints and each one's ``state``), the *tickets* (which shard of
+which batch is still owed by which slot) and the *windows* (per-slot
+in-flight counts); the optional :class:`~repro.serving.fleet.FleetSupervisor`
+owns the routing table and every policy decision.  A worker's death has
+one path, :meth:`ShardedRoutingService.worker_died`, whoever notices it —
+the collector (the result pipe's EOF), a submitter (a task write found no
+reader) or the supervisor (a hung worker it terminated).  Without a
+supervisor the death latches a :class:`ShardError` and fail-stops the
+front-end (all workers are shut down, every in-flight ticket completes
+with the error); with one, the supervisor either supplies the error
+(budget exhausted) or the dead slot's unanswered shards are re-scattered
+to siblings by the one re-scatter, :meth:`ShardedRoutingService._reassign`.
 
 Worker lifecycle: spawn → warm (load the artifact, signal ready) → serve
 query batches (order-preserving scatter/gather) → drain and shut down, each
 worker returning its final :class:`~repro.serving.cache.ServingStats`, which
 :meth:`ServingStats.merge` folds into one aggregate.  Workers are daemonic;
-an unexpected worker exception fail-stops the whole front-end (all workers
-are shut down, every in-flight ticket completes with a
-:class:`ShardError`).
+an exception inside a worker's query fail-stops the front-end in either
+mode.
 """
 
 from __future__ import annotations
 
 import collections
-import dataclasses
 import multiprocessing
 import os
-import pickle
-import select
 import threading
 import time
-import traceback
 import warnings
 import weakref
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
@@ -80,9 +82,8 @@ from ..obs.metrics import make_registry, merge_exports
 from .cache import ServingStats
 from .config import CacheConfig
 from .partitioners import make_partitioner
-from .service import RoutingService, answer_batch
 from .wire import BackpressureError
-from .workloads import stable_node_hash
+from .worker import Worker, _poll_channels
 
 __all__ = ["ShardedRoutingService", "ShardError", "BackpressureError"]
 
@@ -110,320 +111,17 @@ class ShardError(RuntimeError):
         self.pending_request_ids: Tuple[int, ...] = tuple(pending_request_ids)
 
 
-class _FramedPipe:
-    """One end of a one-way pipe carrying length-framed pickles.
-
-    Every worker has two of these pipes, each with exactly one writing
-    process and one reading process: *tasks* (front-end → worker) and
-    *results* (worker → front-end).  A ``multiprocessing.Queue`` is *not*
-    kill-safe in either direction: it moves every message through a
-    feeder thread that takes a cross-process lock, and a SIGKILL landing
-    while a worker's feeder holds the shared result queue's write lock
-    leaves it acquired forever, silently wedging every sibling's replies —
-    the exact failure mode the fleet supervisor exists to survive.  A
-    private pipe has no lock to poison: a kill mid-write only truncates
-    the dying worker's own last result frame, a kill mid-read only loses
-    the task frame it was reading, and the front-end discards both pipes
-    with the dead worker (tickets say which shards to re-scatter).
-    Writing from the calling thread also means no feeder thread and no
-    scheduler hop between ``put`` and the pipe.
-
-    Writer end — :meth:`put` frames one message and writes it.  On the
-    front-end's task pipes the fd is non-blocking: what a full pipe does
-    not take stays queued here, in order, and :meth:`flush` sends more
-    once ``select`` reports the pipe writable, so ``put`` never blocks a
-    thread that holds a service lock.  A worker's result pipe is blocking
-    and ``put`` returns with the frame written.  A write to a pipe whose
-    reader is gone raises ``OSError`` and marks the end ``exhausted``.
-
-    Reader end — :meth:`read_ready` drains whatever bytes the pipe holds
-    with one ``read`` (the front-end calls it only after ``select``
-    reports readability, so it never blocks there) and returns the
-    complete messages parsed from them; a partial frame just stays in the
-    buffer until the pipe is discarded with its dead peer.  :meth:`get`
-    is the worker's blocking read of its next task.
-    """
-
-    __slots__ = ("_conn", "_buffer", "_backlog", "_unsent", "_send_lock",
-                 "exhausted")
-
-    def __init__(self, conn) -> None:
-        self._conn = conn
-        self._buffer = bytearray()
-        self._backlog: collections.deque = collections.deque()
-        self._unsent = bytearray()
-        self._send_lock = threading.Lock()
-        self.exhausted = False
-
-    def fileno(self) -> int:
-        return self._conn.fileno()
-
-    # -- writer end -----------------------------------------------------
-    @property
-    def pending(self) -> bool:
-        """True while bytes of an earlier ``put`` still wait for room."""
-        return bool(self._unsent)
-
-    def put(self, message) -> None:
-        payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        frame = len(payload).to_bytes(4, "big") + payload
-        with self._send_lock:
-            if not self._unsent:
-                frame = frame[self._write(frame):]
-            # Behind an unfinished frame (or the tail a full pipe did not
-            # take): kept in order for the next flush.
-            self._unsent += frame
-
-    def flush(self) -> None:
-        with self._send_lock:
-            del self._unsent[:self._write(self._unsent)]
-
-    def _write(self, data) -> int:
-        """Write as much of ``data`` as the pipe takes; bytes written."""
-        sent = 0
-        try:
-            fd = self._conn.fileno()
-            with memoryview(data) as view:
-                while sent < len(view):
-                    sent += os.write(fd, view[sent:])
-        except BlockingIOError:
-            pass        # pipe full: the rest goes out on a later flush
-        except OSError:
-            # The read end is gone (dead worker) or this end was closed.
-            self.exhausted = True
-            del self._unsent[:]
-            raise
-        return sent
-
-    # -- reader end -----------------------------------------------------
-    def read_ready(self) -> List:
-        messages: List = []
-        try:
-            chunk = os.read(self._conn.fileno(), 1 << 16)
-        except (OSError, ValueError):
-            self.exhausted = True
-            return messages
-        if not chunk:
-            # EOF: every copy of the write end is gone; nothing more can
-            # arrive, so drop the pipe from the select set.
-            self.exhausted = True
-        self._buffer.extend(chunk)
-        while len(self._buffer) >= 4:
-            size = int.from_bytes(self._buffer[:4], "big")
-            if len(self._buffer) - 4 < size:
-                break
-            payload = bytes(self._buffer[4:4 + size])
-            del self._buffer[:4 + size]
-            messages.append(pickle.loads(payload))
-        return messages
-
-    def get(self):
-        """Block until the next message; ``EOFError`` once the writer is
-        gone and everything it sent has been handed out."""
-        while not self._backlog:
-            if self.exhausted:
-                raise EOFError("pipe closed by its writer")
-            self._backlog.extend(self.read_ready())
-        return self._backlog.popleft()
-
-    def close(self) -> None:
-        # Under the send lock, so no write is using the fd while it closes.
-        with self._send_lock:
-            self.exhausted = True
-            del self._unsent[:]
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-
-
-def _poll_channels(channels, backlog, timeout: float, senders=()):
-    """The next message from ``channels`` into/out of ``backlog``, or None.
-
-    Module-level on purpose: the collector thread blocks here holding
-    only the pipe lists and the backlog deque — never the service —
-    so dropping the last external service reference still triggers
-    ``__del__`` promptly (the unclosed-service ``ResourceWarning``
-    contract).  Multiplexes with ``select`` and parses frames without
-    ever blocking on a single pipe, so a worker killed mid-write can
-    never wedge the caller (complete messages parse; its half-written
-    frame dies with its channel).  ``senders`` are the task pipes: one
-    with unsent bytes is flushed as soon as it has room, here, so the
-    thread that drains results can never itself be stuck behind a full
-    task pipe.
-    """
-    if backlog:
-        return backlog.popleft()
-    unsent = [pipe for pipe in senders if pipe.pending]
-    if not channels and not unsent:
-        time.sleep(min(timeout, 0.05))
-        return None
-    try:
-        ready, writable, _ = select.select(channels, unsent, [], timeout)
-    except (OSError, ValueError):
-        # A pipe was closed under us (worker respawn swapped it
-        # out); the caller retries against a fresh snapshot.
-        return None
-    for pipe in writable:
-        try:
-            pipe.flush()
-        except OSError:
-            pass    # dead worker: the pipe is now exhausted, liveness acts
-    for channel in ready:
-        backlog.extend(channel.read_ready())
-    if backlog:
-        return backlog.popleft()
-    return None
-
-
-def _shard_worker(worker_id: int, artifact_path: str,
-                  cache_config: CacheConfig, kernel: str, telemetry: bool,
-                  task_conn, result_conn,
-                  cover_artifact_path: Optional[str] = None,
-                  slice_spec: Optional[Tuple[int, int]] = None) -> None:
-    """Worker main loop (module-level so it stays picklable under spawn).
-
-    Each worker applies the :class:`CacheConfig` locally — cache policy,
-    capacity, and the (per-worker by construction) online hot-set policy;
-    explicit hot sets are rejected by the front-end, since every worker
-    would pin every pair while serving only its own partition.  The query
-    ``kernel`` selector is likewise applied per worker against its own
-    loaded artifact (``auto`` resolves to ``columnar`` on v2 artifacts).
-
-    Protocol (all messages are tuples; the first element is the tag):
-
-    * in  ``("query", request_id, kind, [(index, pair), ...])``
-      out ``("ok", worker_id, request_id, [(index, result), ...])`` or
-      ``("error", worker_id, request_id, summary, traceback_text)``
-    * in  ``("stats",)``    → out ``("stats", worker_id, ServingStats)``
-    * in  ``("ping", seq)`` → out ``("pong", worker_id, seq)``
-    * in  ``("shutdown",)`` → out ``("bye", worker_id, ServingStats)``, exit
-
-    The task pipe is FIFO, so several ``query`` messages may be queued at
-    once (the front-end's per-worker in-flight window); the worker simply
-    answers them in order — pipelining needs no worker-side changes, and
-    the front-end relies on the FIFO order to know *which* queries a dead
-    worker had not yet answered.
-
-    ``slice_spec = (shard, workers)`` says ``artifact_path`` is the
-    sub-artifact slice covering sources whose stable hash maps to
-    ``shard`` of ``workers``.  Queries outside that slice (possible only
-    in fleet mode, where siblings cover a dead worker's partition) are
-    answered from ``cover_artifact_path`` — the full parent artifact,
-    loaded lazily on the first out-of-slice query so the common all-alive
-    path never pays for it.  Both services share one artifact build, so a
-    covered answer is bit-identical to the home shard's.
-
-    Warm-up emits ``("ready", worker_id, load_seconds)`` on success or
-    ``("failed", worker_id, summary)`` if the artifact cannot be loaded.
-    Tasks arrive over ``task_conn`` and replies leave over ``result_conn``,
-    this worker's two private pipes (see :class:`_FramedPipe` for why
-    neither is a shared queue).  The worker also exits if the task pipe
-    reaches EOF: every write end is closed, so no task can ever arrive.
-    """
-    tasks = _FramedPipe(task_conn)
-    results = _FramedPipe(result_conn)
-    try:
-        service = RoutingService.load(artifact_path,
-                                      cache_config=cache_config,
-                                      kernel=kernel, telemetry=telemetry)
-    except BaseException as exc:
-        results.put(("failed", worker_id, f"{type(exc).__name__}: {exc}"))
-        return
-    service.stats.extra["worker_id"] = worker_id
-    cover_service: Optional[RoutingService] = None
-    own_shard, own_workers = slice_spec if slice_spec else (None, None)
-
-    def split(indexed_pairs):
-        """(own, other) — other is non-empty only for out-of-slice sources."""
-        if own_shard is None or cover_artifact_path is None:
-            return indexed_pairs, []
-        own, other = [], []
-        for item in indexed_pairs:
-            if stable_node_hash(item[1][0]) % own_workers == own_shard:
-                own.append(item)
-            else:
-                other.append(item)
-        return own, other
-
-    def snapshot() -> ServingStats:
-        stats = service.query_stats()
-        if cover_service is None:
-            return stats
-        # Fold the cover service's counters into a copy (never the live
-        # stats object — repeated snapshots must not compound).
-        cover = cover_service.query_stats()
-        merged = dataclasses.replace(stats, extra=dict(stats.extra))
-        for name in ("queries", "route_queries", "distance_queries",
-                     "batches", "batched_queries", "cache_hits",
-                     "cache_misses", "hot_hits"):
-            setattr(merged, name, getattr(merged, name)
-                    + getattr(cover, name))
-        merged.extra["cover_queries"] = cover.queries
-        if telemetry:
-            merged.extra["telemetry"] = merge_exports(
-                [stats.extra.get("telemetry", {}),
-                 cover.extra.get("telemetry", {})])
-        return merged
-
-    results.put(("ready", worker_id, service.stats.load_seconds))
-    while True:
-        try:
-            message = tasks.get()
-        except EOFError:
-            return
-        tag = message[0]
-        if tag == "shutdown":
-            # query_stats() refreshes the hierarchy-level snapshots (pivot
-            # cache, kernel groups) so the merged stats see final values.
-            results.put(("bye", worker_id, snapshot()))
-            return
-        if tag == "stats":
-            results.put(("stats", worker_id, snapshot()))
-            continue
-        if tag == "ping":
-            results.put(("pong", worker_id, message[1]))
-            continue
-        if tag != "query":
-            results.put(("error", worker_id, None,
-                         f"unknown command {tag!r}", ""))
-            continue
-        _, request_id, kind, indexed_pairs = message
-        try:
-            own, other = split(indexed_pairs)
-            indexed_values = []
-            if own:
-                values = answer_batch(service, kind,
-                                      [pair for _, pair in own])
-                indexed_values.extend(
-                    (index, value) for (index, _), value in zip(own, values))
-            if other:
-                if cover_service is None:
-                    cover_service = RoutingService.load(
-                        cover_artifact_path, cache_config=cache_config,
-                        kernel=kernel, telemetry=telemetry)
-                values = answer_batch(cover_service, kind,
-                                      [pair for _, pair in other])
-                indexed_values.extend(
-                    (index, value) for (index, _), value
-                    in zip(other, values))
-        except Exception as exc:
-            results.put(("error", worker_id, request_id,
-                         f"{type(exc).__name__}: {exc}",
-                         traceback.format_exc()))
-            continue
-        results.put(("ok", worker_id, request_id, indexed_values))
-
-
 def _collector_main(service_ref, stop: threading.Event) -> None:
     """Collector thread body (module-level, weakref-based on purpose).
 
     The thread must not pin the front-end alive: a bound-method target
     would hold a strong reference forever and ``__del__`` — the unclosed-
     service ``ResourceWarning`` contract — could never fire.  The service
-    is re-derefed only for the microseconds a snapshot is taken or a
-    message dispatched; while blocked in ``select`` the thread holds
-    nothing but the pipe lists and the backlog deque.
+    is re-derefed only for the microseconds a snapshot is taken, a
+    message dispatched or the slots scanned for a death; while blocked in
+    ``select`` the thread holds nothing but the pipe lists and the
+    backlog deque.  The scan runs on *every* pass, not only idle ones: a
+    busy sibling must never postpone noticing a dead worker.
     """
     while not stop.is_set():
         service = service_ref()
@@ -436,43 +134,16 @@ def _collector_main(service_ref, stop: threading.Event) -> None:
         service = service_ref()
         if service is None:
             return
-        if message is None:
-            service._check_liveness()
-        else:
+        if message is not None:
             service._dispatch(message)
+        service._scan_liveness()
         del service
 
 
-class _WorkerHandle:
-    """Parent-side record of one worker: its process and the parent ends
-    of its two private pipes — ``tasks`` (written) and ``channel``
-    (results, read).  Both are ``None`` on a placeholder that only
-    reserves a slot index.
-
-    ``state`` is the supervisor's slot lifecycle (always ``"alive"``
-    outside fleet mode): ``alive`` → serving; ``warming`` → respawned,
-    loading its artifact; ``dead`` → exited unexpectedly, awaiting respawn;
-    ``parked`` → scaled down deliberately (its final stats survive in
-    ``final_stats``).
-    """
-
-    __slots__ = ("worker_id", "process", "tasks", "channel", "state",
-                 "final_stats")
-
-    def __init__(self, worker_id, process,
-                 tasks: Optional[_FramedPipe] = None,
-                 channel: Optional[_FramedPipe] = None):
-        self.worker_id = worker_id
-        self.process = process
-        self.tasks = tasks
-        self.channel = channel
-        self.state = "alive"
-        self.final_stats: Optional[ServingStats] = None
-
-
-#: Pseudo worker id holding shards that could not be routed because no
-#: worker was alive at retry time; the supervisor re-dispatches them when
-#: a respawn completes.  Never collides with real ids (always >= 0).
+#: Pseudo slot holding shards orphaned while no worker was routable; the
+#: ticket stays incomplete (nobody reads a half-filled result list) until
+#: a worker turns ready and :meth:`ShardedRoutingService._reassign` drains
+#: it.  Never collides with real ids (always >= 0).
 _DEFERRED_SLOT = -1
 
 
@@ -640,19 +311,21 @@ class ShardedRoutingService:
         self._ctx = multiprocessing.get_context(start_method)
         self._warm_timeout = warm_timeout
         self._reply_timeout = reply_timeout
-        self._workers: List[_WorkerHandle] = []
+        #: The slots: ``_workers[i].worker_id == i`` always.
+        self._workers: List[Worker] = []
         # Parsed-but-undelivered worker messages; consumed by exactly one
         # thread at a time (warm-up, then the collector, then the drain).
         self._result_backlog: collections.deque = collections.deque()
-        # Channels of respawn-replaced workers: kept open (but out of the
-        # select set) until close(), so their fd numbers cannot be reused
-        # while the collector might still hold a stale reference.
-        self._retired_channels: List[_FramedPipe] = []
-        # (result channels, task pipes) the collector selects on.  Set to
-        # None under ``_lock`` wherever a handle is installed (spawn,
-        # respawn); a parked or dead worker's channel drops out when it
-        # reaches EOF (see _live_pipes).
+        # Endpoints replaced by install_worker: retired (out of the select
+        # set) but closed only by close(), so their fd numbers cannot be
+        # reused while the collector might still hold a stale reference.
+        self._retired: List[Worker] = []
+        # (result pipes, task pipes) the collector selects on.  Set to
+        # None under ``_lock`` wherever an endpoint is installed; a parked
+        # or dead worker's result pipe drops out when it reaches EOF (see
+        # _live_pipes).
         self._pipe_snapshot: Optional[Tuple[List, List]] = None
+        self._next_probe = 0.0      # the clocked is_alive() backstop
         self._request_counter = 0
         self._started = False
         self._closed = False
@@ -670,10 +343,10 @@ class ShardedRoutingService:
         self._collector_stop = threading.Event()
         self._failure: Optional[ShardError] = None
         self._close_lock = threading.Lock()
-        # Fleet mode: a FleetSupervisor owns the worker set — liveness,
-        # respawn, rebalancing and scaling — and replaces the static
-        # partitioner with its epoch-versioned routing table.  Imported
-        # lazily so the base sharded path never touches the fleet module.
+        # Fleet mode: a FleetSupervisor decides respawns, rebalancing and
+        # scaling, and replaces the static partitioner with its
+        # epoch-versioned routing table.  Imported lazily so the base
+        # sharded path never touches the fleet module.
         self._fleet = None
         if fleet is not None:
             from .fleet import FleetConfig, FleetSupervisor
@@ -737,46 +410,161 @@ class ShardedRoutingService:
                         f"slices would silently serve the old tables")
 
     # ==================================================================
-    # worker lifecycle
+    # slots: what the fleet supervisor sees and drives (it is handed
+    # ``lock`` once; every other member here is called with it held,
+    # except install_worker and worker_died, which take it themselves)
     # ==================================================================
-    def _spawn_worker(self, worker_id: int) -> _WorkerHandle:
-        """Spawn one worker process; the caller installs the handle.
+    @property
+    def lock(self) -> threading.Condition:
+        return self._can_submit
 
-        Slot ``worker_id`` loads its sub-artifact slice when one exists for
-        it (dynamic fleet slots past the base set always load the full
+    @property
+    def workers(self) -> List[Worker]:
+        return self._workers
+
+    @property
+    def serving(self) -> List[Worker]:
+        """The slots a scatter may target."""
+        return [w for w in self._workers if w.state == "alive"]
+
+    @property
+    def closed(self) -> bool:
+        """No more work will be served: closed, or a failure is latched
+        (the first waiter to see it closes the service)."""
+        return self._closed or self._failure is not None
+
+    @property
+    def batches_in_flight(self) -> int:
+        return len(self._tickets)
+
+    def _spawn(self, worker_id: int) -> Worker:
+        """Spawn the process for slot ``worker_id``; the caller installs it.
+
+        The slot loads its sub-artifact slice when one exists for it
+        (dynamic fleet slots past the base set always load the full
         artifact).  In fleet mode a sliced worker also gets the parent
         artifact as its cover path, so it can answer out-of-slice queries
         while a sibling is down.
         """
-        task_reader, task_writer = self._ctx.Pipe(duplex=False)
-        result_reader, result_writer = self._ctx.Pipe(duplex=False)
-        # Only this end: O_NONBLOCK belongs to the open file description,
-        # and the worker's read end of the same pipe is another one.
-        os.set_blocking(task_writer.fileno(), False)
+        artifact, slice_spec, cover = self.artifact_path, None, None
         if (self.sub_artifact_paths is not None
                 and worker_id < len(self.sub_artifact_paths)):
-            worker_artifact = self.sub_artifact_paths[worker_id]
+            artifact = self.sub_artifact_paths[worker_id]
             slice_spec = (worker_id, len(self.sub_artifact_paths))
             cover = self.artifact_path if self._fleet is not None else None
-        else:
-            worker_artifact = self.artifact_path
-            slice_spec = None
-            cover = None
-        process = self._ctx.Process(
-            target=_shard_worker,
-            args=(worker_id, worker_artifact, self.cache_config,
-                  self.kernel, self.telemetry, task_reader,
-                  result_writer, cover, slice_spec),
-            daemon=True, name=f"repro-shard-{worker_id}")
-        process.start()
-        # The child owns these ends now; dropping the parent's copies keeps
-        # the fd table bounded across respawns and lets a write to a dead
-        # worker fail (no reader left) instead of filling the pipe.
-        task_reader.close()
-        result_writer.close()
-        return _WorkerHandle(worker_id, process, _FramedPipe(task_writer),
-                             _FramedPipe(result_reader))
+        return Worker.spawn(self._ctx, worker_id, artifact,
+                            self.cache_config, self.kernel, self.telemetry,
+                            cover, slice_spec)
 
+    def reserve_slot(self) -> int:
+        """Append a reserved (dead, processless) slot, so the
+        ``worker_id == index`` invariant holds before its spawn."""
+        self._workers.append(Worker(len(self._workers)))
+        return len(self._workers) - 1
+
+    def install_worker(self, worker_id: int) -> bool:
+        """Spawn a fresh ``warming`` worker into a dead, reserved or parked
+        slot; its ``ready`` arrives through the collector.  The spawn runs
+        outside the lock, only the swap is locked.  False once closed."""
+        fresh = self._spawn(worker_id)
+        fresh.state = "warming"
+        with self._can_submit:
+            if self._closed:
+                fresh.stop()
+                fresh.close()
+                return False
+            old = self._workers[worker_id]
+            old.retire()
+            self._retired.append(old)
+            self._workers[worker_id] = fresh
+            self._pipe_snapshot = None
+            self._inflight[worker_id] = 0
+        return True
+
+    def park_worker(self, worker: Worker) -> None:
+        """Scale-down: stop targeting ``worker`` and ask it to exit.  The
+        task pipe is FIFO, so it answers everything already queued before
+        its ``bye`` (whose snapshot lands in ``final_stats``)."""
+        worker.state = "parked"
+        worker.shutdown()
+
+    def worker_died(self, worker: Worker, why: str) -> None:
+        """The one death path: ``worker`` will never answer again.
+
+        Reached from the collector's scan (:meth:`_scan_liveness`), from a
+        task write that found no reader (:meth:`_finish_sends`) and from
+        the supervisor's hang detector; idempotent per endpoint, so it
+        does not matter who gets here first.  Marks the slot dead, zeroes
+        its window and asks the supervisor — if there is one — whether
+        the fleet can go on.  It is the only place that chooses between
+        recovering (re-scatter what the slot still owed) and latching;
+        static mode differs only in supplying the error itself.
+        """
+        with self._can_submit:
+            if (self.closed or worker.state != "alive"
+                    or self._workers[worker.worker_id] is not worker):
+                return      # teardown, known, or a respawn replaced it
+            worker.state = "dead"
+            self._inflight[worker.worker_id] = 0
+            if self._fleet is None:
+                error = ShardError(f"worker {worker.worker_id} died ({why})")
+            else:
+                error = self._fleet.worker_died(worker.worker_id, why)
+            if error is not None:
+                self.fail(error)
+                return
+            self._reassign(worker.worker_id)
+            self._can_submit.notify_all()
+
+    def _reassign(self, slot: int) -> None:
+        """The one re-scatter (lock held): everything tickets still list
+        under ``slot`` — a dead worker's unanswered shards (FIFO
+        bookkeeping says exactly which those are) or the deferred
+        pseudo-slot's stash — goes to the current table's slots, or into
+        the stash when nothing is routable; pending stats requests get a
+        placeholder for a worker that will never answer them."""
+        table = self._fleet.table
+        for ticket in list(self._tickets.values()):
+            shards = ticket.outstanding.pop(slot, None)
+            if not shards:
+                continue
+            items = [item for shard in shards for item in shard]
+            if not table.routable:
+                ticket.outstanding.setdefault(_DEFERRED_SLOT,
+                                              []).append(items)
+                continue
+            for target, shard in table.assign(items):
+                ticket.outstanding.setdefault(target, []).append(shard)
+                self._inflight[target] = self._inflight.get(target, 0) + 1
+                # Never waits (this may be the collector thread): the
+                # collector finishes what a full pipe does not take, and
+                # a sibling that is dead too is caught by the next scan.
+                self._workers[target].query(ticket.request_id, ticket.kind,
+                                            shard)
+        self._fill_stats(slot, ServingStats(), every=True)
+
+    def fail(self, error: ShardError) -> None:
+        """Fail-stop latch: every current and future caller sees ``error``."""
+        with self._can_submit:
+            if self._failure is None:
+                if not error.pending_request_ids:
+                    # Record which submitted batches were lost so callers
+                    # can retry precisely instead of replaying everything.
+                    error.pending_request_ids = tuple(sorted(self._tickets))
+                self._failure = error
+            for ticket in self._tickets.values():
+                ticket.error = self._failure
+                ticket.done.set()
+            self._tickets.clear()
+            for waiter in self._stats_waiters:
+                waiter["error"] = self._failure
+                waiter["done"].set()
+            self._stats_waiters.clear()
+            self._can_submit.notify_all()
+
+    # ==================================================================
+    # lifecycle
+    # ==================================================================
     def start(self) -> "ShardedRoutingService":
         """Spawn the workers and block until every one has warmed up."""
         if self._closed:
@@ -784,7 +572,7 @@ class ShardedRoutingService:
         if self._started:
             return self
         for worker_id in range(self.num_workers):
-            self._workers.append(self._spawn_worker(worker_id))
+            self._workers.append(self._spawn(worker_id))
         ready = 0
         load_seconds: List[float] = []
         deadline = time.monotonic() + self._warm_timeout
@@ -809,7 +597,7 @@ class ShardedRoutingService:
                     load_seconds.append(message[2])
         if load_seconds:
             self.stats.extra["worker_load_seconds_max"] = max(load_seconds)
-        self._inflight = {h.worker_id: 0 for h in self._workers}
+        self._inflight = {w.worker_id: 0 for w in self._workers}
         self._collector_stop.clear()
         self._collector = threading.Thread(
             target=_collector_main,
@@ -853,11 +641,8 @@ class ShardedRoutingService:
             self._stop_collector()
             final_stats: List[ServingStats] = []
             if drain:
-                expecting = set()
-                for handle in self._workers:
-                    if (handle.process.is_alive()
-                            and self._send(handle, ("shutdown",))):
-                        expecting.add(handle.worker_id)
+                expecting = {w.worker_id for w in self._workers
+                             if w.is_alive() and w.shutdown()}
                 while expecting and time.monotonic() < deadline:
                     message = self._next_message(timeout=0.05)
                     if message is None:
@@ -871,43 +656,26 @@ class ShardedRoutingService:
                 # Stragglers past the deadline get terminated below and
                 # their final snapshots are lost; record who, so
                 # merged_stats can say its totals are incomplete instead
-                # of silently under-counting.  Workers the fleet already
-                # retired carry their snapshot on the handle (parked
-                # workers sent "bye" when scaled down) — fold those in;
-                # dead slots never made it into ``expecting`` (their
-                # process was gone) and are expected to be missing.
-                for handle in self._workers:
-                    if handle.final_stats is not None:
-                        final_stats.append(handle.final_stats)
+                # of silently under-counting.  Parked workers sent "bye"
+                # when scaled down and carry their snapshot on the slot —
+                # fold those in; dead slots never made it into
+                # ``expecting`` (their process was gone) and are expected
+                # to be missing.
+                final_stats.extend(w.final_stats for w in self._workers
+                                   if w.final_stats is not None)
                 self._undrained_workers = sorted(expecting)
-            if not drain:
-                # Fail-stop path: nobody was asked to exit, so don't wait.
-                for handle in self._workers:
-                    if handle.process.is_alive():
-                        handle.process.terminate()
-            for handle in self._workers:
-                handle.process.join(timeout=5.0)
-                if handle.process.is_alive():
-                    handle.process.terminate()
-                    handle.process.join(timeout=5.0)
+            # Drained workers were asked to exit and get a moment to; on
+            # the fail-stop path nobody was asked, so don't wait.
+            for worker in self._workers + self._retired:
+                worker.stop(grace=5.0 if drain else 0.0)
+                worker.close()
+            self._retired = []
             self._final_worker_stats = final_stats
-            for handle in self._workers:
-                for pipe in (handle.tasks, handle.channel):
-                    if pipe is not None:
-                        pipe.close()
-            for channel in self._retired_channels:
-                channel.close()
-            self._retired_channels = []
             # Wake anyone still blocked in submit/wait with a clear error.
             with self._can_submit:
-                if self._tickets and self._failure is None:
-                    self._failure = ShardError(
-                        "sharded service closed with batches in flight",
-                        pending_request_ids=tuple(sorted(self._tickets)))
-                for ticket in self._tickets.values():
-                    ticket.error = self._failure
-                    ticket.done.set()
-                self._tickets.clear()
+                if self._tickets or self._stats_waiters:
+                    self.fail(self._failure or ShardError(
+                        "sharded service closed with batches in flight"))
                 self._can_submit.notify_all()
             return list(final_stats)
 
@@ -953,133 +721,85 @@ class ShardedRoutingService:
             # least one routable worker (the supervisor is respawning the
             # rest, or has latched a FleetError if it cannot).
             return self._failure is None and any(
-                h.state == "alive" and h.process.is_alive()
-                for h in self._workers)
-        return all(h.process.is_alive() for h in self._workers)
+                w.is_alive() for w in self.serving)
+        return all(w.is_alive() for w in self._workers)
 
     # ==================================================================
-    # collector: completes tickets from the per-worker reply pipes
+    # collector: completes tickets from the per-worker result pipes
     # ==================================================================
     def _next_message(self, timeout: float):
         """The next worker→parent message, or ``None`` after ``timeout``.
 
-        Thin wrapper over :func:`_poll_channels` against the current pipe
-        snapshot.  Consumed by one thread at a time: ``start()`` during
-        warm-up, the collector while serving, and ``close()`` during the
-        drain (the collector itself snapshots and polls directly so it
-        never holds the service while blocked).
+        Thin wrapper over :func:`~repro.serving.worker._poll_channels`
+        against the current pipe snapshot.  Consumed by one thread at a
+        time: ``start()`` during warm-up, the collector while serving,
+        and ``close()`` during the drain (the collector itself snapshots
+        and polls directly so it never holds the service while blocked).
         """
         channels, senders = self._live_pipes()
         return _poll_channels(channels, self._result_backlog, timeout,
                               senders)
 
-    def _live_pipes(self) -> Tuple[List[_FramedPipe], List[_FramedPipe]]:
-        """``(result channels, task pipes)`` of the current workers.
+    def _live_pipes(self) -> Tuple[List, List]:
+        """``(result pipes, task pipes)`` of the current workers.
 
         Cached: a message costs no lock and no list build.  Rebuilt after
-        an invalidation (a handle was installed) or once a channel in the
-        snapshot is exhausted — EOF from a parked or dead worker, or a
-        respawn retiring it — which would otherwise read as ready forever.
+        an invalidation (an endpoint was installed) or once a result pipe
+        in the snapshot is exhausted — EOF from a parked or dead worker,
+        or a respawn retiring it — which would otherwise read as ready
+        forever.
         """
         snapshot = self._pipe_snapshot
         if snapshot is None or any(c.exhausted for c in snapshot[0]):
             with self._lock:
+                spawned = [w for w in self._workers if w.process is not None]
                 snapshot = (
-                    [h.channel for h in self._workers if h.channel is not None
-                     and not h.channel.exhausted],
-                    [h.tasks for h in self._workers if h.tasks is not None
-                     and not h.tasks.exhausted])
+                    [w.results for w in spawned if not w.results.exhausted],
+                    [w.tasks for w in spawned if not w.tasks.exhausted])
                 self._pipe_snapshot = snapshot
         return snapshot
 
-    # ==================================================================
-    # task pipes: the submitting thread writes, nobody blocks under a lock
-    # ==================================================================
-    @staticmethod
-    def _send(handle: _WorkerHandle, message) -> bool:
-        """Frame ``message`` onto ``handle``'s task pipe; never blocks.
+    def _scan_liveness(self) -> None:
+        """Notice serving workers that died without replying (OOM kill,
+        segfault) — see :meth:`Worker.lost` for the signal.  Called on
+        every collector pass; the ``is_alive()`` backstop inside it is
+        clocked to one probe per 0.1 s."""
+        if self._fleet is None:
+            with self._lock:
+                if not self._tickets and not self._stats_waiters:
+                    # Static mode fail-stops, so an idle dead worker is
+                    # left for the submit that finds it (which still
+                    # returns its ticket, completed with the error).
+                    return
+        now = time.monotonic()
+        probe = now >= self._next_probe
+        if probe:
+            self._next_probe = now + 0.1
+        for worker in self._workers:
+            why = worker.lost(probe) if worker.state == "alive" else None
+            if why is not None:
+                self.worker_died(worker, why)
 
-        Safe under ``_can_submit`` — which is what keeps a worker's frames
-        in the order the lock handed out its slots: what a full pipe does
-        not take stays queued in the pipe object and goes out through
-        :meth:`_finish_sends` or the collector.  False when the worker is
-        gone (its pipe is then ``exhausted``); the error never escapes.
-        """
-        try:
-            handle.tasks.put(message)
-        except OSError:
-            return False
-        return True
-
-    def _finish_sends(self, handles: Sequence[_WorkerHandle],
+    def _finish_sends(self, workers: Sequence[Worker],
                       deadline: float) -> None:
         """Wait, holding no service lock, for frames just queued for
-        ``handles`` to fit into their pipes, and report dead workers.
+        ``workers`` to fit into their pipes, and report dead workers.
 
         The wait is the submitter's backpressure for a worker that is not
         reading yet.  It must happen outside ``_can_submit``: the
         collector needs that lock to retire results, a worker blocked
         writing results does not read tasks, and a submitter blocked on
         that worker's full task pipe with the lock held would close the
-        cycle.  The collector flushes the same pipes whenever it wakes,
-        so frames queued by threads that cannot wait (the collector
-        itself, re-scattering a dead worker's shards) still leave.
+        cycle.
         """
-        for handle in handles:
-            pipe = handle.tasks
-            try:
-                while pipe.pending and time.monotonic() < deadline:
-                    select.select([], [pipe], [], 0.2)
-                    pipe.flush()
-            except (OSError, ValueError):
-                pass    # reader gone, or the pipe was closed under us
-            if pipe.exhausted:
-                self._worker_lost(handle)
-
-    def _worker_lost(self, handle: _WorkerHandle) -> None:
-        """A task write found no reader: enter the worker-death path now
-        instead of waiting for the next liveness poll."""
-        with self._lock:
-            if self._closed or self._workers[handle.worker_id] is not handle:
-                return      # teardown, or a respawn already replaced it
-        if self._fleet is not None:
-            self._fleet.on_worker_death(handle.worker_id,
-                                        "task pipe has no reader")
-        else:
-            self._latch_failure(ShardError(
-                f"worker {handle.worker_id} died (its task pipe has no "
-                f"reader)"))
-
-    def _check_liveness(self) -> None:
-        """Notice workers that died without replying (OOM kill, segfault)."""
-        if self._fleet is not None:
-            # The supervisor recovers instead of latching: re-scatter the
-            # dead slot's unanswered shards to siblings now (the collector
-            # calls this between replies, well inside the heartbeat) and
-            # leave respawn to the beat thread.
-            self._fleet.poll_liveness()
-            return
-        with self._lock:
-            waiting = bool(self._tickets) or bool(self._stats_waiters)
-        if not waiting:
-            return
-        dead = [h.worker_id for h in self._workers
-                if not h.process.is_alive()]
-        if not dead:
-            return
-        # Grace read: the worker may have replied just before dying and
-        # the bytes may still be sitting in its pipe.
-        message = self._next_message(timeout=0.5)
-        if message is None:
-            self._latch_failure(ShardError(
-                f"worker(s) {dead} died without replying"))
-            return
-        self._dispatch(message)
+        for worker in workers:
+            if not worker.finish_sends(deadline):
+                self.worker_died(worker, "its task pipe has no reader")
 
     def _dispatch(self, message) -> None:
-        tag = message[0]
+        tag, worker_id = message[0], message[1]
         if tag == "ok":
-            _, worker_id, request_id, indexed = message
+            _, _, request_id, indexed = message
             with self._can_submit:
                 ticket = self._tickets.get(request_id)
                 if ticket is None:
@@ -1105,54 +825,54 @@ class ShardedRoutingService:
                     ticket.done.set()
                 self._can_submit.notify_all()
             return
-        if self._fleet is not None and tag in ("pong", "ready", "failed",
-                                               "bye"):
-            # Supervisor traffic: heartbeat replies and the lifecycle of
-            # respawned / scaled workers (initial warm-up "ready"s are
-            # consumed directly by start(), before the collector runs).
-            self._fleet.on_message(message)
-            return
         if tag == "error":
-            _, worker_id, request_id, summary, worker_tb = message
-            self._latch_failure(ShardError(
+            _, _, request_id, summary, worker_tb = message
+            self.fail(ShardError(
                 f"worker {worker_id} failed answering batch: {summary}",
                 worker_traceback=worker_tb))
             return
-        if tag == "stats":
-            _, worker_id, snapshot = message
-            with self._can_submit:
-                # Stats requests enqueue one ("stats",) per worker and
-                # workers reply FIFO, so a reply belongs to the oldest
-                # waiter still missing this worker.
-                for waiter in self._stats_waiters:
-                    if worker_id in waiter["remaining"]:
-                        waiter["remaining"].discard(worker_id)
-                        waiter["snapshots"][worker_id] = snapshot
-                        if not waiter["remaining"]:
-                            self._stats_waiters.remove(waiter)
-                            waiter["done"].set()
-                        break
-            return
-        # "ready"/"failed" replays or stray "bye" frames: nothing to do.
-
-    def _latch_failure(self, error: ShardError) -> None:
-        """Fail-stop latch: every current and future caller sees ``error``."""
         with self._can_submit:
-            if self._failure is None:
-                if not error.pending_request_ids:
-                    # Record which submitted batches were lost so callers
-                    # can retry precisely instead of replaying everything.
-                    error.pending_request_ids = tuple(sorted(self._tickets))
-                self._failure = error
-            for ticket in self._tickets.values():
-                ticket.error = self._failure
-                ticket.done.set()
-            self._tickets.clear()
-            for waiter in self._stats_waiters:
-                waiter["error"] = self._failure
-                waiter["done"].set()
-            self._stats_waiters.clear()
-            self._can_submit.notify_all()
+            worker = self._workers[worker_id]
+            if tag == "stats":
+                self._fill_stats(worker_id, message[2])
+            elif tag == "bye":
+                if worker.state == "parked":
+                    worker.final_stats = message[2]
+            elif self._fleet is None or self.closed:
+                return  # nobody to tell (start() consumed its own warm-up)
+            elif tag == "pong":
+                self._fleet.pong(worker_id)
+            elif tag == "ready" and worker.state == "warming":
+                # A respawned, unparked or scaled-up worker finished
+                # warming: route to it, starting with what was deferred.
+                worker.state = "alive"
+                worker.final_stats = None
+                self._fleet.worker_ready(worker_id)
+                self._reassign(_DEFERRED_SLOT)
+                self._can_submit.notify_all()
+            elif tag == "failed" and worker.state == "warming":
+                worker.state = "dead"
+                error = self._fleet.worker_failed(worker_id, message[2])
+                if error is not None:
+                    self.fail(error)
+
+    def _fill_stats(self, worker_id: int, snapshot: ServingStats,
+                    every: bool = False) -> None:
+        """``snapshot`` answers the oldest stats waiter still missing
+        ``worker_id`` (a stats request enqueues one message per worker
+        and workers reply FIFO) — or ``every`` such waiter, with the
+        placeholder of a worker that died and will answer none, so
+        :meth:`worker_stats` completes instead of timing out (lock held).
+        """
+        for waiter in list(self._stats_waiters):
+            if worker_id in waiter["remaining"]:
+                waiter["remaining"].discard(worker_id)
+                waiter["snapshots"][worker_id] = snapshot
+                if not waiter["remaining"]:
+                    self._stats_waiters.remove(waiter)
+                    waiter["done"].set()
+                if not every:
+                    return
 
     # ==================================================================
     # queries (order-preserving scatter/gather, pipelined)
@@ -1194,10 +914,9 @@ class ShardedRoutingService:
             assignments: List[Tuple[int, List]] = []
             if self._fleet is None:
                 shards = self._partitioner.partition(pairs)
-                assignments = [(handle.worker_id, shard)
-                               for handle, shard
-                               in zip(self._workers, shards) if shard]
-            elif self._fleet.has_routable:
+                assignments = [(worker_id, shard) for worker_id, shard
+                               in enumerate(shards) if shard]
+            elif self._fleet.table.routable:
                 epoch, assignments = self._fleet.partition(pairs)
             partition_seconds = time.perf_counter() - scatter_start
             wait_start = time.perf_counter()
@@ -1214,8 +933,9 @@ class ShardedRoutingService:
                     # static-partitioner path partitions exactly once —
                     # round_robin is stateful — and its worker set never
                     # changes.)
-                    routable = self._fleet.has_routable
-                    if routable and epoch != self._fleet.epoch:
+                    table = self._fleet.table
+                    routable = bool(table.routable)
+                    if routable and epoch != table.epoch:
                         epoch, assignments = self._fleet.partition(pairs)
                 else:
                     routable = True
@@ -1246,12 +966,12 @@ class ShardedRoutingService:
                                    for worker_id, shard in assignments})
             self._tickets[request_id] = ticket
             enqueue_start = time.perf_counter()
-            handles = [self._workers[worker_id]
-                       for worker_id, _ in assignments]
-            for handle, (worker_id, shard) in zip(handles, assignments):
+            recipients = [self._workers[worker_id]
+                          for worker_id, _ in assignments]
+            for worker, (worker_id, shard) in zip(recipients, assignments):
                 self._inflight[worker_id] = \
                     self._inflight.get(worker_id, 0) + 1
-                self._send(handle, ("query", request_id, kind, shard))
+                worker.query(request_id, kind, shard)
             if self.metrics.enabled:
                 # scatter = partition + enqueue; the admission wait is its
                 # own span so backpressure is visible, not folded in.
@@ -1261,7 +981,7 @@ class ShardedRoutingService:
                 self.metrics.histogram("inflight_wait").observe(waited)
                 self.metrics.histogram("queue_depth", lo=1.0,
                                        hi=4096.0).observe(len(self._tickets))
-        self._finish_sends(handles, deadline)
+        self._finish_sends(recipients, deadline)
         return ticket
 
     def _count_batch(self, kind: str, size: int) -> None:
@@ -1281,7 +1001,7 @@ class ShardedRoutingService:
         gather_start = time.perf_counter()
         while not ticket.done.wait(timeout=0.2):
             if time.monotonic() >= deadline:
-                self._latch_failure(ShardError(
+                self.fail(ShardError(
                     f"no worker reply within {self._reply_timeout}s"))
                 self._abort()
                 raise self._failure
@@ -1309,28 +1029,26 @@ class ShardedRoutingService:
         with self._can_submit:
             if self._failure is not None:
                 raise self._failure
-            # Only alive workers are asked; dead/warming/parked slots get
+            # Only serving workers are asked; dead/warming/parked slots get
             # placeholders below so the list stays aligned with the slot
-            # order (the fleet rebalancer indexes it by shard).  The fleet
-            # death handler scrubs waiters for workers that die
-            # mid-request, so this cannot hang on a slot that will never
-            # answer.
-            queried = [h for h in self._workers
-                       if h.state == "alive" and h.process.is_alive()]
-            waiter = {"remaining": {h.worker_id for h in queried},
+            # order (the fleet rebalancer indexes it by shard).  The death
+            # path fills in for a worker that dies mid-request, so this
+            # cannot hang on a slot that will never answer.
+            queried = [w for w in self.serving if w.is_alive()]
+            waiter = {"remaining": {w.worker_id for w in queried},
                       "snapshots": {}, "done": threading.Event(),
                       "error": None}
             if waiter["remaining"]:
                 self._stats_waiters.append(waiter)
             else:
                 waiter["done"].set()
-            for handle in queried:
-                self._send(handle, ("stats",))
+            for worker in queried:
+                worker.request_stats()
         deadline = time.monotonic() + self._reply_timeout
         self._finish_sends(queried, deadline)
         while not waiter["done"].wait(timeout=0.2):
             if time.monotonic() >= deadline:
-                self._latch_failure(ShardError(
+                self.fail(ShardError(
                     f"no stats reply within {self._reply_timeout}s"))
                 self._abort()
                 raise self._failure
@@ -1339,11 +1057,11 @@ class ShardedRoutingService:
             self._abort()
             raise error
         out: List[ServingStats] = []
-        for handle in self._workers:
-            snapshot = waiter["snapshots"].get(handle.worker_id)
+        for worker in self._workers:
+            snapshot = waiter["snapshots"].get(worker.worker_id)
             if snapshot is None:
-                snapshot = (handle.final_stats
-                            if handle.final_stats is not None
+                snapshot = (worker.final_stats
+                            if worker.final_stats is not None
                             else ServingStats())
             out.append(snapshot)
         return out

@@ -10,15 +10,18 @@ respawn budget runs out — without needing worker processes at all.
 
 import os
 import signal
+import threading
 import time
 
 import pytest
 
 from repro import graphs
+from repro.obs.metrics import make_registry
 from repro.serving import (
     BuildConfig,
     FleetConfig,
     FleetError,
+    FleetSupervisor,
     HitRateWindow,
     RoutingEpoch,
     RoutingService,
@@ -31,6 +34,7 @@ from repro.serving import (
     stable_node_hash,
     write_shard_artifacts,
 )
+from repro.serving.worker import Worker
 
 
 @pytest.fixture(scope="module")
@@ -363,3 +367,169 @@ class TestElasticScaling:
         # The fresh slot was seeded with cold sources via overrides.
         assert status["overrides"] >= 0
         assert status["routable"] == [0, 1, 2]
+
+
+class StubFrontEnd:
+    """Everything a :class:`FleetSupervisor` may know about its front-end
+    — the members below, no more — with no process behind any slot.  Like
+    the real one it updates the slot first, then tells the supervisor."""
+
+    def __init__(self, num_workers=2, **knobs):
+        self.num_workers = num_workers
+        self.pipeline_depth = 8
+        self.lock = threading.RLock()
+        self.workers = [Worker(i, state="alive") for i in range(num_workers)]
+        self.closed = False
+        self.batches_in_flight = 0
+        self.metrics = make_registry(False)
+        self.sub_artifact_paths = None
+        self.events = []
+        self.fleet = FleetSupervisor(self, FleetConfig(
+            heartbeat_interval=60.0, **knobs))
+        self.fleet.start()      # publishes the initial table ...
+        self.fleet.stop()       # ... and no beat ever runs by itself
+
+    @property
+    def serving(self):
+        return [w for w in self.workers if w.state == "alive"]
+
+    def reserve_slot(self):
+        self.workers.append(Worker(len(self.workers)))
+        self.events.append(("reserve", len(self.workers) - 1))
+        return len(self.workers) - 1
+
+    def install_worker(self, worker_id):
+        self.workers[worker_id].state = "warming"
+        self.events.append(("install", worker_id))
+        return True
+
+    def park_worker(self, worker):
+        self.events.append(("park", worker.worker_id,
+                            self.fleet.table.routable))
+        worker.state = "parked"
+
+    def die(self, worker_id):
+        self.workers[worker_id].state = "dead"
+        return self.fleet.worker_died(worker_id, "stubbed out")
+
+    def warm(self, worker_id, failure=None):
+        if failure is not None:
+            self.workers[worker_id].state = "dead"
+            return self.fleet.worker_failed(worker_id, failure)
+        self.workers[worker_id].state = "alive"
+        return self.fleet.worker_ready(worker_id)
+
+    def installs(self):
+        self.fleet._run_respawns(self)
+        done = [event[1] for event in self.events if event[0] == "install"]
+        self.events = [e for e in self.events if e[0] != "install"]
+        return done
+
+
+class TestSupervisorPolicy:
+    """The supervisor is policy only, so its decisions are testable
+    against a stub front-end — no worker process is ever started."""
+
+    def test_death_republishes_and_queues_a_respawn(self):
+        front = StubFrontEnd(3)
+        assert front.fleet.table.routable == (0, 1, 2)
+        assert front.die(1) is None
+        assert front.fleet.table.routable == (0, 2)
+        assert front.installs() == [1]
+        front.warm(1)
+        assert front.fleet.table.routable == (0, 1, 2)
+        status = front.fleet.status()
+        assert (status["worker_deaths"], status["respawns"]) == (1, 1)
+        assert status["workers"] == {"0": "alive", "1": "alive",
+                                     "2": "alive"}
+
+    def test_budget_exhaustion_returns_the_error_to_latch(self):
+        front = StubFrontEnd(3, respawn_limit=1)
+        assert front.die(0) is None
+        error = front.die(1)
+        assert isinstance(error, FleetError)
+        assert "respawn budget" in str(error) and "worker 1" in str(error)
+        assert front.installs() == [0]      # the second was never queued
+
+    def test_failed_respawn_requeues_within_the_budget(self):
+        front = StubFrontEnd(2, respawn_limit=2)
+        assert front.die(0) is None
+        assert front.installs() == [0]
+        assert front.warm(0, failure="ArtifactError: gone") is None
+        assert front.installs() == [0]
+        error = front.warm(0, failure="ArtifactError: gone")
+        assert isinstance(error, FleetError)
+        assert "respawn budget" in str(error) and "gone" in str(error)
+
+    def test_failed_scale_up_is_dropped(self):
+        front = StubFrontEnd(2, max_workers=3, respawn_limit=0)
+        front.fleet._scale_up(front)
+        assert front.installs() == [2]
+        assert front.warm(2, failure="ArtifactError: gone") is None
+        assert front.installs() == []
+        assert front.fleet.status()["scale_ups"] == 0
+
+    def test_scale_up_prefers_a_parked_slot(self):
+        front = StubFrontEnd(3, max_workers=4)
+        front.workers[1].state = "parked"
+        front.fleet._scale_up(front)
+        assert front.installs() == [1] and front.events == []
+        front.warm(1)
+        assert front.fleet.status()["scale_ups"] == 1
+        assert front.fleet.status()["respawns"] == 0
+        front.fleet._scale_up(front)        # nothing parked: a fresh slot
+        assert front.events == [("reserve", 3)]
+        assert front.installs() == [3]
+
+    def test_scale_down_publishes_the_exclusion_before_parking(self):
+        front = StubFrontEnd(3)
+        front.fleet._scale_down(front)
+        assert front.events == [("park", 2, (0, 1))]
+        assert front.fleet.status()["scale_downs"] == 1
+
+    def test_scale_down_respects_the_floor(self):
+        front = StubFrontEnd(2, min_workers=2)
+        front.fleet._scale_down(front)
+        assert front.events == []
+
+    def test_dynamic_slot_is_seeded_with_its_fair_share(self):
+        """A third worker joining two takes a third of the observed
+        sources (the coldest); the new slot used to be counted twice,
+        which made it a quarter."""
+        front = StubFrontEnd(2, max_workers=3)
+        sources = list(range(12))
+        front.fleet.partition([(s, 0) for s in sources for _ in range(s + 1)])
+        front.fleet._scale_up(front)
+        assert front.installs() == [2]
+        front.warm(2)
+        table = front.fleet.table
+        assert table.routable == (0, 1, 2)
+        assert sorted(table.overrides) == sources[:4]   # 12 // 3, coldest
+        assert set(table.overrides.values()) == {2}
+        assert front.fleet.status()["migrated_pairs"] == 4
+
+    def test_hung_worker_is_stopped_and_reported(self):
+        front = StubFrontEnd(2, hang_timeout=0.01)
+        reported = []
+        front.worker_died = lambda worker, why: reported.append(
+            (worker.worker_id, why))
+        front.fleet.pong(1)
+        time.sleep(0.05)
+        front.fleet.pong(0)
+        front.fleet._check_hangs(front)
+        assert [worker_id for worker_id, _ in reported] == [1]
+        assert "hung" in reported[0][1]
+
+
+class TestRoutingEpochAssign:
+    def test_assign_groups_by_slot_in_stream_order(self):
+        table = RoutingEpoch(1, 3, {}, (0, 1, 2))
+        items = list(enumerate((s, s + 1) for s in range(20)))
+        assignments = table.assign(items)
+        assert [slot for slot, _ in assignments] == sorted(
+            {table.slot_of(s) for s in range(20)})
+        for slot, shard in assignments:
+            assert all(table.slot_of(pair[0]) == slot for _, pair in shard)
+            assert [i for i, _ in shard] == sorted(i for i, _ in shard)
+        assert sorted(item for _, shard in assignments
+                      for item in shard) == items

@@ -62,3 +62,41 @@ def test_scan_resolves_relative_imports(tmp_path):
              _imported_modules(str(path), "repro.core")}
     assert {"repro.routing.compact", "repro.core.pde",
             "repro.serving"} <= found
+
+
+def _serving_tree(name):
+    path = os.path.join(PACKAGE_ROOT, "serving", name)
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def test_fleet_supervisor_reads_no_foreign_private_state():
+    """The supervisor is policy over the front-end's public members: a
+    ``_private`` attribute of anything but ``self``/``cls`` in ``fleet.py``
+    means a fact has two owners again (74 such reads before PR 17)."""
+    offences = [
+        f"fleet.py:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(_serving_tree("fleet.py"))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name)
+                 and node.value.id in ("self", "cls"))]
+    assert not offences, "\n".join(offences)
+
+
+def test_request_tuples_are_built_only_by_the_worker_endpoint():
+    """``("query", ...)``, ``("stats",)``, ``("ping", seq)`` and
+    ``("shutdown",)`` are the worker protocol; only ``serving/worker.py``
+    may spell them."""
+    tags = {"query", "stats", "ping", "shutdown"}
+    offences = []
+    for name in sorted(os.listdir(os.path.join(PACKAGE_ROOT, "serving"))):
+        if not name.endswith(".py") or name == "worker.py":
+            continue
+        offences += [
+            f"{name}:{node.lineno} {ast.unparse(node)}"
+            for node in ast.walk(_serving_tree(name))
+            if isinstance(node, ast.Tuple) and node.elts
+            and isinstance(node.elts[0], ast.Constant)
+            and node.elts[0].value in tags]
+    assert not offences, "\n".join(offences)

@@ -49,6 +49,7 @@ from repro.serving import (
     WireError,
     open_service,
     parse_endpoint,
+    partition_pairs,
     read_frame,
     write_frame,
     zipf_workload,
@@ -414,6 +415,20 @@ class TestNegotiationAndStats:
         client.close()
         stats = client.query_stats()   # served from the bye frame
         assert stats.extra["wire"]["session_queries"] == 1
+
+    def test_stats_after_close_do_not_compound(self, server, net_graph):
+        """The client's telemetry export used to be folded into the cached
+        bye snapshot itself, so every call after ``close()`` added the
+        client-side counters once more (frames sent read 3, 6, 9, ...)."""
+        nodes = net_graph.nodes()
+        client = ClientSession.connect(server.address, timeout=5.0,
+                                       reply_timeout=30.0, telemetry=True)
+        client.distance_batch([(nodes[0], nodes[1])])
+        client.close()
+        first = client.query_stats().as_dict()
+        assert client.query_stats().as_dict() == first
+        assert (first["extra"]["telemetry"]["wire_frames_sent"]["value"]
+                == first["extra"]["wire"]["wire_frames_sent"])
 
     def test_wire_telemetry_spans_present(self, server, net_graph):
         nodes = net_graph.nodes()
@@ -915,6 +930,51 @@ class TestServerPipelining:
             assert isinstance(service._failure, ShardError)
             with pytest.raises(ShardError, match="worker 1 died"):
                 service.wait_batch(ticket)
+
+
+    @watchdog(30.0)
+    def test_busy_sibling_does_not_postpone_a_death(self, net_config,
+                                                    net_graph):
+        """The collector used to look for dead workers only after *every*
+        worker had been silent for 0.1 s, so while a sibling kept
+        answering, a killed worker's batch waited out ``reply_timeout``
+        ("no worker reply within ...") instead of failing at once."""
+        config = dataclasses.replace(net_config, workers=2,
+                                     partitioner="hash_pair",
+                                     reply_timeout=10.0)
+        pairs = zipf_workload(net_graph.nodes(), 400, seed=3).pairs
+        for_victim, for_sibling = (
+            [pair for _, pair in shard]
+            for shard in partition_pairs(pairs, 2, strategy="hash_pair"))
+        stop = threading.Event()
+
+        def keep_sibling_busy(service):
+            while not stop.is_set():
+                try:
+                    service.distance_batch(for_sibling[:8])
+                except ShardError:
+                    return
+
+        with open_service(config, graph=net_graph) as service:
+            service.distance_batch(pairs)       # spawn cost paid
+            victim = service._workers[0].process
+            busy = threading.Thread(target=keep_sibling_busy,
+                                    args=(service,), daemon=True)
+            busy.start()
+            try:
+                # Stopped, the victim takes the shard into its pipe (the
+                # write succeeds) but never reads it; then it dies.
+                os.kill(victim.pid, signal.SIGSTOP)
+                ticket = service.submit_batch("distance", for_victim[:8])
+                os.kill(victim.pid, signal.SIGKILL)
+                started = time.monotonic()
+                with pytest.raises(ShardError, match="worker 0 died"):
+                    service.wait_batch(ticket)
+                assert time.monotonic() - started < 2.0
+            finally:
+                stop.set()
+                busy.join(timeout=10.0)
+            assert not busy.is_alive()
 
 
 class _SlowToEncode(list):

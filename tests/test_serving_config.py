@@ -56,6 +56,23 @@ class TestRoundTrips:
         config = nondefault_serving_config()
         assert ServingConfig.from_dict(config.to_dict()) == config
 
+    @pytest.mark.parametrize("make", [ServingConfig,
+                                      nondefault_serving_config])
+    def test_to_dict_is_every_field_with_nested_to_dicts(self, make):
+        """``to_dict`` is derived from the dataclass fields, so a new
+        field cannot be forgotten; the nested configs serialise
+        themselves."""
+        config = make()
+        record = config.to_dict()
+        assert list(record) == [f.name for f in dataclasses.fields(config)]
+        for name, value in record.items():
+            field = getattr(config, name)
+            assert value == (field.to_dict() if name in ("build", "cache",
+                                                         "workload")
+                             else field), name
+        assert record["cache"]["hot_pairs"] == [list(pair) for pair
+                                                in config.cache.hot_pairs]
+
     def test_to_dict_is_json_safe(self):
         import json
 

@@ -56,6 +56,20 @@ class TestServingStatsMerge:
         assert merged.cache_hit_rate == 6 / 15
         assert merged.extra["merged_from"] == 2
 
+    def test_counters_tuple_names_every_field(self):
+        """``as_dict``/``from_dict``/``merge`` and the worker's cover fold
+        read ``COUNTERS``; a field missing from it would be dropped."""
+        import dataclasses
+        names = [f.name for f in dataclasses.fields(ServingStats)]
+        assert names == [*ServingStats.COUNTERS, *ServingStats.OPTIONALS,
+                         "extra"]
+        stats = ServingStats(**{name: i + 1 for i, name
+                                in enumerate(ServingStats.COUNTERS)})
+        assert ServingStats.from_dict(stats.as_dict()) == stats
+        doubled = stats.combine(stats)
+        assert all(getattr(doubled, name) == 2 * getattr(stats, name)
+                   for name in ServingStats.COUNTERS)
+
     def test_optional_fields(self):
         a = ServingStats(load_seconds=1.0, artifact_bytes=100)
         b = ServingStats(load_seconds=2.0, artifact_bytes=100)
@@ -231,3 +245,45 @@ class TestLifecycle:
         second = sharded.close()
         assert len(first) == 2 and first == second
         assert not any(process.is_alive() for process in processes)
+
+
+class TestWorkerEndpoint:
+    """The parent-side endpoint, driven over real pipes with no process."""
+
+    def test_reply_written_before_death_precedes_the_eof(self):
+        """The death signal is the result pipe's EOF, and EOF is only seen
+        by a read *after* the one that parsed the worker's last frames —
+        so a reply written just before dying is handed out first."""
+        import collections
+        import multiprocessing
+        import os
+
+        from repro.serving.worker import Worker, _FramedPipe, _poll_channels
+
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        worker = Worker(0, process=None, results=_FramedPipe(reader),
+                        state="alive")
+        last_words = _FramedPipe(writer)
+        last_words.put(("ok", 0, 7, [(0, 1.5)]))
+        # ... and a second frame cut short by the kill: 100 bytes promised
+        os.write(writer.fileno(), (100).to_bytes(4, "big") + b"torn")
+        last_words.close()
+        backlog = collections.deque()
+        assert _poll_channels([worker.results], backlog, 1.0) \
+            == ("ok", 0, 7, [(0, 1.5)])
+        assert worker.lost(probe=False) is None
+        assert _poll_channels([worker.results], backlog, 1.0) is None
+        assert "EOF" in worker.lost(probe=False)
+        worker.close()
+
+    def test_reserved_slot_tears_down_quietly(self):
+        """A fleet slot reserved for a scale-up has no process and no
+        pipes yet; install_worker retires it and close() closes it."""
+        from repro.serving.worker import Worker
+
+        slot = Worker(5)
+        assert (slot.state, slot.process, slot.is_alive()) \
+            == ("dead", None, False)
+        slot.retire()
+        slot.stop()
+        slot.close()
