@@ -19,6 +19,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    ClassVar,
     Dict,
     Hashable,
     Iterable,
@@ -147,6 +148,19 @@ class RouteTrace:
     weight: float = float("inf")
     fallback_hops: int = 0
     estimate: Optional[float] = None
+
+    #: Memo of this trace's canonical wire text, filled on first use by
+    #: :func:`repro.serving.wire.encode_answer_texts`: it lives and dies
+    #: with whatever cache holds the trace (served traces are never
+    #: mutated).  Not a field: ``==``, ``repr`` and pickles never see it.
+    wire_text: ClassVar[Optional[str]] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__
+        if "wire_text" in state:
+            state = dict(state)
+            del state["wire_text"]
+        return state
 
     @property
     def hops(self) -> int:

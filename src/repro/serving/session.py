@@ -30,6 +30,15 @@ every kind leaves in the order its request arrived — or the error model:
 a bad request or a refused batch is an ``error`` frame in that request's
 own slot.
 
+The writer builds no object tree for an ``answers`` frame: it splices
+each answer's canonical text onto the envelope
+(:func:`~repro.serving.wire.splice_frame`).  A sharded front-end hands
+route texts over ready-made (``submit_texts``: its workers encode a route
+once, where it is cached); distances and any other backend's answers
+arrive as objects and the reply thunk encodes them with the same encoder.
+On the client, a well-framed but malformed ``answers`` frame fails its own
+request with :class:`~repro.serving.wire.FrameError`; the session goes on.
+
 Config negotiation: the server's ``welcome`` frame carries its resolved
 :class:`~repro.serving.config.ServingConfig` (``to_dict`` form), so the
 client learns the graph spec, batch shaping and cache posture of the
@@ -68,7 +77,7 @@ from .wire import (
     WireError,
     check_hello,
     decode_answers,
-    encode_answers,
+    encode_answer_texts,
     hello_message,
     pack_pairs,
     parse_endpoint,
@@ -80,6 +89,9 @@ from .wire import (
 __all__ = ["ServerSession", "ClientSession"]
 
 _Pair = Tuple[Hashable, Hashable]
+#: What a reply thunk yields: the message and, for ``answers``, the values'
+#: canonical texts to splice onto it (``None``: the message is whole).
+_Reply = Tuple[Dict[str, Any], Optional[List[str]]]
 
 
 #: Reply-FIFO bound for a backend that has no ``pipeline_depth`` of its own
@@ -94,8 +106,8 @@ class ServerSession:
     The thread that calls :meth:`serve` is the *reader*: it reads and
     decodes a frame, starts its answer, and appends a reply thunk to a
     bounded FIFO.  One *writer* thread drains the FIFO strictly in arrival
-    order: resolve the thunk, encode, write the frame.  So while the
-    writer waits for batch ``i`` (or encodes and sends it), the reader has
+    order: resolve the thunk, splice, write the frame.  So while the
+    writer waits for batch ``i`` (or splices and sends it), the reader has
     already decoded and started batches ``i+1 ..`` — a client's ``window``
     finally overlaps work inside the server.  Every reply kind goes
     through the same FIFO (``answers``, per-request ``error``,
@@ -147,6 +159,10 @@ class ServerSession:
         self._lock = lock if lock is not None else threading.Lock()
         self._pipelined = (hasattr(backend, "submit_batch")
                            and hasattr(backend, "wait_batch"))
+        #: ``submit_batch`` whose ticket resolves to the answers' canonical
+        #: texts (the sharded front-end has it; its workers encode).
+        self._submit_texts = (getattr(backend, "submit_texts", None)
+                              if self._pipelined else None)
         #: Reply thunks in arrival order; ``None`` ends the writer.
         self._replies: queue.Queue = queue.Queue(
             getattr(backend, "pipeline_depth", LOCAL_PIPELINE_DEPTH))
@@ -167,8 +183,9 @@ class ServerSession:
         a computed answer is never cut off between compute and send."""
         return self._starting or self._replies.unfinished_tasks > 0
 
-    def _send(self, message: Dict[str, Any]) -> None:
-        write_frame(self.wfile, message, self.metrics)
+    def _send(self, message: Dict[str, Any],
+              texts: Optional[List[str]] = None) -> None:
+        write_frame(self.wfile, message, self.metrics, texts)
 
     def _stats_dict(self) -> Dict[str, Any]:
         stats = self.backend.query_stats()
@@ -237,17 +254,18 @@ class ServerSession:
             if kind == "close":
                 return
 
-    def _stats_reply(self) -> Dict[str, Any]:
-        return {"type": "stats_reply", "stats": self._stats_dict()}
+    def _stats_reply(self) -> _Reply:
+        return {"type": "stats_reply", "stats": self._stats_dict()}, None
 
-    def _bye(self) -> Dict[str, Any]:
+    def _bye(self) -> _Reply:
         return {"type": "bye", "stats": self._stats_dict(),
                 "served": {"queries": self.served_queries,
-                           "batches": self.served_batches}}
+                           "batches": self.served_batches}}, None
 
-    def _start_query(self, message: Dict[str, Any]
-                     ) -> Callable[[], Dict[str, Any]]:
-        """Start one batch; the returned thunk yields its reply frame."""
+    def _start_query(self, message: Dict[str, Any]) -> Callable[[], _Reply]:
+        """Start one batch; the returned thunk yields its reply: the
+        ``answers`` envelope and the answers' canonical texts — ready-made
+        from ``submit_texts``, else encoded here, outside ``lock``."""
         request_id = message.get("id")
         query_kind = message.get("kind")
         if query_kind not in ("route", "distance"):
@@ -259,9 +277,14 @@ class ServerSession:
         except FrameError as exc:
             return _constant(_error_message("bad-request", str(exc),
                                             id=request_id))
+        # Ready-made texts only where a memo makes them free (routes): a
+        # float is cheaper to spell here than to pickle as a worker's str.
+        encoded = query_kind == "route" and self._submit_texts is not None
         if self._pipelined:
+            submit = (self._submit_texts if encoded
+                      else self.backend.submit_batch)
             try:
-                ticket = self.backend.submit_batch(query_kind, pairs)
+                ticket = submit(query_kind, pairs)
             except Exception as exc:
                 return _constant(_failure_message(request_id, exc))
             resolve = functools.partial(self.backend.wait_batch, ticket)
@@ -269,17 +292,19 @@ class ServerSession:
             resolve = functools.partial(self._locked_call, query_kind, pairs)
         count = len(pairs)      # the thunk need not keep the pairs alive
 
-        def reply() -> Dict[str, Any]:
+        def reply() -> _Reply:
             try:
-                values = encode_answers(query_kind, resolve())
+                texts = resolve()
+                if not encoded:
+                    texts = encode_answer_texts(query_kind, texts,
+                                                self.metrics)
             except Exception as exc:
-                return _failure_message(request_id, exc)
+                return _failure_message(request_id, exc), None
             self.served_queries += count
             self.served_batches += 1
             return {"type": "answers", "id": request_id, "kind": query_kind,
-                    "values": values,
                     "served": {"queries": self.served_queries,
-                               "batches": self.served_batches}}
+                               "batches": self.served_batches}}, texts
         return reply
 
     def _locked_call(self, kind: str, pairs: Sequence[_Pair]) -> List:
@@ -294,9 +319,9 @@ class ServerSession:
                 if reply is None:
                     return
                 if self._write_error is None:
-                    message = reply()
+                    message, texts = reply()
                     try:
-                        self._send(message)
+                        self._send(message, texts)
                     except WireError as exc:
                         # The reply cannot be framed (oversize) and nothing
                         # of it was written: say so in its slot instead.
@@ -311,8 +336,8 @@ class ServerSession:
                 self._replies.task_done()
 
 
-def _constant(message: Dict[str, Any]) -> Callable[[], Dict[str, Any]]:
-    return lambda: message
+def _constant(message: Dict[str, Any]) -> Callable[[], _Reply]:
+    return lambda: (message, None)
 
 
 def _error_message(code: str, text: str, **fields) -> Dict[str, Any]:
@@ -489,13 +514,20 @@ class ClientSession:
                 raise FrameError(f"answers for unknown request "
                                  f"{request_id!r}")
             served = message.get("served")
-            if isinstance(served, dict):
-                # Incremental ServingStats: the session-so-far counters
-                # ride along in every answers frame.
-                self._served.update({key: int(value)
-                                     for key, value in served.items()})
-            self._results[request_id] = decode_answers(
-                pending_kind, message.get("values", []))
+            try:
+                if isinstance(served, dict):
+                    # Incremental ServingStats: the session-so-far counters
+                    # ride along in every answers frame.
+                    self._served.update({key: int(value)
+                                         for key, value in served.items()})
+                outcome = decode_answers(pending_kind,
+                                         message.get("values", []))
+            except (TypeError, ValueError, OverflowError) as exc:
+                outcome = FrameError(f"malformed served block: {exc}")
+            except FrameError as exc:
+                # The stream is still in step: only this request fails.
+                outcome = exc
+            self._results[request_id] = outcome
             return
         if kind == "error":
             request_id = message.get("id")

@@ -42,6 +42,11 @@ either bound ``admission="block"`` delays the submitter (the
 ``inflight_wait`` telemetry span) and ``admission="reject"`` raises
 :class:`~repro.serving.wire.BackpressureError` instead.
 
+A ticket remembers the *form* its submitter wants — objects
+(``submit_batch``, every in-process caller) or each answer's canonical
+wire text (``submit_texts``, a network session forwarding cached routes);
+it travels with every shard, including those re-sent after a death.
+
 One owner per fact.  :mod:`repro.serving.worker` owns the pipes, the
 message tuples and the worker process; this module owns the *slots* (the
 list of endpoints and each one's ``state``), the *tickets* (which shard of
@@ -158,13 +163,14 @@ class _BatchTicket:
     unanswered ones, ready to be re-scattered verbatim to siblings.
     """
 
-    __slots__ = ("request_id", "kind", "results", "outstanding",
+    __slots__ = ("request_id", "kind", "text", "results", "outstanding",
                  "done", "error")
 
-    def __init__(self, request_id: int, kind: str, size: int,
+    def __init__(self, request_id: int, kind: str, text: bool, size: int,
                  outstanding: Optional[Dict[int, List]] = None) -> None:
         self.request_id = request_id
         self.kind = kind
+        self.text = text
         self.results: List = [None] * size
         self.outstanding: Dict[int, List] = outstanding or {}
         self.done = threading.Event()
@@ -540,7 +546,7 @@ class ShardedRoutingService:
                 # collector finishes what a full pipe does not take, and
                 # a sibling that is dead too is caught by the next scan.
                 self._workers[target].query(ticket.request_id, ticket.kind,
-                                            shard)
+                                            shard, ticket.text)
         self._fill_stats(slot, ServingStats(), every=True)
 
     def fail(self, error: ShardError) -> None:
@@ -760,10 +766,10 @@ class ShardedRoutingService:
         return snapshot
 
     def _scan_liveness(self) -> None:
-        """Notice serving workers that died without replying (OOM kill,
-        segfault) — see :meth:`Worker.lost` for the signal.  Called on
-        every collector pass; the ``is_alive()`` backstop inside it is
-        clocked to one probe per 0.1 s."""
+        """Notice workers that died without a word (OOM kill, segfault),
+        serving or still warming — see :meth:`Worker.lost` for the signal.
+        Called on every collector pass; the ``is_alive()`` backstop inside
+        it is clocked to one probe per 0.1 s."""
         if self._fleet is None:
             with self._lock:
                 if not self._tickets and not self._stats_waiters:
@@ -776,9 +782,15 @@ class ShardedRoutingService:
         if probe:
             self._next_probe = now + 0.1
         for worker in self._workers:
-            why = worker.lost(probe) if worker.state == "alive" else None
-            if why is not None:
+            state = worker.state
+            why = worker.lost(probe) if state in ("alive", "warming") else None
+            if why is None:
+                continue
+            if state == "alive":
                 self.worker_died(worker, why)
+            else:
+                with self._can_submit:
+                    self._warm_up_failed(worker, f"died while warming ({why})")
 
     def _finish_sends(self, workers: Sequence[Worker],
                       deadline: float) -> None:
@@ -850,11 +862,18 @@ class ShardedRoutingService:
                 self._fleet.worker_ready(worker_id)
                 self._reassign(_DEFERRED_SLOT)
                 self._can_submit.notify_all()
-            elif tag == "failed" and worker.state == "warming":
-                worker.state = "dead"
-                error = self._fleet.worker_failed(worker_id, message[2])
-                if error is not None:
-                    self.fail(error)
+            elif tag == "failed":
+                self._warm_up_failed(worker, message[2])
+
+    def _warm_up_failed(self, worker: Worker, summary: str) -> None:
+        """A warming worker said ``failed`` or exited first (lock held): its
+        slot is dead again; the supervisor retries, drops it or latches."""
+        if worker.state != "warming" or self.closed:
+            return
+        worker.state = "dead"
+        error = self._fleet.worker_failed(worker.worker_id, summary)
+        if error is not None:
+            self.fail(error)
 
     def _fill_stats(self, worker_id: int, snapshot: ServingStats,
                     every: bool = False) -> None:
@@ -885,6 +904,11 @@ class ShardedRoutingService:
         """Distance estimates for a batch; answers in input order."""
         return self.wait_batch(self.submit_batch("distance", pairs))
 
+    def submit_texts(self, kind: str, pairs: Sequence[_Pair]) -> _BatchTicket:
+        """:meth:`submit_batch` for a ``ServerSession``: the ticket resolves
+        to each answer's canonical v1 text, from the worker that caches it."""
+        return self._submit(kind, pairs, True)
+
     def submit_batch(self, kind: str, pairs: Sequence[_Pair]) -> _BatchTicket:
         """Scatter one batch without waiting for its answers.
 
@@ -897,6 +921,10 @@ class ShardedRoutingService:
         (``admission="reject"``).  Thread-safe: the network server's
         sessions submit concurrently.
         """
+        return self._submit(kind, pairs, False)
+
+    def _submit(self, kind: str, pairs: Sequence[_Pair],
+                text: bool) -> _BatchTicket:
         if self._closed:
             raise ShardError("sharded service is closed")
         if not self._started:
@@ -908,7 +936,7 @@ class ShardedRoutingService:
                 raise self._failure
             if not pairs:
                 self._count_batch(kind, 0)
-                return _BatchTicket(0, kind, 0)
+                return _BatchTicket(0, kind, text, 0)
             scatter_start = time.perf_counter()
             epoch = None
             assignments: List[Tuple[int, List]] = []
@@ -961,7 +989,7 @@ class ShardedRoutingService:
             self._count_batch(kind, len(pairs))
             self._request_counter += 1
             request_id = self._request_counter
-            ticket = _BatchTicket(request_id, kind, len(pairs),
+            ticket = _BatchTicket(request_id, kind, text, len(pairs),
                                   {worker_id: [shard]
                                    for worker_id, shard in assignments})
             self._tickets[request_id] = ticket
@@ -971,7 +999,7 @@ class ShardedRoutingService:
             for worker, (worker_id, shard) in zip(recipients, assignments):
                 self._inflight[worker_id] = \
                     self._inflight.get(worker_id, 0) + 1
-                worker.query(request_id, kind, shard)
+                worker.query(request_id, kind, shard, text)
             if self.metrics.enabled:
                 # scatter = partition + enqueue; the admission wait is its
                 # own span so backpressure is visible, not folded in.

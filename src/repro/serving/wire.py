@@ -37,6 +37,15 @@ than silently becoming lists.  Route answers travel as compact
 field-for-field, which is what makes a remote backend's answers
 list-for-list identical to a local one's.
 
+An ``answers`` frame has two encoders that produce the same bytes.
+:func:`encode_answers` + :func:`encode_frame` serialize the object tree:
+the definition of the format, what tools and the benchmark harness call,
+and the oracle the tests compare against.  :func:`encode_answer_texts` +
+:func:`splice_frame` are what a session uses: an answer's text is as pure
+a function of (artifact, pair) as the answer, so a route's is built once,
+where the route is cached, and joined into the envelope (a distance, a
+float, is spelled by whoever writes the frame).
+
 Failures are typed, never hangs: a short read mid-frame raises
 :class:`FrameError` (truncated), a bad magic or an absurd length prefix
 raises :class:`FrameError` (corrupt), a clean EOF *between* frames raises
@@ -53,7 +62,8 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from math import isfinite
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import NULL_REGISTRY
 from ..routing.tables import RouteTrace
@@ -78,6 +88,8 @@ __all__ = [
     "pack_pairs",
     "unpack_pairs",
     "encode_answers",
+    "encode_answer_texts",
+    "splice_frame",
     "decode_answers",
     "parse_endpoint",
     "hello_message",
@@ -138,21 +150,23 @@ class RemoteError(WireError):
 # canonical (de)serialization
 # ======================================================================
 
-def encode_message(message: Dict[str, Any]) -> bytes:
-    """Canonical payload bytes: sorted keys, compact separators, UTF-8.
+#: The one canonical text encoder.  ``allow_nan`` stays on deliberately:
+#: distance estimates are legitimately ``inf`` for pairs outside every
+#: bunch, and Python's JSON codec round-trips ``Infinity`` losslessly.
+_canonical_text = json.JSONEncoder(sort_keys=True,
+                                   separators=(",", ":")).encode
 
-    ``allow_nan`` stays on deliberately: distance estimates are
-    legitimately ``inf`` for pairs outside every bunch, and Python's JSON
-    codec round-trips ``Infinity`` losslessly.
-    """
-    return json.dumps(message, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+
+def encode_message(message: Dict[str, Any]) -> bytes:
+    """Canonical payload bytes: sorted keys, compact separators, UTF-8."""
+    return _canonical_text(message).encode("utf-8")
 
 
 def decode_payload(payload: bytes) -> Dict[str, Any]:
     try:
         message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad UTF-8 or JSON, an int beyond the digit limit, too deep a nest
         raise FrameError(f"undecodable frame payload: {exc}") from None
     if not isinstance(message, dict) or "type" not in message:
         raise FrameError(f"frame payload is not a typed message: "
@@ -160,24 +174,41 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
     return message
 
 
-def encode_frame(message: Dict[str, Any]) -> bytes:
-    payload = encode_message(message)
+def _frame(payload: bytes) -> bytes:
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(f"message of {len(payload)} bytes exceeds the "
                          f"{MAX_FRAME_BYTES}-byte frame bound")
     return _HEADER.pack(_MAGIC, len(payload)) + payload
 
 
-def write_frame(stream, message: Dict[str, Any],
-                metrics=NULL_REGISTRY) -> int:
+def encode_frame(message: Dict[str, Any]) -> bytes:
+    return _frame(encode_message(message))
+
+
+def splice_frame(envelope: Dict[str, Any], texts: Sequence[str]) -> bytes:
+    """``encode_frame({**envelope, "values": [...]})``, byte for byte, from
+    the values' canonical texts.  ``"values"`` must sort after every key of
+    the non-empty envelope (``id``, ``kind``, ``served``, ``type``)."""
+    head = encode_message(envelope)
+    try:
+        values = ",".join(texts).encode("utf-8")
+    except TypeError as exc:    # a backend handed over something else
+        raise FrameError(f"answers are not canonical texts: {exc}") from None
+    return _frame(b"".join((head[:-1], b',"values":[', values, b"]}")))
+
+
+def write_frame(stream, message: Dict[str, Any], metrics=NULL_REGISTRY,
+                texts: Optional[Sequence[str]] = None) -> int:
     """Serialize and send one frame; returns the bytes written.
 
     ``stream`` is any blocking binary writer (``socket.makefile("wb")``,
     ``io.BytesIO``).  Serialization cost and wire cost are timed into
     separate spans so sessions can tell encoding from transmission.
+    With ``texts``, ``message`` is the envelope of :func:`splice_frame`.
     """
     with metrics.span("serialize"):
-        frame = encode_frame(message)
+        frame = (encode_frame(message) if texts is None
+                 else splice_frame(message, texts))
     with metrics.span("wire_send"):
         stream.write(frame)
         stream.flush()
@@ -283,25 +314,62 @@ def encode_answers(kind: str, values) -> List[Any]:
     } for trace in values]
 
 
+def encode_answer_texts(kind: str, values, metrics=NULL_REGISTRY) -> List[str]:
+    """Each answer's canonical text: exactly what :func:`encode_message`
+    emits for its :func:`encode_answers` record.
+
+    A route's text is built once and kept on the trace
+    (``RouteTrace.wire_text``): whoever caches the trace encodes it on first
+    use, a hit is a lookup, eviction drops it; ``route_answers_encoded``
+    counts texts built.  A finite distance is ``float.__repr__``.
+    """
+    if kind == "distance":
+        return [float.__repr__(value) if isfinite(value)
+                else _canonical_text(value) for value in map(float, values)]
+    texts = []
+    built = 0
+    for trace in values:
+        text = trace.wire_text
+        if text is None:
+            text = trace.wire_text = _canonical_text(
+                encode_answers(kind, (trace,))[0])
+            built += 1
+        texts.append(text)
+    if built:
+        metrics.counter("route_answers_encoded").inc(built)
+    return texts
+
+
 def decode_answers(kind: str, values) -> List[Any]:
     """Rebuild answers from the wire, field-for-field.
 
     Route answers come back as real :class:`RouteTrace` objects, so remote
-    results compare equal (``==``, list-for-list) to local ones.
+    results compare equal (``==``, list-for-list) to local ones.  Anything
+    that is not a well-formed answer list raises :class:`FrameError`.
     """
-    if kind == "distance":
-        return [float(value) for value in values]
     try:
-        return [RouteTrace(source=unpack_node(record["s"]),
-                           target=unpack_node(record["t"]),
-                           path=[unpack_node(node) for node in record["p"]],
-                           delivered=record["d"],
-                           weight=record["w"],
-                           fallback_hops=record["f"],
-                           estimate=record["e"])
-                for record in values]
-    except (KeyError, TypeError) as exc:
-        raise FrameError(f"malformed route answer: {exc}") from None
+        if not isinstance(values, list):
+            raise TypeError(f"values is a {type(values).__name__}")
+        if kind == "distance":
+            return [float(value) for value in values]
+        traces = []
+        for record in values:
+            path = record["p"]
+            if not isinstance(path, list):
+                raise TypeError(f"path is a {type(path).__name__}")
+            traces.append(RouteTrace(
+                source=unpack_node(record["s"]),
+                target=unpack_node(record["t"]),
+                # only a tagged node (a plain dict off json.loads) needs it
+                path=[unpack_node(node) if type(node) is dict else node
+                      for node in path],
+                delivered=record["d"],
+                weight=record["w"],
+                fallback_hops=record["f"],
+                estimate=record["e"]))
+        return traces
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FrameError(f"malformed {kind} answers: {exc}") from None
 
 
 # ======================================================================

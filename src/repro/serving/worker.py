@@ -29,6 +29,7 @@ from ..obs.metrics import merge_exports
 from .cache import ServingStats
 from .config import CacheConfig
 from .service import RoutingService, answer_batch
+from .wire import encode_answer_texts
 from .workloads import stable_node_hash
 
 __all__ = ["Worker"]
@@ -218,9 +219,14 @@ def _shard_worker(worker_id: int, artifact_path: str,
 
     Protocol (all messages are tuples; the first element is the tag):
 
-    * in  ``("query", request_id, kind, [(index, pair), ...])``
+    * in  ``("query", request_id, kind, [(index, pair), ...], text)``
       out ``("ok", worker_id, request_id, [(index, result), ...])`` or
-      ``("error", worker_id, request_id, summary, traceback_text)``
+      ``("error", worker_id, request_id, summary, traceback_text)``;
+      ``text`` false asks for result *objects* (in-process callers, a
+      session's distances), true for each result's canonical v1 wire text,
+      which a ``ServerSession`` splices into its reply as it is: the worker
+      owns the result cache, so it builds a route's text once and keeps it
+      with the entry (:func:`~repro.serving.wire.encode_answer_texts`)
     * in  ``("stats",)``    → out ``("stats", worker_id, ServingStats)``
     * in  ``("ping", seq)`` → out ``("pong", worker_id, seq)``
     * in  ``("shutdown",)`` → out ``("bye", worker_id, ServingStats)``, exit
@@ -312,25 +318,25 @@ def _shard_worker(worker_id: int, artifact_path: str,
             results.put(("error", worker_id, None,
                          f"unknown command {tag!r}", ""))
             continue
-        _, request_id, kind, indexed_pairs = message
+        _, request_id, kind, indexed_pairs, text = message
         try:
             own, other = split(indexed_pairs)
+            if other and cover_service is None:
+                cover_service = RoutingService.load(
+                    cover_artifact_path, cache_config=cache_config,
+                    kernel=kernel, telemetry=telemetry)
             indexed_values = []
-            if own:
-                values = answer_batch(service, kind,
-                                      [pair for _, pair in own])
-                indexed_values.extend(
-                    (index, value) for (index, _), value in zip(own, values))
-            if other:
-                if cover_service is None:
-                    cover_service = RoutingService.load(
-                        cover_artifact_path, cache_config=cache_config,
-                        kernel=kernel, telemetry=telemetry)
-                values = answer_batch(cover_service, kind,
-                                      [pair for _, pair in other])
+            for answering, items in ((service, own), (cover_service, other)):
+                if not items:
+                    continue
+                values = answer_batch(answering, kind,
+                                      [pair for _, pair in items])
+                if text:
+                    values = encode_answer_texts(kind, values,
+                                                 answering.metrics)
                 indexed_values.extend(
                     (index, value) for (index, _), value
-                    in zip(other, values))
+                    in zip(items, values))
         except Exception as exc:
             results.put(("error", worker_id, request_id,
                          f"{type(exc).__name__}: {exc}",
@@ -410,8 +416,9 @@ class Worker:
             return False
         return True
 
-    def query(self, request_id: int, kind: str, shard: List) -> bool:
-        return self._send(("query", request_id, kind, shard))
+    def query(self, request_id: int, kind: str, shard: List,
+              text: bool) -> bool:
+        return self._send(("query", request_id, kind, shard, text))
 
     def request_stats(self) -> bool:
         return self._send(("stats",))

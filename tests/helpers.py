@@ -1,0 +1,32 @@
+"""Helpers shared by test modules (plain imports, not fixtures)."""
+
+import functools
+import threading
+
+import pytest
+
+
+def watchdog(seconds):
+    """Run the test body on a daemon thread and fail — instead of hanging
+    the suite — when it is still running after ``seconds``."""
+    def wrap(test):
+        @functools.wraps(test)
+        def run(*args, **kwargs):
+            outcome = {}
+
+            def body():
+                try:
+                    test(*args, **kwargs)
+                except BaseException as exc:   # noqa: BLE001 - re-raised
+                    outcome["error"] = exc
+
+            thread = threading.Thread(target=body, daemon=True)
+            thread.start()
+            thread.join(seconds)
+            if thread.is_alive():
+                pytest.fail(f"{test.__name__} still running after "
+                            f"{seconds}s (a blocking call hung)")
+            if "error" in outcome:
+                raise outcome["error"]
+        return run
+    return wrap

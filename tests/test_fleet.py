@@ -35,6 +35,7 @@ from repro.serving import (
     write_shard_artifacts,
 )
 from repro.serving.worker import Worker
+from helpers import watchdog
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +275,56 @@ class TestChaosRecovery:
                      message="respawn after slice regeneration")
             assert os.path.exists(sharded.sub_artifact_paths[1])
         assert answers == expected
+
+    @watchdog(60.0)
+    def test_worker_killed_while_warming_is_requeued(self, fleet_graph,
+                                                     artifact_path,
+                                                     reference_service,
+                                                     monkeypatch):
+        """A respawn that dies loading its artifact (OOM, SIGKILL) says
+        neither ``ready`` nor ``failed``.  Nobody looked at warming slots,
+        so the slot stayed ``warming`` forever: no retry, scaling blocked."""
+        import repro.serving.worker as worker_mod
+
+        class DiesLoading:
+            @staticmethod
+            def load(*args, **kwargs):
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        workload = make_workload("zipf", fleet_graph, 200, seed=13)
+        expected = reference_service.route_batch(workload.pairs)
+        with open_fleet(artifact_path, num_workers=3) as sharded:
+            assert sharded._ctx.get_start_method() == "fork"
+            real_spawn, doomed = sharded._spawn, []
+
+            def spawn(worker_id):
+                if doomed:
+                    return real_spawn(worker_id)
+                # The forked child inherits the patched name and kills
+                # itself where the artifact load would start.
+                with monkeypatch.context() as patch:
+                    patch.setattr(worker_mod, "RoutingService", DiesLoading)
+                    doomed.append(real_spawn(worker_id))
+                return doomed[0]
+
+            sharded._spawn = spawn
+            kill_worker(sharded, 1)
+            routes = []
+            for start in range(0, len(workload.pairs), 20):
+                routes.extend(
+                    sharded.route_batch(workload.pairs[start:start + 20]))
+            wait_for(lambda: sharded._fleet.respawns >= 1,
+                     message="the retried respawn turning ready")
+            status = sharded._fleet.status()
+            assert len(doomed) == 1 and not doomed[0].is_alive()
+            assert sharded._fleet._respawns_started == 2
+        assert routes == expected
+        # Not the exact map: on a loaded host the autoscaler may by now
+        # have parked an idle sibling (min_workers is 1 here).
+        assert status["workers"]["1"] == "alive"
+        assert "warming" not in status["workers"].values()
+        assert status["worker_deaths"] == 1     # the warm-up death is a
+        assert status["respawns"] == 1          # failed respawn, not a death
 
     def test_budget_exhaustion_degrades_to_fleet_error(self, fleet_graph,
                                                        artifact_path):

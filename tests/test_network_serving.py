@@ -14,26 +14,34 @@ Three layers under test, bottom up:
   with bounded in-flight windows and admission control.
 """
 
+import copy
 import dataclasses
-import functools
 import gc
 import io
 import os
+import pickle
 import signal
+import socket
 import struct
 import sys
 import threading
 import time
 import warnings
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import watchdog
 from repro import graphs
+from repro.obs.metrics import make_registry
 from repro.serving import (
     BuildConfig,
     BackpressureError,
     CacheConfig,
     ClientSession,
+    FleetConfig,
     FrameError,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -51,18 +59,22 @@ from repro.serving import (
     parse_endpoint,
     partition_pairs,
     read_frame,
+    stable_node_hash,
     write_frame,
     zipf_workload,
 )
+from repro.routing.tables import RouteTrace
 from repro.serving.wire import (
     check_hello,
     decode_answers,
+    encode_answer_texts,
     encode_answers,
     encode_frame,
     encode_message,
     hello_message,
     pack_node,
     pack_pairs,
+    splice_frame,
     unpack_node,
     unpack_pairs,
 )
@@ -175,6 +187,50 @@ class TestWireFrames:
         assert decode_answers("distance",
                               encode_answers("distance", values)) == values
 
+    @pytest.mark.parametrize("values", [["abc"], [None], [[1]], 5, None,
+                                        {"0": 1.0}, [10 ** 400]])
+    def test_malformed_distance_answers_raise_frame_error(self, values):
+        # used to leak ValueError / TypeError: only the route branch was
+        # inside the try
+        with pytest.raises(FrameError, match="malformed distance answers"):
+            decode_answers("distance", values)
+
+    @pytest.mark.parametrize("values", [
+        5, None, "abc",                                    # not a list
+        [[1, 2, 3]], ["s"], [None], [7],                   # non-dict record
+        [{"s": 1, "t": 2, "d": True, "w": 1.0, "f": 0, "e": 1.0}],  # no "p"
+        [{"s": 1, "t": 2, "p": 5, "d": True, "w": 1.0, "f": 0, "e": 1.0}],
+        [{"s": 1, "t": 2, "p": "12", "d": True, "w": 1.0, "f": 0, "e": 1.0}],
+        [{"s": 1, "t": 2, "p": {"__t": [1]}, "d": True, "w": 1.0, "f": 0,
+          "e": 1.0}],                                      # "p" not a list
+        [{"s": 1, "t": 2, "p": [1, {"__t": [1], "x": 2}], "d": True,
+          "w": 1.0, "f": 0, "e": 1.0}],                    # bad tagged node
+        [{"s": {"t": [1]}, "t": 2, "p": [], "d": True, "w": 1.0, "f": 0,
+          "e": 1.0}],
+        [{"s": 1, "t": {"__t": 5}, "p": [], "d": True, "w": 1.0, "f": 0,
+          "e": 1.0}],                                      # tag holds no list
+    ])
+    def test_malformed_route_answers_raise_frame_error(self, values):
+        with pytest.raises(FrameError, match="malformed"):
+            decode_answers("route", values)
+
+    def test_route_decode_unpacks_tagged_nodes_only(self):
+        trace = RouteTrace((0, 1), "v", [(0, 1), 7, "k", ((2, 3), None), "v"],
+                           True, 4.0, 1, 4.5)
+        record = read_frame(io.BytesIO(encode_frame(
+            {"type": "answers",
+             "values": encode_answers("route", [trace])})))["values"]
+        assert decode_answers("route", record) == [trace]
+
+    @pytest.mark.parametrize("payload", [
+        b"[" * 100000,                          # nesting beyond the stack
+        b'{"type":"answers","id":' + b"9" * 5000 + b"}",   # int digit limit
+    ])
+    def test_payload_the_json_parser_refuses_is_a_frame_error(self, payload):
+        frame = struct.pack(">2sI", b"RW", len(payload)) + payload
+        with pytest.raises(FrameError, match="undecodable"):
+            read_frame(io.BytesIO(frame))
+
     def test_parse_endpoint(self):
         assert parse_endpoint("localhost:80") == ("localhost", 80)
         assert parse_endpoint(":9000") == ("", 9000)
@@ -249,6 +305,38 @@ class TestHandshake:
         with pytest.raises(FrameError, match="truncated"):
             client.distance_batch([(nodes[0], nodes[1])])
         client.close()
+
+    @pytest.mark.parametrize("corrupt", [
+        {"served": {"queries": "many", "batches": 1}},   # not an integer
+        {"served": {"queries": None}},
+        {"served": {"queries": [1]}},
+        {"served": {"queries": float("inf")}},
+        {"values": ["abc"]}, {"values": [None]}, {"values": [[1]]},
+        {"values": 5}, {"values": None},
+    ])
+    def test_malformed_answers_frame_fails_its_own_request_typed(
+            self, corrupt):
+        # A well-framed reply with hostile contents used to escape gather
+        # as a bare ValueError/TypeError; now it is that request's
+        # FrameError and, the stream being in step, the session goes on.
+        welcome = encode_frame({"type": "welcome",
+                                "protocol": PROTOCOL_VERSION,
+                                "server": "t", "config": None})
+        bad = {"type": "answers", "id": 1, "kind": "distance",
+               "values": [1.0], "served": {"queries": 1, "batches": 1}}
+        good = dict(bad, id=2, values=[2.5],
+                    served={"queries": 2, "batches": 2})
+        client = ClientSession(
+            io.BytesIO(welcome + encode_frame({**bad, **corrupt})
+                       + encode_frame(good)), io.BytesIO())
+        first = client.submit("distance", [(0, 1)])
+        second = client.submit("distance", [(0, 2)])
+        assert client.gather(second) == [2.5]
+        with pytest.raises(FrameError, match="malformed"):
+            client.gather(first)
+        with pytest.raises(KeyError):       # resolved, not left pending
+            client.gather(first)
+        client._teardown()
 
     def test_unclosed_client_session_warns_with_endpoint(self, server):
         client = ClientSession.connect(server.address, timeout=5.0,
@@ -541,7 +629,9 @@ class TestPipelinedSharded:
                                                   net_graph):
         config = dataclasses.replace(net_config, workers=2,
                                      pipeline_depth=1, admission="reject")
-        pairs = zipf_workload(net_graph.nodes(), 400, seed=2).pairs
+        # large enough that the workers cannot finish `first` in the
+        # instant between the two submits, even if this thread is preempted
+        pairs = zipf_workload(net_graph.nodes(), 4000, seed=2).pairs
         with open_service(config, graph=net_graph) as service:
             service.distance_batch(pairs[:4])   # warm: spawn cost paid
             first = service.submit_batch("distance", pairs)
@@ -613,32 +703,6 @@ class TestPipelinedSharded:
 # ======================================================================
 # server-side session pipeline
 # ======================================================================
-def watchdog(seconds):
-    """Run the test body on a daemon thread and fail — instead of hanging
-    the suite — when it is still running after ``seconds``."""
-    def wrap(test):
-        @functools.wraps(test)
-        def run(*args, **kwargs):
-            outcome = {}
-
-            def body():
-                try:
-                    test(*args, **kwargs)
-                except BaseException as exc:   # noqa: BLE001 - re-raised
-                    outcome["error"] = exc
-
-            thread = threading.Thread(target=body, daemon=True)
-            thread.start()
-            thread.join(seconds)
-            if thread.is_alive():
-                pytest.fail(f"{test.__name__} still running after "
-                            f"{seconds}s (a blocking call hung)")
-            if "error" in outcome:
-                raise outcome["error"]
-        return run
-    return wrap
-
-
 class _Ticket:
     def __init__(self, number, kind, pairs):
         self.number = number
@@ -1023,3 +1087,332 @@ def test_drain_keeps_the_answer_computed_while_closing():
         client.close()
         backend.closer.join(timeout=15.0)
     assert not backend.closer.is_alive()
+
+
+# ======================================================================
+# an answer is encoded once, where it is cached; the frame is spliced
+# ======================================================================
+_NODES = st.recursive(
+    st.one_of(st.integers(), st.text(), st.floats(), st.booleans(),
+              st.none(), st.sampled_from(['a"b', "naïve ☃", "\\"])),
+    lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6)
+_NUMBERS = st.one_of(st.floats(), st.integers(-10 ** 6, 10 ** 6),
+                     st.sampled_from([float("inf"), float("-inf"),
+                                      float("nan")]))
+_TRACES = st.builds(
+    RouteTrace, source=_NODES, target=_NODES,
+    path=st.lists(_NODES, max_size=6), delivered=st.booleans(),
+    weight=_NUMBERS, fallback_hops=st.integers(0, 50),
+    estimate=st.one_of(st.none(), _NUMBERS))
+
+
+def _answers_frame(request_id, kind, values, queries, batches):
+    """The reply frame the object-tree codec builds: the byte oracle."""
+    return encode_frame({"type": "answers", "id": request_id, "kind": kind,
+                         "values": encode_answers(kind, values),
+                         "served": {"queries": queries, "batches": batches}})
+
+
+class _RawClient:
+    """A v1 client that keeps reply frames as the bytes they arrived in."""
+
+    def __init__(self, address):
+        host, port = parse_endpoint(address)
+        self.sock = socket.create_connection((host, port), timeout=5.0)
+        self.sock.settimeout(30.0)
+        self.rfile = self.sock.makefile("rb")
+        self.send(encode_frame(hello_message("raw")))
+        assert read_frame(io.BytesIO(self.read()))["type"] == "welcome"
+
+    def send(self, *frames):
+        self.sock.sendall(b"".join(frames))
+
+    def read(self):
+        header = self.rfile.read(6)
+        return header + self.rfile.read(struct.unpack(">2sI", header)[1])
+
+    def exchange(self, *frames):
+        self.send(*frames)
+        return [self.read() for _ in frames]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.rfile.close()
+        self.sock.close()
+
+
+class _StrictPipelinedBackend:
+    """``submit_batch(kind, pairs)`` and nothing else, answering in
+    objects through a real service: what a third-party backend looks like."""
+
+    pipeline_depth = 4
+
+    def __init__(self, service):
+        self.service = service
+
+    def submit_batch(self, kind, pairs):
+        return kind, list(pairs)
+
+    def wait_batch(self, ticket):
+        kind, pairs = ticket
+        return (self.service.route_batch(pairs) if kind == "route"
+                else self.service.distance_batch(pairs))
+
+    def query_stats(self):
+        return ServingStats()
+
+
+class TestEncodeOnce:
+    @watchdog(120.0)
+    @settings(max_examples=150, deadline=None)
+    @given(traces=st.lists(_TRACES, max_size=5),
+           distances=st.lists(st.one_of(_NUMBERS, st.booleans()), max_size=8),
+           request_id=st.one_of(st.none(), st.integers(), st.text()),
+           served=st.fixed_dictionaries({"queries": st.integers(0),
+                                         "batches": st.integers(0)}))
+    def test_spliced_frame_equals_the_object_tree_codec(
+            self, traces, distances, request_id, served):
+        for kind, values in (("route", traces), ("distance", distances)):
+            envelope = {"type": "answers", "id": request_id, "kind": kind,
+                        "served": served}
+            want = encode_frame({**envelope,
+                                 "values": encode_answers(kind, values)})
+            for _ in range(2):      # the second pass is all memo hits
+                texts = encode_answer_texts(kind, values)
+                assert splice_frame(envelope, texts) == want
+
+    @watchdog(60.0)
+    def test_raw_frames_identical_sharded_local_and_oracle_cold_and_warm(
+            self, net_config, net_graph):
+        pairs = zipf_workload(net_graph.nodes(), 90, seed=23).pairs
+        batches = [pairs[:40], pairs[40:41], [], pairs[41:]]
+        requests = [(index * 3, kind, batch)
+                    for index, batch in enumerate(batches)
+                    for kind in ("route", "distance")]
+        requests[2] = ("two", ) + requests[2][1:]
+        frames = [_query(request_id, batch, kind=kind)
+                  for request_id, kind, batch in requests]
+        with open_service(net_config) as oracle:
+            answers = [oracle.route_batch(batch) if kind == "route"
+                       else oracle.distance_batch(batch)
+                       for _, kind, batch in requests]
+        want, queries = [], 0
+        for number, ((request_id, kind, batch), values) in enumerate(
+                zip(requests * 2, answers * 2), start=1):
+            queries += len(batch)
+            want.append(_answers_frame(request_id, kind, values, queries,
+                                       number))
+        sharded_config = dataclasses.replace(net_config, workers=2)
+        for config in (sharded_config, net_config):
+            with open_service(config, graph=net_graph) as backend, \
+                    RoutingServer(backend, "127.0.0.1:0") as srv, \
+                    _RawClient(srv.address) as raw:
+                cold = raw.exchange(*frames)
+                warm = raw.exchange(*frames)
+            assert cold + warm == want
+
+    @watchdog(60.0)
+    def test_backend_that_answers_in_objects_is_encoded_by_the_session(
+            self, local_backend, net_graph):
+        # TestServerPipelining's fakes keep submit_batch(kind, pairs); so
+        # does this one, with route answers: same frames, encoded here.
+        pairs = zipf_workload(net_graph.nodes(), 30, seed=5).pairs
+        backend = _StrictPipelinedBackend(local_backend)
+        rfile = io.BytesIO(encode_frame(hello_message())
+                           + _query(1, pairs, kind="route")
+                           + _query(2, pairs, kind="distance"))
+        wfile = io.BytesIO()
+        ServerSession(backend, rfile, wfile).serve()
+        assert wfile.getvalue().endswith(
+            _answers_frame(1, "route", local_backend.route_batch(pairs),
+                           30, 1)
+            + _answers_frame(2, "distance",
+                             local_backend.distance_batch(pairs), 60, 2))
+
+    @watchdog(30.0)
+    def test_backend_handing_over_non_texts_is_an_error_in_its_slot(self):
+        # submit_texts promises canonical texts; a backend that breaks the
+        # promise must cost its own request, not the session (the writer is
+        # not the thread that reads: a dead writer is a client-side hang).
+        class Liar(FakePipelinedBackend):
+            def submit_texts(self, kind, pairs):
+                return self.submit_batch(kind, pairs)   # resolves to floats
+
+        # The session asks for texts only for routes (where a memo can
+        # hit); the distance batch takes submit_batch and is answered.
+        replies = _serve_frames(Liar(), _query(1, [(1, 2)], kind="route"),
+                                _query(2, [(1, 2)]),
+                                encode_frame({"type": "close"}))
+        assert [(r["type"], r.get("id"), r.get("code")) for r in replies] \
+            == [("error", 1, "backend"), ("answers", 2, None),
+                ("bye", None, None)]
+        assert "canonical texts" in replies[0]["message"]
+
+    @watchdog(60.0)
+    def test_killed_worker_text_tickets_are_rescattered_as_texts(
+            self, net_config, net_graph, local_backend):
+        pairs = zipf_workload(net_graph.nodes(), 300, seed=31).pairs
+        assert any(stable_node_hash(s) % 3 == 0 for s, _ in pairs)
+        service = ShardedRoutingService(
+            net_config.artifact_path, num_workers=3,
+            partitioner="hash_source", reply_timeout=30.0,
+            fleet=FleetConfig(heartbeat_interval=0.05, respawn_limit=5))
+        with service, RoutingServer(service, "127.0.0.1:0") as srv, \
+                _RawClient(srv.address) as raw:
+            victim = service._workers[0].process
+            # Stopped, the victim takes its shard into the pipe but never
+            # answers it; killed, its shard must reach siblings *as a
+            # text-form request* or the splice would meet RouteTraces.
+            os.kill(victim.pid, signal.SIGSTOP)
+            raw.send(_query(9, pairs, kind="route"))
+            deadline = time.monotonic() + 20.0
+            while not service._tickets and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert [t.text for t in service._tickets.values()] == [True]
+            os.kill(victim.pid, signal.SIGKILL)
+            reply = raw.read()
+            assert service._fleet.worker_deaths == 1
+        assert reply == _answers_frame(9, "route",
+                                       local_backend.route_batch(pairs),
+                                       len(pairs), 1)
+
+    @watchdog(90.0)
+    def test_object_caller_and_session_share_one_front_end(
+            self, sharded_service, local_backend, net_graph):
+        pairs = zipf_workload(net_graph.nodes(), 400, seed=37).pairs
+        want = local_backend.route_batch(pairs)
+        failures = []
+
+        def in_process():
+            for _ in range(6):
+                got = sharded_service.route_batch(pairs)
+                if got != want or not all(type(t) is RouteTrace for t in got):
+                    failures.append("in-process caller got wrong objects")
+
+        caller = threading.Thread(target=in_process, daemon=True)
+        with RoutingServer(sharded_service, "127.0.0.1:0") as srv, \
+                ClientSession.connect(srv.address, timeout=5.0,
+                                      reply_timeout=60.0) as client:
+            caller.start()
+            tickets = [client.submit("route", pairs) for _ in range(6)]
+            for ticket in tickets:
+                if client.gather(ticket) != want:
+                    failures.append("session got wrong answers")
+            caller.join(timeout=60.0)
+        assert not caller.is_alive()
+        assert not failures, failures
+
+    @watchdog(30.0)
+    def test_text_memo_is_invisible_and_a_hit_encodes_nothing(self):
+        plain = RouteTrace((0, 1), "t", [(0, 1), 5, "t"], True, 7.5, 1, 8.0)
+        memoed = dataclasses.replace(plain)
+        metrics = make_registry(True)
+        first = encode_answer_texts("route", [memoed, memoed], metrics)
+        assert memoed.wire_text == first[0] == first[1]
+        assert metrics.export()["route_answers_encoded"]["value"] == 1
+        assert encode_answer_texts("route", [memoed], metrics) == first[:1]
+        assert metrics.export()["route_answers_encoded"]["value"] == 1
+        assert plain.wire_text is None
+        assert memoed == plain and repr(memoed) == repr(plain)
+        assert memoed.as_dict() == plain.as_dict()
+        assert [f.name for f in dataclasses.fields(memoed)] == [
+            "source", "target", "path", "delivered", "weight",
+            "fallback_hops", "estimate"]
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            blob = pickle.dumps(memoed, protocol)
+            assert blob == pickle.dumps(plain, protocol)
+            assert pickle.loads(blob).wire_text is None
+        assert copy.copy(memoed).wire_text is None
+        # the object-tree codec neither reads nor fills the memo
+        memoed.wire_text = "stale"
+        assert encode_answers("route", [memoed]) == \
+            encode_answers("route", [plain])
+        assert plain.wire_text is None
+
+    @watchdog(60.0)
+    def test_concurrent_writers_may_race_to_fill_the_same_memo(self):
+        # Sessions over a local backend encode outside the shared lock, so
+        # two writers can meet on one cached trace: both must get the text.
+        traces = [RouteTrace(i, (i, "t"), list(range(i % 7)), True, 1.5 * i,
+                             0, None) for i in range(300)]
+        want = [encode_message(record).decode("ascii")
+                for record in encode_answers("route", traces)]
+        got = [None] * 6
+
+        def encode(slot):
+            got[slot] = encode_answer_texts("route", traces)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=encode, args=(slot,),
+                                        daemon=True) for slot in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * 6
+
+    @watchdog(30.0)
+    def test_text_memo_dies_with_its_cache_entry(self, net_config, net_graph):
+        nodes = net_graph.nodes()
+        config = dataclasses.replace(net_config, cache=CacheConfig(capacity=1))
+        with open_service(config) as service:
+            trace = service.route_batch([(nodes[0], nodes[1])])[0]
+            encode_answer_texts("route", [trace])
+            assert service.route_batch([(nodes[0], nodes[1])])[0].wire_text
+            fate = weakref.ref(trace)
+            del trace
+            service.route_batch([(nodes[2], nodes[3])])     # evicts it
+            gc.collect()
+            assert fate() is None
+            assert service.route_batch(
+                [(nodes[0], nodes[1])])[0].wire_text is None
+
+    @watchdog(60.0)
+    def test_workers_encode_each_cached_route_once(self, net_config,
+                                                   net_graph):
+        pairs = zipf_workload(net_graph.nodes(), 500, seed=41).pairs
+        # hash_pair: a pair has one home worker, so one cache entry
+        config = dataclasses.replace(net_config, workers=2, telemetry=True,
+                                     partitioner="hash_pair")
+        with open_service(config, graph=net_graph) as service:
+            def encoded():
+                telemetry = service.query_stats().extra["telemetry"]
+                return telemetry.get("route_answers_encoded",
+                                     {"value": 0})["value"]
+
+            service.route_batch(pairs)          # object form: no encoding
+            assert encoded() == 0
+            texts = service.wait_batch(service.submit_texts("route", pairs))
+            assert all(type(text) is str for text in texts)
+            assert encoded() == len(set(pairs))
+            assert service.wait_batch(
+                service.submit_texts("route", pairs)) == texts
+            service.wait_batch(service.submit_texts("distance", pairs))
+            assert encoded() == len(set(pairs))
+
+    @watchdog(60.0)
+    @pytest.mark.parametrize("backend_name", ["local_backend",
+                                              "sharded_service"])
+    def test_oversize_spliced_reply_is_an_error_carrying_its_id(
+            self, backend_name, request, net_graph, monkeypatch):
+        import repro.serving.wire as wire_mod
+        backend = request.getfixturevalue(backend_name)
+        pairs = zipf_workload(net_graph.nodes(), 600, seed=43).pairs
+        frames = [_query("small", pairs[:3], kind="route"),
+                  _query("large", pairs, kind="route"),
+                  _query(3, pairs[:3], kind="route"),
+                  encode_frame({"type": "close"})]
+        # from here on only the 600-route reply (~50 kB) is too large
+        monkeypatch.setattr(wire_mod, "MAX_FRAME_BYTES", 20000)
+        replies = _serve_frames(backend, *frames)
+        assert [(r["type"], r.get("id"), r.get("code")) for r in replies] \
+            == [("answers", "small", None), ("error", "large", "backend"),
+                ("answers", 3, None), ("bye", None, None)]
+        assert "frame bound" in replies[1]["message"]
