@@ -308,7 +308,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     serve_args = serve_parser.parse_args(serve_args_raw)
     config = config_from_args(serve_args, serve_parser)
 
-    record, _stats, ok = run_serving_session(config, hot=serve_args.hot,
+    record, _stats, ok = run_serving_session(config,
                                              trace_out=serve_args.trace_out)
     record = dict(record)
     record["ok"] = ok
@@ -321,7 +321,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     write_run_directory(run_dir, record, {
         "name": args.name,
         "run_id": run_id,
-        "hot": serve_args.hot,
         "trace_out": serve_args.trace_out,
         "serving": config.to_dict(),
     })

@@ -58,7 +58,7 @@ __all__ = ["CompactRoutingHierarchy", "HierarchyBuildReport", "LazyLevelData",
 #: Sentinel distinguishing "absent from the bunch" from any real estimate.
 _ABSENT = object()
 
-#: Default bound on the per-hierarchy pivot-row cache.  On mmap backends a
+#: The bound on the per-hierarchy pivot-row cache.  On mmap backends a
 #: pivot row is one contiguous record-slice read, so caching buys little and
 #: an unbounded dict just mirrors the pivot table into Python objects under
 #: uniform workloads; the bound keeps the win for skewed streams without
@@ -69,10 +69,8 @@ PIVOT_ROW_CACHE_CAP = 65536
 class _PivotRowCache:
     """Bounded LRU for resolved pivot rows, with hit/eviction counters.
 
-    ``capacity == 0`` disables caching entirely (every ``get`` misses,
-    ``put`` is a no-op) — benchmarks use that to measure cold-query cost
-    without monkey-patching.  Counters are cumulative across
-    :meth:`clear` so serving stats see lifetime totals.
+    Counters are cumulative across :meth:`clear` so serving stats see
+    lifetime totals.
     """
 
     __slots__ = ("capacity", "hits", "misses", "evictions", "_entries")
@@ -100,19 +98,9 @@ class _PivotRowCache:
         return row
 
     def put(self, key: Hashable, row) -> None:
-        if self.capacity == 0:
-            return
         self._entries[key] = row
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def resize(self, capacity: int) -> None:
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        self.capacity = capacity
-        while len(self._entries) > capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
 
@@ -605,10 +593,6 @@ class CompactRoutingHierarchy:
                 row = tuple(self._target_pivot(target, l) for l in range(self.k))
             self._pivot_row_cache.put(target, row)
         return row
-
-    def set_pivot_row_cache_cap(self, capacity: int) -> None:
-        """Rebound the pivot-row LRU (``0`` disables it), trimming if needed."""
-        self._pivot_row_cache.resize(capacity)
 
     def pivot_row_cache_info(self) -> Dict[str, int]:
         """Lifetime counters for the pivot-row LRU (capacity/size/hits/

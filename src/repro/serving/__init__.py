@@ -2,7 +2,7 @@
 
 This package turns built routing structures into a servable product — the
 bridge from the paper's preprocessing theorems to a query-serving system.
-The public surface (API v2) is one typed, policy-pluggable contract:
+The public surface (API v2) is one typed contract:
 
 * :mod:`repro.serving.backend`   — the :class:`QueryBackend` protocol and
   the :func:`open_service` factory that returns a local or sharded backend
@@ -12,7 +12,7 @@ The public surface (API v2) is one typed, policy-pluggable contract:
   :class:`ServingConfig`) with lossless ``to_dict``/``from_dict``
   round-trips and artifact-header provenance;
 * :mod:`repro.serving.registry`  — string-keyed registries for
-  partitioners, cache policies, hot-set policies and workloads
+  partitioners, workloads, query kernels and graph families
   (``register_*`` to extend, names resolve everywhere configs are used);
 * :mod:`repro.serving.artifacts` — the one mmap-able artifact format:
   save/load of built hierarchies and PDE results with integrity checking
@@ -32,8 +32,6 @@ The public surface (API v2) is one typed, policy-pluggable contract:
   queue-depth-driven scaling between ``min_workers`` and ``max_workers``;
 * :mod:`repro.serving.cache`     — LRU result caching and the
   :class:`ServingStats` counters;
-* :mod:`repro.serving.policies`  — hot-set policies (explicit
-  precomputation and online promotion from LRU hit counts);
 * :mod:`repro.serving.partitioners` — shard partitioners (round-robin,
   stable pair hash, stable source hash);
 * :mod:`repro.serving.workloads` — reproducible uniform / Zipf / locality /
@@ -69,30 +67,23 @@ from .artifacts import (
     write_artifact_v2,
     write_shard_artifacts,
 )
-from .cache import LFUCache, LRUCache, ServingStats
+from .cache import LRUCache, ServingStats
 from .config import BuildConfig, CacheConfig, ServingConfig, WorkloadConfig
 from .registry import (
-    CACHE_POLICIES,
     GRAPH_FAMILIES,
-    HOT_SET_POLICIES,
     PARTITIONERS,
     QUERY_KERNELS,
     WORKLOADS,
     Registry,
-    get_cache_policy,
     get_graph_family,
-    get_hot_set_policy,
     get_partitioner,
     get_query_kernel,
     get_workload,
-    register_cache_policy,
     register_graph_family,
-    register_hot_set_policy,
     register_partitioner,
     register_query_kernel,
     register_workload,
 )
-from .policies import ExplicitHotSet, HotSetPolicy, OnlineHotSet
 from .service import (
     RoutingService,
     answer_batch,
@@ -163,33 +154,23 @@ __all__ = [
     # registries
     "Registry",
     "PARTITIONERS",
-    "CACHE_POLICIES",
-    "HOT_SET_POLICIES",
     "WORKLOADS",
     "QUERY_KERNELS",
     "GRAPH_FAMILIES",
     "register_partitioner",
-    "register_cache_policy",
-    "register_hot_set_policy",
     "register_workload",
     "register_query_kernel",
     "register_graph_family",
     "get_partitioner",
-    "get_cache_policy",
-    "get_hot_set_policy",
     "get_workload",
     "get_query_kernel",
     "get_graph_family",
     "resolve_query_kernel",
-    # policies and partitioners
-    "HotSetPolicy",
-    "ExplicitHotSet",
-    "OnlineHotSet",
+    # partitioners
     "Partitioner",
     "make_partitioner",
     # backends
     "LRUCache",
-    "LFUCache",
     "ServingStats",
     "RoutingService",
     "build_or_load_service",

@@ -13,12 +13,12 @@ v2 surface collapses that into one typed contract and one factory:
   :class:`~repro.serving.config.ServingConfig` (plus optionally an
   in-memory graph) and get back a ready :class:`QueryBackend`; the config's
   ``workers`` field selects the local or sharded implementation, its
-  :class:`~repro.serving.config.CacheConfig` installs the cache and
-  hot-set policies, and its artifact path drives the build-or-load flow
+  :class:`~repro.serving.config.CacheConfig` sizes the result caches,
+  and its artifact path drives the build-or-load flow
   (with the full config recorded in the artifact header as provenance).
 
 The answers a backend gives depend only on the built hierarchy — never on
-which backend answers or how queries are cached, partitioned or promoted.
+which backend answers or how queries are cached or partitioned.
 The v2 acceptance tests pin this: every ``open_service`` backend answers
 list-for-list identically to a directly constructed local
 ``RoutingService`` on every workload shape.
@@ -62,8 +62,8 @@ class QueryBackend(Protocol):
     implied by leaving the backend's ``with`` block.
 
     Concrete backends carry extras beyond the protocol (single-query
-    helpers, ``install_hot_set`` and artifact persistence on the local
-    service, worker introspection on the sharded front-end); code meant to
+    helpers and artifact persistence on the local service, worker
+    introspection on the sharded front-end); code meant to
     work over *any* backend must stick to the protocol members.
     """
 

@@ -45,14 +45,7 @@ from ..obs.metrics import Histogram
 from ..obs.trace import TraceRecorder
 from .backend import open_service
 from .config import ServingConfig
-from .policies import ExplicitHotSet
-from .registry import (
-    CACHE_POLICIES,
-    HOT_SET_POLICIES,
-    PARTITIONERS,
-    QUERY_KERNELS,
-    WORKLOADS,
-)
+from .registry import PARTITIONERS, QUERY_KERNELS, WORKLOADS
 from .service import answer_batch
 from .specs import parse_graph_spec
 from .workloads import make_workload
@@ -137,9 +130,6 @@ FLAGS: Tuple[Flag, ...] = (
     Flag("--batch-size", "batch_size"),
     Flag("--cache-size", "cache.capacity",
          "result-cache capacity (per worker when sharded)"),
-    Flag("--cache-policy", "cache.policy",
-         "result-cache policy (from the cache-policy registry)",
-         choices=CACHE_POLICIES.names),
     Flag("--kind", "kind", choices=("route", "distance")),
     Flag("--kernel", "kernel",
          "batch query kernel: 'columnar' answers batches straight from the "
@@ -147,32 +137,6 @@ FLAGS: Tuple[Flag, ...] = (
          "picks columnar whenever the backing store supports it (answers "
          "are identical either way)",
          choices=QUERY_KERNELS.names),
-    Flag("--pivot-cache-cap", "cache.pivot_cache_cap",
-         "bound on the hierarchy's pivot-row LRU (0 disables it)"),
-    # Derives an explicit hot set from the generated workload at runtime
-    # (the pairs cannot be known before the graph and stream exist) and
-    # installs it on the opened backend instead of baking pair lists into
-    # the config.
-    Flag("--hot", None,
-         "pin the N most frequent workload pairs up front (explicit hot "
-         "set; single-process only)",
-         type=int, default=0),
-    Flag("--hot-set", "cache.hot_set",
-         "hot-set policy; 'online' promotes pairs whose LRU hit counts "
-         "cross --hot-threshold (explicit pinning is spelled --hot N)",
-         choices=lambda: [name for name in HOT_SET_POLICIES.names()
-                          if name != "explicit"]),
-    Flag("--hot-threshold", "cache.hot_threshold",
-         "LRU hit count that promotes a pair (--hot-set online)"),
-    Flag("--hot-capacity", "cache.hot_capacity",
-         "max online promotions per query kind (--hot-set online)"),
-    Flag("--hot-decay-window", "cache.hot_decay_window",
-         "hit events per decay sweep; promoted pairs whose windowed hot "
-         "hits fall below --hot-decay-threshold are unpinned (--hot-set "
-         "online; 0 disables decay)"),
-    Flag("--hot-decay-threshold", "cache.hot_decay_threshold",
-         "windowed hot-hit count a promoted pair needs to stay pinned "
-         "(--hot-decay-window > 0)"),
     Flag("--build-workers", "build.build_workers",
          "process-pool width for hierarchy construction and sub-artifact "
          "slicing; the parallel build is checksum-identical to the "
@@ -302,9 +266,6 @@ def config_from_args(args: argparse.Namespace,
         if args.serve is not None:
             parser.error("--serve and --connect are mutually exclusive "
                          "(one process is either the server or a client)")
-        if args.hot > 0:
-            parser.error("--hot pins pairs into an in-process cache; it "
-                         "does not combine with --connect")
     elif args.graph is None and args.artifact is None:
         parser.error("provide --graph, --artifact, or both")
     if args.serve is not None:
@@ -312,9 +273,6 @@ def config_from_args(args: argparse.Namespace,
             parser.error("--trace-out captures a replayed workload; a "
                          "--serve process replays none (capture on the "
                          "client instead)")
-        if args.hot > 0:
-            parser.error("--hot derives its pin set from a replayed "
-                         "workload; a --serve process replays none")
 
     # Workload parameters are validated here instead of silently ignored:
     # a flag that does not apply to the chosen shape is an error.
@@ -332,17 +290,6 @@ def config_from_args(args: argparse.Namespace,
     if args.workers > 1 and args.artifact is None:
         parser.error("--workers > 1 requires --artifact "
                      "(workers load the hierarchy by path)")
-    if args.hot < 0:
-        parser.error("--hot must be >= 0")
-    if args.hot > 0 and args.workers > 1:
-        parser.error("--hot applies to single-process serving only "
-                     "(shard workers own their caches)")
-    if args.hot > 0 and args.hot_set != "none":
-        parser.error("--hot (explicit pinning) and --hot-set are mutually "
-                     "exclusive")
-    if args.hot_decay_window > 0 and args.hot_set != "online":
-        parser.error("--hot-decay-window applies to --hot-set online only "
-                     "(decay demotes online promotions)")
 
     if args.sub_artifacts and args.partitioner not in (None, "hash_source"):
         parser.error("--sub-artifacts requires source partitioning "
@@ -355,7 +302,7 @@ def config_from_args(args: argparse.Namespace,
 
     # Walk each flag's dotted path into the nested dict from_dict expects;
     # unset workload.params flags stay out of the free-form dict.
-    nested: Dict[str, Any] = {"cache": {"hot_kind": args.kind}}
+    nested: Dict[str, Any] = {}
     for flag in FLAGS:
         value = getattr(args, flag.dest)
         if flag.path is None or (flag.shapes and value is None):
@@ -415,7 +362,7 @@ def _answered(target, batches, window: int):
         yield gathered()
 
 
-def run_serving_session(config: ServingConfig, hot: int = 0,
+def run_serving_session(config: ServingConfig,
                         trace_out: Optional[str] = None
                         ) -> Tuple[Dict, object, bool]:
     """Open the configured backend, replay its workload, return the record.
@@ -432,10 +379,7 @@ def run_serving_session(config: ServingConfig, hot: int = 0,
     :class:`~repro.obs.metrics.Histogram` (always on: one ``observe`` per
     batch is nothing next to the batch itself; a ``--connect`` session
     keeps its window full, see :func:`_answered`) and reports the
-    build/load/warm/query stage split under ``stage_seconds``.  Hot-pair
-    precompute (``hot > 0``) runs *before* the timed query window but is
-    not dropped on the floor: the service accounts it in
-    ``stats.warm_seconds``, surfaced as ``stage_seconds["warm"]``.  With
+    build/load/query stage split under ``stage_seconds``.  With
     ``trace_out`` the query stream is captured through a
     :class:`~repro.obs.trace.TraceRecorder` and saved as a replayable
     trace artifact once the session completes.
@@ -453,18 +397,6 @@ def run_serving_session(config: ServingConfig, hot: int = 0,
                              config.workload.num_queries,
                              seed=config.workload_seed(),
                              **config.workload.params)
-
-    if hot > 0:
-        counts: Dict[tuple, int] = {}
-        for pair in workload.pairs:
-            counts[pair] = counts.get(pair, 0) + 1
-        hottest = sorted(counts, key=lambda p: (-counts[p], repr(p)))[:hot]
-        # hot > 0 implies workers == 1 (the CLI validates this), so the
-        # backend is a local RoutingService and install_hot_set — a
-        # local-service extra beyond the QueryBackend protocol — is
-        # available.  The precompute time lands in stats.warm_seconds.
-        backend.install_hot_set(ExplicitHotSet(pairs=hottest,
-                                               kind=config.kind))
 
     recorder = TraceRecorder(backend) if trace_out else None
     target = recorder if recorder is not None else backend
@@ -524,7 +456,6 @@ def run_serving_session(config: ServingConfig, hot: int = 0,
         "stage_seconds": {
             "build": _round_opt(stats.build_seconds),
             "load": _round_opt(stats.load_seconds),
-            "warm": _round_opt(stats.warm_seconds),
             "query": round(elapsed, 4),
         },
         **workload.skew_summary(),
@@ -604,8 +535,7 @@ def main(argv=None) -> int:
     if args.serve is not None:
         return run_server_mode(config, args.serve)
 
-    record, stats, ok = run_serving_session(config, hot=args.hot,
-                                            trace_out=args.trace_out)
+    record, stats, ok = run_serving_session(config, trace_out=args.trace_out)
     if args.json:
         json.dump(record, sys.stdout, indent=2, default=str)
         print()
@@ -622,7 +552,7 @@ def main(argv=None) -> int:
         stage = record["stage_seconds"]
         stage_text = "  ".join(
             f"{name}={stage[name]:.3f}s"
-            for name in ("build", "load", "warm", "query")
+            for name in ("build", "load", "query")
             if stage[name] is not None)
         print(f"stages: {stage_text}")
         print(stats.describe())

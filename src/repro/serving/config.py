@@ -7,27 +7,25 @@ those chains with a family of frozen dataclasses that one
 
 * :class:`BuildConfig`    — how the compact-routing hierarchy is built
   (``k``, ``epsilon``, ``seed``, ``mode``, ``engine``);
-* :class:`CacheConfig`    — the result-cache policy and the hot-set policy
-  layered on top of it;
+* :class:`CacheConfig`    — the result caches' size;
 * :class:`WorkloadConfig` — which query stream to generate against the
   service (used by the CLI and the experiment runners);
 * :class:`ServingConfig`  — the full serving session: artifact path, worker
   count, partitioner, batch shape, plus one of each config above.
 
 Every config serialises losslessly: ``from_dict(to_dict(c)) == c`` holds for
-any config, ``to_dict`` emits only JSON-safe builtins (tuples become lists
-and are restored on the way back in), and ``from_dict`` *rejects unknown
-keys* instead of silently dropping a typo.  The artifact layer stores the
-originating ``ServingConfig.to_dict()`` in the artifact header (under the
-``serving_config`` metadata key) so a persisted hierarchy carries the full
-provenance of the session that created it.
+any config, ``to_dict`` emits only JSON-safe builtins, and ``from_dict``
+*rejects unknown keys* instead of silently dropping a typo.  The artifact
+layer stores the originating ``ServingConfig.to_dict()`` in the artifact
+header (under the ``serving_config`` metadata key) so a persisted hierarchy
+carries the full provenance of the session that created it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Optional
 
 __all__ = [
     "BuildConfig",
@@ -35,8 +33,6 @@ __all__ = [
     "WorkloadConfig",
     "ServingConfig",
 ]
-
-_Pair = Tuple[Hashable, Hashable]
 
 
 def _reject_unknown(cls, data: Dict[str, Any]) -> None:
@@ -100,81 +96,27 @@ class BuildConfig:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Result caching and hot-set policy for one service (or shard worker).
+    """Result caching for one service (or shard worker).
 
-    ``policy`` names an entry in the cache-policy registry (``"lru"`` is
-    built in); ``capacity`` is the per-cache entry budget (``0`` disables
-    result caching).  ``hot_set`` names an entry in the hot-set policy
-    registry:
-
-    * ``"none"``     — no hot store beyond what is pinned manually;
-    * ``"explicit"`` — pin ``hot_pairs`` (kind ``hot_kind``) up front;
-    * ``"online"``   — promote a pair into the hot store once its LRU hit
-      count reaches ``hot_threshold``, up to ``hot_capacity`` promotions
-      per query kind.
-
-    ``hot_decay_window`` enables demotion for the online policy: every
-    ``hot_decay_window`` observed hits, promoted pairs whose hit count
-    within the window stayed below ``hot_decay_threshold`` are unpinned
-    (their result returns to the LRU domain), so bursty or drifting
-    streams do not strand cold pairs in the pinned set.  ``0`` (the
-    default) disables decay.
-
-    ``pivot_cache_cap`` bounds the hierarchy's pivot-row LRU (resolved
-    per-target pivot rows shared by single and batched queries); ``0``
-    disables that cache.
+    ``capacity`` is the entry budget of each LRU result cache (routes and
+    distances are cached separately); ``0`` disables result caching.  An
+    answer is a pure function of (artifact, pair), so the capacity moves a
+    hit rate, never an answer.
     """
 
-    policy: str = "lru"
     capacity: int = 4096
-    hot_set: str = "none"
-    hot_kind: str = "route"
-    hot_pairs: Tuple[_Pair, ...] = ()
-    hot_threshold: int = 8
-    hot_capacity: int = 256
-    hot_decay_window: int = 0
-    hot_decay_threshold: int = 1
-    pivot_cache_cap: int = 65536
 
     def __post_init__(self) -> None:
         if self.capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {self.capacity}")
-        if self.pivot_cache_cap < 0:
-            raise ValueError(f"pivot_cache_cap must be >= 0, "
-                             f"got {self.pivot_cache_cap}")
-        if self.hot_kind not in ("route", "distance", "both"):
-            raise ValueError(f"hot_kind must be route/distance/both, "
-                             f"got {self.hot_kind!r}")
-        if self.hot_threshold < 1:
-            raise ValueError(f"hot_threshold must be >= 1, "
-                             f"got {self.hot_threshold}")
-        if self.hot_capacity < 0:
-            raise ValueError(f"hot_capacity must be >= 0, "
-                             f"got {self.hot_capacity}")
-        if self.hot_decay_window < 0:
-            raise ValueError(f"hot_decay_window must be >= 0, "
-                             f"got {self.hot_decay_window}")
-        if self.hot_decay_threshold < 1:
-            raise ValueError(f"hot_decay_threshold must be >= 1, "
-                             f"got {self.hot_decay_threshold}")
-        # Normalise pair containers so config equality (and the from_dict
-        # round-trip, which travels through JSON lists) is structural.
-        object.__setattr__(self, "hot_pairs",
-                           tuple((s, t) for s, t in self.hot_pairs))
 
     def to_dict(self) -> Dict[str, Any]:
-        record = dataclasses.asdict(self)
-        record["hot_pairs"] = [list(pair) for pair in self.hot_pairs]
-        return record
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CacheConfig":
         data = _require_mapping(cls, data)
         _reject_unknown(cls, data)
-        data = dict(data)
-        if "hot_pairs" in data:
-            data["hot_pairs"] = tuple(tuple(pair)
-                                      for pair in data["hot_pairs"])
         return cls(**data)
 
 

@@ -149,8 +149,7 @@ class HitRateWindow:
     Sub-threshold windows (fewer than ``min_window`` probes in total)
     return ``None`` without advancing the baseline, so small windows
     accumulate across observations instead of being consumed and
-    discarded.  Hot-store hits count as hits — a promoted pair is the
-    cache working as intended, not a sign of overload.
+    discarded.
     """
 
     __slots__ = ("num_shards", "min_window", "_last_hits", "_last_misses")
@@ -179,8 +178,7 @@ class HitRateWindow:
         """Windowed hit rates, or ``None`` when the window is too small."""
         if len(worker_stats) != self.num_shards:
             return None
-        total_hits = [stats.cache_hits + stats.hot_hits
-                      for stats in worker_stats]
+        total_hits = [stats.cache_hits for stats in worker_stats]
         total_misses = [stats.cache_misses for stats in worker_stats]
         deltas = []
         for shard in range(self.num_shards):

@@ -1,17 +1,13 @@
 """String-keyed registries: the serving layer's named plug-points.
 
-The serving API v2 is policy-pluggable: partition strategies, result-cache
-implementations, hot-set promotion policies and workload generators are all
-looked up *by name* through one of the four registries below.  A config file
-(or a CLI flag) can therefore select any strategy — including one registered
-by downstream code — without the call sites knowing the concrete class:
+The serving API v2 is pluggable by name: partition strategies, workload
+generators, query kernels and graph families are all looked up through one
+of the four registries below.  A config file (or a CLI flag) can therefore
+select any strategy — including one registered by downstream code — without
+the call sites knowing the concrete class:
 
 * :data:`PARTITIONERS`      — ``name -> factory(num_shards, **params)``
   producing a :class:`~repro.serving.partitioners.Partitioner`;
-* :data:`CACHE_POLICIES`    — ``name -> factory(capacity)`` producing a
-  result cache (the :class:`~repro.serving.cache.LRUCache` contract);
-* :data:`HOT_SET_POLICIES`  — ``name -> factory(cache_config)`` producing a
-  hot-set policy (or ``None`` for the no-op policy);
 * :data:`WORKLOADS`         — ``name -> factory(graph, num_queries, seed,
   **params)`` producing a :class:`~repro.serving.workloads.QueryWorkload`;
 * :data:`QUERY_KERNELS`     — ``name -> resolver(hierarchy)`` returning the
@@ -47,20 +43,14 @@ from typing import Any, Callable, Iterator, Optional, Tuple
 __all__ = [
     "Registry",
     "PARTITIONERS",
-    "CACHE_POLICIES",
-    "HOT_SET_POLICIES",
     "WORKLOADS",
     "QUERY_KERNELS",
     "GRAPH_FAMILIES",
     "register_partitioner",
-    "register_cache_policy",
-    "register_hot_set_policy",
     "register_workload",
     "register_query_kernel",
     "register_graph_family",
     "get_partitioner",
-    "get_cache_policy",
-    "get_hot_set_policy",
     "get_workload",
     "get_query_kernel",
     "get_graph_family",
@@ -124,8 +114,6 @@ class Registry:
 
 
 PARTITIONERS = Registry("partition strategy")
-CACHE_POLICIES = Registry("cache policy")
-HOT_SET_POLICIES = Registry("hot-set policy")
 WORKLOADS = Registry("workload")
 QUERY_KERNELS = Registry("query kernel")
 GRAPH_FAMILIES = Registry("graph family")
@@ -135,18 +123,6 @@ def register_partitioner(name: str, factory: Optional[Callable] = None, *,
                          replace: bool = False) -> Callable:
     """Register a partitioner factory ``(num_shards, **params) -> Partitioner``."""
     return PARTITIONERS.register(name, factory, replace=replace)
-
-
-def register_cache_policy(name: str, factory: Optional[Callable] = None, *,
-                          replace: bool = False) -> Callable:
-    """Register a result-cache factory ``(capacity) -> cache``."""
-    return CACHE_POLICIES.register(name, factory, replace=replace)
-
-
-def register_hot_set_policy(name: str, factory: Optional[Callable] = None, *,
-                            replace: bool = False) -> Callable:
-    """Register a hot-set policy factory ``(cache_config) -> policy | None``."""
-    return HOT_SET_POLICIES.register(name, factory, replace=replace)
 
 
 def register_workload(name: str, factory: Optional[Callable] = None, *,
@@ -169,14 +145,6 @@ def register_graph_family(name: str, factory: Optional[Callable] = None, *,
 
 def get_partitioner(name: str) -> Callable:
     return PARTITIONERS.get(name)
-
-
-def get_cache_policy(name: str) -> Callable:
-    return CACHE_POLICIES.get(name)
-
-
-def get_hot_set_policy(name: str) -> Callable:
-    return HOT_SET_POLICIES.get(name)
 
 
 def get_workload(name: str) -> Callable:

@@ -16,7 +16,7 @@ say in how: it hands every session the same backend and the same lock,
 and the session's one serve loop does the rest —
 
 * a **local** :class:`RoutingService` is single-threaded by construction
-  (LRU mutation, hot-store promotion), so its batches run under that one
+  (LRU mutation), so its batches run under that one
   lock, in each session's writer — clients still overlap their decoding
   and wire time with each other's compute;
 * a **sharded** front-end advertises ``submit_batch`` / ``wait_batch``

@@ -3,9 +3,9 @@
 This is the deployment story for Corollary 4.14: the hierarchy's expensive
 preprocessing runs once (or is loaded from a persisted artifact), after
 which :class:`RoutingService` answers ``route`` / ``distance_estimate`` /
-full-path queries — one at a time or batched — through an LRU result cache
-with optional hot-pair precomputation.  Everything the service does is
-observable through its :class:`~repro.serving.cache.ServingStats`.
+full-path queries — one at a time or batched — through an LRU result
+cache.  Everything the service does is observable through its
+:class:`~repro.serving.cache.ServingStats`.
 
 Layering (top to bottom)::
 
@@ -14,8 +14,8 @@ Layering (top to bottom)::
         artifacts               persistence (build once, serve anywhere)
 
 Every query — single or batched, route or distance — goes through one
-routine (:meth:`RoutingService._answer`): hot store, then result cache, then
-the hierarchy, once per *distinct* pair, fanning the result out to every
+routine (:meth:`RoutingService._answer`): result cache, then the
+hierarchy, once per *distinct* pair, fanning the result out to every
 duplicate.  Batched queries additionally amortize label lookups: all of a
 batch's misses reach the hierarchy as one call, which resolves each distinct
 target's per-level pivot row once (see
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..graphs.weighted_graph import WeightedGraph
 from ..obs.metrics import NULL_REGISTRY, make_registry
@@ -40,10 +40,9 @@ from .artifacts import (
     load_hierarchy,
     save_hierarchy,
 )
-from .cache import ServingStats
+from .cache import LRUCache, ServingStats
 from .config import BuildConfig, CacheConfig
-from .policies import HotSetPolicy, make_hot_set_policy
-from .registry import get_cache_policy, get_query_kernel, register_query_kernel
+from .registry import get_query_kernel, register_query_kernel
 
 __all__ = ["RoutingService", "build_or_load_service", "answer_batch",
            "resolve_query_kernel"]
@@ -101,10 +100,9 @@ class RoutingService:
         Optional pre-populated stats object (used by the factory
         constructors to carry build/load timings into the service).
     cache_config:
-        Full cache behaviour as a :class:`~repro.serving.config.CacheConfig`
-        — selects the result-cache policy from the cache-policy registry and
-        installs the configured hot-set policy.  ``capacity`` applies to
-        *each* result cache (routes and distances are cached separately
+        The result caches' size, as a
+        :class:`~repro.serving.config.CacheConfig`.  ``capacity`` applies to
+        *each* LRU result cache (routes and distances are cached separately
         since route traces are much heavier); ``0`` disables result caching
         — the benchmarks use this as the cold baseline.  Defaults to
         ``CacheConfig()``.
@@ -116,7 +114,7 @@ class RoutingService:
         loaded mmap artifact) is safe everywhere.
     telemetry:
         When true, per-stage spans (cache probes, kernel batches, group
-        decodes, warm-up) record into a live
+        decodes) record into a live
         :class:`~repro.obs.metrics.MetricsRegistry`, exported through
         ``query_stats().extra["telemetry"]``.  Off by default: the no-op
         registry keeps the hot path allocation-free.
@@ -139,27 +137,15 @@ class RoutingService:
         self.metrics = metrics if metrics is not None \
             else make_registry(telemetry)
         self._kernel_active = resolve_query_kernel(kernel, hierarchy)
-        hierarchy.set_pivot_row_cache_cap(cache_config.pivot_cache_cap)
         hierarchy.set_metrics_registry(self.metrics)
         self.stats = stats if stats is not None else ServingStats()
-        make_cache = get_cache_policy(cache_config.policy)
-        self.route_cache = make_cache(cache_config.capacity)
-        self.distance_cache = make_cache(cache_config.capacity)
-        self._hot_routes: Dict[_Pair, RouteTrace] = {}
-        self._hot_distances: Dict[_Pair, float] = {}
-        self._hot_policy: Optional[HotSetPolicy] = None
-        self._hot_policy_extras: Tuple[str, ...] = ()
+        self.route_cache = LRUCache(cache_config.capacity)
+        self.distance_cache = LRUCache(cache_config.capacity)
         self.stats.extra.setdefault("n", hierarchy.graph.num_nodes)
         self.stats.extra.setdefault("k", hierarchy.k)
         self.stats.extra.setdefault("mode", hierarchy.mode)
-        self.stats.extra.setdefault("cache_policy", cache_config.policy)
         self.stats.extra.setdefault("kernel_requested", kernel)
         self.stats.extra.setdefault("kernel_active", self._kernel_active)
-        self.stats.extra.setdefault("pivot_row_cache_cap",
-                                    cache_config.pivot_cache_cap)
-        policy = make_hot_set_policy(cache_config)
-        if policy is not None:
-            self.install_hot_set(policy)
 
     # ==================================================================
     # construction
@@ -265,21 +251,20 @@ class RoutingService:
         return self._answer("route", list(pairs), batched=True)
 
     def _answer(self, kind: str, pairs: List[_Pair], batched: bool) -> List:
-        """Hot store, then result cache, then the hierarchy — the one probe.
+        """Result cache, then the hierarchy — the one probe.
 
-        Probes (and hot-set policy hooks) run once per *distinct* pair.  A
-        batch sends all its misses to the hierarchy as one call through the
-        active query kernel, counts as a batch and times its two halves
-        under ``cache_probe`` / ``cache_miss_fill``; a single query asks the
-        hierarchy per pair and records neither.
+        Probes run once per *distinct* pair.  A batch sends all its misses
+        to the hierarchy as one call through the active query kernel, counts
+        as a batch and times its two halves under ``cache_probe`` /
+        ``cache_miss_fill``; a single query asks the hierarchy per pair and
+        records neither.
         """
         for s, t in pairs:
             self._validate_node(s)
             self._validate_node(t)
         route = kind == "route"
-        hot_store, cache = ((self._hot_routes, self.route_cache) if route
-                            else (self._hot_distances, self.distance_cache))
-        stats, policy, hierarchy = self.stats, self._hot_policy, self.hierarchy
+        cache = self.route_cache if route else self.distance_cache
+        stats, hierarchy = self.stats, self.hierarchy
         stats.queries += len(pairs)
         if route:
             stats.route_queries += len(pairs)
@@ -297,20 +282,12 @@ class RoutingService:
             for key in pairs:
                 if key in resolved:
                     continue
-                value = hot_store.get(key, _MISS)
+                value = cache.get(key, _MISS)
                 if value is not _MISS:
-                    stats.hot_hits += 1
-                    if policy is not None:
-                        policy.on_hot_hit(self, key, kind)
+                    stats.cache_hits += 1
                 else:
-                    value = cache.get(key, _MISS)
-                    if value is not _MISS:
-                        stats.cache_hits += 1
-                        if policy is not None:
-                            policy.on_cache_hit(self, key, kind, value)
-                    else:
-                        stats.cache_misses += 1
-                        misses.append(key)
+                    stats.cache_misses += 1
+                    misses.append(key)
                 resolved[key] = value
         if misses:
             with metrics.span("cache_miss_fill"):
@@ -329,119 +306,11 @@ class RoutingService:
     # ==================================================================
     # cache management
     # ==================================================================
-    def install_hot_set(self, policy: Optional[HotSetPolicy]) -> None:
-        """Attach (or detach, with ``None``) a hot-set policy.
-
-        The policy's ``install`` hook runs immediately (an explicit policy
-        precomputes its pairs here) and its ``on_cache_hit`` hook is called
-        on every LRU result-cache hit from then on.  Installing a policy
-        replaces the previous one — including its provenance keys in
-        ``stats.extra``, so the reported stats always describe the policy
-        actually active; already-pinned pairs stay pinned.
-        """
-        for key in self._hot_policy_extras:
-            self.stats.extra.pop(key, None)
-        self._hot_policy_extras = ()
-        self._hot_policy = policy
-        if policy is not None:
-            policy.install(self)
-            extras = policy.describe()
-            self.stats.extra.update(extras)
-            self._hot_policy_extras = tuple(extras)
-
-    def precompute_hot_pairs(self, pairs: Iterable[_Pair],
-                             kind: str = "route") -> int:
-        """Pin results for known-hot pairs outside the LRU eviction domain.
-
-        Returns the number of pairs precomputed.  ``kind`` is ``"route"``,
-        ``"distance"`` or ``"both"``.  Precomputation bypasses the stats
-        counters — it is provisioning work, not query traffic.
-
-        Pinning a pair evicts any copy of it from the corresponding LRU
-        result cache: the hot store is checked first on every query, so an
-        LRU copy would be dead weight — double storage that the LRU's
-        eviction and :meth:`clear_cache` bookkeeping no longer govern.
-        """
-        if kind not in ("route", "distance", "both"):
-            raise ValueError(f"kind must be route/distance/both, got {kind!r}")
-        count = 0
-        start = time.perf_counter()
-        with self.metrics.span("warmup"):
-            for source, target in pairs:
-                self._validate_node(source)
-                self._validate_node(target)
-                key = (source, target)
-                if kind in ("route", "both"):
-                    self._hot_routes[key] = self.hierarchy.route(source,
-                                                                 target)
-                    self.route_cache.discard(key)
-                if kind in ("distance", "both"):
-                    self._hot_distances[key] = self.hierarchy.distance(
-                        source, target)
-                    self.distance_cache.discard(key)
-                count += 1
-        # Warm-up is provisioning cost, not query traffic: it is recorded
-        # in its own stat (accumulating over repeated precomputes) so the
-        # CLI can report it separately from the serving window.
-        self.stats.warm_seconds = ((self.stats.warm_seconds or 0.0)
-                                   + time.perf_counter() - start)
-        self.stats.extra["hot_pairs"] = {"route": len(self._hot_routes),
-                                         "distance": len(self._hot_distances)}
-        return count
-
-    def pin_hot_result(self, key: _Pair, kind: str, value) -> None:
-        """Pin an *already-computed* result into the hot store.
-
-        The zero-recompute sibling of :meth:`precompute_hot_pairs`: hot-set
-        policies promoting on a cache hit already hold the cached value
-        (computed by this very hierarchy), so pinning it directly skips the
-        redundant route/distance recomputation.  Same bookkeeping as
-        precomputation: the LRU copy is evicted and the per-kind hot counts
-        are updated.
-        """
-        if kind == "route":
-            self._hot_routes[key] = value
-            self.route_cache.discard(key)
-        elif kind == "distance":
-            self._hot_distances[key] = value
-            self.distance_cache.discard(key)
-        else:
-            raise ValueError(f"kind must be route or distance, got {kind!r}")
-        self.stats.extra["hot_pairs"] = {"route": len(self._hot_routes),
-                                         "distance": len(self._hot_distances)}
-
-    def unpin_hot_result(self, key: _Pair, kind: str) -> bool:
-        """Demote a pinned result back into the LRU eviction domain.
-
-        The inverse of :meth:`pin_hot_result`, used by decaying hot-set
-        policies: the value is removed from the hot store and *re-inserted*
-        into the corresponding result cache, so a demoted pair that comes
-        back is still answered without recomputation (it just competes for
-        cache residency again).  Returns whether a pin was removed.
-        """
-        if kind == "route":
-            store, cache = self._hot_routes, self.route_cache
-        elif kind == "distance":
-            store, cache = self._hot_distances, self.distance_cache
-        else:
-            raise ValueError(f"kind must be route or distance, got {kind!r}")
-        value = store.pop(key, _MISS)
-        if value is _MISS:
-            return False
-        cache.put(key, value)
-        self.stats.extra["hot_pairs"] = {"route": len(self._hot_routes),
-                                         "distance": len(self._hot_distances)}
-        return True
-
-    def clear_cache(self, include_hot: bool = False,
-                    include_hierarchy: bool = False) -> None:
-        """Empty the result caches (and optionally the hot store and the
-        hierarchy's internal query-time caches — used by cold benchmarks)."""
+    def clear_cache(self, include_hierarchy: bool = False) -> None:
+        """Empty the result caches (and optionally the hierarchy's internal
+        query-time caches — used by cold benchmarks)."""
         self.route_cache.clear()
         self.distance_cache.clear()
-        if include_hot:
-            self._hot_routes.clear()
-            self._hot_distances.clear()
         if include_hierarchy:
             self.hierarchy.clear_runtime_caches()
 

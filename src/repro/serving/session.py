@@ -454,9 +454,12 @@ class ClientSession:
                 self._read_answer()
             write_frame(self.wfile, {"type": "close"}, self.metrics)
             bye = self._read_message()
-            if bye.get("type") == "bye" and isinstance(bye.get("stats"),
-                                                       dict):
-                self._final_stats = ServingStats.from_dict(bye["stats"])
+            if bye.get("type") == "bye":
+                try:
+                    self._final_stats = ServingStats.from_dict(
+                        bye.get("stats"))
+                except ValueError:
+                    pass  # stats this version cannot read: keep none
         except (WireError, OSError):
             pass  # the peer may already be gone; close is best-effort
         finally:
@@ -628,7 +631,12 @@ class ClientSession:
             if reply.get("type") != "stats_reply":
                 raise FrameError(f"expected stats_reply, got "
                                  f"{reply.get('type')!r}")
-            stats = ServingStats.from_dict(reply.get("stats", {}))
+            try:
+                stats = ServingStats.from_dict(reply.get("stats", {}))
+            except ValueError as exc:
+                # The frame was read whole, so the stream is still in
+                # step: only this request fails, the session goes on.
+                raise FrameError(f"malformed stats_reply: {exc}") from None
         wire: Dict[str, Any] = {"endpoint": self.endpoint,
                                 "protocol": self.protocol,
                                 "window": self.window,

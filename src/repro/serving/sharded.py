@@ -194,8 +194,8 @@ class ShardedRoutingService:
         ``hash_pair`` / ``hash_source`` built in — see
         :mod:`repro.serving.partitioners`).
     cache_config:
-        Full per-worker cache behaviour (policy, capacity, hot-set policy)
-        as a :class:`~repro.serving.config.CacheConfig`; each worker caches
+        Per-worker result-cache size as a
+        :class:`~repro.serving.config.CacheConfig`; each worker caches
         only its own partition, so aggregate capacity is ``num_workers *
         cache_config.capacity``.  Defaults to ``CacheConfig()``.
     sub_artifact_paths:
@@ -276,17 +276,6 @@ class ShardedRoutingService:
             self._validate_sub_artifacts(artifact_path, sub_artifact_paths)
         if cache_config is None:
             cache_config = CacheConfig()
-        if cache_config.hot_set == "explicit":
-            # Workers apply the cache config independently, so an explicit
-            # pair list would be recomputed and pinned N times while each
-            # pair is only ever routed to one shard — reject it rather than
-            # silently multiply warm-up cost and memory by the worker count.
-            # Online promotion is per-worker by construction and stays
-            # allowed.
-            raise ValueError(
-                "explicit hot sets are not supported for sharded serving "
-                "(every worker would pin every pair); pin per worker via a "
-                "custom policy or use hot_set='online'")
         self.artifact_path = artifact_path
         self.num_workers = num_workers
         self.partitioner = partitioner
@@ -649,6 +638,12 @@ class ShardedRoutingService:
             if drain:
                 expecting = {w.worker_id for w in self._workers
                              if w.is_alive() and w.shutdown()}
+                # A parked worker said "bye" when it was scaled down; one
+                # that died before it could has no snapshot and will not
+                # send one.
+                silent = {w.worker_id for w in self._workers
+                          if w.state == "parked"
+                          and w.final_stats is None} - expecting
                 while expecting and time.monotonic() < deadline:
                     message = self._next_message(timeout=0.05)
                     if message is None:
@@ -659,17 +654,18 @@ class ShardedRoutingService:
                     if message[0] == "bye":
                         final_stats.append(message[2])
                         expecting.discard(message[1])
+                        silent.discard(message[1])
                 # Stragglers past the deadline get terminated below and
-                # their final snapshots are lost; record who, so
-                # merged_stats can say its totals are incomplete instead
-                # of silently under-counting.  Parked workers sent "bye"
-                # when scaled down and carry their snapshot on the slot —
-                # fold those in; dead slots never made it into
+                # their final snapshots are lost, like those of the silent
+                # parked workers; record who, so merged_stats can say its
+                # totals are incomplete instead of silently under-counting.
+                # Parked workers that did say "bye" carry their snapshot on
+                # the slot — fold those in; dead slots never made it into
                 # ``expecting`` (their process was gone) and are expected
                 # to be missing.
                 final_stats.extend(w.final_stats for w in self._workers
                                    if w.final_stats is not None)
-                self._undrained_workers = sorted(expecting)
+                self._undrained_workers = sorted(expecting | silent)
             # Drained workers were asked to exit and get a moment to; on
             # the fail-stop path nobody was asked, so don't wait.
             for worker in self._workers + self._retired:

@@ -210,12 +210,10 @@ def _shard_worker(worker_id: int, artifact_path: str,
                   slice_spec: Optional[Tuple[int, int]] = None) -> None:
     """Worker main loop (module-level so it stays picklable under spawn).
 
-    Each worker applies the :class:`CacheConfig` locally — cache policy,
-    capacity, and the (per-worker by construction) online hot-set policy;
-    explicit hot sets are rejected by the front-end, since every worker
-    would pin every pair while serving only its own partition.  The query
-    ``kernel`` selector is likewise applied per worker against its own
-    loaded artifact (``auto`` resolves to ``columnar`` on v2 artifacts).
+    Each worker applies the :class:`CacheConfig` locally — its result
+    caches hold only its own partition's pairs.  The query ``kernel``
+    selector is likewise applied per worker against its own loaded
+    artifact (``auto`` resolves to ``columnar`` on v2 artifacts).
 
     Protocol (all messages are tuples; the first element is the tag):
 

@@ -16,7 +16,7 @@ batching layers under realistic skew:
 * :func:`bursty_workload` — temporally correlated traffic: burst phases
   (a pair suddenly dominates for a stretch of queries) and diurnal drift
   (the popular endpoints rotate cyclically over the stream) on top of a
-  Zipf base skew — the stream cache-eviction policies must be compared on.
+  Zipf base skew — the stream that ages entries out of a result cache.
 
 Every generator is registered by name in the workload registry
 (:data:`~repro.serving.registry.WORKLOADS`); :func:`make_workload`
@@ -156,7 +156,7 @@ def zipf_workload(nodes: Sequence[Hashable], num_queries: int,
     Sources and targets get *independent* popularity rankings (a hot content
     server is not necessarily a hot client), both derived from the seed, so
     the hottest (source, target) pairs repeat many times — the regime where
-    a result cache and hot-pair precomputation pay off.
+    a result cache pays off.
     """
     nodes = list(nodes)
     if len(nodes) < 2:
@@ -253,8 +253,8 @@ def bursty_workload(nodes: Sequence[Hashable], num_queries: int,
       ``burst_rate``, that query's pair becomes a *burst pair*: for the
       next ``burst_length`` queries each query repeats the burst pair with
       probability ``burst_intensity`` (otherwise it is drawn organically).
-      Bursts are the regime online hot-set promotion exists for — a pair
-      whose hit count explodes now, whatever its long-run rank.
+      A burst is a pair whose hit count explodes now, whatever its
+      long-run rank — recency, which an LRU tracks, not frequency.
 
     Deterministic given the seed, like every generator in this module.
     """

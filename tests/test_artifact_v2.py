@@ -388,7 +388,6 @@ class TestOpenServiceIntegration:
             extras = built.query_stats().extra
             assert extras["artifact_format"] == 2
             assert extras["artifact_load"] == "built"
-            assert extras["cache_policy"] == "lru"
         with open_service(config, graph=graph) as loaded:
             extras = loaded.query_stats().extra
             assert extras["artifact_format"] == 2

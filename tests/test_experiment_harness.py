@@ -168,7 +168,7 @@ class TestCliJsonSchema:
     def test_json_record_has_latency_and_stages(self, tmp_path, capsys):
         artifact = str(tmp_path / "schema.artifact")
         assert serve_main(SERVE_ARGS + ["--artifact", artifact,
-                                        "--hot", "4", "--json"]) == 0
+                                        "--json"]) == 0
         record = json.loads(capsys.readouterr().out)
         latency = record["latency_ms"]
         assert set(latency) == {"p50", "p95", "p99", "mean", "max",
@@ -177,13 +177,8 @@ class TestCliJsonSchema:
         assert latency["p50"] <= latency["p95"] <= latency["p99"] \
             <= latency["max"]
         stages = record["stage_seconds"]
-        assert set(stages) == {"build", "load", "warm", "query"}
+        assert set(stages) == {"build", "load", "query"}
         assert stages["build"] > 0
-        # warm-up (hot-pair precompute) is measured and reported
-        assert stages["warm"] is not None and stages["warm"] >= 0
-        # stage_seconds["warm"] is the rounded view of warm_seconds
-        assert record["warm_seconds"] == pytest.approx(stages["warm"],
-                                                       abs=1e-4)
 
     def test_human_output_prints_p99_and_stages(self, capsys):
         assert serve_main(SERVE_ARGS) == 0

@@ -397,6 +397,31 @@ class TestElasticScaling:
         assert first + second + third == expected
         assert status["scale_downs"] == 1 and status["scale_ups"] == 1
 
+    @watchdog(60.0)
+    def test_parked_worker_killed_before_its_bye_is_reported(
+            self, fleet_graph, artifact_path):
+        """Its final snapshot is lost; the merged totals used to
+        under-count without saying so."""
+        workload = make_workload("uniform", fleet_graph, 150, seed=13)
+        sharded = open_fleet(artifact_path, num_workers=3,
+                             min_workers=1, max_workers=3)
+        with sharded:
+            sharded.distance_batch(workload.pairs)
+            before = sharded.worker_stats()
+            victim = sharded._workers[2]
+            # Stopped first, so the shutdown request lands in its task
+            # pipe and it cannot say bye.
+            os.kill(victim.process.pid, signal.SIGSTOP)
+            sharded._fleet._scale_down(sharded)
+            assert victim.state == "parked"
+            kill_worker(sharded, 2)
+        merged = sharded.merged_stats()
+        assert victim.final_stats is None
+        assert merged.extra["undrained_workers"] == [2]
+        assert before[2].queries > 0
+        assert merged.queries == before[0].queries + before[1].queries
+        assert merged.extra["merged_from"] == 2
+
     def test_dynamic_slot_beyond_base_count(self, fleet_graph,
                                             artifact_path,
                                             reference_service):

@@ -100,3 +100,50 @@ def test_request_tuples_are_built_only_by_the_worker_endpoint():
             and isinstance(node.elts[0], ast.Constant)
             and node.elts[0].value in tags]
     assert not offences, "\n".join(offences)
+
+
+def test_option_census():
+    """Every independently settable value of the serving surface, counted:
+    a change that adds a flag, a config field, a registry (or an entry) or
+    a stats field has to edit this test in the same diff, where its
+    reviewer sees it.  PR 20 brought it here from 46 flags, 10
+    ``CacheConfig`` fields, 6 registries with 12 wrappers, 2 cache classes
+    and 8 + 4 stats fields."""
+    import dataclasses
+
+    from repro.serving import (
+        BuildConfig,
+        CacheConfig,
+        ServingConfig,
+        ServingStats,
+        WorkloadConfig,
+        cache,
+        registry,
+    )
+    from repro.serving.cli import FLAGS
+
+    def field_names(config):
+        return tuple(field.name for field in dataclasses.fields(config))
+
+    assert len(FLAGS) == 38
+    assert field_names(CacheConfig) == ("capacity",)
+    assert len(field_names(ServingConfig)) == 25
+    assert len(field_names(BuildConfig)) == 6
+    assert len(field_names(WorkloadConfig)) == 4
+    assert {name: value.names() for name, value in vars(registry).items()
+            if isinstance(value, registry.Registry)} == {
+        "PARTITIONERS": ("hash_pair", "hash_source", "round_robin"),
+        "WORKLOADS": ("bursty", "locality", "trace", "uniform", "zipf"),
+        "QUERY_KERNELS": ("auto", "columnar", "dict"),
+        "GRAPH_FAMILIES": ("ba", "er", "fattree", "geometric", "grid",
+                           "path", "powerlaw", "road", "tree"),
+    }
+    assert len([name for name in vars(registry)
+                if name.startswith(("register_", "get_"))]) == 8
+    assert [name for name in vars(cache) if name.endswith("Cache")] \
+        == ["LRUCache"]
+    assert ServingStats.COUNTERS == (
+        "queries", "route_queries", "distance_queries", "batches",
+        "batched_queries", "cache_hits", "cache_misses")
+    assert ServingStats.OPTIONALS == ("build_seconds", "load_seconds",
+                                      "artifact_bytes")

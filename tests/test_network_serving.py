@@ -14,6 +14,7 @@ Three layers under test, bottom up:
   with bounded in-flight windows and admission control.
 """
 
+import contextlib
 import copy
 import dataclasses
 import gc
@@ -247,6 +248,11 @@ class TestWireFrames:
 # ======================================================================
 # handshake and session-level failure paths
 # ======================================================================
+#: What a server says after ``hello``: the head of every canned reply stream.
+_WELCOME = encode_frame({"type": "welcome", "protocol": PROTOCOL_VERSION,
+                         "server": "t", "config": None})
+
+
 class TestHandshake:
     def test_server_rejects_wrong_version(self, local_backend, net_config):
         rfile = io.BytesIO(encode_frame(hello_message(protocol=99)))
@@ -284,22 +290,16 @@ class TestHandshake:
             self, local_backend, net_config, net_graph):
         # A server that vanishes after the welcome frame: the client's next
         # read hits a clean EOF and must raise, not hang.
-        welcome = encode_frame({"type": "welcome",
-                                "protocol": PROTOCOL_VERSION,
-                                "server": "t", "config": None})
-        client = ClientSession(io.BytesIO(welcome), io.BytesIO())
+        client = ClientSession(io.BytesIO(_WELCOME), io.BytesIO())
         nodes = net_graph.nodes()
         with pytest.raises(SessionClosedError, match="closed the connection"):
             client.distance_batch([(nodes[0], nodes[1])])
         client.close()
 
     def test_truncated_reply_mid_frame_raises_frame_error(self, net_graph):
-        welcome = encode_frame({"type": "welcome",
-                                "protocol": PROTOCOL_VERSION,
-                                "server": "t", "config": None})
         answers = encode_frame({"type": "answers", "id": 1,
                                 "kind": "distance", "values": [1.0]})
-        client = ClientSession(io.BytesIO(welcome + answers[:-2]),
+        client = ClientSession(io.BytesIO(_WELCOME + answers[:-2]),
                                io.BytesIO())
         nodes = net_graph.nodes()
         with pytest.raises(FrameError, match="truncated"):
@@ -319,15 +319,12 @@ class TestHandshake:
         # A well-framed reply with hostile contents used to escape gather
         # as a bare ValueError/TypeError; now it is that request's
         # FrameError and, the stream being in step, the session goes on.
-        welcome = encode_frame({"type": "welcome",
-                                "protocol": PROTOCOL_VERSION,
-                                "server": "t", "config": None})
         bad = {"type": "answers", "id": 1, "kind": "distance",
                "values": [1.0], "served": {"queries": 1, "batches": 1}}
         good = dict(bad, id=2, values=[2.5],
                     served={"queries": 2, "batches": 2})
         client = ClientSession(
-            io.BytesIO(welcome + encode_frame({**bad, **corrupt})
+            io.BytesIO(_WELCOME + encode_frame({**bad, **corrupt})
                        + encode_frame(good)), io.BytesIO())
         first = client.submit("distance", [(0, 1)])
         second = client.submit("distance", [(0, 2)])
@@ -518,6 +515,46 @@ class TestNegotiationAndStats:
         assert (first["extra"]["telemetry"]["wire_frames_sent"]["value"]
                 == first["extra"]["wire"]["wire_frames_sent"])
 
+    #: Stats payloads a peer may send that this version cannot read: the
+    #: first is what a server from before PR 20 sends (two fields since
+    #: removed), the rest are hostile bytes.
+    MALFORMED_STATS = [
+        pytest.param(dict(ServingStats().as_dict(), hot_hits=3,
+                          warm_seconds=None), id="older-peer"),
+        pytest.param({"queries": 1, "extra": 5}, id="extra-not-a-dict"),
+        pytest.param(7, id="not-a-dict"),
+        pytest.param({"queries": "abc"}, id="string-counter"),
+        pytest.param({"queries": True, "load_seconds": [0.5]},
+                     id="bool-counter"),
+    ]
+
+    @watchdog(30.0)
+    @pytest.mark.parametrize("payload", MALFORMED_STATS)
+    def test_malformed_stats_reply_is_typed_and_survivable(self, payload):
+        # Used to escape as a bare ValueError / TypeError, or (a string
+        # counter) to be accepted; the frame was read whole, so only this
+        # request fails and the next one is answered.
+        good = ServingStats(queries=4, build_seconds=0.5).as_dict()
+        client = ClientSession(io.BytesIO(
+            _WELCOME + encode_frame({"type": "stats_reply", "stats": payload})
+            + encode_frame({"type": "stats_reply", "stats": good})),
+            io.BytesIO())
+        with pytest.raises(FrameError, match="malformed stats_reply"):
+            client.query_stats()
+        stats = client.query_stats()
+        assert (stats.queries, stats.build_seconds) == (4, 0.5)
+        client._teardown()
+
+    @watchdog(30.0)
+    @pytest.mark.parametrize("payload", MALFORMED_STATS)
+    def test_malformed_bye_never_raises_from_close(self, payload):
+        client = ClientSession(io.BytesIO(
+            _WELCOME + encode_frame({"type": "bye", "stats": payload})),
+            io.BytesIO())
+        client.close()      # best-effort: no final stats, no exception
+        assert client._final_stats is None
+        assert client.query_stats().queries == 0
+
     def test_wire_telemetry_spans_present(self, server, net_graph):
         nodes = net_graph.nodes()
         with ClientSession.connect(server.address, timeout=5.0,
@@ -614,6 +651,22 @@ def sharded_service(net_config, net_graph):
         yield service
 
 
+@contextlib.contextmanager
+def _frozen(service):
+    """SIGSTOP every worker of ``service`` for the body.  A small batch
+    submitted meanwhile fits the task pipes, so it is admitted at once and
+    stays unanswered until the body ends: the answer is held, where a big
+    batch only hoped to outlast the next statement."""
+    pids = [worker.process.pid for worker in service.workers]
+    for pid in pids:
+        os.kill(pid, signal.SIGSTOP)
+    try:
+        yield
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGCONT)
+
+
 class TestPipelinedSharded:
     def test_submit_wait_matches_sequential(self, sharded_service,
                                             local_backend, net_graph):
@@ -629,21 +682,22 @@ class TestPipelinedSharded:
                                                   net_graph):
         config = dataclasses.replace(net_config, workers=2,
                                      pipeline_depth=1, admission="reject")
-        # large enough that the workers cannot finish `first` in the
-        # instant between the two submits, even if this thread is preempted
-        pairs = zipf_workload(net_graph.nodes(), 4000, seed=2).pairs
+        pairs = zipf_workload(net_graph.nodes(), 64, seed=2).pairs
         with open_service(config, graph=net_graph) as service:
             service.distance_batch(pairs[:4])   # warm: spawn cost paid
-            first = service.submit_batch("distance", pairs)
-            # depth 1 is occupied until the collector drains `first`;
-            # a second submission must bounce, not queue — and a bounced
-            # submission was not served, so no counter may move.
-            before = dataclasses.replace(service.stats)
-            with pytest.raises(BackpressureError, match="pipeline full"):
-                service.submit_batch("distance", pairs[:4])
-            for name in ("queries", "route_queries", "distance_queries",
-                         "batches", "batched_queries"):
-                assert getattr(service.stats, name) == getattr(before, name)
+            with _frozen(service):
+                first = service.submit_batch("distance", pairs)
+                # depth 1 is occupied until the collector drains `first`;
+                # a second submission must bounce, not queue — and a
+                # bounced submission was not served, so no counter may
+                # move.
+                before = dataclasses.replace(service.stats)
+                with pytest.raises(BackpressureError, match="pipeline full"):
+                    service.submit_batch("distance", pairs[:4])
+                for name in ("queries", "route_queries", "distance_queries",
+                             "batches", "batched_queries"):
+                    assert getattr(service.stats, name) \
+                        == getattr(before, name)
             assert len(service.wait_batch(first)) == len(pairs)
             assert service.stats.queries == len(pairs) + 4
             merged = service.merged_stats()
@@ -841,14 +895,29 @@ class TestServerPipelining:
                                                           net_graph):
         config = dataclasses.replace(net_config, workers=2, pipeline_depth=1,
                                      admission="reject")
-        pairs = zipf_workload(net_graph.nodes(), 3000, seed=2).pairs
+        pairs = zipf_workload(net_graph.nodes(), 64, seed=2).pairs
+        bounced = threading.Event()
         with open_service(config, graph=net_graph) as service:
             service.distance_batch(pairs[:4])       # spawn cost paid
+            submit_batch = service.submit_batch
+
+            def spy(kind, pairs):
+                try:
+                    return submit_batch(kind, pairs)
+                except BackpressureError:
+                    bounced.set()
+                    raise
+
+            service.submit_batch = spy
             with RoutingServer(service, "127.0.0.1:0") as srv, \
                     ClientSession.connect(srv.address, timeout=5.0,
                                           reply_timeout=30.0) as client:
-                first = client.submit("distance", pairs)
-                second = client.submit("distance", pairs[:4])
+                with _frozen(service):
+                    first = client.submit("distance", pairs)
+                    second = client.submit("distance", pairs[:4])
+                    # replies keep arrival order, so the client cannot see
+                    # the bounce before `first` is answered
+                    assert bounced.wait(10.0)
                 assert len(client.gather(first)) == len(pairs)
                 with pytest.raises(BackpressureError, match="pipeline full"):
                     client.gather(second)

@@ -241,9 +241,3 @@ class TestServingStatsTelemetry:
         merged = ServingStats.merge([ServingStats(queries=1),
                                      ServingStats(queries=2)])
         assert "telemetry" not in merged.extra
-
-    def test_warm_seconds_sums_across_merge(self):
-        merged = ServingStats.merge([ServingStats(warm_seconds=0.25),
-                                     ServingStats(warm_seconds=0.5),
-                                     ServingStats()])
-        assert merged.warm_seconds == pytest.approx(0.75)

@@ -15,6 +15,7 @@ import pytest
 
 from repro import graphs
 from repro.routing import tables as tables_module
+from repro.routing.tz_hierarchy import _PivotRowCache
 from repro.serving import (
     BuildConfig,
     CacheConfig,
@@ -188,7 +189,7 @@ class TestPivotRowCacheBound:
         pairs = make_workload("uniform", kernel_graph, 300, seed=6).pairs
         with open_with(artifact_path, "dict") as service:
             hierarchy = service.hierarchy
-            hierarchy.set_pivot_row_cache_cap(8)
+            hierarchy._pivot_row_cache = _PivotRowCache(8)
             service.distance_batch(pairs)
             info = hierarchy.pivot_row_cache_info()
             assert info["capacity"] == 8
@@ -196,39 +197,6 @@ class TestPivotRowCacheBound:
             assert info["evictions"] > 0
             assert info["misses"] > 0
             assert service.query_stats().extra["pivot_row_cache"] == info
-
-    def test_cap_zero_disables_cache_without_changing_answers(
-            self, artifact_path, kernel_graph):
-        pairs = make_workload("zipf", kernel_graph, 200, seed=8).pairs
-        with open_with(artifact_path, "dict") as baseline:
-            expected = baseline.distance_batch(pairs)
-        uncached = open_with(artifact_path, "dict",
-                             cache=CacheConfig(capacity=0,
-                                               pivot_cache_cap=0))
-        with uncached as service:
-            assert service.distance_batch(pairs) == expected
-            info = service.hierarchy.pivot_row_cache_info()
-            assert info["capacity"] == 0 and info["size"] == 0
-            assert info["hits"] == 0
-
-    def test_config_cap_applies_and_resize_trims(self, artifact_path,
-                                                 kernel_graph):
-        capped = open_with(artifact_path, "dict",
-                           cache=CacheConfig(capacity=0, pivot_cache_cap=5))
-        pairs = make_workload("uniform", kernel_graph, 100, seed=7).pairs
-        with capped as service:
-            service.distance_batch(pairs)
-            hierarchy = service.hierarchy
-            assert hierarchy.pivot_row_cache_info()["capacity"] == 5
-            assert hierarchy.pivot_row_cache_info()["size"] <= 5
-            before = hierarchy.pivot_row_cache_info()["evictions"]
-            hierarchy.set_pivot_row_cache_cap(2)
-            info = hierarchy.pivot_row_cache_info()
-            assert info["size"] <= 2 and info["evictions"] >= before
-
-    def test_negative_cap_rejected(self):
-        with pytest.raises(ValueError, match="pivot_cache_cap"):
-            CacheConfig(pivot_cache_cap=-1)
 
 
 class TestNumpyOptional:

@@ -10,7 +10,7 @@ from repro.serving import (
     ServingConfig,
     WorkloadConfig,
 )
-from repro.serving.cli import FLAGS, build_parser, config_from_args
+from repro.serving.cli import FLAGS, build_parser, config_from_args, main
 
 
 def nondefault_serving_config() -> ServingConfig:
@@ -28,9 +28,7 @@ def nondefault_serving_config() -> ServingConfig:
         reply_timeout=90.0,
         build=BuildConfig(k=4, epsilon=0.5, seed=7, mode="budget",
                           engine="logical"),
-        cache=CacheConfig(policy="lru", capacity=512, hot_set="explicit",
-                          hot_kind="both", hot_pairs=((1, 2), (3, 4)),
-                          hot_threshold=5, hot_capacity=10),
+        cache=CacheConfig(capacity=512),
         workload=WorkloadConfig(name="bursty", num_queries=250, seed=9,
                                 params={"skew": 1.5, "burst_length": 20}),
     )
@@ -41,9 +39,8 @@ class TestRoundTrips:
         BuildConfig(),
         BuildConfig(k=5, epsilon=1.0, seed=3, mode="spd", engine="simulate"),
         CacheConfig(),
-        CacheConfig(capacity=0, hot_set="online", hot_threshold=2,
-                    hot_capacity=4),
-        CacheConfig(hot_set="explicit", hot_pairs=((0, 1), ("a", "b"))),
+        CacheConfig(capacity=0),
+        CacheConfig(capacity=7),
         WorkloadConfig(),
         WorkloadConfig(name="locality", num_queries=10, seed=1,
                        params={"hop_radius": 3, "bias": 0.5}),
@@ -70,8 +67,6 @@ class TestRoundTrips:
             assert value == (field.to_dict() if name in ("build", "cache",
                                                          "workload")
                              else field), name
-        assert record["cache"]["hot_pairs"] == [list(pair) for pair
-                                                in config.cache.hot_pairs]
 
     def test_to_dict_is_json_safe(self):
         import json
@@ -80,10 +75,6 @@ class TestRoundTrips:
         rehydrated = ServingConfig.from_dict(
             json.loads(json.dumps(config.to_dict())))
         assert rehydrated == config
-
-    def test_hot_pairs_normalised_to_tuples(self):
-        config = CacheConfig(hot_pairs=[[1, 2], (3, 4)])
-        assert config.hot_pairs == ((1, 2), (3, 4))
 
 
 class TestUnknownKeys:
@@ -105,6 +96,18 @@ class TestUnknownKeys:
         with pytest.raises(ValueError, match="expects a dict"):
             BuildConfig.from_dict("k=3")
 
+    def test_removed_cache_spellings_fail_loudly(self):
+        """The cache options PR 20 removed are typos now, not aliases: a
+        stored config or a command line that names one fails at once."""
+        known = r"known keys: \['capacity'\]"
+        with pytest.raises(ValueError, match="hot_set.*" + known):
+            CacheConfig.from_dict({"hot_set": "online"})
+        with pytest.raises(ValueError, match="policy.*" + known):
+            ServingConfig.from_dict({"cache": {"policy": "lfu"}})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--graph", "er:n=30,p=0.2", "--hot-set", "online"])
+        assert exit_info.value.code == 2
+
 
 class TestValidation:
     def test_invalid_values_rejected(self):
@@ -114,10 +117,6 @@ class TestValidation:
             BuildConfig(epsilon=0)
         with pytest.raises(ValueError, match="capacity"):
             CacheConfig(capacity=-1)
-        with pytest.raises(ValueError, match="hot_kind"):
-            CacheConfig(hot_kind="everything")
-        with pytest.raises(ValueError, match="hot_threshold"):
-            CacheConfig(hot_threshold=0)
         with pytest.raises(ValueError, match="num_queries"):
             WorkloadConfig(num_queries=-1)
         with pytest.raises(ValueError, match="workers"):
@@ -172,9 +171,7 @@ class TestCliParity:
             "--skew", "1.7", "--burst-length", "15", "--burst-rate", "0.1",
             "--burst-intensity", "0.5", "--drift-period", "50",
             "--batch-size", "16", "--cache-size", "99",
-            "--cache-policy", "lru", "--kind", "distance",
-            "--hot-set", "online", "--hot-threshold", "3",
-            "--hot-capacity", "44", "--workers", "2",
+            "--kind", "distance", "--workers", "2",
             "--partitioner", "hash_pair"])
         config = config_from_args(args, parser)
         assert config.graph_spec == "grid:rows=4,cols=4"
@@ -190,10 +187,6 @@ class TestCliParity:
         assert config.batch_size == 16
         assert config.kind == "distance"
         assert config.cache.capacity == 99
-        assert config.cache.policy == "lru"
-        assert config.cache.hot_set == "online"
-        assert config.cache.hot_threshold == 3
-        assert config.cache.hot_capacity == 44
         assert config.workers == 2
         assert config.partitioner == "hash_pair"
         # No flag default can drift from its dataclass field: flags left

@@ -7,7 +7,6 @@ from repro.routing import build_compact_routing, evaluate_routing, sample_pairs
 from repro.serving import (
     BuildConfig,
     CacheConfig,
-    LFUCache,
     LRUCache,
     RoutingService,
     ServingStats,
@@ -57,134 +56,6 @@ class TestLRUCache:
         assert (cache.hits, cache.misses) == (1, 1)
         cache.reset()
         assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
-
-
-class TestLFUCache:
-    """The frequency-aware cache policy (registered as ``lfu``)."""
-
-    def test_evicts_least_frequent_not_least_recent(self):
-        cache = LFUCache(2)
-        cache.put("hot", 1)
-        cache.get("hot")
-        cache.get("hot")            # freq("hot") = 3 accesses
-        cache.put("cold", 2)        # freq("cold") = 1
-        cache.get("cold")           # "cold" is now most *recent*, freq 2
-        cache.put("new", 3)         # LRU would evict "hot"; LFU evicts "cold"
-        assert "hot" in cache and "new" in cache and "cold" not in cache
-        assert cache.evictions == 1
-
-    def test_frequency_ties_break_least_recently_used(self):
-        cache = LFUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)           # both freq 1; "a" is older
-        cache.put("c", 3)
-        assert "a" not in cache and "b" in cache and "c" in cache
-
-    def test_zero_capacity_disables(self):
-        cache = LFUCache(0)
-        cache.put("a", 1)
-        assert cache.get("a") is None
-        assert len(cache) == 0
-        assert cache.misses == 1 and cache.hits == 0
-
-    def test_discard_and_reset(self):
-        cache = LFUCache(3)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")
-        assert cache.discard("a") is True
-        assert cache.discard("a") is False
-        assert "a" not in cache and "b" in cache
-        cache.put("c", 3)           # min-freq bookkeeping survives discard
-        cache.put("d", 4)
-        cache.put("e", 5)           # evicts the least-frequent of b/c/d
-        assert len(cache) == 3
-        cache.reset()
-        assert (cache.hits, len(cache)) == (cache.misses, 0) == (0, 0)
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            LFUCache(-1)
-
-    def test_selectable_as_service_policy(self, service_graph):
-        service = RoutingService.build(
-            service_graph, k=2, seed=1,
-            cache_config=CacheConfig(policy="lfu", capacity=64))
-        assert isinstance(service.distance_cache, LFUCache)
-        assert service.stats.extra["cache_policy"] == "lfu"
-        u, v = service_graph.nodes()[0], service_graph.nodes()[3]
-        first = service.route(u, v)
-        assert service.route(u, v) is first     # cached, not recomputed
-
-
-class TestHotSetDecay:
-    """OnlineHotSet demotion: cold promoted pairs are unpinned (satellite)."""
-
-    @staticmethod
-    def _decaying_service(graph, decay_window, decay_threshold=1):
-        return RoutingService.build(
-            graph, k=2, seed=1,
-            cache_config=CacheConfig(
-                capacity=64, hot_set="online", hot_threshold=2,
-                hot_capacity=4, hot_decay_window=decay_window,
-                hot_decay_threshold=decay_threshold))
-
-    def test_cold_promoted_pair_is_demoted(self, service_graph):
-        nodes = service_graph.nodes()
-        service = self._decaying_service(service_graph, decay_window=6)
-        hot = (nodes[0], nodes[1])
-        for _ in range(3):                      # miss, then 2 LRU hits
-            service.distance_estimate(*hot)
-        assert service.stats.extra["hot_promotions"] == 1
-        assert service.stats.extra["hot_pairs"]["distance"] == 1
-        # The promoted pair goes cold while other traffic keeps hitting
-        # (and, being hot itself, gets promoted into the freed window).
-        other = (nodes[2], nodes[3])
-        service.distance_estimate(*other)
-        for _ in range(8):
-            service.distance_estimate(*other)
-        assert service.stats.extra["hot_demotions"] == 1
-        assert hot not in service._hot_distances
-        assert other in service._hot_distances
-        # Demotion returned the value to the LRU domain: the next query is
-        # a cache hit, not a recomputation, and the answer is unchanged.
-        misses_before = service.stats.cache_misses
-        assert (service.distance_estimate(*hot)
-                == service.hierarchy.distance(*hot))
-        assert service.stats.cache_misses == misses_before
-
-    def test_still_hot_pair_stays_pinned(self, service_graph):
-        nodes = service_graph.nodes()
-        service = self._decaying_service(service_graph, decay_window=4)
-        hot = (nodes[0], nodes[1])
-        for _ in range(20):                     # hot hits keep the window warm
-            service.distance_estimate(*hot)
-        assert service.stats.extra["hot_promotions"] == 1
-        assert service.stats.extra.get("hot_demotions", 0) == 0
-        assert service.stats.extra["hot_pairs"]["distance"] == 1
-
-    def test_demotion_frees_promotion_capacity(self, service_graph):
-        nodes = service_graph.nodes()
-        service = RoutingService.build(
-            service_graph, k=2, seed=1,
-            cache_config=CacheConfig(
-                capacity=64, hot_set="online", hot_threshold=2,
-                hot_capacity=1, hot_decay_window=5))
-        first, second = (nodes[0], nodes[1]), (nodes[2], nodes[3])
-        for _ in range(3):
-            service.distance_estimate(*first)   # fills the single hot slot
-        assert service.stats.extra["hot_pairs"]["distance"] == 1
-        for _ in range(12):                     # first goes cold -> demoted
-            service.distance_estimate(*second)
-        assert service.stats.extra["hot_demotions"] >= 1
-        # The freed slot is available again: second can now promote.
-        assert service.stats.extra["hot_pairs"]["distance"] == 1
-        assert service.stats.extra["hot_promotions"] == 2
-
-    def test_decay_requires_online_hot_set_in_cli(self, tmp_path):
-        with pytest.raises(SystemExit):
-            serve_main(["--graph", "grid:rows=4,cols=4",
-                        "--hot-decay-window", "10"])
 
 
 class TestSingleQueries:
@@ -260,48 +131,6 @@ class TestBatchedQueries:
         assert service.stats.route_queries == 20
         assert service.stats.distance_queries == 20
         assert service.stats.batches == 2
-
-
-class TestHotPairs:
-    def test_hot_pairs_bypass_lru(self, service_graph):
-        service = RoutingService.build(service_graph, k=2, seed=5,
-                                       cache_config=CacheConfig(capacity=0))
-        u, v = service_graph.nodes()[0], service_graph.nodes()[7]
-        assert service.precompute_hot_pairs([(u, v)], kind="both") == 1
-        trace = service.route(u, v)
-        est = service.distance_estimate(u, v)
-        assert service.stats.hot_hits == 2
-        assert trace.path[0] == u and trace.path[-1] == v
-        assert est == service.hierarchy.distance(u, v)
-
-    def test_bad_kind_rejected(self, built_service):
-        with pytest.raises(ValueError, match="kind"):
-            built_service.precompute_hot_pairs([], kind="everything")
-
-    def test_hot_pair_count_reported_per_kind(self, service_graph):
-        service = RoutingService.build(service_graph, k=2, seed=6)
-        nodes = service_graph.nodes()
-        service.precompute_hot_pairs([(nodes[0], nodes[1])], kind="route")
-        service.precompute_hot_pairs([(nodes[i], nodes[i + 1])
-                                      for i in range(3)], kind="distance")
-        assert service.stats.extra["hot_pairs"] == {"route": 1, "distance": 3}
-
-    def test_pinning_evicts_lru_copies(self, service_graph):
-        """Regression: a pair queried before being pinned used to stay in the
-        LRU caches too — double storage outside clear_cache bookkeeping."""
-        service = RoutingService.build(service_graph, k=2, seed=7)
-        u, v = service_graph.nodes()[0], service_graph.nodes()[4]
-        service.route(u, v)
-        service.distance_estimate(u, v)
-        assert (u, v) in service.route_cache
-        assert (u, v) in service.distance_cache
-        service.precompute_hot_pairs([(u, v)], kind="both")
-        assert (u, v) not in service.route_cache
-        assert (u, v) not in service.distance_cache
-        # The pinned copy (not a stale LRU one) answers, as a hot hit.
-        before = service.stats.hot_hits
-        assert service.route(u, v).path == service.hierarchy.route(u, v).path
-        assert service.stats.hot_hits == before + 1
 
 
 class TestBuildOrLoad:

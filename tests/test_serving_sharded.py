@@ -42,7 +42,7 @@ class TestServingStatsMerge:
     def test_counters_sum(self):
         a = ServingStats(queries=10, route_queries=7, distance_queries=3,
                          batches=2, batched_queries=9, cache_hits=4,
-                         cache_misses=6, hot_hits=1)
+                         cache_misses=6)
         b = ServingStats(queries=5, route_queries=5, batches=1,
                          batched_queries=5, cache_hits=2, cache_misses=3)
         merged = ServingStats.merge([a, b])
@@ -52,7 +52,6 @@ class TestServingStatsMerge:
         assert merged.batches == 3
         assert merged.batched_queries == 14
         assert (merged.cache_hits, merged.cache_misses) == (6, 9)
-        assert merged.hot_hits == 1
         assert merged.cache_hit_rate == 6 / 15
         assert merged.extra["merged_from"] == 2
 
@@ -179,7 +178,7 @@ class TestMergedStats:
         assert len(per_worker) == 2
         for attr in ("queries", "route_queries", "distance_queries",
                      "batches", "batched_queries", "cache_hits",
-                     "cache_misses", "hot_hits"):
+                     "cache_misses"):
             assert getattr(merged, attr) == sum(getattr(stats, attr)
                                                 for stats in per_worker), attr
         assert merged.queries == 2 * len(workload)

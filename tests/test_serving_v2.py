@@ -1,6 +1,9 @@
-"""Serving API v2: QueryBackend protocol, open_service, policies."""
+"""Serving API v2: QueryBackend protocol, open_service, registries."""
 
+import dataclasses
 import gc
+import socket
+import struct
 import warnings
 
 import pytest
@@ -9,21 +12,23 @@ from repro import graphs
 from repro.serving import (
     BuildConfig,
     CacheConfig,
-    ExplicitHotSet,
-    OnlineHotSet,
+    ClientSession,
     QueryBackend,
     Registry,
+    RoutingServer,
     RoutingService,
     ServingConfig,
-    ServingStats,
     ShardedRoutingService,
     WORKLOAD_NAMES,
     WorkloadConfig,
+    answer_batch,
     make_workload,
     open_service,
+    parse_endpoint,
     register_workload,
 )
 from repro.serving.registry import WORKLOADS
+from repro.serving.wire import encode_answers, encode_frame
 
 
 @pytest.fixture(scope="module")
@@ -118,23 +123,84 @@ class TestOpenServiceIdentity:
         assert [t.path for t in v2_routes] == [t.path for t in v1_routes]
         assert v2_dists == v1_dists
 
-    def test_identity_holds_with_all_policies_on(self, v2_graph, v2_config):
-        """Hot-set promotion and pair-hash partitioning change where repeats
-        are answered, never what the answer is."""
-        import dataclasses
+    @pytest.fixture(scope="class")
+    def bursty_batches(self, v2_graph):
+        pairs = make_workload("bursty", v2_graph, 200, seed=3).pairs
+        return [pairs[lo:lo + 50] for lo in range(0, len(pairs), 50)]
 
-        workload = make_workload("bursty", v2_graph, 200, seed=3)
-        reference = open_service(v2_config).route_batch(workload.pairs)
+    @pytest.fixture(scope="class")
+    def uncached(self, v2_config, bursty_batches):
+        """What the per-pair path answers with no cache at all."""
+        oracle = open_service(dataclasses.replace(
+            v2_config, kernel="dict", cache=CacheConfig(capacity=0)))
+        return {kind: [answer_batch(oracle, kind, batch)
+                       for batch in bursty_batches]
+                for kind in ("route", "distance")}
+
+    @pytest.mark.parametrize("kind", ["route", "distance"])
+    @pytest.mark.parametrize("backend", ["local", "sharded", "server"])
+    @pytest.mark.parametrize("capacity", [0, 1, 4096])
+    def test_answers_ignore_cache_size(self, v2_graph, v2_config,
+                                       bursty_batches, uncached,
+                                       capacity, backend, kind):
+        """An answer is a pure function of (artifact, pair): the capacity
+        decides which entries stay resident (at 1 a bursty stream evicts on
+        nearly every miss), never what is answered — down to the bytes of
+        an ``answers`` frame, since a ``wire_text`` rebuilt after an
+        eviction is the same text."""
+        shape = {} if backend == "local" else {"workers": 2,
+                                               "partitioner": "hash_pair"}
         config = dataclasses.replace(
-            v2_config, workers=2, partitioner="hash_pair",
-            cache=CacheConfig(capacity=64, hot_set="online",
-                              hot_threshold=2, hot_capacity=16))
-        with open_service(config, graph=v2_graph) as fancy:
-            answers = []
-            for lo in range(0, len(workload.pairs), 50):
-                answers.extend(fancy.route_batch(workload.pairs[lo:lo + 50]))
-        assert [t.path for t in answers] == [t.path for t in reference]
-        assert [t.weight for t in answers] == [t.weight for t in reference]
+            v2_config, cache=CacheConfig(capacity=capacity), **shape)
+        with open_service(config, graph=v2_graph) as service:
+            if backend != "server":
+                assert [answer_batch(service, kind, batch)
+                        for batch in bursty_batches] == uncached[kind]
+                return
+            with RoutingServer(service, "127.0.0.1:0") as srv:
+                sock = socket.create_connection(parse_endpoint(srv.address),
+                                                timeout=5.0)
+                sock.settimeout(30.0)
+                replies = _Tee(sock.makefile("rb"))
+                with ClientSession(replies, sock.makefile("wb"),
+                                   sock=sock) as client:
+                    answers = [client.gather(client.submit(kind, batch))
+                               for batch in bursty_batches]
+        assert answers == uncached[kind]
+        # welcome, one answers frame per batch, bye: the middle is the same
+        # bytes whatever the capacity, because it equals the one oracle.
+        assert _frames(replies.seen)[1:-1] == [
+            encode_frame({"type": "answers", "id": number, "kind": kind,
+                          "values": encode_answers(kind, values),
+                          "served": {"queries": 50 * number,
+                                     "batches": number}})
+            for number, values in enumerate(uncached[kind], start=1)]
+
+
+class _Tee:
+    """A read stream that keeps every byte it hands on."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.seen = bytearray()
+
+    def read(self, size=-1):
+        data = self.stream.read(size)
+        self.seen += data
+        return data
+
+    def close(self):
+        self.stream.close()
+
+
+def _frames(raw):
+    """Split a reply byte stream at its 6-byte ``>2sI`` frame headers."""
+    frames, at = [], 0
+    while at < len(raw):
+        end = at + 6 + struct.unpack_from(">2sI", raw, at)[1]
+        frames.append(bytes(raw[at:end]))
+        at = end
+    return frames
 
 
 class TestResourceWarningOnImplicitTeardown:
@@ -160,120 +226,7 @@ class TestResourceWarningOnImplicitTeardown:
             gc.collect()
 
 
-class TestOnlineHotSet:
-    def make_service(self, graph, threshold=2, capacity=16):
-        return RoutingService.build(
-            graph, k=2, seed=1,
-            cache_config=CacheConfig(capacity=256, hot_set="online",
-                                     hot_threshold=threshold,
-                                     hot_capacity=capacity))
-
-    def test_promotes_after_threshold_hits(self, v2_graph):
-        service = self.make_service(v2_graph, threshold=2)
-        u, v = v2_graph.nodes()[0], v2_graph.nodes()[7]
-        expected = service.hierarchy.route(u, v)
-        service.route(u, v)                    # miss
-        service.route(u, v)                    # LRU hit 1
-        assert (u, v) not in service._hot_routes
-        service.route(u, v)                    # LRU hit 2 -> promoted
-        assert (u, v) in service._hot_routes
-        assert (u, v) not in service.route_cache   # pinned copy evicted
-        assert service.stats.extra["hot_promotions"] == 1
-        before = service.stats.hot_hits
-        trace = service.route(u, v)            # answered from the hot store
-        assert service.stats.hot_hits == before + 1
-        assert trace.path == expected.path and trace.weight == expected.weight
-
-    def test_promotes_distances_independently(self, v2_graph):
-        service = self.make_service(v2_graph, threshold=2)
-        u, v = v2_graph.nodes()[1], v2_graph.nodes()[8]
-        for _ in range(3):
-            service.distance_batch([(u, v)])
-        assert (u, v) in service._hot_distances
-        assert (u, v) not in service._hot_routes
-
-    def test_capacity_bounds_promotions(self, v2_graph):
-        service = self.make_service(v2_graph, threshold=1, capacity=1)
-        nodes = v2_graph.nodes()
-        pairs = [(nodes[0], nodes[5]), (nodes[1], nodes[6]),
-                 (nodes[2], nodes[7])]
-        for _ in range(3):
-            for pair in pairs:
-                service.route(*pair)
-        assert len(service._hot_routes) == 1
-        assert service.stats.extra["hot_promotions"] == 1
-
-    def test_zero_capacity_never_promotes(self, v2_graph):
-        service = self.make_service(v2_graph, threshold=1, capacity=0)
-        u, v = v2_graph.nodes()[0], v2_graph.nodes()[9]
-        for _ in range(5):
-            service.route(u, v)
-        assert not service._hot_routes
-        assert "hot_promotions" not in service.stats.extra
-
-    def test_promotion_telemetry_survives_stats_merge(self):
-        """Regression: per-worker hot-set extras used to be dropped by
-        ServingStats.merge because workers disagree on the counts; additive
-        extras are summed instead."""
-        a = ServingStats(extra={"hot_promotions": 3,
-                                "hot_pairs": {"route": 3, "distance": 1},
-                                "worker_id": 0})
-        b = ServingStats(extra={"hot_promotions": 5,
-                                "hot_pairs": {"route": 5},
-                                "worker_id": 1})
-        merged = ServingStats.merge([a, b])
-        assert merged.extra["hot_promotions"] == 8
-        assert merged.extra["hot_pairs"] == {"route": 8, "distance": 1}
-        assert "worker_id" not in merged.extra
-
-    def test_promotion_pins_the_cached_value_without_recompute(self,
-                                                               v2_graph):
-        """Regression: promotion used to recompute the result from the
-        hierarchy on the triggering cache hit; the cached value (identical
-        by construction) must be pinned directly."""
-        service = self.make_service(v2_graph, threshold=2)
-        u, v = v2_graph.nodes()[2], v2_graph.nodes()[6]
-        first = service.route(u, v)            # miss: computed and cached
-        service.route(u, v)                    # hit 1
-        service.route(u, v)                    # hit 2 -> promoted
-        assert service._hot_routes[(u, v)] is first
-        calls = []
-        service.hierarchy.route = lambda *a, **k: calls.append(a)  # trip wire
-        assert service.route(u, v) is first    # hot store answers
-        assert not calls
-
-    def test_explicit_policy_object_pins_on_install(self, v2_graph):
-        service = RoutingService.build(v2_graph, k=2, seed=1)
-        u, v = v2_graph.nodes()[3], v2_graph.nodes()[9]
-        service.install_hot_set(ExplicitHotSet(pairs=[(u, v)], kind="both"))
-        assert (u, v) in service._hot_routes
-        assert (u, v) in service._hot_distances
-        assert service.stats.extra["hot_set"] == "explicit"
-
-    def test_replacing_policy_clears_stale_provenance(self, v2_graph):
-        """Regression: replacing/detaching a policy used to leave the old
-        policy's describe() keys dangling in stats.extra."""
-        service = RoutingService.build(v2_graph, k=2, seed=1)
-        u, v = v2_graph.nodes()[3], v2_graph.nodes()[9]
-        service.install_hot_set(ExplicitHotSet(pairs=[(u, v)]))
-        assert service.stats.extra["hot_set_pairs"] == 1
-        service.install_hot_set(OnlineHotSet())
-        assert service.stats.extra["hot_set"] == "online"
-        assert "hot_set_pairs" not in service.stats.extra
-        service.install_hot_set(None)
-        assert "hot_set" not in service.stats.extra
-        assert (u, v) in service._hot_routes   # pinned pairs stay pinned
-
-
 class TestShardedConfigRejections:
-    def test_explicit_hot_set_rejected_for_sharded(self, artifact_path):
-        """Every worker would pin every pair of its own full copy."""
-        with pytest.raises(ValueError, match="explicit hot sets"):
-            ShardedRoutingService(
-                artifact_path, num_workers=2,
-                cache_config=CacheConfig(hot_set="explicit",
-                                         hot_pairs=((0, 1),)))
-
     def test_unsaveable_sharded_build_rejected_before_building(
             self, v2_graph, tmp_path):
         """Regression: workers>1 + save_artifact=False with no artifact on
