@@ -42,6 +42,9 @@ class StretchReport:
     mean_stretch: float = 0.0
     p95_stretch: float = 0.0
     fallback_hops: int = 0
+    #: Delivered routes heavier than the table estimate they were selected
+    #: on (a route through pivot ``p`` must realise ``wd'(v,p) + wd'(p,w)``).
+    over_estimate: int = 0
     failures: List[Tuple[Hashable, Hashable]] = field(default_factory=list)
 
     @property
@@ -57,6 +60,7 @@ class StretchReport:
             "mean_stretch": self.mean_stretch,
             "p95_stretch": self.p95_stretch,
             "fallback_hops": self.fallback_hops,
+            "over_estimate": self.over_estimate,
         }
 
 
@@ -101,6 +105,9 @@ def evaluate_routing(scheme, graph: WeightedGraph,
             continue
         report.delivered += 1
         report.fallback_hops += trace.fallback_hops
+        if (trace.estimate is not None
+                and trace.weight > trace.estimate * (1 + 1e-9)):
+            report.over_estimate += 1
         d = exact[u][v]
         stretches.append(trace.weight / d if d > 0 else 1.0)
     if stretches:

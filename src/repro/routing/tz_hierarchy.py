@@ -239,6 +239,7 @@ class CompactRoutingHierarchy:
         self.metrics = metrics
         self.build_params: Dict[str, object] = {}
         self._exact_parent_cache: Dict[Hashable, Dict[Hashable, Optional[Hashable]]] = {}
+        self._skeleton_tail_tables: Dict[Tuple[int, Hashable], Dict] = {}
         self._pivot_row_cache = _PivotRowCache(PIVOT_ROW_CACHE_CAP)
         self._route_fallbacks = 0
         #: Optional zero-copy pivot-row provider (set by the artifact-v2
@@ -385,7 +386,10 @@ class CompactRoutingHierarchy:
             # The skeleton computation is simulated globally (Lemma 4.12),
             # so the faithful CONGEST engine does not apply here.
             skeleton_engine = "logical" if engine == "simulate" else engine
-            skel_levels: List[Tuple[int, int, int, bool]] = []
+            # Every S_l is non-empty (the top level is), and a skeleton with
+            # no edges — a single node, say — is solved like any other: its
+            # PDE is the identity, wd'_sk(t, t) = 0.
+            skel_levels: List[Tuple[int, int, int]] = []
             for l in range(l0, k):
                 sigma = max(1, min(len(level_sets[l]),
                                    int(math.ceil(budget_constant * n ** (1.0 / k) * log_n))))
@@ -393,24 +397,17 @@ class CompactRoutingHierarchy:
                     sigma = max(1, len(level_sets[l]))
                 h_skel = max(1, min(max(1, skeleton_graph.num_nodes), int(math.ceil(
                     budget_constant * n ** ((l + 1 - l0) / k) * log_n))))
-                solvable = (skeleton_graph.num_edges > 0
-                            and len(level_sets[l]) > 0)
-                skel_levels.append((l, h_skel, sigma, solvable))
+                skel_levels.append((l, h_skel, sigma))
             sk_instances = {
                 l: PDEInstance(token="skeleton", sources=tuple(level_sets[l]),
                                h=h_skel, sigma=sigma, epsilon=epsilon,
                                engine=skeleton_engine)
-                for l, h_skel, sigma, solvable in skel_levels if solvable}
+                for l, h_skel, sigma in skel_levels}
             sk_solved = dict(zip(sk_instances, solve_pde_instances(
                 list(sk_instances.values()), {"skeleton": skeleton_graph},
                 build_workers=build_workers, registry=obs)))
 
-            for l, h_skel, sigma, solvable in skel_levels:
-                if not solvable:
-                    pde_results.append(None)
-                    level_data.append(_LevelData(sources=level_sets[l], h=h_skel,
-                                                 sigma=sigma, skeleton_level=True))
-                    continue
+            for l, h_skel, sigma in skel_levels:
                 pde_sk = sk_solved[l]
                 pde_results.append(pde_sk)
                 skeleton_trees[l] = build_destination_trees(skeleton_graph, pde_sk)
@@ -707,12 +704,15 @@ class CompactRoutingHierarchy:
             return traces
 
     def clear_runtime_caches(self) -> None:
-        """Drop query-time caches (pivot rows, exact-path parents).
+        """Drop query-time caches (pivot rows, exact-path parents) and the
+        derived per-pivot skeleton tables.
 
-        The caches are pure accelerators — answers are identical with or
-        without them.  Benchmarks call this to measure cold-query cost.
+        All three are pure functions of the built state — answers are
+        identical with or without them.  Benchmarks call this to measure
+        cold-query cost.
         """
         self._exact_parent_cache.clear()
+        self._skeleton_tail_tables.clear()
         self._pivot_row_cache.clear()
 
     def route(self, source: Hashable, target: Hashable) -> RouteTrace:
@@ -762,38 +762,58 @@ class CompactRoutingHierarchy:
     # -- truncated-mode routing -----------------------------------------
     def _route_via_skeleton(self, node: Hashable, pivot: Hashable, level: int
                             ) -> Tuple[List[Hashable], int]:
-        """Path from ``node`` to ``pivot`` through the level-``l0`` skeleton."""
+        """Path from ``node`` to ``pivot`` through the level-``l0`` skeleton.
+
+        Leaves through the anchor ``t`` the table estimate was computed
+        through: the first minimum of ``wd'(node, t) + wd'_sk(t, pivot)`` in
+        the iteration order of ``node``'s skeleton list (where a skeleton
+        node finds itself at 0, and the pivot with an empty tail), so the
+        route is no heavier than the estimate it was selected on.
+        """
         if node == pivot:
             return [node], 0
-        fallback = 0
-        data = self.level_data[level]
-        sk_trees = self.skeleton_trees.get(level)
-        # Choose the attachment skeleton node minimising the combined estimate.
-        anchors = dict(self.pde_skel.estimates.get(node, {})) if self.pde_skel else {}
-        if node in (self.level_sets[self.l0] if self.l0 is not None else set()):
-            anchors[node] = 0.0
-        best = None
-        if sk_trees is not None:
-            sk_pde_est = {}
-            tree = sk_trees.get(pivot)
-            for t, dt in anchors.items():
-                if tree is not None and tree.contains(t):
-                    best_t = dt
-                    if best is None or best_t < best[0]:
-                        best = (best_t, t)
-        if best is None:
-            fallback += 1
-            return self._exact_path(node, pivot), fallback
-        _, attach = best
-        segment = self._attach_path(node, attach)
-        tree = sk_trees.get(pivot)
-        skeleton_path = tree.path_to_root(attach)
-        path = list(segment)
-        for a, b in zip(skeleton_path, skeleton_path[1:]):
-            expanded, fb = self._expand_skeleton_edge(a, b)
-            fallback += fb
-            path = path + expanded[1:]
+        tails = self._skeleton_tails(level, pivot)
+        anchor, best = None, float("inf")
+        for t, dt in self.pde_skel.estimates.get(node, {}).items():
+            row = tails.get(t)
+            if row is not None and dt + row[0] < best:
+                anchor, best = t, dt + row[0]
+        if anchor is None:
+            return self._exact_path(node, pivot), 1
+        _, tail, fallback = tails[anchor]
+        path = self._attach_path(node, anchor)
+        path.extend(tail)
         return path, fallback
+
+    def _skeleton_tails(self, level: int, pivot: Hashable
+                        ) -> Dict[Hashable, Tuple[float, Tuple[Hashable, ...], int]]:
+        """What the skeleton nodes store for ``pivot`` (Theorem 4.13).
+
+        ``anchor t -> (weight of t's tree path to the pivot in skeleton
+        weights, that path expanded to a path in G — without ``t`` itself —
+        and its fallback count)``, derived once per ``(level, pivot)`` from
+        the skeleton tree, the skeleton graph's weights and the attach trees.
+        """
+        tails = self._skeleton_tail_tables.get((level, pivot))
+        if tails is None:
+            # Every skeleton level has one tree per source, and a pivot of
+            # level l is a source of level l.
+            parent = self.skeleton_trees[level][pivot].parent
+            tails = {pivot: (0.0, (), 0)}
+            for t in parent:
+                chain = []
+                while t not in tails:
+                    chain.append(t)
+                    t = parent[t]
+                for a in reversed(chain):
+                    b = parent[a]
+                    dist, tail, fallback = tails[b]
+                    hop, repaired = self._expand_skeleton_edge(a, b)
+                    tails[a] = (self.skeleton_graph.weight(a, b) + dist,
+                                tuple(hop[1:]) + tail, fallback + repaired)
+            # Published whole: a concurrent reader never sees half a table.
+            self._skeleton_tail_tables[(level, pivot)] = tails
+        return tails
 
     def _attach_path(self, node: Hashable, skeleton_node: Hashable) -> List[Hashable]:
         if node == skeleton_node:
@@ -904,8 +924,9 @@ class CompactRoutingHierarchy:
         (only dicts / lists / tuples / scalars), so two hierarchies are
         the same build exactly when their snapshots compare equal.
         Runtime caches and raw per-level PDE results are excluded; dict
-        insertion orders are preserved because query tie-breaking (skeleton
-        anchors, exact-path repair) follows iteration order.
+        insertion orders are preserved because query tie-breaking follows
+        iteration order (a skeleton route leaves through the *first* anchor
+        of ``pde_skel.estimates[node]`` minimising the combined estimate).
         """
         def family_state(trees: Optional[TreeFamily]):
             return None if trees is None else trees.export_state()

@@ -1,11 +1,24 @@
-"""Boundary behaviour of the Corollary 4.14 truncation-level choice."""
+"""Boundary behaviour of the Corollary 4.14 truncation-level choice, and the
+recorded truncated-mode routes that once outweighed their own estimate."""
 
+import itertools
+import json
 import math
+import os
 
 import pytest
 
 from repro import graphs
+from repro.graphs import dijkstra
 from repro.routing import build_compact_routing, choose_truncation_level
+from repro.serving import parse_graph_spec
+
+from helpers import assert_routes_realise_estimates
+
+with open(os.path.join(os.path.dirname(__file__), "data",
+                       "truncated_route_offenders.json"),
+          encoding="utf-8") as _fh:
+    OFFENDERS = json.load(_fh)["offenders"]
 
 
 class TestClampRange:
@@ -77,3 +90,51 @@ class TestAutoModeUsesChoice:
         hierarchy = build_compact_routing(er_graph, k=4, l0=3, seed=1)
         assert hierarchy.mode == "truncated"
         assert hierarchy.l0 == 3
+
+
+class TestRecordedOffenders:
+    """``tests/data/truncated_route_offenders.json``: pairs whose level-``l0``
+    route left through the nearest skeleton anchor and came out heavier than
+    the estimate (and, at small ``k``, than ``4k - 3`` times the distance)."""
+
+    @pytest.mark.parametrize(
+        "case", OFFENDERS,
+        ids=[f"{c['graph']}-k{c['k']}-{c['pair'][0]}->{c['pair'][1]}"
+             for c in OFFENDERS])
+    def test_route_realises_its_estimate(self, case):
+        graph = parse_graph_spec(case["graph"])
+        hierarchy = build_compact_routing(
+            graph, k=case["k"], epsilon=0.25, engine="batched",
+            mode=case["mode"], seed=case["seed"])
+        source, target = case["pair"]
+        exact = dijkstra(graph, source)[0][target]
+        assert exact == case["exact"]
+        assert hierarchy._select_level(source, target) == (
+            case["level"], case["pivot"], case["estimate"])
+        # The record is of a real defect: the old route broke the invariant.
+        assert case["weight_before"] > case["estimate"]
+
+        trace = hierarchy.route(source, target)
+        assert trace.delivered and trace.fallback_hops == 0
+        assert trace.weight <= trace.estimate * (1 + 1e-9)
+        assert trace.weight / exact <= 4 * case["k"] - 3
+
+
+class TestEdgelessSkeleton:
+    """A skeleton of one node has no edges, but it is still a skeleton: its
+    PDE is the identity, so the levels built on it keep their estimates
+    instead of sending every pair they own to a query-time Dijkstra."""
+
+    @pytest.mark.parametrize("spec,k", [("road:rows=8,cols=8", 3),
+                                        ("fattree:k=4", 3),
+                                        ("fattree:k=6", 4)])
+    def test_top_level_survives(self, spec, k):
+        graph = parse_graph_spec(spec)
+        hierarchy = build_compact_routing(graph, k=k, epsilon=0.25,
+                                          mode="truncated")
+        assert hierarchy.skeleton_graph.num_edges == 0
+        assert set(hierarchy.skeleton_trees) == set(range(hierarchy.l0, k))
+        traces = hierarchy.route_batch(
+            list(itertools.permutations(graph.nodes(), 2)), kernel="dict")
+        assert_routes_realise_estimates(traces)
+        assert sum(t.fallback_hops for t in traces) == 0

@@ -6,7 +6,10 @@ output byte moves: ``tests/data/golden_build_checksums.json`` holds the
 ``payload_sha256`` of hierarchies built by the *previous* engine (recorded
 before it was deleted; ``python tests/test_detection_core.py --record``
 rewrites the file from whatever engine is on ``PYTHONPATH``), and the core
-must keep reproducing them.
+must keep reproducing them.  Two entries are younger: the ``truncated``
+builds of ``road:rows=8,cols=8`` and ``fattree:k=4`` have a one-node
+skeleton, whose levels the hierarchy used to leave empty; they were
+re-recorded when it started solving them (the detection core did not move).
 """
 
 import json

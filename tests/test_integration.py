@@ -63,6 +63,7 @@ class TestEndToEndRouting:
             report = evaluate_routing(hierarchy, g, pairs=pairs)
             assert report.delivery_rate == 1.0, name
             assert report.max_stretch <= 9 + 1e-6, name
+            assert report.over_estimate == 0, name
 
     def test_relabeling_runner_record(self):
         g = graphs.random_geometric_graph(24, 0.4, None, seed=3)

@@ -7,9 +7,11 @@ one the paper relies on:
 * the defining invariants of source detection and PDE (Definition 2.1/2.2),
 * spanner stretch (used as a black box in Theorem 4.5),
 * tree routing delivery,
-* routing-scheme stretch bounds.
+* routing-scheme stretch bounds, and the Thorup–Zwick invariant behind them:
+  a route is no heavier than the table estimate it was selected on.
 """
 
+import itertools
 import math
 import random
 
@@ -27,8 +29,17 @@ from repro.graphs import (
     h_hop_distances,
     path_weight,
 )
-from repro.routing import TreeRouting, greedy_spanner, verify_spanner
+from repro.routing import (
+    TreeRouting,
+    build_compact_routing,
+    greedy_spanner,
+    verify_spanner,
+)
 from repro.congest import build_bfs_tree
+from repro.serving import parse_graph_spec
+from repro.serving.artifacts import load_hierarchy, save_hierarchy
+
+from helpers import assert_routes_realise_estimates
 
 
 # ----------------------------------------------------------------------
@@ -174,3 +185,44 @@ class TestRoutingSubstrateProperties:
             path = tr.route(a, b)
             assert path[0] == a and path[-1] == b
             assert path_weight(g, path) >= 0
+
+
+# ----------------------------------------------------------------------
+# compact routing: a route realises the estimate it was selected on
+# ----------------------------------------------------------------------
+HIERARCHY_MODES = ("budget", "spd", "truncated")
+
+
+class TestRouteRealisesEstimate:
+    @COMMON_SETTINGS
+    @given(random_graphs(), st.sampled_from(HIERARCHY_MODES),
+           st.integers(min_value=2, max_value=4))
+    def test_route_no_heavier_than_its_estimate(self, g, mode, k):
+        hierarchy = build_compact_routing(g, k=k, epsilon=0.25, mode=mode)
+        pairs = list(itertools.permutations(g.nodes(), 2))
+        assert_routes_realise_estimates(
+            hierarchy.route_batch(pairs, kernel="dict"))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("mode", HIERARCHY_MODES)
+    @pytest.mark.parametrize("spec", ["er:n=60,p=0.08,seed=1",
+                                      "road:rows=8,cols=8",
+                                      "powerlaw:n=80,seed=1", "fattree:k=4"])
+    def test_all_pairs_within_estimate_and_bound(self, spec, mode, k, tmp_path):
+        g = parse_graph_spec(spec)
+        hierarchy = build_compact_routing(g, k=k, epsilon=0.25, mode=mode)
+        pairs = list(itertools.permutations(g.nodes(), 2))
+        traces = hierarchy.route_batch(pairs, kernel="dict")
+        assert_routes_realise_estimates(traces)
+        exact = all_pairs_weighted_distances(g)
+        over_bound = [(t.source, t.target) for t in traces
+                      if t.weight > (4 * k - 3) * exact[t.source][t.target]
+                      * (1 + 1e-9)]
+        assert over_bound == []
+        assert sum(t.fallback_hops for t in traces) == 0
+
+        path = str(tmp_path / "h.artifact")
+        save_hierarchy(hierarchy, path)
+        loaded, _ = load_hierarchy(path)
+        assert loaded.has_columnar_kernel()
+        assert loaded.route_batch(pairs, kernel="columnar") == traces

@@ -94,6 +94,7 @@ class TestCompactHierarchy:
         report = evaluate_routing(hierarchy, base_graph)
         assert report.delivery_rate == 1.0
         assert report.max_stretch <= hierarchy.theoretical_stretch_bound() + 1e-6
+        assert report.over_estimate == 0
 
     def test_distance_estimates_feasible(self, base_graph):
         hierarchy = CompactRoutingHierarchy.build(base_graph, k=3, epsilon=0.25,
@@ -108,6 +109,8 @@ class TestCompactHierarchy:
         report = evaluate_routing(hierarchy, base_graph)
         assert report.delivery_rate == 1.0
         assert report.max_stretch <= hierarchy.theoretical_stretch_bound() + 1e-6
+        assert report.over_estimate == 0
+        assert hierarchy.audit()["over_estimate"] == 0
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_various_k(self, base_graph, k):
@@ -116,6 +119,7 @@ class TestCompactHierarchy:
         report = evaluate_routing(hierarchy, base_graph)
         assert report.delivery_rate == 1.0
         assert report.max_stretch <= 4 * k - 3 + 1e-6
+        assert report.over_estimate == 0
 
     def test_labels_have_k_entries(self, base_graph):
         k = 3
@@ -174,6 +178,7 @@ class TestCorollary414:
         report = evaluate_routing(hierarchy, base_graph)
         assert report.delivery_rate == 1.0
         assert report.max_stretch <= 5 + 1e-6
+        assert report.over_estimate == 0
 
     def test_auto_mode_large_k_truncates(self, base_graph):
         hierarchy = build_compact_routing(base_graph, k=3, seed=5)
@@ -181,6 +186,7 @@ class TestCorollary414:
         report = evaluate_routing(hierarchy, base_graph)
         assert report.delivery_rate == 1.0
         assert report.max_stretch <= 9 + 1e-6
+        assert report.over_estimate == 0
 
     def test_explicit_mode_passthrough(self, base_graph):
         hierarchy = build_compact_routing(base_graph, k=3, mode="spd", seed=5)
