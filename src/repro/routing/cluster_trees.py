@@ -65,9 +65,12 @@ class DestinationTree:
     def path_to_root(self, node: Hashable) -> List[Hashable]:
         if node not in self.parent:
             raise KeyError(f"{node!r} is not in the tree rooted at {self.root!r}")
+        parent = self.parent
         path = [node]
-        while self.parent[path[-1]] is not None:
-            path.append(self.parent[path[-1]])
+        node = parent[node]
+        while node is not None:
+            path.append(node)
+            node = parent[node]
         return path
 
     def tree_route(self, source: Hashable, target: Hashable) -> List[Hashable]:

@@ -15,6 +15,7 @@ import math
 import os
 import pickle
 import struct
+import sys
 from array import array
 from dataclasses import dataclass, field
 from typing import (
@@ -51,10 +52,11 @@ __all__ = [
     "HAVE_NUMPY",
 ]
 
-# Optional accelerator only: every columnar path below has a stdlib
-# struct/array twin producing bit-identical answers, so numpy's absence
-# (or REPRO_NO_NUMPY=1, which the CI matrix uses to pin the stdlib path)
-# changes speed, never results.
+# Optional accelerator for the pivot-row gather only (bunch rows are a few
+# records each, where array set-up costs more than it saves): the gather has
+# a stdlib struct/array twin producing bit-identical answers, so numpy's
+# absence (or REPRO_NO_NUMPY=1, which the CI matrix uses to pin the stdlib
+# path) changes speed, never results.
 try:
     import numpy as _np
 except ImportError:          # pragma: no cover - depends on environment
@@ -68,6 +70,9 @@ HAVE_NUMPY = _np is not None
 #: tables, as a packed numpy structured dtype (itemsize 12, no padding).
 _RECORD_DTYPE = (None if _np is None
                  else _np.dtype([("key", "<i4"), ("value", "<f8")]))
+
+#: Whether a native int32 view of the little-endian records reads them right.
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 def payload_words(value: Any) -> int:
@@ -594,6 +599,11 @@ class OffsetRecordTable:
             raise RecordTableError(
                 f"offset table is {len(self._buf)} bytes, header implies "
                 f"{expected}")
+        # The record area as int32 words: record j's key is word 3j.  A
+        # memoryview cast is native-endian and the records are ``<i``, so a
+        # big-endian host decodes key columns record by record instead.
+        self._words = (self._buf[self._data_base:].cast("i")
+                       if _LITTLE_ENDIAN else None)
 
     def _entry(self, row_index: int) -> Tuple[int, int]:
         if not 0 <= row_index < self.num_rows:
@@ -612,9 +622,14 @@ class OffsetRecordTable:
         return count
 
     def row_items(self, row_index: int) -> List[Tuple[int, float]]:
-        return list(self._RECORD.iter_unpack(self._row_slice(row_index)))
+        offset, count = self._extent(row_index)
+        start = self._data_base + offset * self._RECORD.size
+        return list(self._RECORD.iter_unpack(
+            self._buf[start:start + count * self._RECORD.size]))
 
-    def _row_slice(self, row_index: int):
+    def _extent(self, row_index: int) -> Tuple[int, int]:
+        """``(record offset, count)`` of a present row: one index read,
+        checked against the record area."""
         offset, count = self._entry(row_index)
         if count == self.ABSENT:
             raise RecordTableError(f"row {row_index} is absent from this table")
@@ -622,47 +637,38 @@ class OffsetRecordTable:
             raise RecordTableError(
                 f"row {row_index} points past the record area "
                 f"(offset {offset}, count {count}, {self.num_records} records)")
-        start = self._data_base + offset * self._RECORD.size
-        return self._buf[start:start + count * self._RECORD.size]
+        return offset, count
 
-    _KEY = struct.Struct("<i")
+    def row_keys(self, row_index: int) -> Tuple[int, List[int]]:
+        """``(record offset, keys)`` of a row — the keys only, as a list.
+
+        A packed ``<id`` record is three int32 words with the key first, so
+        the key column is one strided slice of the word view; a value is
+        read on its own, by record number, through :meth:`value_at`.
+        """
+        offset, count = self._extent(row_index)
+        if self._words is None:
+            return offset, [key for key, _ in self.row_items(row_index)]
+        return offset, self._words[3 * offset:3 * (offset + count):3].tolist()
+
+    def value_at(self, record: int) -> float:
+        """The float64 value of record number ``record`` (as numbered by
+        :meth:`row_keys`: its row's offset plus its position in the row),
+        read from behind the record's 4-byte key."""
+        return _F64.unpack_from(
+            self._buf, self._data_base + record * self._RECORD.size + 4)[0]
 
     def probe(self, row_index: int, key: int) -> Optional[float]:
         """The value stored for ``key`` in the row, or ``None``.
 
-        A bounded scan over the row's fixed-width records that decodes
-        *keys only* at the record stride; the float64 value is unpacked
-        for the single matching record (rows are ``O~(n^{1/k})`` entries).
-        With numpy the key column is compared in one vectorised pass.
+        One index read, one membership test over the row's key column
+        (rows are ``O~(n^{1/k})`` entries), and one float64 unpacked for
+        the record that matched — no other record is decoded.
         """
-        row = self._row_slice(row_index)
-        if _np is not None:
-            records = _np.frombuffer(row, dtype=_RECORD_DTYPE)
-            hits = _np.nonzero(records["key"] == key)[0]
-            return float(records["value"][hits[0]]) if hits.size else None
-        unpack_key = self._KEY.unpack_from
-        for pos in range(0, len(row), self._RECORD.size):
-            if unpack_key(row, pos)[0] == key:
-                return _F64.unpack_from(row, pos + self._KEY.size)[0]
+        offset, keys = self.row_keys(row_index)
+        if key in keys:
+            return self.value_at(offset + keys.index(key))
         return None
-
-    def lookup(self, row_index: int, key: int) -> Optional[float]:
-        """Alias of :meth:`probe` (the historical name, kept for callers)."""
-        return self.probe(row_index, key)
-
-    def row_map(self, row_index: int) -> Dict[int, float]:
-        """One row decoded to a ``{key: value}`` dict in a single pass.
-
-        The batch kernel decodes each ``(level, source)`` row at most once
-        per batch through this, then answers every pair in the source's
-        group with plain dict probes.
-        """
-        row = self._row_slice(row_index)
-        if _np is not None and len(row) >= 256:
-            records = _np.frombuffer(row, dtype=_RECORD_DTYPE)
-            return dict(zip(records["key"].tolist(),
-                            records["value"].tolist()))
-        return dict(self._RECORD.iter_unpack(row))
 
 
 # ----------------------------------------------------------------------
@@ -746,11 +752,11 @@ class InternedBunchRow:
         index = self._intern.get_index(node)
         if index is None:
             return False
-        return self._table.lookup(self._row, index) is not None
+        return self._table.probe(self._row, index) is not None
 
     def __getitem__(self, node: Hashable) -> float:
         index = self._intern.get_index(node)
-        value = None if index is None else self._table.lookup(self._row, index)
+        value = None if index is None else self._table.probe(self._row, index)
         if value is None:
             raise KeyError(node)
         return value
@@ -759,7 +765,7 @@ class InternedBunchRow:
         index = self._intern.get_index(node)
         if index is None:
             return default
-        value = self._table.lookup(self._row, index)
+        value = self._table.probe(self._row, index)
         return default if value is None else value
 
     def __len__(self) -> int:
@@ -878,15 +884,17 @@ class ColumnarQueryKernel:
       so bunch-row reads walk the mapped section monotonically;
     * each distinct target's pivot row is gathered once into one packed
       block (:meth:`PivotRowTable.rows_batch`);
-    * each ``(level, source)`` bunch row is decoded at most once per batch
-      (:meth:`OffsetRecordTable.row_map`), then every pair in the group is
-      answered by integer-keyed dict probes.
+    * each ``(level, source)`` bunch row has its index entry read and its
+      key column listed at most once per batch
+      (:meth:`OffsetRecordTable.row_keys`); every pair in the group is a
+      membership test on that list, and only a hit unpacks a value.
 
     Answers are bit-identical to the per-pair path — same float records,
     same ``estimate + tail`` arithmetic, same ``KeyError`` for unknown
     labels or bunch rows a sub-artifact sliced away — only the access
     pattern changes.  ``stats`` counts batches / pairs / source groups /
-    bunch-row decodes for the serving layer's ``--json`` report.
+    distinct ``(level, source)`` bunch rows touched (``bunch_rows_decoded``)
+    for the serving layer's ``--json`` report.
     """
 
     __slots__ = ("_intern", "_pivot_table", "_bunch_table", "_k",
@@ -918,16 +926,20 @@ class ColumnarQueryKernel:
         """The node label behind an interned index (for route selections)."""
         return self._intern.node_at(index)
 
-    def _bunch_row(self, level: int, source_index: int) -> Dict[int, float]:
+    def _bunch_keys(self, level: int, source_index: int
+                    ) -> Tuple[int, List[int]]:
         row_index = level * self._num_nodes + source_index
-        if not self._bunch_table.has_row(row_index):
+        try:
+            return self._bunch_table.row_keys(row_index)
+        except RecordTableError:
+            if self._bunch_table.has_row(row_index):
+                raise
             # Same KeyError contract as InternedBunchLevel.__getitem__.
             node = self._intern.node_at(source_index)
             raise KeyError(
                 f"bunch row for node {node!r} (level {level}) is not "
                 f"present in this artifact slice; sub-artifacts only hold "
-                f"rows for their own shard's sources")
-        return self._bunch_table.row_map(row_index)
+                f"rows for their own shard's sources") from None
 
     def select_batch(self, pairs: Sequence[Tuple[Hashable, Hashable]]
                      ) -> List[Optional[Tuple[int, Optional[int], float]]]:
@@ -959,13 +971,14 @@ class ColumnarQueryKernel:
             groups.setdefault(s, []).append(position)
 
         k = self._k
+        value_at = self._bunch_table.value_at
         results: List[Optional[Tuple[int, Optional[int], float]]] = \
             [None] * len(pairs)
         decoded = 0
         no_hit = (k, None, float("inf"))
         for s in sorted(groups):
             with self.metrics.span("kernel_group_decode"):
-                bunch_rows: List[Optional[Dict[int, float]]] = [None] * k
+                bunch_rows: List[Optional[Tuple[int, List[int]]]] = [None] * k
                 for position in groups[s]:
                     t = target_ids[position]
                     if s == t:
@@ -983,12 +996,12 @@ class ColumnarQueryKernel:
                             tail = pivot_dists[base + level - 1]
                         row = bunch_rows[level]
                         if row is None:
-                            row = self._bunch_row(level, s)
-                            bunch_rows[level] = row
+                            row = bunch_rows[level] = self._bunch_keys(level, s)
                             decoded += 1
-                        estimate = row.get(pivot)
-                        if estimate is not None:
-                            selection = (level, pivot, estimate + tail)
+                        offset, keys = row
+                        if pivot in keys:
+                            selection = (level, pivot, value_at(
+                                offset + keys.index(pivot)) + tail)
                             break
                     results[position] = selection
         self.stats["batches"] += 1

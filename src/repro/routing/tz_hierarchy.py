@@ -42,7 +42,7 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 from ..congest.bfs import build_bfs_tree, pipelined_broadcast_rounds
 from ..congest.metrics import CongestMetrics, merge_metrics
 from ..core.pde import PDEInstance, PDEResult, solve_pde_instances
-from ..graphs.distances import dijkstra, path_weight, shortest_path_diameter
+from ..graphs.distances import dijkstra, shortest_path_diameter
 from ..graphs.weighted_graph import WeightedGraph
 from ..obs.metrics import NULL_REGISTRY
 from .cluster_trees import TreeFamily, build_destination_trees
@@ -239,7 +239,7 @@ class CompactRoutingHierarchy:
         self.metrics = metrics
         self.build_params: Dict[str, object] = {}
         self._exact_parent_cache: Dict[Hashable, Dict[Hashable, Optional[Hashable]]] = {}
-        self._skeleton_tail_tables: Dict[Tuple[int, Hashable], Dict] = {}
+        self._skeleton_tail_tables: Dict[Tuple[int, Hashable], Tuple[Dict, Dict]] = {}
         self._pivot_row_cache = _PivotRowCache(PIVOT_ROW_CACHE_CAP)
         self._route_fallbacks = 0
         #: Optional zero-copy pivot-row provider (set by the artifact-v2
@@ -705,11 +705,11 @@ class CompactRoutingHierarchy:
 
     def clear_runtime_caches(self) -> None:
         """Drop query-time caches (pivot rows, exact-path parents) and the
-        derived per-pivot skeleton tables.
+        derived per-pivot skeleton tables with the anchors chosen through them.
 
-        All three are pure functions of the built state — answers are
-        identical with or without them.  Benchmarks call this to measure
-        cold-query cost.
+        All are pure functions of the built state — answers are identical
+        with or without them.  Benchmarks call this to measure cold-query
+        cost.
         """
         self._exact_parent_cache.clear()
         self._skeleton_tail_tables.clear()
@@ -768,16 +768,22 @@ class CompactRoutingHierarchy:
         through: the first minimum of ``wd'(node, t) + wd'_sk(t, pivot)`` in
         the iteration order of ``node``'s skeleton list (where a skeleton
         node finds itself at 0, and the pivot with an empty tail), so the
-        route is no heavier than the estimate it was selected on.
+        route is no heavier than the estimate it was selected on.  The scan
+        runs once per ``(level, pivot, node)``; its choice is kept beside the
+        pivot's tails (one dict store of a pure function: racing threads
+        store the same value).
         """
         if node == pivot:
             return [node], 0
-        tails = self._skeleton_tails(level, pivot)
-        anchor, best = None, float("inf")
-        for t, dt in self.pde_skel.estimates.get(node, {}).items():
-            row = tails.get(t)
-            if row is not None and dt + row[0] < best:
-                anchor, best = t, dt + row[0]
+        tails, anchors = self._skeleton_tails(level, pivot)
+        anchor = anchors.get(node, _ABSENT)
+        if anchor is _ABSENT:
+            anchor, best = None, float("inf")
+            for t, dt in self.pde_skel.estimates.get(node, {}).items():
+                row = tails.get(t)
+                if row is not None and dt + row[0] < best:
+                    anchor, best = t, dt + row[0]
+            anchors[node] = anchor
         if anchor is None:
             return self._exact_path(node, pivot), 1
         _, tail, fallback = tails[anchor]
@@ -785,17 +791,21 @@ class CompactRoutingHierarchy:
         path.extend(tail)
         return path, fallback
 
-    def _skeleton_tails(self, level: int, pivot: Hashable
-                        ) -> Dict[Hashable, Tuple[float, Tuple[Hashable, ...], int]]:
-        """What the skeleton nodes store for ``pivot`` (Theorem 4.13).
+    def _skeleton_tails(self, level: int, pivot: Hashable) -> Tuple[
+            Dict[Hashable, Tuple[float, Tuple[Hashable, ...], int]],
+            Dict[Hashable, Optional[Hashable]]]:
+        """What the skeleton nodes store for ``pivot`` (Theorem 4.13), and
+        the anchors :meth:`_route_via_skeleton` has chosen through it.
 
         ``anchor t -> (weight of t's tree path to the pivot in skeleton
         weights, that path expanded to a path in G — without ``t`` itself —
         and its fallback count)``, derived once per ``(level, pivot)`` from
-        the skeleton tree, the skeleton graph's weights and the attach trees.
+        the skeleton tree, the skeleton graph's weights and the attach trees;
+        ``node -> its anchor`` starts empty and grows by one reference per
+        node routed through this pivot.
         """
-        tails = self._skeleton_tail_tables.get((level, pivot))
-        if tails is None:
+        entry = self._skeleton_tail_tables.get((level, pivot))
+        if entry is None:
             # Every skeleton level has one tree per source, and a pivot of
             # level l is a source of level l.
             parent = self.skeleton_trees[level][pivot].parent
@@ -812,8 +822,8 @@ class CompactRoutingHierarchy:
                     tails[a] = (self.skeleton_graph.weight(a, b) + dist,
                                 tuple(hop[1:]) + tail, fallback + repaired)
             # Published whole: a concurrent reader never sees half a table.
-            self._skeleton_tail_tables[(level, pivot)] = tails
-        return tails
+            entry = self._skeleton_tail_tables[(level, pivot)] = (tails, {})
+        return entry
 
     def _attach_path(self, node: Hashable, skeleton_node: Hashable) -> List[Hashable]:
         if node == skeleton_node:
@@ -848,15 +858,29 @@ class CompactRoutingHierarchy:
 
     def _finish(self, source: Hashable, target: Hashable, path: List[Hashable],
                 fallback_hops: int, estimate: float) -> RouteTrace:
+        """Dedupe ``path`` and walk its edges once: every hop must be an
+        edge of ``G``, and ``weight`` is their left-to-right sum from ``0``
+        (what ``path_weight`` returns, type included)."""
+        neighbor_weights = self.graph.neighbor_weights
         deduped: List[Hashable] = []
+        weight, connected = 0, True
         for node in path:
-            if not deduped or deduped[-1] != node:
-                deduped.append(node)
-        delivered = bool(deduped) and deduped[0] == source and deduped[-1] == target and all(
-            self.graph.has_edge(u, v) for u, v in zip(deduped, deduped[1:]))
-        weight = path_weight(self.graph, deduped) if delivered else float("inf")
+            if deduped:
+                prev = deduped[-1]
+                if prev == node:
+                    continue
+                if connected:
+                    hop = neighbor_weights(prev).get(node)
+                    if hop is None:
+                        connected = False
+                    else:
+                        weight += hop
+            deduped.append(node)
+        delivered = (connected and bool(deduped) and deduped[0] == source
+                     and deduped[-1] == target)
         return RouteTrace(source=source, target=target, path=deduped,
-                          delivered=delivered, weight=weight,
+                          delivered=delivered,
+                          weight=weight if delivered else float("inf"),
                           fallback_hops=fallback_hops, estimate=estimate)
 
     # ==================================================================

@@ -1,16 +1,25 @@
-"""Boundary behaviour of the Corollary 4.14 truncation-level choice, and the
-recorded truncated-mode routes that once outweighed their own estimate."""
+"""Boundary behaviour of the Corollary 4.14 truncation-level choice, the
+recorded truncated-mode routes that once outweighed their own estimate, and
+the route walk (``_finish``) and anchor memo those routes go through."""
 
+import dataclasses
+import functools
 import itertools
 import json
 import math
 import os
+import sys
+import threading
 
 import pytest
 
 from repro import graphs
-from repro.graphs import dijkstra
-from repro.routing import build_compact_routing, choose_truncation_level
+from repro.graphs import dijkstra, path_weight
+from repro.routing import (
+    RouteTrace,
+    build_compact_routing,
+    choose_truncation_level,
+)
 from repro.serving import parse_graph_spec
 
 from helpers import assert_routes_realise_estimates
@@ -19,6 +28,20 @@ with open(os.path.join(os.path.dirname(__file__), "data",
                        "truncated_route_offenders.json"),
           encoding="utf-8") as _fh:
     OFFENDERS = json.load(_fh)["offenders"]
+
+#: The distinct ``(graph, k, mode, seed)`` builds behind the offenders.
+OFFENDER_BUILDS = sorted({(c["graph"], c["k"], c["mode"], c["seed"])
+                          for c in OFFENDERS})
+
+
+@functools.lru_cache(maxsize=None)
+def offender_build(spec, k, mode, seed):
+    """``(graph, hierarchy)`` of one recorded build, shared by the tests
+    below (its query-time caches are derived state: any test may find them
+    warm, and the ones that care clear them first)."""
+    graph = parse_graph_spec(spec)
+    return graph, build_compact_routing(graph, k=k, epsilon=0.25,
+                                        engine="batched", mode=mode, seed=seed)
 
 
 class TestClampRange:
@@ -102,10 +125,8 @@ class TestRecordedOffenders:
         ids=[f"{c['graph']}-k{c['k']}-{c['pair'][0]}->{c['pair'][1]}"
              for c in OFFENDERS])
     def test_route_realises_its_estimate(self, case):
-        graph = parse_graph_spec(case["graph"])
-        hierarchy = build_compact_routing(
-            graph, k=case["k"], epsilon=0.25, engine="batched",
-            mode=case["mode"], seed=case["seed"])
+        graph, hierarchy = offender_build(case["graph"], case["k"],
+                                          case["mode"], case["seed"])
         source, target = case["pair"]
         exact = dijkstra(graph, source)[0][target]
         assert exact == case["exact"]
@@ -138,3 +159,150 @@ class TestEdgelessSkeleton:
             list(itertools.permutations(graph.nodes(), 2)), kernel="dict")
         assert_routes_realise_estimates(traces)
         assert sum(t.fallback_hops for t in traces) == 0
+
+
+def reference_finish(graph, source, target, path, fallback_hops, estimate):
+    """``_finish`` as it stood before PR 23 — a dedupe pass, a ``has_edge``
+    pass and a ``path_weight`` pass — kept here as the oracle of the
+    one-pass walk."""
+    deduped = []
+    for node in path:
+        if not deduped or deduped[-1] != node:
+            deduped.append(node)
+    delivered = bool(deduped) and deduped[0] == source and deduped[-1] == target and all(
+        graph.has_edge(u, v) for u, v in zip(deduped, deduped[1:]))
+    weight = path_weight(graph, deduped) if delivered else float("inf")
+    return RouteTrace(source=source, target=target, path=deduped,
+                      delivered=delivered, weight=weight,
+                      fallback_hops=fallback_hops, estimate=estimate)
+
+
+def assert_same_trace(trace, expected):
+    for field in dataclasses.fields(RouteTrace):
+        assert getattr(trace, field.name) == getattr(expected, field.name), (
+            field.name, trace, expected)
+    assert type(trace.weight) is type(expected.weight), (trace, expected)
+
+
+def route_all_pairs_against_reference(hierarchy):
+    """Route every ordered pair; each ``_finish`` call is checked against
+    :func:`reference_finish` on the very path it was handed."""
+    finish = hierarchy._finish
+
+    def checked(source, target, path, fallback_hops, estimate):
+        trace = finish(source, target, list(path), fallback_hops, estimate)
+        assert_same_trace(trace, reference_finish(
+            hierarchy.graph, source, target, path, fallback_hops, estimate))
+        return trace
+
+    hierarchy._finish = checked
+    try:
+        return hierarchy.route_batch(
+            list(itertools.permutations(hierarchy.graph.nodes(), 2)),
+            kernel="dict")
+    finally:
+        del hierarchy._finish
+
+
+class TestRouteWalk:
+    """One pass over a route's edges answers what three passes did."""
+
+    @pytest.mark.parametrize("build", OFFENDER_BUILDS,
+                             ids=[f"{b[0]}-k{b[1]}" for b in OFFENDER_BUILDS])
+    def test_every_trace_equals_the_reference(self, build):
+        _, hierarchy = offender_build(*build)
+        traces = route_all_pairs_against_reference(hierarchy)
+        assert all(type(t.weight) is int for t in traces if t.delivered)
+
+    def test_float_weights_sum_in_the_same_order(self):
+        """The public graph takes int weights only, so this hierarchy's
+        graph is swapped for a copy weighing ``w / 10`` — sums whose last
+        digit depends on the order they are taken in."""
+        graph = parse_graph_spec("er:n=200,p=0.03,seed=1")
+        hierarchy = build_compact_routing(graph, k=3, epsilon=0.25,
+                                          engine="batched", mode="truncated")
+        for row in graph._adj.values():
+            for neighbour in row:
+                row[neighbour] /= 10
+        traces = route_all_pairs_against_reference(hierarchy)
+        assert all(type(t.weight) is float for t in traces)
+        assert any(t.weight != round(t.weight, 6) for t in traces)
+
+    def test_hand_made_paths(self):
+        graph, hierarchy = offender_build(*OFFENDER_BUILDS[0])
+        a = graph.nodes()[0]
+        b = next(iter(graph.neighbors(a)))
+        c = next(v for v in graph.neighbors(b) if v != a)
+        stranger = next(v for v in graph.nodes()
+                        if v != a and not graph.has_edge(a, v))
+        cases = {
+            "repeats": (a, c, [a, a, b, b, b, c, c]),
+            "non-edge hop": (a, c, [a, stranger, stranger, b, c]),
+            "non-edge after repeats": (a, stranger, [a, b, b, a, stranger]),
+            "wrong end": (a, c, [a, b]),
+            "wrong start": (a, c, [b, c]),
+            "empty": (a, c, []),
+            "single": (a, a, [a]),
+        }
+        for name, (source, target, path) in cases.items():
+            trace = hierarchy._finish(source, target, list(path), 2, 9.5)
+            assert_same_trace(trace, reference_finish(
+                graph, source, target, path, 2, 9.5))
+        walked = hierarchy._finish(a, c, [a, a, b, b, b, c, c], 0, 9.5)
+        assert walked.delivered and walked.path == [a, b, c]
+        assert walked.weight == graph.weight(a, b) + graph.weight(b, c)
+        broken = hierarchy._finish(a, c, [a, stranger, stranger, b, c], 0, 9.5)
+        assert not broken.delivered and broken.weight == float("inf")
+        assert broken.path == [a, stranger, b, c]
+
+
+class TestAnchorMemo:
+    """The anchor a node's scan chose is remembered per ``(level, pivot)``:
+    derived state, so no answer may depend on it."""
+
+    SMALL_BUILDS = [b for b in OFFENDER_BUILDS if "rows=20" not in b[0]]
+
+    @pytest.mark.parametrize("build", SMALL_BUILDS,
+                             ids=[f"{b[0]}-k{b[1]}" for b in SMALL_BUILDS])
+    def test_warm_routes_equal_cold_routes(self, build):
+        graph, hierarchy = offender_build(*build)
+        pairs = list(itertools.permutations(graph.nodes(), 2))
+        hierarchy.clear_runtime_caches()
+        assert not hierarchy._skeleton_tail_tables
+        cold = hierarchy.route_batch(pairs, kernel="dict")
+        remembered = sum(len(anchors) for _, anchors
+                         in hierarchy._skeleton_tail_tables.values())
+        assert 0 < remembered <= graph.num_nodes * sum(
+            len(hierarchy.level_sets[l])
+            for l in range(hierarchy.l0, hierarchy.k))
+        warm = hierarchy.route_batch(pairs, kernel="dict")
+        assert warm == cold
+        hierarchy.clear_runtime_caches()
+        assert not hierarchy._skeleton_tail_tables
+        assert hierarchy.route_batch(pairs, kernel="dict") == cold
+
+    def test_threads_filling_the_memo_agree_with_the_serial_answer(self):
+        graph, hierarchy = offender_build(*self.SMALL_BUILDS[0])
+        pairs = list(itertools.permutations(graph.nodes()[:60], 2))
+        serial = hierarchy.route_batch(pairs, kernel="dict")
+        hierarchy.clear_runtime_caches()
+        answers = {}
+        start = threading.Barrier(4)
+
+        def worker(name):
+            start.wait(timeout=30)
+            answers[name] = hierarchy.route_batch(pairs, kernel="dict")
+
+        threads = [threading.Thread(target=worker, args=(i,), daemon=True)
+                   for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [answers.get(i) == serial for i in range(4)] == [True] * 4

@@ -10,20 +10,26 @@ paths.
 
 import dataclasses
 import os
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import graphs
 from repro.routing import tables as tables_module
+from repro.routing.tables import OffsetRecordTable, RecordTableError
 from repro.routing.tz_hierarchy import _PivotRowCache
 from repro.serving import (
     BuildConfig,
     CacheConfig,
     QUERY_KERNELS,
     ServingConfig,
+    load_hierarchy,
     make_workload,
     open_service,
     resolve_query_kernel,
+    stable_node_hash,
+    write_shard_artifacts,
 )
 
 WORKLOAD_SHAPES = ("uniform", "zipf", "locality", "bursty")
@@ -230,3 +236,135 @@ class TestNumpyOptional:
                 assert tables_module.HAVE_NUMPY is False
             else:
                 assert tables_module.HAVE_NUMPY is True
+
+
+# ----------------------------------------------------------------------
+# OffsetRecordTable.probe: a table lookup that decodes one value
+# ----------------------------------------------------------------------
+INT32 = st.integers(-2 ** 31, 2 ** 31 - 1)
+VALUES = st.floats(allow_nan=False)
+
+
+def record_rows(max_records):
+    """A row's records with distinct keys (bunch rows come from dicts)."""
+    return st.lists(st.tuples(INT32, VALUES), max_size=max_records,
+                    unique_by=lambda record: record[0])
+
+
+#: Tables of empty, ABSENT (``None``) and short rows around one long row.
+TABLE_ROWS = st.tuples(
+    st.lists(st.one_of(st.none(), record_rows(9)), max_size=6),
+    st.lists(st.tuples(INT32, VALUES), min_size=300, max_size=300,
+             unique_by=lambda record: record[0]),
+    st.lists(st.one_of(st.none(), record_rows(9)), max_size=3),
+).map(lambda parts: parts[0] + [parts[1]] + parts[2])
+
+
+def assert_probe_is_a_dict_lookup(rows):
+    table = OffsetRecordTable(OffsetRecordTable.encode(rows))
+    for index, row in enumerate(rows):
+        if row is None:
+            assert not table.has_row(index)
+            with pytest.raises(RecordTableError, match="is absent"):
+                table.probe(index, 0)
+            continue
+        expected = dict(table.row_items(index))
+        assert expected == dict(row)
+        missing = next(key for key in range(-2, 2 ** 31) if key not in expected)
+        # Every stored key (first and last among them) and one that is not.
+        for key in [*expected, missing]:
+            assert table.probe(index, key) == expected.get(key)
+    for index in (-1, len(rows)):
+        with pytest.raises(RecordTableError, match="out of range"):
+            table.probe(index, 0)
+
+
+class TestProbe:
+    @settings(max_examples=40, deadline=None)
+    @given(rows=TABLE_ROWS)
+    def test_probe_is_a_dict_lookup(self, rows):
+        assert_probe_is_a_dict_lookup(rows)
+
+    def test_big_endian_host_lists_keys_record_by_record(self, monkeypatch):
+        """``memoryview.cast("i")`` is native-endian and the records are
+        ``<i``: a big-endian host keeps no word view and answers the same."""
+        rows = [[(-7, 1.5), (2 ** 31 - 1, -0.0), (0, float("inf"))], None,
+                [], [(key, key / 3) for key in range(-150, 150)]]
+        assert OffsetRecordTable(OffsetRecordTable.encode(rows))._words \
+            is not None
+        monkeypatch.setattr(tables_module, "_LITTLE_ENDIAN", False)
+        assert OffsetRecordTable(OffsetRecordTable.encode(rows))._words is None
+        assert_probe_is_a_dict_lookup(rows)
+
+    def test_row_pointing_past_the_record_area(self):
+        blob = bytearray(OffsetRecordTable.encode([[(1, 1.0)], [(2, 2.0)]]))
+        # Row 1's index entry: offset 1 -> 2, count 1 (two records in all).
+        struct.pack_into("<QI", blob, 16 + 12, 2, 1)
+        table = OffsetRecordTable(bytes(blob))
+        assert table.probe(0, 1) == 1.0
+        for read in (table.probe, lambda row, _key: table.row_items(row)):
+            with pytest.raises(RecordTableError,
+                               match="points past the record area"):
+                read(1, 2)
+
+
+# ----------------------------------------------------------------------
+# select_batch == _select_level, pair for pair, on loaded artifacts
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module", params=[2, 3], ids=["k2", "k3"])
+def loaded(request, kernel_graph, tmp_path_factory):
+    """``(hierarchy, sub-artifact paths)`` of one loaded build per ``k``."""
+    k = request.param
+    path = str(tmp_path_factory.mktemp(f"select-k{k}") / "hierarchy.artifact")
+    config = ServingConfig(artifact_path=path, build=BuildConfig(k=k, seed=5),
+                           cache=CacheConfig(capacity=0))
+    open_service(config, graph=kernel_graph).close()
+    return load_hierarchy(path)[0], write_shard_artifacts(path, 2)
+
+
+class TestSelectBatch:
+    @pytest.mark.parametrize("batch", [1, 64, 1024])
+    @pytest.mark.parametrize("shape", ["uniform", "zipf"])
+    def test_matches_select_level_pair_for_pair(self, loaded, kernel_graph,
+                                                shape, batch):
+        hierarchy, _ = loaded
+        kernel = hierarchy.query_kernel("columnar")
+        nodes = kernel_graph.nodes()
+        pairs = make_workload(shape, kernel_graph, 1024, seed=21).pairs
+        pairs[5], pairs[700] = (nodes[3], nodes[3]), (nodes[9], nodes[9])
+        before = kernel.stats["bunch_rows_decoded"]
+        touched = 0
+        for lo in range(0, len(pairs), batch):
+            chunk = pairs[lo:lo + batch]
+            selections = kernel.select_batch(chunk)
+            rows = set()
+            for (source, target), selection in zip(chunk, selections):
+                if source == target:
+                    assert selection is None
+                    continue
+                level, pivot_index, estimate = selection
+                pivot = (None if pivot_index is None
+                         else kernel.node_label(pivot_index))
+                assert (level, pivot, estimate) == hierarchy._select_level(
+                    source, target)
+                rows.update((l, source) for l in range(min(level + 1,
+                                                           hierarchy.k))
+                            if hierarchy.pivot_row(target)[l] is not None)
+            touched += len(rows)
+        # The stat counts distinct (level, source) rows touched per batch.
+        assert kernel.stats["bunch_rows_decoded"] - before == touched
+
+    def test_slice_refuses_foreign_sources_in_the_same_words(self, loaded,
+                                                             kernel_graph):
+        _, sub_paths = loaded
+        hierarchy = load_hierarchy(sub_paths[0])[0]
+        nodes = kernel_graph.nodes()
+        foreign = next(v for v in nodes if stable_node_hash(v) % 2 != 0)
+        local = next(v for v in nodes if stable_node_hash(v) % 2 == 0)
+        with pytest.raises(KeyError) as per_pair:
+            hierarchy._select_level(foreign, local)
+        with pytest.raises(KeyError) as batched:
+            hierarchy.query_kernel("columnar").select_batch([(local, foreign),
+                                                             (foreign, local)])
+        assert batched.value.args == per_pair.value.args
+        assert "not present in this artifact slice" in per_pair.value.args[0]
