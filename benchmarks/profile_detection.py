@@ -11,18 +11,23 @@ n=200) — the same generator calls and seed as ``benchmarks/e2e`` — or, with
 ``build_compact_routing`` on that graph.  Each runs under ``cProfile``, and
 the report holds the top 25 functions by own time plus the queue traffic of
 the detection kernel: pushes, pops and settles, in total and per instance
-shape ``(kernel, |S|, h', sigma)``.
+shape ``(kernel, |S|, h', sigma)``.  Kernel calls made by level tasks are
+the ``detections``; the searches ``level_stream`` runs to plan the levels
+(one per connected component of a ``sigma >= |S|`` instance) are counted
+apart, as ``plan searches`` and ``plan:`` rows.
 
 The counts come from a separate pass under ``sys.setprofile`` that tallies
 the builtin calls made *from the kernel's own frame* and reads the triples
 off the frame's return value, so the kernel carries no counters; each entry
 of :data:`KERNELS` says how one kernel's calls add up to its pushes (every
 pushed item is drained, so pops equal pushes).  The counts repeat exactly
-from run to run and host to host — CI diffs the ``detections`` lines against
-``benchmarks/profiles/detection_pr16.txt``.  (``cProfile``'s own caller
-table is not used: it keys bound builtin methods by object address and loses
-them at this scale.)  ``cProfile`` inflates call-heavy code, so the seconds
-here rank candidates; ``benchmarks/e2e/run.py`` measures.
+from run to run and host to host — CI diffs the ``detections`` and ``plan
+searches`` lines against ``benchmarks/profiles/detection_pr25.txt``
+(``detection_pr16.txt`` is the record before level planning).
+(``cProfile``'s own caller table is not used: it keys bound builtin methods
+by object address and loses them at this scale.)  ``cProfile`` inflates
+call-heavy code, so the seconds here rank candidates;
+``benchmarks/e2e/run.py`` measures.
 """
 
 import argparse
@@ -51,6 +56,10 @@ KERNELS = {
         calls.get("len", 0) - 1 + calls.get("append", 0) - 2 * settles,
         calls.get("len", 0) - 1),
 }
+#: The level task (``repro.core.pde._solve_level``): a kernel call beneath
+#: it is one ``(instance, rounding level)`` detection; any other kernel call
+#: is a search the level plan made before the tasks existed.
+LEVEL_TASK = "_solve_level"
 DEFAULT_SEED = 20150721
 
 
@@ -66,11 +75,22 @@ WORKLOADS = {
 }
 
 
+def _in_level_task(frame):
+    """Whether a kernel frame runs inside a level task (a detection) rather
+    than for the plan ``level_stream`` makes before the tasks exist."""
+    while frame is not None:
+        if frame.f_code.co_name == LEVEL_TASK:
+            return True
+        frame = frame.f_back
+    return False
+
+
 def count_kernel_calls(workload):
     """Queue traffic of every kernel call ``workload()`` makes.
 
     Returns ``{(kernel, |S|, h', sigma): [calls, pushes, buckets, settles]}``
-    and ``{builtin name: calls from a kernel frame}``.
+    and ``{builtin name: calls from a kernel frame}``; the kernel name of a
+    planning search is prefixed ``plan:``.
     """
     shapes = {}
     totals = {}
@@ -86,7 +106,8 @@ def count_kernel_calls(workload):
             settles = sum(map(len, arg))
             pushes, buckets = KERNELS[kernel](current, settles)
             args = frame.f_locals
-            shape = (kernel, len(args["source_ids"]), args["h"],
+            role = "" if _in_level_task(frame) else "plan:"
+            shape = (role + kernel, len(args["source_ids"]), args["h"],
                      args.get("sigma", "-"))
             row = shapes.setdefault(shape, [0, 0, 0, 0])
             for i, value in enumerate((1, pushes, buckets, settles)):
@@ -103,19 +124,26 @@ def count_kernel_calls(workload):
     return shapes, totals
 
 
+def _tally(shapes, plan):
+    rows = [row for shape, row in shapes.items()
+            if shape[0].startswith("plan:") == plan]
+    calls, pushes, _, settles = [sum(column) for column in zip(*rows)] \
+        or [0] * 4
+    return f"{calls}  pushes {pushes}  pops {pushes}  settles {settles}"
+
+
 def profile_workload(title, workload, out):
     shapes, totals = count_kernel_calls(workload)
-    detections, pushes, _, settles = map(sum, zip(*shapes.values()))
     out.write(f"== {title} ==\n")
-    out.write(f"detections {detections}  pushes {pushes}  pops {pushes}  "
-              f"settles {settles}\n")
+    out.write(f"detections {_tally(shapes, plan=False)}\n")
+    out.write(f"plan searches {_tally(shapes, plan=True)}\n")
     out.write("builtin calls from the kernel frames: "
               + ", ".join(f"{k} {v}" for k, v in sorted(totals.items()))
               + "\n")
-    out.write(f"{'kernel':<20}{'|S|':>6}{'h_':>7}{'sigma':>7}{'calls':>7}"
+    out.write(f"{'kernel':<24}{'|S|':>6}{'h_':>7}{'sigma':>7}{'calls':>7}"
               f"{'pushes':>12}{'buckets':>10}{'settles':>12}\n")
     for shape, row in sorted(shapes.items(), key=lambda item: -item[1][1]):
-        out.write("{:<20}{:>6}{:>7}{:>7}{:>7}{:>12}{:>10}{:>12}\n"
+        out.write("{:<24}{:>6}{:>7}{:>7}{:>7}{:>12}{:>10}{:>12}\n"
                   .format(*shape, *row))
     profiler = cProfile.Profile()
     profiler.runcall(workload)

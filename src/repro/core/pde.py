@@ -67,6 +67,7 @@ from .source_detection import (
     DetectionEntry,
     GraphCSR,
     SourceDetectionResult,
+    bucket_detect,
     detect_sources,
     materialize_detection,
 )
@@ -125,8 +126,10 @@ class PDEResult:
     levels_used:
         ``levels_used[v][s]`` — the rounding level achieving the minimum.
     per_level:
-        Optional raw per-level detection results (needed by the tree-routing
-        argument of Lemma 4.4 and by tests).
+        Optional raw per-level detection results: what each level searched.
+        Level 0 searches every source; with ``sigma >= |S|`` a later level
+        searches only the sources level 0 did not settle (see
+        :func:`level_stream`), so its lists may be empty.
     rounding:
         The :class:`RoundingScheme` employed.
     metrics:
@@ -394,30 +397,72 @@ def _solve_level(task: dict, graphs: Dict[str, _LevelGraph]):
     Returns ``(lists, metrics, seconds)``: the int-space ``{node id:
     [(distance, source rank, from id), ...]}`` lists the fold consumes, the
     engine's round/message accounting and the wall clock spent — plain data,
-    so a pool reply stays small.
+    so a pool reply stays small.  ``task["source_ids"]`` are the sources the
+    level searches and ``task["ranks"]`` their instance ranks (``None``: every
+    source, in rank order); a level with nothing to search enters no kernel
+    (see :func:`level_stream`).
     """
     started = time.perf_counter()
     interned = graphs[task["token"]]
-    csr, source_ids = interned.csr, task["source_ids"]
+    csr, source_ids, ranks = interned.csr, task["source_ids"], task["ranks"]
     rounding, level, engine = task["rounding"], task["level"], task["engine"]
+    if not source_ids:
+        metrics = CongestMetrics(rounds=task["horizon"] + task["sigma"],
+                                 measured=False)
+        return {}, metrics, time.perf_counter() - started
     if engine == "batched":
         detection = detect_sources(
             None, None, task["horizon"], task["sigma"], engine=engine,
             interned=(csr, source_ids,
                       level_adjacency(csr.weights, rounding.base(level))))
         lists = detection.lists
+        if ranks is not None:
+            # Positions in the subset -> instance ranks; the map is
+            # increasing, so each node's (distance, rank) order is kept.
+            lists = {v: [(d, ranks[p], f) for d, p, f in entries]
+                     for v, entries in lists.items()}
     else:
-        ranked = [csr.nodes[i] for i in source_ids]
+        labels = [csr.nodes[i] for i in source_ids]
         engine_kwargs = ({"message_cap": task["message_cap"]}
                          if engine == "simulate" else {})
         detection = detect_sources(
-            interned.graph, set(ranked), task["horizon"], task["sigma"],
+            interned.graph, set(labels), task["horizon"], task["sigma"],
             edge_length=rounding.edge_length_fn(level), engine=engine,
             **engine_kwargs)
         lists = intern_detection_lists(
             detection.lists, interned.node_id,
-            {s: r for r, s in enumerate(ranked)})
+            dict(zip(labels, range(len(labels)) if ranks is None else ranks)))
     return lists, detection.metrics, time.perf_counter() - started
+
+
+def _unsettled_ranks(csr: GraphCSR, source_ids: List[int],
+                     horizon: int) -> List[int]:
+    """The ranks a rounding level above 0 still searches (see :func:`level_stream`).
+
+    One search on level 0's lengths (the weights) per component, from its
+    first source ``r``: ``s`` is settled when ``wd(s, r) + ecc(r) <= horizon``
+    (a component ``r`` does not reach in full settles nothing).
+    """
+    indptr, indices = csr.indptr, csr.indices
+    component = [-1] * len(csr.nodes)
+    roots: List[int] = []
+    for s in source_ids:
+        if component[s] < 0:
+            component[s] = len(roots)
+            frontier = [s]
+            for v in frontier:
+                for u in indices[indptr[v]:indptr[v + 1]]:
+                    if component[u] < 0:
+                        component[u] = component[s]
+                        frontier.append(u)
+            roots.append(s)
+    reach = bucket_detect(csr, csr.weights, roots, horizon, len(roots))
+    ecc = [0] * len(roots)
+    for c, entries in zip(component, reach):
+        if c >= 0:
+            ecc[c] = max(ecc[c], entries[0][0] if entries else horizon + 1)
+    return [rank for rank, s in enumerate(source_ids)
+            if not reach[s] or reach[s][0][0] + ecc[component[s]] > horizon]
 
 
 def _plan_instance(graph: WeightedGraph, sources: Iterable[Hashable], h: int,
@@ -439,6 +484,21 @@ def level_stream(instances: Sequence[PDEInstance],
     in.  Malformed instances, a bad ``build_workers`` and a pool-ineligible
     engine are rejected here, before anything runs.  Close the stream if it
     is not exhausted (it may own a worker pool).
+
+    **Level 0 is exact.**  ``b(0) = 1``, so level 0's lengths are the integer
+    weights and every value it detects within the horizon ``h'`` is the exact
+    ``wd(v, s)``; every later level rounds each edge up (``b(i) * ceil(W(e) /
+    b(i)) >= W(e)``), so it can only tie that value, and the fold's strict
+    ``<`` keeps the earlier level on a tie.  With ``sigma >= |S|`` no list is
+    truncated and sources never interact, so a source whose whole component
+    lies within ``h'`` of it (:func:`_unsettled_ranks`) has, after level 0,
+    an entry at every node of its component, and no later level can add or
+    replace one.  The plan is made here, in the driving process, for the pure
+    engines (:data:`PARALLEL_PDE_ENGINES`; ``simulate`` searches everything,
+    its measured rounds are the point): level 0 searches every source, each
+    later task carries only the unsettled ranks, and a task with none returns
+    empty lists — tasks stay pure functions of their payloads, and the result,
+    insertion order included, is the one searching everything gives.
     """
     if build_workers > 1:
         for inst in instances:
@@ -457,15 +517,21 @@ def level_stream(instances: Sequence[PDEInstance],
                              f"token {inst.token!r}") from None
         ranked, rounding, horizon = _plan_instance(
             graph, inst.sources, inst.h, inst.sigma, inst.epsilon, inst.engine)
-        node_id = shared[inst.token].node_id
-        source_ids = [node_id[s] for s in ranked]
-        tasks.extend(
-            (f"{inst.token}:{level}",
-             {"token": inst.token, "source_ids": source_ids,
-              "horizon": horizon, "sigma": inst.sigma, "rounding": rounding,
-              "level": level, "engine": inst.engine,
-              "message_cap": message_cap})
-            for level in rounding.levels())
+        level_graph = shared[inst.token]
+        source_ids = [level_graph.node_id[s] for s in ranked]
+        every = later = (None, source_ids)  # (ranks, ids); None: every rank
+        if (inst.engine in PARALLEL_PDE_ENGINES and inst.sigma >= len(ranked)
+                and rounding.imax):
+            ranks = _unsettled_ranks(level_graph.csr, source_ids, horizon)
+            if len(ranks) < len(ranked):
+                later = (ranks, [source_ids[r] for r in ranks])
+        for level in rounding.levels():
+            ranks, ids = later if level else every
+            tasks.append((f"{inst.token}:{level}", {
+                "token": inst.token, "horizon": horizon, "sigma": inst.sigma,
+                "source_ids": ids, "ranks": ranks, "rounding": rounding,
+                "level": level, "engine": inst.engine,
+                "message_cap": message_cap}))
     return run_tasks(_solve_level, tasks, shared, build_workers, registry)
 
 

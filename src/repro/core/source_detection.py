@@ -46,6 +46,9 @@ never interact, so the kernel runs Dial's algorithm with FIFO buckets once per
 source.  Next hops agree too: the truncated loop visits one rank's labels in
 ``(distance, push counter)`` order, which *is* that rank's FIFO order, and in
 both the first push reaching ``(node, rank)`` at final distance owns the hop.
+So any subset of the sources yields exactly those sources' triples: above
+rounding level 0 the PDE solver searches only the sources level 0 did not
+settle (:func:`repro.core.pde.level_stream`).
 
 What is interned where: a caller interns the graph once into a
 :class:`GraphCSR` (node id = position in ``graph.nodes()``; flat

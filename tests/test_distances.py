@@ -2,6 +2,8 @@
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import (
     WeightedGraph,
@@ -76,6 +78,35 @@ class TestHopDistances:
         g = WeightedGraph.from_edges([(0, 1, 1)], nodes=[0, 1, 2])
         with pytest.raises(ValueError):
             hop_diameter(g)
+
+    def test_hop_diameter_requires_connected_at_every_size(self):
+        for graph in (WeightedGraph.from_edges([], nodes=[0, 1]),
+                      graphs.erdos_renyi_graph(30, 0.02, seed=4, connect=False)):
+            assert not graph.is_connected()
+            with pytest.raises(ValueError, match="connected"):
+                hop_diameter(graph)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["tree", "cycle", "complete", "grid", "er",
+                                 "caterpillar", "path"]),
+           n=st.integers(1, 40), seed=st.integers(0, 10 ** 6))
+    def test_hop_diameter_equals_one_bfs_per_node(self, kind, n, seed):
+        if kind == "tree":
+            g = graphs.random_tree(n, seed=seed)
+        elif kind == "cycle":
+            g = graphs.cycle_graph(max(3, n), seed=seed)
+        elif kind == "complete":
+            g = graphs.complete_graph(n, seed=seed)
+        elif kind == "grid":
+            g = graphs.grid_graph(1 + seed % 5, 1 + n // 4, seed=seed)
+        elif kind == "er":
+            g = graphs.erdos_renyi_graph(n, (1 + seed % 9) / 20, seed=seed)
+        elif kind == "caterpillar":
+            g = graphs.caterpillar_graph(1 + n // 3, seed % 4, seed=seed)
+        else:
+            g = graphs.path_graph(n, seed=seed)
+        brute = max(max(bfs_hop_distances(g, v).values()) for v in g.nodes())
+        assert hop_diameter(g) == brute
 
     def test_all_pairs_hop_distances(self, unit_path):
         table = all_pairs_hop_distances(unit_path)

@@ -16,6 +16,7 @@ import tempfile
 import pytest
 
 from repro import graphs
+from repro.core import pde
 from repro.core.build_runner import CRASH_ENV_VAR, ParallelBuildError
 from repro.core.pde import solve_pde
 from repro.routing.compact import build_compact_routing
@@ -52,6 +53,51 @@ def test_solve_pde_parallel_identity(engine):
     par = solve_pde(graph, sources, h=6, sigma=3, epsilon=0.25,
                     engine=engine, store_levels=True, build_workers=2)
     assert par.export_state() == seq.export_state()
+
+
+@pytest.fixture
+def shipped_tasks(monkeypatch):
+    """Every ``(label, payload)`` task handed to the runner, in order."""
+    shipped = []
+    run_tasks = pde.run_tasks
+
+    def spy(fn, tasks, shared, build_workers, registry=None):
+        shipped.append((build_workers, list(tasks)))
+        return run_tasks(fn, tasks, shared, build_workers, registry)
+
+    monkeypatch.setattr(pde, "run_tasks", spy)
+    return shipped
+
+
+def test_planned_instance_parity_and_empty_pooled_tasks(shipped_tasks):
+    # sigma >= |S| and h = n: level 0 settles every source, so the tasks of
+    # the levels above it carry no source, pooled or not.
+    graph = small_graph()
+    sources = sorted(graph.nodes())[:6]
+    results = [solve_pde(graph, sources, h=graph.num_nodes, sigma=6,
+                         epsilon=0.25, build_workers=workers)
+               for workers in (1, 2)]
+    assert results[1].export_state() == results[0].export_state()
+    (_, sequential), (pooled_workers, pooled) = shipped_tasks
+    assert pooled_workers == 2 and pooled == sequential
+    assert len(pooled) == results[0].rounding.num_levels > 1
+    assert pooled[0][1]["source_ids"]
+    assert all(payload["source_ids"] == [] for _, payload in pooled[1:])
+
+    shipped_tasks.clear()
+    with tempfile.TemporaryDirectory() as tmp:
+        checksums = [
+            _checksum(build_compact_routing(graph, k=3, seed=7,
+                                            build_workers=workers),
+                      tmp, f"w{workers}")
+            for workers in (1, 2)]
+    assert checksums[1] == checksums[0]
+    pooled = [payload for workers, tasks in shipped_tasks if workers == 2
+              for _, payload in tasks]
+    assert all(payload["source_ids"] for payload in pooled
+               if payload["level"] == 0)
+    assert any(payload["level"] and payload["source_ids"] == []
+               for payload in pooled)
 
 
 def test_solve_pde_build_workers_one_is_sequential():

@@ -1,10 +1,18 @@
 """Tests for partial distance estimation (Theorem 3.3 / Corollary 3.5)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import graphs
 from repro.core import DETECTION_ENGINES, solve_pde
-from repro.graphs import all_pairs_weighted_distances, dijkstra_with_hops
+from repro.core.pde import (finalize_pde_result, fold_detection_lists,
+                            intern_detection_lists, level_adjacency)
+from repro.core.source_detection import (GraphCSR, SourceDetectionResult,
+                                         detect_sources, materialize_detection)
+from repro.core.weight_rounding import RoundingScheme
+from repro.graphs import (WeightedGraph, all_pairs_weighted_distances,
+                          dijkstra_with_hops)
 
 
 def _feasibility_check(graph, pde, epsilon):
@@ -177,3 +185,118 @@ class TestSimulatedEngine:
         simulated = solve_pde(g, g.nodes(), h=6, sigma=4, epsilon=0.5,
                               engine="simulate")
         _feasibility_check(g, simulated, 0.5)
+
+
+# ----------------------------------------------------------------------
+# level planning: a rounding level searches only the sources it can change
+# ----------------------------------------------------------------------
+def _unplanned_pde(graph, sources, h, sigma, epsilon, engine):
+    """The oracle: every rounding level searches every source, then the fold.
+
+    Returns the result and each level's labelled detection lists.
+    """
+    ranked = sorted(set(sources), key=repr)
+    rounding = RoundingScheme(epsilon=epsilon, max_weight=graph.max_weight())
+    horizon = rounding.horizon(h)
+    csr = GraphCSR.from_graph(graph)
+    node_id = csr.node_ids()
+    table = [{} for _ in csr.nodes]
+    metrics, per_level = [], {}
+    for level in rounding.levels():
+        if engine == "batched":
+            detection = detect_sources(
+                None, None, horizon, sigma, engine=engine,
+                interned=(csr, [node_id[s] for s in ranked],
+                          level_adjacency(csr.weights, rounding.base(level))))
+            lists = detection.lists
+        else:
+            detection = detect_sources(
+                graph, set(ranked), horizon, sigma,
+                edge_length=rounding.edge_length_fn(level), engine=engine)
+            lists = intern_detection_lists(
+                detection.lists, node_id, {s: r for r, s in enumerate(ranked)})
+        metrics.append(detection.metrics)
+        fold_detection_lists(lists, rounding, level, table)
+        per_level[level] = materialize_detection(
+            SourceDetectionResult(lists=lists, h=horizon, sigma=sigma),
+            csr.nodes, ranked).lists
+    result = finalize_pde_result(csr.nodes, ranked, h, sigma, epsilon,
+                                 rounding, table, metrics, {}, False)
+    return result, per_level
+
+
+def _planning_graph(kind, n, high, seed):
+    weights = graphs.uniform_weights(1, high)
+    if kind == "er":
+        return graphs.erdos_renyi_graph(n, 0.3, weights, seed=seed)
+    if kind == "er disconnected":
+        return graphs.erdos_renyi_graph(n, 0.15, weights, seed=seed,
+                                        connect=False)
+    if kind == "grid":
+        return graphs.grid_graph(2, max(1, n // 2), weights, seed=seed)
+    if kind == "path":
+        return graphs.path_graph(n, weights, seed=seed)
+    return graphs.star_graph(n, weights, seed=seed)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_planned_levels_equal_searching_every_source(data):
+    graph = _planning_graph(
+        data.draw(st.sampled_from(["er", "er disconnected", "grid", "path",
+                                   "star"])),
+        data.draw(st.integers(2, 12)),
+        data.draw(st.sampled_from([1, 8, 64, 10 ** 5])),
+        data.draw(st.integers(0, 999)))
+    n = graph.num_nodes
+    sources = data.draw(st.lists(st.sampled_from(graph.nodes()), min_size=1,
+                                 max_size=n, unique=True))
+    epsilon = data.draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    # Small h cut some sources off from part of their component, so those
+    # must keep searching at the levels above 0.
+    h = data.draw(st.sampled_from([1, 2, 3, n]))
+    # sigma < |S|: the plan must be inert — every level searches everything.
+    sigma = data.draw(st.sampled_from(
+        [len(sources), len(sources) + 1, n, max(1, len(sources) - 1)]))
+    for engine in ("batched", "logical"):
+        planned = solve_pde(graph, sources, h, sigma, epsilon, engine=engine)
+        oracle, per_level = _unplanned_pde(graph, sources, h, sigma, epsilon,
+                                           engine)
+        assert planned.export_state() == oracle.export_state(), engine
+        assert planned.per_level[0].lists == per_level[0]
+        if sigma < len(sources):
+            assert {level: detection.lists for level, detection
+                    in planned.per_level.items()} == per_level
+
+
+def test_levels_above_zero_search_nothing_when_the_diameter_fits():
+    # The whole path fits into h' twice over, so level 0 settles every
+    # source whichever node the plan searched from.
+    graph = graphs.path_graph(8, graphs.uniform_weights(1, 8), seed=3)
+    pde = solve_pde(graph, graph.nodes(), h=64, sigma=8, epsilon=0.25)
+    assert pde.rounding.horizon(64) >= 2 * sum(w for _, _, w in graph.edges())
+    assert pde.rounding.num_levels > 1
+    assert len(pde.per_level[0].lists) == graph.num_nodes
+    assert all(not pde.per_level[level].lists
+               for level in pde.rounding.levels() if level)
+    assert all(level == 0 for row in pde.levels_used.values()
+               for level in row.values())
+
+
+def test_a_horizon_cut_source_keeps_searching():
+    # Component {0, 1} lies inside the horizon, the heavy path 10-11-12-13
+    # does not: only its source is searched again above level 0.
+    graph = WeightedGraph.from_edges(
+        [(0, 1, 1), (10, 11, 8), (11, 12, 8), (12, 13, 8)])
+    pde = solve_pde(graph, [0, 10], h=1, sigma=2, epsilon=0.5)
+    assert pde.rounding.horizon(1) < 24
+    searched = {level: {e.source for entries in detection.lists.values()
+                        for e in entries}
+                for level, detection in pde.per_level.items()}
+    assert searched[0] == {0, 10}
+    assert all(searched[level] == {10}
+               for level in pde.rounding.levels() if level)
+    assert max(pde.levels_used[13].values()) > 0
+    oracle, _ = _unplanned_pde(graph, [0, 10], 1, 2, 0.5, "batched")
+    assert pde.export_state() == oracle.export_state()
