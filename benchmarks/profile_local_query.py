@@ -21,7 +21,7 @@ the *loaded objects* (the program carries no counters):
 ``anchor_entries``     skeleton-list entries handed to the anchor scan of
                        ``_route_via_skeleton``, per route;
 ``adjacency_lookups``  lookups in the graph's adjacency map made inside
-                       ``_finish``, per hop of the finished path.
+                       ``RouteTrace.walk``, per hop of the walked path.
 
 They repeat exactly on any host; CI diffs the ``==`` and ``counts`` lines
 against ``benchmarks/profiles/local_query_pr23.txt`` (and
@@ -36,6 +36,7 @@ import os
 import sys
 import tempfile
 import time
+from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "e2e"))
@@ -82,7 +83,9 @@ class CountingAdjacency(dict):
 
 
 def instrument(hierarchy, kernel, counts):
-    """Hang the counting stand-ins on one loaded hierarchy."""
+    """Hang the counting stand-ins on one loaded hierarchy, and return the
+    one for the route walk every scheme shares (``RouteTrace.walk``), for
+    the caller to patch in while it counts."""
     table = kernel._bunch_table
 
     def counting(method, on_return):
@@ -114,15 +117,15 @@ def instrument(hierarchy, kernel, counts):
 
     adjacency = CountingAdjacency(hierarchy.graph._adj)
     hierarchy.graph._adj = adjacency
-    finish = hierarchy._finish
+    walk = routing.RouteTrace.walk
 
-    def counted_finish(*args):
+    def counted_walk(*args):
         before = adjacency.lookups
-        trace = finish(*args)
+        trace = walk(*args)
         add("adjacency_lookups", adjacency.lookups - before)
         add("hops", trace.hops)
         return trace
-    hierarchy._finish = counted_finish
+    return staticmethod(counted_walk)
 
 
 def load(path):
@@ -137,9 +140,10 @@ def count_pass(path, batches):
     counts = dict.fromkeys(
         ("index_reads", "records_scanned", "values_decoded",
          "anchor_entries", "adjacency_lookups", "hops"), 0)
-    instrument(hierarchy, kernel, counts)
-    for batch in batches:
-        hierarchy.route_batch(batch, kernel="columnar")
+    counted_walk = instrument(hierarchy, kernel, counts)
+    with mock.patch.object(routing.RouteTrace, "walk", counted_walk):
+        for batch in batches:
+            hierarchy.route_batch(batch, kernel="columnar")
     counts["rows_touched"] = kernel.stats["bunch_rows_decoded"]
     return counts
 

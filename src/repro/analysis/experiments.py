@@ -214,7 +214,11 @@ def run_relabeling_experiment(graph: WeightedGraph, k: int, epsilon: float = 0.2
                               seed: int = 0, budget_constant: float = 2.0,
                               pair_sample: Optional[int] = None,
                               engine: str = "batched") -> Dict:
-    """Build the Theorem 4.5 scheme and audit stretch, label size and rounds."""
+    """Build the Theorem 4.5 scheme and audit stretch, label size and rounds.
+
+    ``long_range_fraction`` is the share of audited pairs routed on the
+    skeleton path; at ``0`` the audit never leaves the short-range trees.
+    """
     scheme = RelabelingRoutingScheme.build(graph, k=k, epsilon=epsilon, seed=seed,
                                            budget_constant=budget_constant,
                                            engine=engine)
@@ -238,6 +242,7 @@ def run_relabeling_experiment(graph: WeightedGraph, k: int, epsilon: float = 0.2
         "label_bits_bound": complexity.label_bits_bound(n),
         "skeleton_size": report.skeleton_size,
         "fallback_edges": report.fallback_edges,
+        "long_range_fraction": scheme.long_range_fraction(pairs),
     }
 
 

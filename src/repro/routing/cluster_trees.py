@@ -113,6 +113,21 @@ class TreeFamily:
     def destinations(self) -> Iterable[Hashable]:
         return self.trees.keys()
 
+    def edge_path(self, a: Hashable, b: Hashable) -> Optional[List[Hashable]]:
+        """A path ``a -> b`` in ``G`` for a skeleton edge ``{a, b}``: up
+        ``b``'s tree from ``a``, else down ``a``'s tree to ``b`` (``None``
+        when neither tree holds the other end).
+
+        A skeleton edge is a detection of one end by the other, so for the
+        family of the PDE that detected it one of the two trees does."""
+        tree = self.trees.get(b)
+        if tree is not None and tree.contains(a):
+            return tree.path_to_root(a)
+        tree = self.trees.get(a)
+        if tree is not None and tree.contains(b):
+            return tree.path_to_root(b)[::-1]
+        return None
+
     def trees_containing(self, node: Hashable) -> List[Hashable]:
         """Destinations whose tree contains ``node`` (table-size accounting)."""
         return [dest for dest, tree in self.trees.items() if tree.contains(node)]
@@ -161,6 +176,9 @@ def build_destination_trees(graph: WeightedGraph, pde: PDEResult,
         Optional explicit membership: ``members_of[s]`` is the set of nodes
         that must appear in ``T_s``.  By default the members of ``T_s`` are
         the nodes whose output list contains ``s``.
+
+    Every member that can reach ``s`` is in ``T_s`` — in particular every
+    node whose list holds ``s``; the routes built on these trees rely on it.
     """
     dests = list(destinations) if destinations is not None else sorted(
         pde.sources, key=repr)

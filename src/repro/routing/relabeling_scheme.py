@@ -15,28 +15,34 @@ Construction (Section 4.2):
    giving every node distances/next hops to nearby skeleton nodes and the
    skeleton graph ``H`` on ``S`` (edge weights ``wd'_S``).  A ``(2k-1)``-
    spanner of ``H`` (Baswana–Sen) is made known to all nodes.
-4. *Labels*: ``lambda(w) = (w, s'_w, wd'(w, s'_w), tree-label of w)`` where the
-   tree label refers to the tree of approximate shortest paths rooted at
-   ``s'_w`` spanning the nodes homed at ``s'_w`` — ``O(log n)`` bits.
+4. *Labels*: ``lambda(w) = (w, s'_w, wd'(w, s'_w), tree-label of w)``, where
+   ``s'_w`` is ``w``'s closest skeleton node in the long-range estimation,
+   ``wd'(w, s'_w)`` that estimate, and the tree label refers to ``s'_w``'s
+   long-range tree — the tree of the step-3 next hops toward ``s'_w``, which
+   holds ``w`` because ``w`` detected ``s'_w`` — in ``O(log n)`` bits.
 
 Routing from ``v`` to ``w``: if ``w`` is in ``v``'s short-range list, follow
-the short-range tree of ``w``; otherwise route to a nearby skeleton node,
-along the skeleton spanner to ``s'_w``, and down ``s'_w``'s tree to ``w``
+the short-range tree of ``w``; otherwise route up the long-range tree of the
+skeleton node ``t`` minimising ``wd'(v, t) + wd'_H(t, s'_w)``, along the
+skeleton spanner to ``s'_w``, and down ``s'_w``'s long-range tree to ``w``
 (stretch ``(2 + O(eps)) + (2k-1)(3 + O(eps)) = 6k - 1 + o(1)`` by
-Lemma 4.3).
+Lemma 4.3).  These are the very paths the estimate ``dist_v(lambda(w))``
+sums over, so every route is a path no heavier than its estimate: a route
+is built only from tables and trees, never repaired at query time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Optional, Set, Tuple
 
 from ..congest.bfs import build_bfs_tree, pipelined_broadcast_rounds
 from ..congest.metrics import CongestMetrics, merge_metrics
 from ..core.pde import PDEResult, solve_pde
-from ..graphs.distances import dijkstra, path_weight
+from ..graphs.distances import dijkstra
 from ..graphs.weighted_graph import WeightedGraph
 from .cluster_trees import TreeFamily, build_destination_trees
 from .skeleton import (
@@ -79,7 +85,7 @@ class RelabelingRoutingScheme:
                  skeleton: Set[Hashable], pde_short: PDEResult, pde_skel: PDEResult,
                  home: Dict[Hashable, Hashable],
                  short_trees: TreeFamily, skeleton_trees: TreeFamily,
-                 home_trees: TreeFamily, skeleton_graph: WeightedGraph,
+                 skeleton_graph: WeightedGraph,
                  spanner: WeightedGraph, metrics: CongestMetrics) -> None:
         self.graph = graph
         self.k = k
@@ -90,13 +96,11 @@ class RelabelingRoutingScheme:
         self.home = home
         self.short_trees = short_trees
         self.skeleton_trees = skeleton_trees
-        self.home_trees = home_trees
         self.skeleton_graph = skeleton_graph
         self.spanner = spanner
         self.metrics = metrics
         self._spanner_dist: Dict[Hashable, Dict[Hashable, float]] = {}
         self._spanner_parent: Dict[Hashable, Dict[Hashable, Optional[Hashable]]] = {}
-        self._exact_parent_cache: Dict[Hashable, Dict[Hashable, Optional[Hashable]]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -125,31 +129,22 @@ class RelabelingRoutingScheme:
             graph, skeleton, epsilon, h=budget, sigma=max(1, len(skeleton)),
             engine=engine)
 
-        # Home skeleton node s'_v of every node (Lemma 4.2).
+        # Home skeleton node s'_v of every node (Lemma 4.2): the closest one
+        # in the long-range estimation, whose tree (built below) holds v.
         home: Dict[Hashable, Hashable] = {}
         for v in graph.nodes():
-            entry = pde_short.closest_source_in(v, skeleton)
-            if entry is None:
-                entry = pde_skel.closest_source_in(v, skeleton)
-            if entry is None:
-                # Disconnected corner case; attach to the smallest skeleton node.
-                home[v] = min(skeleton, key=repr)
-            else:
-                home[v] = entry.source
+            entry = pde_skel.closest_source_in(v, skeleton)
+            # A node that detected no skeleton node has dist_home = inf, so
+            # no long route ends there; attach it to the smallest one.
+            home[v] = (entry.source if entry is not None
+                       else min(skeleton, key=repr))
 
         # Short-range destination trees (one per destination, members = nodes
         # whose list contains the destination).
         short_trees = build_destination_trees(graph, pde_short)
-        # Long-range trees toward every skeleton node from the second PDE.
+        # Long-range trees toward every skeleton node from the second PDE:
+        # the first mile climbs one, the last mile descends s'_w's.
         skeleton_trees = build_destination_trees(graph, pde_skel)
-        # Home trees: for every skeleton node s, the tree spanning the nodes
-        # homed at s (used for the last mile s'_w -> w).
-        home_members: Dict[Hashable, Set[Hashable]] = {s: set() for s in skeleton}
-        for v, s in home.items():
-            home_members[s].add(v)
-        home_trees = build_destination_trees(graph, pde_short,
-                                             destinations=sorted(skeleton, key=repr),
-                                             members_of=home_members)
 
         # The (2k-1)-spanner of the skeleton graph, made globally known.
         if spanner_method == "greedy":
@@ -158,6 +153,12 @@ class RelabelingRoutingScheme:
             spanner = baswana_sen_spanner(skeleton_graph, k, rng)
         else:
             raise ValueError(f"unknown spanner method {spanner_method!r}")
+        # A route expands each spanner edge through the long-range trees;
+        # every skeleton edge is a detection, so this holds by construction.
+        if any(skeleton_trees.edge_path(a, b) is None
+               for a, b, _ in spanner.edges()):
+            raise RuntimeError("a spanner edge has no path through the "
+                               "long-range trees")
 
         # Round accounting: the two PDE phases, the spanner construction on
         # the skeleton (simulated Baswana-Sen, O~(|S|^{1+1/k} + D)), the
@@ -166,7 +167,7 @@ class RelabelingRoutingScheme:
         spanner_rounds = int(math.ceil(
             len(skeleton) ** (1.0 + 1.0 / k) * max(1.0, math.log(max(2, n)))))
         broadcast_rounds = pipelined_broadcast_rounds(spanner.num_edges, bfs_height)
-        labeling_rounds = home_trees.max_depth() + short_trees.max_depth()
+        labeling_rounds = skeleton_trees.max_depth() + short_trees.max_depth()
         extra = CongestMetrics(rounds=spanner_rounds + broadcast_rounds + labeling_rounds,
                                measured=False)
         metrics = merge_metrics(pde_short.metrics, pde_skel.metrics, extra,
@@ -175,7 +176,7 @@ class RelabelingRoutingScheme:
         return cls(graph=graph, k=k, epsilon=epsilon, skeleton=skeleton,
                    pde_short=pde_short, pde_skel=pde_skel, home=home,
                    short_trees=short_trees, skeleton_trees=skeleton_trees,
-                   home_trees=home_trees, skeleton_graph=skeleton_graph,
+                   skeleton_graph=skeleton_graph,
                    spanner=spanner, metrics=metrics)
 
     # ------------------------------------------------------------------
@@ -184,16 +185,11 @@ class RelabelingRoutingScheme:
     def label_of(self, node: Hashable) -> Label:
         """The ``O(log n)``-bit label of Theorem 4.5."""
         s = self.home[node]
-        tree = self.home_trees.get(s)
-        tree_label = tree.label_of(node) if tree is not None and tree.contains(node) else 0
-        dist_home = min(self.pde_short.estimate(node, s),
-                        self.pde_skel.estimate(node, s))
-        if node == s:
-            dist_home = 0.0
+        tree = self.skeleton_trees[s]
         return Label(owner=node, fields={
             "home": s,
-            "dist_home": dist_home,
-            "tree_label": tree_label,
+            "dist_home": self.pde_skel.estimate(node, s),
+            "tree_label": tree.label_of(node) if tree.contains(node) else 0,
         })
 
     def table_of(self, node: Hashable) -> RoutingTable:
@@ -208,7 +204,7 @@ class RelabelingRoutingScheme:
         table.extra["skeleton_list"] = skel_entries
         table.extra["tree_memberships"] = (
             self.short_trees.trees_containing(node)
-            + self.home_trees.trees_containing(node))
+            + self.skeleton_trees.trees_containing(node))
         table.extra["spanner"] = [(u, v, w) for u, v, w in self.spanner.edges()]
         return table
 
@@ -226,6 +222,29 @@ class RelabelingRoutingScheme:
     def _is_short_range(self, source: Hashable, target: Hashable) -> bool:
         return self.pde_short.in_list(source, target)
 
+    def long_range_fraction(self, pairs=None) -> float:
+        """Share of ``pairs`` (default: every ordered pair) with ``source !=
+        target`` that route on the long-range path — the regime the skeleton,
+        the spanner and the ``6k - 1`` bound are about."""
+        if pairs is None:
+            pairs = itertools.permutations(self.graph.nodes(), 2)
+        pairs = [(v, w) for v, w in pairs if v != w]
+        return (sum(not self._is_short_range(v, w) for v, w in pairs)
+                / max(1, len(pairs)))
+
+    def _skeleton_entry(self, source: Hashable, home: Hashable
+                        ) -> Tuple[Optional[Hashable], float]:
+        """The skeleton node ``t`` of ``source``'s long-range list minimising
+        ``wd'(source, t) + wd'_H(t, home)`` (the first, on a tie), and that
+        sum."""
+        home_dist, _ = self._spanner_sssp(home)
+        best, best_cost = None, float("inf")
+        for entry in self.pde_skel.list_of(source):
+            cost = entry.estimate + home_dist.get(entry.source, float("inf"))
+            if cost < best_cost:
+                best, best_cost = entry.source, cost
+        return best, best_cost
+
     def distance(self, source: Hashable, target: Hashable) -> float:
         """The distance estimate ``dist_v(lambda(w))`` (never below ``wd``)."""
         if source == target:
@@ -233,128 +252,44 @@ class RelabelingRoutingScheme:
         if self._is_short_range(source, target):
             return self.pde_short.estimate(source, target)
         label = self.label_of(target)
-        home = label.get("home")
-        dist_home = label.get("dist_home")
-        best = float("inf")
-        home_dist, _ = self._spanner_sssp(home)
-        for entry in self.pde_skel.list_of(source):
-            via = entry.estimate + home_dist.get(entry.source, float("inf")) + dist_home
-            best = min(best, via)
-        return best
+        _, cost = self._skeleton_entry(source, label.get("home"))
+        return cost + label.get("dist_home")
 
     def route(self, source: Hashable, target: Hashable) -> RouteTrace:
-        """Trace the stateless route induced by the scheme's tables."""
+        """Trace the stateless route induced by the scheme's tables.
+
+        The route walks the paths its estimate sums over; a pair they do not
+        connect (a disconnected graph) comes back undelivered with an
+        infinite estimate.
+        """
         if source == target:
             return RouteTrace(source=source, target=target, path=[source],
                               delivered=True, weight=0.0, estimate=0.0)
         if self._is_short_range(source, target):
-            return self._short_route(source, target)
-        return self._long_route(source, target)
-
-    # -- short range ----------------------------------------------------
-    def _short_route(self, source: Hashable, target: Hashable) -> RouteTrace:
-        tree = self.short_trees.get(target)
-        fallback = 0
-        if tree is None or not tree.contains(source):
-            path, fallback = self._exact_path(source, target), 1
-        else:
-            path = tree.path_to_root(source)
-        return self._finish(source, target, path, fallback,
-                            estimate=self.pde_short.estimate(source, target))
-
-    # -- long range -----------------------------------------------------
-    def _long_route(self, source: Hashable, target: Hashable) -> RouteTrace:
+            # source's list holds target, so target's short-range tree holds
+            # source.
+            return RouteTrace.walk(
+                self.graph, source, target,
+                self.short_trees[target].path_to_root(source),
+                self.pde_short.estimate(source, target))
         label = self.label_of(target)
         home = label.get("home")
-        home_dist, home_parent = self._spanner_sssp(home)
-
-        best_entry = None
-        best_cost = float("inf")
-        for entry in self.pde_skel.list_of(source):
-            cost = entry.estimate + home_dist.get(entry.source, float("inf"))
-            if cost < best_cost:
-                best_cost = cost
-                best_entry = entry
-        fallback = 0
-        if best_entry is None or best_cost == float("inf"):
-            # The skeleton did not cover this pair (can only happen for very
-            # small / sparse samples); repair with an exact path and count it.
-            path = self._exact_path(source, target)
-            return self._finish(source, target, path, fallback_hops=1,
-                                 estimate=None)
-
-        # Segment 1: source -> entry skeleton node.
-        path = self._segment_to_skeleton(source, best_entry.source)
-        # Segment 2: along the skeleton spanner to the target's home node.
-        spanner_path = self._spanner_path(home_parent, best_entry.source, home)
-        for s_from, s_to in zip(spanner_path, spanner_path[1:]):
-            segment, fb = self._skeleton_edge_segment(s_from, s_to)
-            fallback += fb
-            path = path + segment[1:]
-        # Segment 3: down the home tree to the target.
-        home_tree = self.home_trees.get(home)
-        if home_tree is not None and home_tree.contains(target) and home_tree.contains(home):
-            down = home_tree.tree_route(home, target)
-        else:
-            down = self._exact_path(home, target)
-            fallback += 1
-        path = path + down[1:]
-        return self._finish(source, target, path, fallback,
-                            estimate=self.distance(source, target))
-
-    def _segment_to_skeleton(self, node: Hashable, skeleton_node: Hashable) -> List[Hashable]:
-        tree = self.skeleton_trees.get(skeleton_node)
-        if tree is not None and tree.contains(node):
-            return tree.path_to_root(node)
-        return self._exact_path(node, skeleton_node)
-
-    def _skeleton_edge_segment(self, s_from: Hashable, s_to: Hashable
-                               ) -> Tuple[List[Hashable], int]:
-        tree = self.skeleton_trees.get(s_to)
-        if tree is not None and tree.contains(s_from):
-            return tree.path_to_root(s_from), 0
-        tree_rev = self.skeleton_trees.get(s_from)
-        if tree_rev is not None and tree_rev.contains(s_to):
-            return list(reversed(tree_rev.path_to_root(s_to))), 0
-        return self._exact_path(s_from, s_to), 1
-
-    def _spanner_path(self, parent: Dict[Hashable, Optional[Hashable]],
-                      source: Hashable, target: Hashable) -> List[Hashable]:
-        """Path from ``source`` to ``target`` in the spanner (parents rooted at target)."""
-        if source == target:
-            return [source]
-        if source not in parent:
-            return [source, target]  # repaired later by the edge segment fallback
-        path = [source]
-        while path[-1] != target and parent.get(path[-1]) is not None:
-            path.append(parent[path[-1]])
-        if path[-1] != target:
-            path.append(target)
-        return path
-
-    # -- helpers ----------------------------------------------------------
-    def _exact_path(self, source: Hashable, target: Hashable) -> List[Hashable]:
-        if target not in self._exact_parent_cache:
-            _, parent = dijkstra(self.graph, target)
-            self._exact_parent_cache[target] = parent
-        parent = self._exact_parent_cache[target]
-        path = [source]
-        while path[-1] != target:
-            nxt = parent.get(path[-1])
-            if nxt is None:
-                break
-            path.append(nxt)
-        return path
-
-    def _finish(self, source: Hashable, target: Hashable, path: List[Hashable],
-                fallback_hops: int, estimate: Optional[float]) -> RouteTrace:
-        path = _dedupe_consecutive(path)
-        delivered = bool(path) and path[0] == source and path[-1] == target and all(
-            self.graph.has_edge(u, v) for u, v in zip(path, path[1:]))
-        weight = path_weight(self.graph, path) if delivered else float("inf")
-        return RouteTrace(source=source, target=target, path=path,
-                          delivered=delivered, weight=weight,
-                          fallback_hops=fallback_hops, estimate=estimate)
+        entry, cost = self._skeleton_entry(source, home)
+        estimate = cost + label.get("dist_home")
+        if estimate == float("inf"):
+            return RouteTrace(source=source, target=target, path=[source],
+                              estimate=estimate)
+        # Up the entry node's long-range tree (source's list holds it) ...
+        path = self.skeleton_trees[entry].path_to_root(source)
+        # ... along the spanner to s'_w, each edge expanded as the build
+        # checked ...
+        _, parent = self._spanner_sssp(home)
+        while entry != home:
+            path += self.skeleton_trees.edge_path(entry, parent[entry])[1:]
+            entry = parent[entry]
+        # ... and down s'_w's long-range tree, which holds target.
+        path += self.skeleton_trees[home].path_to_root(target)[-2::-1]
+        return RouteTrace.walk(self.graph, source, target, path, estimate)
 
     # ------------------------------------------------------------------
     # reporting
@@ -377,8 +312,7 @@ class RelabelingRoutingScheme:
             spanner_edges=self.spanner.num_edges,
             skeleton_edges=self.skeleton_graph.num_edges,
             fallback_edges=(self.short_trees.total_fallback_edges()
-                            + self.skeleton_trees.total_fallback_edges()
-                            + self.home_trees.total_fallback_edges()),
+                            + self.skeleton_trees.total_fallback_edges()),
             label_bits_max=label_bits,
         )
 
@@ -388,12 +322,3 @@ class RelabelingRoutingScheme:
         summary = report.as_dict()
         summary["stretch_bound"] = self.theoretical_stretch_bound()
         return summary
-
-
-def _dedupe_consecutive(path: List[Hashable]) -> List[Hashable]:
-    """Collapse immediately repeated nodes produced by segment concatenation."""
-    result: List[Hashable] = []
-    for node in path:
-        if not result or result[-1] != node:
-            result.append(node)
-    return result

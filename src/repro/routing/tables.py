@@ -144,7 +144,12 @@ class RoutingTable:
 
 @dataclass
 class RouteTrace:
-    """The outcome of routing one packet: path taken, success flag, cost."""
+    """The outcome of routing one packet: path taken, success flag, cost.
+
+    ``fallback_hops`` counts query-time path repairs.  Both schemes route
+    only on the trees their estimates are summed over and repair nothing,
+    so it is always ``0``; it stays in the wire format (key ``"f"``).
+    """
 
     source: Hashable
     target: Hashable
@@ -166,6 +171,39 @@ class RouteTrace:
             state = dict(state)
             del state["wire_text"]
         return state
+
+    @classmethod
+    def walk(cls, graph, source: Hashable, target: Hashable,
+             path: List[Hashable], estimate: float) -> "RouteTrace":
+        """The trace of ``path`` in ``graph``, one pass over its edges.
+
+        Consecutive repeats (where two route segments meet) collapse; the
+        route is delivered when every hop is an edge of ``graph`` and the
+        path runs from ``source`` to ``target``, and ``weight`` is then the
+        hops' left-to-right sum from ``0`` (what ``path_weight`` returns,
+        type included).  Both routing schemes finish every route here.
+        """
+        neighbor_weights = graph.neighbor_weights
+        deduped: List[Hashable] = []
+        weight, connected = 0, True
+        for node in path:
+            if deduped:
+                prev = deduped[-1]
+                if prev == node:
+                    continue
+                if connected:
+                    hop = neighbor_weights(prev).get(node)
+                    if hop is None:
+                        connected = False
+                    else:
+                        weight += hop
+            deduped.append(node)
+        delivered = (connected and bool(deduped) and deduped[0] == source
+                     and deduped[-1] == target)
+        return cls(source=source, target=target, path=deduped,
+                   delivered=delivered,
+                   weight=weight if delivered else float("inf"),
+                   estimate=estimate)
 
     @property
     def hops(self) -> int:

@@ -42,13 +42,12 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 from ..congest.bfs import build_bfs_tree, pipelined_broadcast_rounds
 from ..congest.metrics import CongestMetrics, merge_metrics
 from ..core.pde import PDEInstance, PDEResult, solve_pde_instances
-from ..graphs.distances import dijkstra, shortest_path_diameter
+from ..graphs.distances import shortest_path_diameter
 from ..graphs.weighted_graph import WeightedGraph
 from ..obs.metrics import NULL_REGISTRY
 from .cluster_trees import TreeFamily, build_destination_trees
 from .skeleton import skeleton_graph_from_pde
 from .tables import Label, RouteTrace, RoutingTable
-from .tree_routing import TreeRouting
 from .tz_exact import sample_levels
 from .stretch import evaluate_routing
 
@@ -238,10 +237,8 @@ class CompactRoutingHierarchy:
         self.skeleton_trees = skeleton_trees
         self.metrics = metrics
         self.build_params: Dict[str, object] = {}
-        self._exact_parent_cache: Dict[Hashable, Dict[Hashable, Optional[Hashable]]] = {}
         self._skeleton_tail_tables: Dict[Tuple[int, Hashable], Tuple[Dict, Dict]] = {}
         self._pivot_row_cache = _PivotRowCache(PIVOT_ROW_CACHE_CAP)
-        self._route_fallbacks = 0
         #: Optional zero-copy pivot-row provider (set by the artifact-v2
         #: loader to a :class:`~repro.routing.tables.PivotRowBackend`); when
         #: present, :meth:`pivot_row` reads one contiguous record slice from
@@ -381,6 +378,12 @@ class CompactRoutingHierarchy:
             level_metrics.append(pde_skel.metrics)
             skeleton_graph = skeleton_graph_from_pde(pde_skel, level_sets[l0])
             attach_trees = build_destination_trees(graph, pde_skel)
+            # A skeleton route expands each skeleton edge through the attach
+            # trees; every edge is a detection, so this holds by construction.
+            if any(attach_trees.edge_path(a, b) is None
+                   for a, b, _ in skeleton_graph.edges()):
+                raise RuntimeError("a skeleton edge has no path through the "
+                                   "attach trees")
 
             bfs_height = build_bfs_tree(graph, graph.nodes()[0]).height
             # The skeleton computation is simulated globally (Lemma 4.12),
@@ -704,14 +707,13 @@ class CompactRoutingHierarchy:
             return traces
 
     def clear_runtime_caches(self) -> None:
-        """Drop query-time caches (pivot rows, exact-path parents) and the
-        derived per-pivot skeleton tables with the anchors chosen through them.
+        """Drop query-time caches (pivot rows) and the derived per-pivot
+        skeleton tables with the anchors chosen through them.
 
         All are pure functions of the built state — answers are identical
         with or without them.  Benchmarks call this to measure cold-query
         cost.
         """
-        self._exact_parent_cache.clear()
         self._skeleton_tail_tables.clear()
         self._pivot_row_cache.clear()
 
@@ -728,40 +730,29 @@ class CompactRoutingHierarchy:
         """Materialise the route for an already-selected ``(level, pivot)``.
 
         Shared by :meth:`route` (per-pair selection) and :meth:`route_batch`
-        (columnar selection) so both produce identical traces.
+        (columnar selection) so both produce identical traces.  The route
+        walks only the trees the estimate was summed over; a pair they do
+        not connect (no pivot in range, a disconnected graph) comes back
+        undelivered with an infinite estimate.
         """
-        if pivot is None:
-            path, fallback = self._exact_path(source, target), 1
-            return self._finish(source, target, path, fallback, estimate)
-        data = self.level_data[level]
-        fallback = 0
-        if not data.skeleton_level and data.trees is not None:
-            tree = data.trees.get(pivot)
+        path = None
+        if pivot is not None and self.level_data[level].skeleton_level:
+            up = self._route_via_skeleton(source, pivot, level)
+            down = self._route_via_skeleton(target, pivot, level)
+            if up is not None and down is not None:
+                path = up + down[-2::-1]
+        elif pivot is not None:
+            tree = self.level_data[level].trees.get(pivot)
             if tree is not None and tree.contains(source) and tree.contains(target):
                 path = tree.tree_route(source, target)
-            else:
-                segments = []
-                if tree is not None and tree.contains(source):
-                    segments = tree.path_to_root(source)
-                else:
-                    segments = self._exact_path(source, pivot)
-                    fallback += 1
-                if tree is not None and tree.contains(target):
-                    down = list(reversed(tree.path_to_root(target)))
-                else:
-                    down = self._exact_path(pivot, target)
-                    fallback += 1
-                path = segments + down[1:]
-        else:
-            up, fb_up = self._route_via_skeleton(source, pivot, level)
-            down, fb_down = self._route_via_skeleton(target, pivot, level)
-            fallback += fb_up + fb_down
-            path = up + list(reversed(down))[1:]
-        return self._finish(source, target, path, fallback, estimate)
+        if path is None:
+            return RouteTrace(source=source, target=target, path=[source],
+                              estimate=float("inf"))
+        return RouteTrace.walk(self.graph, source, target, path, estimate)
 
     # -- truncated-mode routing -----------------------------------------
     def _route_via_skeleton(self, node: Hashable, pivot: Hashable, level: int
-                            ) -> Tuple[List[Hashable], int]:
+                            ) -> Optional[List[Hashable]]:
         """Path from ``node`` to ``pivot`` through the level-``l0`` skeleton.
 
         Leaves through the anchor ``t`` the table estimate was computed
@@ -771,10 +762,10 @@ class CompactRoutingHierarchy:
         route is no heavier than the estimate it was selected on.  The scan
         runs once per ``(level, pivot, node)``; its choice is kept beside the
         pivot's tails (one dict store of a pure function: racing threads
-        store the same value).
+        store the same value).  ``None`` when no anchor reaches the pivot.
         """
         if node == pivot:
-            return [node], 0
+            return [node]
         tails, anchors = self._skeleton_tails(level, pivot)
         anchor = anchors.get(node, _ABSENT)
         if anchor is _ABSENT:
@@ -784,32 +775,31 @@ class CompactRoutingHierarchy:
                 if row is not None and dt + row[0] < best:
                     anchor, best = t, dt + row[0]
             anchors[node] = anchor
-        if anchor is None:
-            return self._exact_path(node, pivot), 1
-        _, tail, fallback = tails[anchor]
-        path = self._attach_path(node, anchor)
-        path.extend(tail)
-        return path, fallback
+        if anchor is None or not self.attach_trees[anchor].contains(node):
+            return None
+        path = self.attach_trees[anchor].path_to_root(node)
+        path.extend(tails[anchor][1])
+        return path
 
     def _skeleton_tails(self, level: int, pivot: Hashable) -> Tuple[
-            Dict[Hashable, Tuple[float, Tuple[Hashable, ...], int]],
+            Dict[Hashable, Tuple[float, Tuple[Hashable, ...]]],
             Dict[Hashable, Optional[Hashable]]]:
         """What the skeleton nodes store for ``pivot`` (Theorem 4.13), and
         the anchors :meth:`_route_via_skeleton` has chosen through it.
 
         ``anchor t -> (weight of t's tree path to the pivot in skeleton
-        weights, that path expanded to a path in G — without ``t`` itself —
-        and its fallback count)``, derived once per ``(level, pivot)`` from
-        the skeleton tree, the skeleton graph's weights and the attach trees;
-        ``node -> its anchor`` starts empty and grows by one reference per
-        node routed through this pivot.
+        weights, that path expanded to a path in G — without ``t`` itself)``,
+        derived once per ``(level, pivot)`` from the skeleton tree, the
+        skeleton graph's weights and the attach trees; ``node -> its
+        anchor`` starts empty and grows by one reference per node routed
+        through this pivot.
         """
         entry = self._skeleton_tail_tables.get((level, pivot))
         if entry is None:
             # Every skeleton level has one tree per source, and a pivot of
             # level l is a source of level l.
             parent = self.skeleton_trees[level][pivot].parent
-            tails = {pivot: (0.0, (), 0)}
+            tails = {pivot: (0.0, ())}
             for t in parent:
                 chain = []
                 while t not in tails:
@@ -817,71 +807,15 @@ class CompactRoutingHierarchy:
                     t = parent[t]
                 for a in reversed(chain):
                     b = parent[a]
-                    dist, tail, fallback = tails[b]
-                    hop, repaired = self._expand_skeleton_edge(a, b)
+                    dist, tail = tails[b]
+                    # A skeleton-tree edge is a skeleton edge, which the build
+                    # checked expands through the attach trees.
+                    hop = self.attach_trees.edge_path(a, b)
                     tails[a] = (self.skeleton_graph.weight(a, b) + dist,
-                                tuple(hop[1:]) + tail, fallback + repaired)
+                                tuple(hop[1:]) + tail)
             # Published whole: a concurrent reader never sees half a table.
             entry = self._skeleton_tail_tables[(level, pivot)] = (tails, {})
         return entry
-
-    def _attach_path(self, node: Hashable, skeleton_node: Hashable) -> List[Hashable]:
-        if node == skeleton_node:
-            return [node]
-        tree = self.attach_trees.get(skeleton_node) if self.attach_trees else None
-        if tree is not None and tree.contains(node):
-            return tree.path_to_root(node)
-        return self._exact_path(node, skeleton_node)
-
-    def _expand_skeleton_edge(self, a: Hashable, b: Hashable) -> Tuple[List[Hashable], int]:
-        tree = self.attach_trees.get(b) if self.attach_trees else None
-        if tree is not None and tree.contains(a):
-            return tree.path_to_root(a), 0
-        tree_rev = self.attach_trees.get(a) if self.attach_trees else None
-        if tree_rev is not None and tree_rev.contains(b):
-            return list(reversed(tree_rev.path_to_root(b))), 0
-        return self._exact_path(a, b), 1
-
-    # -- shared helpers ---------------------------------------------------
-    def _exact_path(self, source: Hashable, target: Hashable) -> List[Hashable]:
-        if target not in self._exact_parent_cache:
-            _, parent = dijkstra(self.graph, target)
-            self._exact_parent_cache[target] = parent
-        parent = self._exact_parent_cache[target]
-        path = [source]
-        while path[-1] != target:
-            nxt = parent.get(path[-1])
-            if nxt is None:
-                break
-            path.append(nxt)
-        return path
-
-    def _finish(self, source: Hashable, target: Hashable, path: List[Hashable],
-                fallback_hops: int, estimate: float) -> RouteTrace:
-        """Dedupe ``path`` and walk its edges once: every hop must be an
-        edge of ``G``, and ``weight`` is their left-to-right sum from ``0``
-        (what ``path_weight`` returns, type included)."""
-        neighbor_weights = self.graph.neighbor_weights
-        deduped: List[Hashable] = []
-        weight, connected = 0, True
-        for node in path:
-            if deduped:
-                prev = deduped[-1]
-                if prev == node:
-                    continue
-                if connected:
-                    hop = neighbor_weights(prev).get(node)
-                    if hop is None:
-                        connected = False
-                    else:
-                        weight += hop
-            deduped.append(node)
-        delivered = (connected and bool(deduped) and deduped[0] == source
-                     and deduped[-1] == target)
-        return RouteTrace(source=source, target=target, path=deduped,
-                          delivered=delivered,
-                          weight=weight if delivered else float("inf"),
-                          fallback_hops=fallback_hops, estimate=estimate)
 
     # ==================================================================
     # reporting

@@ -556,9 +556,9 @@ def main(argv=None) -> int:
             if stage[name] is not None)
         print(f"stages: {stage_text}")
         print(stats.describe())
-    # Routes must always deliver (the hierarchy has an exact-path
-    # fallback); trace replays may mix kinds per batch, so the check is
-    # per-batch, not on the configured default kind.
+    # Routes must always deliver (on a connected graph every route is a
+    # path through the hierarchy's trees); trace replays may mix kinds per
+    # batch, so the check is per-batch, not on the configured default kind.
     return 0 if ok else 1
 
 

@@ -1,6 +1,7 @@
 """Boundary behaviour of the Corollary 4.14 truncation-level choice, the
 recorded truncated-mode routes that once outweighed their own estimate, and
-the route walk (``_finish``) and anchor memo those routes go through."""
+the route walk (``RouteTrace.walk``, shared by both routing schemes) and
+the anchor memo those routes go through."""
 
 import dataclasses
 import functools
@@ -16,6 +17,7 @@ import pytest
 from repro import graphs
 from repro.graphs import dijkstra, path_weight
 from repro.routing import (
+    RelabelingRoutingScheme,
     RouteTrace,
     build_compact_routing,
     choose_truncation_level,
@@ -161,10 +163,10 @@ class TestEdgelessSkeleton:
         assert sum(t.fallback_hops for t in traces) == 0
 
 
-def reference_finish(graph, source, target, path, fallback_hops, estimate):
-    """``_finish`` as it stood before PR 23 — a dedupe pass, a ``has_edge``
-    pass and a ``path_weight`` pass — kept here as the oracle of the
-    one-pass walk."""
+def reference_walk(graph, source, target, path, estimate):
+    """The route walk in three passes — a dedupe pass, a ``has_edge`` pass
+    and a ``path_weight`` pass — kept here as the oracle of the one-pass
+    :meth:`RouteTrace.walk`."""
     deduped = []
     for node in path:
         if not deduped or deduped[-1] != node:
@@ -173,8 +175,7 @@ def reference_finish(graph, source, target, path, fallback_hops, estimate):
         graph.has_edge(u, v) for u, v in zip(deduped, deduped[1:]))
     weight = path_weight(graph, deduped) if delivered else float("inf")
     return RouteTrace(source=source, target=target, path=deduped,
-                      delivered=delivered, weight=weight,
-                      fallback_hops=fallback_hops, estimate=estimate)
+                      delivered=delivered, weight=weight, estimate=estimate)
 
 
 def assert_same_trace(trace, expected):
@@ -184,24 +185,30 @@ def assert_same_trace(trace, expected):
     assert type(trace.weight) is type(expected.weight), (trace, expected)
 
 
-def route_all_pairs_against_reference(hierarchy):
-    """Route every ordered pair; each ``_finish`` call is checked against
-    :func:`reference_finish` on the very path it was handed."""
-    finish = hierarchy._finish
+def route_all_pairs_against_reference(scheme):
+    """Route every ordered pair through ``scheme`` (a hierarchy or a
+    relabeling scheme); each walk is checked against :func:`reference_walk`
+    on the very path it was handed."""
+    walk = RouteTrace.walk
+    walked = []
 
-    def checked(source, target, path, fallback_hops, estimate):
-        trace = finish(source, target, list(path), fallback_hops, estimate)
-        assert_same_trace(trace, reference_finish(
-            hierarchy.graph, source, target, path, fallback_hops, estimate))
+    def checked(graph, source, target, path, estimate):
+        trace = walk(graph, source, target, list(path), estimate)
+        assert_same_trace(trace, reference_walk(
+            graph, source, target, path, estimate))
+        walked.append(trace)
         return trace
 
-    hierarchy._finish = checked
-    try:
-        return hierarchy.route_batch(
-            list(itertools.permutations(hierarchy.graph.nodes(), 2)),
-            kernel="dict")
-    finally:
-        del hierarchy._finish
+    pairs = list(itertools.permutations(scheme.graph.nodes(), 2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RouteTrace, "walk", staticmethod(checked))
+        if isinstance(scheme, RelabelingRoutingScheme):
+            traces = [scheme.route(s, t) for s, t in pairs]
+        else:
+            traces = scheme.route_batch(pairs, kernel="dict")
+    # Every pair was walked: no route is assembled anywhere else.
+    assert walked == traces
+    return traces
 
 
 class TestRouteWalk:
@@ -213,6 +220,18 @@ class TestRouteWalk:
         _, hierarchy = offender_build(*build)
         traces = route_all_pairs_against_reference(hierarchy)
         assert all(type(t.weight) is int for t in traces if t.delivered)
+
+    def test_relabeling_scheme_walks_the_same_way(self):
+        """A scheme with most pairs on the skeleton path: its short and
+        long routes all finish in the shared walk."""
+        graph = parse_graph_spec("road:rows=8,cols=8,seed=1")
+        scheme = RelabelingRoutingScheme.build(graph, k=2, epsilon=0.25,
+                                               budget_constant=0.2)
+        traces = route_all_pairs_against_reference(scheme)
+        long_pairs = sum(not scheme.pde_short.in_list(t.source, t.target)
+                         for t in traces)
+        assert 0 < long_pairs < len(traces)
+        assert_routes_realise_estimates(traces)
 
     def test_float_weights_sum_in_the_same_order(self):
         """The public graph takes int weights only, so this hierarchy's
@@ -229,7 +248,7 @@ class TestRouteWalk:
         assert any(t.weight != round(t.weight, 6) for t in traces)
 
     def test_hand_made_paths(self):
-        graph, hierarchy = offender_build(*OFFENDER_BUILDS[0])
+        graph, _ = offender_build(*OFFENDER_BUILDS[0])
         a = graph.nodes()[0]
         b = next(iter(graph.neighbors(a)))
         c = next(v for v in graph.neighbors(b) if v != a)
@@ -245,13 +264,13 @@ class TestRouteWalk:
             "single": (a, a, [a]),
         }
         for name, (source, target, path) in cases.items():
-            trace = hierarchy._finish(source, target, list(path), 2, 9.5)
-            assert_same_trace(trace, reference_finish(
-                graph, source, target, path, 2, 9.5))
-        walked = hierarchy._finish(a, c, [a, a, b, b, b, c, c], 0, 9.5)
+            trace = RouteTrace.walk(graph, source, target, list(path), 9.5)
+            assert_same_trace(trace, reference_walk(
+                graph, source, target, path, 9.5))
+        walked = RouteTrace.walk(graph, a, c, [a, a, b, b, b, c, c], 9.5)
         assert walked.delivered and walked.path == [a, b, c]
         assert walked.weight == graph.weight(a, b) + graph.weight(b, c)
-        broken = hierarchy._finish(a, c, [a, stranger, stranger, b, c], 0, 9.5)
+        broken = RouteTrace.walk(graph, a, c, [a, stranger, stranger, b, c], 9.5)
         assert not broken.delivered and broken.weight == float("inf")
         assert broken.path == [a, stranger, b, c]
 

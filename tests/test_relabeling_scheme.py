@@ -1,18 +1,44 @@
-"""Tests for the Theorem 4.5 routing scheme (relabeling, stretch 6k-1+o(1))."""
+"""Tests for the Theorem 4.5 routing scheme (relabeling, stretch 6k-1+o(1)).
+
+At the default ``budget_constant=2`` the detection budget covers graphs of
+this size whole and every pair is short-range, so the schemes here use
+``budget_constant=0.5``: a third to a half of their pairs take the
+skeleton path the ``6k - 1`` bound is about.
+"""
+
+import functools
+import json
+import os
 
 import pytest
 
 from repro import graphs
-from repro.graphs import all_pairs_weighted_distances
+from repro.graphs import all_pairs_weighted_distances, dijkstra
 from repro.routing import RelabelingRoutingScheme
 from repro.routing.stretch import evaluate_distance_estimates, evaluate_routing, sample_pairs
+from repro.serving import parse_graph_spec
+
+#: A detection budget that leaves pairs for the long-range path.
+LONG_RANGE_C = 0.5
+
+with open(os.path.join(os.path.dirname(__file__), "data",
+                       "relabel_route_offenders.json"),
+          encoding="utf-8") as _fh:
+    OFFENDERS = json.load(_fh)["offenders"]
+
+
+def build_long_range(g, k, seed):
+    """A scheme on ``g`` with pairs on both paths (asserted)."""
+    scheme = RelabelingRoutingScheme.build(g, k=k, epsilon=0.25, seed=seed,
+                                           budget_constant=LONG_RANGE_C)
+    assert 0 < scheme.long_range_fraction() < 1
+    return scheme
 
 
 @pytest.fixture(scope="module")
 def er_scheme():
     g = graphs.erdos_renyi_graph(30, 0.15, graphs.uniform_weights(1, 60), seed=23)
-    scheme = RelabelingRoutingScheme.build(g, k=2, epsilon=0.25, seed=5)
-    return g, scheme
+    return g, build_long_range(g, k=2, seed=5)
 
 
 @pytest.fixture(scope="module")
@@ -133,21 +159,55 @@ class TestMultipleGraphFamilies:
     def test_stretch_bound_across_k(self, k):
         g = graphs.erdos_renyi_graph(24, 0.18, graphs.mixed_scale_weights(1, 900, 0.3),
                                      seed=41)
-        scheme = RelabelingRoutingScheme.build(g, k=k, epsilon=0.25, seed=k)
+        scheme = build_long_range(g, k=k, seed=k)
         report = evaluate_routing(scheme, g)
         assert report.delivery_rate == 1.0
         assert report.max_stretch <= 6 * k - 1 + 1e-6
 
     def test_tree_topology(self):
         g = graphs.random_tree(26, graphs.uniform_weights(1, 40), seed=6)
-        scheme = RelabelingRoutingScheme.build(g, k=2, epsilon=0.25, seed=6)
+        scheme = build_long_range(g, k=2, seed=6)
         report = evaluate_routing(scheme, g)
         assert report.delivery_rate == 1.0
         assert report.max_stretch <= 11 + 1e-6
 
     def test_grid_topology(self):
         g = graphs.grid_graph(4, 6, graphs.uniform_weights(1, 25), seed=8)
-        scheme = RelabelingRoutingScheme.build(g, k=2, epsilon=0.25, seed=8)
+        scheme = build_long_range(g, k=2, seed=8)
         report = evaluate_routing(scheme, g)
         assert report.delivery_rate == 1.0
         assert report.max_stretch <= 11 + 1e-6
+
+
+@functools.lru_cache(maxsize=None)
+def offender_build(spec, k, budget_constant, seed):
+    graph = parse_graph_spec(spec)
+    return graph, RelabelingRoutingScheme.build(
+        graph, k=k, epsilon=0.25, seed=seed, budget_constant=budget_constant)
+
+
+class TestRecordedOffenders:
+    """``tests/data/relabel_route_offenders.json``: long-range pairs whose last
+    mile walked a tree of the short-range estimation and came out heavier
+    than the estimate, which sums ``wd'(w, s'_w)`` of the long-range one."""
+
+    @pytest.mark.parametrize(
+        "case", OFFENDERS,
+        ids=[f"{c['graph']}-k{c['k']}-{c['pair'][0]}->{c['pair'][1]}"
+             for c in OFFENDERS])
+    def test_route_realises_its_estimate(self, case):
+        graph, scheme = offender_build(case["graph"], case["k"],
+                                       case["budget_constant"], case["seed"])
+        source, target = case["pair"]
+        exact = dijkstra(graph, source)[0][target]
+        assert exact == case["exact"]
+        assert not scheme.pde_short.in_list(source, target)
+        # The record is of a real defect: the old route broke the invariant.
+        assert case["weight_before"] > case["estimate_before"]
+
+        trace = scheme.route(source, target)
+        assert trace.delivered and trace.fallback_hops == 0
+        assert trace.estimate == scheme.distance(source, target)
+        assert trace.weight <= trace.estimate * (1 + 1e-9)
+        assert trace.weight / exact <= 6 * case["k"] - 1
+        assert scheme.home[target] == case["home_after"]
