@@ -40,7 +40,6 @@ import pytest
 from repro import graphs
 from repro.obs.experiment import record_benchmark_run
 from repro.routing import build_compact_routing
-from repro.routing.tables import NodeInternTable
 from repro.serving import (
     CacheConfig,
     RoutingService,
@@ -147,14 +146,9 @@ def run_artifact_load(n: int, seed: int = 0, k: int = 3, queries: int = 512,
         v2_path = os.path.join(tmp, "hierarchy.v2.artifact")
         save_hierarchy(hierarchy, v2_path)
 
-        v2c_path = os.path.join(tmp, "hierarchy.v2c.artifact")
-        save_hierarchy(hierarchy, v2c_path, compress_node_table=True)
-
         v2 = _probe(v2_path, pairs, kind)
-        v2c = _probe(v2c_path, pairs, kind)
         expected = [expected_of[pair] for pair in pairs]
         identical = v2.pop("answers") == expected
-        identical_compressed = v2c.pop("answers") == expected
 
         sub_paths = write_shard_artifacts(v2_path, workers)
         per_worker = []
@@ -172,29 +166,6 @@ def run_artifact_load(n: int, seed: int = 0, k: int = 3, queries: int = 512,
         full_bytes = artifact_info(v2_path).payload_bytes
         mean_sub_bytes = (sum(p["artifact_bytes"] for p in per_worker)
                           / max(1, len(per_worker)))
-
-        # Node-table compression (front coding): the size delta on this
-        # graph's actual labels, plus the same table with production-style
-        # string labels ("node-000042", ...) where shared prefixes are the
-        # norm — that is the case the encoding exists for.
-        intern = NodeInternTable(graph.nodes())
-        str_intern = NodeInternTable(
-            [f"node-{i:06d}" for i in range(graph.num_nodes)])
-        tagged, fc = len(intern.encode()), len(intern.encode(compress=True))
-        str_tagged = len(str_intern.encode())
-        str_fc = len(str_intern.encode(compress=True))
-        node_table = {
-            "tagged_bytes": tagged,
-            "front_coded_bytes": fc,
-            "front_coded_ratio": round(fc / tagged, 3) if tagged else 1.0,
-            "string_labels_tagged_bytes": str_tagged,
-            "string_labels_front_coded_bytes": str_fc,
-            "string_labels_front_coded_ratio": round(str_fc / str_tagged, 3)
-                                               if str_tagged else 1.0,
-            "v2_compressed_payload_bytes": artifact_info(
-                v2c_path).payload_bytes,
-            "identical_answers_compressed": identical_compressed,
-        }
 
     record = {
         "n": n,
@@ -218,7 +189,6 @@ def run_artifact_load(n: int, seed: int = 0, k: int = 3, queries: int = 512,
                 if mean_sub_bytes else float("inf"),
             "identical_answers": sub_identical,
         },
-        "node_table": node_table,
     }
     return record
 
@@ -236,17 +206,9 @@ def test_artifact_load_smoke(benchmark):
           f"ttfa {record['v2']['ttfa_seconds']}s")
     print(f"sub-artifact bytes reduction "
           f"{record['sub_artifacts']['bytes_reduction_vs_full']}x")
-    print(f"node table: tagged {record['node_table']['tagged_bytes']}B  "
-          f"front-coded {record['node_table']['front_coded_bytes']}B; "
-          f"string labels "
-          f"{record['node_table']['string_labels_front_coded_ratio']:.0%} "
-          f"of tagged")
     # The hard invariant: the load path never changes an answer.
     assert record["identical_answers_v2"] is True
     assert record["sub_artifacts"]["identical_answers"] is True
-    assert record["node_table"]["identical_answers_compressed"] is True
-    # Front coding must pay for itself on prefix-heavy string labels.
-    assert record["node_table"]["string_labels_front_coded_ratio"] < 0.8
     # Directional acceptance at smoke scale (the full-scale threshold,
     # >= 2x bytes, is asserted by the CI run's JSON).
     assert record["sub_artifacts"]["bytes_reduction_vs_full"] > 1.5
@@ -291,14 +253,6 @@ def main(argv=None) -> int:
               f"{sub['full_artifact_bytes']} full "
               f"({sub['bytes_reduction_vs_full']}x smaller), "
               f"identical={sub['identical_answers']}")
-        nt = record["node_table"]
-        print(f"  node table: tagged {nt['tagged_bytes']}B vs front-coded "
-              f"{nt['front_coded_bytes']}B "
-              f"({nt['front_coded_ratio']:.0%}); string labels "
-              f"{nt['string_labels_tagged_bytes']}B vs "
-              f"{nt['string_labels_front_coded_bytes']}B "
-              f"({nt['string_labels_front_coded_ratio']:.0%}), "
-              f"identical={nt['identical_answers_compressed']}")
 
     payload = {
         "benchmark": "artifact_load",
@@ -329,8 +283,7 @@ def main(argv=None) -> int:
               f"required {args.min_bytes_reduction}x")
         return 1
     if not (final["identical_answers_v2"]
-            and final["sub_artifacts"]["identical_answers"]
-            and final["node_table"]["identical_answers_compressed"]):
+            and final["sub_artifacts"]["identical_answers"]):
         print("FAIL: load paths disagreed on answers")
         return 1
     return 0

@@ -1,10 +1,12 @@
 """Shared workloads and reporting helpers for the benchmark harness.
 
-Each ``bench_*`` module reproduces one experiment of the index in DESIGN.md
-(E1–E8).  Benchmarks print the regenerated "table rows" (via
-``repro.analysis.reporting``) in addition to the pytest-benchmark timings, so
-running ``pytest benchmarks/ --benchmark-only -s`` shows the same quantities
-EXPERIMENTS.md records.
+Each paper ``bench_*`` module reproduces one experiment of the E1–E8 index
+in :mod:`repro.analysis.experiments` (E1 Figure 1 congestion, E2 APSP, E3/E7
+PDE scaling and the epsilon sweep, E4 relabeling, E5 compact routing, E6 the
+prior-work ablation, E8 exact vs approximate Thorup–Zwick).  Benchmarks print
+the regenerated "table rows" (via ``repro.analysis.reporting``) in addition
+to the pytest-benchmark timings; run a module by path with ``-s`` (e.g.
+``pytest benchmarks/bench_apsp.py -s``) to see them.
 
 Graph sizes are deliberately moderate: the CONGEST simulator is a pure-Python
 round-by-round engine and the goal is the *shape* of the paper's claims
@@ -14,13 +16,6 @@ round-by-round engine and the goal is the *shape* of the paper's claims
 import pytest
 
 from repro import graphs
-
-
-def pytest_configure(config):
-    # Benchmarks print their result tables; -s is not required because we
-    # route through the terminalreporter at the end of each bench, but plain
-    # print keeps things simple and visible with -s.
-    pass
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,6 @@ from .experiments import (
     run_prior_work_ablation,
     run_epsilon_sweep,
     run_tz_comparison,
-    run_serving_experiment,
 )
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "run_prior_work_ablation",
     "run_epsilon_sweep",
     "run_tz_comparison",
-    "run_serving_experiment",
 ]

@@ -1,7 +1,7 @@
 """Theoretical bounds of the paper, as evaluable functions.
 
-Benchmarks and EXPERIMENTS.md compare measured quantities against the paper's
-asymptotic bounds.  Since the bounds hide constants and polylogarithmic
+The benchmark scripts and :mod:`repro.analysis.experiments` compare measured
+quantities against the paper's asymptotic bounds.  Since the bounds hide constants and polylogarithmic
 factors, each function returns the *leading expression* (with unit constants)
 so that benchmark output can report "measured / bound" ratios whose shape —
 flat in the varied parameter — is the reproduction criterion.

@@ -1,15 +1,20 @@
 """Experiment runners shared by the benchmark harness, examples and tests.
 
-Each ``run_*`` function executes one experiment from the index in DESIGN.md
-(E1–E8) on a given workload and returns flat dict records, ready to be
-rendered by :mod:`repro.analysis.reporting` and compared against the bounds
-in :mod:`repro.analysis.complexity`.
+Each ``run_*`` function executes one experiment on a given workload and
+returns flat dict records, ready to be rendered by
+:mod:`repro.analysis.reporting` and compared against the bounds in
+:mod:`repro.analysis.complexity`.  The experiments are numbered E1–E8 in
+the section headers below: E1 Figure 1's congestion lower bound, E2 APSP
+against the baselines (Thm 4.1), E3/E7 PDE scaling and the epsilon sweep
+(Cor. 3.5, Lemma 3.4), E4 routing with relabeling (Thm 4.5), E5 compact
+routing (Thms 4.8/4.13, Cor. 4.14), E6 the prior-work ablation and E8
+exact vs approximate Thorup–Zwick.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..baselines import (
     bellman_ford_apsp,
@@ -34,15 +39,6 @@ from ..routing.skeleton import (
 from ..routing.stretch import evaluate_distance_estimates, sample_pairs
 from ..routing.tz_exact import ExactThorupZwickOracle
 from ..routing.tz_hierarchy import CompactRoutingHierarchy
-from ..serving import (
-    BuildConfig,
-    CacheConfig,
-    ServingConfig,
-    ShardedRoutingService,
-    WorkloadConfig,
-    make_workload,
-    open_service,
-)
 from . import complexity
 
 __all__ = [
@@ -54,8 +50,6 @@ __all__ = [
     "run_prior_work_ablation",
     "run_epsilon_sweep",
     "run_tz_comparison",
-    "run_serving_experiment",
-    "run_sharded_experiment",
 ]
 
 
@@ -346,148 +340,3 @@ def run_tz_comparison(graph: WeightedGraph, k: int, epsilon: float = 0.25,
         "exact_max_bunch": exact_oracle.max_bunch_size(),
         "approx_max_bunch": hierarchy.max_bunch_size(),
     }
-
-
-# ----------------------------------------------------------------------
-# E9 — serving scenario: cached query streams against a built hierarchy
-# ----------------------------------------------------------------------
-def run_serving_experiment(graph: WeightedGraph, k: int = 3,
-                           workload: str = "zipf", num_queries: int = 500,
-                           epsilon: float = 0.25, seed: int = 0,
-                           cache_size: int = 4096, batch_size: int = 64,
-                           engine: str = "batched") -> Dict:
-    """Serve a query workload cold and warm; report throughput and hit rates.
-
-    The serving unit of work is a *query stream*, not a single construction:
-    the record contrasts the first (cold-cache) pass over the workload with
-    a second (warm) pass, which is the steady state a long-running service
-    converges to on a skewed stream.  Serves through the v2 surface: one
-    :class:`~repro.serving.config.ServingConfig` describes the session and
-    :func:`~repro.serving.backend.open_service` opens the backend.
-    """
-    import time
-
-    config = ServingConfig(
-        build=BuildConfig(k=k, epsilon=epsilon, seed=seed, engine=engine),
-        cache=CacheConfig(capacity=cache_size),
-        workload=WorkloadConfig(name=workload, num_queries=num_queries),
-        batch_size=batch_size)
-    service = open_service(config, graph=graph)
-    stream = make_workload(workload, graph, num_queries,
-                           seed=config.workload_seed())
-
-    def timed_pass() -> float:
-        start = time.perf_counter()
-        for lo in range(0, len(stream.pairs), batch_size):
-            service.route_batch(stream.pairs[lo:lo + batch_size])
-        return time.perf_counter() - start
-
-    cold_seconds = timed_pass()
-    warm_seconds = timed_pass()
-    record = {
-        "n": graph.num_nodes,
-        "k": k,
-        "workload": workload,
-        "queries": len(stream),
-        "distinct_pairs": stream.distinct_pairs(),
-        "batch_size": batch_size,
-        "build_seconds": service.stats.build_seconds,
-        "cold_qps": len(stream) / cold_seconds if cold_seconds > 0 else float("inf"),
-        "warm_qps": len(stream) / warm_seconds if warm_seconds > 0 else float("inf"),
-        "cache_hit_rate": service.stats.cache_hit_rate,
-    }
-    record["warm_speedup"] = (record["warm_qps"] / record["cold_qps"]
-                              if record["cold_qps"] > 0 else float("inf"))
-    service.close()
-    return record
-
-
-# ----------------------------------------------------------------------
-# E10 — sharded serving: one stream scattered across worker processes
-# ----------------------------------------------------------------------
-def run_sharded_experiment(graph: WeightedGraph, k: int = 3,
-                           workload: str = "uniform", num_queries: int = 400,
-                           epsilon: float = 0.25, seed: int = 0,
-                           worker_counts: Sequence[int] = (1, 2),
-                           partitioner: str = "round_robin",
-                           cache_size: int = 4096, batch_size: int = 128,
-                           engine: str = "batched",
-                           artifact_path: Optional[str] = None) -> Dict:
-    """Scale the same query stream across worker-process counts.
-
-    Builds the artifact once (in a temporary directory unless
-    ``artifact_path`` points somewhere durable), answers the stream with a
-    single-process reference service, then replays it through a
-    :class:`~repro.serving.sharded.ShardedRoutingService` at each worker
-    count, reporting per-count throughput and merged cache hit rates.  Each
-    scaling entry records ``identical_to_single_process`` — whether the
-    sharded answers were list-for-list identical to the reference — so a
-    consumer must check that flag before trusting the throughput numbers
-    (the shard tests assert it holds; the experiment reports rather than
-    raises so a regression still yields an inspectable record).
-    """
-    import os
-    import tempfile
-    import time
-
-    tmp_dir: Optional[tempfile.TemporaryDirectory] = None
-    if artifact_path is None:
-        tmp_dir = tempfile.TemporaryDirectory(prefix="repro-shard-exp-")
-        artifact_path = os.path.join(tmp_dir.name, "hierarchy.artifact")
-    try:
-        base_config = ServingConfig(
-            artifact_path=artifact_path,
-            build=BuildConfig(k=k, epsilon=epsilon, seed=seed, engine=engine),
-            cache=CacheConfig(capacity=cache_size),
-            workload=WorkloadConfig(name=workload, num_queries=num_queries),
-            batch_size=batch_size, partitioner=partitioner)
-        parent = open_service(base_config, graph=graph)
-        stream = make_workload(workload, graph, num_queries, seed=seed)
-        chunks = [stream.pairs[lo:lo + batch_size]
-                  for lo in range(0, len(stream.pairs), batch_size)]
-        reference = [trace for chunk in chunks
-                     for trace in parent.route_batch(chunk)]
-
-        record: Dict = {
-            "n": graph.num_nodes,
-            "k": k,
-            "workload": workload,
-            "queries": len(stream),
-            "distinct_pairs": stream.distinct_pairs(),
-            "partitioner": partitioner,
-            "batch_size": batch_size,
-            "cache_size": cache_size,
-            "build_seconds": parent.stats.build_seconds,
-            "scaling": [],
-        }
-        for workers in worker_counts:
-            # The scaling loop deliberately pins the sharded front-end even
-            # at one worker (the IPC overhead belongs in the curve), so it
-            # constructs ShardedRoutingService directly instead of letting
-            # open_service pick the local backend for workers == 1.
-            with ShardedRoutingService(
-                    artifact_path, num_workers=workers,
-                    partitioner=partitioner,
-                    cache_config=base_config.cache,
-                    graph=graph) as sharded:
-                start = time.perf_counter()
-                answers = [trace for chunk in chunks
-                           for trace in sharded.route_batch(chunk)]
-                elapsed = time.perf_counter() - start
-                merged = sharded.merged_stats()
-            identical = (
-                [t.path for t in answers] == [t.path for t in reference]
-                and [t.weight for t in answers] == [t.weight for t in reference])
-            record["scaling"].append({
-                "workers": workers,
-                "qps": len(stream) / elapsed if elapsed > 0 else float("inf"),
-                "cache_hit_rate": merged.cache_hit_rate,
-                "identical_to_single_process": identical,
-            })
-        base = record["scaling"][0]["qps"]
-        for entry in record["scaling"]:
-            entry["speedup"] = entry["qps"] / base if base > 0 else float("inf")
-        return record
-    finally:
-        if tmp_dir is not None:
-            tmp_dir.cleanup()

@@ -2,9 +2,9 @@
 
 Every benchmark produces a list of flat dict records (one per parameter
 point).  This module renders them as aligned text tables (printed during the
-benchmark run, mirroring the "rows the paper reports") and as markdown (for
-EXPERIMENTS.md), and offers small helpers for ratio columns against the
-theoretical bounds.
+benchmark run, mirroring the "rows the paper reports") and as markdown
+tables, and offers small helpers for ratio columns against the theoretical
+bounds.
 """
 
 from __future__ import annotations

@@ -269,17 +269,6 @@ _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
 
-# Front-coded intern tables open with a count field no legacy table can
-# carry (2**32 - 1 nodes), followed by a format-version byte that is not a
-# legacy value tag: readers predating front coding fail their very first
-# value decode with the typed "unknown intern-table value tag" error
-# instead of misreading compressed bytes as node labels.
-_FC_SENTINEL = 0xFFFFFFFF
-_FC_VERSION = b"\x01"
-_FC_TAG_STR = b"s"
-_FC_TAG_OTHER = b"o"
-
-
 def _encode_value(value: Any, out: bytearray) -> None:
     """Tagged binary encoding of one node label (int/str/float/bool/None/
     tuple natively; anything else falls back to an embedded pickle)."""
@@ -390,88 +379,24 @@ class NodeInternTable:
         """The node labels in index order (a copy)."""
         return list(self._nodes)
 
-    def encode(self, compress: bool = False) -> bytes:
-        """Serialise the table.
-
-        ``compress=False`` (the default) writes the legacy tagged layout
-        every reader understands.  ``compress=True`` writes the
-        **front-coded** layout: each string label stores only the byte
-        length it shares with the previous string label plus its own
-        suffix, so runs of common-prefix labels ("node_0001",
-        "node_0002", ...) collapse to a few bytes each.  Non-string
-        labels pass through the tagged encoding unchanged and do not
-        reset the string-prefix context.  :meth:`decode` auto-detects
-        either layout; readers predating front coding reject a
-        compressed table with a typed :class:`RecordTableError`.
-        """
-        if not compress:
-            out = bytearray(_U32.pack(len(self._nodes)))
-            for node in self._nodes:
-                _encode_value(node, out)
-            return bytes(out)
-        out = bytearray(_U32.pack(_FC_SENTINEL))
-        out += _FC_VERSION
-        out += _U32.pack(len(self._nodes))
-        prev = b""
+    def encode(self) -> bytes:
+        """Serialise the table: a ``uint32`` count, then each label in the
+        tagged value encoding."""
+        out = bytearray(_U32.pack(len(self._nodes)))
         for node in self._nodes:
-            if isinstance(node, str):
-                raw = node.encode("utf-8")
-                shared = 0
-                limit = min(len(raw), len(prev))
-                while shared < limit and raw[shared] == prev[shared]:
-                    shared += 1
-                out += _FC_TAG_STR
-                out += _U32.pack(shared)
-                out += _U32.pack(len(raw) - shared)
-                out += raw[shared:]
-                prev = raw
-            else:
-                out += _FC_TAG_OTHER
-                _encode_value(node, out)
+            _encode_value(node, out)
         return bytes(out)
-
-    @classmethod
-    def _decode_front_coded(cls, view: memoryview) -> "NodeInternTable":
-        version = bytes(view[4:5])
-        if version != _FC_VERSION:
-            raise RecordTableError(
-                f"unsupported front-coded intern-table version {version!r}")
-        (count,) = _U32.unpack_from(view, 5)
-        pos = 9
-        nodes: List[Hashable] = []
-        prev = b""
-        for _ in range(count):
-            tag = bytes(view[pos:pos + 1])
-            pos += 1
-            if tag == _FC_TAG_STR:
-                shared, suffix_len = struct.unpack_from("<II", view, pos)
-                pos += 8
-                if shared > len(prev):
-                    raise RecordTableError(
-                        f"front-coded prefix length {shared} exceeds "
-                        f"previous label length {len(prev)}")
-                raw = prev[:shared] + bytes(view[pos:pos + suffix_len])
-                pos += suffix_len
-                nodes.append(raw.decode("utf-8"))
-                prev = raw
-            elif tag == _FC_TAG_OTHER:
-                node, pos = _decode_value(view, pos)
-                nodes.append(node)
-            else:
-                raise RecordTableError(
-                    f"unknown front-coded intern-table tag {tag!r}")
-        if pos != len(view):
-            raise RecordTableError(
-                f"intern table has {len(view) - pos} trailing bytes")
-        return cls(nodes)
 
     @classmethod
     def decode(cls, buf) -> "NodeInternTable":
         view = memoryview(buf)
         try:
             (count,) = _U32.unpack_from(view, 0)
-            if count == _FC_SENTINEL:
-                return cls._decode_front_coded(view)
+            if count > len(view) - 4:
+                # Every label takes at least its one tag byte.
+                raise RecordTableError(
+                    f"intern table claims {count} labels in "
+                    f"{len(view) - 4} bytes")
             pos = 4
             nodes = []
             for _ in range(count):

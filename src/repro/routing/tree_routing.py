@@ -14,8 +14,11 @@ goes down into the child whose interval contains the target and otherwise up
 to the parent.  This gives ``O(log n)``-bit labels and per-node tables of
 ``O(deg_T(v))`` words — sufficient for all size accounting in the paper's
 schemes, where each node participates in ``O(log n)`` (Lemma 4.4) or
-``O~(n^{1/k})`` (Lemma 4.7) trees.  The label-size-optimal heavy-path variant
-of [20] is noted in DESIGN.md as an accounting substitution.
+``O~(n^{1/k})`` (Lemma 4.7) trees.  It substitutes for the label-size-optimal
+heavy-path variant of [20]: that variant gets ``(1 + o(1)) log n``-bit labels
+and ``O(1)``-word tables per tree, while the interval variant's labels are
+also ``O(log n)`` bits but its tables grow with the tree degree.  Routes are
+the same unique tree path either way, so only the size accounting differs.
 """
 
 from __future__ import annotations

@@ -29,7 +29,10 @@ The public surface (API v2) is one typed contract:
   policy over the sharded backend (``ServingConfig.fleet``): worker
   respawn with sibling cover, a heartbeat for hung workers, windowed load
   rebalancing through an epoch-versioned routing table, and
-  queue-depth-driven scaling between ``min_workers`` and ``max_workers``;
+  queue-depth-driven scaling between ``min_workers`` and ``max_workers``
+  (with ``heartbeat_interval`` and ``respawn_limit``, the four
+  :class:`FleetConfig` fields; every other threshold is a module
+  constant there);
 * :mod:`repro.serving.cache`     — LRU result caching and the
   :class:`ServingStats` counters;
 * :mod:`repro.serving.partitioners` — shard partitioners (round-robin,

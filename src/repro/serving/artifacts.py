@@ -454,8 +454,8 @@ def _hierarchy_meta(hierarchy: CompactRoutingHierarchy,
     }
 
 
-def _hierarchy_sections(hierarchy: CompactRoutingHierarchy,
-                        compress_node_table: bool = False) -> Dict[str, bytes]:
+def _hierarchy_sections(hierarchy: CompactRoutingHierarchy
+                        ) -> Dict[str, bytes]:
     """Encode a built hierarchy as its section family."""
     graph_nodes = hierarchy.graph.nodes()
     intern = NodeInternTable(graph_nodes)
@@ -487,7 +487,7 @@ def _hierarchy_sections(hierarchy: CompactRoutingHierarchy,
     sections: Dict[str, bytes] = {}
     sections["meta"] = json.dumps(_hierarchy_meta(hierarchy, n),
                                   sort_keys=True).encode("utf-8")
-    sections["nodes"] = intern.encode(compress=compress_node_table)
+    sections["nodes"] = intern.encode()
     sections["pivots"] = PivotRowTable.encode(n, k - 1, pivot_rows)
     sections["bunches"] = OffsetRecordTable.encode(bunch_rows)
     sections["graph"] = _dumps(hierarchy.graph.export_state())
@@ -684,8 +684,7 @@ def _require_supported_format(format: int) -> None:
 
 def save_hierarchy(hierarchy: CompactRoutingHierarchy, path: str,
                    metadata: Optional[Dict[str, Any]] = None,
-                   format: int = FORMAT_VERSION,
-                   compress_node_table: bool = False) -> ArtifactInfo:
+                   format: int = FORMAT_VERSION) -> ArtifactInfo:
     """Persist a built compact-routing hierarchy.
 
     ``format`` accepts only :data:`FORMAT_VERSION` (anything else raises
@@ -693,25 +692,14 @@ def save_hierarchy(hierarchy: CompactRoutingHierarchy, path: str,
     engine, ...) are merged into the header metadata, so
     :func:`artifact_info` answers "what is this file?" without touching
     the payload.
-
-    ``compress_node_table=True`` front-codes the node
-    intern table — string labels store shared-prefix lengths plus
-    suffixes — and records ``node_table_encoding: "front_coded"`` in the
-    header.  Current readers auto-detect either encoding; readers
-    predating front coding reject a compressed table with a typed
-    error rather than misreading it.  Query answers never depend on the
-    encoding.
     """
     _require_supported_format(format)
     merged = {"n": hierarchy.graph.num_nodes, "m": hierarchy.graph.num_edges}
     merged.update(hierarchy.build_params)
     merged.update(metadata or {})
-    merged["node_table_encoding"] = ("front_coded" if compress_node_table
-                                     else "tagged")
+    merged["node_table_encoding"] = "tagged"
     return write_artifact_v2(path, KIND_HIERARCHY,
-                             _hierarchy_sections(
-                                 hierarchy,
-                                 compress_node_table=compress_node_table),
+                             _hierarchy_sections(hierarchy),
                              metadata=merged,
                              state_version=hierarchy.STATE_VERSION)
 

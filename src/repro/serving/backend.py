@@ -195,18 +195,6 @@ def open_service(config: ServingConfig,
                                           config.workers,
                                           partitioner=config.partitioner,
                                           build_workers=config.build.build_workers)
-    fleet = None
-    if config.fleet:
-        from .fleet import FleetConfig
-
-        fleet = FleetConfig(
-            min_workers=(config.min_workers
-                         if config.min_workers is not None else 1),
-            max_workers=(config.max_workers
-                         if config.max_workers is not None
-                         else config.workers),
-            heartbeat_interval=config.heartbeat_interval,
-            respawn_limit=config.respawn_limit)
     return ShardedRoutingService(
         config.artifact_path, num_workers=config.workers,
         partitioner=config.partitioner,
@@ -217,5 +205,6 @@ def open_service(config: ServingConfig,
         sub_artifact_paths=sub_paths, start_method=config.start_method,
         warm_timeout=config.warm_timeout, reply_timeout=config.reply_timeout,
         graph=graph, stats=stats, kernel=config.kernel,
-        telemetry=config.telemetry, fleet=fleet,
+        telemetry=config.telemetry,
+        fleet=config.fleet_config() if config.fleet else None,
         build_workers=config.build.build_workers)

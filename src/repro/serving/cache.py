@@ -93,13 +93,9 @@ class LRUCache:
             self._entries.popitem(last=False)
             self.evictions += 1
 
-    def clear(self) -> None:
-        """Drop all entries (counters are kept; use :meth:`reset` for those)."""
-        self._entries.clear()
-
     def reset(self) -> None:
         """Drop all entries and zero the counters."""
-        self.clear()
+        self._entries.clear()
         self.hits = 0
         self.misses = 0
         self.evictions = 0

@@ -9,7 +9,7 @@ those chains with a family of frozen dataclasses that one
   (``k``, ``epsilon``, ``seed``, ``mode``, ``engine``);
 * :class:`CacheConfig`    — the result caches' size;
 * :class:`WorkloadConfig` — which query stream to generate against the
-  service (used by the CLI and the experiment runners);
+  service (used by the CLI);
 * :class:`ServingConfig`  — the full serving session: artifact path, worker
   count, partitioner, batch shape, plus one of each config above.
 
@@ -195,7 +195,9 @@ class ServingConfig:
     and scaling run every ``heartbeat_interval`` seconds) while siblings
     cover their partition from the moment the death is seen,
     and the worker count scales between ``min_workers`` and
-    ``max_workers`` on sustained queue depth.  Fleet mode requires
+    ``max_workers`` on sustained queue depth; these four fields are the
+    fleet's :class:`~repro.serving.fleet.FleetConfig`
+    (:meth:`fleet_config`).  Fleet mode requires
     ``workers >= 2`` and a source-partitioning strategy
     (``partitioner="hash_source"``).
     """
@@ -256,12 +258,11 @@ class ServingConfig:
         if self.kind not in ("route", "distance"):
             raise ValueError(f"kind must be route or distance, "
                              f"got {self.kind!r}")
-        if self.heartbeat_interval <= 0:
-            raise ValueError(f"heartbeat_interval must be > 0, "
-                             f"got {self.heartbeat_interval}")
-        if self.respawn_limit < 0:
-            raise ValueError(f"respawn_limit must be >= 0, "
-                             f"got {self.respawn_limit}")
+        if not self.fleet and (self.min_workers is not None
+                               or self.max_workers is not None):
+            raise ValueError("min_workers/max_workers only apply with "
+                             "fleet=True")
+        fleet = self.fleet_config()
         if self.fleet:
             if self.workers < 2:
                 raise ValueError(
@@ -270,22 +271,7 @@ class ServingConfig:
             if self.connect is not None:
                 raise ValueError("fleet=True is a deployment-side option; "
                                  "connect sessions cannot request it")
-            if self.min_workers is not None and self.min_workers < 1:
-                raise ValueError(f"min_workers must be >= 1, "
-                                 f"got {self.min_workers}")
-            if self.min_workers is not None \
-                    and self.min_workers > self.workers:
-                raise ValueError(
-                    f"min_workers ({self.min_workers}) must be <= workers "
-                    f"({self.workers})")
-            if self.max_workers is not None \
-                    and self.max_workers < (self.min_workers or 1):
-                raise ValueError(
-                    f"max_workers ({self.max_workers}) must be >= "
-                    f"min_workers ({self.min_workers or 1})")
-        elif self.min_workers is not None or self.max_workers is not None:
-            raise ValueError("min_workers/max_workers only apply with "
-                             "fleet=True")
+            fleet.worker_bounds(self.workers)
         for name, value in (("build", self.build), ("cache", self.cache),
                             ("workload", self.workload)):
             expected = {"build": BuildConfig, "cache": CacheConfig,
@@ -312,6 +298,17 @@ class ServingConfig:
         if "workload" in data:
             data["workload"] = WorkloadConfig.from_dict(data["workload"])
         return cls(**data)
+
+    def fleet_config(self):
+        """The :class:`~repro.serving.fleet.FleetConfig` these fields
+        describe; constructing it is their validation."""
+        from .fleet import FleetConfig
+
+        return FleetConfig(
+            min_workers=1 if self.min_workers is None else self.min_workers,
+            max_workers=self.max_workers,
+            heartbeat_interval=self.heartbeat_interval,
+            respawn_limit=self.respawn_limit)
 
     def workload_seed(self) -> int:
         """The effective traffic seed (inherits the build seed when unset)."""

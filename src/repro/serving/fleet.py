@@ -36,8 +36,14 @@ ever changes an answer:
   cache entries stay where they are.
 * **elastic scaling** — sustained front-end queue depth (the
   ``pipeline_depth`` admission signal) scales the worker count up or down
-  between configured bounds; scaled-down workers drain and park, scale-ups
-  prefer unparking before spawning fresh dynamic slots.
+  between ``min_workers`` and ``max_workers``; scaled-down workers drain
+  and park, scale-ups prefer unparking before spawning fresh dynamic slots.
+
+:class:`FleetConfig` holds the four settings a deployment can choose
+(``min_workers``, ``max_workers``, ``heartbeat_interval``,
+``respawn_limit``); the policy's thresholds — hang timeout, scaling
+depths and patience, rebalancing cadence, fraction and window — are the
+module constants below.
 
 Routing goes through an **epoch-versioned table** (:class:`RoutingEpoch`);
 tables are immutable and published under the service lock, and the scatter
@@ -79,27 +85,36 @@ class FleetError(ShardError):
     """
 
 
+#: Policy constants.  A worker that has not answered a ping for
+#: ``HANG_TIMEOUT`` seconds is reported dead; the fleet scales up (down)
+#: after ``SUSTAIN_BEATS`` consecutive beats with the front-end's in-flight
+#: batches at or above ``SCALE_UP_DEPTH`` (at or below
+#: ``SCALE_DOWN_DEPTH``) of ``pipeline_depth``; every ``FEEDBACK_EVERY``-th
+#: beat the rebalancer moves the coldest ``MIGRATE_FRACTION`` of the worst
+#: shard's sources, once at least ``MIN_WINDOW`` cache probes have
+#: accumulated since its last move.
+HANG_TIMEOUT = 30.0
+SCALE_UP_DEPTH = 0.75
+SCALE_DOWN_DEPTH = 0.25
+SUSTAIN_BEATS = 4
+FEEDBACK_EVERY = 4
+MIGRATE_FRACTION = 0.25
+MIN_WINDOW = 64
+
+
 @dataclasses.dataclass(frozen=True)
 class FleetConfig:
-    """Supervisor knobs; validation happens on construction.
+    """The supervisor's four settings, each validated here and only here.
 
-    ``max_workers=None`` means "the initial worker count" (no growth);
-    ``scale_up_depth``/``scale_down_depth`` are fractions of
-    ``pipeline_depth`` that must be sustained for ``sustain_beats``
-    consecutive heartbeats before the fleet scales.
+    ``max_workers=None`` means "the initial worker count" (no growth).
+    Whether ``min_workers`` fits the initial worker count is
+    :meth:`worker_bounds`'s check, since only the caller knows that count.
     """
 
     min_workers: int = 1
     max_workers: Optional[int] = None
     heartbeat_interval: float = 0.5
     respawn_limit: int = 3
-    hang_timeout: float = 30.0
-    scale_up_depth: float = 0.75
-    scale_down_depth: float = 0.25
-    sustain_beats: int = 4
-    feedback_every: int = 4
-    migrate_fraction: float = 0.25
-    min_window: int = 64
 
     def __post_init__(self) -> None:
         if self.min_workers < 1:
@@ -116,28 +131,15 @@ class FleetConfig:
         if self.respawn_limit < 0:
             raise ValueError(f"respawn_limit must be >= 0, "
                              f"got {self.respawn_limit}")
-        if self.hang_timeout <= 0:
-            raise ValueError(f"hang_timeout must be > 0, "
-                             f"got {self.hang_timeout}")
-        if not 0 < self.scale_down_depth < self.scale_up_depth:
-            raise ValueError(
-                f"need 0 < scale_down_depth < scale_up_depth, got "
-                f"{self.scale_down_depth} / {self.scale_up_depth}")
-        if self.sustain_beats < 1:
-            raise ValueError(f"sustain_beats must be >= 1, "
-                             f"got {self.sustain_beats}")
-        if self.feedback_every < 1:
-            raise ValueError(f"feedback_every must be >= 1, "
-                             f"got {self.feedback_every}")
-        if not 0 < self.migrate_fraction <= 1:
-            raise ValueError(f"migrate_fraction must be in (0, 1], "
-                             f"got {self.migrate_fraction}")
-        if self.min_window < 1:
-            raise ValueError(f"min_window must be >= 1, "
-                             f"got {self.min_window}")
 
-    def to_dict(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
+    def worker_bounds(self, workers: int) -> Tuple[int, int]:
+        """``(min_workers, max_workers)`` for a fleet of ``workers``."""
+        if self.min_workers > workers:
+            raise ValueError(
+                f"min_workers ({self.min_workers}) must be <= the initial "
+                f"worker count ({workers})")
+        return (self.min_workers,
+                workers if self.max_workers is None else self.max_workers)
 
 
 class HitRateWindow:
@@ -146,17 +148,16 @@ class HitRateWindow:
     The windowed-feedback core of the supervisor's rebalancer: given fresh
     per-worker :class:`~repro.serving.cache.ServingStats` snapshots,
     compute each shard's hit rate over the *delta* since the last evaluated window.
-    Sub-threshold windows (fewer than ``min_window`` probes in total)
+    Sub-threshold windows (fewer than :data:`MIN_WINDOW` probes in total)
     return ``None`` without advancing the baseline, so small windows
     accumulate across observations instead of being consumed and
     discarded.
     """
 
-    __slots__ = ("num_shards", "min_window", "_last_hits", "_last_misses")
+    __slots__ = ("num_shards", "_last_hits", "_last_misses")
 
-    def __init__(self, num_shards: int, min_window: int = 64) -> None:
+    def __init__(self, num_shards: int) -> None:
         self.num_shards = num_shards
-        self.min_window = min_window
         self._last_hits = [0] * num_shards
         self._last_misses = [0] * num_shards
 
@@ -190,7 +191,7 @@ class HitRateWindow:
                 d_hits, d_misses = total_hits[shard], total_misses[shard]
             deltas.append((d_hits, d_misses))
         if sum(d_hits + d_misses for d_hits, d_misses in deltas) \
-                < self.min_window:
+                < MIN_WINDOW:
             return None
         self._last_hits = total_hits
         self._last_misses = total_misses
@@ -285,19 +286,11 @@ class FleetSupervisor:
         self._service_ref = weakref.ref(service)
         self._lock = service.lock
         self.base_slots = service.num_workers
-        self.min_workers = config.min_workers
-        self.max_workers = (config.max_workers
-                            if config.max_workers is not None
-                            else max(service.num_workers,
-                                     config.min_workers))
-        if self.min_workers > service.num_workers:
-            raise ValueError(
-                f"min_workers ({self.min_workers}) must be <= the initial "
-                f"worker count ({service.num_workers})")
+        self.min_workers, self.max_workers = config.worker_bounds(
+            service.num_workers)
         #: The published routing table; replaced, never mutated.
         self.table = RoutingEpoch(0, self.base_slots, {}, ())
-        self._window = HitRateWindow(service.num_workers,
-                                     min_window=config.min_window)
+        self._window = HitRateWindow(service.num_workers)
         # Monotonic counters, exposed via status() whether or not the
         # metrics registry is enabled.
         self.worker_deaths = 0
@@ -464,7 +457,7 @@ class FleetSupervisor:
         self._run_respawns(service)
         self._observe_depth(service)
         self._maybe_scale(service)
-        if self._beats % self.config.feedback_every == 0:
+        if self._beats % FEEDBACK_EVERY == 0:
             self._maybe_rebalance(service)
         return True
 
@@ -479,21 +472,20 @@ class FleetSupervisor:
         """Report hung-but-alive workers dead and terminate them.
 
         A worker grinding through a long batch answers pings late (the
-        task pipe is FIFO), so ``hang_timeout`` must dominate the worst
-        expected batch; the default (30s) is far above any benchmarked
-        batch here.
+        task pipe is FIFO), so :data:`HANG_TIMEOUT` must dominate the worst
+        expected batch; 30 s is far above any benchmarked batch here.
         """
         now = time.monotonic()
         with self._lock:
             hung = [w for w in service.serving
                     if now - self._last_pong.get(w.worker_id, now)
-                    > self.config.hang_timeout]
+                    > HANG_TIMEOUT]
         for worker in hung:
             # Reported first, so siblings take over its shards without
             # waiting for the process to be reaped (and so the reason on
             # record is the hang, not the EOF the kill then causes).
             service.worker_died(worker, f"hung (no pong within "
-                                        f"{self.config.hang_timeout}s)")
+                                        f"{HANG_TIMEOUT}s)")
             worker.stop()
 
     def _run_respawns(self, service) -> None:
@@ -531,9 +523,9 @@ class FleetSupervisor:
                 service.metrics.gauge("fleet_queue_depth").set(depth)
         ratio = depth / service.pipeline_depth
         self._high_beats = (self._high_beats + 1
-                            if ratio >= self.config.scale_up_depth else 0)
+                            if ratio >= SCALE_UP_DEPTH else 0)
         self._low_beats = (self._low_beats + 1
-                           if ratio <= self.config.scale_down_depth else 0)
+                           if ratio <= SCALE_DOWN_DEPTH else 0)
 
     # -- elastic scaling ------------------------------------------------
     def _maybe_scale(self, service) -> None:
@@ -542,11 +534,11 @@ class FleetSupervisor:
                                           for w in service.workers):
                 return  # one lifecycle operation at a time
             active = len(service.serving)
-        if (self._high_beats >= self.config.sustain_beats
+        if (self._high_beats >= SUSTAIN_BEATS
                 and active < self.max_workers):
             self._high_beats = 0
             self._scale_up(service)
-        elif (self._low_beats >= self.config.sustain_beats
+        elif (self._low_beats >= SUSTAIN_BEATS
                 and active > self.min_workers):
             self._low_beats = 0
             self._scale_down(service)
@@ -638,7 +630,7 @@ class FleetSupervisor:
                  for source, count in self._source_counts.items()
                  if table.slot_of(source) == worst),
                 key=lambda item: (item[0], str(item[1])))
-            quota = max(1, int(len(ranked) * self.config.migrate_fraction))
+            quota = max(1, int(len(ranked) * MIGRATE_FRACTION))
             moved = [source for _, source in ranked[:quota]]
             if not moved:
                 return

@@ -65,16 +65,12 @@ def _dict_kernel(hierarchy: CompactRoutingHierarchy) -> str:
     return "dict"
 
 
+@register_query_kernel("auto")
 @register_query_kernel("columnar")
 def _columnar_kernel(hierarchy: CompactRoutingHierarchy) -> str:
-    """Array-native batch kernel over v2 record tables; falls back to the
-    dict path when the backing store is in-memory (no record tables)."""
-    return "columnar" if hierarchy.has_columnar_kernel() else "dict"
-
-
-@register_query_kernel("auto")
-def _auto_kernel(hierarchy: CompactRoutingHierarchy) -> str:
-    """Columnar whenever the backing store supports it, dict otherwise."""
+    """Array-native batch kernel over v2 record tables whenever the
+    backing store has them (a loaded artifact), the dict path otherwise
+    (an in-memory build).  ``auto`` and ``columnar`` are this one rule."""
     return "columnar" if hierarchy.has_columnar_kernel() else "dict"
 
 
@@ -206,15 +202,12 @@ class RoutingService:
                    kernel=kernel, metrics=metrics)
 
     def save(self, path: str, metadata: Optional[Dict[str, object]] = None,
-             format: int = 2,
-             compress_node_table: bool = False) -> ArtifactInfo:
+             format: int = 2) -> ArtifactInfo:
         """Persist the underlying hierarchy as a versioned artifact
         (``format`` accepts only ``2``, see
-        :func:`~repro.serving.artifacts.save_hierarchy`;
-        ``compress_node_table=True`` front-codes the node intern table)."""
+        :func:`~repro.serving.artifacts.save_hierarchy`)."""
         return save_hierarchy(self.hierarchy, path, metadata=metadata,
-                              format=format,
-                              compress_node_table=compress_node_table)
+                              format=format)
 
     # ==================================================================
     # single queries
@@ -302,17 +295,6 @@ class RoutingService:
                     resolved[key] = value
                     cache.put(key, value)
         return [resolved[key] for key in pairs]
-
-    # ==================================================================
-    # cache management
-    # ==================================================================
-    def clear_cache(self, include_hierarchy: bool = False) -> None:
-        """Empty the result caches (and optionally the hierarchy's internal
-        query-time caches — used by cold benchmarks)."""
-        self.route_cache.clear()
-        self.distance_cache.clear()
-        if include_hierarchy:
-            self.hierarchy.clear_runtime_caches()
 
     # ==================================================================
     # lifecycle (QueryBackend contract)

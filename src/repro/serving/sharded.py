@@ -227,6 +227,10 @@ class ShardedRoutingService:
     stats:
         Front-end counters (scatter batches, query volumes).  Per-worker
         serving stats live in the workers; see :meth:`merged_stats`.
+    fleet:
+        A :class:`~repro.serving.fleet.FleetConfig` puts the front-end
+        under a :class:`~repro.serving.fleet.FleetSupervisor`; ``None``
+        (the default) keeps it fail-stop.
     """
 
     def __init__(self, artifact_path: str, num_workers: int = 2,
@@ -345,11 +349,9 @@ class ShardedRoutingService:
         self._fleet = None
         if fleet is not None:
             from .fleet import FleetConfig, FleetSupervisor
-            if fleet is True:
-                fleet = FleetConfig()
             if not isinstance(fleet, FleetConfig):
-                raise ValueError(f"fleet must be a FleetConfig (or True for "
-                                 f"defaults), got {fleet!r}")
+                raise ValueError(f"fleet must be a FleetConfig or None, "
+                                 f"got {fleet!r}")
             if num_workers < 2:
                 raise ValueError(
                     f"fleet mode needs num_workers >= 2 (siblings cover a "

@@ -18,7 +18,6 @@ from repro.analysis import (
     run_pde_scaling,
     run_prior_work_ablation,
     run_relabeling_experiment,
-    run_serving_experiment,
     run_tz_comparison,
 )
 
@@ -138,13 +137,3 @@ class TestRunners:
         record = run_tz_comparison(bench_graph, k=2, pair_sample=60)
         assert record["exact_max_stretch"] <= 4 * 2 - 3 + 1e-6
         assert record["approx_max_stretch"] <= 4 * 2 - 3 + 1e-6
-
-    def test_serving_record(self, bench_graph):
-        record = run_serving_experiment(bench_graph, k=2, workload="zipf",
-                                        num_queries=150, batch_size=32)
-        assert record["queries"] == 150
-        assert 0 < record["distinct_pairs"] <= 150
-        assert record["cold_qps"] > 0 and record["warm_qps"] > 0
-        # The second pass over the same stream is served from the cache.
-        assert record["cache_hit_rate"] > 0.4
-        assert record["warm_speedup"] > 1.0

@@ -37,6 +37,7 @@ from repro.serving import (
     save_pde,
     stable_node_hash,
     verify_artifact,
+    write_artifact_v2,
     write_shard_artifacts,
     zipf_workload,
 )
@@ -419,8 +420,9 @@ class TestOpenServiceIntegration:
             assert sharded.distance_batch(pairs) == expected
 
 
-class TestFrontCodedNodeTable:
-    """Front-coded intern-table compression (opt-in, header-flagged)."""
+class TestNodeInternTable:
+    """The node intern table has one encoding: a ``uint32`` count, then
+    every label in the tagged value encoding."""
 
     def test_round_trip_preserves_labels_and_order(self):
         from repro.routing.tables import NodeInternTable
@@ -433,64 +435,34 @@ class TestFrontCodedNodeTable:
             ["aa", 5, "ab", None, ("x", 1), "abc", 2.5, "b"],
         ):
             table = NodeInternTable(labels)
-            decoded = NodeInternTable.decode(table.encode(compress=True))
-            assert decoded.nodes() == labels
+            assert NodeInternTable.decode(table.encode()).nodes() == labels
 
-    def test_prefix_heavy_strings_shrink(self):
-        from repro.routing.tables import NodeInternTable
-
-        table = NodeInternTable([f"node-{i:06d}" for i in range(1000)])
-        assert len(table.encode(compress=True)) < 0.8 * len(table.encode())
-
-    def test_legacy_decoder_rejects_compressed_table(self):
-        # A reader predating front coding parses the first four bytes as a
-        # node count and the next byte as a value tag; the compressed
-        # layout makes that tag invalid by construction, so the old code
-        # path dies with its own typed error instead of misreading labels.
-        import struct
-
-        from repro.routing.tables import (
-            NodeInternTable,
-            RecordTableError,
-            _decode_value,
-        )
-
-        blob = NodeInternTable(["a", "b"]).encode(compress=True)
-        (legacy_count,) = struct.unpack_from("<I", blob, 0)
-        assert legacy_count == 0xFFFFFFFF
-        with pytest.raises(RecordTableError,
-                           match="unknown intern-table value tag"):
-            _decode_value(memoryview(blob), 4)
-
-    def test_unknown_version_byte_rejected(self):
+    def test_count_beyond_the_bytes_is_refused(self, tmp_path):
+        """``0xFFFFFFFF`` labels cannot fit in a few bytes (every label
+        takes at least its tag byte): the decoder refuses the count before
+        reading a label, and a hierarchy load reports it as corrupt."""
         from repro.routing.tables import NodeInternTable, RecordTableError
 
-        blob = bytearray(NodeInternTable(["a"]).encode(compress=True))
-        blob[4] = 0x7E
-        with pytest.raises(RecordTableError, match="version"):
-            NodeInternTable.decode(bytes(blob))
+        def bad_count(blob):
+            return b"\xff\xff\xff\xff" + bytes(blob[4:])
 
-    def test_compressed_artifact_serves_identically(self, tmp_path):
-        graph, k = _graph_family()["er_k3"]
-        hierarchy = build_compact_routing(graph, k=k, seed=7)
-        plain_path = str(tmp_path / "plain.artifact")
-        fc_path = str(tmp_path / "fc.artifact")
-        save_hierarchy(hierarchy, plain_path)
-        save_hierarchy(hierarchy, fc_path, compress_node_table=True)
-        assert artifact_info(plain_path).metadata[
-            "node_table_encoding"] == "tagged"
-        assert artifact_info(fc_path).metadata[
-            "node_table_encoding"] == "front_coded"
-        verify_artifact(fc_path)
-        plain, _ = load_hierarchy(plain_path)
-        compressed, _ = load_hierarchy(fc_path)
-        pairs = zipf_workload(graph.nodes(), 80, seed=2).pairs
-        assert ([compressed.route(s, t).path for s, t in pairs]
-                == [plain.route(s, t).path for s, t in pairs])
+        with pytest.raises(RecordTableError, match="claims 4294967295"):
+            NodeInternTable.decode(bad_count(
+                NodeInternTable(["a", "b"]).encode()))
 
-    def test_compression_requires_format_2(self, tmp_path):
         graph, k = _graph_family()["grid_k2"]
-        hierarchy = build_compact_routing(graph, k=k, seed=7)
-        with pytest.raises(ValueError, match=r"format must be one of \[2\]"):
-            save_hierarchy(hierarchy, str(tmp_path / "x.artifact"),
-                           format=1, compress_node_table=True)
+        path = str(tmp_path / "good.artifact")
+        info = save_hierarchy(build_compact_routing(graph, k=k, seed=7),
+                              path)
+        reader = ArtifactV2Reader(path)
+        try:
+            sections = {name: bytes(reader.section_bytes(name))
+                        for name in info.sections}
+        finally:
+            reader.close()
+        sections["nodes"] = bad_count(sections["nodes"])
+        bad = str(tmp_path / "bad.artifact")
+        write_artifact_v2(bad, info.kind, sections, metadata=info.metadata,
+                          state_version=info.state_version)
+        with pytest.raises(ArtifactError, match="corrupt record table"):
+            load_hierarchy(bad)

@@ -38,9 +38,12 @@ def _imported_modules(path, package):
                 yield node.lineno, f"{module}.{alias.name}"
 
 
-def test_lower_layers_never_import_upper_layers():
+def _imports_into(layers, targets):
+    """``path:line imports module`` for each import, in any file under
+    ``layers``, of a module under ``targets``."""
+    targets = tuple(f"repro.{target}" for target in targets)
     offences = []
-    for layer in LOWER:
+    for layer in layers:
         for folder, _, files in os.walk(os.path.join(PACKAGE_ROOT, layer)):
             relative = os.path.relpath(folder, os.path.dirname(PACKAGE_ROOT))
             package = relative.replace(os.sep, ".")
@@ -49,8 +52,20 @@ def test_lower_layers_never_import_upper_layers():
                     continue
                 path = os.path.join(folder, name)
                 for lineno, module in _imported_modules(path, package):
-                    if module.startswith(tuple(f"repro.{u}" for u in UPPER)):
+                    if module.startswith(targets):
                         offences.append(f"{path}:{lineno} imports {module}")
+    return offences
+
+
+def test_lower_layers_never_import_upper_layers():
+    offences = _imports_into(LOWER, UPPER)
+    assert not offences, "\n".join(offences)
+
+
+def test_analysis_never_imports_serving():
+    """``repro.analysis`` runs the paper's experiments on the algorithm and
+    routing layers; the serving stack has its own benchmarks."""
+    offences = _imports_into(("analysis",), ("serving",))
     assert not offences, "\n".join(offences)
 
 
@@ -114,6 +129,7 @@ def test_option_census():
     from repro.serving import (
         BuildConfig,
         CacheConfig,
+        FleetConfig,
         ServingConfig,
         ServingStats,
         WorkloadConfig,
@@ -127,6 +143,8 @@ def test_option_census():
 
     assert len(FLAGS) == 38
     assert field_names(CacheConfig) == ("capacity",)
+    assert field_names(FleetConfig) == ("min_workers", "max_workers",
+                                        "heartbeat_interval", "respawn_limit")
     assert len(field_names(ServingConfig)) == 25
     assert len(field_names(BuildConfig)) == 6
     assert len(field_names(WorkloadConfig)) == 4

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import graphs
-from repro.analysis.experiments import run_sharded_experiment
 from repro.serving import (
     BuildConfig,
     RoutingService,
@@ -156,14 +155,6 @@ class TestShardedIdentity:
                                    partitioner=partitioner) as sharded:
             assert sharded.distance_batch(pairs) == expected
             assert sharded.route_batch([]) == []
-
-    def test_experiment_runner_confirms_identity(self, shard_graph):
-        record = run_sharded_experiment(shard_graph, k=2, num_queries=120,
-                                        worker_counts=(1, 2), batch_size=60)
-        assert len(record["scaling"]) == 2
-        assert all(entry["identical_to_single_process"]
-                   for entry in record["scaling"])
-        assert record["scaling"][0]["speedup"] == 1.0
 
 
 class TestMergedStats:
