@@ -437,6 +437,52 @@ class TestNodeInternTable:
             table = NodeInternTable(labels)
             assert NodeInternTable.decode(table.encode()).nodes() == labels
 
+    def test_saved_hierarchy_declares_the_tagged_table(self, tmp_path):
+        graph, k = _graph_family()["grid_k2"]
+        path = str(tmp_path / "h.artifact")
+        hierarchy = build_compact_routing(graph, k=k, seed=7)
+        save_hierarchy(hierarchy, path)
+        assert artifact_info(path).metadata["node_table_encoding"] == "tagged"
+        verify_artifact(path)
+        loaded, _ = load_hierarchy(path)
+        pairs = zipf_workload(graph.nodes(), 40, seed=2).pairs
+        assert ([loaded.route(s, t).path for s, t in pairs]
+                == [hierarchy.route(s, t).path for s, t in pairs])
+
+    def test_duplicate_labels_are_refused(self):
+        from repro.routing.tables import NodeInternTable, RecordTableError
+
+        with pytest.raises(RecordTableError, match="duplicate"):
+            NodeInternTable(["a", "b", "a"])
+        # Hand-assembled bytes: a count of 2, then "a" twice.
+        blob = b"\x02\x00\x00\x00" + b"S\x01\x00\x00\x00a" * 2
+        with pytest.raises(RecordTableError, match="duplicate"):
+            NodeInternTable.decode(blob)
+
+    def test_unknown_value_tag_is_refused(self):
+        from repro.routing.tables import NodeInternTable, RecordTableError
+
+        blob = bytearray(NodeInternTable(["a"]).encode())
+        blob[4:5] = b"?"
+        with pytest.raises(RecordTableError,
+                           match="unknown intern-table value tag"):
+            NodeInternTable.decode(bytes(blob))
+
+    def test_trailing_bytes_are_refused(self):
+        from repro.routing.tables import NodeInternTable, RecordTableError
+
+        blob = NodeInternTable(["a", 1]).encode() + b"N"
+        with pytest.raises(RecordTableError, match="1 trailing bytes"):
+            NodeInternTable.decode(blob)
+
+    @pytest.mark.parametrize("label", [7, 2.5, "abc", ("x", 1)])
+    def test_truncated_label_is_refused(self, label):
+        from repro.routing.tables import NodeInternTable, RecordTableError
+
+        blob = NodeInternTable([label]).encode()
+        with pytest.raises(RecordTableError):
+            NodeInternTable.decode(blob[:-1])
+
     def test_count_beyond_the_bytes_is_refused(self, tmp_path):
         """``0xFFFFFFFF`` labels cannot fit in a few bytes (every label
         takes at least its tag byte): the decoder refuses the count before

@@ -109,6 +109,61 @@ class TestHitRateWindow:
                              ServingStats(cache_hits=59, cache_misses=3)]) \
             is None
 
+    def test_default_threshold_is_min_window_probes(self):
+        window = HitRateWindow(2)
+        assert window.rates([ServingStats(cache_hits=30, cache_misses=1),
+                             ServingStats(cache_hits=30, cache_misses=2)]) \
+            is None
+        assert window.rates([ServingStats(cache_hits=30, cache_misses=2),
+                             ServingStats(cache_hits=30, cache_misses=2)]) \
+            == [30 / 32, 30 / 32]
+
+    def test_restarted_worker_counts_its_lifetime_totals(self, monkeypatch):
+        monkeypatch.setattr(fleet_module, "MIN_WINDOW", 1)
+        window = HitRateWindow(2)
+        assert window.rates([ServingStats(cache_hits=40, cache_misses=10),
+                             ServingStats(cache_hits=10, cache_misses=40)]) \
+            == [0.8, 0.2]
+        # Shard 0's counters went backwards: its worker restarted, so the
+        # window for it is everything the new worker has counted.
+        assert window.rates([ServingStats(cache_hits=3, cache_misses=1),
+                             ServingStats(cache_hits=20, cache_misses=40)]) \
+            == [0.75, 1.0]
+
+    def test_stats_for_another_shard_count_are_ignored(self, monkeypatch):
+        monkeypatch.setattr(fleet_module, "MIN_WINDOW", 1)
+        window = HitRateWindow(2)
+        assert window.rates([ServingStats(cache_hits=50, cache_misses=50)]) \
+            is None
+        window.resize(3)
+        assert window.rates([ServingStats(cache_hits=1, cache_misses=1)] * 3) \
+            == [0.5, 0.5, 0.5]
+
+
+class TestPolicyConstants:
+    """The fleet policy's fixed numbers, which no setting reaches."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("HANG_TIMEOUT", 30.0),
+        ("SCALE_UP_DEPTH", 0.75),
+        ("SCALE_DOWN_DEPTH", 0.25),
+        ("SUSTAIN_BEATS", 4),
+        ("FEEDBACK_EVERY", 4),
+        ("MIGRATE_FRACTION", 0.25),
+        ("MIN_WINDOW", 64),
+    ])
+    def test_value(self, name, value):
+        assert getattr(fleet_module, name) == value
+
+    def test_values_are_coherent(self):
+        assert fleet_module.HANG_TIMEOUT > 0
+        assert 0 <= fleet_module.SCALE_DOWN_DEPTH \
+            < fleet_module.SCALE_UP_DEPTH <= 1
+        assert fleet_module.SUSTAIN_BEATS >= 1
+        assert fleet_module.FEEDBACK_EVERY >= 1
+        assert 0 < fleet_module.MIGRATE_FRACTION <= 1
+        assert fleet_module.MIN_WINDOW >= 1
+
 
 class TestRoutingEpoch:
     NODES = list(range(40)) + ["core0", "pod1-edge0-host2"]
@@ -163,6 +218,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FleetConfig(**bad)
 
+    def test_worker_bounds_default_to_the_initial_count(self):
+        assert FleetConfig().worker_bounds(3) == (1, 3)
+        assert FleetConfig(min_workers=2, max_workers=6).worker_bounds(3) \
+            == (2, 6)
+
+    def test_serving_config_sets_every_fleet_field(self):
+        config = ServingConfig(workers=3, fleet=True, min_workers=2,
+                               max_workers=5, heartbeat_interval=0.2,
+                               respawn_limit=7)
+        assert config.fleet_config() == FleetConfig(
+            min_workers=2, max_workers=5, heartbeat_interval=0.2,
+            respawn_limit=7)
+
     def test_serving_config_fleet_needs_workers(self):
         with pytest.raises(ValueError, match="workers >= 2"):
             ServingConfig(workers=1, fleet=True)
@@ -192,6 +260,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="FleetConfig or None"):
             ShardedRoutingService(artifact_path, num_workers=2,
                                   partitioner="hash_source", fleet=True)
+
+    @pytest.mark.parametrize("fleet", ["yes", {"min_workers": 1}])
+    def test_sharded_fleet_takes_only_a_config(self, artifact_path, fleet):
+        with pytest.raises(ValueError, match="FleetConfig or None"):
+            ShardedRoutingService(artifact_path, num_workers=2,
+                                  partitioner="hash_source", fleet=fleet)
 
     def test_min_workers_capped_by_initial_count(self, artifact_path):
         with pytest.raises(ValueError, match="initial"):

@@ -120,6 +120,10 @@ class TestKernelSelection:
     def test_registry_names(self):
         assert set(QUERY_KERNELS.names()) >= {"dict", "columnar", "auto"}
 
+    def test_auto_and_columnar_are_one_rule(self):
+        assert QUERY_KERNELS.get("auto") is QUERY_KERNELS.get("columnar")
+        assert QUERY_KERNELS.get("dict") is not QUERY_KERNELS.get("auto")
+
     def test_auto_resolves_columnar_on_v2(self, artifact_path):
         with open_with(artifact_path, "auto") as service:
             assert service.query_stats().extra["kernel_active"] == "columnar"
