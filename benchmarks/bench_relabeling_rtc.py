@@ -31,7 +31,7 @@ def test_relabeling_k_sweep(benchmark, routing_workloads):
     print(render_table(rows, columns=[
         "k", "stretch_bound", "max_route_stretch", "mean_route_stretch",
         "max_distance_stretch", "delivery_rate", "rounds", "round_bound",
-        "label_bits", "skeleton_size", "fallback_edges", "long_range_fraction",
+        "label_bits", "skeleton_size", "long_range_fraction",
     ], title="E4 — Theorem 4.5 routing with relabeling (vs k)"))
     for record in rows:
         assert record["long_range_fraction"] > 0

@@ -25,11 +25,11 @@ for the committed matrix:
 
 One row per scheme: ``pairs``, ``over_est`` (delivered routes heavier than
 their own estimate), ``max_w/est``, ``over_4k-3`` / ``over_6k-1``, ``max``
-and ``mean`` stretch, ``fallback`` (query-time repairs), ``inf_est``
-(``estimate == inf``) and ``failed`` (undelivered).  The hierarchy rows come
+and ``mean`` stretch, ``inf_est`` (``estimate == inf``) and ``failed``
+(undelivered).  The hierarchy rows come
 first, under the header they have always had; the ``relabel`` rows follow
 under their own.  The report holds no timing, so it repeats exactly on any
-host — CI diffs it against ``benchmarks/profiles/route_invariant_pr26.txt``.
+host — CI diffs it against ``benchmarks/profiles/route_invariant_pr28.txt``.
 The exit code is the number of violations (``over_est`` + over the bound +
 ``inf_est`` + ``failed``, capped at 255).
 """
@@ -60,17 +60,16 @@ TOLERANCE = 1e-9
 INF = float("inf")
 
 COLUMNS = ("pairs", "over_est", "max_w/est", "over_4k-3", "max", "mean",
-           "fallback", "inf_est", "failed")
+           "inf_est", "failed")
 RELABEL_COLUMNS = COLUMNS[:3] + ("over_6k-1",) + COLUMNS[4:] + ("long",)
 
 
 def probe_traces(traces, exact, bound):
     """One row of the report (``COLUMNS`` order) and its violation count."""
-    pairs = over_estimate = over_bound = fallback = inf_estimates = failed = 0
+    pairs = over_estimate = over_bound = inf_estimates = failed = 0
     worst_ratio = worst_stretch = total_stretch = 0.0
     for trace in traces:
         pairs += 1
-        fallback += trace.fallback_hops
         inf_estimates += trace.estimate == INF
         if not trace.delivered:
             failed += 1
@@ -86,7 +85,7 @@ def probe_traces(traces, exact, bound):
     delivered = pairs - failed
     row = (pairs, over_estimate, f"{worst_ratio:.3f}", over_bound,
            f"{worst_stretch:.3f}", f"{total_stretch / max(1, delivered):.3f}",
-           fallback, inf_estimates, failed)
+           inf_estimates, failed)
     return row, over_estimate + over_bound + inf_estimates + failed
 
 

@@ -235,7 +235,6 @@ def run_relabeling_experiment(graph: WeightedGraph, k: int, epsilon: float = 0.2
         "label_bits": report.label_bits_max,
         "label_bits_bound": complexity.label_bits_bound(n),
         "skeleton_size": report.skeleton_size,
-        "fallback_edges": report.fallback_edges,
         "long_range_fraction": scheme.long_range_fraction(pairs),
     }
 
@@ -271,7 +270,6 @@ def run_compact_experiment(graph: WeightedGraph, k: int, mode: str = "auto",
         "max_label_bits": report.max_label_bits,
         "label_bits_bound": complexity.label_bits_bound(n, k),
         "max_bunch_size": report.max_bunch_size,
-        "fallback_edges": report.fallback_edges,
     }
 
 

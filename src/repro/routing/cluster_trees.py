@@ -7,23 +7,22 @@ Following these pointers from every node that detected ``s`` induces, per
 destination ``s``, a tree ``T_s`` rooted at ``s`` (Lemma 4.4 bounds its depth
 and the number of trees a node participates in).
 
-This module materialises these trees.  Because the distributed construction
-uses *approximate* distances, a pointer chain may occasionally reach a node
-that did not itself detect ``s`` (its list was truncated at ``sigma``); in
-that case we graft the chain onto an exact shortest-path pointer and count
-the event — the ``fallback_edges`` statistic reported by benchmarks measures
-how often the approximation forces this repair (it is rare, and zero when
-``sigma`` is large enough, e.g. for the second estimation of Theorem 4.5
-where ``sigma = |S|``).
+This module materialises these trees, exactly as the pointers give them.
+Along a pointer ``wd'`` strictly decreases: the hop ``w`` of ``v`` toward
+``s`` holds ``s`` at the same rounding level ``i``, so ``wd'(w, s) <=
+wd'(v, s) - b(i) * len_i(v, w) < wd'(v, s)``.  A pointer chain from any node
+with an estimate therefore reaches the root without a loop, and nothing is
+repaired: a member with no estimate toward the root is left out of its
+tree, and a pointer that is not an edge of the graph, or a walk that
+revisits a node, raises :class:`RuntimeError` at build time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set
 
 from ..core.pde import PDEResult
-from ..graphs.distances import dijkstra
 from ..graphs.weighted_graph import WeightedGraph
 from .tree_routing import TreeRouting
 
@@ -35,13 +34,11 @@ class DestinationTree:
     """A routing tree rooted at one destination.
 
     ``parent[v]`` is the next hop from ``v`` toward the root; the root's
-    parent is ``None``.  ``fallback_edges`` counts pointers that had to be
-    repaired with exact shortest-path information (see module docstring).
+    parent is ``None``.
     """
 
     root: Hashable
     parent: Dict[Hashable, Optional[Hashable]]
-    fallback_edges: int = 0
     _routing: Optional[TreeRouting] = field(default=None, repr=False)
 
     def contains(self, node: Hashable) -> bool:
@@ -86,13 +83,11 @@ class DestinationTree:
     def export_state(self) -> Dict[str, object]:
         """Plain-builtin snapshot; the interval-routing structure is derived
         deterministically from the parent map, so it is not serialised."""
-        return {"root": self.root, "parent": dict(self.parent),
-                "fallback_edges": self.fallback_edges}
+        return {"root": self.root, "parent": dict(self.parent)}
 
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "DestinationTree":
-        return cls(root=state["root"], parent=dict(state["parent"]),
-                   fallback_edges=state["fallback_edges"])
+        return cls(root=state["root"], parent=dict(state["parent"]))
 
 
 class TreeFamily:
@@ -132,9 +127,6 @@ class TreeFamily:
         """Destinations whose tree contains ``node`` (table-size accounting)."""
         return [dest for dest, tree in self.trees.items() if tree.contains(node)]
 
-    def total_fallback_edges(self) -> int:
-        return sum(tree.fallback_edges for tree in self.trees.values())
-
     def max_depth(self) -> int:
         return max((tree.depth for tree in self.trees.values()), default=0)
 
@@ -167,73 +159,48 @@ def build_destination_trees(graph: WeightedGraph, pde: PDEResult,
     Parameters
     ----------
     graph:
-        The underlying network (used only for fallback repairs).
+        The underlying network; every pointer must be one of its edges.
     pde:
         The PDE instance providing next hops and estimates.
     destinations:
         Which sources to build trees for (default: all PDE sources).
     members_of:
         Optional explicit membership: ``members_of[s]`` is the set of nodes
-        that must appear in ``T_s``.  By default the members of ``T_s`` are
+        that ``T_s`` should hold.  By default the members of ``T_s`` are
         the nodes whose output list contains ``s``.
 
-    Every member that can reach ``s`` is in ``T_s`` — in particular every
-    node whose list holds ``s``; the routes built on these trees rely on it.
+    ``T_s`` holds every member with an estimate toward ``s`` — in particular
+    every node whose list holds ``s`` — and the pointer chains joining them
+    to ``s``; the routes built on these trees rely on it.
     """
     dests = list(destinations) if destinations is not None else sorted(
         pde.sources, key=repr)
     if members_of is None:
-        members_of = {}
-        for s in dests:
-            members_of[s] = set()
+        members_of = {s: set() for s in dests}
         for node, entries in pde.lists.items():
             for entry in entries:
                 if entry.source in members_of:
                     members_of[entry.source].add(node)
 
-    exact_parents: Dict[Hashable, Dict[Hashable, Optional[Hashable]]] = {}
-
-    def exact_next_hop(node: Hashable, dest: Hashable) -> Optional[Hashable]:
-        if dest not in exact_parents:
-            _, parent = dijkstra(graph, dest)
-            exact_parents[dest] = parent
-        return exact_parents[dest].get(node)
-
     trees: Dict[Hashable, DestinationTree] = {}
     for dest in dests:
         parent: Dict[Hashable, Optional[Hashable]] = {dest: None}
-        fallbacks = 0
-        members = set(members_of.get(dest, set())) | {dest}
-        for start in sorted(members, key=repr):
+        for start in sorted(members_of.get(dest, ()), key=repr):
+            if pde.estimate(start, dest) == float("inf"):
+                continue
             current = start
-            # ``chain`` records, per walked node, the hop taken the *last*
-            # time the walk left it; ordering by last-departure time makes
-            # the final pointer assignment acyclic even if the walk loops
-            # before a fallback repair breaks the cycle.
             chain: Dict[Hashable, Hashable] = {}
-            visited: Set[Hashable] = set()
-            unreachable = False
             while current not in parent:
-                if current in visited:
-                    hop = exact_next_hop(current, dest)
-                    fallbacks += 1
-                else:
-                    visited.add(current)
-                    hop = pde.next_hop(current, dest)
-                    if hop is None or not graph.has_edge(current, hop):
-                        hop = exact_next_hop(current, dest)
-                        fallbacks += 1
-                if hop is None:
-                    # Destination unreachable from this member; skip the chain.
-                    unreachable = True
-                    break
+                if current in chain:
+                    raise RuntimeError(
+                        f"PDE pointers toward {dest!r} loop at {current!r}")
+                hop = pde.next_hop(current, dest)
+                if hop is None or not graph.has_edge(current, hop):
+                    raise RuntimeError(
+                        f"PDE pointer {current!r} -> {hop!r} toward {dest!r} "
+                        f"is not an edge of the graph")
                 chain[current] = hop
                 current = hop
-            if unreachable:
-                continue
-            for node, hop in chain.items():
-                if node not in parent:
-                    parent[node] = hop
-        trees[dest] = DestinationTree(root=dest, parent=parent,
-                                      fallback_edges=fallbacks)
+            parent.update(chain)
+        trees[dest] = DestinationTree(root=dest, parent=parent)
     return TreeFamily(trees)

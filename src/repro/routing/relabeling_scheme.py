@@ -71,7 +71,6 @@ class RelabelingBuildReport:
     rounds: int
     spanner_edges: int
     skeleton_edges: int
-    fallback_edges: int
     label_bits_max: int
 
     def as_dict(self) -> Dict[str, float]:
@@ -311,8 +310,6 @@ class RelabelingRoutingScheme:
             rounds=self.metrics.rounds,
             spanner_edges=self.spanner.num_edges,
             skeleton_edges=self.skeleton_graph.num_edges,
-            fallback_edges=(self.short_trees.total_fallback_edges()
-                            + self.skeleton_trees.total_fallback_edges()),
             label_bits_max=label_bits,
         )
 

@@ -41,7 +41,6 @@ class StretchReport:
     max_stretch: float = 0.0
     mean_stretch: float = 0.0
     p95_stretch: float = 0.0
-    fallback_hops: int = 0
     #: Delivered routes heavier than the table estimate they were selected
     #: on (a route through pivot ``p`` must realise ``wd'(v,p) + wd'(p,w)``).
     over_estimate: int = 0
@@ -59,7 +58,6 @@ class StretchReport:
             "max_stretch": self.max_stretch,
             "mean_stretch": self.mean_stretch,
             "p95_stretch": self.p95_stretch,
-            "fallback_hops": self.fallback_hops,
             "over_estimate": self.over_estimate,
         }
 
@@ -104,7 +102,6 @@ def evaluate_routing(scheme, graph: WeightedGraph,
             report.failures.append((u, v))
             continue
         report.delivered += 1
-        report.fallback_hops += trace.fallback_hops
         if (trace.estimate is not None
                 and trace.weight > trace.estimate * (1 + 1e-9)):
             report.over_estimate += 1

@@ -146,9 +146,9 @@ class RoutingTable:
 class RouteTrace:
     """The outcome of routing one packet: path taken, success flag, cost.
 
-    ``fallback_hops`` counts query-time path repairs.  Both schemes route
-    only on the trees their estimates are summed over and repair nothing,
-    so it is always ``0``; it stays in the wire format (key ``"f"``).
+    ``estimate`` is the table estimate the route was selected on; a
+    delivered route weighs at most that much.  Nothing is repaired: a pair
+    the trees cannot connect is an undelivered trace with estimate ``inf``.
     """
 
     source: Hashable
@@ -156,7 +156,6 @@ class RouteTrace:
     path: List[Hashable] = field(default_factory=list)
     delivered: bool = False
     weight: float = float("inf")
-    fallback_hops: int = 0
     estimate: Optional[float] = None
 
     #: Memo of this trace's canonical wire text, filled on first use by
@@ -226,7 +225,6 @@ class RouteTrace:
             "delivered": self.delivered,
             "weight": self.weight,
             "hops": self.hops,
-            "fallback_hops": self.fallback_hops,
             "estimate": self.estimate,
         }
 

@@ -128,7 +128,6 @@ class HierarchyBuildReport:
     max_table_words: int
     avg_table_words: float
     max_label_bits: int
-    fallback_edges: int
     bunch_overflows: int
 
     def as_dict(self) -> Dict[str, object]:
@@ -837,14 +836,6 @@ class CompactRoutingHierarchy:
         ]
         table_words = [self.table_words(v) for v in self.graph.nodes()]
         label_bits = [self.label_of(v).bits(n) for v in self.graph.nodes()]
-        fallbacks = 0
-        for data in self.level_data:
-            if data.trees is not None:
-                fallbacks += data.trees.total_fallback_edges()
-        if self.attach_trees is not None:
-            fallbacks += self.attach_trees.total_fallback_edges()
-        for trees in self.skeleton_trees.values():
-            fallbacks += trees.total_fallback_edges()
         return HierarchyBuildReport(
             n=n,
             k=self.k,
@@ -858,7 +849,6 @@ class CompactRoutingHierarchy:
             max_table_words=max(table_words),
             avg_table_words=sum(table_words) / len(table_words),
             max_label_bits=max(label_bits),
-            fallback_edges=fallbacks,
             bunch_overflows=sum(d.overflow_count for d in self.level_data),
         )
 

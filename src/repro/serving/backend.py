@@ -158,7 +158,7 @@ def open_service(config: ServingConfig,
         build = config.build
         return RoutingService.build(
             graph, k=build.k, epsilon=build.epsilon, seed=build.seed,
-            mode=build.mode, engine=build.engine, cache_config=config.cache,
+            mode=build.mode, cache_config=config.cache,
             kernel=config.kernel, telemetry=config.telemetry,
             build_workers=build.build_workers)
 

@@ -96,7 +96,6 @@ FLAGS: Tuple[Flag, ...] = (
     Flag("--mode", "build.mode",
          choices=("auto", "budget", "spd", "truncated")),
     Flag("--seed", "build.seed"),
-    Flag("--engine", "build.engine"),
     Flag("--workload", "workload.name", choices=WORKLOADS.names),
     Flag("--queries", "workload.num_queries"),
     Flag("--skew", "workload.params.skew",

@@ -6,7 +6,7 @@ those chains with a family of frozen dataclasses that one
 :func:`~repro.serving.backend.open_service` call consumes:
 
 * :class:`BuildConfig`    — how the compact-routing hierarchy is built
-  (``k``, ``epsilon``, ``seed``, ``mode``, ``engine``);
+  (``k``, ``epsilon``, ``seed``, ``mode``, ``build_workers``);
 * :class:`CacheConfig`    — the result caches' size;
 * :class:`WorkloadConfig` — which query stream to generate against the
   service (used by the CLI);
@@ -63,14 +63,15 @@ class BuildConfig:
     check: the parallel build is checksum-identical to the sequential one,
     so how many processes built an artifact never makes it stale (the
     worker count is still recorded in the header provenance via the
-    serving config).
+    serving config).  The detection engine is not a serving setting: a
+    service always builds with the default ``batched`` engine (``engine=``
+    stays on ``solve_pde`` and the routing builders).
     """
 
     k: int = 3
     epsilon: float = 0.25
     seed: int = 0
     mode: str = "auto"
-    engine: str = "batched"
     build_workers: int = 1
 
     def __post_init__(self) -> None:

@@ -148,7 +148,7 @@ class RoutingService:
     # ==================================================================
     @classmethod
     def build(cls, graph: WeightedGraph, k: int = 3, epsilon: float = 0.25,
-              seed: int = 0, mode: str = "auto", engine: str = "batched",
+              seed: int = 0, mode: str = "auto",
               cache_config: Optional[CacheConfig] = None,
               kernel: str = "auto", telemetry: bool = False,
               **build_kwargs) -> "RoutingService":
@@ -166,7 +166,7 @@ class RoutingService:
         with metrics.span("hierarchy_build"):
             hierarchy = build_compact_routing(graph, k=k, epsilon=epsilon,
                                               seed=seed, mode=mode,
-                                              engine=engine, registry=metrics,
+                                              registry=metrics,
                                               **build_kwargs)
         stats.build_seconds = time.perf_counter() - start
         return cls(hierarchy, stats=stats, cache_config=cache_config,
@@ -374,7 +374,9 @@ def build_or_load_service(path: str, graph: Optional[WeightedGraph] = None,
     parameter, or saved by some other writer) cannot be verified, so it is
     treated as a mismatch rather than silently served as fresh.
 
-    ``metadata`` is merged into the artifact header on the build path —
+    The header's ``engine`` must be ``"batched"``, the only engine a
+    service builds with.  ``metadata`` is merged into the artifact header
+    on the build path —
     :func:`~repro.serving.backend.open_service` records the originating
     ``ServingConfig`` there as provenance.
     """
@@ -385,7 +387,7 @@ def build_or_load_service(path: str, graph: Optional[WeightedGraph] = None,
             requested = {"k": build.k, "epsilon": build.epsilon,
                          "seed": build.seed,
                          "n": graph.num_nodes, "m": graph.num_edges,
-                         "engine": build.engine, "mode": build.mode}
+                         "engine": "batched", "mode": build.mode}
             header = artifact_info(path).metadata
             stale = {}
             for key, want in requested.items():
@@ -417,7 +419,7 @@ def build_or_load_service(path: str, graph: Optional[WeightedGraph] = None,
     build_kwargs.setdefault("build_workers", build.build_workers)
     service = RoutingService.build(
         graph, k=build.k, epsilon=build.epsilon, seed=build.seed,
-        mode=build.mode, engine=build.engine, cache_config=cache,
+        mode=build.mode, cache_config=cache,
         kernel=kernel, telemetry=telemetry, **build_kwargs)
     if save:
         info = service.save(path, metadata=metadata)

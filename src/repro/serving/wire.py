@@ -35,7 +35,11 @@ and the like) are tagged (:func:`pack_node` / :func:`unpack_node`) rather
 than silently becoming lists.  Route answers travel as compact
 :class:`~repro.routing.tables.RouteTrace` records and are rebuilt
 field-for-field, which is what makes a remote backend's answers
-list-for-list identical to a local one's.
+list-for-list identical to a local one's.  A route record's keys are
+``s``/``t`` (endpoints), ``p`` (path), ``d`` (delivered), ``w`` (weight),
+``e`` (estimate) and ``f``, which is reserved: v1 keeps the key so its
+frames do not change, always writes ``0`` there and refuses any other
+value on read; a binary v2 wire can drop it.
 
 An ``answers`` frame has two encoders that produce the same bytes.
 :func:`encode_answers` + :func:`encode_frame` serialize the object tree:
@@ -309,7 +313,7 @@ def encode_answers(kind: str, values) -> List[Any]:
         "p": [pack_node(node) for node in trace.path],
         "d": trace.delivered,
         "w": trace.weight,
-        "f": trace.fallback_hops,
+        "f": 0,
         "e": trace.estimate,
     } for trace in values]
 
@@ -357,6 +361,8 @@ def decode_answers(kind: str, values) -> List[Any]:
             path = record["p"]
             if not isinstance(path, list):
                 raise TypeError(f"path is a {type(path).__name__}")
+            if type(record["f"]) is not int or record["f"] != 0:
+                raise ValueError(f"reserved key f is {record['f']!r}, not 0")
             traces.append(RouteTrace(
                 source=unpack_node(record["s"]),
                 target=unpack_node(record["t"]),
@@ -365,7 +371,6 @@ def decode_answers(kind: str, values) -> List[Any]:
                       for node in path],
                 delivered=record["d"],
                 weight=record["w"],
-                fallback_hops=record["f"],
                 estimate=record["e"]))
         return traces
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -1,11 +1,14 @@
 """Tests for destination-rooted routing trees built from PDE pointers."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import graphs
-from repro.core import solve_pde
-from repro.graphs import all_pairs_weighted_distances, path_weight
-from repro.routing import build_destination_trees
+from repro.core import RoundingScheme, solve_pde
+from repro.core.pde import PDEEntry, PDEResult
+from repro.graphs import WeightedGraph, all_pairs_weighted_distances, path_weight
+from repro.routing import TreeFamily, build_destination_trees
 
 
 @pytest.fixture(scope="module")
@@ -83,26 +86,18 @@ class TestTreeFamily:
         for entry in pde.lists[v]:
             assert entry.source in containing
 
-    def test_explicit_membership(self, pde_setup):
-        g, pde, _ = pde_setup
-        dest = g.nodes()[0]
-        members = {dest: set(g.nodes())}
-        family = build_destination_trees(g, pde, destinations=[dest],
-                                         members_of=members)
-        tree = family[dest]
-        assert all(tree.contains(v) for v in g.nodes())
-
-    def test_fallbacks_counted_not_fatal(self, pde_setup):
-        """Even with a tiny sigma (so most nodes lack pointers), trees still
-        span their members via counted fallback repairs."""
+    @pytest.mark.parametrize("sigma", [1, 6])
+    def test_explicit_membership(self, pde_setup, sigma):
+        """With every node a member, ``T_s`` is exactly ``s`` plus the nodes
+        with an estimate toward it: a pointer chain never leaves them, and a
+        member without an estimate is left out, not repaired."""
         g, _, _ = pde_setup
-        pde_small = solve_pde(g, g.nodes(), h=g.num_nodes, sigma=1, epsilon=0.25)
+        pde = solve_pde(g, g.nodes(), h=g.num_nodes, sigma=sigma, epsilon=0.25)
         dest = g.nodes()[0]
-        family = build_destination_trees(g, pde_small, destinations=[dest],
+        family = build_destination_trees(g, pde, destinations=[dest],
                                          members_of={dest: set(g.nodes())})
-        tree = family[dest]
-        assert all(tree.contains(v) for v in g.nodes())
-        assert family.total_fallback_edges() >= 0
+        assert set(family[dest].parent) == {dest} | {
+            v for v in g.nodes() if pde.estimate(v, dest) != float("inf")}
 
     def test_label_and_depth(self, pde_setup):
         _, _, family = pde_setup
@@ -110,3 +105,122 @@ class TestTreeFamily:
         tree = family[dest]
         assert tree.depth >= 0
         assert tree.label_of(dest) == tree.routing.label_of(dest)
+
+
+def _hand_built_pde(graph, dest, pointers):
+    """A PDE toward ``dest`` whose next hops are exactly ``pointers`` (node
+    -> hop); every pointing node holds ``dest`` in its list."""
+    estimates = {v: {dest: float(len(pointers) - i)}
+                 for i, v in enumerate(pointers)}
+    estimates[dest] = {dest: 0.0}
+    return PDEResult(
+        sources={dest}, h=graph.num_nodes, sigma=1, epsilon=0.25,
+        lists={v: [PDEEntry(row[dest], dest)] for v, row in estimates.items()},
+        estimates=estimates,
+        next_hops={v: {dest: hop} for v, hop in pointers.items()},
+        levels_used={v: {dest: 0} for v in estimates},
+        rounding=RoundingScheme(0.25, graph.max_weight()))
+
+
+class TestPointersAreChecked:
+    """Trees are the PDE's pointers, checked at build time: a broken
+    pointer is a build error, never a silent repair."""
+
+    def test_pointer_that_is_not_an_edge_raises(self):
+        g = graphs.path_graph(4)
+        pde = _hand_built_pde(g, 0, {1: 0, 3: 1})     # 3 -> 1 is no edge
+        with pytest.raises(RuntimeError, match="not an edge"):
+            build_destination_trees(g, pde)
+
+    def test_missing_pointer_raises(self):
+        g = graphs.path_graph(4)
+        pde = _hand_built_pde(g, 0, {1: 0, 2: None})
+        with pytest.raises(RuntimeError, match="not an edge"):
+            build_destination_trees(g, pde)
+
+    def test_pointer_loop_raises(self):
+        g = graphs.path_graph(4)
+        pde = _hand_built_pde(g, 0, {1: 0, 2: 3, 3: 2})
+        with pytest.raises(RuntimeError, match="loop"):
+            build_destination_trees(g, pde)
+
+    def test_sound_pointers_are_the_tree(self):
+        g = graphs.path_graph(4)
+        pde = _hand_built_pde(g, 0, {3: 2, 2: 1, 1: 0})
+        tree = build_destination_trees(g, pde)[0]
+        assert list(tree.parent.items()) == [(0, None), (1, 0), (2, 1), (3, 2)]
+
+
+class TestState:
+    def test_from_state_ignores_the_retired_repair_count(self, pde_setup):
+        """Artifacts saved while trees carried a repair counter still load:
+        the per-tree key (always 0) is ignored."""
+        _, _, family = pde_setup
+        retired_key = "_".join(("fallback", "edges"))
+        state = [dict(tree, **{retired_key: 0})
+                 for tree in family.export_state()]
+        loaded = TreeFamily.from_state(state)
+        assert loaded.export_state() == family.export_state()
+        assert all(retired_key not in tree for tree in loaded.export_state())
+
+
+def _disconnected_er(n, seed):
+    """Two ER components side by side, so some pairs have no estimate."""
+    g = WeightedGraph()
+    half = n // 2
+    for offset, size in ((0, half), (half, n - half)):
+        part = graphs.erdos_renyi_graph(size, 0.3, graphs.uniform_weights(1, 30),
+                                        seed=seed + offset)
+        for v in part.nodes():
+            g.add_node(v + offset)
+        for u, v, w in part.edges():
+            g.add_edge(u + offset, v + offset, w)
+    return g
+
+
+_FAMILIES = {
+    "er": lambda n, seed: graphs.erdos_renyi_graph(
+        n, 0.25, graphs.uniform_weights(1, 40), seed=seed),
+    "disconnected_er": _disconnected_er,
+    "grid": lambda n, seed: graphs.grid_graph(
+        3, max(2, n // 3), graphs.uniform_weights(1, 20), seed=seed),
+    "path": lambda n, seed: graphs.path_graph(
+        n, graphs.uniform_weights(1, 50), seed=seed),
+    "star": lambda n, seed: graphs.star_graph(
+        n, graphs.uniform_weights(1, 50), seed=seed),
+}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(family=st.sampled_from(sorted(_FAMILIES)),
+       n=st.integers(6, 14), seed=st.integers(0, 10 ** 4),
+       sigma=st.sampled_from(["1", "2", "|S|"]),
+       h=st.sampled_from(["1", "3", "n"]),
+       epsilon=st.sampled_from([0.1, 0.25, 1.0]),
+       data=st.data())
+def test_pointer_trees_hold_every_estimate(family, n, seed, sigma, h,
+                                           epsilon, data):
+    """On any graph and any ``(S, h, sigma, eps)`` the pointers form trees:
+    the build never raises, ``T_s`` holds exactly ``s`` and the nodes with an
+    estimate toward it, and a node's tree path weighs at most its estimate."""
+    g = _FAMILIES[family](n, seed)
+    nodes = g.nodes()
+    sources = data.draw(st.sets(st.sampled_from(nodes), min_size=1))
+    pde = solve_pde(g, sources,
+                    h={"1": 1, "3": 3, "n": g.num_nodes}[h],
+                    sigma={"1": 1, "2": 2, "|S|": len(sources)}[sigma],
+                    epsilon=epsilon)
+    trees = build_destination_trees(
+        g, pde, members_of={s: set(nodes) for s in sources})
+    for s in sources:
+        tree = trees[s]
+        estimated = {v for v in nodes if pde.estimate(v, s) != float("inf")}
+        assert set(tree.parent) == estimated | {s}
+        for v in estimated:
+            assert path_weight(g, tree.path_to_root(v)) \
+                <= pde.estimate(v, s) * (1 + 1e-9), (v, s)
+    listed = build_destination_trees(g, pde)
+    for v in nodes:
+        for entry in pde.lists[v]:
+            assert listed[entry.source].contains(v)

@@ -10,6 +10,10 @@ must keep reproducing them.  Two entries are younger: the ``truncated``
 builds of ``road:rows=8,cols=8`` and ``fattree:k=4`` have a one-node
 skeleton, whose levels the hierarchy used to leave empty; they were
 re-recorded when it started solving them (the detection core did not move).
+All twelve were re-recorded when destination trees stopped carrying a
+repair count: the pickled tree states in the ``level_trees_*`` and
+``skeleton`` sections lost that always-zero key, and every other section
+kept its bytes.
 """
 
 import json

@@ -141,12 +141,12 @@ def test_option_census():
     def field_names(config):
         return tuple(field.name for field in dataclasses.fields(config))
 
-    assert len(FLAGS) == 38
+    assert len(FLAGS) == 37
     assert field_names(CacheConfig) == ("capacity",)
     assert field_names(FleetConfig) == ("min_workers", "max_workers",
                                         "heartbeat_interval", "respawn_limit")
     assert len(field_names(ServingConfig)) == 25
-    assert len(field_names(BuildConfig)) == 6
+    assert len(field_names(BuildConfig)) == 5
     assert len(field_names(WorkloadConfig)) == 4
     assert {name: value.names() for name, value in vars(registry).items()
             if isinstance(value, registry.Registry)} == {

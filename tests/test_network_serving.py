@@ -210,6 +210,8 @@ class TestWireFrames:
           "e": 1.0}],
         [{"s": 1, "t": {"__t": 5}, "p": [], "d": True, "w": 1.0, "f": 0,
           "e": 1.0}],                                      # tag holds no list
+        [{"s": 1, "t": 2, "p": [1, 2], "d": True, "w": 1.0, "f": 1,
+          "e": 1.0}],                                      # reserved "f" not 0
     ])
     def test_malformed_route_answers_raise_frame_error(self, values):
         with pytest.raises(FrameError, match="malformed"):
@@ -217,7 +219,7 @@ class TestWireFrames:
 
     def test_route_decode_unpacks_tagged_nodes_only(self):
         trace = RouteTrace((0, 1), "v", [(0, 1), 7, "k", ((2, 3), None), "v"],
-                           True, 4.0, 1, 4.5)
+                           True, 4.0, 4.5)
         record = read_frame(io.BytesIO(encode_frame(
             {"type": "answers",
              "values": encode_answers("route", [trace])})))["values"]
@@ -1171,8 +1173,7 @@ _NUMBERS = st.one_of(st.floats(), st.integers(-10 ** 6, 10 ** 6),
 _TRACES = st.builds(
     RouteTrace, source=_NODES, target=_NODES,
     path=st.lists(_NODES, max_size=6), delivered=st.booleans(),
-    weight=_NUMBERS, fallback_hops=st.integers(0, 50),
-    estimate=st.one_of(st.none(), _NUMBERS))
+    weight=_NUMBERS, estimate=st.one_of(st.none(), _NUMBERS))
 
 
 def _answers_frame(request_id, kind, values, queries, batches):
@@ -1375,7 +1376,7 @@ class TestEncodeOnce:
 
     @watchdog(30.0)
     def test_text_memo_is_invisible_and_a_hit_encodes_nothing(self):
-        plain = RouteTrace((0, 1), "t", [(0, 1), 5, "t"], True, 7.5, 1, 8.0)
+        plain = RouteTrace((0, 1), "t", [(0, 1), 5, "t"], True, 7.5, 8.0)
         memoed = dataclasses.replace(plain)
         metrics = make_registry(True)
         first = encode_answer_texts("route", [memoed, memoed], metrics)
@@ -1387,8 +1388,7 @@ class TestEncodeOnce:
         assert memoed == plain and repr(memoed) == repr(plain)
         assert memoed.as_dict() == plain.as_dict()
         assert [f.name for f in dataclasses.fields(memoed)] == [
-            "source", "target", "path", "delivered", "weight",
-            "fallback_hops", "estimate"]
+            "source", "target", "path", "delivered", "weight", "estimate"]
         for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
             blob = pickle.dumps(memoed, protocol)
             assert blob == pickle.dumps(plain, protocol)
@@ -1405,7 +1405,7 @@ class TestEncodeOnce:
         # Sessions over a local backend encode outside the shared lock, so
         # two writers can meet on one cached trace: both must get the text.
         traces = [RouteTrace(i, (i, "t"), list(range(i % 7)), True, 1.5 * i,
-                             0, None) for i in range(300)]
+                             None) for i in range(300)]
         want = [encode_message(record).decode("ascii")
                 for record in encode_answers("route", traces)]
         got = [None] * 6

@@ -216,7 +216,7 @@ class TestHierarchyRoundTrip:
             assert loaded.path == fresh.path
             assert loaded.weight == fresh.weight
             assert loaded.delivered == fresh.delivered
-            assert loaded.fallback_hops == fresh.fallback_hops
+            assert loaded.estimate == fresh.estimate
 
     def test_reload_of_reload_is_stable(self, saved_hierarchy, tmp_path):
         _, _, path, _ = saved_hierarchy

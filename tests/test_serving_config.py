@@ -27,7 +27,7 @@ def nondefault_serving_config() -> ServingConfig:
         warm_timeout=60.0,
         reply_timeout=90.0,
         build=BuildConfig(k=4, epsilon=0.5, seed=7, mode="budget",
-                          engine="logical"),
+                          build_workers=2),
         cache=CacheConfig(capacity=512),
         workload=WorkloadConfig(name="bursty", num_queries=250, seed=9,
                                 params={"skew": 1.5, "burst_length": 20}),
@@ -37,7 +37,7 @@ def nondefault_serving_config() -> ServingConfig:
 class TestRoundTrips:
     @pytest.mark.parametrize("config", [
         BuildConfig(),
-        BuildConfig(k=5, epsilon=1.0, seed=3, mode="spd", engine="simulate"),
+        BuildConfig(k=5, epsilon=1.0, seed=3, mode="spd", build_workers=3),
         CacheConfig(),
         CacheConfig(capacity=0),
         CacheConfig(capacity=7),
@@ -108,6 +108,15 @@ class TestUnknownKeys:
             main(["--graph", "er:n=30,p=0.2", "--hot-set", "online"])
         assert exit_info.value.code == 2
 
+    def test_engine_is_not_a_serving_setting(self):
+        """Serving builds with ``batched`` only: the engine is neither a
+        ``BuildConfig`` key nor a flag."""
+        with pytest.raises(ValueError, match="engine"):
+            BuildConfig.from_dict({"engine": "logical"})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--graph", "er:n=30,p=0.2", "--engine", "logical"])
+        assert exit_info.value.code == 2
+
 
 class TestValidation:
     def test_invalid_values_rejected(self):
@@ -167,7 +176,7 @@ class TestCliParity:
         args = parser.parse_args([
             "--graph", "grid:rows=4,cols=4", "--artifact", "/tmp/a.artifact",
             "--k", "4", "--epsilon", "0.5", "--mode", "budget", "--seed", "6",
-            "--engine", "logical", "--workload", "bursty", "--queries", "77",
+            "--workload", "bursty", "--queries", "77",
             "--skew", "1.7", "--burst-length", "15", "--burst-rate", "0.1",
             "--burst-intensity", "0.5", "--drift-period", "50",
             "--batch-size", "16", "--cache-size", "99",
@@ -177,7 +186,7 @@ class TestCliParity:
         assert config.graph_spec == "grid:rows=4,cols=4"
         assert config.artifact_path == "/tmp/a.artifact"
         assert config.build == BuildConfig(k=4, epsilon=0.5, seed=6,
-                                           mode="budget", engine="logical")
+                                           mode="budget")
         assert config.workload.name == "bursty"
         assert config.workload.num_queries == 77
         assert config.workload.params == {"skew": 1.7, "burst_length": 15,

@@ -169,6 +169,20 @@ class TestBuildOrLoad:
         # Pure load intent (no graph) accepts whatever is persisted.
         build_or_load_service(path, build=BuildConfig(k=3, seed=4))
 
+    def test_artifact_of_another_engine_is_stale(self, service_graph,
+                                                 tmp_path):
+        """A service builds only with ``batched``: an artifact another
+        engine built is refused under a build intent, loaded without one."""
+        from repro.serving import ArtifactError
+
+        path = str(tmp_path / "logical.artifact")
+        RoutingService.build(service_graph, k=2, seed=4,
+                             engine="logical").save(path)
+        with pytest.raises(ArtifactError, match="engine='logical'"):
+            build_or_load_service(path, graph=service_graph,
+                                  build=BuildConfig(k=2, seed=4))
+        build_or_load_service(path)
+
     def test_header_missing_requested_key_is_stale(self, service_graph,
                                                    tmp_path):
         """Regression: a requested parameter *absent* from the header (an
