@@ -26,7 +26,10 @@ for the committed matrix:
 One row per scheme: ``pairs``, ``over_est`` (delivered routes heavier than
 their own estimate), ``max_w/est``, ``over_4k-3`` / ``over_6k-1``, ``max``
 and ``mean`` stretch, ``inf_est`` (``estimate == inf``) and ``failed``
-(undelivered).  The hierarchy rows come
+(undelivered, or delivered but refused by
+:func:`repro.routing.stretch.validate_route`: not an edge path from source
+to target in the graph, or a weight — summed from the trees' ``dist``
+tables — other than the path's weight in the graph).  The hierarchy rows come
 first, under the header they have always had; the ``relabel`` rows follow
 under their own.  The report holds no timing, so it repeats exactly on any
 host — CI diffs it against ``benchmarks/profiles/route_invariant_pr28.txt``.
@@ -40,7 +43,8 @@ import itertools
 import sys
 
 from repro.graphs import all_pairs_weighted_distances
-from repro.routing import RelabelingRoutingScheme, build_compact_routing
+from repro.routing import (RelabelingRoutingScheme, build_compact_routing,
+                           validate_route)
 from repro.serving import parse_graph_spec
 
 GRAPHS = (
@@ -64,14 +68,14 @@ COLUMNS = ("pairs", "over_est", "max_w/est", "over_4k-3", "max", "mean",
 RELABEL_COLUMNS = COLUMNS[:3] + ("over_6k-1",) + COLUMNS[4:] + ("long",)
 
 
-def probe_traces(traces, exact, bound):
+def probe_traces(traces, graph, exact, bound):
     """One row of the report (``COLUMNS`` order) and its violation count."""
     pairs = over_estimate = over_bound = inf_estimates = failed = 0
     worst_ratio = worst_stretch = total_stretch = 0.0
     for trace in traces:
         pairs += 1
         inf_estimates += trace.estimate == INF
-        if not trace.delivered:
+        if not validate_route(graph, trace):
             failed += 1
             continue
         if trace.estimate != INF:
@@ -104,7 +108,7 @@ def hierarchy_rows(spec):
         hierarchy = build_compact_routing(
             graph, k=k, epsilon=0.25, engine="batched", mode=mode)
         row, bad = probe_traces(hierarchy.route_batch(pairs, kernel="dict"),
-                                exact, 4 * k - 3)
+                                graph, exact, 4 * k - 3)
         yield f"{spec:<30}{mode:<11}{k:>2}", row, bad
 
 
@@ -116,7 +120,7 @@ def relabel_rows(spec):
         scheme = RelabelingRoutingScheme.build(graph, k=k, epsilon=0.25,
                                                seed=0, budget_constant=c)
         row, bad = probe_traces((scheme.route(s, t) for s, t in pairs),
-                                exact, 6 * k - 1)
+                                graph, exact, 6 * k - 1)
         yield (f"{spec:<30}{'relabel':<11}{k:>2}{c:>5}",
                row + (f"{scheme.long_range_fraction(pairs):.3f}",), bad)
 

@@ -20,14 +20,17 @@ the *loaded objects* (the program carries no counters):
                        :data:`ROW_READERS` says how each reader adds up;
 ``anchor_entries``     skeleton-list entries handed to the anchor scan of
                        ``_route_via_skeleton``, per route;
-``adjacency_lookups``  lookups in the graph's adjacency map made inside
-                       ``RouteTrace.walk``, per hop of the walked path.
+``adjacency_lookups``  lookups in the graph's adjacency map made during the
+                       whole ``route_batch`` pass, per hop of the routed
+                       paths.  The tree sections are materialised first
+                       (loading a tree checks it against the graph once);
+                       after that a route is weighed from the trees' ``dist``
+                       tables, so this reads 0.
 
 They repeat exactly on any host; CI diffs the ``==`` and ``counts`` lines
-against ``benchmarks/profiles/local_query_pr23.txt`` (and
-``local_query_pr23_parent.txt`` is this script run on the parent's ``src``).
-``time`` lines are best-of-three microseconds per pair on un-instrumented
-objects — informational; ``benchmarks/e2e/run.py`` measures.
+against ``benchmarks/profiles/local_query_pr29.txt``.  ``time`` lines are
+best-of-three microseconds per pair on un-instrumented objects —
+informational; ``benchmarks/e2e/run.py`` measures.
 """
 
 import argparse
@@ -36,7 +39,6 @@ import os
 import sys
 import tempfile
 import time
-from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "e2e"))
@@ -84,8 +86,7 @@ class CountingAdjacency(dict):
 
 def instrument(hierarchy, kernel, counts):
     """Hang the counting stand-ins on one loaded hierarchy, and return the
-    one for the route walk every scheme shares (``RouteTrace.walk``), for
-    the caller to patch in while it counts."""
+    counting adjacency map now behind its graph."""
     table = kernel._bunch_table
 
     def counting(method, on_return):
@@ -115,17 +116,12 @@ def instrument(hierarchy, kernel, counts):
         for node, row in estimates.items():
             estimates[node] = CountingRow(row, counts)
 
+    # Every tree section is materialised (and checked) before counting.
+    for data in hierarchy.level_data:
+        data.trees
     adjacency = CountingAdjacency(hierarchy.graph._adj)
     hierarchy.graph._adj = adjacency
-    walk = routing.RouteTrace.walk
-
-    def counted_walk(*args):
-        before = adjacency.lookups
-        trace = walk(*args)
-        add("adjacency_lookups", adjacency.lookups - before)
-        add("hops", trace.hops)
-        return trace
-    return staticmethod(counted_walk)
+    return adjacency
 
 
 def load(path):
@@ -140,10 +136,11 @@ def count_pass(path, batches):
     counts = dict.fromkeys(
         ("index_reads", "records_scanned", "values_decoded",
          "anchor_entries", "adjacency_lookups", "hops"), 0)
-    counted_walk = instrument(hierarchy, kernel, counts)
-    with mock.patch.object(routing.RouteTrace, "walk", counted_walk):
-        for batch in batches:
-            hierarchy.route_batch(batch, kernel="columnar")
+    adjacency = instrument(hierarchy, kernel, counts)
+    for batch in batches:
+        counts["hops"] += sum(trace.hops for trace in
+                              hierarchy.route_batch(batch, kernel="columnar"))
+    counts["adjacency_lookups"] = adjacency.lookups
     counts["rows_touched"] = kernel.stats["bunch_rows_decoded"]
     return counts
 

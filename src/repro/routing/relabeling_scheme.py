@@ -257,7 +257,8 @@ class RelabelingRoutingScheme:
     def route(self, source: Hashable, target: Hashable) -> RouteTrace:
         """Trace the stateless route induced by the scheme's tables.
 
-        The route walks the paths its estimate sums over; a pair they do not
+        The route follows the paths its estimate sums over, and its weight
+        is summed from their trees' ``dist`` tables; a pair they do not
         connect (a disconnected graph) comes back undelivered with an
         infinite estimate.
         """
@@ -267,10 +268,11 @@ class RelabelingRoutingScheme:
         if self._is_short_range(source, target):
             # source's list holds target, so target's short-range tree holds
             # source.
-            return RouteTrace.walk(
-                self.graph, source, target,
-                self.short_trees[target].path_to_root(source),
-                self.pde_short.estimate(source, target))
+            tree = self.short_trees[target]
+            return RouteTrace(source=source, target=target,
+                              path=tree.path_to_root(source), delivered=True,
+                              weight=tree.dist[source],
+                              estimate=self.pde_short.estimate(source, target))
         label = self.label_of(target)
         home = label.get("home")
         entry, cost = self._skeleton_entry(source, home)
@@ -279,16 +281,22 @@ class RelabelingRoutingScheme:
             return RouteTrace(source=source, target=target, path=[source],
                               estimate=estimate)
         # Up the entry node's long-range tree (source's list holds it) ...
-        path = self.skeleton_trees[entry].path_to_root(source)
+        tree = self.skeleton_trees[entry]
+        path, weight = tree.path_to_root(source), tree.dist[source]
         # ... along the spanner to s'_w, each edge expanded as the build
         # checked ...
         _, parent = self._spanner_sssp(home)
         while entry != home:
-            path += self.skeleton_trees.edge_path(entry, parent[entry])[1:]
+            hop, hop_weight = self.skeleton_trees.edge_path(entry, parent[entry])
+            path += hop[1:]
+            weight += hop_weight
             entry = parent[entry]
         # ... and down s'_w's long-range tree, which holds target.
-        path += self.skeleton_trees[home].path_to_root(target)[-2::-1]
-        return RouteTrace.walk(self.graph, source, target, path, estimate)
+        tree = self.skeleton_trees[home]
+        path += tree.path_to_root(target)[-2::-1]
+        return RouteTrace(source=source, target=target, path=path,
+                          delivered=True, weight=weight + tree.dist[target],
+                          estimate=estimate)
 
     # ------------------------------------------------------------------
     # reporting

@@ -75,16 +75,18 @@ def sample_pairs(nodes: Sequence[Hashable], count: Optional[int] = None,
 
 
 def validate_route(graph: WeightedGraph, trace: RouteTrace) -> bool:
-    """Check that a delivered trace is a real path ending at the target."""
+    """Check that a delivered trace is a real path in ``graph`` from its
+    source to its target, with no consecutive repeat, weighing exactly
+    ``trace.weight`` (graph weights are ints, so the sums are exact)."""
     if not trace.delivered:
         return False
     path = trace.path
     if not path or path[0] != trace.source or path[-1] != trace.target:
         return False
     for u, v in zip(path, path[1:]):
-        if not graph.has_edge(u, v):
+        if u == v or not graph.has_edge(u, v):
             return False
-    return abs(path_weight(graph, path) - trace.weight) < 1e-6
+    return path_weight(graph, path) == trace.weight
 
 
 def evaluate_routing(scheme, graph: WeightedGraph,

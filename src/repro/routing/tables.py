@@ -147,8 +147,11 @@ class RouteTrace:
     """The outcome of routing one packet: path taken, success flag, cost.
 
     ``estimate`` is the table estimate the route was selected on; a
-    delivered route weighs at most that much.  Nothing is repaired: a pair
-    the trees cannot connect is an undelivered trace with estimate ``inf``.
+    delivered route weighs at most that much.  Both routing schemes build a
+    route from tree paths joined without repeating the shared node, and sum
+    its (integer) ``weight`` from the trees' ``dist`` tables.  Nothing is
+    repaired: a pair the trees cannot connect is an undelivered trace with
+    estimate ``inf``.
     """
 
     source: Hashable
@@ -170,39 +173,6 @@ class RouteTrace:
             state = dict(state)
             del state["wire_text"]
         return state
-
-    @classmethod
-    def walk(cls, graph, source: Hashable, target: Hashable,
-             path: List[Hashable], estimate: float) -> "RouteTrace":
-        """The trace of ``path`` in ``graph``, one pass over its edges.
-
-        Consecutive repeats (where two route segments meet) collapse; the
-        route is delivered when every hop is an edge of ``graph`` and the
-        path runs from ``source`` to ``target``, and ``weight`` is then the
-        hops' left-to-right sum from ``0`` (what ``path_weight`` returns,
-        type included).  Both routing schemes finish every route here.
-        """
-        neighbor_weights = graph.neighbor_weights
-        deduped: List[Hashable] = []
-        weight, connected = 0, True
-        for node in path:
-            if deduped:
-                prev = deduped[-1]
-                if prev == node:
-                    continue
-                if connected:
-                    hop = neighbor_weights(prev).get(node)
-                    if hop is None:
-                        connected = False
-                    else:
-                        weight += hop
-            deduped.append(node)
-        delivered = (connected and bool(deduped) and deduped[0] == source
-                     and deduped[-1] == target)
-        return cls(source=source, target=target, path=deduped,
-                   delivered=delivered,
-                   weight=weight if delivered else float("inf"),
-                   estimate=estimate)
 
     @property
     def hops(self) -> int:

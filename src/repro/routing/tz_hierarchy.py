@@ -730,8 +730,9 @@ class CompactRoutingHierarchy:
 
         Shared by :meth:`route` (per-pair selection) and :meth:`route_batch`
         (columnar selection) so both produce identical traces.  The route
-        walks only the trees the estimate was summed over; a pair they do
-        not connect (no pivot in range, a disconnected graph) comes back
+        follows only the trees the estimate was summed over, and its weight
+        is summed from their ``dist`` tables — no graph is read; a pair they
+        do not connect (no pivot in range, a disconnected graph) comes back
         undelivered with an infinite estimate.
         """
         path = None
@@ -739,20 +740,23 @@ class CompactRoutingHierarchy:
             up = self._route_via_skeleton(source, pivot, level)
             down = self._route_via_skeleton(target, pivot, level)
             if up is not None and down is not None:
-                path = up + down[-2::-1]
+                path = up[0] + down[0][-2::-1]
+                weight = up[1] + down[1]
         elif pivot is not None:
             tree = self.level_data[level].trees.get(pivot)
             if tree is not None and tree.contains(source) and tree.contains(target):
-                path = tree.tree_route(source, target)
+                path, weight = tree.tree_route(source, target)
         if path is None:
             return RouteTrace(source=source, target=target, path=[source],
                               estimate=float("inf"))
-        return RouteTrace.walk(self.graph, source, target, path, estimate)
+        return RouteTrace(source=source, target=target, path=path,
+                          delivered=True, weight=weight, estimate=estimate)
 
     # -- truncated-mode routing -----------------------------------------
     def _route_via_skeleton(self, node: Hashable, pivot: Hashable, level: int
-                            ) -> Optional[List[Hashable]]:
-        """Path from ``node`` to ``pivot`` through the level-``l0`` skeleton.
+                            ) -> Optional[Tuple[List[Hashable], int]]:
+        """Path from ``node`` to ``pivot`` through the level-``l0`` skeleton,
+        and its weight.
 
         Leaves through the anchor ``t`` the table estimate was computed
         through: the first minimum of ``wd'(node, t) + wd'_sk(t, pivot)`` in
@@ -764,7 +768,7 @@ class CompactRoutingHierarchy:
         store the same value).  ``None`` when no anchor reaches the pivot.
         """
         if node == pivot:
-            return [node]
+            return [node], 0
         tails, anchors = self._skeleton_tails(level, pivot)
         anchor = anchors.get(node, _ABSENT)
         if anchor is _ABSENT:
@@ -774,31 +778,36 @@ class CompactRoutingHierarchy:
                 if row is not None and dt + row[0] < best:
                     anchor, best = t, dt + row[0]
             anchors[node] = anchor
-        if anchor is None or not self.attach_trees[anchor].contains(node):
+        if anchor is None:
             return None
-        path = self.attach_trees[anchor].path_to_root(node)
-        path.extend(tails[anchor][1])
-        return path
+        tree = self.attach_trees[anchor]
+        if not tree.contains(node):
+            return None
+        _, tail, tail_weight = tails[anchor]
+        path = tree.path_to_root(node)
+        path.extend(tail)
+        return path, tree.dist[node] + tail_weight
 
     def _skeleton_tails(self, level: int, pivot: Hashable) -> Tuple[
-            Dict[Hashable, Tuple[float, Tuple[Hashable, ...]]],
+            Dict[Hashable, Tuple[int, Tuple[Hashable, ...], int]],
             Dict[Hashable, Optional[Hashable]]]:
         """What the skeleton nodes store for ``pivot`` (Theorem 4.13), and
         the anchors :meth:`_route_via_skeleton` has chosen through it.
 
-        ``anchor t -> (weight of t's tree path to the pivot in skeleton
-        weights, that path expanded to a path in G — without ``t`` itself)``,
-        derived once per ``(level, pivot)`` from the skeleton tree, the
-        skeleton graph's weights and the attach trees; ``node -> its
-        anchor`` starts empty and grows by one reference per node routed
+        ``anchor t -> (t's distance to the pivot in the skeleton tree, that
+        tree path expanded to a path in G — without ``t`` itself — and the
+        expansion's weight in G)``, derived once per ``(level, pivot)`` from
+        the skeleton tree and the attach trees' paths and ``dist``; ``node ->
+        its anchor`` starts empty and grows by one reference per node routed
         through this pivot.
         """
         entry = self._skeleton_tail_tables.get((level, pivot))
         if entry is None:
             # Every skeleton level has one tree per source, and a pivot of
             # level l is a source of level l.
-            parent = self.skeleton_trees[level][pivot].parent
-            tails = {pivot: (0.0, ())}
+            tree = self.skeleton_trees[level][pivot]
+            parent = tree.parent
+            tails = {pivot: (0, (), 0)}
             for t in parent:
                 chain = []
                 while t not in tails:
@@ -806,12 +815,12 @@ class CompactRoutingHierarchy:
                     t = parent[t]
                 for a in reversed(chain):
                     b = parent[a]
-                    dist, tail = tails[b]
+                    _, tail, weight = tails[b]
                     # A skeleton-tree edge is a skeleton edge, which the build
                     # checked expands through the attach trees.
-                    hop = self.attach_trees.edge_path(a, b)
-                    tails[a] = (self.skeleton_graph.weight(a, b) + dist,
-                                tuple(hop[1:]) + tail)
+                    hop, hop_weight = self.attach_trees.edge_path(a, b)
+                    tails[a] = (tree.dist[a], tuple(hop[1:]) + tail,
+                                hop_weight + weight)
             # Published whole: a concurrent reader never sees half a table.
             entry = self._skeleton_tail_tables[(level, pivot)] = (tails, {})
         return entry
@@ -861,8 +870,9 @@ class CompactRoutingHierarchy:
     # ==================================================================
     # state export (serving artifacts)
     # ==================================================================
-    #: Bumped whenever :meth:`export_state` changes shape incompatibly.
-    STATE_VERSION = 1
+    #: Bumped whenever :meth:`export_state` changes shape incompatibly
+    #: (2: every destination tree carries ``dist``).
+    STATE_VERSION = 2
 
     def export_state(self) -> Dict[str, object]:
         """Snapshot of all query-relevant state as plain builtins.

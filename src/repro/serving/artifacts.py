@@ -551,19 +551,30 @@ class _LazyHierarchy(CompactRoutingHierarchy):
             f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def _materialise_skeleton(self) -> None:
-        state = self._artifact_reader.load_pickle("skeleton")
-        self.__dict__["pde_skel"] = (
-            PDEResult.from_state(state["pde_skel"])
-            if state["pde_skel"] is not None else None)
-        self.__dict__["skeleton_graph"] = (
-            WeightedGraph.from_state(state["skeleton_graph"])
-            if state["skeleton_graph"] is not None else None)
-        self.__dict__["attach_trees"] = (
-            TreeFamily.from_state(state["attach_trees"])
-            if state["attach_trees"] is not None else None)
-        self.__dict__["skeleton_trees"] = {
-            level: TreeFamily.from_state(tree_state)
-            for level, tree_state in state["skeleton_trees"].items()}
+        """Decode the skeleton section, its trees checked against the graph
+        each is served on (the attach trees against ``G``, the skeleton
+        trees against the skeleton graph); set all four attributes or
+        none."""
+        reader = self._artifact_reader
+        state = reader.load_pickle("skeleton")
+        try:
+            skeleton_graph = (WeightedGraph.from_state(state["skeleton_graph"])
+                              if state["skeleton_graph"] is not None else None)
+            materialised = {
+                "pde_skel": (PDEResult.from_state(state["pde_skel"])
+                             if state["pde_skel"] is not None else None),
+                "skeleton_graph": skeleton_graph,
+                "attach_trees": (
+                    TreeFamily.from_state(state["attach_trees"], self.graph)
+                    if state["attach_trees"] is not None else None),
+                "skeleton_trees": {
+                    level: TreeFamily.from_state(tree_state, skeleton_graph)
+                    for level, tree_state in state["skeleton_trees"].items()},
+            }
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArtifactError(f"{reader.path}: section 'skeleton' is "
+                                f"invalid: {exc}") from exc
+        self.__dict__.update(materialised)
 
 
 def _load_level_aux(reader: ArtifactV2Reader, level: int) -> Dict[str, Any]:
@@ -582,10 +593,16 @@ def _load_level_aux(reader: ArtifactV2Reader, level: int) -> Dict[str, Any]:
     }
 
 
-def _load_level_trees(reader: ArtifactV2Reader, level: int
-                      ) -> Optional[TreeFamily]:
-    state = reader.load_pickle(f"level_trees_{level}")
-    return None if state is None else TreeFamily.from_state(state)
+def _load_level_trees(reader: ArtifactV2Reader, level: int,
+                      graph: WeightedGraph) -> Optional[TreeFamily]:
+    """One level's trees, each checked against the served ``graph``."""
+    name = f"level_trees_{level}"
+    state = reader.load_pickle(name)
+    try:
+        return None if state is None else TreeFamily.from_state(state, graph)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{reader.path}: section {name!r} is invalid: "
+                            f"{exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -638,7 +655,7 @@ def load_hierarchy(path: str) -> Tuple[CompactRoutingHierarchy, ArtifactInfo]:
                 skeleton_level=entry["skeleton_level"],
                 overflow_count=entry["overflow_count"],
                 aux_loader=partial(_load_level_aux, reader, level),
-                trees_loader=partial(_load_level_trees, reader, level),
+                trees_loader=partial(_load_level_trees, reader, level, graph),
             )
             for level, entry in enumerate(meta["level_meta"])
         ]

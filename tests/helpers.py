@@ -32,6 +32,41 @@ def watchdog(seconds):
     return wrap
 
 
+def _deepest_member(tree):
+    """The member of a tree state farthest from its root."""
+    return max(tree["dist"], key=tree["dist"].get)
+
+
+def _point_at_a_stranger(tree, graph):
+    node = _deepest_member(tree)
+    tree["parent"][node] = next(
+        v for v in graph.nodes() if v != node and not graph.has_edge(node, v))
+
+
+def _drop_dist(tree, graph):
+    del tree["dist"]
+
+
+def _float_dist(tree, graph):
+    node = _deepest_member(tree)
+    tree["dist"][node] = float(tree["dist"][node])
+
+
+def _skew_dist(tree, graph):
+    tree["dist"][_deepest_member(tree)] += 1
+
+
+#: Ways to spoil one exported tree state (``DestinationTree.export_state``
+#: of a tree with at least one non-root member) in place: each must make
+#: loading it against ``graph`` fail.
+TREE_TAMPERS = {
+    "non-edge pointer": _point_at_a_stranger,
+    "missing dist": _drop_dist,
+    "non-int dist": _float_dist,
+    "inconsistent dist": _skew_dist,
+}
+
+
 def assert_routes_realise_estimates(traces):
     """Every pair has a finite estimate and is delivered, and no route is
     heavier than the estimate it was selected on."""

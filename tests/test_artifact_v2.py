@@ -16,6 +16,7 @@ the section-table layout itself:
 import itertools
 import json
 import os
+import pickle
 
 import pytest
 
@@ -41,6 +42,8 @@ from repro.serving import (
     write_shard_artifacts,
     zipf_workload,
 )
+
+from helpers import TREE_TAMPERS
 
 
 def _graph_family():
@@ -376,6 +379,106 @@ class TestSubArtifacts:
             ShardedRoutingService(str(v1_path), num_workers=2,
                                   partitioner="hash_source",
                                   sub_artifact_paths=["a", "b"])
+
+
+def _rewritten(path, out, mutate, state_version=None):
+    """A copy of the artifact at ``path`` written to ``out``, its section
+    bytes passed through ``mutate`` first (checksums are recomputed, so only
+    the content check can catch the change)."""
+    info = artifact_info(path)
+    reader = ArtifactV2Reader(path)
+    try:
+        sections = {name: bytes(reader.section_bytes(name))
+                    for name in info.sections}
+    finally:
+        reader.close()
+    mutate(sections)
+    write_artifact_v2(out, info.kind, sections, metadata=info.metadata,
+                      state_version=(info.state_version if state_version is None
+                                     else state_version))
+    return out
+
+
+class TestHostileTrees:
+    """Trees are checked against the served graph when their section
+    materialises: every pointer an edge, ``dist`` an int consistent with its
+    parent's.  A tampered tree is an ``ArtifactError``, never a delivered
+    route — in a full artifact and in a sub-artifact slice alike."""
+
+    @pytest.fixture(scope="class")
+    def artifacts(self, tmp_path_factory):
+        graph, k = _graph_family()["er_k3"]
+        base = tmp_path_factory.mktemp("hostile_trees")
+        full = str(base / "full.artifact")
+        save_hierarchy(build_compact_routing(graph, k=k, seed=7), full)
+        owned = [v for v in graph.nodes() if stable_node_hash(v) % 2 == 0]
+        return graph, {"full": (full, graph.nodes()),
+                       "slice": (write_shard_artifacts(full, 2)[0], owned)}
+
+    @staticmethod
+    def _pairs(hierarchy, sources, levels):
+        """Pairs from ``sources`` whose selected level is in ``levels``."""
+        pairs = [(s, t) for s in sources for t in hierarchy.graph.nodes()
+                 if s != t and hierarchy._select_level(s, t)[0] in levels]
+        assert pairs
+        return pairs
+
+    @pytest.mark.parametrize("where", ["full", "slice"])
+    @pytest.mark.parametrize("tamper", sorted(TREE_TAMPERS))
+    def test_tampered_level_tree_is_refused(self, artifacts, tmp_path,
+                                            where, tamper):
+        graph, paths = artifacts
+        path, sources = paths[where]
+
+        def spoil(sections):
+            trees = pickle.loads(sections["level_trees_0"])
+            victim = next(tree for tree in trees if len(tree["parent"]) > 2)
+            TREE_TAMPERS[tamper](victim, graph)
+            sections["level_trees_0"] = pickle.dumps(trees)
+
+        hierarchy, _ = load_hierarchy(
+            _rewritten(path, str(tmp_path / "bad.artifact"), spoil))
+        with pytest.raises(ArtifactError, match="level_trees_0"):
+            hierarchy.route_batch(self._pairs(hierarchy, sources, {0}))
+        with pytest.raises(ArtifactError, match="level_trees_0"):
+            hierarchy.level_data[0].trees
+
+    @pytest.mark.parametrize("where", ["full", "slice"])
+    def test_tampered_skeleton_tree_is_refused(self, artifacts, tmp_path,
+                                               where):
+        graph, paths = artifacts
+        path, sources = paths[where]
+
+        def spoil(sections):
+            state = pickle.loads(sections["skeleton"])
+            victim = next(tree for tree in state["attach_trees"]
+                          if len(tree["parent"]) > 2)
+            TREE_TAMPERS["inconsistent dist"](victim, graph)
+            sections["skeleton"] = pickle.dumps(state)
+
+        hierarchy, _ = load_hierarchy(
+            _rewritten(path, str(tmp_path / "bad.artifact"), spoil))
+        skeleton_levels = set(range(hierarchy.l0, hierarchy.k))
+        with pytest.raises(ArtifactError, match="skeleton"):
+            hierarchy.route_batch(
+                self._pairs(hierarchy, sources, skeleton_levels))
+
+    @pytest.mark.parametrize("where", ["full", "slice"])
+    def test_state_version_1_is_refused(self, artifacts, tmp_path, where):
+        """An artifact written before trees carried ``dist``."""
+        _, paths = artifacts
+
+        def downgrade(sections):
+            meta = json.loads(sections["meta"])
+            meta["state_version"] = 1
+            sections["meta"] = json.dumps(meta, sort_keys=True).encode("utf-8")
+
+        old = _rewritten(paths[where][0], str(tmp_path / "v1.artifact"),
+                         downgrade, state_version=1)
+        assert artifact_info(old).state_version == 1
+        with pytest.raises(ArtifactError,
+                           match="unsupported hierarchy state version 1"):
+            load_hierarchy(old)
 
 
 class TestOpenServiceIntegration:

@@ -8,7 +8,10 @@ from repro import graphs
 from repro.core import RoundingScheme, solve_pde
 from repro.core.pde import PDEEntry, PDEResult
 from repro.graphs import WeightedGraph, all_pairs_weighted_distances, path_weight
-from repro.routing import TreeFamily, build_destination_trees
+from repro.routing import TreeFamily, build_compact_routing, build_destination_trees
+from repro.serving import parse_graph_spec
+
+from helpers import TREE_TAMPERS
 
 
 @pytest.fixture(scope="module")
@@ -68,10 +71,11 @@ class TestTreeFamily:
         members = list(tree.parent)[:6]
         for a in members:
             for b in members:
-                path = tree.tree_route(a, b)
+                path, weight = tree.tree_route(a, b)
                 assert path[0] == a and path[-1] == b
                 for u, v in zip(path, path[1:]):
                     assert g.has_edge(u, v)
+                assert weight == path_weight(g, path)
 
     def test_membership_counts_consistent(self, pde_setup):
         _, _, family = pde_setup
@@ -153,15 +157,70 @@ class TestPointersAreChecked:
 
 class TestState:
     def test_from_state_ignores_the_retired_repair_count(self, pde_setup):
-        """Artifacts saved while trees carried a repair counter still load:
-        the per-tree key (always 0) is ignored."""
-        _, _, family = pde_setup
+        """A per-tree key the tree no longer has (the retired repair
+        counter, always 0) is ignored on load."""
+        g, _, family = pde_setup
         retired_key = "_".join(("fallback", "edges"))
         state = [dict(tree, **{retired_key: 0})
                  for tree in family.export_state()]
-        loaded = TreeFamily.from_state(state)
+        loaded = TreeFamily.from_state(state, g)
         assert loaded.export_state() == family.export_state()
         assert all(retired_key not in tree for tree in loaded.export_state())
+
+    @pytest.mark.parametrize("tamper", sorted(TREE_TAMPERS))
+    def test_from_state_refuses_a_spoilt_tree(self, pde_setup, tamper):
+        """Loading checks every pointer against the graph and every
+        ``dist`` against its parent's: a spoilt tree never loads."""
+        g, _, family = pde_setup
+        state = family.export_state()
+        victim = next(tree for tree in state if len(tree["parent"]) > 2)
+        TREE_TAMPERS[tamper](victim, g)
+        with pytest.raises((KeyError, ValueError)):
+            TreeFamily.from_state(state, g)
+
+    def test_dist_is_sound_on_a_hand_built_tree(self):
+        g = graphs.path_graph(4, graphs.uniform_weights(1, 9), seed=3)
+        pde = _hand_built_pde(g, 0, {3: 2, 2: 1, 1: 0})
+        tree = build_destination_trees(g, pde)[0]
+        assert tree.dist == {0: 0, 1: g.weight(1, 0),
+                             2: g.weight(1, 0) + g.weight(2, 1),
+                             3: g.weight(1, 0) + g.weight(2, 1) + g.weight(3, 2)}
+        assert tree.tree_route(3, 1) == ([3, 2, 1], tree.dist[3] - tree.dist[1])
+
+
+_HIERARCHY_SPECS = ("er:n=120,p=0.05,seed=1,weights=uniform:1:64",
+                    "road:rows=8,cols=8", "powerlaw:n=150,weights=uniform:1:32",
+                    "fattree:k=4")
+
+
+@pytest.mark.parametrize("mode", ["budget", "spd", "truncated"])
+@pytest.mark.parametrize("spec", _HIERARCHY_SPECS)
+def test_every_hierarchy_tree_weighs_its_dist(spec, mode):
+    """Every member of every tree family a hierarchy routes on — the level
+    trees and the attach trees in ``G``, the skeleton trees in the skeleton
+    graph — has ``dist`` equal to its pointer chain's weight, and
+    ``tree_route`` is the interval scheme's path with that path's weight."""
+    hierarchy = build_compact_routing(parse_graph_spec(spec), k=3,
+                                      epsilon=0.25, mode=mode)
+    families = [(hierarchy.graph, data.trees)
+                for data in hierarchy.level_data if data.trees is not None]
+    if hierarchy.attach_trees is not None:
+        families.append((hierarchy.graph, hierarchy.attach_trees))
+    families += [(hierarchy.skeleton_graph, family)
+                 for family in hierarchy.skeleton_trees.values()]
+    assert families
+    for graph, family in families:
+        for tree in family.trees.values():
+            for v in tree.parent:
+                assert type(tree.dist[v]) is int
+                assert tree.dist[v] == path_weight(graph, tree.path_to_root(v))
+            members = list(tree.parent)
+            members = members[:3] + members[-3:]
+            for a in members:
+                for b in members:
+                    path, weight = tree.tree_route(a, b)
+                    assert path == tree.routing.route(a, b)
+                    assert weight == path_weight(graph, path)
 
 
 def _disconnected_er(n, seed):

@@ -1,7 +1,7 @@
 """Boundary behaviour of the Corollary 4.14 truncation-level choice, the
-recorded truncated-mode routes that once outweighed their own estimate, and
-the route walk (``RouteTrace.walk``, shared by both routing schemes) and
-the anchor memo those routes go through."""
+recorded truncated-mode routes that once outweighed their own estimate,
+the table-summed route weights of both routing schemes against a walk of
+their paths in the graph, and the anchor memo those routes go through."""
 
 import dataclasses
 import functools
@@ -164,8 +164,8 @@ class TestEdgelessSkeleton:
 
 def reference_walk(graph, source, target, path, estimate):
     """The route walk in three passes — a dedupe pass, a ``has_edge`` pass
-    and a ``path_weight`` pass — kept here as the oracle of the one-pass
-    :meth:`RouteTrace.walk`."""
+    and a ``path_weight`` pass — kept here as the graph-side oracle of a
+    trace whose path and weight were assembled from tree tables."""
     deduped = []
     for node in path:
         if not deduped or deduped[-1] != node:
@@ -186,32 +186,24 @@ def assert_same_trace(trace, expected):
 
 def route_all_pairs_against_reference(scheme):
     """Route every ordered pair through ``scheme`` (a hierarchy or a
-    relabeling scheme); each walk is checked against :func:`reference_walk`
-    on the very path it was handed."""
-    walk = RouteTrace.walk
-    walked = []
-
-    def checked(graph, source, target, path, estimate):
-        trace = walk(graph, source, target, list(path), estimate)
+    relabeling scheme) and check each trace against :func:`reference_walk`
+    on its own path: the path has no repeat to collapse, every hop is an
+    edge, and the table-summed weight is ``path_weight`` in value and type."""
+    graph = scheme.graph
+    pairs = list(itertools.permutations(graph.nodes(), 2))
+    if isinstance(scheme, RelabelingRoutingScheme):
+        traces = [scheme.route(s, t) for s, t in pairs]
+    else:
+        traces = scheme.route_batch(pairs, kernel="dict")
+    for trace in traces:
         assert_same_trace(trace, reference_walk(
-            graph, source, target, path, estimate))
-        walked.append(trace)
-        return trace
-
-    pairs = list(itertools.permutations(scheme.graph.nodes(), 2))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(RouteTrace, "walk", staticmethod(checked))
-        if isinstance(scheme, RelabelingRoutingScheme):
-            traces = [scheme.route(s, t) for s, t in pairs]
-        else:
-            traces = scheme.route_batch(pairs, kernel="dict")
-    # Every pair was walked: no route is assembled anywhere else.
-    assert walked == traces
+            graph, trace.source, trace.target, trace.path, trace.estimate))
     return traces
 
 
 class TestRouteWalk:
-    """One pass over a route's edges answers what three passes did."""
+    """A route assembled from tree tables is what walking its path in the
+    graph says it is."""
 
     @pytest.mark.parametrize("build", OFFENDER_BUILDS,
                              ids=[f"{b[0]}-k{b[1]}" for b in OFFENDER_BUILDS])
@@ -222,7 +214,7 @@ class TestRouteWalk:
 
     def test_relabeling_scheme_walks_the_same_way(self):
         """A scheme with most pairs on the skeleton path: its short and
-        long routes all finish in the shared walk."""
+        long routes all match the reference."""
         graph = parse_graph_spec("road:rows=8,cols=8,seed=1")
         scheme = RelabelingRoutingScheme.build(graph, k=2, epsilon=0.25,
                                                budget_constant=0.2)
@@ -232,46 +224,19 @@ class TestRouteWalk:
         assert 0 < long_pairs < len(traces)
         assert_routes_realise_estimates(traces)
 
-    def test_float_weights_sum_in_the_same_order(self):
-        """The public graph takes int weights only, so this hierarchy's
-        graph is swapped for a copy weighing ``w / 10`` — sums whose last
-        digit depends on the order they are taken in."""
-        graph = parse_graph_spec("er:n=200,p=0.03,seed=1")
-        hierarchy = build_compact_routing(graph, k=3, epsilon=0.25,
-                                          engine="batched", mode="truncated")
-        for row in graph._adj.values():
-            for neighbour in row:
-                row[neighbour] /= 10
-        traces = route_all_pairs_against_reference(hierarchy)
-        assert all(type(t.weight) is float for t in traces)
-        assert any(t.weight != round(t.weight, 6) for t in traces)
-
-    def test_hand_made_paths(self):
-        graph, _ = offender_build(*OFFENDER_BUILDS[0])
-        a = graph.nodes()[0]
-        b = next(iter(graph.neighbors(a)))
-        c = next(v for v in graph.neighbors(b) if v != a)
-        stranger = next(v for v in graph.nodes()
-                        if v != a and not graph.has_edge(a, v))
-        cases = {
-            "repeats": (a, c, [a, a, b, b, b, c, c]),
-            "non-edge hop": (a, c, [a, stranger, stranger, b, c]),
-            "non-edge after repeats": (a, stranger, [a, b, b, a, stranger]),
-            "wrong end": (a, c, [a, b]),
-            "wrong start": (a, c, [b, c]),
-            "empty": (a, c, []),
-            "single": (a, a, [a]),
-        }
-        for name, (source, target, path) in cases.items():
-            trace = RouteTrace.walk(graph, source, target, list(path), 9.5)
-            assert_same_trace(trace, reference_walk(
-                graph, source, target, path, 9.5))
-        walked = RouteTrace.walk(graph, a, c, [a, a, b, b, b, c, c], 9.5)
-        assert walked.delivered and walked.path == [a, b, c]
-        assert walked.weight == graph.weight(a, b) + graph.weight(b, c)
-        broken = RouteTrace.walk(graph, a, c, [a, stranger, stranger, b, c], 9.5)
-        assert not broken.delivered and broken.weight == float("inf")
-        assert broken.path == [a, stranger, b, c]
+    def test_relabeling_weights_are_ints(self):
+        """Short and long relabeling routes alike carry ``int`` weights,
+        summed from the trees' ``dist``."""
+        graph = parse_graph_spec("road:rows=8,cols=8,seed=1")
+        scheme = RelabelingRoutingScheme.build(graph, k=2, epsilon=0.25,
+                                               budget_constant=0.2)
+        kinds = {}
+        for s, t in itertools.permutations(graph.nodes(), 2):
+            trace = scheme.route(s, t)
+            assert trace.delivered, (s, t)
+            kinds.setdefault(scheme.pde_short.in_list(s, t), set()).add(
+                type(trace.weight))
+        assert kinds == {True: {int}, False: {int}}
 
 
 class TestAnchorMemo:

@@ -13,7 +13,11 @@ re-recorded when it started solving them (the detection core did not move).
 All twelve were re-recorded when destination trees stopped carrying a
 repair count: the pickled tree states in the ``level_trees_*`` and
 ``skeleton`` sections lost that always-zero key, and every other section
-kept its bytes.
+kept its bytes.  They were re-recorded again when the tree states gained
+``dist`` (each member's pointer-chain weight) and the hierarchy's state
+version went 1 -> 2: the ``level_trees_*`` and ``skeleton`` sections equal
+the previous ones with ``dist`` dropped, ``meta`` differs only in its
+``state_version``, and every other section kept its bytes.
 """
 
 import json
