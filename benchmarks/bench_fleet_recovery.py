@@ -1,6 +1,6 @@
 """Fleet recovery — SIGKILL a worker mid-stream, answers stay identical.
 
-The elastic fleet supervisor (``ShardedRoutingService(fleet=...)``) turns
+The fleet supervisor (``ShardedRoutingService(fleet=...)``) turns
 worker death from a service outage into a bounded latency blip:
 
 * **liveness** — the front-end's collector sees a killed worker's result
@@ -31,9 +31,11 @@ invocation is also a ``repro-experiment compare`` citizen):
         --n 300 --workers 4 --queries 2400 --out BENCH_fleet_recovery.json
 
 The gate (always on): answers identical to single-process serving AND at
-least one death observed AND at least one respawn completed — otherwise
-exit 1.  The pytest entry point runs a 3-worker smoke configuration with
-the same assertions.
+least one death observed AND at least one respawn completed AND
+``final_epoch == 1 + worker_deaths + respawns`` (start, deaths and rejoins
+are the only things that publish a routing table) — otherwise exit 1.  The
+pytest entry point runs a 3-worker smoke configuration with the same
+assertions.
 """
 
 import argparse
@@ -159,7 +161,6 @@ def run_fleet_recovery(n: int, workers: int = 4, seed: int = 0,
         "respawns": status["respawns"],
         "respawn_completed": respawned,
         "final_epoch": status["epoch"],
-        "migrated_pairs": status["migrated_pairs"],
         "baseline_batch_ms": round(1000 * baseline, 3),
         "max_post_kill_batch_ms": round(1000 * max(post_kill), 3)
                                   if post_kill else 0.0,
@@ -192,6 +193,8 @@ def test_fleet_recovery_smoke(benchmark):
     assert record["identical_answers"] is True
     assert record["worker_deaths"] >= 1
     assert record["respawn_completed"] is True
+    assert record["final_epoch"] \
+        == 1 + record["worker_deaths"] + record["respawns"]
 
 
 # ----------------------------------------------------------------------
@@ -223,8 +226,7 @@ def main(argv=None) -> int:
           f"batches={record['batches']} cpus={record['cpu_count']}")
     print(f"  kill worker {record['kill_worker']} at batch "
           f"{record['kill_batch']}: deaths={record['worker_deaths']} "
-          f"respawns={record['respawns']} epoch={record['final_epoch']} "
-          f"migrated={record['migrated_pairs']}")
+          f"respawns={record['respawns']} epoch={record['final_epoch']}")
     print(f"  identity={record['identical_answers']} "
           f"qps={record['qps']} "
           f"baseline {record['baseline_batch_ms']}ms/batch, "
@@ -268,9 +270,16 @@ def main(argv=None) -> int:
         print(f"FAIL: no respawn completed "
               f"(respawns={record['respawns']})")
         failed = True
+    if record["final_epoch"] != 1 + record["worker_deaths"] \
+            + record["respawns"]:
+        print(f"FAIL: epoch {record['final_epoch']} != 1 + deaths "
+              f"{record['worker_deaths']} + respawns {record['respawns']}: "
+              f"something other than a death or a rejoin published a table")
+        failed = True
     if failed:
         return 1
-    print("gate ok: identical answers, death observed, respawn completed")
+    print("gate ok: identical answers, death observed, respawn completed, "
+          "epoch = 1 + deaths + respawns")
     return 0
 
 

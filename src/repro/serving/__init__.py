@@ -25,14 +25,12 @@ The public surface (API v2) is one typed contract:
   serving its partition from the same artifact;
 * :mod:`repro.serving.worker`    — one such worker: the framed pipes, the
   process's main loop and its parent-side ``Worker`` endpoint;
-* :mod:`repro.serving.fleet`     — the :class:`FleetSupervisor` elastic
+* :mod:`repro.serving.fleet`     — the :class:`FleetSupervisor` recovery
   policy over the sharded backend (``ServingConfig.fleet``): worker
-  respawn with sibling cover, a heartbeat for hung workers, windowed load
-  rebalancing through an epoch-versioned routing table, and
-  queue-depth-driven scaling between ``min_workers`` and ``max_workers``
-  (with ``heartbeat_interval`` and ``respawn_limit``, the four
-  :class:`FleetConfig` fields; every other threshold is a module
-  constant there);
+  respawn with sibling cover through an epoch-versioned routing table and
+  a heartbeat for hung workers (``heartbeat_interval`` and
+  ``respawn_limit`` are the two :class:`FleetConfig` fields; the hang
+  timeout is a module constant there);
 * :mod:`repro.serving.cache`     — LRU result caching and the
   :class:`ServingStats` counters;
 * :mod:`repro.serving.partitioners` — shard partitioners (round-robin,
@@ -98,7 +96,6 @@ from .fleet import (
     FleetConfig,
     FleetError,
     FleetSupervisor,
-    HitRateWindow,
     RoutingEpoch,
 )
 from .partitioners import Partitioner, make_partitioner, partition_pairs
@@ -183,7 +180,6 @@ __all__ = [
     "FleetConfig",
     "FleetError",
     "FleetSupervisor",
-    "HitRateWindow",
     "RoutingEpoch",
     # transport: wire protocol, sessions, server
     "PROTOCOL_VERSION",

@@ -183,17 +183,12 @@ FLAGS: Tuple[Flag, ...] = (
          "raises BackpressureError",
          choices=("block", "reject")),
     Flag("--fleet", "fleet",
-         "supervise the shard workers as an elastic fleet: dead workers "
-         "are respawned while siblings cover their partition, and the "
-         "worker count scales between --min-workers and --max-workers on "
-         "sustained queue depth (--workers > 1; answers stay identical)"),
-    Flag("--min-workers", "min_workers",
-         "fleet scale-down floor (--fleet; default 1)"),
-    Flag("--max-workers", "max_workers",
-         "fleet scale-up ceiling (--fleet; default --workers)"),
+         "supervise the shard workers for recovery: a dead or hung worker "
+         "is respawned while its siblings cover its partition (--workers "
+         "> 1; the worker count never changes; answers stay identical)"),
     Flag("--heartbeat-interval", "heartbeat_interval",
-         "fleet supervisor beat period in seconds (--fleet): hang "
-         "checks, respawns and scaling decisions happen on this cadence"),
+         "fleet supervisor beat period in seconds (--fleet): hang checks "
+         "and respawns happen on this cadence"),
     Flag("--respawn-limit", "respawn_limit",
          "worker respawns tolerated before the fleet degrades to a "
          "FleetError (--fleet)"),

@@ -192,12 +192,11 @@ class ServingConfig:
     :class:`~repro.serving.wire.BackpressureError`.
     ``fleet`` puts the sharded front-end under a
     :class:`~repro.serving.fleet.FleetSupervisor`: dead workers are
-    respawned (``respawn_limit`` deaths tolerated; respawns, hang checks
-    and scaling run every ``heartbeat_interval`` seconds) while siblings
-    cover their partition from the moment the death is seen,
-    and the worker count scales between ``min_workers`` and
-    ``max_workers`` on sustained queue depth; these four fields are the
-    fleet's :class:`~repro.serving.fleet.FleetConfig`
+    respawned (``respawn_limit`` deaths tolerated; respawns and hang
+    checks run every ``heartbeat_interval`` seconds) while siblings cover
+    their partition from the moment the death is seen; the worker count
+    never changes.  These two fields are the fleet's
+    :class:`~repro.serving.fleet.FleetConfig`
     (:meth:`fleet_config`).  Fleet mode requires
     ``workers >= 2`` and a source-partitioning strategy
     (``partitioner="hash_source"``).
@@ -221,8 +220,6 @@ class ServingConfig:
     warm_timeout: float = 120.0
     reply_timeout: float = 300.0
     fleet: bool = False
-    min_workers: Optional[int] = None
-    max_workers: Optional[int] = None
     heartbeat_interval: float = 0.5
     respawn_limit: int = 3
     build: BuildConfig = field(default_factory=BuildConfig)
@@ -259,11 +256,7 @@ class ServingConfig:
         if self.kind not in ("route", "distance"):
             raise ValueError(f"kind must be route or distance, "
                              f"got {self.kind!r}")
-        if not self.fleet and (self.min_workers is not None
-                               or self.max_workers is not None):
-            raise ValueError("min_workers/max_workers only apply with "
-                             "fleet=True")
-        fleet = self.fleet_config()
+        self.fleet_config()
         if self.fleet:
             if self.workers < 2:
                 raise ValueError(
@@ -272,7 +265,6 @@ class ServingConfig:
             if self.connect is not None:
                 raise ValueError("fleet=True is a deployment-side option; "
                                  "connect sessions cannot request it")
-            fleet.worker_bounds(self.workers)
         for name, value in (("build", self.build), ("cache", self.cache),
                             ("workload", self.workload)):
             expected = {"build": BuildConfig, "cache": CacheConfig,
@@ -306,8 +298,6 @@ class ServingConfig:
         from .fleet import FleetConfig
 
         return FleetConfig(
-            min_workers=1 if self.min_workers is None else self.min_workers,
-            max_workers=self.max_workers,
             heartbeat_interval=self.heartbeat_interval,
             respawn_limit=self.respawn_limit)
 

@@ -21,8 +21,9 @@ same :class:`Partitioner` around three shard-key functions:
   query whose source rows it lacks.
 
 Partitioning is deterministic — the same query stream produces the same
-shard assignment — so sharded serving stays reproducible.  Rebalancing on
-observed per-shard hit rates lives in one place, the fleet supervisor
+shard assignment — so sharded serving stays reproducible.  Nothing moves a
+source to another live shard; only a dead worker's sources are covered by
+its siblings, through the fleet supervisor's table
 (:mod:`repro.serving.fleet`).
 """
 

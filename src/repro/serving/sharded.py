@@ -320,8 +320,8 @@ class ShardedRoutingService:
         # reused while the collector might still hold a stale reference.
         self._retired: List[Worker] = []
         # (result pipes, task pipes) the collector selects on.  Set to
-        # None under ``_lock`` wherever an endpoint is installed; a parked
-        # or dead worker's result pipe drops out when it reaches EOF (see
+        # None under ``_lock`` wherever an endpoint is installed; a dead
+        # worker's result pipe drops out when it reaches EOF (see
         # _live_pipes).
         self._pipe_snapshot: Optional[Tuple[List, List]] = None
         self._next_probe = 0.0      # the clocked is_alive() backstop
@@ -342,10 +342,10 @@ class ShardedRoutingService:
         self._collector_stop = threading.Event()
         self._failure: Optional[ShardError] = None
         self._close_lock = threading.Lock()
-        # Fleet mode: a FleetSupervisor decides respawns, rebalancing and
-        # scaling, and replaces the static partitioner with its
-        # epoch-versioned routing table.  Imported lazily so the base
-        # sharded path never touches the fleet module.
+        # Fleet mode: a FleetSupervisor decides respawns and replaces the
+        # static partitioner with its epoch-versioned routing table.
+        # Imported lazily so the base sharded path never touches the fleet
+        # module.
         self._fleet = None
         if fleet is not None:
             from .fleet import FleetConfig, FleetSupervisor
@@ -430,22 +430,16 @@ class ShardedRoutingService:
         (the first waiter to see it closes the service)."""
         return self._closed or self._failure is not None
 
-    @property
-    def batches_in_flight(self) -> int:
-        return len(self._tickets)
-
     def _spawn(self, worker_id: int) -> Worker:
         """Spawn the process for slot ``worker_id``; the caller installs it.
 
-        The slot loads its sub-artifact slice when one exists for it
-        (dynamic fleet slots past the base set always load the full
-        artifact).  In fleet mode a sliced worker also gets the parent
-        artifact as its cover path, so it can answer out-of-slice queries
-        while a sibling is down.
+        The slot loads its sub-artifact slice when there are slices.  In
+        fleet mode a sliced worker also gets the parent artifact as its
+        cover path, so it can answer out-of-slice queries while a sibling
+        is down.
         """
         artifact, slice_spec, cover = self.artifact_path, None, None
-        if (self.sub_artifact_paths is not None
-                and worker_id < len(self.sub_artifact_paths)):
+        if self.sub_artifact_paths is not None:
             artifact = self.sub_artifact_paths[worker_id]
             slice_spec = (worker_id, len(self.sub_artifact_paths))
             cover = self.artifact_path if self._fleet is not None else None
@@ -453,15 +447,9 @@ class ShardedRoutingService:
                             self.cache_config, self.kernel, self.telemetry,
                             cover, slice_spec)
 
-    def reserve_slot(self) -> int:
-        """Append a reserved (dead, processless) slot, so the
-        ``worker_id == index`` invariant holds before its spawn."""
-        self._workers.append(Worker(len(self._workers)))
-        return len(self._workers) - 1
-
     def install_worker(self, worker_id: int) -> bool:
-        """Spawn a fresh ``warming`` worker into a dead, reserved or parked
-        slot; its ``ready`` arrives through the collector.  The spawn runs
+        """Spawn a fresh ``warming`` worker into a dead slot; its
+        ``ready`` arrives through the collector.  The spawn runs
         outside the lock, only the swap is locked.  False once closed."""
         fresh = self._spawn(worker_id)
         fresh.state = "warming"
@@ -477,13 +465,6 @@ class ShardedRoutingService:
             self._pipe_snapshot = None
             self._inflight[worker_id] = 0
         return True
-
-    def park_worker(self, worker: Worker) -> None:
-        """Scale-down: stop targeting ``worker`` and ask it to exit.  The
-        task pipe is FIFO, so it answers everything already queued before
-        its ``bye`` (whose snapshot lands in ``final_stats``)."""
-        worker.state = "parked"
-        worker.shutdown()
 
     def worker_died(self, worker: Worker, why: str) -> None:
         """The one death path: ``worker`` will never answer again.
@@ -624,8 +605,8 @@ class ShardedRoutingService:
             if not self._started:
                 return []
             if self._fleet is not None:
-                # Stop the supervisor first: no respawn or scale decision
-                # may race the teardown below.
+                # Stop the supervisor first: no respawn may race the
+                # teardown below.
                 self._fleet.stop()
             deadline = time.monotonic() + timeout
             if drain:
@@ -640,12 +621,6 @@ class ShardedRoutingService:
             if drain:
                 expecting = {w.worker_id for w in self._workers
                              if w.is_alive() and w.shutdown()}
-                # A parked worker said "bye" when it was scaled down; one
-                # that died before it could has no snapshot and will not
-                # send one.
-                silent = {w.worker_id for w in self._workers
-                          if w.state == "parked"
-                          and w.final_stats is None} - expecting
                 while expecting and time.monotonic() < deadline:
                     message = self._next_message(timeout=0.05)
                     if message is None:
@@ -656,18 +631,13 @@ class ShardedRoutingService:
                     if message[0] == "bye":
                         final_stats.append(message[2])
                         expecting.discard(message[1])
-                        silent.discard(message[1])
                 # Stragglers past the deadline get terminated below and
-                # their final snapshots are lost, like those of the silent
-                # parked workers; record who, so merged_stats can say its
-                # totals are incomplete instead of silently under-counting.
-                # Parked workers that did say "bye" carry their snapshot on
-                # the slot — fold those in; dead slots never made it into
+                # their final snapshots are lost; record who, so
+                # merged_stats can say its totals are incomplete instead of
+                # silently under-counting.  Dead slots never made it into
                 # ``expecting`` (their process was gone) and are expected
                 # to be missing.
-                final_stats.extend(w.final_stats for w in self._workers
-                                   if w.final_stats is not None)
-                self._undrained_workers = sorted(expecting | silent)
+                self._undrained_workers = sorted(expecting)
             # Drained workers were asked to exit and get a moment to; on
             # the fail-stop path nobody was asked, so don't wait.
             for worker in self._workers + self._retired:
@@ -749,8 +719,8 @@ class ShardedRoutingService:
 
         Cached: a message costs no lock and no list build.  Rebuilt after
         an invalidation (an endpoint was installed) or once a result pipe
-        in the snapshot is exhausted — EOF from a parked or dead worker,
-        or a respawn retiring it — which would otherwise read as ready
+        in the snapshot is exhausted — EOF from a dead worker, or a
+        respawn retiring it — which would otherwise read as ready
         forever.
         """
         snapshot = self._pipe_snapshot
@@ -845,18 +815,14 @@ class ShardedRoutingService:
             worker = self._workers[worker_id]
             if tag == "stats":
                 self._fill_stats(worker_id, message[2])
-            elif tag == "bye":
-                if worker.state == "parked":
-                    worker.final_stats = message[2]
             elif self._fleet is None or self.closed:
                 return  # nobody to tell (start() consumed its own warm-up)
             elif tag == "pong":
                 self._fleet.pong(worker_id)
             elif tag == "ready" and worker.state == "warming":
-                # A respawned, unparked or scaled-up worker finished
-                # warming: route to it, starting with what was deferred.
+                # A respawned worker finished warming: route to it,
+                # starting with what was deferred.
                 worker.state = "alive"
-                worker.final_stats = None
                 self._fleet.worker_ready(worker_id)
                 self._reassign(_DEFERRED_SLOT)
                 self._can_submit.notify_all()
@@ -943,7 +909,9 @@ class ShardedRoutingService:
                 assignments = [(worker_id, shard) for worker_id, shard
                                in enumerate(shards) if shard]
             elif self._fleet.table.routable:
-                epoch, assignments = self._fleet.partition(pairs)
+                table = self._fleet.table
+                epoch = table.epoch
+                assignments = table.assign(enumerate(pairs))
             partition_seconds = time.perf_counter() - scatter_start
             wait_start = time.perf_counter()
             while True:
@@ -952,17 +920,18 @@ class ShardedRoutingService:
                 if self._closed:
                     raise ShardError("sharded service is closed")
                 if self._fleet is not None:
-                    # Never race a migration or a death: the routing table
-                    # is epoch-versioned and partitioning happens under
-                    # the same lock that publishes it, so re-partition if
-                    # the epoch moved while this submitter waited.  (The
+                    # Never race a death or a rejoin: the routing table is
+                    # epoch-versioned and partitioning happens under the
+                    # same lock that publishes it, so re-partition if the
+                    # epoch moved while this submitter waited.  (The
                     # static-partitioner path partitions exactly once —
                     # round_robin is stateful — and its worker set never
                     # changes.)
                     table = self._fleet.table
                     routable = bool(table.routable)
                     if routable and epoch != table.epoch:
-                        epoch, assignments = self._fleet.partition(pairs)
+                        epoch = table.epoch
+                        assignments = table.assign(enumerate(pairs))
                 else:
                     routable = True
                 targets = [worker_id for worker_id, _ in assignments]
@@ -1055,11 +1024,11 @@ class ShardedRoutingService:
         with self._can_submit:
             if self._failure is not None:
                 raise self._failure
-            # Only serving workers are asked; dead/warming/parked slots get
+            # Only serving workers are asked; dead/warming slots get
             # placeholders below so the list stays aligned with the slot
-            # order (the fleet rebalancer indexes it by shard).  The death
-            # path fills in for a worker that dies mid-request, so this
-            # cannot hang on a slot that will never answer.
+            # order.  The death path fills in for a worker that dies
+            # mid-request, so this cannot hang on a slot that will never
+            # answer.
             queried = [w for w in self.serving if w.is_alive()]
             waiter = {"remaining": {w.worker_id for w in queried},
                       "snapshots": {}, "done": threading.Event(),
@@ -1082,15 +1051,8 @@ class ShardedRoutingService:
             error = waiter["error"]
             self._abort()
             raise error
-        out: List[ServingStats] = []
-        for worker in self._workers:
-            snapshot = waiter["snapshots"].get(worker.worker_id)
-            if snapshot is None:
-                snapshot = (worker.final_stats
-                            if worker.final_stats is not None
-                            else ServingStats())
-            out.append(snapshot)
-        return out
+        return [waiter["snapshots"].get(worker.worker_id, ServingStats())
+                for worker in self._workers]
 
     def merged_stats(self) -> ServingStats:
         """One aggregate :class:`ServingStats` over all workers.

@@ -346,14 +346,11 @@ def _shard_worker(worker_id: int, artifact_path: str,
 class Worker:
     """Parent-side endpoint of one worker: its process and the parent ends
     of its two private pipes — ``tasks`` (written) and ``results`` (read).
-    ``Worker(worker_id)`` with no process reserves a fleet slot index.
 
     ``state`` is the slot lifecycle, written by the front-end only
     (always ``"alive"`` outside fleet mode, until the worker dies):
-    ``alive`` → serving; ``warming`` → spawned, loading its artifact;
-    ``dead`` → exited unexpectedly or merely reserved, awaiting a spawn;
-    ``parked`` → scaled down deliberately (its last snapshot survives in
-    ``final_stats``).
+    ``alive`` → serving; ``warming`` → respawned, loading its artifact;
+    ``dead`` → exited unexpectedly, awaiting a respawn.
 
     The four requests frame one message onto the task pipe and never
     block, so they are safe under the service lock — which is what keeps
@@ -364,8 +361,7 @@ class Worker:
     ``exhausted``); the ``OSError`` never escapes.
     """
 
-    __slots__ = ("worker_id", "process", "tasks", "results", "state",
-                 "final_stats")
+    __slots__ = ("worker_id", "process", "tasks", "results", "state")
 
     def __init__(self, worker_id: int, process=None,
                  tasks: Optional[_FramedPipe] = None,
@@ -376,7 +372,6 @@ class Worker:
         self.tasks = tasks
         self.results = results
         self.state = state
-        self.final_stats: Optional[ServingStats] = None
 
     @classmethod
     def spawn(cls, ctx, worker_id: int, artifact_path: str,

@@ -1,11 +1,12 @@
-"""Elastic fleet: chaos recovery, epoch routing, scaling, failure semantics.
+"""Fleet recovery: chaos kills, epoch routing, respawns, failure semantics.
 
 The chaos tests SIGKILL a live worker process mid-stream and assert the
 fleet's one hard contract: every answer stays list-for-list identical to
 single-process serving, with the death and the respawn visible in the
 supervisor counters.  The unit tests pin the deterministic pieces — the
 epoch table, the config validation, the typed degradation when the
-respawn budget runs out — without needing worker processes at all.
+respawn budget runs out — without needing worker processes at all.  The
+fleet never changes its worker count: an idle fleet keeps every worker.
 """
 
 import dataclasses
@@ -24,7 +25,6 @@ from repro.serving import (
     FleetConfig,
     FleetError,
     FleetSupervisor,
-    HitRateWindow,
     RoutingEpoch,
     RoutingService,
     ServingConfig,
@@ -87,102 +87,33 @@ def wait_for(predicate, deadline=20.0, message="condition"):
     raise AssertionError(f"timed out waiting for {message}")
 
 
-class TestHitRateWindow:
-    def test_small_windows_accumulate_instead_of_being_consumed(
-            self, monkeypatch):
-        """Regression: sub-threshold windows used to advance the hit/miss
-        baselines, so with small batches the deltas never summed past
-        ``MIN_WINDOW`` and the rebalancer stayed inert forever."""
-        monkeypatch.setattr(fleet_module, "MIN_WINDOW", 100)
-        window = HitRateWindow(2)
-        # Cumulative worker counters grow a little at a time; each single
-        # window is below MIN_WINDOW.
-        assert window.rates([ServingStats(cache_hits=1, cache_misses=24),
-                             ServingStats(cache_hits=24, cache_misses=1)]) \
-            is None
-        # Accumulated window is now 120 >= 100: rates over the whole delta.
-        assert window.rates([ServingStats(cache_hits=2, cache_misses=58),
-                             ServingStats(cache_hits=58, cache_misses=2)]) \
-            == [2 / 60, 58 / 60]
-        # The baseline advanced: the next window starts from zero again.
-        assert window.rates([ServingStats(cache_hits=3, cache_misses=59),
-                             ServingStats(cache_hits=59, cache_misses=3)]) \
-            is None
-
-    def test_default_threshold_is_min_window_probes(self):
-        window = HitRateWindow(2)
-        assert window.rates([ServingStats(cache_hits=30, cache_misses=1),
-                             ServingStats(cache_hits=30, cache_misses=2)]) \
-            is None
-        assert window.rates([ServingStats(cache_hits=30, cache_misses=2),
-                             ServingStats(cache_hits=30, cache_misses=2)]) \
-            == [30 / 32, 30 / 32]
-
-    def test_restarted_worker_counts_its_lifetime_totals(self, monkeypatch):
-        monkeypatch.setattr(fleet_module, "MIN_WINDOW", 1)
-        window = HitRateWindow(2)
-        assert window.rates([ServingStats(cache_hits=40, cache_misses=10),
-                             ServingStats(cache_hits=10, cache_misses=40)]) \
-            == [0.8, 0.2]
-        # Shard 0's counters went backwards: its worker restarted, so the
-        # window for it is everything the new worker has counted.
-        assert window.rates([ServingStats(cache_hits=3, cache_misses=1),
-                             ServingStats(cache_hits=20, cache_misses=40)]) \
-            == [0.75, 1.0]
-
-    def test_stats_for_another_shard_count_are_ignored(self, monkeypatch):
-        monkeypatch.setattr(fleet_module, "MIN_WINDOW", 1)
-        window = HitRateWindow(2)
-        assert window.rates([ServingStats(cache_hits=50, cache_misses=50)]) \
-            is None
-        window.resize(3)
-        assert window.rates([ServingStats(cache_hits=1, cache_misses=1)] * 3) \
-            == [0.5, 0.5, 0.5]
-
-
 class TestPolicyConstants:
-    """The fleet policy's fixed numbers, which no setting reaches."""
+    """The fleet policy's one fixed number, which no setting reaches."""
 
     @pytest.mark.parametrize("name, value", [
         ("HANG_TIMEOUT", 30.0),
-        ("SCALE_UP_DEPTH", 0.75),
-        ("SCALE_DOWN_DEPTH", 0.25),
-        ("SUSTAIN_BEATS", 4),
-        ("FEEDBACK_EVERY", 4),
-        ("MIGRATE_FRACTION", 0.25),
-        ("MIN_WINDOW", 64),
     ])
     def test_value(self, name, value):
         assert getattr(fleet_module, name) == value
 
     def test_values_are_coherent(self):
-        assert fleet_module.HANG_TIMEOUT > 0
-        assert 0 <= fleet_module.SCALE_DOWN_DEPTH \
-            < fleet_module.SCALE_UP_DEPTH <= 1
-        assert fleet_module.SUSTAIN_BEATS >= 1
-        assert fleet_module.FEEDBACK_EVERY >= 1
-        assert 0 < fleet_module.MIGRATE_FRACTION <= 1
-        assert fleet_module.MIN_WINDOW >= 1
+        # A hang is many missed beats at the default cadence, never one
+        # late pong.
+        assert fleet_module.HANG_TIMEOUT \
+            > 10 * FleetConfig().heartbeat_interval
 
 
 class TestRoutingEpoch:
     NODES = list(range(40)) + ["core0", "pod1-edge0-host2"]
 
     def test_base_slot_is_source_hash(self):
-        table = RoutingEpoch(1, 4, {}, (0, 1, 2, 3))
+        table = RoutingEpoch(1, 4, (0, 1, 2, 3))
         for node in self.NODES:
             assert table.slot_of(node) == stable_node_hash(node) % 4
 
-    def test_override_redirects(self):
-        moved = self.NODES[0]
-        table = RoutingEpoch(2, 4, {moved: 3}, (0, 1, 2, 3))
-        assert table.slot_of(moved) == 3
-        untouched = self.NODES[1]
-        assert table.slot_of(untouched) == stable_node_hash(untouched) % 4
-
     def test_dead_slot_falls_back_deterministically(self):
-        full = RoutingEpoch(1, 4, {}, (0, 1, 2, 3))
-        holed = RoutingEpoch(2, 4, {}, (0, 2, 3))
+        full = RoutingEpoch(1, 4, (0, 1, 2, 3))
+        holed = RoutingEpoch(2, 4, (0, 2, 3))
         for node in self.NODES:
             slot = holed.slot_of(node)
             assert slot in (0, 2, 3)
@@ -192,12 +123,24 @@ class TestRoutingEpoch:
             # Deterministic: same table, same answer.
             assert holed.slot_of(node) == slot
 
-    def test_override_to_dead_slot_falls_back(self):
-        table = RoutingEpoch(3, 4, {self.NODES[0]: 1}, (0, 2))
-        assert table.slot_of(self.NODES[0]) in (0, 2)
+    def test_dead_slot_is_shared_by_its_siblings(self):
+        """A dead slot's sources spread over every survivor instead of
+        piling onto one of them."""
+        holed = RoutingEpoch(2, 4, (0, 2, 3))
+        orphans = [node for node in range(400)
+                   if stable_node_hash(node) % 4 == 1]
+        assert {holed.slot_of(node) for node in orphans} == {0, 2, 3}
+
+    def test_routable_is_kept_sorted(self):
+        """The fallback indexes ``routable``, so its order is the table's,
+        not the order the slots were listed in."""
+        table = RoutingEpoch(1, 3, (2, 0, 1))
+        assert table.routable == (0, 1, 2)
+        assert repr(table) == \
+            "RoutingEpoch(epoch=1, base_slots=3, routable=[0, 1, 2])"
 
     def test_empty_routable_raises_typed_error(self):
-        table = RoutingEpoch(4, 4, {}, ())
+        table = RoutingEpoch(4, 4, ())
         with pytest.raises(FleetError, match="no routable workers"):
             table.slot_of(self.NODES[0])
 
@@ -205,48 +148,34 @@ class TestRoutingEpoch:
 class TestConfigValidation:
     def test_fleet_config_defaults_valid(self):
         assert dataclasses.asdict(FleetConfig()) == {
-            "min_workers": 1, "max_workers": None,
             "heartbeat_interval": 0.5, "respawn_limit": 3}
 
     @pytest.mark.parametrize("bad", [
-        {"min_workers": 0},
-        {"max_workers": 1, "min_workers": 2},
         {"heartbeat_interval": 0.0},
+        {"heartbeat_interval": -0.5},
         {"respawn_limit": -1},
     ])
     def test_fleet_config_rejects(self, bad):
         with pytest.raises(ValueError):
             FleetConfig(**bad)
 
-    def test_worker_bounds_default_to_the_initial_count(self):
-        assert FleetConfig().worker_bounds(3) == (1, 3)
-        assert FleetConfig(min_workers=2, max_workers=6).worker_bounds(3) \
-            == (2, 6)
-
     def test_serving_config_sets_every_fleet_field(self):
-        config = ServingConfig(workers=3, fleet=True, min_workers=2,
-                               max_workers=5, heartbeat_interval=0.2,
+        config = ServingConfig(workers=3, fleet=True, heartbeat_interval=0.2,
                                respawn_limit=7)
         assert config.fleet_config() == FleetConfig(
-            min_workers=2, max_workers=5, heartbeat_interval=0.2,
-            respawn_limit=7)
+            heartbeat_interval=0.2, respawn_limit=7)
+
+    @pytest.mark.parametrize("bad", [
+        {"heartbeat_interval": 0.0},
+        {"respawn_limit": -1},
+    ])
+    def test_serving_config_validates_fleet_fields(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ServingConfig(workers=3, fleet=True, **bad)
 
     def test_serving_config_fleet_needs_workers(self):
         with pytest.raises(ValueError, match="workers >= 2"):
             ServingConfig(workers=1, fleet=True)
-
-    def test_serving_config_bounds_need_fleet(self):
-        with pytest.raises(ValueError, match="only apply with"):
-            ServingConfig(workers=2, min_workers=1)
-        with pytest.raises(ValueError, match="only apply with"):
-            ServingConfig(workers=2, max_workers=4)
-
-    def test_serving_config_bounds_validated(self):
-        with pytest.raises(ValueError, match="min_workers"):
-            ServingConfig(workers=2, fleet=True, min_workers=3)
-        with pytest.raises(ValueError, match="max_workers"):
-            ServingConfig(workers=4, fleet=True, min_workers=2,
-                          max_workers=1)
 
     def test_sharded_rejects_fleet_misuse(self, artifact_path):
         with pytest.raises(ValueError, match="num_workers >= 2"):
@@ -266,14 +195,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="FleetConfig or None"):
             ShardedRoutingService(artifact_path, num_workers=2,
                                   partitioner="hash_source", fleet=fleet)
-
-    def test_min_workers_capped_by_initial_count(self, artifact_path):
-        with pytest.raises(ValueError, match="initial"):
-            ShardedRoutingService(artifact_path, num_workers=2,
-                                  partitioner="hash_source",
-                                  fleet=FleetConfig(min_workers=3,
-                                                    max_workers=5))
-
 
 class TestPendingRequestIds:
     """Satellite: a latched ShardError names the in-flight batches."""
@@ -393,10 +314,8 @@ class TestChaosRecovery:
             assert len(doomed) == 1 and not doomed[0].is_alive()
             assert sharded._fleet._respawns_started == 2
         assert routes == expected
-        # Not the exact map: on a loaded host the autoscaler may by now
-        # have parked an idle sibling (min_workers is 1 here).
-        assert status["workers"]["1"] == "alive"
-        assert "warming" not in status["workers"].values()
+        assert status["workers"] == {"0": "alive", "1": "alive",
+                                     "2": "alive"}
         assert status["worker_deaths"] == 1     # the warm-up death is a
         assert status["respawns"] == 1          # failed respawn, not a death
 
@@ -439,84 +358,158 @@ class TestChaosRecovery:
         assert telemetry["fleet_respawns"]["value"] >= 1
         assert telemetry["respawn"]["type"] == "histogram"
         assert telemetry["respawn"]["count"] >= 1
-        assert telemetry["fleet_queue_depth"]["type"] == "gauge"
+        assert telemetry["queue_depth"]["type"] == "histogram"
+        assert telemetry["queue_depth"]["count"] >= 2
 
-
-class TestElasticScaling:
-    def test_scale_down_then_up_preserves_answers(self, fleet_graph,
-                                                  artifact_path,
-                                                  reference_service):
-        """Drive the scaling transitions directly (deterministically)."""
-        workload = make_workload("uniform", fleet_graph, 150, seed=13)
-        expected = reference_service.distance_batch(workload.pairs)
-        with open_fleet(artifact_path, num_workers=3,
-                        min_workers=1, max_workers=3) as sharded:
-            fleet = sharded._fleet
-            first = sharded.distance_batch(workload.pairs[:50])
-
-            fleet._scale_down(sharded)
-            states = [h.state for h in sharded._workers]
-            assert states.count("parked") == 1
-            assert fleet.scale_downs == 1
-            wait_for(lambda: sharded._workers[2].final_stats is not None,
-                     message="parked worker's bye")
-            second = sharded.distance_batch(workload.pairs[50:100])
-
-            fleet._scale_up(sharded)
-            fleet._run_respawns(sharded)
-            wait_for(lambda: fleet.scale_ups >= 1, message="unpark")
-            assert all(h.state == "alive" for h in sharded._workers)
-            third = sharded.distance_batch(workload.pairs[100:])
-            status = fleet.status()
-        assert first + second + third == expected
-        assert status["scale_downs"] == 1 and status["scale_ups"] == 1
+    def test_two_deaths_both_recover(self, fleet_graph, artifact_path,
+                                     reference_service):
+        workload = make_workload("zipf", fleet_graph, 240, seed=19)
+        expected = reference_service.route_batch(workload.pairs)
+        with open_fleet(artifact_path, num_workers=3) as sharded:
+            routes = sharded.route_batch(workload.pairs[:80])
+            kill_worker(sharded, 0)
+            routes += sharded.route_batch(workload.pairs[80:160])
+            kill_worker(sharded, 2)
+            routes += sharded.route_batch(workload.pairs[160:])
+            wait_for(lambda: sharded._fleet.respawns >= 2,
+                     message="both respawns")
+            status = sharded._fleet.status()
+        assert routes == expected
+        assert (status["worker_deaths"], status["respawns"]) == (2, 2)
+        assert status["workers"] == {"0": "alive", "1": "alive",
+                                     "2": "alive"}
 
     @watchdog(60.0)
-    def test_parked_worker_killed_before_its_bye_is_reported(
-            self, fleet_graph, artifact_path):
-        """Its final snapshot is lost; the merged totals used to
-        under-count without saying so."""
-        workload = make_workload("uniform", fleet_graph, 150, seed=13)
-        sharded = open_fleet(artifact_path, num_workers=3,
-                             min_workers=1, max_workers=3)
-        with sharded:
-            sharded.distance_batch(workload.pairs)
-            before = sharded.worker_stats()
-            victim = sharded._workers[2]
-            # Stopped first, so the shutdown request lands in its task
-            # pipe and it cannot say bye.
-            os.kill(victim.process.pid, signal.SIGSTOP)
-            sharded._fleet._scale_down(sharded)
-            assert victim.state == "parked"
-            kill_worker(sharded, 2)
-        merged = sharded.merged_stats()
-        assert victim.final_stats is None
-        assert merged.extra["undrained_workers"] == [2]
-        assert before[2].queries > 0
-        assert merged.queries == before[0].queries + before[1].queries
-        assert merged.extra["merged_from"] == 2
-
-    def test_dynamic_slot_beyond_base_count(self, fleet_graph,
-                                            artifact_path,
-                                            reference_service):
-        """A scale-up past the initial count spawns a fresh dynamic slot."""
-        workload = make_workload("zipf", fleet_graph, 150, seed=21)
+    def test_batch_in_flight_when_every_worker_dies_waits_for_a_rejoin(
+            self, fleet_graph, artifact_path, reference_service):
+        """With no routable slot left, the dead slots' unanswered shards
+        are stashed, and the first worker to turn ready answers them."""
+        workload = make_workload("uniform", fleet_graph, 60, seed=23)
         expected = reference_service.distance_batch(workload.pairs)
-        with open_fleet(artifact_path, num_workers=2,
-                        max_workers=3) as sharded:
-            fleet = sharded._fleet
-            first = sharded.distance_batch(workload.pairs[:75])
-            fleet._scale_up(sharded)
-            fleet._run_respawns(sharded)
-            wait_for(lambda: fleet.scale_ups >= 1, message="dynamic spawn")
-            assert len(sharded._workers) == 3
-            assert sharded._workers[2].state == "alive"
-            second = sharded.distance_batch(workload.pairs[75:])
-            status = fleet.status()
+        with open_fleet(artifact_path, num_workers=2) as sharded:
+            for worker in sharded._workers:
+                # Stopped first, so the batch lands in their task pipes.
+                os.kill(worker.process.pid, signal.SIGSTOP)
+            ticket = sharded.submit_batch("distance", workload.pairs)
+            kill_worker(sharded, 0)
+            kill_worker(sharded, 1)
+            answers = sharded.wait_batch(ticket)
+            status = sharded._fleet.status()
+        assert answers == expected
+        assert status["worker_deaths"] == 2 and status["respawns"] >= 1
+
+    @watchdog(60.0)
+    def test_hung_worker_is_replaced_and_its_batch_answered(
+            self, fleet_graph, artifact_path, reference_service,
+            monkeypatch):
+        """A worker that is alive but stuck answers no pings: the beat
+        reports it dead, its shard is re-scattered to its siblings, and a
+        fresh worker takes the slot."""
+        import repro.serving.worker as worker_mod
+
+        def stuck(*args, **kwargs):
+            time.sleep(3600)
+
+        monkeypatch.setattr(fleet_module, "HANG_TIMEOUT", 1.0)
+        workload = make_workload("uniform", fleet_graph, 120, seed=29)
+        expected = reference_service.distance_batch(workload.pairs)
+        with open_fleet(artifact_path, num_workers=3) as sharded:
+            real_spawn, stuck_workers = sharded._spawn, []
+
+            def spawn(worker_id):
+                if stuck_workers:
+                    return real_spawn(worker_id)
+                # The forked child inherits the patched name and blocks
+                # on its first query, while answering pings until then.
+                with monkeypatch.context() as patch:
+                    patch.setattr(worker_mod, "answer_batch", stuck)
+                    stuck_workers.append(real_spawn(worker_id))
+                return stuck_workers[0]
+
+            sharded._spawn = spawn
+            kill_worker(sharded, 1)
+            wait_for(lambda: sharded._fleet.respawns >= 1,
+                     message="the stuck worker turning ready")
+            answers = sharded.distance_batch(workload.pairs)
+            wait_for(lambda: sharded._fleet.respawns >= 2,
+                     message="the stuck worker's replacement")
+            status = sharded._fleet.status()
+        assert answers == expected
+        assert not stuck_workers[0].is_alive()
+        assert (status["worker_deaths"], status["respawns"]) == (2, 2)
+
+
+class TestFixedWorkerCount:
+    """The fleet recovers and does nothing else: no worker is added or
+    shed, and no source moves between live workers."""
+
+    def test_idle_fleet_keeps_every_worker(self, artifact_path):
+        with open_fleet(artifact_path, num_workers=3) as sharded:
+            epoch = sharded._fleet.table.epoch
+            # Pings are sent once per beat: wait out more than ten beats.
+            wait_for(lambda: sharded._fleet._ping_seq >= 12,
+                     message="twelve beats")
+            status = sharded._fleet.status()
+        assert status["workers"] == {"0": "alive", "1": "alive",
+                                     "2": "alive"}
+        assert status["epoch"] == epoch == 1
+
+    @pytest.mark.parametrize("sub_artifacts", [False, True])
+    def test_rejoined_worker_takes_its_partition_back(self, fleet_graph,
+                                                      artifact_path,
+                                                      reference_service,
+                                                      sub_artifacts):
+        workload = make_workload("uniform", fleet_graph, 200, seed=7)
+        expected = reference_service.distance_batch(workload.pairs)
+        with open_fleet(artifact_path, num_workers=3,
+                        sub_artifacts=sub_artifacts) as sharded:
+            first = sharded.distance_batch(workload.pairs[:100])
+            kill_worker(sharded, 1)
+            wait_for(lambda: sharded._fleet.respawns >= 1, message="respawn")
+            second = sharded.distance_batch(workload.pairs[100:])
+            per_worker = sharded.worker_stats()
+            status = sharded._fleet.status()
         assert first + second == expected
-        # The fresh slot was seeded with cold sources via overrides.
-        assert status["overrides"] >= 0
-        assert status["routable"] == [0, 1, 2]
+        own = [pair for pair in workload.pairs[100:]
+               if stable_node_hash(pair[0]) % 3 == 1]
+        # The respawned worker counts from zero: it answered exactly its
+        # own sources of the second batch, and nothing else.
+        assert per_worker[1].queries == len(own) > 0
+        assert status["epoch"] \
+            == 1 + status["worker_deaths"] + status["respawns"] == 3
+
+    def test_dead_slot_reports_empty_stats_in_its_place(self, fleet_graph,
+                                                        artifact_path):
+        """``worker_stats`` stays aligned with the slots while one is down
+        (the respawn waits for a beat that does not come here)."""
+        workload = make_workload("uniform", fleet_graph, 90, seed=2)
+        with open_fleet(artifact_path, num_workers=3,
+                        heartbeat_interval=60.0) as sharded:
+            sharded.distance_batch(workload.pairs)
+            kill_worker(sharded, 1)
+            wait_for(lambda: sharded._fleet.worker_deaths == 1,
+                     message="the death")
+            per_worker = sharded.worker_stats()
+        lost = sum(1 for pair in workload.pairs
+                   if stable_node_hash(pair[0]) % 3 == 1)
+        assert len(per_worker) == 3
+        assert per_worker[1] == ServingStats()
+        assert per_worker[0].queries + per_worker[2].queries \
+            == len(workload.pairs) - lost
+
+
+class StubWorker(Worker):
+    """A slot with no process behind it; it records the pings it is sent."""
+
+    __slots__ = ("pings",)
+
+    def __init__(self, worker_id):
+        super().__init__(worker_id, state="alive")
+        self.pings = []
+
+    def ping(self, seq):
+        self.pings.append(seq)
+        return True
 
 
 class StubFrontEnd:
@@ -526,13 +519,14 @@ class StubFrontEnd:
 
     def __init__(self, num_workers=2, **knobs):
         self.num_workers = num_workers
-        self.pipeline_depth = 8
         self.lock = threading.RLock()
-        self.workers = [Worker(i, state="alive") for i in range(num_workers)]
+        self.workers = [StubWorker(i) for i in range(num_workers)]
         self.closed = False
-        self.batches_in_flight = 0
         self.metrics = make_registry(False)
+        self.artifact_path = None
         self.sub_artifact_paths = None
+        self.build_workers = 1
+        self.failure = None
         self.events = []
         self.fleet = FleetSupervisor(self, FleetConfig(
             heartbeat_interval=60.0, **knobs))
@@ -543,20 +537,17 @@ class StubFrontEnd:
     def serving(self):
         return [w for w in self.workers if w.state == "alive"]
 
-    def reserve_slot(self):
-        self.workers.append(Worker(len(self.workers)))
-        self.events.append(("reserve", len(self.workers) - 1))
-        return len(self.workers) - 1
-
     def install_worker(self, worker_id):
         self.workers[worker_id].state = "warming"
         self.events.append(("install", worker_id))
         return True
 
-    def park_worker(self, worker):
-        self.events.append(("park", worker.worker_id,
-                            self.fleet.table.routable))
-        worker.state = "parked"
+    def worker_died(self, worker, why):
+        self.events.append(("died", worker.worker_id, why))
+        return self.die(worker.worker_id)
+
+    def fail(self, error):
+        self.failure = error
 
     def die(self, worker_id):
         self.workers[worker_id].state = "dead"
@@ -611,52 +602,100 @@ class TestSupervisorPolicy:
         assert isinstance(error, FleetError)
         assert "respawn budget" in str(error) and "gone" in str(error)
 
-    def test_failed_scale_up_is_dropped(self):
-        front = StubFrontEnd(2, max_workers=3, respawn_limit=0)
-        front.fleet._scale_up(front)
-        assert front.installs() == [2]
-        assert front.warm(2, failure="ArtifactError: gone") is None
-        assert front.installs() == []
-        assert front.fleet.status()["scale_ups"] == 0
-
-    def test_scale_up_prefers_a_parked_slot(self):
-        front = StubFrontEnd(3, max_workers=4)
-        front.workers[1].state = "parked"
-        front.fleet._scale_up(front)
-        assert front.installs() == [1] and front.events == []
-        front.warm(1)
-        assert front.fleet.status()["scale_ups"] == 1
-        assert front.fleet.status()["respawns"] == 0
-        front.fleet._scale_up(front)        # nothing parked: a fresh slot
-        assert front.events == [("reserve", 3)]
-        assert front.installs() == [3]
-
-    def test_scale_down_publishes_the_exclusion_before_parking(self):
+    def test_only_start_deaths_and_rejoins_publish(self):
+        """``epoch == 1 + worker_deaths + respawns`` after every event, and
+        respawns run in the order the slots died."""
         front = StubFrontEnd(3)
-        front.fleet._scale_down(front)
-        assert front.events == [("park", 2, (0, 1))]
-        assert front.fleet.status()["scale_downs"] == 1
 
-    def test_scale_down_respects_the_floor(self):
-        front = StubFrontEnd(2, min_workers=2)
-        front.fleet._scale_down(front)
+        def identity():
+            status = front.fleet.status()
+            return status["epoch"] \
+                == 1 + status["worker_deaths"] + status["respawns"]
+
+        assert front.fleet.table.epoch == 1 and identity()
+        front.die(2)
+        assert identity()
+        front.die(0)
+        assert identity()
+        assert front.installs() == [2, 0]
+        front.warm(0)
+        assert identity()
+        front.warm(2)
+        assert identity() and front.fleet.table.epoch == 5
+
+    def test_failed_warm_up_publishes_nothing(self):
+        front = StubFrontEnd(2)
+        front.die(1)
+        assert front.installs() == [1]
+        table = front.fleet.table
+        assert front.warm(1, failure="ArtifactError: gone") is None
+        assert front.fleet.table is table
+        assert front.fleet.status()["respawns"] == 0
+
+    def test_every_slot_dead_empties_the_table_until_a_rejoin(self):
+        front = StubFrontEnd(2)
+        front.die(0)
+        front.die(1)
+        assert front.fleet.table.routable == ()
+        with pytest.raises(FleetError, match="no routable workers"):
+            front.fleet.table.assign([(0, (5, 6))])
+        assert front.installs() == [0, 1]
+        front.warm(1)
+        assert front.fleet.table.routable == (1,)
+        assert front.fleet.table.assign([(0, (5, 6))]) == [(1, [(0, (5, 6))])]
+
+    def test_unregenerable_slice_latches_a_fleet_error(self, tmp_path):
+        """A vanished slice is rebuilt from the parent artifact; when that
+        is gone too, the session fails loudly instead of respawning a
+        worker that cannot load."""
+        front = StubFrontEnd(2)
+        front.artifact_path = str(tmp_path / "gone.artifact")
+        front.sub_artifact_paths = [str(tmp_path / f"gone.{shard}")
+                                    for shard in range(2)]
+        assert front.die(1) is None
+        assert front.installs() == []
+        assert isinstance(front.failure, FleetError)
+        assert "could not regenerate" in str(front.failure)
+        assert "worker 1" in str(front.failure)
+
+    def test_status_is_the_recovery_record(self):
+        front = StubFrontEnd(2, respawn_limit=4)
+        front.die(1)
+        assert front.fleet.status() == {
+            "epoch": 2, "base_slots": 2, "routable": [0],
+            "worker_deaths": 1, "respawns": 0, "respawn_limit": 4,
+            "heartbeat_interval": 60.0,
+            "workers": {"0": "alive", "1": "dead"}}
+
+    def test_pings_go_to_serving_slots_only(self):
+        front = StubFrontEnd(3)
+        front.workers[2].state = "warming"
+        front.fleet._send_pings(front)
+        front.fleet._send_pings(front)
+        assert [w.pings for w in front.workers] == [[1, 2], [1, 2], []]
+
+    def test_only_serving_slots_can_hang(self, monkeypatch):
+        """A warming or dead slot answers no pings; its silence is not a
+        hang."""
+        monkeypatch.setattr(fleet_module, "HANG_TIMEOUT", 0.01)
+        front = StubFrontEnd(3)
+        front.workers[1].state = "warming"
+        front.workers[2].state = "dead"
+        time.sleep(0.05)
+        front.fleet.pong(0)
+        front.fleet._check_hangs(front)
         assert front.events == []
 
-    def test_dynamic_slot_is_seeded_with_its_fair_share(self):
-        """A third worker joining two takes a third of the observed
-        sources (the coldest); the new slot used to be counted twice,
-        which made it a quarter."""
-        front = StubFrontEnd(2, max_workers=3)
-        sources = list(range(12))
-        front.fleet.partition([(s, 0) for s in sources for _ in range(s + 1)])
-        front.fleet._scale_up(front)
-        assert front.installs() == [2]
-        front.warm(2)
-        table = front.fleet.table
-        assert table.routable == (0, 1, 2)
-        assert sorted(table.overrides) == sources[:4]   # 12 // 3, coldest
-        assert set(table.overrides.values()) == {2}
-        assert front.fleet.status()["migrated_pairs"] == 4
+    def test_rejoined_worker_starts_a_fresh_hang_clock(self, monkeypatch):
+        monkeypatch.setattr(fleet_module, "HANG_TIMEOUT", 0.2)
+        front = StubFrontEnd(2)
+        front.die(1)
+        assert front.installs() == [1]
+        time.sleep(0.3)
+        front.fleet.pong(0)
+        front.warm(1)
+        front.fleet._check_hangs(front)
+        assert front.events == []
 
     def test_hung_worker_is_stopped_and_reported(self, monkeypatch):
         monkeypatch.setattr(fleet_module, "HANG_TIMEOUT", 0.01)
@@ -674,7 +713,7 @@ class TestSupervisorPolicy:
 
 class TestRoutingEpochAssign:
     def test_assign_groups_by_slot_in_stream_order(self):
-        table = RoutingEpoch(1, 3, {}, (0, 1, 2))
+        table = RoutingEpoch(1, 3, (0, 1, 2))
         items = list(enumerate((s, s + 1) for s in range(20)))
         assignments = table.assign(items)
         assert [slot for slot, _ in assignments] == sorted(

@@ -117,13 +117,44 @@ def test_request_tuples_are_built_only_by_the_worker_endpoint():
     assert not offences, "\n".join(offences)
 
 
+def _slot_states():
+    """Every string a shard slot's ``state`` is set to or compared with in
+    the sharded front-end, its worker endpoint and the fleet policy."""
+    def strings(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return {node.value}
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return set().union(*map(strings, node.elts))
+        return set()
+
+    def is_state(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "state"
+                or isinstance(node, ast.Name) and node.id == "state")
+
+    found = set()
+    for name in ("fleet.py", "sharded.py", "worker.py"):
+        for node in ast.walk(_serving_tree(name)):
+            if isinstance(node, ast.Assign) and any(map(is_state,
+                                                        node.targets)):
+                found |= strings(node.value)
+            elif isinstance(node, ast.Compare) and is_state(node.left):
+                for comparator in node.comparators:
+                    found |= strings(comparator)
+            elif isinstance(node, ast.keyword) and node.arg == "state":
+                found |= strings(node.value)
+    return found
+
+
 def test_option_census():
     """Every independently settable value of the serving surface, counted:
-    a change that adds a flag, a config field, a registry (or an entry) or
-    a stats field has to edit this test in the same diff, where its
-    reviewer sees it.  PR 20 brought it here from 46 flags, 10
-    ``CacheConfig`` fields, 6 registries with 12 wrappers, 2 cache classes
-    and 8 + 4 stats fields."""
+    a change that adds a flag, a config field, a registry (or an entry), a
+    stats field, a fleet constant or a slot state has to edit this test in
+    the same diff, where it is seen.  The cache consolidation brought it
+    here from 46 flags, 10 ``CacheConfig`` fields, 6 registries with 12
+    wrappers, 2 cache classes and 8 + 4 stats fields; deleting the fleet's
+    scaler and rebalancer took 37 flags, 25 ``ServingConfig`` and 4
+    ``FleetConfig`` fields, 7 fleet constants and 4 slot states to 35, 23,
+    2, 1 and 3."""
     import dataclasses
 
     from repro.serving import (
@@ -134,6 +165,7 @@ def test_option_census():
         ServingStats,
         WorkloadConfig,
         cache,
+        fleet,
         registry,
     )
     from repro.serving.cli import FLAGS
@@ -141,11 +173,13 @@ def test_option_census():
     def field_names(config):
         return tuple(field.name for field in dataclasses.fields(config))
 
-    assert len(FLAGS) == 37
+    assert len(FLAGS) == 35
     assert field_names(CacheConfig) == ("capacity",)
-    assert field_names(FleetConfig) == ("min_workers", "max_workers",
-                                        "heartbeat_interval", "respawn_limit")
-    assert len(field_names(ServingConfig)) == 25
+    assert field_names(FleetConfig) == ("heartbeat_interval", "respawn_limit")
+    assert [name for name in vars(fleet) if name.isupper()] \
+        == ["HANG_TIMEOUT"]
+    assert _slot_states() == {"alive", "warming", "dead"}
+    assert len(field_names(ServingConfig)) == 23
     assert len(field_names(BuildConfig)) == 5
     assert len(field_names(WorkloadConfig)) == 4
     assert {name: value.names() for name, value in vars(registry).items()

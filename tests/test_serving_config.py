@@ -7,6 +7,7 @@ import pytest
 from repro.serving import (
     BuildConfig,
     CacheConfig,
+    FleetConfig,
     ServingConfig,
     WorkloadConfig,
 )
@@ -117,6 +118,21 @@ class TestUnknownKeys:
             main(["--graph", "er:n=30,p=0.2", "--engine", "logical"])
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("key", ["min_workers", "max_workers"])
+    def test_fleet_worker_bounds_are_not_settings(self, key, capsys):
+        """The fleet keeps its initial worker count: a stored
+        ``serving_config`` that names a scaling bound is refused with the
+        known-key list, and so is the flag that set it."""
+        refusal = rf"unknown ServingConfig key\(s\) \['{key}'\]"
+        with pytest.raises(ValueError, match=refusal):
+            ServingConfig.from_dict({"workers": 3, "fleet": True, key: 2})
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--graph", "er:n=30,p=0.2", "--workers", "3", "--fleet",
+                  flag, "2"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
 
 class TestValidation:
     def test_invalid_values_rejected(self):
@@ -214,3 +230,28 @@ class TestCliParity:
         args = parser.parse_args(["--graph", "grid:rows=4,cols=4"] + bad_argv)
         with pytest.raises(SystemExit):
             config_from_args(args, parser)
+
+    def test_fleet_flags_land_in_the_fleet_config(self):
+        parser = build_parser()
+        args = parser.parse_args([
+            "--graph", "grid:rows=4,cols=4", "--artifact", "/tmp/a.artifact",
+            "--workers", "3", "--fleet", "--heartbeat-interval", "0.2",
+            "--respawn-limit", "7"])
+        config = config_from_args(args, parser)
+        assert config.partitioner == "hash_source"
+        assert config.fleet_config() == FleetConfig(heartbeat_interval=0.2,
+                                                    respawn_limit=7)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--workers", "1", "--fleet"], "requires workers >= 2"),
+        (["--workers", "3", "--fleet", "--partitioner", "round_robin"],
+         "--fleet routes by source hash"),
+    ])
+    def test_fleet_flag_refusals(self, argv, message, capsys):
+        parser = build_parser()
+        args = parser.parse_args(["--graph", "grid:rows=4,cols=4",
+                                  "--artifact", "/tmp/a.artifact"] + argv)
+        with pytest.raises(SystemExit) as exit_info:
+            config_from_args(args, parser)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err

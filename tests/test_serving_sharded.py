@@ -186,6 +186,39 @@ class TestMergedStats:
         assert merged.queries == len(workload)
         assert merged.extra["merged_from"] == 2
 
+    def test_worker_lost_during_the_drain_is_reported(self, shard_graph,
+                                                      artifact_path,
+                                                      monkeypatch):
+        """A worker that dies between its shutdown request and its ``bye``
+        takes its final snapshot with it; the merged totals say they are
+        incomplete instead of silently under-counting."""
+        import os
+        import signal
+
+        from repro.serving.worker import Worker
+
+        real_shutdown = Worker.shutdown
+
+        def shutdown(worker):
+            sent = real_shutdown(worker)
+            if worker.worker_id == 2:
+                os.kill(worker.process.pid, signal.SIGKILL)
+            return sent
+
+        workload = make_workload("uniform", shard_graph, 150, seed=13)
+        sharded = ShardedRoutingService(artifact_path, num_workers=3).start()
+        sharded.distance_batch(workload.pairs)
+        before = sharded.worker_stats()
+        # Stopped, so it cannot read the shutdown request before the kill.
+        os.kill(sharded._workers[2].process.pid, signal.SIGSTOP)
+        monkeypatch.setattr(Worker, "shutdown", shutdown)
+        sharded.close(timeout=1.0)
+        merged = sharded.merged_stats()
+        assert merged.extra["undrained_workers"] == [2]
+        assert before[2].queries > 0
+        assert merged.queries == before[0].queries + before[1].queries
+        assert merged.extra["merged_from"] == 2
+
 
 class TestLifecycle:
     def test_missing_artifact_rejected(self, tmp_path):
@@ -266,9 +299,10 @@ class TestWorkerEndpoint:
         assert "EOF" in worker.lost(probe=False)
         worker.close()
 
-    def test_reserved_slot_tears_down_quietly(self):
-        """A fleet slot reserved for a scale-up has no process and no
-        pipes yet; install_worker retires it and close() closes it."""
+    def test_processless_endpoint_tears_down_quietly(self):
+        """An endpoint with no process and no pipes behind it (the fleet
+        policy's tests use such slots) retires, stops and closes as a
+        no-op."""
         from repro.serving.worker import Worker
 
         slot = Worker(5)
