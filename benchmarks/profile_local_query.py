@@ -27,13 +27,25 @@ the *loaded objects* (the program carries no counters):
                        after that a route is weighed from the trees' ``dist``
                        tables, so this reads 0.
 
-They repeat exactly on any host; CI diffs the ``==`` and ``counts`` lines
-against ``benchmarks/profiles/local_query_pr29.txt``.  ``time`` lines are
-best-of-three microseconds per pair on un-instrumented objects —
-informational; ``benchmarks/e2e/run.py`` measures.
+The count pass pins ``ColumnarQueryKernel.select_batch`` to its per-pair
+loop (as on a host without numpy): the stand-ins count the loop's row
+readers, which the vectorised path does not call.  The counts repeat
+exactly on any host; CI diffs the ``==`` and ``counts`` lines against
+``benchmarks/profiles/local_query_pr31.txt``.
+
+``time`` and ``sweep`` lines are best-of-three (sweep: best-of-seven)
+microseconds per pair on un-instrumented objects — informational;
+``benchmarks/e2e/run.py`` measures.  ``select(loop)`` and
+``select(vector)`` time the two selection paths at the workload's batch
+size; the other timings run the program as it is.  ``sweep`` lines time
+both paths at batch sizes 1 to 64 over the stream's first ``SWEEP_PAIRS``
+pairs, and the ``crossover`` line names the smallest swept size from which
+the vectorised path is faster at every larger one — the measurement
+``tables.VECTOR_MIN_PAIRS`` rests on.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -45,10 +57,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 import workloads  # noqa: E402  (benchmarks/e2e)
 
 from repro import routing, serving  # noqa: E402
+from repro.routing import tables  # noqa: E402
 
 DEFAULT_SEED = 20150721
 SPEC = workloads.SPECS["query_local_er"]
 SHAPES = (("query_local_er", 3, "uniform"), ("k2_zipf", 2, "zipf"))
+SWEEP_SIZES = (1, 2, 4, 6, 7, 8, 10, 12, 16, 24, 32, 48, 64)
+SWEEP_PAIRS = 4096
+SWEEP_REPEATS = 7
 
 #: The ``OffsetRecordTable`` methods that hand a row's records to a caller:
 #: ``name -> (records scanned, float64 values decoded)`` of one return value.
@@ -131,15 +147,32 @@ def load(path):
     return hierarchy, kernel
 
 
+@contextlib.contextmanager
+def selection(kind):
+    """Pin ``select_batch`` to one path at every batch size: ``"loop"`` as
+    on a host without numpy, ``"vector"`` from a batch of one pair."""
+    saved = tables._np, tables.VECTOR_MIN_PAIRS
+    if kind == "loop":
+        tables._np = None
+    else:
+        tables.VECTOR_MIN_PAIRS = 1
+    try:
+        yield
+    finally:
+        tables._np, tables.VECTOR_MIN_PAIRS = saved
+
+
 def count_pass(path, batches):
     hierarchy, kernel = load(path)
     counts = dict.fromkeys(
         ("index_reads", "records_scanned", "values_decoded",
          "anchor_entries", "adjacency_lookups", "hops"), 0)
     adjacency = instrument(hierarchy, kernel, counts)
-    for batch in batches:
-        counts["hops"] += sum(trace.hops for trace in
-                              hierarchy.route_batch(batch, kernel="columnar"))
+    with selection("loop"):
+        for batch in batches:
+            counts["hops"] += sum(trace.hops for trace in
+                                  hierarchy.route_batch(batch,
+                                                        kernel="columnar"))
     counts["adjacency_lookups"] = adjacency.lookups
     counts["rows_touched"] = kernel.stats["bunch_rows_decoded"]
     return counts
@@ -155,19 +188,51 @@ def best_us_per_pair(call, batches, pairs, repeats=3):
     return best * 1e6 / pairs
 
 
-def time_pass(path, batches, pairs):
+def select_us_per_pair(kernel, kinds, batches, pairs, repeats=3):
+    """Best-of-``repeats`` per path, the paths alternating within each
+    repeat so that a slow spell of the host does not fall on one path."""
+    timings = dict.fromkeys(kinds, float("inf"))
+    for _ in range(repeats):
+        for kind in kinds:
+            with selection(kind):
+                timings[kind] = min(timings[kind], best_us_per_pair(
+                    kernel.select_batch, batches, pairs, repeats=1))
+    return timings
+
+
+def time_pass(path, batches, pairs, kinds):
     hierarchy, kernel = load(path)
-    timings = {
-        "select": best_us_per_pair(kernel.select_batch, batches, pairs),
-        "distance": best_us_per_pair(hierarchy.distance_batch, batches, pairs),
-        "route": best_us_per_pair(hierarchy.route_batch, batches, pairs),
-    }
+    timings = {f"select({kind})": us for kind, us in select_us_per_pair(
+        kernel, kinds, batches, pairs).items()}
+    timings["distance"] = best_us_per_pair(hierarchy.distance_batch, batches,
+                                           pairs)
+    timings["route"] = best_us_per_pair(hierarchy.route_batch, batches, pairs)
     with serving.open_service(serving.ServingConfig(
             artifact_path=path, workers=1, kernel="auto",
             cache=serving.CacheConfig(capacity=SPEC.cache))) as service:
         timings["service.route"] = best_us_per_pair(
             service.route_batch, batches, pairs)
     return timings
+
+
+def sweep(path, stream, out):
+    """Time both selection paths per batch size and name the crossover."""
+    _, kernel = load(path)
+    stream = stream[:SWEEP_PAIRS]
+    vector_faster = []
+    for size in SWEEP_SIZES:
+        batches = [stream[lo:lo + size] for lo in range(0, len(stream), size)]
+        timings = select_us_per_pair(kernel, ("loop", "vector"), batches,
+                                     len(stream), repeats=SWEEP_REPEATS)
+        vector_faster.append(timings["vector"] < timings["loop"])
+        out.write(f"sweep us/pair (informational)  batch {size:>2}"
+                  f"  loop {timings['loop']:.2f}"
+                  f"  vector {timings['vector']:.2f}\n")
+    crossover = next((size for i, size in enumerate(SWEEP_SIZES)
+                      if all(vector_faster[i:])), None)
+    out.write(f"crossover (informational)  vector faster from batch "
+              f"{crossover} on; VECTOR_MIN_PAIRS = "
+              f"{tables.VECTOR_MIN_PAIRS}\n")
 
 
 def profile_shape(name, k, stream_kind, seed, workdir, out):
@@ -194,9 +259,12 @@ def profile_shape(name, k, stream_kind, seed, workdir, out):
         out.write(f"counts per {unit:<6}({total} {unit}s)" + "".join(
             f"  {key} {counts[key]} = {counts[key] / total:.3f}"
             for key in names) + "\n")
-    timings = time_pass(path, batches, pairs)
+    kinds = ("loop", "vector") if tables.HAVE_NUMPY else ("loop",)
+    timings = time_pass(path, batches, pairs, kinds)
     out.write("time us/pair (informational)" + "".join(
         f"  {key} {value:.2f}" for key, value in timings.items()) + "\n")
+    if tables.HAVE_NUMPY:
+        sweep(path, stream, out)
     out.flush()
 
 

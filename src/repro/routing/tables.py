@@ -52,11 +52,13 @@ __all__ = [
     "HAVE_NUMPY",
 ]
 
-# Optional accelerator for the pivot-row gather only (bunch rows are a few
-# records each, where array set-up costs more than it saves): the gather has
-# a stdlib struct/array twin producing bit-identical answers, so numpy's
-# absence (or REPRO_NO_NUMPY=1, which the CI matrix uses to pin the stdlib
-# path) changes speed, never results.
+# Optional accelerator for batch level selection only: a batch of at least
+# ``VECTOR_MIN_PAIRS`` pairs is selected by array operations over zero-copy
+# views of the pivot and bunch tables.  Per row, array set-up costs more than
+# it saves; per batch it is paid once.  The per-pair loop is the stdlib twin
+# producing bit-identical answers and stats, so numpy's absence (or
+# REPRO_NO_NUMPY=1, which the CI matrix uses to pin the loop) changes speed,
+# never results.
 try:
     import numpy as _np
 except ImportError:          # pragma: no cover - depends on environment
@@ -70,6 +72,18 @@ HAVE_NUMPY = _np is not None
 #: tables, as a packed numpy structured dtype (itemsize 12, no padding).
 _RECORD_DTYPE = (None if _np is None
                  else _np.dtype([("key", "<i4"), ("value", "<f8")]))
+
+#: ``OffsetRecordTable``'s ``<record_offset uint64, count uint32>`` index
+#: entry as a packed numpy structured dtype (itemsize 12, no padding).
+_INDEX_DTYPE = (None if _np is None
+                else _np.dtype([("offset", "<u8"), ("count", "<u4")]))
+
+#: Smallest batch :meth:`ColumnarQueryKernel.select_batch` selects with
+#: array operations; smaller batches take the per-pair loop.  Set at the
+#: batch size where the two paths' per-pair costs crossed; the ``sweep``
+#: and ``crossover`` lines of ``benchmarks/profile_local_query.py``
+#: re-measure it on the host at hand.
+VECTOR_MIN_PAIRS = 8
 
 #: Whether a native int32 view of the little-endian records reads them right.
 _LITTLE_ENDIAN = sys.byteorder == "little"
@@ -456,16 +470,10 @@ class PivotRowTable:
 
         Returns ``(pivots, dists)`` as two flat parallel sequences, row
         major with ``num_levels`` entries per node in ``node_indices``
-        order — the columnar twin of calling :meth:`row` per node.  The
-        stdlib path fills ``array('i')`` / ``array('d')`` blocks from the
-        contiguous record slices; with numpy the whole gather is one fancy
-        index over a zero-copy structured view.
+        order — the columnar twin of calling :meth:`row` per node, as
+        ``array('i')`` / ``array('d')`` blocks filled from the contiguous
+        record slices.
         """
-        if _np is not None:
-            rows = self._np_records()[node_indices]
-            # .tolist() converts to plain int/float once; the kernel's
-            # per-pair loop then avoids numpy-scalar boxing on every access.
-            return rows["key"].ravel().tolist(), rows["value"].ravel().tolist()
         pivots = array("i")
         dists = array("d")
         base = self._HEADER.size
@@ -588,6 +596,20 @@ class OffsetRecordTable:
         read from behind the record's 4-byte key."""
         return _F64.unpack_from(
             self._buf, self._data_base + record * self._RECORD.size + 4)[0]
+
+    def _np_views(self):
+        """``(index, records)``: the index entries and the record area as
+        structured numpy views over the mapped bytes (built once,
+        zero-copy).  Entries are unchecked; a reader checks the ones it
+        gathers against ``ABSENT`` and ``num_records``."""
+        views = getattr(self, "_np_table", None)
+        if views is None:
+            views = self._np_table = (
+                _np.frombuffer(self._buf, dtype=_INDEX_DTYPE,
+                               count=self.num_rows, offset=self._index_base),
+                _np.frombuffer(self._buf, dtype=_RECORD_DTYPE,
+                               count=self.num_records, offset=self._data_base))
+        return views
 
     def probe(self, row_index: int, key: int) -> Optional[float]:
         """The value stored for ``key`` in the row, or ``None``.
@@ -807,10 +829,23 @@ class ColumnarQueryKernel:
     The per-pair query path answers ``distance(s, t)`` through the mapping
     adapters above: one ``InternedBunchRow`` object per probe, one label
     dict lookup per touch, one full-row scan per level.  This kernel
-    answers a whole batch straight from the record slices instead:
+    answers a whole batch straight from the record slices instead.  Every
+    label is resolved to its interned id exactly once
+    (:meth:`NodeInternTable.indices_of`); then one of two paths selects
+    the levels.
 
-    * every label is resolved to its interned id exactly once
-      (:meth:`NodeInternTable.indices_of`);
+    A batch of at least :data:`VECTOR_MIN_PAIRS` pairs, when numpy is
+    importable, is selected by array operations over zero-copy views of
+    the tables (:meth:`PivotRowTable._np_records`,
+    :meth:`OffsetRecordTable._np_views`): each pair's ``k`` candidate
+    ``(bunch row, pivot, tail)`` triples are gathered at once, those rows'
+    key columns expanded into one segment array and compared with the
+    pivots, and each pair takes its first level that hits.  If a gathered
+    index entry is absent or points past the record area, the batch is
+    handed to the loop, which raises what it always raised.
+
+    Smaller batches, and hosts without numpy, take the per-pair loop:
+
     * pairs are grouped by source and the groups visited in index order,
       so bunch-row reads walk the mapped section monotonically;
     * each distinct target's pivot row is gathered once into one packed
@@ -820,12 +855,12 @@ class ColumnarQueryKernel:
       (:meth:`OffsetRecordTable.row_keys`); every pair in the group is a
       membership test on that list, and only a hit unpacks a value.
 
-    Answers are bit-identical to the per-pair path — same float records,
-    same ``estimate + tail`` arithmetic, same ``KeyError`` for unknown
-    labels or bunch rows a sub-artifact sliced away — only the access
-    pattern changes.  ``stats`` counts batches / pairs / source groups /
-    distinct ``(level, source)`` bunch rows touched (``bunch_rows_decoded``)
-    for the serving layer's ``--json`` report.
+    Both paths give answers bit-identical to the per-pair path — same
+    float records, same ``estimate + tail`` arithmetic, same ``KeyError``
+    for unknown labels or bunch rows a sub-artifact sliced away — and the
+    same ``stats``: batches / pairs / source groups / distinct ``(level,
+    source)`` bunch rows the loop touches (``bunch_rows_decoded``), for the
+    serving layer's ``--json`` report.
     """
 
     __slots__ = ("_intern", "_pivot_table", "_bunch_table", "_k",
@@ -886,7 +921,20 @@ class ColumnarQueryKernel:
         intern = self._intern
         source_ids = intern.indices_of(s for s, _ in pairs)
         target_ids = intern.indices_of(t for _, t in pairs)
+        selected = None
+        if _np is not None and len(pairs) >= VECTOR_MIN_PAIRS:
+            selected = self._select_vector(source_ids, target_ids)
+        if selected is None:
+            selected = self._select_loop(source_ids, target_ids)
+        results, groups, decoded = selected
+        self.stats["batches"] += 1
+        self.stats["pairs"] += len(pairs)
+        self.stats["groups"] += groups
+        self.stats["bunch_rows_decoded"] += decoded
+        return results
 
+    def _select_loop(self, source_ids: List[int], target_ids: List[int]):
+        """``(selections, source groups, rows touched)``, pair by pair."""
         # Distinct targets resolve their pivot rows once, as one packed block.
         slot_of: Dict[int, int] = {}
         distinct_targets: List[int] = []
@@ -904,7 +952,7 @@ class ColumnarQueryKernel:
         k = self._k
         value_at = self._bunch_table.value_at
         results: List[Optional[Tuple[int, Optional[int], float]]] = \
-            [None] * len(pairs)
+            [None] * len(source_ids)
         decoded = 0
         no_hit = (k, None, float("inf"))
         for s in sorted(groups):
@@ -935,11 +983,77 @@ class ColumnarQueryKernel:
                                 offset + keys.index(pivot)) + tail)
                             break
                     results[position] = selection
-        self.stats["batches"] += 1
-        self.stats["pairs"] += len(pairs)
-        self.stats["groups"] += len(groups)
-        self.stats["bunch_rows_decoded"] += decoded
-        return results
+        return results, len(groups), decoded
+
+    def _select_vector(self, source_ids: List[int], target_ids: List[int]):
+        """What :meth:`_select_loop` returns, from array operations over the
+        whole batch; ``None`` when a gathered row is absent or out of range,
+        so that the loop raises the error."""
+        np = _np
+        k = self._k
+        count = len(source_ids)
+        index, records = self._bunch_table._np_views()
+        sources = np.fromiter(source_ids, np.intp, count)
+        targets = np.fromiter(target_ids, np.intp, count)
+        try:
+            gathered = self._pivot_table._np_records()[targets]
+        except IndexError:
+            return None
+        # Each (pair, level) cell holds a candidate pivot, the tail behind
+        # it and the bunch row it is looked up in; level 0's is the target.
+        pivots = np.empty((count, k), np.intp)
+        pivots[:, 0] = targets
+        pivots[:, 1:] = gathered["key"]
+        tails = np.zeros((count, k))
+        tails[:, 1:] = gathered["value"]
+        rows = sources[:, None] + self._num_nodes * np.arange(k)
+        distinct = sources != targets
+        probed = (pivots >= 0) & distinct[:, None]
+        cells = np.flatnonzero(probed)      # row-major: by pair, then level
+        entries = index[rows.ravel()[cells]]
+        offsets = entries["offset"]
+        counts = entries["count"].astype(np.uint64)
+        limit = np.uint64(self._bunch_table.num_records)
+        if ((counts == OffsetRecordTable.ABSENT) | (counts > limit)
+                | (offsets > limit - counts)).any():
+            return None
+        # The probed rows' records end to end, one segment per cell: the
+        # segment of cell ``c`` ends before position ``ends[c]``.
+        lengths = counts.astype(np.intp)
+        ends = np.cumsum(lengths)
+        record = np.repeat(offsets.astype(np.intp) - ends + lengths, lengths)
+        record += np.arange(len(record))
+        hits = np.flatnonzero(records["key"][record]
+                              == np.repeat(pivots.ravel()[cells], lengths))
+        # A pair's first hit is at its lowest level (and, within a row, the
+        # first matching record, as ``keys.index`` finds it).
+        hit_cells = cells[np.searchsorted(ends, hits, side="right")]
+        pair = hit_cells // k
+        first = np.ones(len(pair), bool)
+        first[1:] = pair[1:] != pair[:-1]
+        pair, hit_cells, hits = pair[first], hit_cells[first], hits[first]
+        levels = hit_cells - pair * k
+
+        # The loop reads a pair's rows up to its hit level (all, on a miss).
+        reached = np.full(count, k)
+        reached[pair] = levels
+        touched = np.sort(rows[probed & (np.arange(k) <= reached[:, None])])
+        # Distinct rows of the sorted run (np.unique costs more per batch).
+        decoded = (int(np.count_nonzero(np.diff(touched))) + 1
+                   if len(touched) else 0)
+        results: List[Optional[Tuple[int, Optional[int], float]]] = \
+            [(k, None, float("inf"))] * count
+        for position in np.flatnonzero(~distinct).tolist():
+            results[position] = None
+        # ``estimate + tail`` is added as Python floats, as the loop adds it
+        # (numpy would warn where the sum overflows).
+        for position, level, pivot, estimate, tail in zip(
+                pair.tolist(), levels.tolist(),
+                pivots.ravel()[hit_cells].tolist(),
+                records["value"][record[hits]].tolist(),
+                tails.ravel()[hit_cells].tolist()):
+            results[position] = (level, pivot, estimate + tail)
+        return results, len(set(source_ids)), decoded
 
     def distance_batch(self, pairs: Sequence[Tuple[Hashable, Hashable]]
                        ) -> List[float]:

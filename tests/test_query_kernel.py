@@ -11,13 +11,21 @@ paths.
 import dataclasses
 import os
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import graphs
 from repro.routing import tables as tables_module
-from repro.routing.tables import OffsetRecordTable, RecordTableError
+from repro.routing.tables import (
+    VECTOR_MIN_PAIRS,
+    ColumnarQueryKernel,
+    NodeInternTable,
+    OffsetRecordTable,
+    PivotRowTable,
+    RecordTableError,
+)
 from repro.routing.tz_hierarchy import _PivotRowCache
 from repro.serving import (
     BuildConfig,
@@ -212,7 +220,7 @@ class TestPivotRowCacheBound:
 class TestNumpyOptional:
     def test_stdlib_twin_is_identical(self, artifact_path, kernel_graph,
                                       monkeypatch):
-        """Force the stdlib struct/array path and re-check identity.
+        """Force the per-pair loop and re-check identity.
 
         CI additionally runs this whole file with ``REPRO_NO_NUMPY=1`` in
         an environment without numpy installed; this in-process variant
@@ -326,8 +334,60 @@ def loaded(request, kernel_graph, tmp_path_factory):
     return load_hierarchy(path)[0], write_shard_artifacts(path, 2)
 
 
+def record_kernel(pivot_rows, bunch_rows, k, pivot_blob=None, bunch_blob=None):
+    """A kernel over hand-made record tables; labels are ``v0``, ``v1``…"""
+    n = len(pivot_rows)
+    intern = NodeInternTable([f"v{i}" for i in range(n)])
+    pivots = PivotRowTable(pivot_blob or PivotRowTable.encode(n, k - 1,
+                                                              pivot_rows))
+    bunches = OffsetRecordTable(bunch_blob
+                                or OffsetRecordTable.encode(bunch_rows))
+    return ColumnarQueryKernel(intern, pivots, bunches, k)
+
+
+@pytest.fixture
+def hand_offs(monkeypatch):
+    """Whether each vectorised selection handed its batch to the loop."""
+    seen = []
+    select_vector = ColumnarQueryKernel._select_vector
+
+    def spy(self, *ids):
+        selected = select_vector(self, *ids)
+        seen.append(selected is None)
+        return selected
+
+    monkeypatch.setattr(ColumnarQueryKernel, "_select_vector", spy)
+    return seen
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """``(pivot rows, bunch rows, k, pairs)`` of a random well-formed table:
+    NO_PIVOT levels, empty bunch rows, keys that are no node or NO_PIVOT
+    itself, ``s == t`` pairs, repeated sources and targets."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    pivot = st.sampled_from([PivotRowTable.NO_PIVOT, *range(n)])
+    pivot_rows = draw(st.lists(
+        st.lists(st.tuples(pivot, FINITE), min_size=k - 1, max_size=k - 1),
+        min_size=n, max_size=n))
+    bunch_rows = draw(st.lists(
+        st.lists(st.tuples(st.integers(-1, n), FINITE), max_size=n + 2,
+                 unique_by=lambda record: record[0]),
+        min_size=k * n, max_size=k * n))
+    node = st.integers(0, n - 1).map(lambda i: f"v{i}")
+    pairs = draw(st.lists(st.tuples(node, node), min_size=VECTOR_MIN_PAIRS,
+                          max_size=40))
+    return pivot_rows, bunch_rows, k, pairs
+
+
 class TestSelectBatch:
-    @pytest.mark.parametrize("batch", [1, 64, 1024])
+    # Sizes on both sides of the vectorised path's threshold.
+    @pytest.mark.parametrize("batch", [1, VECTOR_MIN_PAIRS - 1,
+                                       VECTOR_MIN_PAIRS, 64, 1024])
     @pytest.mark.parametrize("shape", ["uniform", "zipf"])
     def test_matches_select_level_pair_for_pair(self, loaded, kernel_graph,
                                                 shape, batch):
@@ -358,17 +418,71 @@ class TestSelectBatch:
         # The stat counts distinct (level, source) rows touched per batch.
         assert kernel.stats["bunch_rows_decoded"] - before == touched
 
-    def test_slice_refuses_foreign_sources_in_the_same_words(self, loaded,
-                                                             kernel_graph):
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=kernel_inputs())
+    @pytest.mark.filterwarnings("error")     # e.g. numpy's float overflow
+    @pytest.mark.skipif(not tables_module.HAVE_NUMPY,
+                        reason="the vectorised path needs numpy")
+    def test_vector_path_matches_the_loop(self, inputs):
+        pivot_rows, bunch_rows, k, pairs = inputs
+        loop = record_kernel(pivot_rows, bunch_rows, k)
+        vector = record_kernel(pivot_rows, bunch_rows, k)
+        with mock.patch.object(tables_module, "_np", None):
+            expected = loop.select_batch(pairs)
+        with mock.patch.object(ColumnarQueryKernel, "_select_loop",
+                               side_effect=AssertionError("handed off")):
+            assert vector.select_batch(pairs) == expected
+        assert vector.stats == loop.stats
+
+    @pytest.mark.parametrize("padding", [0, VECTOR_MIN_PAIRS])
+    def test_slice_refuses_foreign_sources_in_the_same_words(
+            self, loaded, kernel_graph, hand_offs, padding):
         _, sub_paths = loaded
         hierarchy = load_hierarchy(sub_paths[0])[0]
         nodes = kernel_graph.nodes()
         foreign = next(v for v in nodes if stable_node_hash(v) % 2 != 0)
-        local = next(v for v in nodes if stable_node_hash(v) % 2 == 0)
+        locals_ = [v for v in nodes if stable_node_hash(v) % 2 == 0]
+        local = locals_[0]
         with pytest.raises(KeyError) as per_pair:
             hierarchy._select_level(foreign, local)
+        # Above the constant the vectorised path meets the absent row and
+        # hands the batch to the loop, which raises.
+        pairs = [(local, foreign), (foreign, local)] + [
+            (local, target) for target in locals_[1:padding + 1]]
         with pytest.raises(KeyError) as batched:
-            hierarchy.query_kernel("columnar").select_batch([(local, foreign),
-                                                             (foreign, local)])
+            hierarchy.query_kernel("columnar").select_batch(pairs)
         assert batched.value.args == per_pair.value.args
         assert "not present in this artifact slice" in per_pair.value.args[0]
+        vectorised = (tables_module.HAVE_NUMPY
+                      and len(pairs) >= VECTOR_MIN_PAIRS)
+        assert hand_offs == ([True] if vectorised else [])
+
+    @pytest.mark.parametrize("damage", ["index entry", "pivot table"])
+    def test_bad_rows_raise_the_same_error_on_both_paths(self, hand_offs,
+                                                         damage):
+        k = 2
+        pivot_rows = [[(1, 0.5)], [(0, 1.5)], [(PivotRowTable.NO_PIVOT, 0.0)]]
+        bunch_rows = [[(0, 1.0)], [(1, 2.0), (0, 3.0)], [], [(1, 4.0)],
+                      [], [(0, 5.0)]]
+        pivot_blob = bunch_blob = None
+        if damage == "index entry":
+            # Row 1 (level 0, source v1): offset 1 -> 4 of 5 records, count 2.
+            blob = bytearray(OffsetRecordTable.encode(bunch_rows))
+            struct.pack_into("<QI", blob, 16 + 12, 4, 2)
+            bunch_blob, message = bytes(blob), "points past the record area"
+        else:
+            # The pivot table holds two of the three nodes' rows.
+            pivot_blob = PivotRowTable.encode(2, k - 1, pivot_rows[:2])
+            message = "node index 2 out of range"
+        pairs = [("v1", "v0"), ("v0", "v2")] * VECTOR_MIN_PAIRS
+        errors = []
+        for numpy_module in (tables_module._np, None):
+            with mock.patch.object(tables_module, "_np", numpy_module):
+                kernel = record_kernel(pivot_rows, bunch_rows, k,
+                                       pivot_blob, bunch_blob)
+                with pytest.raises(RecordTableError, match=message) as error:
+                    kernel.select_batch(pairs)
+                errors.append(str(error.value))
+                assert kernel.stats["batches"] == 0
+        assert errors[0] == errors[1]
+        assert hand_offs == ([True] if tables_module.HAVE_NUMPY else [])
