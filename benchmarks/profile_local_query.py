@@ -29,9 +29,15 @@ the *loaded objects* (the program carries no counters):
 
 The count pass pins ``ColumnarQueryKernel.select_batch`` to its per-pair
 loop (as on a host without numpy): the stand-ins count the loop's row
-readers, which the vectorised path does not call.  The counts repeat
-exactly on any host; CI diffs the ``==`` and ``counts`` lines against
-``benchmarks/profiles/local_query_pr31.txt``.
+readers, which the vectorised path does not call.  With numpy, a second
+pass pins the vectorised path and writes a ``counts(vector)`` line from
+stand-ins for the bunch table's numpy views (:class:`CountingView`), which
+count the elements each gather reads: ``index_reads`` (index entries of the
+probed cells), ``records_scanned`` (keys of every probed row, expanded per
+pair, with no early exit) and ``values_decoded`` (one per hit).  The counts
+repeat exactly on any host; CI diffs the ``==`` and ``counts`` lines
+against ``benchmarks/profiles/local_query_pr31.txt`` and, on its numpy leg,
+the ``counts(vector)`` lines too.
 
 ``time`` and ``sweep`` lines are best-of-three (sweep: best-of-seven)
 microseconds per pair on un-instrumented objects — informational;
@@ -58,6 +64,8 @@ import workloads  # noqa: E402  (benchmarks/e2e)
 
 from repro import routing, serving  # noqa: E402
 from repro.routing import tables  # noqa: E402
+
+_np = tables._np        # None without numpy (or under REPRO_NO_NUMPY)
 
 DEFAULT_SEED = 20150721
 SPEC = workloads.SPECS["query_local_er"]
@@ -140,6 +148,47 @@ def instrument(hierarchy, kernel, counts):
     return adjacency
 
 
+class CountingView(object if _np is None else _np.ndarray):
+    """A numpy view of the bunch table that counts the elements its gathers
+    (indexing by an integer array) read.  A field of a counted view is
+    counted under its own name; everything else it hands out is a plain
+    array, so arithmetic on a gather is never counted again."""
+
+    def __array_finalize__(self, base):
+        self._tally = None
+
+    @classmethod
+    def over(cls, array, counts, names):
+        """``array`` viewed so that gathers add to ``counts[names[field]]``
+        (``names[None]`` for the whole entry)."""
+        view = array.view(cls)
+        view._tally = counts, names, None
+        return view
+
+    def __getitem__(self, key):
+        result = super().__getitem__(key)
+        if self._tally is None or not isinstance(result, CountingView):
+            return result
+        counts, names, field = self._tally
+        if isinstance(key, str):
+            result._tally = counts, names, key
+            return result
+        result = result.view(_np.ndarray)
+        if isinstance(key, _np.ndarray) and names.get(field):
+            counts[names[field]] += result.size
+        return result
+
+
+def instrument_vector(kernel, counts):
+    """Hang counting views on the bunch table's numpy views."""
+    table = kernel._bunch_table
+    index, records = table._np_views()
+    views = (CountingView.over(index, counts, {None: "index_reads"}),
+             CountingView.over(records, counts, {"key": "records_scanned",
+                                                 "value": "values_decoded"}))
+    table._np_views = lambda: views
+
+
 def load(path):
     hierarchy, _ = serving.load_hierarchy(path)
     kernel = hierarchy.query_kernel(
@@ -175,6 +224,17 @@ def count_pass(path, batches):
                                                         kernel="columnar"))
     counts["adjacency_lookups"] = adjacency.lookups
     counts["rows_touched"] = kernel.stats["bunch_rows_decoded"]
+    return counts
+
+
+def vector_count_pass(path, batches):
+    _, kernel = load(path)
+    counts = dict.fromkeys(("index_reads", "records_scanned",
+                            "values_decoded"), 0)
+    instrument_vector(kernel, counts)
+    with selection("vector"):
+        for batch in batches:
+            kernel.select_batch(batch)
     return counts
 
 
@@ -259,6 +319,11 @@ def profile_shape(name, k, stream_kind, seed, workdir, out):
         out.write(f"counts per {unit:<6}({total} {unit}s)" + "".join(
             f"  {key} {counts[key]} = {counts[key] / total:.3f}"
             for key in names) + "\n")
+    if tables.HAVE_NUMPY:
+        counts = vector_count_pass(path, batches)
+        out.write(f"counts(vector) per pair  ({pairs} pairs)" + "".join(
+            f"  {key} {value} = {value / pairs:.3f}"
+            for key, value in counts.items()) + "\n")
     kinds = ("loop", "vector") if tables.HAVE_NUMPY else ("loop",)
     timings = time_pass(path, batches, pairs, kinds)
     out.write("time us/pair (informational)" + "".join(

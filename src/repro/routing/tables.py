@@ -79,11 +79,20 @@ _INDEX_DTYPE = (None if _np is None
                 else _np.dtype([("offset", "<u8"), ("count", "<u4")]))
 
 #: Smallest batch :meth:`ColumnarQueryKernel.select_batch` selects with
-#: array operations; smaller batches take the per-pair loop.  Set at the
-#: batch size where the two paths' per-pair costs crossed; the ``sweep``
-#: and ``crossover`` lines of ``benchmarks/profile_local_query.py``
-#: re-measure it on the host at hand.
-VECTOR_MIN_PAIRS = 8
+#: array operations; smaller batches take the per-pair loop.  Over three
+#: runs on a 2-core x86 host, the ``sweep`` lines of
+#: ``benchmarks/profile_local_query.py`` put the crossover at 10-12 pairs
+#: on the ``query_local_er`` shape and 16-24 on the k=2 zipf shape (one run
+#: is ``benchmarks/profiles/local_query_pr31.txt``), so 24 slows neither.
+#: ``benchmarks/profiles/kernel_batches_pr31.txt`` records the batch sizes
+#: the ledger workloads send to ``select_batch``: 32-64 pairs where the
+#: kernel is on the timed path, 2-23 in the remote workload's warm-up.
+VECTOR_MIN_PAIRS = 24
+
+#: Most pairs one pass of the vectorised selection holds in its arrays (a
+#: probed row's records are expanded per pair, so they grow with the
+#: chunk); a larger batch is selected in even chunks of at most this many.
+VECTOR_CHUNK_PAIRS = 1024
 
 #: Whether a native int32 view of the little-endian records reads them right.
 _LITTLE_ENDIAN = sys.byteorder == "little"
@@ -823,6 +832,15 @@ class PivotRowBackend:
         return tuple(row)
 
 
+def _distinct_sorted(values):
+    """The distinct elements of a numpy array, sorted (``np.unique`` costs
+    more on the short arrays of one batch)."""
+    values = _np.sort(values)
+    if len(values) > 1:
+        values = values[_np.concatenate(([True], values[1:] != values[:-1]))]
+    return values
+
+
 class ColumnarQueryKernel:
     """Array-native batch query kernel over the v2 record tables.
 
@@ -840,7 +858,9 @@ class ColumnarQueryKernel:
     :meth:`OffsetRecordTable._np_views`): each pair's ``k`` candidate
     ``(bunch row, pivot, tail)`` triples are gathered at once, those rows'
     key columns expanded into one segment array and compared with the
-    pivots, and each pair takes its first level that hits.  If a gathered
+    pivots, and each pair takes its first level that hits.  Larger batches
+    are cut into even chunks of at most :data:`VECTOR_CHUNK_PAIRS` pairs,
+    since the expanded records grow with the pairs.  If a gathered
     index entry is absent or points past the record area, the batch is
     handed to the loop, which raises what it always raised.
 
@@ -986,15 +1006,37 @@ class ColumnarQueryKernel:
         return results, len(groups), decoded
 
     def _select_vector(self, source_ids: List[int], target_ids: List[int]):
-        """What :meth:`_select_loop` returns, from array operations over the
-        whole batch; ``None`` when a gathered row is absent or out of range,
-        so that the loop raises the error."""
+        """What :meth:`_select_loop` returns, from array operations over
+        even chunks of at most :data:`VECTOR_CHUNK_PAIRS` pairs, so that the
+        arrays stay bounded however large the batch; ``None`` when a
+        gathered row is absent or out of range, so that the loop raises the
+        error."""
         np = _np
-        k = self._k
         count = len(source_ids)
-        index, records = self._bunch_table._np_views()
         sources = np.fromiter(source_ids, np.intp, count)
         targets = np.fromiter(target_ids, np.intp, count)
+        chunks = -(-count // VECTOR_CHUNK_PAIRS)
+        results: List[Optional[Tuple[int, Optional[int], float]]] = []
+        touched = []
+        for chunk in range(chunks):
+            lo, hi = count * chunk // chunks, count * (chunk + 1) // chunks
+            selected = self._select_chunk(sources[lo:hi], targets[lo:hi])
+            if selected is None:
+                return None
+            results += selected[0]
+            touched.append(selected[1])
+        # Rows touched in several chunks count once, as in the loop.
+        rows = (touched[0] if chunks == 1
+                else _distinct_sorted(np.concatenate(touched)))
+        return results, len(set(source_ids)), len(rows)
+
+    def _select_chunk(self, sources, targets):
+        """``(selections, distinct rows touched)`` of one chunk of pairs,
+        or ``None`` when a gathered row is absent or out of range."""
+        np = _np
+        k = self._k
+        count = len(sources)
+        index, records = self._bunch_table._np_views()
         try:
             gathered = self._pivot_table._np_records()[targets]
         except IndexError:
@@ -1037,10 +1079,8 @@ class ColumnarQueryKernel:
         # The loop reads a pair's rows up to its hit level (all, on a miss).
         reached = np.full(count, k)
         reached[pair] = levels
-        touched = np.sort(rows[probed & (np.arange(k) <= reached[:, None])])
-        # Distinct rows of the sorted run (np.unique costs more per batch).
-        decoded = (int(np.count_nonzero(np.diff(touched))) + 1
-                   if len(touched) else 0)
+        touched = _distinct_sorted(
+            rows[probed & (np.arange(k) <= reached[:, None])])
         results: List[Optional[Tuple[int, Optional[int], float]]] = \
             [(k, None, float("inf"))] * count
         for position in np.flatnonzero(~distinct).tolist():
@@ -1053,7 +1093,7 @@ class ColumnarQueryKernel:
                 records["value"][record[hits]].tolist(),
                 tails.ravel()[hit_cells].tolist()):
             results[position] = (level, pivot, estimate + tail)
-        return results, len(set(source_ids)), decoded
+        return results, touched
 
     def distance_batch(self, pairs: Sequence[Tuple[Hashable, Hashable]]
                        ) -> List[float]:

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro import graphs
 from repro.routing import tables as tables_module
 from repro.routing.tables import (
+    VECTOR_CHUNK_PAIRS,
     VECTOR_MIN_PAIRS,
     ColumnarQueryKernel,
     NodeInternTable,
@@ -419,20 +420,55 @@ class TestSelectBatch:
         assert kernel.stats["bunch_rows_decoded"] - before == touched
 
     @settings(max_examples=60, deadline=None)
-    @given(inputs=kernel_inputs())
+    @given(inputs=kernel_inputs(),
+           chunk=st.sampled_from([1, 3, VECTOR_MIN_PAIRS, VECTOR_CHUNK_PAIRS]))
     @pytest.mark.filterwarnings("error")     # e.g. numpy's float overflow
     @pytest.mark.skipif(not tables_module.HAVE_NUMPY,
                         reason="the vectorised path needs numpy")
-    def test_vector_path_matches_the_loop(self, inputs):
+    def test_vector_path_matches_the_loop(self, inputs, chunk):
+        # Small chunk sizes split the batch, so a source's rows are touched
+        # from several chunks and must still count once.
         pivot_rows, bunch_rows, k, pairs = inputs
         loop = record_kernel(pivot_rows, bunch_rows, k)
         vector = record_kernel(pivot_rows, bunch_rows, k)
         with mock.patch.object(tables_module, "_np", None):
             expected = loop.select_batch(pairs)
         with mock.patch.object(ColumnarQueryKernel, "_select_loop",
-                               side_effect=AssertionError("handed off")):
+                               side_effect=AssertionError("handed off")), \
+                mock.patch.object(tables_module, "VECTOR_CHUNK_PAIRS", chunk):
             assert vector.select_batch(pairs) == expected
         assert vector.stats == loop.stats
+
+    @pytest.mark.skipif(not tables_module.HAVE_NUMPY,
+                        reason="the vectorised path needs numpy")
+    def test_batches_past_the_chunk_size_match_the_loop(self, loaded,
+                                                        kernel_graph):
+        hierarchy, _ = loaded
+        kernel = hierarchy.query_kernel("columnar")
+        pairs = make_workload("zipf", kernel_graph, 3 * VECTOR_CHUNK_PAIRS + 5,
+                              seed=23).pairs
+
+        def select():
+            before = dict(kernel.stats)
+            selections = kernel.select_batch(pairs)
+            return selections, {key: kernel.stats[key] - before[key]
+                                for key in before}
+
+        with mock.patch.object(tables_module, "_np", None):
+            expected = select()
+        sizes = []
+        select_chunk = ColumnarQueryKernel._select_chunk
+
+        def spy(self, sources, targets):
+            sizes.append(len(sources))
+            return select_chunk(self, sources, targets)
+
+        with mock.patch.object(ColumnarQueryKernel, "_select_chunk", spy):
+            assert select() == expected
+        # Four even chunks; rows shared between them count once.
+        assert sizes == [len(pairs) * (i + 1) // 4 - len(pairs) * i // 4
+                         for i in range(4)]
+        assert max(sizes) <= VECTOR_CHUNK_PAIRS
 
     @pytest.mark.parametrize("padding", [0, VECTOR_MIN_PAIRS])
     def test_slice_refuses_foreign_sources_in_the_same_words(
