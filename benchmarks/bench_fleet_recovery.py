@@ -114,7 +114,7 @@ def run_fleet_recovery(n: int, workers: int = 4, seed: int = 0,
         latencies = []
         answers = []
         with ShardedRoutingService(
-                artifact, num_workers=workers, partitioner="hash_source",
+                artifact, num_workers=workers,
                 cache_config=CacheConfig(capacity=1024),
                 graph=graph, fleet=fleet) as sharded:
             start = time.perf_counter()
@@ -128,7 +128,6 @@ def run_fleet_recovery(n: int, workers: int = 4, seed: int = 0,
             total_seconds = time.perf_counter() - start
             respawned = _wait_for_respawn(sharded)
             status = sharded._fleet.status()
-            merged = sharded.merged_stats()
 
     identical = ([(t.path, t.weight) for t in answers]
                  == [(t.path, t.weight) for t in reference])
@@ -167,7 +166,6 @@ def run_fleet_recovery(n: int, workers: int = 4, seed: int = 0,
         "tail_batch_ms": round(1000 * _median(tail), 3),
         "spike_factor": spike_factor,
         "recovery_spike_batches": recovery_spike_batches,
-        "cover_queries": merged.extra.get("cover_queries", 0),
         "latency_ms_series": [round(1000 * lat, 3) for lat in latencies],
     }
 

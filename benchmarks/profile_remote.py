@@ -114,14 +114,16 @@ def time_step(step, repeats=5):
     return best
 
 
-def measure_steps(serving, wire, kind, batches, answers):
+def measure_steps(wire, kind, batches, answers):
     """The outside-timed step table of one query kind, µs per pair."""
     pairs = sum(len(batch) for batch in batches)
     served = {"queries": pairs, "batches": len(batches)}
     queries = [wire.encode_frame({"type": "query", "id": index, "kind": kind,
                                   "pairs": wire.pack_pairs(batch)})
                for index, batch in enumerate(batches)]
-    shards = [serving.partition_pairs(batch, 2) for batch in batches]
+    # The two workers' round-robin shards: position i goes to worker i % 2.
+    shards = [[list(enumerate(batch))[worker::2] for worker in range(2)]
+              for batch in batches]
     envelopes = [{"type": "answers", "id": index, "kind": kind,
                   "served": served} for index in range(len(batches))]
     replies = [wire.encode_frame({**envelope, "values":
@@ -199,7 +201,7 @@ def child(args):
                     result[kind] = {
                         "cpu": measure_cpu(session, pids, kind, batches,
                                            args.passes),
-                        "steps": measure_steps(serving, wire, kind, batches,
+                        "steps": measure_steps(wire, kind, batches,
                                                answers)}
         finally:
             server.stop()

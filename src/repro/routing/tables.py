@@ -505,9 +505,8 @@ class OffsetRecordTable:
     entries of ``<record_offset uint64, count uint32>``, then the records
     (``<int32 key, float64 value>``).  A row is found by one index read
     plus one bounded slice read — no scanning, no deserialisation.  The
-    count sentinel ``ABSENT`` marks a row that is *not present* (used by
-    per-shard sub-artifacts for bunch rows owned by other shards), which
-    is distinct from an empty row.
+    count sentinel ``ABSENT`` marks a row that is *not present* (a node
+    with no bunch at a level), which is distinct from an empty row.
     """
 
     _HEADER = struct.Struct("<QQ")   # num_rows, num_records
@@ -753,10 +752,8 @@ class InternedBunchLevel:
     """One level's bunches as a read-only mapping ``{node: bunch_row}``.
 
     Row indices are ``level * num_nodes + node_index`` into one shared
-    :class:`OffsetRecordTable` holding every level's rows.  Accessing a
-    row a sub-artifact sliced away raises ``KeyError`` with an
-    explanatory message — by construction the sharded front-end never
-    routes such a query to this slice.
+    :class:`OffsetRecordTable` holding every level's rows.  Accessing an
+    absent row raises ``KeyError`` with an explanatory message.
     """
 
     __slots__ = ("_table", "_intern", "_level", "_num_nodes")
@@ -776,8 +773,7 @@ class InternedBunchLevel:
         if not self._table.has_row(row):
             raise KeyError(
                 f"bunch row for node {node!r} (level {self._level}) is not "
-                f"present in this artifact slice; sub-artifacts only hold "
-                f"rows for their own shard's sources")
+                f"present in this artifact")
         return InternedBunchRow(self._table, self._intern, row)
 
     def get(self, node: Hashable, default=None):
@@ -877,7 +873,7 @@ class ColumnarQueryKernel:
 
     Both paths give answers bit-identical to the per-pair path — same
     float records, same ``estimate + tail`` arithmetic, same ``KeyError``
-    for unknown labels or bunch rows a sub-artifact sliced away — and the
+    for unknown labels or absent bunch rows — and the
     same ``stats``: batches / pairs / source groups / distinct ``(level,
     source)`` bunch rows the loop touches (``bunch_rows_decoded``), for the
     serving layer's ``--json`` report.
@@ -924,8 +920,7 @@ class ColumnarQueryKernel:
             node = self._intern.node_at(source_index)
             raise KeyError(
                 f"bunch row for node {node!r} (level {level}) is not "
-                f"present in this artifact slice; sub-artifacts only hold "
-                f"rows for their own shard's sources") from None
+                f"present in this artifact") from None
 
     def select_batch(self, pairs: Sequence[Tuple[Hashable, Hashable]]
                      ) -> List[Optional[Tuple[int, Optional[int], float]]]:

@@ -159,8 +159,8 @@ class LazyLevelData:
     fields — ``sources`` / ``estimates`` / ``next_pivot`` /
     ``next_pivot_dist`` — are construction-time state that only
     ``export_state`` and the build reports read; they materialise from the
-    level's aux section on first access (and per-shard sub-artifacts drop
-    that section entirely, so touching them there raises).
+    level's aux section on first access (an artifact without that section
+    raises there).
     """
 
     __slots__ = ("bunches", "h", "sigma", "skeleton_level", "overflow_count",

@@ -11,9 +11,6 @@ The public surface (API v2) is one typed contract:
   (:class:`BuildConfig`, :class:`CacheConfig`, :class:`WorkloadConfig`,
   :class:`ServingConfig`) with lossless ``to_dict``/``from_dict``
   round-trips and artifact-header provenance;
-* :mod:`repro.serving.registry`  — string-keyed registries for
-  partitioners, workloads, query kernels and graph families
-  (``register_*`` to extend, names resolve everywhere configs are used);
 * :mod:`repro.serving.artifacts` — the one mmap-able artifact format:
   save/load of built hierarchies and PDE results with integrity checking
   and lossless round-trips;
@@ -21,20 +18,19 @@ The public surface (API v2) is one typed contract:
   backend: build-or-load, single and batched ``route`` /
   ``distance_estimate`` / full-path queries;
 * :mod:`repro.serving.sharded`   — the :class:`ShardedRoutingService`
-  backend: one query stream scattered across N worker processes, each
-  serving its partition from the same artifact;
+  backend: one query stream scattered round-robin across N worker
+  processes, each mapping the same full artifact;
 * :mod:`repro.serving.worker`    — one such worker: the framed pipes, the
   process's main loop and its parent-side ``Worker`` endpoint;
 * :mod:`repro.serving.fleet`     — the :class:`FleetSupervisor` recovery
   policy over the sharded backend (``ServingConfig.fleet``): worker
-  respawn with sibling cover through an epoch-versioned routing table and
-  a heartbeat for hung workers (``heartbeat_interval`` and
-  ``respawn_limit`` are the two :class:`FleetConfig` fields; the hang
-  timeout is a module constant there);
+  respawn, siblings taking a dead worker's share through an
+  epoch-versioned routing table, and a heartbeat for hung workers
+  (``heartbeat_interval`` and ``respawn_limit`` are the two
+  :class:`FleetConfig` fields; the hang timeout is a module constant
+  there);
 * :mod:`repro.serving.cache`     — LRU result caching and the
   :class:`ServingStats` counters;
-* :mod:`repro.serving.partitioners` — shard partitioners (round-robin,
-  stable pair hash, stable source hash);
 * :mod:`repro.serving.workloads` — reproducible uniform / Zipf / locality /
   bursty query-stream generators;
 * :mod:`repro.serving.wire`      — the framed message layer for networked
@@ -51,7 +47,12 @@ Telemetry (:mod:`repro.obs`) threads through the whole stack behind
 ``ServingStats.extra["telemetry"]`` and merge additively across shard
 workers; trace capture/replay and the ``repro-experiment`` harness build
 on the same backends via :class:`~repro.obs.trace.TraceRecorder` and the
-registered ``trace`` workload.
+``trace`` workload.
+
+Names resolve through three plain dicts, each owned by the module that
+fills it: :data:`WORKLOADS` (``workloads``), :data:`QUERY_KERNELS`
+(``service``) and :data:`GRAPH_FAMILIES` (``specs``); an unknown name
+raises ``ValueError`` listing the available ones.
 """
 
 from .artifacts import (
@@ -63,42 +64,20 @@ from .artifacts import (
     load_pde,
     save_hierarchy,
     save_pde,
-    shard_artifact_path,
     verify_artifact,
     write_artifact_v2,
-    write_shard_artifacts,
 )
 from .cache import LRUCache, ServingStats
 from .config import BuildConfig, CacheConfig, ServingConfig, WorkloadConfig
-from .registry import (
-    GRAPH_FAMILIES,
-    PARTITIONERS,
-    QUERY_KERNELS,
-    WORKLOADS,
-    Registry,
-    get_graph_family,
-    get_partitioner,
-    get_query_kernel,
-    get_workload,
-    register_graph_family,
-    register_partitioner,
-    register_query_kernel,
-    register_workload,
-)
 from .service import (
+    QUERY_KERNELS,
     RoutingService,
     answer_batch,
     build_or_load_service,
     resolve_query_kernel,
 )
-from .sharded import ShardError, ShardedRoutingService
-from .fleet import (
-    FleetConfig,
-    FleetError,
-    FleetSupervisor,
-    RoutingEpoch,
-)
-from .partitioners import Partitioner, make_partitioner, partition_pairs
+from .sharded import RoutingEpoch, ShardError, ShardedRoutingService
+from .fleet import FleetConfig, FleetError, FleetSupervisor
 from .backend import QueryBackend, open_service
 from .wire import (
     MAX_FRAME_BYTES,
@@ -116,14 +95,14 @@ from .wire import (
 )
 from .session import ClientSession, ServerSession
 from .server import RoutingServer
-from .specs import parse_graph_spec
+from .specs import GRAPH_FAMILIES, parse_graph_spec
 from .workloads import (
+    WORKLOADS,
     QueryWorkload,
     WORKLOAD_NAMES,
     bursty_workload,
     locality_workload,
     make_workload,
-    stable_node_hash,
     uniform_workload,
     workload_names,
     zipf_workload,
@@ -141,8 +120,6 @@ __all__ = [
     "load_hierarchy",
     "save_pde",
     "load_pde",
-    "write_shard_artifacts",
-    "shard_artifact_path",
     # API v2: protocol, factory, configs
     "QueryBackend",
     "open_service",
@@ -151,24 +128,11 @@ __all__ = [
     "WorkloadConfig",
     "ServingConfig",
     "parse_graph_spec",
-    # registries
-    "Registry",
-    "PARTITIONERS",
+    # names -> built-ins
     "WORKLOADS",
     "QUERY_KERNELS",
     "GRAPH_FAMILIES",
-    "register_partitioner",
-    "register_workload",
-    "register_query_kernel",
-    "register_graph_family",
-    "get_partitioner",
-    "get_workload",
-    "get_query_kernel",
-    "get_graph_family",
     "resolve_query_kernel",
-    # partitioners
-    "Partitioner",
-    "make_partitioner",
     # backends
     "LRUCache",
     "ServingStats",
@@ -206,6 +170,4 @@ __all__ = [
     "locality_workload",
     "bursty_workload",
     "make_workload",
-    "partition_pairs",
-    "stable_node_hash",
 ]

@@ -36,14 +36,6 @@ and :func:`verify_artifact` checks every section on
 demand (the CI smoke job and the corruption tests use it).  Artifacts are trusted
 local files (pickle is not safe against adversarial bytes — checksums
 detect corruption, not tampering).
-
-Per-shard **sub-artifacts** (:func:`write_shard_artifacts`) slice an
-artifact by *source node*: shard ``w`` keeps the bunch rows (and the
-destination trees they can reach) only for sources with
-``stable_node_hash(source) % workers == w``, and drops the construction-time
-aux sections entirely.  A sharded front-end whose partitioner routes every
-query to its source's shard (``partitioner="hash_source"``) answers
-identically to full-artifact serving while each worker maps only its slice.
 """
 
 from __future__ import annotations
@@ -59,7 +51,6 @@ from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..congest.metrics import CongestMetrics
-from ..core.build_runner import run_tasks
 from ..core.pde import PDEResult
 from ..graphs.weighted_graph import WeightedGraph
 from ..routing.cluster_trees import TreeFamily
@@ -74,7 +65,6 @@ from ..routing.tables import (
     RecordTableError,
 )
 from ..routing.tz_hierarchy import CompactRoutingHierarchy, LazyLevelData
-from .workloads import stable_node_hash
 
 __all__ = [
     "ArtifactError",
@@ -91,8 +81,6 @@ __all__ = [
     "load_hierarchy",
     "save_pde",
     "load_pde",
-    "write_shard_artifacts",
-    "shard_artifact_path",
 ]
 
 MAGIC = b"REPRO-ARTIFACT"
@@ -450,6 +438,8 @@ def _hierarchy_meta(hierarchy: CompactRoutingHierarchy,
             for data in hierarchy.level_data
         ],
         "build_params": dict(hierarchy.build_params),
+        # Reserved: always null, read by nothing (kept so no artifact
+        # byte moves).
         "sub_artifact": None,
     }
 
@@ -581,9 +571,8 @@ def _load_level_aux(reader: ArtifactV2Reader, level: int) -> Dict[str, Any]:
     name = f"level_aux_{level}"
     if not reader.has_section(name):
         raise ArtifactError(
-            f"{reader.path}: section {name!r} is not present — per-shard "
-            f"sub-artifacts drop construction-time aux sections; load the "
-            f"full artifact to export or report on this hierarchy")
+            f"{reader.path}: section {name!r} is not present; this "
+            f"hierarchy cannot be exported or reported on")
     state = reader.load_pickle(name)
     return {
         "sources": set(state["sources"]),
@@ -751,143 +740,3 @@ def load_pde(path: str) -> Tuple[PDEResult, ArtifactInfo]:
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"{path}: invalid PDE state: {exc}") from exc
     return pde, info
-
-
-# ----------------------------------------------------------------------
-# per-shard sub-artifacts
-# ----------------------------------------------------------------------
-def shard_artifact_path(artifact_path: str, shard: int, workers: int) -> str:
-    """Canonical path of one shard's sub-artifact."""
-    return f"{artifact_path}.shard{shard}of{workers}"
-
-
-def _decode_slicing_state(reader, num_workers: int) -> Dict[str, Any]:
-    """Decode everything shard slicing needs from an open reader."""
-    meta = reader.load_json("meta")
-    intern = NodeInternTable.decode(reader.section_bytes("nodes"))
-    # Copy the bunch section out of the mapping: the slicer reads every
-    # row anyway, and holding no view lets the reader close cleanly.
-    bunch_table = OffsetRecordTable(bytes(reader.section_bytes("bunches")))
-    k = meta["k"]
-    return {
-        "meta": meta,
-        "intern": intern,
-        "bunch_table": bunch_table,
-        "k": k,
-        "n": meta["num_nodes"],
-        "owner": [stable_node_hash(node) % num_workers
-                  for node in intern.nodes()],
-        "tree_states": [reader.load_pickle(f"level_trees_{level}")
-                        for level in range(k)],
-        "copied": {name: bytes(reader.section_bytes(name))
-                   for name in ("nodes", "pivots", "graph", "levels",
-                                "skeleton", "metrics")},
-        "metadata": dict(reader.info.metadata),
-        "state_version": reader.info.state_version,
-    }
-
-
-def _write_one_shard_slice(shard: int, shared: Dict[str, Any]) -> str:
-    """Slice and write one shard's sub-artifact (a ``run_tasks`` task).
-
-    The parent artifact is decoded once per process, by whichever task gets
-    there first — nothing heavy is pickled to a pool worker.
-    """
-    artifact_path, num_workers = shared["artifact_path"], shared["num_workers"]
-    if "state" not in shared:
-        reader = ArtifactV2Reader(artifact_path, expected_kind=KIND_HIERARCHY)
-        try:
-            shared["state"] = _decode_slicing_state(reader, num_workers)
-        finally:
-            reader.close()
-    state = shared["state"]
-    meta, intern = state["meta"], state["intern"]
-    bunch_table, k, n = state["bunch_table"], state["k"], state["n"]
-    owner, tree_states, copied = (state["owner"], state["tree_states"],
-                                  state["copied"])
-
-    bunch_rows: List[Optional[List[Tuple[int, float]]]] = []
-    keep_roots: List[set] = [set() for _ in range(k)]
-    for level in range(k):
-        base = level * n
-        for index in range(n):
-            row_index = base + index
-            if owner[index] == shard and bunch_table.has_row(row_index):
-                items = bunch_table.row_items(row_index)
-                bunch_rows.append(items)
-                keep_roots[level].update(src for src, _ in items)
-            else:
-                bunch_rows.append(None)
-
-    provenance = {"shard": shard, "workers": num_workers,
-                  "partitioner": shared["partitioner"]}
-    sub_meta = dict(meta)
-    sub_meta["sub_artifact"] = provenance
-
-    sections: Dict[str, bytes] = {}
-    sections["meta"] = json.dumps(sub_meta, sort_keys=True).encode("utf-8")
-    sections["nodes"] = copied["nodes"]
-    sections["pivots"] = copied["pivots"]
-    sections["bunches"] = OffsetRecordTable.encode(bunch_rows)
-    sections["graph"] = copied["graph"]
-    sections["levels"] = copied["levels"]
-    for level in range(k):
-        tree_state = tree_states[level]
-        if tree_state is None:
-            kept = None
-        else:
-            roots = {intern.node_at(i) for i in keep_roots[level]}
-            kept = [entry for entry in tree_state if entry["root"] in roots]
-        sections[f"level_trees_{level}"] = _dumps(kept)
-        # level_aux_<level> deliberately absent: construction-time
-        # state a serving worker never reads.
-    sections["skeleton"] = copied["skeleton"]
-    sections["metrics"] = copied["metrics"]
-
-    out_path = shard_artifact_path(artifact_path, shard, num_workers)
-    metadata = dict(state["metadata"])
-    metadata["sub_artifact"] = provenance
-    write_artifact_v2(out_path, KIND_HIERARCHY, sections, metadata=metadata,
-                      state_version=state["state_version"])
-    return out_path
-
-
-def write_shard_artifacts(artifact_path: str, num_workers: int,
-                          partitioner: str = "hash_source",
-                          build_workers: int = 1) -> List[str]:
-    """Materialise per-shard sub-artifacts of a hierarchy artifact.
-
-    Shard ``w`` owns the source nodes with ``stable_node_hash(node) %
-    num_workers == w`` (exactly the assignment of the ``hash_source``
-    partitioner, which is why it is the only supported ``partitioner``):
-    its sub-artifact keeps the full intern/pivot tables, graph and
-    skeleton sections (they are read per *target*, which can be any node),
-    slices the bunch table down to the owned sources' rows, keeps only the
-    destination trees those rows can select, and drops the
-    construction-time aux sections entirely.  A worker serving only
-    queries whose source it owns answers identically to full-artifact
-    serving while loading a fraction of the table bytes.
-
-    The slices are one task each on the build runner
-    (:func:`~repro.core.build_runner.run_tasks`), so ``build_workers > 1``
-    slices on a pool (each worker opens the parent artifact by path); the
-    fleet respawn path uses this so regenerating a missing slice does not
-    serialise on one core while siblings cover.  Slice contents are
-    identical either way.
-
-    Returns the sub-artifact paths in shard order (written atomically,
-    overwriting earlier slices).
-    """
-    if num_workers < 1:
-        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    if partitioner != "hash_source":
-        raise ValueError(
-            f"sub-artifact slicing is defined for the source-hash "
-            f"assignment only (partitioner='hash_source'), got "
-            f"{partitioner!r}")
-    shared = {"artifact_path": artifact_path, "num_workers": num_workers,
-              "partitioner": partitioner}
-    return list(run_tasks(_write_one_shard_slice,
-                          [(f"shard:{shard}", shard)
-                           for shard in range(num_workers)],
-                          shared, build_workers))

@@ -18,7 +18,7 @@ v2 surface collapses that into one typed contract and one factory:
   (with the full config recorded in the artifact header as provenance).
 
 The answers a backend gives depend only on the built hierarchy — never on
-which backend answers or how queries are cached or partitioned.
+which backend answers or how queries are cached or scattered.
 The v2 acceptance tests pin this: every ``open_service`` backend answers
 list-for-list identically to a directly constructed local
 ``RoutingService`` on every workload shape.
@@ -38,7 +38,6 @@ from typing import (
 )
 
 from ..graphs.weighted_graph import WeightedGraph
-from .artifacts import write_shard_artifacts
 from .cache import ServingStats
 from .config import CacheConfig, ServingConfig
 from .service import RoutingService, build_or_load_service
@@ -116,11 +115,8 @@ def open_service(config: ServingConfig,
       artifact (required: workers load the hierarchy by path), building it
       first in the parent when missing.  The front-end is *not* started —
       enter its context (or call ``start()``) to spawn and warm the
-      workers; the first query batch also starts it lazily.  With
-      ``config.sub_artifacts`` the parent additionally materialises (or
-      refreshes) per-shard sub-artifact slices and each worker loads only
-      its own — requires a source-partitioning strategy
-      (``partitioner="hash_source"``).
+      workers; the first query batch also starts it lazily.  Every worker
+      maps the full artifact.
 
     ``graph`` supplies the build-path graph (and the freshness check's
     expected size); when omitted, ``config.graph_spec`` is parsed instead.
@@ -187,24 +183,14 @@ def open_service(config: ServingConfig,
                          load_seconds=parent.stats.load_seconds,
                          artifact_bytes=parent.stats.artifact_bytes,
                          extra=dict(parent.stats.extra))
-    sub_paths = None
-    if config.sub_artifacts:
-        # Re-slice on every open: slicing is cheap next to the build, and a
-        # stale slice of a rebuilt artifact would silently serve old tables.
-        sub_paths = write_shard_artifacts(config.artifact_path,
-                                          config.workers,
-                                          partitioner=config.partitioner,
-                                          build_workers=config.build.build_workers)
     return ShardedRoutingService(
         config.artifact_path, num_workers=config.workers,
-        partitioner=config.partitioner,
         cache_config=config.cache,
         pipeline_depth=config.pipeline_depth,
         max_inflight=config.max_inflight,
         admission=config.admission,
-        sub_artifact_paths=sub_paths, start_method=config.start_method,
+        start_method=config.start_method,
         warm_timeout=config.warm_timeout, reply_timeout=config.reply_timeout,
         graph=graph, stats=stats, kernel=config.kernel,
         telemetry=config.telemetry,
-        fleet=config.fleet_config() if config.fleet else None,
-        build_workers=config.build.build_workers)
+        fleet=config.fleet_config() if config.fleet else None)

@@ -136,21 +136,20 @@ class ServingStats:
     #: ``extra`` keys that are per-worker additive counters: :meth:`merge`
     #: sums them (scalars, or dict-of-scalars per sub-key) instead of
     #: dropping them when workers disagree — an operator watching a sharded
-    #: service still sees, e.g., the total table bytes resident across
-    #: workers (which is what sub-artifact slicing shrinks).
+    #: service still sees, e.g., the total table bytes the workers mapped
+    #: (every worker maps the full artifact, so this is workers × bytes).
     #: ``kernel_stats`` (columnar batch / group / row-decode counts) and
     #: ``pivot_row_cache`` (hits / misses / evictions) are per-worker
     #: dict-of-scalar counters, so their merged values are fleet totals
-    #: too; ``cover_queries`` counts queries a sliced worker answered for a
-    #: dead sibling from its full-artifact cover.
+    #: too.
     ADDITIVE_EXTRAS = ("loaded_table_bytes", "kernel_stats",
-                       "pivot_row_cache", "cover_queries")
+                       "pivot_row_cache")
 
     #: The additive integer counters, in export order.  ``as_dict``,
-    #: ``from_dict``, :meth:`merge` and the shard worker's cover-service
-    #: fold all read this tuple, so a counter added to the dataclass is
-    #: added here and nowhere else.  ``OPTIONALS`` are the ``None``-able
-    #: provenance fields that follow them in a record.
+    #: ``from_dict`` and :meth:`merge` all read this tuple, so a counter
+    #: added to the dataclass is added here and nowhere else.
+    #: ``OPTIONALS`` are the ``None``-able provenance fields that follow
+    #: them in a record.
     COUNTERS = ("queries", "route_queries", "distance_queries", "batches",
                 "batched_queries", "cache_hits", "cache_misses")
     OPTIONALS = ("build_seconds", "load_seconds", "artifact_bytes")

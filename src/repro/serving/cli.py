@@ -45,10 +45,9 @@ from ..obs.metrics import Histogram
 from ..obs.trace import TraceRecorder
 from .backend import open_service
 from .config import ServingConfig
-from .registry import PARTITIONERS, QUERY_KERNELS, WORKLOADS
-from .service import answer_batch
+from .service import QUERY_KERNELS, answer_batch
 from .specs import parse_graph_spec
-from .workloads import make_workload
+from .workloads import make_workload, workload_names
 
 __all__ = ["parse_graph_spec", "Flag", "FLAGS", "build_parser",
            "config_from_args", "run_serving_session", "advertised_config",
@@ -67,16 +66,15 @@ class Flag(NamedTuple):
     that configures no declarative field (a deployment mode, a capture
     target, an output format).  A flag backed by a dataclass field takes
     its type and default from that field; ``type`` / ``default`` are for
-    the flags that have none.  ``choices`` may be a callable so registry
-    names are read when the parser is built, not when this module loads.
-    ``shapes`` lists the workload shapes a ``workload.params`` flag applies
-    to (any other ``--workload`` makes the flag an error).
+    the flags that have none.  ``shapes`` lists the workload shapes a
+    ``workload.params`` flag applies to (any other ``--workload`` makes the
+    flag an error).
     """
 
     name: str
     path: Optional[str]
     help: Optional[str] = None
-    choices: Union[None, Sequence[str], Callable[[], Sequence[str]]] = None
+    choices: Optional[Sequence[str]] = None
     type: Optional[Callable[[str], Any]] = None
     default: Any = _FROM_FIELD
     metavar: Optional[str] = None
@@ -96,7 +94,7 @@ FLAGS: Tuple[Flag, ...] = (
     Flag("--mode", "build.mode",
          choices=("auto", "budget", "spd", "truncated")),
     Flag("--seed", "build.seed"),
-    Flag("--workload", "workload.name", choices=WORKLOADS.names),
+    Flag("--workload", "workload.name", choices=workload_names()),
     Flag("--queries", "workload.num_queries"),
     Flag("--skew", "workload.params.skew",
          "Zipf exponent (zipf/bursty workloads only; default 1.2)",
@@ -135,26 +133,14 @@ FLAGS: Tuple[Flag, ...] = (
          "artifact's record tables, 'dict' is the per-pair path, 'auto' "
          "picks columnar whenever the backing store supports it (answers "
          "are identical either way)",
-         choices=QUERY_KERNELS.names),
+         choices=tuple(sorted(QUERY_KERNELS))),
     Flag("--build-workers", "build.build_workers",
-         "process-pool width for hierarchy construction and sub-artifact "
-         "slicing; the parallel build is checksum-identical to the "
-         "sequential one (default 1 = sequential)"),
+         "process-pool width for hierarchy construction; the parallel "
+         "build is checksum-identical to the sequential one (default 1 = "
+         "sequential)"),
     Flag("--workers", "workers",
          "worker processes; >1 serves through a sharded front-end "
          "(requires --artifact)"),
-    # Left unset, the partitioner follows the deployment shape (see
-    # config_from_args), so the parser must see "unset", not the field's
-    # default.
-    Flag("--partitioner", "partitioner",
-         "shard partition strategy (--workers > 1 only; default "
-         "round_robin, or hash_source when --sub-artifacts or --fleet is "
-         "set)",
-         choices=PARTITIONERS.names, default=None),
-    Flag("--sub-artifacts", "sub_artifacts",
-         "slice the artifact into per-shard sub-artifacts so each worker "
-         "loads only its partition's tables (--workers > 1, source "
-         "partitioning)"),
     Flag("--telemetry", "telemetry",
          "enable the per-stage telemetry registry: span histograms for "
          "artifact load, hierarchy build, cache probes/fills, kernel "
@@ -184,8 +170,8 @@ FLAGS: Tuple[Flag, ...] = (
          choices=("block", "reject")),
     Flag("--fleet", "fleet",
          "supervise the shard workers for recovery: a dead or hung worker "
-         "is respawned while its siblings cover its partition (--workers "
-         "> 1; the worker count never changes; answers stay identical)"),
+         "is respawned while its siblings take its share (--workers > 1; "
+         "the worker count never changes; answers stay identical)"),
     Flag("--heartbeat-interval", "heartbeat_interval",
          "fleet supervisor beat period in seconds (--fleet): hang checks "
          "and respawns happen on this cadence"),
@@ -238,9 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
             parser.add_argument(flag.name, action="store_true",
                                 help=flag.help)
             continue
-        choices = flag.choices() if callable(flag.choices) else flag.choices
         parser.add_argument(
-            flag.name, type=value_type, choices=choices,
+            flag.name, type=value_type, choices=flag.choices,
             default=(field_default if flag.default is _FROM_FIELD
                      else flag.default),
             metavar=flag.metavar, help=flag.help)
@@ -252,9 +237,9 @@ def config_from_args(args: argparse.Namespace,
     """Validate flags and assemble the :class:`ServingConfig` they describe.
 
     Only flag-level facts are checked here (flags with no config field,
-    workload-shape applicability, partitioner defaults); whatever the
-    config can express is validated once, by ``ServingConfig.__post_init__``,
-    and reaches the user through the ``parser.error`` at the bottom.
+    workload-shape applicability); whatever the config can express is
+    validated once, by ``ServingConfig.__post_init__``, and reaches the
+    user through the ``parser.error`` at the bottom.
     """
     if args.connect is not None:
         if args.serve is not None:
@@ -285,15 +270,6 @@ def config_from_args(args: argparse.Namespace,
         parser.error("--workers > 1 requires --artifact "
                      "(workers load the hierarchy by path)")
 
-    if args.sub_artifacts and args.partitioner not in (None, "hash_source"):
-        parser.error("--sub-artifacts requires source partitioning "
-                     "(--partitioner hash_source): workers only hold "
-                     "their own sources' tables")
-    if args.fleet and args.partitioner not in (None, "hash_source"):
-        parser.error("--fleet routes by source hash (the epoch table "
-                     "must agree with sub-artifact slicing); use "
-                     "--partitioner hash_source or omit it")
-
     # Walk each flag's dotted path into the nested dict from_dict expects;
     # unset workload.params flags stay out of the free-form dict.
     nested: Dict[str, Any] = {}
@@ -306,10 +282,6 @@ def config_from_args(args: argparse.Namespace,
         for part in parents:
             node = node.setdefault(part, {})
         node[leaf] = value
-    if args.partitioner is None:
-        nested["partitioner"] = ("hash_source"
-                                 if args.sub_artifacts or args.fleet
-                                 else "round_robin")
     try:
         return ServingConfig.from_dict(nested)
     except ValueError as exc:

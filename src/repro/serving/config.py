@@ -1,6 +1,6 @@
 """The serving API v2 config family: typed, frozen, round-trippable.
 
-Pre-redesign, build/cache/partition/workload options were threaded through
+Pre-redesign, build/cache/workload options were threaded through
 the serving layer as long positional-kwarg chains.  The v2 surface replaces
 those chains with a family of frozen dataclasses that one
 :func:`~repro.serving.backend.open_service` call consumes:
@@ -11,7 +11,7 @@ those chains with a family of frozen dataclasses that one
 * :class:`WorkloadConfig` — which query stream to generate against the
   service (used by the CLI);
 * :class:`ServingConfig`  — the full serving session: artifact path, worker
-  count, partitioner, batch shape, plus one of each config above.
+  count, batch shape, plus one of each config above.
 
 Every config serialises losslessly: ``from_dict(to_dict(c)) == c`` holds for
 any config, ``to_dict`` emits only JSON-safe builtins, and ``from_dict``
@@ -125,9 +125,10 @@ class CacheConfig:
 class WorkloadConfig:
     """Which query stream to run against the service.
 
-    ``name`` is a workload-registry entry (``uniform`` / ``zipf`` /
-    ``locality`` / ``bursty`` built in); ``params`` holds the shape-specific
-    keyword arguments (``skew``, ``hop_radius``, ``burst_length``, ...).
+    ``name`` is a :data:`~repro.serving.workloads.WORKLOADS` entry
+    (``uniform`` / ``zipf`` / ``locality`` / ``bursty`` / ``trace``);
+    ``params`` holds the shape-specific keyword arguments (``skew``,
+    ``hop_radius``, ``burst_length``, ...).
     ``seed = None`` means "inherit the build seed" — the CLI and the
     experiment runners keep graph generation and traffic generation on one
     seed unless told otherwise.
@@ -163,19 +164,14 @@ class ServingConfig:
 
     ``workers == 1`` serves locally (a :class:`RoutingService`);
     ``workers > 1`` serves through the multi-process sharded front-end and
-    requires ``artifact_path`` (workers load the hierarchy by path).
-    ``sub_artifacts`` additionally materialises per-shard sub-artifacts
-    (slices holding only each shard's bunch rows and reachable
-    trees) so every worker maps only its partition's tables; it requires a
-    source-partitioning strategy (``partitioner="hash_source"``), since the
-    slices are only complete for queries routed to their source's shard.
+    requires ``artifact_path`` (every worker maps the full artifact by
+    path; batches are scattered round-robin).
     ``graph_spec`` is an optional ``name:key=value,...`` generator spec (see
     :func:`~repro.serving.specs.parse_graph_spec`) used when no in-memory
     graph is passed to :func:`~repro.serving.backend.open_service`.
-    ``kernel`` names a query-kernel registry entry (``dict`` / ``columnar``
-    / ``auto`` built in) selecting how batch queries probe the routing
-    tables; like ``partitioner`` it is validated against the registry when
-    the service opens.
+    ``kernel`` names a :data:`~repro.serving.service.QUERY_KERNELS` entry
+    (``dict`` / ``columnar`` / ``auto``) selecting how batch queries probe
+    the routing tables; it is validated when the service opens.
     ``telemetry`` enables per-stage span recording (artifact load, cache
     probes, kernel batches, scatter/gather) into a live metrics registry,
     exported through ``query_stats().extra["telemetry"]``; off by default
@@ -193,21 +189,17 @@ class ServingConfig:
     ``fleet`` puts the sharded front-end under a
     :class:`~repro.serving.fleet.FleetSupervisor`: dead workers are
     respawned (``respawn_limit`` deaths tolerated; respawns and hang
-    checks run every ``heartbeat_interval`` seconds) while siblings cover
-    their partition from the moment the death is seen; the worker count
-    never changes.  These two fields are the fleet's
-    :class:`~repro.serving.fleet.FleetConfig`
-    (:meth:`fleet_config`).  Fleet mode requires
-    ``workers >= 2`` and a source-partitioning strategy
-    (``partitioner="hash_source"``).
+    checks run every ``heartbeat_interval`` seconds) while siblings take
+    their share from the moment the death is seen; the worker count never
+    changes.  These two fields are the fleet's
+    :class:`~repro.serving.fleet.FleetConfig` (:meth:`fleet_config`).
+    Fleet mode requires ``workers >= 2``.
     """
 
     artifact_path: Optional[str] = None
     graph_spec: Optional[str] = None
     save_artifact: bool = True
     workers: int = 1
-    partitioner: str = "round_robin"
-    sub_artifacts: bool = False
     batch_size: int = 64
     kind: str = "route"
     kernel: str = "auto"
@@ -247,9 +239,6 @@ class ServingConfig:
                 raise ValueError(
                     "connect sessions take the graph and artifact from the "
                     "server; drop artifact_path/graph_spec")
-        if self.sub_artifacts and self.workers < 2:
-            raise ValueError("sub_artifacts=True requires workers > 1 "
-                             "(slicing exists to shrink per-worker tables)")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, "
                              f"got {self.batch_size}")
@@ -260,8 +249,8 @@ class ServingConfig:
         if self.fleet:
             if self.workers < 2:
                 raise ValueError(
-                    "fleet=True requires workers >= 2 (siblings cover a "
-                    "dead worker's partition)")
+                    "fleet=True requires workers >= 2 (siblings take a "
+                    "dead worker's share)")
             if self.connect is not None:
                 raise ValueError("fleet=True is a deployment-side option; "
                                  "connect sessions cannot request it")

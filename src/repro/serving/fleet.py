@@ -9,39 +9,40 @@ answering, identically, while the fleet heals.
 
 :class:`FleetSupervisor` is that session's *policy*, and only that: the
 front-end owns the slots, the tickets and the pipes, notices deaths and
-re-scatters; the supervisor owns the routing table, the respawn budget and
-the heartbeat, and drives the front-end through a handful of public
-members (``lock``, ``workers``, ``serving``, ``closed``,
-``install_worker()``, ``fail()``, ``worker_died()``, ``metrics`` and the
-config attributes) — a stub with those members is all its tests need.
-It does five things, none of which ever changes an answer:
+re-scatters; the supervisor decides when the routing table changes, and
+owns the respawn budget and the heartbeat; it drives the front-end
+through a handful of public members (``lock``, ``workers``, ``serving``,
+``closed``, ``table``, ``num_workers``, ``install_worker()``, ``fail()``,
+``worker_died()`` and ``metrics``) — a stub with those members is all
+its tests need.  It does five things, none of which ever changes an answer:
 
 * when the front-end reports a death, it publishes a table without the
   slot;
 * the front-end re-scatters the slot's unanswered shards to siblings
-  through that table (every worker can answer any query, from its own
-  slice or from the lazily-loaded full-artifact *cover*);
+  through that table (every worker maps the full artifact, so any worker
+  can answer any query);
 * a heartbeat ``ping``/``pong`` over the existing pipes catches the one
   death a pipe cannot show: a worker that is alive but hung;
-* it respawns the dead worker in the background within ``respawn_limit``,
-  regenerating its sub-artifact slice from the parent artifact if the
-  file vanished; in-flight and subsequent batches stay list-for-list
-  identical to single-process serving, only latency spikes;
+* it respawns the dead worker in the background within ``respawn_limit``;
+  in-flight and subsequent batches stay list-for-list identical to
+  single-process serving, only latency spikes;
 * past the budget, the next death is answered with a typed
   :class:`FleetError` for the front-end to latch.
 
-The worker count never changes and no work moves between live workers: a
-table is published only at start, on a death and when a respawned worker
-turns ready, so ``epoch == 1 + worker_deaths + respawns``.
+The worker count never changes and nothing rebalances: a table is
+published only at start, on a death and when a respawned worker turns
+ready, so ``epoch == 1 + worker_deaths + respawns``.
 
 :class:`FleetConfig` holds the two settings a deployment can choose
 (``heartbeat_interval``, ``respawn_limit``); the hang timeout is the
 module constant :data:`HANG_TIMEOUT`.
 
-Routing goes through an **epoch-versioned table** (:class:`RoutingEpoch`);
-tables are immutable and published under the service lock, and the scatter
-path re-partitions whenever the epoch moved while it waited, so a scatter
-can never target a slot that died meanwhile.
+Routing goes through the front-end's **epoch-versioned table**
+(:class:`~repro.serving.sharded.RoutingEpoch`), round-robin over the live
+slots; the supervisor publishes each new one into ``service.table`` under
+the service lock, and the scatter path re-assigns whenever the table was
+replaced while it waited, so a scatter can never target a slot that died
+meanwhile.
 
 Telemetry (when the service's registry is enabled): the supervisor's
 ``respawn`` span and the counters ``fleet_worker_deaths`` /
@@ -54,14 +55,12 @@ into ``extra["fleet"]``.
 from __future__ import annotations
 
 import dataclasses
-import os
 import threading
 import time
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from .sharded import ShardError
-from .workloads import stable_node_hash
+from .sharded import RoutingEpoch, ShardError
 
 __all__ = ["FleetConfig", "FleetError", "FleetSupervisor", "RoutingEpoch"]
 
@@ -96,49 +95,6 @@ class FleetConfig:
                              f"got {self.respawn_limit}")
 
 
-class RoutingEpoch:
-    """One immutable published routing table.
-
-    ``slot_of`` is deterministic given the table: the base slot is
-    ``stable_node_hash(source) % base_slots`` (the worker count, matching
-    the sub-artifact slicing), and a non-routable base slot falls back to
-    ``routable[hash % len(routable)]`` — stable for the table's lifetime,
-    so one batch is never split mid-scatter.
-    """
-
-    __slots__ = ("epoch", "base_slots", "routable", "_routable_set")
-
-    def __init__(self, epoch: int, base_slots: int,
-                 routable: Tuple[int, ...]) -> None:
-        self.epoch = epoch
-        self.base_slots = base_slots
-        self.routable = tuple(sorted(routable))
-        self._routable_set = frozenset(self.routable)
-
-    def slot_of(self, source) -> int:
-        slot = stable_node_hash(source) % self.base_slots
-        if slot in self._routable_set:
-            return slot
-        if not self.routable:
-            raise FleetError("no routable workers (all slots dead)")
-        return self.routable[stable_node_hash(source) % len(self.routable)]
-
-    def assign(self, items) -> List[Tuple[int, List]]:
-        """Group ``(index, pair)`` items by their source's slot:
-        ``[(slot, [item, ...]), ...]`` in slot order, stream order kept
-        within a slot.  The one grouping loop behind both a fresh scatter
-        and the re-scatter of a dead slot's shards."""
-        shards: Dict[int, List] = {}
-        for item in items:
-            shards.setdefault(self.slot_of(item[1][0]), []).append(item)
-        return sorted(shards.items())
-
-    def __repr__(self) -> str:
-        return (f"RoutingEpoch(epoch={self.epoch}, "
-                f"base_slots={self.base_slots}, "
-                f"routable={list(self.routable)})")
-
-
 def _supervisor_main(supervisor: "FleetSupervisor",
                      stop: threading.Event) -> None:
     """Beat thread body: one :meth:`FleetSupervisor.beat` per interval.
@@ -161,22 +117,19 @@ def _supervisor_main(supervisor: "FleetSupervisor",
 class FleetSupervisor:
     """The policy of one sharded front-end (see the module docstring).
 
-    All mutable state here — the published table, the respawn queue and
-    budget, pong times — is guarded by the *service's* lock, handed over
-    once at construction: the scatter path, the collector and the beat
-    thread already synchronise on it, so the supervisor adds no second
-    lock order.  The front-end calls :meth:`worker_ready`,
-    :meth:`worker_failed`, :meth:`worker_died` and :meth:`pong` with that
-    lock held, after it has updated the slot.
+    All mutable state here — the respawn queue and budget, pong times —
+    and the table it publishes into ``service.table`` are guarded by the
+    *service's* lock, handed over once at construction: the scatter path,
+    the collector and the beat thread already synchronise on it, so the
+    supervisor adds no second lock order.  The front-end calls
+    :meth:`worker_ready`, :meth:`worker_failed`, :meth:`worker_died` and
+    :meth:`pong` with that lock held, after it has updated the slot.
     """
 
     def __init__(self, service, config: FleetConfig) -> None:
         self.config = config
         self._service_ref = weakref.ref(service)
         self._lock = service.lock
-        self.base_slots = service.num_workers
-        #: The published routing table; replaced, never mutated.
-        self.table = RoutingEpoch(0, self.base_slots, ())
         # Monotonic counters, exposed via status() whether or not the
         # metrics registry is enabled.
         self.worker_deaths = 0
@@ -214,9 +167,9 @@ class FleetSupervisor:
     def _publish(self, service) -> None:
         """Publish a new epoch over the serving slots (service lock held
         by the caller)."""
-        routable = tuple(w.worker_id for w in service.serving)
-        self.table = RoutingEpoch(self.table.epoch + 1, self.base_slots,
-                                  routable)
+        service.table = RoutingEpoch(
+            service.table.epoch + 1, service.num_workers,
+            [w.worker_id for w in service.serving])
 
     # -- slot events, called by the front-end with the lock held --------
     def pong(self, worker_id: int) -> None:
@@ -312,29 +265,14 @@ class FleetSupervisor:
             worker.stop()
 
     def _run_respawns(self, service) -> None:
-        """Execute queued respawns (beat thread, slow path: slice
-        regeneration and the process spawn run outside the lock).  The new
-        worker's ``ready`` comes back through the front-end as
-        :meth:`worker_ready`."""
+        """Execute queued respawns (beat thread, slow path: the process
+        spawn runs outside the lock).  The new worker's ``ready`` comes
+        back through the front-end as :meth:`worker_ready`."""
         while True:
             with self._lock:
                 if not self._respawn_queue:
                     return
                 worker_id = self._respawn_queue.pop(0)
-            paths = service.sub_artifact_paths
-            if paths is not None and not os.path.exists(paths[worker_id]):
-                # The slice file vanished (scratch disk, operator error):
-                # regenerate the whole slice set from the parent artifact.
-                from .artifacts import write_shard_artifacts
-                try:
-                    write_shard_artifacts(
-                        service.artifact_path, len(paths),
-                        build_workers=service.build_workers)
-                except Exception as exc:
-                    service.fail(FleetError(
-                        f"could not regenerate the sub-artifact slice for "
-                        f"worker {worker_id}: {type(exc).__name__}: {exc}"))
-                    return
             if not service.install_worker(worker_id):
                 return
 
@@ -342,8 +280,8 @@ class FleetSupervisor:
     def status(self) -> Dict[str, object]:
         """JSON-able snapshot for ``merged_stats().extra["fleet"]``."""
         service = self._service_ref()
-        table = self.table
-        out: Dict[str, object] = {
+        table = service.table
+        return {
             "epoch": table.epoch,
             "base_slots": table.base_slots,
             "routable": list(table.routable),
@@ -351,13 +289,9 @@ class FleetSupervisor:
             "respawns": self.respawns,
             "respawn_limit": self.config.respawn_limit,
             "heartbeat_interval": self.config.heartbeat_interval,
+            "workers": {str(w.worker_id): w.state for w in service.workers},
         }
-        if service is not None:
-            out["workers"] = {str(w.worker_id): w.state
-                              for w in service.workers}
-        return out
 
     def __repr__(self) -> str:
-        return (f"FleetSupervisor(epoch={self.table.epoch}, "
-                f"routable={list(self.table.routable)}, "
-                f"deaths={self.worker_deaths}, respawns={self.respawns})")
+        return (f"FleetSupervisor(deaths={self.worker_deaths}, "
+                f"respawns={self.respawns})")

@@ -42,10 +42,9 @@ from .artifacts import (
 )
 from .cache import LRUCache, ServingStats
 from .config import BuildConfig, CacheConfig
-from .registry import get_query_kernel, register_query_kernel
 
 __all__ = ["RoutingService", "build_or_load_service", "answer_batch",
-           "resolve_query_kernel"]
+           "resolve_query_kernel", "QUERY_KERNELS"]
 
 _Pair = Tuple[Hashable, Hashable]
 
@@ -59,19 +58,22 @@ _UNSET = object()
 # ======================================================================
 # query kernels (batch probing strategy, selected by name)
 # ======================================================================
-@register_query_kernel("dict")
 def _dict_kernel(hierarchy: CompactRoutingHierarchy) -> str:
     """The per-pair path: label-keyed dict probes, always available."""
     return "dict"
 
 
-@register_query_kernel("auto")
-@register_query_kernel("columnar")
 def _columnar_kernel(hierarchy: CompactRoutingHierarchy) -> str:
     """Array-native batch kernel over v2 record tables whenever the
     backing store has them (a loaded artifact), the dict path otherwise
     (an in-memory build).  ``auto`` and ``columnar`` are this one rule."""
     return "columnar" if hierarchy.has_columnar_kernel() else "dict"
+
+
+#: Kernel selector -> ``resolver(hierarchy)`` returning the concrete
+#: kernel name.
+QUERY_KERNELS = {"dict": _dict_kernel, "auto": _columnar_kernel,
+                 "columnar": _columnar_kernel}
 
 
 def resolve_query_kernel(kernel: str,
@@ -80,9 +82,12 @@ def resolve_query_kernel(kernel: str,
 
     Returns the *concrete* kernel name (``"dict"`` or ``"columnar"``) that
     batch queries will actually use; unknown selectors raise with the
-    registered names.
+    available names.
     """
-    return get_query_kernel(kernel)(hierarchy)
+    if kernel not in QUERY_KERNELS:
+        raise ValueError(f"unknown query kernel {kernel!r}; available: "
+                         f"{', '.join(sorted(QUERY_KERNELS))}")
+    return QUERY_KERNELS[kernel](hierarchy)
 
 
 class RoutingService:
@@ -104,7 +109,7 @@ class RoutingService:
         ``CacheConfig()``.
     kernel:
         Query-kernel selector (``"dict"`` / ``"columnar"`` / ``"auto"``,
-        resolved through the query-kernel registry).  Controls how batch
+        resolved through :data:`QUERY_KERNELS`).  Controls how batch
         queries probe the routing tables; answers are identical across
         kernels, so ``"auto"`` (columnar whenever the backing store is a
         loaded mmap artifact) is safe everywhere.
@@ -194,9 +199,6 @@ class RoutingService:
         stats.extra["artifact_format"] = info.format_version
         stats.extra["artifact_load"] = "mmap"
         stats.extra["loaded_table_bytes"] = info.payload_bytes
-        sub = info.metadata.get("sub_artifact")
-        if sub is not None:
-            stats.extra["sub_artifact_shard"] = sub.get("shard")
         stats.extra["madvise_sections"] = list(hierarchy._madvise_sections)
         return cls(hierarchy, stats=stats, cache_config=cache_config,
                    kernel=kernel, metrics=metrics)
@@ -437,7 +439,7 @@ def answer_batch(service: RoutingService, kind: str,
                  pairs: Sequence[_Pair]) -> List:
     """Dispatch one batch to the service by query kind.
 
-    The shared kind registry for the CLI and the sharded front-end's
+    The shared kind dispatch for the CLI and the sharded front-end's
     workers.
     """
     if kind == "route":

@@ -5,16 +5,17 @@ process, so the GIL caps its route throughput no matter how good the cache
 hit rate is.  The artifact layer already makes a built hierarchy shareable
 across processes — versioned, checksummed, query-identical on reload — which
 makes the multi-process step cheap: build once in the parent, ``save``, and
-let every worker ``load`` the same artifact and answer its slice of the
+let every worker ``load`` the same artifact and answer its share of the
 stream with a local :class:`RoutingService`.
 
 :class:`ShardedRoutingService` keeps one hard invariant: its answers are
 list-for-list identical to a single-process :class:`RoutingService` on the
 same workload.  Sharding changes *where* a query is answered, never *what*
-the answer is.  Partitioning is deterministic
-(:func:`~repro.serving.partitioners.partition_pairs`): ``round_robin`` balances
-load exactly, ``hash_pair`` sends every occurrence of a pair to the same
-shard so hot pairs warm exactly one shard's cache.
+the answer is: every worker maps the full artifact, so any worker can answer
+any pair.  One round-robin table (:class:`RoutingEpoch`) scatters every
+batch: item ``i`` goes to ``routable[i % len(routable)]`` — slot ``i % N``
+while all ``N`` slots are live — which balances load to within one pair per
+batch whatever the stream holds.
 
 Sharding buys two things:
 
@@ -27,19 +28,20 @@ Sharding buys two things:
 
 Scatter/gather is **pipelined** (the PR-8 transport refactor): the
 front-end may keep several batches in flight at once.  :meth:`submit_batch`
-partitions a batch, applies admission control, and hands each shard to
-its :class:`~repro.serving.worker.Worker` endpoint without waiting for
-answers; a background *collector* thread multiplexes the workers' result
-pipes and completes tickets as workers answer; :meth:`wait_batch` blocks
-on one ticket.  ``route_batch`` / ``distance_batch`` stay strictly
-synchronous (submit + wait), so sequential callers see exactly the old
-behaviour, while pipelined drivers (a network session's reader thread,
-concurrent sessions, the benchmarks) overlap batch serialization with
-worker compute and keep every worker's task pipe non-empty.  Two knobs
-bound the pipeline: ``pipeline_depth`` caps front-end-wide outstanding
-batches and ``max_inflight`` caps per-worker outstanding batches; at
-either bound ``admission="block"`` delays the submitter (the
-``inflight_wait`` telemetry span) and ``admission="reject"`` raises
+assigns a batch through the table, applies admission control, and hands
+each shard to its :class:`~repro.serving.worker.Worker` endpoint without
+waiting for answers; a background *collector* thread multiplexes the
+workers' result pipes and completes tickets as workers answer;
+:meth:`wait_batch` blocks on one ticket.  ``route_batch`` /
+``distance_batch`` stay strictly synchronous (submit + wait), so
+sequential callers see exactly the old behaviour, while pipelined
+drivers (a network session's reader thread, concurrent sessions, the
+benchmarks) overlap batch serialization with worker compute and keep
+every worker's task pipe non-empty.  Two knobs bound the pipeline:
+``pipeline_depth`` caps front-end-wide outstanding batches and
+``max_inflight`` caps per-worker outstanding batches; at either bound
+``admission="block"`` delays the submitter (the ``inflight_wait``
+telemetry span) and ``admission="reject"`` raises
 :class:`~repro.serving.wire.BackpressureError` instead.
 
 A ticket remembers the *form* its submitter wants — objects
@@ -50,17 +52,19 @@ it travels with every shard, including those re-sent after a death.
 One owner per fact.  :mod:`repro.serving.worker` owns the pipes, the
 message tuples and the worker process; this module owns the *slots* (the
 list of endpoints and each one's ``state``), the *tickets* (which shard of
-which batch is still owed by which slot) and the *windows* (per-slot
-in-flight counts); the optional :class:`~repro.serving.fleet.FleetSupervisor`
-owns the routing table and every policy decision.  A worker's death has
-one path, :meth:`ShardedRoutingService.worker_died`, whoever notices it —
-the collector (the result pipe's EOF), a submitter (a task write found no
-reader) or the supervisor (a hung worker it terminated).  Without a
-supervisor the death latches a :class:`ShardError` and fail-stops the
-front-end (all workers are shut down, every in-flight ticket completes
-with the error); with one, the supervisor either supplies the error
-(budget exhausted) or the dead slot's unanswered shards are re-scattered
-to siblings by the one re-scatter, :meth:`ShardedRoutingService._reassign`.
+which batch is still owed by which slot), the *windows* (per-slot
+in-flight counts) and the routing *table* (:class:`RoutingEpoch`, the one
+scatter rule); the optional :class:`~repro.serving.fleet.FleetSupervisor`
+makes every policy decision, including when a new table is published.
+A worker's death has one path, :meth:`ShardedRoutingService.worker_died`,
+whoever notices it — the collector (the result pipe's EOF), a submitter
+(a task write found no reader) or the supervisor (a hung worker it
+terminated).  Without a supervisor the death latches a
+:class:`ShardError` and fail-stops the front-end (all workers are shut
+down, every in-flight ticket completes with the error); with one, the
+supervisor either supplies the error (budget exhausted) or the dead
+slot's unanswered shards are re-scattered to siblings by the one
+re-scatter, :meth:`ShardedRoutingService._reassign`.
 
 Worker lifecycle: spawn → warm (load the artifact, signal ready) → serve
 query batches (order-preserving scatter/gather) → drain and shut down, each
@@ -81,16 +85,15 @@ import warnings
 import weakref
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..core.build_runner import check_build_workers
 from ..graphs.weighted_graph import WeightedGraph
 from ..obs.metrics import make_registry, merge_exports
 from .cache import ServingStats
 from .config import CacheConfig
-from .partitioners import make_partitioner
 from .wire import BackpressureError
 from .worker import Worker, _poll_channels
 
-__all__ = ["ShardedRoutingService", "ShardError", "BackpressureError"]
+__all__ = ["ShardedRoutingService", "ShardError", "BackpressureError",
+           "RoutingEpoch"]
 
 _Pair = Tuple[Hashable, Hashable]
 
@@ -114,6 +117,48 @@ class ShardError(RuntimeError):
         super().__init__(message)
         self.worker_traceback = worker_traceback
         self.pending_request_ids: Tuple[int, ...] = tuple(pending_request_ids)
+
+
+class RoutingEpoch:
+    """One immutable published routing table: the slots a scatter may use.
+
+    Item ``(index, pair)`` goes to ``routable[index % len(routable)]``.
+    With every slot live that is slot ``index % base_slots``; with a slot
+    dead its share spreads over the survivors, whose loads differ by at
+    most one item per batch.  A fresh scatter and the re-scatter of a dead
+    slot's shards apply the same rule, and the table is replaced, never
+    mutated, so one batch is never split by two tables.
+    """
+
+    __slots__ = ("epoch", "base_slots", "routable")
+
+    def __init__(self, epoch: int, base_slots: int,
+                 routable: Sequence[int]) -> None:
+        self.epoch = epoch
+        self.base_slots = base_slots
+        self.routable = tuple(sorted(routable))
+
+    def slot_of(self, index: int) -> int:
+        if not self.routable:
+            raise ShardError("no routable workers (all slots dead)")
+        return self.routable[index % len(self.routable)]
+
+    def assign(self, items) -> List[Tuple[int, List]]:
+        """Group ``(index, pair)`` items by slot: ``[(slot, [item, ...]),
+        ...]`` in slot order, stream order kept within a slot."""
+        routable = self.routable
+        if not routable:
+            raise ShardError("no routable workers (all slots dead)")
+        width = len(routable)
+        shards: Dict[int, List] = {}
+        for item in items:
+            shards.setdefault(routable[item[0] % width], []).append(item)
+        return sorted(shards.items())
+
+    def __repr__(self) -> str:
+        return (f"RoutingEpoch(epoch={self.epoch}, "
+                f"base_slots={self.base_slots}, "
+                f"routable={list(self.routable)})")
 
 
 def _collector_main(service_ref, stop: threading.Event) -> None:
@@ -189,25 +234,12 @@ class ShardedRoutingService:
         :func:`~repro.serving.backend.open_service` builds it first).
     num_workers:
         Worker process count (>= 1).
-    partitioner:
-        A name from the partitioner registry (``round_robin`` /
-        ``hash_pair`` / ``hash_source`` built in — see
-        :mod:`repro.serving.partitioners`).
     cache_config:
         Per-worker result-cache size as a
         :class:`~repro.serving.config.CacheConfig`; each worker caches
-        only its own partition, so aggregate capacity is ``num_workers *
-        cache_config.capacity``.  Defaults to ``CacheConfig()``.
-    sub_artifact_paths:
-        Optional per-shard sub-artifact paths (one per worker, shard
-        order — see
-        :func:`~repro.serving.artifacts.write_shard_artifacts`): worker
-        ``w`` loads ``sub_artifact_paths[w]`` instead of the shared
-        artifact, holding only its partition's tables.  Requires a
-        partitioner that routes every query to its source's shard
-        (``partitions_by_source``, e.g. ``"hash_source"``) — the slices
-        are only complete for those queries, and the identity invariant
-        would otherwise break.
+        only the pairs scattered to it, so aggregate capacity is
+        ``num_workers * cache_config.capacity``.  Defaults to
+        ``CacheConfig()``.
     pipeline_depth:
         Maximum batches in flight front-end-wide; :meth:`submit_batch`
         past this bound blocks or rejects per ``admission``.
@@ -234,9 +266,7 @@ class ShardedRoutingService:
     """
 
     def __init__(self, artifact_path: str, num_workers: int = 2,
-                 partitioner: str = "round_robin",
                  cache_config: Optional[CacheConfig] = None,
-                 sub_artifact_paths: Optional[Sequence[str]] = None,
                  pipeline_depth: int = 8, max_inflight: int = 4,
                  admission: str = "block",
                  start_method: Optional[str] = None,
@@ -244,10 +274,9 @@ class ShardedRoutingService:
                  graph: Optional[WeightedGraph] = None,
                  stats: Optional[ServingStats] = None,
                  kernel: str = "auto", telemetry: bool = False,
-                 fleet=None, build_workers: int = 1) -> None:
+                 fleet=None) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        check_build_workers(build_workers)   # used later, on fleet respawn
         if pipeline_depth < 1:
             raise ValueError(f"pipeline_depth must be >= 1, "
                              f"got {pipeline_depth}")
@@ -257,42 +286,20 @@ class ShardedRoutingService:
         if admission not in ("block", "reject"):
             raise ValueError(f"admission must be 'block' or 'reject', "
                              f"got {admission!r}")
-        # Resolving the partitioner up front also validates the name (the
-        # registry raises "unknown partition strategy ..." for typos).
-        self._partitioner = make_partitioner(partitioner, num_workers)
         if not os.path.exists(artifact_path):
             raise FileNotFoundError(
                 f"artifact {artifact_path!r} does not exist; build it first "
                 f"(e.g. via repro.serving.open_service)")
-        if sub_artifact_paths is not None:
-            sub_artifact_paths = list(sub_artifact_paths)
-            if len(sub_artifact_paths) != num_workers:
-                raise ValueError(
-                    f"got {len(sub_artifact_paths)} sub-artifact paths for "
-                    f"{num_workers} workers (need exactly one per worker, "
-                    f"in shard order)")
-            if not getattr(self._partitioner, "partitions_by_source", False):
-                raise ValueError(
-                    f"sub-artifacts slice tables by source node, so the "
-                    f"partitioner must route every query to its source's "
-                    f"shard (partitions_by_source, e.g. 'hash_source'); "
-                    f"got {partitioner!r}")
-            self._validate_sub_artifacts(artifact_path, sub_artifact_paths)
         if cache_config is None:
             cache_config = CacheConfig()
         self.artifact_path = artifact_path
         self.num_workers = num_workers
-        self.partitioner = partitioner
         self.cache_config = cache_config
-        self.sub_artifact_paths = sub_artifact_paths
         self.pipeline_depth = pipeline_depth
         self.max_inflight = max_inflight
         self.admission = admission
         self.kernel = kernel
         self.telemetry = telemetry
-        #: Process-pool width for sub-artifact slice regeneration (the
-        #: fleet respawn path); never affects query answers.
-        self.build_workers = build_workers
         #: Front-end registry: scatter/gather/inflight_wait spans and the
         #: queue-depth histogram live here; per-worker span histograms live
         #: in the workers and merge through ``ServingStats.merge`` (see
@@ -302,16 +309,17 @@ class ShardedRoutingService:
         self.graph = graph
         self.stats = stats if stats is not None else ServingStats()
         self.stats.extra.setdefault("workers", num_workers)
-        self.stats.extra.setdefault("partitioner", partitioner)
         self.stats.extra.setdefault("kernel_requested", kernel)
         self.stats.extra.setdefault("artifact_path", artifact_path)
-        self.stats.extra.setdefault("sub_artifacts",
-                                    sub_artifact_paths is not None)
         self._ctx = multiprocessing.get_context(start_method)
         self._warm_timeout = warm_timeout
         self._reply_timeout = reply_timeout
         #: The slots: ``_workers[i].worker_id == i`` always.
         self._workers: List[Worker] = []
+        #: The published routing table: every slot, until a fleet
+        #: supervisor publishes one without a dead slot (fail-stop mode
+        #: never replaces it).  Read and replaced under ``_lock``.
+        self.table = RoutingEpoch(0, num_workers, range(num_workers))
         # Parsed-but-undelivered worker messages; consumed by exactly one
         # thread at a time (warm-up, then the collector, then the drain).
         self._result_backlog: collections.deque = collections.deque()
@@ -331,8 +339,9 @@ class ShardedRoutingService:
         self._final_worker_stats: List[ServingStats] = []
         self._undrained_workers: List[int] = []
         # Pipeline state: one lock/condition guards tickets, per-worker
-        # in-flight counts, stats waiters, the partitioner and the metrics
-        # registry; the collector thread completes tickets and notifies.
+        # in-flight counts, stats waiters, the routing table and the
+        # metrics registry; the collector thread completes tickets and
+        # notifies.
         self._lock = threading.RLock()
         self._can_submit = threading.Condition(self._lock)
         self._tickets: Dict[int, _BatchTicket] = {}
@@ -342,10 +351,9 @@ class ShardedRoutingService:
         self._collector_stop = threading.Event()
         self._failure: Optional[ShardError] = None
         self._close_lock = threading.Lock()
-        # Fleet mode: a FleetSupervisor decides respawns and replaces the
-        # static partitioner with its epoch-versioned routing table.
-        # Imported lazily so the base sharded path never touches the fleet
-        # module.
+        # Fleet mode: a FleetSupervisor decides respawns and publishes
+        # the routing table.  Imported lazily so the base sharded path
+        # never touches the fleet module.
         self._fleet = None
         if fleet is not None:
             from .fleet import FleetConfig, FleetSupervisor
@@ -354,57 +362,10 @@ class ShardedRoutingService:
                                  f"got {fleet!r}")
             if num_workers < 2:
                 raise ValueError(
-                    f"fleet mode needs num_workers >= 2 (siblings cover a "
-                    f"dead worker's partition), got {num_workers}")
-            if not getattr(self._partitioner, "partitions_by_source", False):
-                raise ValueError(
-                    f"fleet mode routes by source hash (the epoch table "
-                    f"must agree with sub-artifact slicing), so the "
-                    f"partitioner must partition by source "
-                    f"(e.g. 'hash_source'); got {partitioner!r}")
+                    f"fleet mode needs num_workers >= 2 (siblings take a "
+                    f"dead worker's share), got {num_workers}")
             self._fleet = FleetSupervisor(self, fleet)
             self.stats.extra.setdefault("fleet", True)
-
-    @staticmethod
-    def _validate_sub_artifacts(artifact_path: str,
-                                sub_artifact_paths: List[str]) -> None:
-        """Header-only provenance check of caller-supplied slices.
-
-        Each slice must exist, declare the expected ``{shard, workers}``
-        provenance, and *derive from this artifact*: the slicer copies the
-        pivot and intern sections verbatim, so their header checksums must
-        match the parent's.  This catches the silent-staleness trap — an
-        artifact rebuilt in place while old slices linger on disk would
-        otherwise serve the previous hierarchy's tables without any error.
-        """
-        from .artifacts import artifact_info
-
-        workers = len(sub_artifact_paths)
-        parent = artifact_info(artifact_path)
-        for shard, sub_path in enumerate(sub_artifact_paths):
-            if not os.path.exists(sub_path):
-                raise FileNotFoundError(
-                    f"sub-artifact {sub_path!r} does not exist; "
-                    f"materialise the slices first (repro.serving."
-                    f"write_shard_artifacts)")
-            info = artifact_info(sub_path)
-            provenance = info.metadata.get("sub_artifact")
-            if (not isinstance(provenance, dict)
-                    or provenance.get("shard") != shard
-                    or provenance.get("workers") != workers):
-                raise ValueError(
-                    f"{sub_path!r} is not the shard-{shard}-of-{workers} "
-                    f"sub-artifact its position implies (header says "
-                    f"{provenance!r}); pass write_shard_artifacts' paths "
-                    f"in shard order")
-            for section in ("nodes", "pivots"):
-                if (info.sections[section]["sha256"]
-                        != parent.sections[section]["sha256"]):
-                    raise ValueError(
-                        f"{sub_path!r} was sliced from a different build "
-                        f"of {artifact_path!r} (section {section!r} "
-                        f"differs); re-run write_shard_artifacts — stale "
-                        f"slices would silently serve the old tables")
 
     # ==================================================================
     # slots: what the fleet supervisor sees and drives (it is handed
@@ -431,21 +392,9 @@ class ShardedRoutingService:
         return self._closed or self._failure is not None
 
     def _spawn(self, worker_id: int) -> Worker:
-        """Spawn the process for slot ``worker_id``; the caller installs it.
-
-        The slot loads its sub-artifact slice when there are slices.  In
-        fleet mode a sliced worker also gets the parent artifact as its
-        cover path, so it can answer out-of-slice queries while a sibling
-        is down.
-        """
-        artifact, slice_spec, cover = self.artifact_path, None, None
-        if self.sub_artifact_paths is not None:
-            artifact = self.sub_artifact_paths[worker_id]
-            slice_spec = (worker_id, len(self.sub_artifact_paths))
-            cover = self.artifact_path if self._fleet is not None else None
-        return Worker.spawn(self._ctx, worker_id, artifact,
-                            self.cache_config, self.kernel, self.telemetry,
-                            cover, slice_spec)
+        """Spawn the process for slot ``worker_id``; the caller installs it."""
+        return Worker.spawn(self._ctx, worker_id, self.artifact_path,
+                            self.cache_config, self.kernel, self.telemetry)
 
     def install_worker(self, worker_id: int) -> bool:
         """Spawn a fresh ``warming`` worker into a dead slot; its
@@ -501,7 +450,7 @@ class ShardedRoutingService:
         pseudo-slot's stash — goes to the current table's slots, or into
         the stash when nothing is routable; pending stats requests get a
         placeholder for a worker that will never answer them."""
-        table = self._fleet.table
+        table = self.table
         for ticket in list(self._tickets.values()):
             shards = ticket.outstanding.pop(slot, None)
             if not shards:
@@ -902,43 +851,27 @@ class ShardedRoutingService:
                 self._count_batch(kind, 0)
                 return _BatchTicket(0, kind, text, 0)
             scatter_start = time.perf_counter()
-            epoch = None
-            assignments: List[Tuple[int, List]] = []
-            if self._fleet is None:
-                shards = self._partitioner.partition(pairs)
-                assignments = [(worker_id, shard) for worker_id, shard
-                               in enumerate(shards) if shard]
-            elif self._fleet.table.routable:
-                table = self._fleet.table
-                epoch = table.epoch
-                assignments = table.assign(enumerate(pairs))
-            partition_seconds = time.perf_counter() - scatter_start
+            table = self.table
+            assignments = (table.assign(enumerate(pairs)) if table.routable
+                           else [])
+            assign_seconds = time.perf_counter() - scatter_start
             wait_start = time.perf_counter()
             while True:
                 if self._failure is not None:
                     raise self._failure
                 if self._closed:
                     raise ShardError("sharded service is closed")
-                if self._fleet is not None:
-                    # Never race a death or a rejoin: the routing table is
-                    # epoch-versioned and partitioning happens under the
-                    # same lock that publishes it, so re-partition if the
-                    # epoch moved while this submitter waited.  (The
-                    # static-partitioner path partitions exactly once —
-                    # round_robin is stateful — and its worker set never
-                    # changes.)
-                    table = self._fleet.table
-                    routable = bool(table.routable)
-                    if routable and epoch != table.epoch:
-                        epoch = table.epoch
-                        assignments = table.assign(enumerate(pairs))
-                else:
-                    routable = True
+                if table is not self.table:
+                    # A death or a rejoin published a new table while this
+                    # submitter waited: never scatter through a stale one.
+                    table = self.table
+                    assignments = (table.assign(enumerate(pairs))
+                                   if table.routable else [])
                 targets = [worker_id for worker_id, _ in assignments]
                 depth_ok = len(self._tickets) < self.pipeline_depth
                 window_ok = all(self._inflight.get(w, 0) < self.max_inflight
                                 for w in targets)
-                if routable and depth_ok and window_ok:
+                if table.routable and depth_ok and window_ok:
                     break
                 if self.admission == "reject":
                     raise BackpressureError(
@@ -968,10 +901,10 @@ class ShardedRoutingService:
                     self._inflight.get(worker_id, 0) + 1
                 worker.query(request_id, kind, shard, text)
             if self.metrics.enabled:
-                # scatter = partition + enqueue; the admission wait is its
+                # scatter = assign + enqueue; the admission wait is its
                 # own span so backpressure is visible, not folded in.
                 self.metrics.histogram("scatter").observe(
-                    partition_seconds
+                    assign_seconds
                     + (time.perf_counter() - enqueue_start))
                 self.metrics.histogram("inflight_wait").observe(waited)
                 self.metrics.histogram("queue_depth", lo=1.0,
@@ -1060,8 +993,7 @@ class ShardedRoutingService:
         Counters are the sums of the per-worker counters
         (:meth:`ServingStats.merge`); ``build_seconds`` is the parent's (the
         workers only ever load), and the front-end provenance (worker count,
-        partitioner, artifact path, pipeline knobs) is folded into
-        ``extra``.
+        artifact path, pipeline knobs) is folded into ``extra``.
         """
         merged = ServingStats.merge(self.worker_stats())
         if merged.build_seconds is None:
@@ -1069,9 +1001,7 @@ class ShardedRoutingService:
         if merged.artifact_bytes is None:
             merged.artifact_bytes = self.stats.artifact_bytes
         merged.extra["workers"] = self.num_workers
-        merged.extra["partitioner"] = self.partitioner
         merged.extra["artifact_path"] = self.artifact_path
-        merged.extra["sub_artifacts"] = self.sub_artifact_paths is not None
         merged.extra["scatter_batches"] = self.stats.batches
         merged.extra["pipeline"] = {"depth": self.pipeline_depth,
                                     "max_inflight": self.max_inflight,
@@ -1101,5 +1031,4 @@ class ShardedRoutingService:
         state = ("running" if self.is_running
                  else "closed" if self._closed else "cold")
         return (f"ShardedRoutingService(workers={self.num_workers}, "
-                f"partitioner={self.partitioner!r}, "
                 f"artifact={self.artifact_path!r}, {state})")

@@ -15,20 +15,11 @@ The optional ``weights=...`` key selects a weight distribution: ``unit``,
 structure (``road``, ``fattree``) reject ``weights=`` and expose their own
 weight knobs instead.
 
-Families dispatch through the :data:`~repro.serving.registry.GRAPH_FAMILIES`
-registry, so downstream code can add one::
-
-    from repro.serving import register_graph_family
-
-    @register_graph_family("ring-of-cliques")
-    def _ring_of_cliques(want, weights, seed, spec):
-        return build_it(want("n", int), want("cliques", int, 4),
-                        weights, seed)
-
-A builder receives ``want(key, cast, default=None)`` (consuming parameter
-accessor — a missing key without a default raises, and unconsumed keys are
-reported after the builder returns), the parsed ``weights`` strategy (or
-``None``), the ``seed``, and the raw spec string for error messages.
+Families dispatch through :data:`GRAPH_FAMILIES`.  A builder receives
+``want(key, cast, default=None)`` (consuming parameter accessor — a
+missing key without a default raises, and unconsumed keys are reported
+after the builder returns), the parsed ``weights`` strategy (or ``None``),
+the ``seed``, and the raw spec string for error messages.
 """
 
 from __future__ import annotations
@@ -37,9 +28,8 @@ from typing import Dict, Optional
 
 from .. import graphs
 from ..graphs.weighted_graph import WeightedGraph
-from .registry import GRAPH_FAMILIES, register_graph_family
 
-__all__ = ["parse_graph_spec"]
+__all__ = ["parse_graph_spec", "GRAPH_FAMILIES"]
 
 
 def _parse_weights(spec: Optional[str]):
@@ -57,32 +47,27 @@ def _parse_weights(spec: Optional[str]):
     raise ValueError(f"unknown weight spec {spec!r}")
 
 
-@register_graph_family("er")
 def _er_family(want, weights, seed, spec):
     return graphs.erdos_renyi_graph(want("n", int), want("p", float),
                                     weights, seed=seed)
 
 
-@register_graph_family("grid")
 def _grid_family(want, weights, seed, spec):
     return graphs.grid_graph(want("rows", int), want("cols", int),
                              weights, seed=seed)
 
 
-@register_graph_family("ba")
 def _ba_family(want, weights, seed, spec):
     return graphs.barabasi_albert_graph(want("n", int), want("m", int, 2),
                                         weights, seed=seed)
 
 
-@register_graph_family("geometric")
 def _geometric_family(want, weights, seed, spec):
     return graphs.random_geometric_graph(want("n", int),
                                          want("radius", float),
                                          weights, seed=seed)
 
 
-@register_graph_family("road")
 def _road_family(want, weights, seed, spec):
     if weights is not None:
         raise ValueError(
@@ -99,7 +84,6 @@ def _road_family(want, weights, seed, spec):
         seed=seed)
 
 
-@register_graph_family("powerlaw")
 def _powerlaw_family(want, weights, seed, spec):
     return graphs.powerlaw_graph(
         want("n", int),
@@ -108,7 +92,6 @@ def _powerlaw_family(want, weights, seed, spec):
         weights=weights, seed=seed)
 
 
-@register_graph_family("fattree")
 def _fattree_family(want, weights, seed, spec):
     if weights is not None:
         raise ValueError(
@@ -125,14 +108,26 @@ def _fattree_family(want, weights, seed, spec):
         seed=seed)
 
 
-@register_graph_family("tree")
 def _tree_family(want, weights, seed, spec):
     return graphs.random_tree(want("n", int), weights, seed=seed)
 
 
-@register_graph_family("path")
 def _path_family(want, weights, seed, spec):
     return graphs.path_graph(want("n", int), weights, seed=seed)
+
+
+#: Family name -> ``builder(want, weights, seed, spec)``.
+GRAPH_FAMILIES = {
+    "er": _er_family,
+    "grid": _grid_family,
+    "ba": _ba_family,
+    "geometric": _geometric_family,
+    "road": _road_family,
+    "powerlaw": _powerlaw_family,
+    "fattree": _fattree_family,
+    "tree": _tree_family,
+    "path": _path_family,
+}
 
 
 def parse_graph_spec(spec: str) -> WeightedGraph:
@@ -160,8 +155,8 @@ def parse_graph_spec(spec: str) -> WeightedGraph:
     if name not in GRAPH_FAMILIES:
         raise ValueError(
             f"unknown graph family {name!r} in spec {spec!r}; "
-            f"available: {', '.join(GRAPH_FAMILIES.names())}")
-    graph = GRAPH_FAMILIES.get(name)(want, weights, seed, spec)
+            f"available: {', '.join(sorted(GRAPH_FAMILIES))}")
+    graph = GRAPH_FAMILIES[name](want, weights, seed, spec)
     if params:
         raise ValueError(f"unused graph spec keys {sorted(params)} in {spec!r}")
     return graph

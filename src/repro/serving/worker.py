@@ -16,21 +16,17 @@ class, not a change to either.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import os
 import pickle
 import select
 import threading
 import time
 import traceback
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..obs.metrics import merge_exports
-from .cache import ServingStats
 from .config import CacheConfig
 from .service import RoutingService, answer_batch
 from .wire import encode_answer_texts
-from .workloads import stable_node_hash
 
 __all__ = ["Worker"]
 
@@ -205,15 +201,14 @@ def _poll_channels(channels, backlog, timeout: float, senders=()):
 
 def _shard_worker(worker_id: int, artifact_path: str,
                   cache_config: CacheConfig, kernel: str, telemetry: bool,
-                  task_conn, result_conn,
-                  cover_artifact_path: Optional[str] = None,
-                  slice_spec: Optional[Tuple[int, int]] = None) -> None:
+                  task_conn, result_conn) -> None:
     """Worker main loop (module-level so it stays picklable under spawn).
 
-    Each worker applies the :class:`CacheConfig` locally — its result
-    caches hold only its own partition's pairs.  The query ``kernel``
-    selector is likewise applied per worker against its own loaded
-    artifact (``auto`` resolves to ``columnar`` on v2 artifacts).
+    Each worker maps the full artifact and applies the
+    :class:`CacheConfig` locally — its result caches hold only the pairs
+    scattered to it.  The query ``kernel`` selector is likewise applied
+    per worker against its own loaded artifact (``auto`` resolves to
+    ``columnar`` on v2 artifacts).
 
     Protocol (all messages are tuples; the first element is the tag):
 
@@ -235,15 +230,6 @@ def _shard_worker(worker_id: int, artifact_path: str,
     the front-end relies on the FIFO order to know *which* queries a dead
     worker had not yet answered.
 
-    ``slice_spec = (shard, workers)`` says ``artifact_path`` is the
-    sub-artifact slice covering sources whose stable hash maps to
-    ``shard`` of ``workers``.  Queries outside that slice (possible only
-    in fleet mode, where siblings cover a dead worker's partition) are
-    answered from ``cover_artifact_path`` — the full parent artifact,
-    loaded lazily on the first out-of-slice query so the common all-alive
-    path never pays for it.  Both services share one artifact build, so a
-    covered answer is bit-identical to the home shard's.
-
     Warm-up emits ``("ready", worker_id, load_seconds)`` on success or
     ``("failed", worker_id, summary)`` if the artifact cannot be loaded.
     Tasks arrive over ``task_conn`` and replies leave over ``result_conn``,
@@ -261,39 +247,6 @@ def _shard_worker(worker_id: int, artifact_path: str,
         results.put(("failed", worker_id, f"{type(exc).__name__}: {exc}"))
         return
     service.stats.extra["worker_id"] = worker_id
-    cover_service: Optional[RoutingService] = None
-    own_shard, own_workers = slice_spec if slice_spec else (None, None)
-
-    def split(indexed_pairs):
-        """(own, other) — other is non-empty only for out-of-slice sources."""
-        if own_shard is None or cover_artifact_path is None:
-            return indexed_pairs, []
-        own, other = [], []
-        for item in indexed_pairs:
-            if stable_node_hash(item[1][0]) % own_workers == own_shard:
-                own.append(item)
-            else:
-                other.append(item)
-        return own, other
-
-    def snapshot() -> ServingStats:
-        stats = service.query_stats()
-        if cover_service is None:
-            return stats
-        # Fold the cover service's counters into a copy (never the live
-        # stats object — repeated snapshots must not compound).
-        cover = cover_service.query_stats()
-        merged = dataclasses.replace(stats, extra=dict(stats.extra))
-        for name in ServingStats.COUNTERS:
-            setattr(merged, name, getattr(merged, name)
-                    + getattr(cover, name))
-        merged.extra["cover_queries"] = cover.queries
-        if telemetry:
-            merged.extra["telemetry"] = merge_exports(
-                [stats.extra.get("telemetry", {}),
-                 cover.extra.get("telemetry", {})])
-        return merged
-
     results.put(("ready", worker_id, service.stats.load_seconds))
     while True:
         try:
@@ -304,10 +257,10 @@ def _shard_worker(worker_id: int, artifact_path: str,
         if tag == "shutdown":
             # query_stats() refreshes the hierarchy-level snapshots (pivot
             # cache, kernel groups) so the merged stats see final values.
-            results.put(("bye", worker_id, snapshot()))
+            results.put(("bye", worker_id, service.query_stats()))
             return
         if tag == "stats":
-            results.put(("stats", worker_id, snapshot()))
+            results.put(("stats", worker_id, service.query_stats()))
             continue
         if tag == "ping":
             results.put(("pong", worker_id, message[1]))
@@ -318,23 +271,12 @@ def _shard_worker(worker_id: int, artifact_path: str,
             continue
         _, request_id, kind, indexed_pairs, text = message
         try:
-            own, other = split(indexed_pairs)
-            if other and cover_service is None:
-                cover_service = RoutingService.load(
-                    cover_artifact_path, cache_config=cache_config,
-                    kernel=kernel, telemetry=telemetry)
-            indexed_values = []
-            for answering, items in ((service, own), (cover_service, other)):
-                if not items:
-                    continue
-                values = answer_batch(answering, kind,
-                                      [pair for _, pair in items])
-                if text:
-                    values = encode_answer_texts(kind, values,
-                                                 answering.metrics)
-                indexed_values.extend(
-                    (index, value) for (index, _), value
-                    in zip(items, values))
+            values = answer_batch(service, kind,
+                                  [pair for _, pair in indexed_pairs])
+            if text:
+                values = encode_answer_texts(kind, values, service.metrics)
+            indexed_values = [(index, value) for (index, _), value
+                              in zip(indexed_pairs, values)]
         except Exception as exc:
             results.put(("error", worker_id, request_id,
                          f"{type(exc).__name__}: {exc}",
@@ -375,9 +317,8 @@ class Worker:
 
     @classmethod
     def spawn(cls, ctx, worker_id: int, artifact_path: str,
-              cache_config: CacheConfig, kernel: str, telemetry: bool,
-              cover_artifact_path: Optional[str] = None,
-              slice_spec: Optional[Tuple[int, int]] = None) -> "Worker":
+              cache_config: CacheConfig, kernel: str,
+              telemetry: bool) -> "Worker":
         """Start one worker process (see :func:`_shard_worker` for the
         arguments) and return its endpoint; ``ready`` arrives later."""
         task_reader, task_writer = ctx.Pipe(duplex=False)
@@ -388,8 +329,7 @@ class Worker:
         process = ctx.Process(
             target=_shard_worker,
             args=(worker_id, artifact_path, cache_config, kernel, telemetry,
-                  task_reader, result_writer, cover_artifact_path,
-                  slice_spec),
+                  task_reader, result_writer),
             daemon=True, name=f"repro-shard-{worker_id}")
         process.start()
         # The child owns these ends now; dropping the parent's copies keeps

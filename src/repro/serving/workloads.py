@@ -18,11 +18,9 @@ batching layers under realistic skew:
   (the popular endpoints rotate cyclically over the stream) on top of a
   Zipf base skew — the stream that ages entries out of a result cache.
 
-Every generator is registered by name in the workload registry
-(:data:`~repro.serving.registry.WORKLOADS`); :func:`make_workload`
-dispatches through it, so ``repro-serve --workload <name>`` and
-:class:`~repro.serving.config.WorkloadConfig` pick up custom registered
-shapes automatically.
+Every generator has a name in :data:`WORKLOADS`; :func:`make_workload`
+dispatches through it for ``repro-serve --workload <name>`` and
+:class:`~repro.serving.config.WorkloadConfig`.
 
 Only the Python standard library is used (explicit Zipf weights sampled via
 ``bisect`` over the cumulative distribution — no numpy/scipy dependency).
@@ -33,13 +31,11 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..graphs.distances import bfs_hop_distances
 from ..graphs.weighted_graph import WeightedGraph
-from .registry import WORKLOADS, get_workload, register_workload
 
 __all__ = [
     "QueryWorkload",
@@ -50,7 +46,7 @@ __all__ = [
     "WORKLOAD_NAMES",
     "workload_names",
     "make_workload",
-    "stable_node_hash",
+    "WORKLOADS",
 ]
 
 
@@ -314,27 +310,8 @@ def bursty_workload(nodes: Sequence[Hashable], num_queries: int,
 
 
 # ----------------------------------------------------------------------
-# workload registry
+# workloads by name
 # ----------------------------------------------------------------------
-register_workload(
-    "uniform",
-    lambda graph, num_queries, seed=0, **params:
-        uniform_workload(graph.nodes(), num_queries, seed=seed, **params))
-register_workload(
-    "zipf",
-    lambda graph, num_queries, seed=0, **params:
-        zipf_workload(graph.nodes(), num_queries, seed=seed, **params))
-register_workload(
-    "locality",
-    lambda graph, num_queries, seed=0, **params:
-        locality_workload(graph, num_queries, seed=seed, **params))
-register_workload(
-    "bursty",
-    lambda graph, num_queries, seed=0, **params:
-        bursty_workload(graph.nodes(), num_queries, seed=seed, **params))
-
-
-@register_workload("trace")
 def _trace_workload(graph: WeightedGraph, num_queries: int, seed: int = 0,
                     trace_path: Optional[str] = None) -> QueryWorkload:
     """Replay a recorded serving session (``repro-serve --trace-out``).
@@ -362,41 +339,39 @@ def _trace_workload(graph: WeightedGraph, num_queries: int, seed: int = 0,
     return trace.to_workload()
 
 
+#: Workload name -> ``factory(graph, num_queries, seed=0, **params)``.
+WORKLOADS: Dict[str, Callable[..., QueryWorkload]] = {
+    "uniform": lambda graph, num_queries, seed=0, **params:
+        uniform_workload(graph.nodes(), num_queries, seed=seed, **params),
+    "zipf": lambda graph, num_queries, seed=0, **params:
+        zipf_workload(graph.nodes(), num_queries, seed=seed, **params),
+    "locality": lambda graph, num_queries, seed=0, **params:
+        locality_workload(graph, num_queries, seed=seed, **params),
+    "bursty": lambda graph, num_queries, seed=0, **params:
+        bursty_workload(graph.nodes(), num_queries, seed=seed, **params),
+    "trace": _trace_workload,
+}
+
+
 def workload_names() -> Tuple[str, ...]:
-    """Currently registered workload names (includes custom registrations)."""
-    return WORKLOADS.names()
+    """Every workload name, sorted."""
+    return tuple(sorted(WORKLOADS))
 
 
-#: The built-in *generator* shapes, snapshotted at import time: every name
-#: here produces ``num_queries`` pairs from a seed alone.  The ``trace``
-#: workload is registered but deliberately excluded — it replays a
-#: recorded session (requires ``trace_path=``), so generator contracts
-#: (determinism from seed, length == num_queries) don't apply to it.  Use
-#: :func:`workload_names` for the full registry, including shapes
-#: registered later.
+#: The *generator* shapes: every name here produces ``num_queries`` pairs
+#: from a seed alone.  The ``trace`` workload is deliberately excluded —
+#: it replays a recorded session (requires ``trace_path=``), so generator
+#: contracts (determinism from seed, length == num_queries) don't apply
+#: to it.
 WORKLOAD_NAMES = tuple(name for name in workload_names()
                        if name != "trace")
 
 
-def stable_node_hash(node: Hashable) -> int:
-    """Deterministic per-node hash (processes and runs agree).
-
-    This is the shard-ownership function shared by the ``hash_source``
-    partitioner and per-shard sub-artifact slicing
-    (:func:`~repro.serving.artifacts.write_shard_artifacts`): both must
-    assign a node to the same shard, or a worker would be handed queries
-    whose source rows its artifact slice does not hold.
-    """
-    return zlib.crc32(repr(node).encode("utf-8"))
-
-
 def make_workload(name: str, graph: WeightedGraph, num_queries: int,
                   seed: int = 0, **params) -> QueryWorkload:
-    """Dispatch by shape name through the workload registry.
-
-    Custom shapes added with
-    :func:`~repro.serving.registry.register_workload` are picked up here
-    (and therefore by ``repro-serve --workload`` and
-    :class:`~repro.serving.config.WorkloadConfig`) without any other wiring.
-    """
-    return get_workload(name)(graph, num_queries, seed=seed, **params)
+    """Dispatch by shape name through :data:`WORKLOADS`; unknown names
+    raise with the available ones."""
+    if name not in WORKLOADS:
+        raise ValueError(f"unknown workload {name!r}; available: "
+                         f"{', '.join(workload_names())}")
+    return WORKLOADS[name](graph, num_queries, seed=seed, **params)

@@ -1,4 +1,4 @@
-"""Artifact format v2: mmap layout, lazy loads, corruption, sub-artifacts.
+"""Artifact format v2: mmap layout, lazy loads, corruption, hostile trees.
 
 The format-agnostic contract (headers, refused bytes, reload identity over
 every pair) is pinned by ``test_serving_artifacts.py``; this module covers
@@ -9,8 +9,7 @@ the section-table layout itself:
   table, offset-addressed sections);
 * per-section integrity: truncation, flipped bytes and wrong offsets are
   all detected;
-* per-shard sub-artifacts serve list-for-list identically to full-artifact
-  sharded serving while each worker holds a fraction of the table bytes.
+* a tampered destination tree is refused when its section materialises.
 """
 
 import itertools
@@ -29,17 +28,14 @@ from repro.serving import (
     BuildConfig,
     CacheConfig,
     ServingConfig,
-    ShardedRoutingService,
     artifact_info,
     load_hierarchy,
     load_pde,
     open_service,
     save_hierarchy,
     save_pde,
-    stable_node_hash,
     verify_artifact,
     write_artifact_v2,
-    write_shard_artifacts,
     zipf_workload,
 )
 
@@ -86,6 +82,18 @@ class TestLayout:
             assert entry["offset"] == position
             position += entry["length"]
         assert position == header["payload_bytes"] == written.payload_bytes
+
+    def test_meta_keeps_the_reserved_sub_artifact_key(self, saved_artifact):
+        """``"sub_artifact": null`` stays in every hierarchy's meta section
+        (reserved, read by nothing) so no artifact byte moved when slices
+        were removed."""
+        _, _, v2_path, _ = saved_artifact
+        reader = ArtifactV2Reader(v2_path)
+        try:
+            meta = reader.load_json("meta")
+        finally:
+            reader.close()
+        assert "sub_artifact" in meta and meta["sub_artifact"] is None
 
     def test_artifact_info_reports_format_2(self, saved_artifact):
         graph, hierarchy, v2_path, _ = saved_artifact
@@ -247,140 +255,6 @@ class TestIntegrity:
             load_hierarchy(path)
 
 
-class TestSubArtifacts:
-    @pytest.fixture(scope="class")
-    def sliced(self, tmp_path_factory):
-        graph, k = _graph_family()["er_k3"]
-        hierarchy = build_compact_routing(graph, k=k, seed=7)
-        base = tmp_path_factory.mktemp("sub_artifacts")
-        full_path = str(base / "full.artifact")
-        save_hierarchy(hierarchy, full_path)
-        workers = 4
-        sub_paths = write_shard_artifacts(full_path, workers)
-        return graph, hierarchy, full_path, sub_paths, workers
-
-    def test_slices_shrink_per_worker_bytes(self, sliced):
-        _, _, full_path, sub_paths, workers = sliced
-        full_bytes = artifact_info(full_path).payload_bytes
-        sub_bytes = [artifact_info(p).payload_bytes for p in sub_paths]
-        mean_sub = sum(sub_bytes) / workers
-        assert full_bytes / mean_sub >= 2.0, (
-            f"sub-artifacts should hold <= half the table bytes per worker "
-            f"at {workers} workers (full {full_bytes}, mean {mean_sub:.0f})")
-        for path in sub_paths:
-            verify_artifact(path)
-
-    def test_slice_answers_owned_sources_identically(self, sliced):
-        graph, hierarchy, _, sub_paths, workers = sliced
-        shard = 1
-        slice_hierarchy, info = load_hierarchy(sub_paths[shard])
-        assert info.metadata["sub_artifact"]["shard"] == shard
-        owned = [v for v in graph.nodes()
-                 if stable_node_hash(v) % workers == shard]
-        assert owned, "shard 1 should own at least one source"
-        for source in owned:
-            for target in graph.nodes():
-                if source == target:
-                    continue
-                assert (slice_hierarchy.distance(source, target)
-                        == hierarchy.distance(source, target))
-                assert (slice_hierarchy.route(source, target).path
-                        == hierarchy.route(source, target).path)
-
-    def test_slice_refuses_foreign_sources_and_exports(self, sliced):
-        graph, _, _, sub_paths, workers = sliced
-        slice_hierarchy, _ = load_hierarchy(sub_paths[0])
-        foreign = next(v for v in graph.nodes()
-                       if stable_node_hash(v) % workers != 0)
-        local = next(v for v in graph.nodes()
-                     if stable_node_hash(v) % workers == 0 and v != foreign)
-        with pytest.raises(KeyError, match="not.*present|slice"):
-            slice_hierarchy.distance(foreign, local)
-        with pytest.raises(ArtifactError, match="sub-artifact"):
-            slice_hierarchy.export_state()     # aux sections are dropped
-
-    def test_sharded_sub_artifact_serving_is_identical(self, sliced):
-        """The acceptance criterion: sub-artifact sharded answers are
-        list-for-list identical to full-artifact sharded serving (which is
-        itself pinned to local serving by the PR-3 tests)."""
-        graph, hierarchy, full_path, sub_paths, workers = sliced
-        pairs = zipf_workload(graph.nodes(), 240, seed=11).pairs
-        chunks = [pairs[lo:lo + 60] for lo in range(0, len(pairs), 60)]
-        with ShardedRoutingService(full_path, num_workers=workers,
-                                   partitioner="hash_source") as full:
-            full_routes = [t for c in chunks for t in full.route_batch(c)]
-            full_dists = [d for c in chunks for d in full.distance_batch(c)]
-        with ShardedRoutingService(full_path, num_workers=workers,
-                                   partitioner="hash_source",
-                                   sub_artifact_paths=sub_paths) as sub:
-            sub_routes = [t for c in chunks for t in sub.route_batch(c)]
-            sub_dists = [d for c in chunks for d in sub.distance_batch(c)]
-            merged = sub.merged_stats()
-        assert sub_dists == full_dists
-        assert [t.path for t in sub_routes] == [t.path for t in full_routes]
-        assert [t.weight for t in sub_routes] == [t.weight for t in full_routes]
-        assert merged.extra["sub_artifacts"] is True
-        # Per-worker loaded bytes are additive across workers and strictly
-        # below what N full copies would have held.
-        full_bytes = artifact_info(full_path).payload_bytes
-        assert merged.extra["loaded_table_bytes"] < workers * full_bytes / 2
-
-    def test_wrong_partitioner_is_rejected(self, sliced):
-        _, _, full_path, sub_paths, workers = sliced
-        with pytest.raises(ValueError, match="source"):
-            ShardedRoutingService(full_path, num_workers=workers,
-                                  partitioner="round_robin",
-                                  sub_artifact_paths=sub_paths)
-        with pytest.raises(ValueError, match="hash_source"):
-            write_shard_artifacts(full_path, workers,
-                                  partitioner="round_robin")
-
-    def test_wrong_slice_count_is_rejected(self, sliced):
-        _, _, full_path, sub_paths, workers = sliced
-        with pytest.raises(ValueError, match="one per worker"):
-            ShardedRoutingService(full_path, num_workers=workers,
-                                  partitioner="hash_source",
-                                  sub_artifact_paths=sub_paths[:-1])
-
-    def test_misordered_slices_are_rejected(self, sliced):
-        _, _, full_path, sub_paths, workers = sliced
-        shuffled = [sub_paths[1], sub_paths[0]] + sub_paths[2:]
-        with pytest.raises(ValueError, match="shard order"):
-            ShardedRoutingService(full_path, num_workers=workers,
-                                  partitioner="hash_source",
-                                  sub_artifact_paths=shuffled)
-
-    def test_stale_slices_of_rebuilt_artifact_are_rejected(self, tmp_path):
-        """Slices must derive from the artifact they are served with —
-        rebuilding in place while old slices linger must fail loudly, not
-        silently serve the previous hierarchy's tables."""
-        graph, k = _graph_family()["grid_k2"]
-        path = str(tmp_path / "rebuilt.artifact")
-        save_hierarchy(build_compact_routing(graph, k=k, seed=7), path)
-        stale_paths = write_shard_artifacts(path, 2)
-        save_hierarchy(build_compact_routing(graph, k=k, seed=8), path)
-        with pytest.raises(ValueError, match="different build"):
-            ShardedRoutingService(path, num_workers=2,
-                                  partitioner="hash_source",
-                                  sub_artifact_paths=stale_paths)
-        # Re-slicing repairs it.
-        fresh_paths = write_shard_artifacts(path, 2)
-        service = ShardedRoutingService(path, num_workers=2,
-                                        partitioner="hash_source",
-                                        sub_artifact_paths=fresh_paths)
-        assert service.sub_artifact_paths == fresh_paths
-
-    def test_v1_artifact_cannot_be_sliced(self, tmp_path):
-        v1_path = tmp_path / "old.artifact"
-        v1_path.write_bytes(b"REPRO-ARTIFACT v1\n{}\n")
-        with pytest.raises(ArtifactError, match="unsupported"):
-            write_shard_artifacts(str(v1_path), 2)
-        with pytest.raises(ArtifactError, match="unsupported"):
-            ShardedRoutingService(str(v1_path), num_workers=2,
-                                  partitioner="hash_source",
-                                  sub_artifact_paths=["a", "b"])
-
-
 def _rewritten(path, out, mutate, state_version=None):
     """A copy of the artifact at ``path`` written to ``out``, its section
     bytes passed through ``mutate`` first (checksums are recomputed, so only
@@ -403,7 +277,7 @@ class TestHostileTrees:
     """Trees are checked against the served graph when their section
     materialises: every pointer an edge, ``dist`` an int consistent with its
     parent's.  A tampered tree is an ``ArtifactError``, never a delivered
-    route — in a full artifact and in a sub-artifact slice alike."""
+    route."""
 
     @pytest.fixture(scope="class")
     def artifacts(self, tmp_path_factory):
@@ -411,9 +285,7 @@ class TestHostileTrees:
         base = tmp_path_factory.mktemp("hostile_trees")
         full = str(base / "full.artifact")
         save_hierarchy(build_compact_routing(graph, k=k, seed=7), full)
-        owned = [v for v in graph.nodes() if stable_node_hash(v) % 2 == 0]
-        return graph, {"full": (full, graph.nodes()),
-                       "slice": (write_shard_artifacts(full, 2)[0], owned)}
+        return graph, {"full": (full, graph.nodes())}
 
     @staticmethod
     def _pairs(hierarchy, sources, levels):
@@ -423,7 +295,7 @@ class TestHostileTrees:
         assert pairs
         return pairs
 
-    @pytest.mark.parametrize("where", ["full", "slice"])
+    @pytest.mark.parametrize("where", ["full"])
     @pytest.mark.parametrize("tamper", sorted(TREE_TAMPERS))
     def test_tampered_level_tree_is_refused(self, artifacts, tmp_path,
                                             where, tamper):
@@ -443,7 +315,7 @@ class TestHostileTrees:
         with pytest.raises(ArtifactError, match="level_trees_0"):
             hierarchy.level_data[0].trees
 
-    @pytest.mark.parametrize("where", ["full", "slice"])
+    @pytest.mark.parametrize("where", ["full"])
     def test_tampered_skeleton_tree_is_refused(self, artifacts, tmp_path,
                                                where):
         graph, paths = artifacts
@@ -463,7 +335,7 @@ class TestHostileTrees:
             hierarchy.route_batch(
                 self._pairs(hierarchy, sources, skeleton_levels))
 
-    @pytest.mark.parametrize("where", ["full", "slice"])
+    @pytest.mark.parametrize("where", ["full"])
     def test_state_version_1_is_refused(self, artifacts, tmp_path, where):
         """An artifact written before trees carried ``dist``."""
         _, paths = artifacts
@@ -498,29 +370,6 @@ class TestOpenServiceIntegration:
             assert extras["artifact_load"] == "mmap"
             assert extras["loaded_table_bytes"] == artifact_info(
                 path).payload_bytes
-
-    def test_sub_artifact_config_requires_source_partitioning(self):
-        with pytest.raises(ValueError, match="workers"):
-            ServingConfig(artifact_path="x", sub_artifacts=True)
-
-    def test_open_service_sub_artifacts_end_to_end(self, tmp_path):
-        graph, k = _graph_family()["grid_k2"]
-        path = str(tmp_path / "subsvc.artifact")
-        local_config = ServingConfig(artifact_path=path,
-                                     build=BuildConfig(k=k, seed=7),
-                                     cache=CacheConfig(capacity=128))
-        pairs = zipf_workload(graph.nodes(), 160, seed=5).pairs
-        with open_service(local_config, graph=graph) as local:
-            expected = local.distance_batch(pairs)
-        sharded_config = ServingConfig(
-            artifact_path=path, workers=2, partitioner="hash_source",
-            sub_artifacts=True, build=BuildConfig(k=k, seed=7),
-            cache=CacheConfig(capacity=128))
-        with open_service(sharded_config, graph=graph) as sharded:
-            assert sharded.sub_artifact_paths is not None
-            assert all(os.path.exists(p)
-                       for p in sharded.sub_artifact_paths)
-            assert sharded.distance_batch(pairs) == expected
 
 
 class TestNodeInternTable:

@@ -33,8 +33,6 @@ from repro.serving import (
     ShardedRoutingService,
     build_or_load_service,
     make_workload,
-    stable_node_hash,
-    write_shard_artifacts,
 )
 from repro.serving.worker import Worker
 from helpers import watchdog
@@ -59,15 +57,11 @@ def reference_service(artifact_path):
     return RoutingService.load(artifact_path)
 
 
-def open_fleet(artifact_path, num_workers=3, sub_artifacts=False, **knobs):
+def open_fleet(artifact_path, num_workers=3, **knobs):
     knobs.setdefault("heartbeat_interval", 0.05)
     knobs.setdefault("respawn_limit", 5)
-    sub_paths = None
-    if sub_artifacts:
-        sub_paths = write_shard_artifacts(artifact_path, num_workers)
     return ShardedRoutingService(
-        artifact_path, num_workers=num_workers, partitioner="hash_source",
-        sub_artifact_paths=sub_paths, fleet=FleetConfig(**knobs))
+        artifact_path, num_workers=num_workers, fleet=FleetConfig(**knobs))
 
 
 def kill_worker(service, worker_id):
@@ -104,36 +98,32 @@ class TestPolicyConstants:
 
 
 class TestRoutingEpoch:
-    NODES = list(range(40)) + ["core0", "pod1-edge0-host2"]
+    """The fleet publishes the front-end's one table: round-robin over the
+    live slots, by batch position, never by what a pair holds."""
 
-    def test_base_slot_is_source_hash(self):
+    def test_base_slot_is_round_robin(self):
         table = RoutingEpoch(1, 4, (0, 1, 2, 3))
-        for node in self.NODES:
-            assert table.slot_of(node) == stable_node_hash(node) % 4
+        for index in range(40):
+            assert table.slot_of(index) == index % 4
 
     def test_dead_slot_falls_back_deterministically(self):
-        full = RoutingEpoch(1, 4, (0, 1, 2, 3))
         holed = RoutingEpoch(2, 4, (0, 2, 3))
-        for node in self.NODES:
-            slot = holed.slot_of(node)
-            assert slot in (0, 2, 3)
-            if full.slot_of(node) != 1:
-                # Slots that were never on the dead worker do not move.
-                assert slot == full.slot_of(node)
+        for index in range(40):
+            slot = holed.slot_of(index)
+            assert slot == (0, 2, 3)[index % 3]
             # Deterministic: same table, same answer.
-            assert holed.slot_of(node) == slot
+            assert holed.slot_of(index) == slot
 
     def test_dead_slot_is_shared_by_its_siblings(self):
-        """A dead slot's sources spread over every survivor instead of
+        """A dead slot's positions spread over every survivor instead of
         piling onto one of them."""
         holed = RoutingEpoch(2, 4, (0, 2, 3))
-        orphans = [node for node in range(400)
-                   if stable_node_hash(node) % 4 == 1]
-        assert {holed.slot_of(node) for node in orphans} == {0, 2, 3}
+        orphans = [index for index in range(400) if index % 4 == 1]
+        assert {holed.slot_of(index) for index in orphans} == {0, 2, 3}
 
     def test_routable_is_kept_sorted(self):
-        """The fallback indexes ``routable``, so its order is the table's,
-        not the order the slots were listed in."""
+        """The rule indexes ``routable``, so its order is the table's, not
+        the order the slots were listed in."""
         table = RoutingEpoch(1, 3, (2, 0, 1))
         assert table.routable == (0, 1, 2)
         assert repr(table) == \
@@ -141,8 +131,8 @@ class TestRoutingEpoch:
 
     def test_empty_routable_raises_typed_error(self):
         table = RoutingEpoch(4, 4, ())
-        with pytest.raises(FleetError, match="no routable workers"):
-            table.slot_of(self.NODES[0])
+        with pytest.raises(ShardError, match="no routable workers"):
+            table.slot_of(0)
 
 
 class TestConfigValidation:
@@ -180,21 +170,14 @@ class TestConfigValidation:
     def test_sharded_rejects_fleet_misuse(self, artifact_path):
         with pytest.raises(ValueError, match="num_workers >= 2"):
             ShardedRoutingService(artifact_path, num_workers=1,
-                                  partitioner="hash_source",
-                                  fleet=FleetConfig())
-        with pytest.raises(ValueError, match="partition by source"):
-            ShardedRoutingService(artifact_path, num_workers=2,
-                                  partitioner="round_robin",
                                   fleet=FleetConfig())
         with pytest.raises(ValueError, match="FleetConfig or None"):
-            ShardedRoutingService(artifact_path, num_workers=2,
-                                  partitioner="hash_source", fleet=True)
+            ShardedRoutingService(artifact_path, num_workers=2, fleet=True)
 
     @pytest.mark.parametrize("fleet", ["yes", {"min_workers": 1}])
     def test_sharded_fleet_takes_only_a_config(self, artifact_path, fleet):
         with pytest.raises(ValueError, match="FleetConfig or None"):
-            ShardedRoutingService(artifact_path, num_workers=2,
-                                  partitioner="hash_source", fleet=fleet)
+            ShardedRoutingService(artifact_path, num_workers=2, fleet=fleet)
 
 class TestPendingRequestIds:
     """Satellite: a latched ShardError names the in-flight batches."""
@@ -237,39 +220,6 @@ class TestChaosRecovery:
         assert status["worker_deaths"] >= 1
         assert status["respawns"] >= 1
         assert status["epoch"] >= 2  # death + ready each publish
-
-    def test_kill_with_sub_artifacts_uses_cover(self, fleet_graph,
-                                                artifact_path,
-                                                reference_service):
-        """Sliced workers answer a dead sibling's sources from the cover."""
-        workload = make_workload("zipf", fleet_graph, 200, seed=5)
-        expected = reference_service.distance_batch(workload.pairs)
-        with open_fleet(artifact_path, num_workers=3,
-                        sub_artifacts=True) as sharded:
-            first = sharded.distance_batch(workload.pairs[:100])
-            kill_worker(sharded, 0)
-            second = sharded.distance_batch(workload.pairs[100:])
-            wait_for(lambda: sharded._fleet.respawns >= 1,
-                     message="respawn counter")
-            merged = sharded.merged_stats()
-        assert first + second == expected
-        assert merged.extra["fleet"]["worker_deaths"] >= 1
-        # Siblings answered out-of-slice queries through the cover path.
-        assert merged.extra.get("cover_queries", 0) > 0
-
-    def test_respawned_slice_regenerated_when_file_vanishes(
-            self, fleet_graph, artifact_path, reference_service):
-        workload = make_workload("uniform", fleet_graph, 120, seed=3)
-        expected = reference_service.distance_batch(workload.pairs)
-        with open_fleet(artifact_path, num_workers=2,
-                        sub_artifacts=True) as sharded:
-            os.remove(sharded.sub_artifact_paths[1])
-            kill_worker(sharded, 1)
-            answers = sharded.distance_batch(workload.pairs)
-            wait_for(lambda: sharded._fleet.respawns >= 1,
-                     message="respawn after slice regeneration")
-            assert os.path.exists(sharded.sub_artifact_paths[1])
-        assert answers == expected
 
     @watchdog(60.0)
     def test_worker_killed_while_warming_is_requeued(self, fleet_graph,
@@ -341,10 +291,8 @@ class TestChaosRecovery:
 
     def test_telemetry_counters_exported(self, fleet_graph, artifact_path):
         workload = make_workload("uniform", fleet_graph, 120, seed=11)
-        sub_paths = write_shard_artifacts(artifact_path, 2)
         with ShardedRoutingService(
-                artifact_path, num_workers=2, partitioner="hash_source",
-                sub_artifact_paths=sub_paths, telemetry=True,
+                artifact_path, num_workers=2, telemetry=True,
                 fleet=FleetConfig(heartbeat_interval=0.05,
                                   respawn_limit=5)) as sharded:
             sharded.route_batch(workload.pairs[:60])
@@ -441,11 +389,11 @@ class TestChaosRecovery:
 
 class TestFixedWorkerCount:
     """The fleet recovers and does nothing else: no worker is added or
-    shed, and no source moves between live workers."""
+    shed, and nothing rebalances between live workers."""
 
     def test_idle_fleet_keeps_every_worker(self, artifact_path):
         with open_fleet(artifact_path, num_workers=3) as sharded:
-            epoch = sharded._fleet.table.epoch
+            epoch = sharded.table.epoch
             # Pings are sent once per beat: wait out more than ten beats.
             wait_for(lambda: sharded._fleet._ping_seq >= 12,
                      message="twelve beats")
@@ -454,15 +402,12 @@ class TestFixedWorkerCount:
                                      "2": "alive"}
         assert status["epoch"] == epoch == 1
 
-    @pytest.mark.parametrize("sub_artifacts", [False, True])
-    def test_rejoined_worker_takes_its_partition_back(self, fleet_graph,
-                                                      artifact_path,
-                                                      reference_service,
-                                                      sub_artifacts):
+    def test_rejoined_worker_takes_its_share_back(self, fleet_graph,
+                                                  artifact_path,
+                                                  reference_service):
         workload = make_workload("uniform", fleet_graph, 200, seed=7)
         expected = reference_service.distance_batch(workload.pairs)
-        with open_fleet(artifact_path, num_workers=3,
-                        sub_artifacts=sub_artifacts) as sharded:
+        with open_fleet(artifact_path, num_workers=3) as sharded:
             first = sharded.distance_batch(workload.pairs[:100])
             kill_worker(sharded, 1)
             wait_for(lambda: sharded._fleet.respawns >= 1, message="respawn")
@@ -470,11 +415,9 @@ class TestFixedWorkerCount:
             per_worker = sharded.worker_stats()
             status = sharded._fleet.status()
         assert first + second == expected
-        own = [pair for pair in workload.pairs[100:]
-               if stable_node_hash(pair[0]) % 3 == 1]
         # The respawned worker counts from zero: it answered exactly its
-        # own sources of the second batch, and nothing else.
-        assert per_worker[1].queries == len(own) > 0
+        # round-robin positions of the second batch, and nothing else.
+        assert per_worker[1].queries == len(range(1, 100, 3))
         assert status["epoch"] \
             == 1 + status["worker_deaths"] + status["respawns"] == 3
 
@@ -490,12 +433,29 @@ class TestFixedWorkerCount:
             wait_for(lambda: sharded._fleet.worker_deaths == 1,
                      message="the death")
             per_worker = sharded.worker_stats()
-        lost = sum(1 for pair in workload.pairs
-                   if stable_node_hash(pair[0]) % 3 == 1)
+        lost = len(range(1, len(workload.pairs), 3))
         assert len(per_worker) == 3
         assert per_worker[1] == ServingStats()
         assert per_worker[0].queries + per_worker[2].queries \
             == len(workload.pairs) - lost
+
+
+    def test_dead_slot_share_goes_round_robin_over_survivors(
+            self, fleet_graph, artifact_path, reference_service):
+        """With slot 1 dead, a fresh batch takes the same rule over the
+        survivors: position ``i`` to ``(0, 2)[i % 2]``."""
+        workload = make_workload("zipf", fleet_graph, 61, seed=4)
+        expected = reference_service.distance_batch(workload.pairs)
+        with open_fleet(artifact_path, num_workers=3,
+                        heartbeat_interval=60.0) as sharded:
+            kill_worker(sharded, 1)
+            wait_for(lambda: sharded._fleet.worker_deaths == 1,
+                     message="the death")
+            assert sharded.table.routable == (0, 2)
+            answers = sharded.distance_batch(workload.pairs)
+            per_worker = [stats.queries for stats in sharded.worker_stats()]
+        assert answers == expected
+        assert per_worker == [31, 0, 30]
 
 
 class StubWorker(Worker):
@@ -521,11 +481,9 @@ class StubFrontEnd:
         self.num_workers = num_workers
         self.lock = threading.RLock()
         self.workers = [StubWorker(i) for i in range(num_workers)]
+        self.table = RoutingEpoch(0, num_workers, range(num_workers))
         self.closed = False
         self.metrics = make_registry(False)
-        self.artifact_path = None
-        self.sub_artifact_paths = None
-        self.build_workers = 1
         self.failure = None
         self.events = []
         self.fleet = FleetSupervisor(self, FleetConfig(
@@ -573,12 +531,12 @@ class TestSupervisorPolicy:
 
     def test_death_republishes_and_queues_a_respawn(self):
         front = StubFrontEnd(3)
-        assert front.fleet.table.routable == (0, 1, 2)
+        assert front.table.routable == (0, 1, 2)
         assert front.die(1) is None
-        assert front.fleet.table.routable == (0, 2)
+        assert front.table.routable == (0, 2)
         assert front.installs() == [1]
         front.warm(1)
-        assert front.fleet.table.routable == (0, 1, 2)
+        assert front.table.routable == (0, 1, 2)
         status = front.fleet.status()
         assert (status["worker_deaths"], status["respawns"]) == (1, 1)
         assert status["workers"] == {"0": "alive", "1": "alive",
@@ -612,7 +570,7 @@ class TestSupervisorPolicy:
             return status["epoch"] \
                 == 1 + status["worker_deaths"] + status["respawns"]
 
-        assert front.fleet.table.epoch == 1 and identity()
+        assert front.table.epoch == 1 and identity()
         front.die(2)
         assert identity()
         front.die(0)
@@ -621,42 +579,28 @@ class TestSupervisorPolicy:
         front.warm(0)
         assert identity()
         front.warm(2)
-        assert identity() and front.fleet.table.epoch == 5
+        assert identity() and front.table.epoch == 5
 
     def test_failed_warm_up_publishes_nothing(self):
         front = StubFrontEnd(2)
         front.die(1)
         assert front.installs() == [1]
-        table = front.fleet.table
+        table = front.table
         assert front.warm(1, failure="ArtifactError: gone") is None
-        assert front.fleet.table is table
+        assert front.table is table
         assert front.fleet.status()["respawns"] == 0
 
     def test_every_slot_dead_empties_the_table_until_a_rejoin(self):
         front = StubFrontEnd(2)
         front.die(0)
         front.die(1)
-        assert front.fleet.table.routable == ()
-        with pytest.raises(FleetError, match="no routable workers"):
-            front.fleet.table.assign([(0, (5, 6))])
+        assert front.table.routable == ()
+        with pytest.raises(ShardError, match="no routable workers"):
+            front.table.assign([(0, (5, 6))])
         assert front.installs() == [0, 1]
         front.warm(1)
-        assert front.fleet.table.routable == (1,)
-        assert front.fleet.table.assign([(0, (5, 6))]) == [(1, [(0, (5, 6))])]
-
-    def test_unregenerable_slice_latches_a_fleet_error(self, tmp_path):
-        """A vanished slice is rebuilt from the parent artifact; when that
-        is gone too, the session fails loudly instead of respawning a
-        worker that cannot load."""
-        front = StubFrontEnd(2)
-        front.artifact_path = str(tmp_path / "gone.artifact")
-        front.sub_artifact_paths = [str(tmp_path / f"gone.{shard}")
-                                    for shard in range(2)]
-        assert front.die(1) is None
-        assert front.installs() == []
-        assert isinstance(front.failure, FleetError)
-        assert "could not regenerate" in str(front.failure)
-        assert "worker 1" in str(front.failure)
+        assert front.table.routable == (1,)
+        assert front.table.assign([(0, (5, 6))]) == [(1, [(0, (5, 6))])]
 
     def test_status_is_the_recovery_record(self):
         front = StubFrontEnd(2, respawn_limit=4)
@@ -716,10 +660,9 @@ class TestRoutingEpochAssign:
         table = RoutingEpoch(1, 3, (0, 1, 2))
         items = list(enumerate((s, s + 1) for s in range(20)))
         assignments = table.assign(items)
-        assert [slot for slot, _ in assignments] == sorted(
-            {table.slot_of(s) for s in range(20)})
+        assert [slot for slot, _ in assignments] == [0, 1, 2]
         for slot, shard in assignments:
-            assert all(table.slot_of(pair[0]) == slot for _, pair in shard)
+            assert all(table.slot_of(index) == slot for index, _ in shard)
             assert [i for i, _ in shard] == sorted(i for i, _ in shard)
         assert sorted(item for _, shard in assignments
                       for item in shard) == items

@@ -147,14 +147,19 @@ def _slot_states():
 
 def test_option_census():
     """Every independently settable value of the serving surface, counted:
-    a change that adds a flag, a config field, a registry (or an entry), a
-    stats field, a fleet constant or a slot state has to edit this test in
-    the same diff, where it is seen.  The cache consolidation brought it
+    a change that adds a flag, a config field, a name table (or an entry),
+    a stats field, a fleet constant or a slot state has to edit this test
+    in the same diff, where it is seen.  The cache consolidation brought it
     here from 46 flags, 10 ``CacheConfig`` fields, 6 registries with 12
     wrappers, 2 cache classes and 8 + 4 stats fields; deleting the fleet's
     scaler and rebalancer took 37 flags, 25 ``ServingConfig`` and 4
     ``FleetConfig`` fields, 7 fleet constants and 4 slot states to 35, 23,
-    2, 1 and 3."""
+    2, 1 and 3.  One way to shard (every worker maps the full artifact,
+    one round-robin table) took ``FLAGS`` 35 → 33 (``--partitioner``,
+    ``--sub-artifacts``) and ``ServingConfig`` 23 → 21 fields
+    (``partitioner``, ``sub_artifacts``); the four ``Registry`` instances
+    became three plain dicts (partitioners are gone) and the
+    ``register_*`` / ``get_*`` functions 8 → 0."""
     import dataclasses
 
     from repro.serving import (
@@ -166,32 +171,38 @@ def test_option_census():
         WorkloadConfig,
         cache,
         fleet,
-        registry,
+        service,
+        specs,
+        workloads,
     )
     from repro.serving.cli import FLAGS
 
     def field_names(config):
         return tuple(field.name for field in dataclasses.fields(config))
 
-    assert len(FLAGS) == 35
+    assert len(FLAGS) == 33
     assert field_names(CacheConfig) == ("capacity",)
     assert field_names(FleetConfig) == ("heartbeat_interval", "respawn_limit")
     assert [name for name in vars(fleet) if name.isupper()] \
         == ["HANG_TIMEOUT"]
     assert _slot_states() == {"alive", "warming", "dead"}
-    assert len(field_names(ServingConfig)) == 23
+    assert len(field_names(ServingConfig)) == 21
     assert len(field_names(BuildConfig)) == 5
     assert len(field_names(WorkloadConfig)) == 4
-    assert {name: value.names() for name, value in vars(registry).items()
-            if isinstance(value, registry.Registry)} == {
-        "PARTITIONERS": ("hash_pair", "hash_source", "round_robin"),
+    tables = {"WORKLOADS": workloads.WORKLOADS,
+              "QUERY_KERNELS": service.QUERY_KERNELS,
+              "GRAPH_FAMILIES": specs.GRAPH_FAMILIES}
+    assert all(type(table) is dict for table in tables.values())
+    assert {name: tuple(sorted(table))
+            for name, table in tables.items()} == {
         "WORKLOADS": ("bursty", "locality", "trace", "uniform", "zipf"),
         "QUERY_KERNELS": ("auto", "columnar", "dict"),
         "GRAPH_FAMILIES": ("ba", "er", "fattree", "geometric", "grid",
                            "path", "powerlaw", "road", "tree"),
     }
-    assert len([name for name in vars(registry)
-                if name.startswith(("register_", "get_"))]) == 8
+    assert [name for module in (workloads, service, specs)
+            for name in vars(module)
+            if name.startswith(("register_", "get_"))] == []
     assert [name for name in vars(cache) if name.endswith("Cache")] \
         == ["LRUCache"]
     assert ServingStats.COUNTERS == (

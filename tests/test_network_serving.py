@@ -58,9 +58,7 @@ from repro.serving import (
     WireError,
     open_service,
     parse_endpoint,
-    partition_pairs,
     read_frame,
-    stable_node_hash,
     write_frame,
     zipf_workload,
 )
@@ -1075,35 +1073,32 @@ class TestServerPipelining:
         answering, a killed worker's batch waited out ``reply_timeout``
         ("no worker reply within ...") instead of failing at once."""
         config = dataclasses.replace(net_config, workers=2,
-                                     partitioner="hash_pair",
                                      reply_timeout=10.0)
         pairs = zipf_workload(net_graph.nodes(), 400, seed=3).pairs
-        for_victim, for_sibling = (
-            [pair for _, pair in shard]
-            for shard in partition_pairs(pairs, 2, strategy="hash_pair"))
         stop = threading.Event()
 
         def keep_sibling_busy(service):
+            # A one-pair batch is position 0: worker 0 answers all of them.
             while not stop.is_set():
                 try:
-                    service.distance_batch(for_sibling[:8])
+                    service.distance_batch(pairs[:1])
                 except ShardError:
                     return
 
         with open_service(config, graph=net_graph) as service:
             service.distance_batch(pairs)       # spawn cost paid
-            victim = service._workers[0].process
+            victim = service._workers[1].process
             busy = threading.Thread(target=keep_sibling_busy,
                                     args=(service,), daemon=True)
             busy.start()
             try:
-                # Stopped, the victim takes the shard into its pipe (the
-                # write succeeds) but never reads it; then it dies.
+                # Stopped, the victim takes its share (position 1) into its
+                # pipe (the write succeeds) but never reads it; then it dies.
                 os.kill(victim.pid, signal.SIGSTOP)
-                ticket = service.submit_batch("distance", for_victim[:8])
+                ticket = service.submit_batch("distance", pairs[:2])
                 os.kill(victim.pid, signal.SIGKILL)
                 started = time.monotonic()
-                with pytest.raises(ShardError, match="worker 0 died"):
+                with pytest.raises(ShardError, match="worker 1 died"):
                     service.wait_batch(ticket)
                 assert time.monotonic() - started < 2.0
             finally:
@@ -1324,10 +1319,8 @@ class TestEncodeOnce:
     def test_killed_worker_text_tickets_are_rescattered_as_texts(
             self, net_config, net_graph, local_backend):
         pairs = zipf_workload(net_graph.nodes(), 300, seed=31).pairs
-        assert any(stable_node_hash(s) % 3 == 0 for s, _ in pairs)
         service = ShardedRoutingService(
-            net_config.artifact_path, num_workers=3,
-            partitioner="hash_source", reply_timeout=30.0,
+            net_config.artifact_path, num_workers=3, reply_timeout=30.0,
             fleet=FleetConfig(heartbeat_interval=0.05, respawn_limit=5))
         with service, RoutingServer(service, "127.0.0.1:0") as srv, \
                 _RawClient(srv.address) as raw:
@@ -1447,9 +1440,10 @@ class TestEncodeOnce:
     def test_workers_encode_each_cached_route_once(self, net_config,
                                                    net_graph):
         pairs = zipf_workload(net_graph.nodes(), 500, seed=41).pairs
-        # hash_pair: a pair has one home worker, so one cache entry
-        config = dataclasses.replace(net_config, workers=2, telemetry=True,
-                                     partitioner="hash_pair")
+        # Round-robin: position i is worker i % 2's, so a pair has one
+        # cache entry, and one text, per worker it lands on.
+        homes = len({(index % 2, pair) for index, pair in enumerate(pairs)})
+        config = dataclasses.replace(net_config, workers=2, telemetry=True)
         with open_service(config, graph=net_graph) as service:
             def encoded():
                 telemetry = service.query_stats().extra["telemetry"]
@@ -1460,11 +1454,11 @@ class TestEncodeOnce:
             assert encoded() == 0
             texts = service.wait_batch(service.submit_texts("route", pairs))
             assert all(type(text) is str for text in texts)
-            assert encoded() == len(set(pairs))
+            assert encoded() == homes > len(set(pairs))
             assert service.wait_batch(
                 service.submit_texts("route", pairs)) == texts
             service.wait_batch(service.submit_texts("distance", pairs))
-            assert encoded() == len(set(pairs))
+            assert encoded() == homes
 
     @watchdog(60.0)
     @pytest.mark.parametrize("backend_name", ["local_backend",

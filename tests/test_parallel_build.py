@@ -24,7 +24,6 @@ from repro.serving import BuildConfig, ServingConfig, open_service
 from repro.serving.artifacts import (
     artifact_info,
     save_hierarchy,
-    write_shard_artifacts,
 )
 from repro.serving.cli import build_parser, config_from_args
 
@@ -189,23 +188,6 @@ def test_worker_crash_leaves_no_partial_artifact(monkeypatch):
             open_service(config, graph=graph)
         assert not os.path.exists(path)
         assert os.listdir(tmp) == []   # no tmp-file debris either
-
-
-# ----------------------------------------------------------------------
-# shard slices run on the same runner
-# ----------------------------------------------------------------------
-def test_pooled_shard_slices_checksum_identical():
-    graph = small_graph(30)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "parent.artifact")
-        save_hierarchy(build_compact_routing(graph, 3, seed=2), path)
-        checksums = {}
-        for build_workers in (1, 2):
-            paths = write_shard_artifacts(path, 2, build_workers=build_workers)
-            checksums[build_workers] = [artifact_info(p).payload_sha256
-                                        for p in paths]
-        assert checksums[2] == checksums[1]
-        assert len(set(checksums[1])) == 2     # the slices do differ
 
 
 # ----------------------------------------------------------------------

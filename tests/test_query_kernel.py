@@ -22,6 +22,7 @@ from repro.routing.tables import (
     VECTOR_CHUNK_PAIRS,
     VECTOR_MIN_PAIRS,
     ColumnarQueryKernel,
+    InternedBunchLevel,
     NodeInternTable,
     OffsetRecordTable,
     PivotRowTable,
@@ -37,8 +38,6 @@ from repro.serving import (
     make_workload,
     open_service,
     resolve_query_kernel,
-    stable_node_hash,
-    write_shard_artifacts,
 )
 
 WORKLOAD_SHAPES = ("uniform", "zipf", "locality", "bursty")
@@ -126,12 +125,10 @@ class TestKernelIdentity:
 
 
 class TestKernelSelection:
-    def test_registry_names(self):
-        assert set(QUERY_KERNELS.names()) >= {"dict", "columnar", "auto"}
-
     def test_auto_and_columnar_are_one_rule(self):
-        assert QUERY_KERNELS.get("auto") is QUERY_KERNELS.get("columnar")
-        assert QUERY_KERNELS.get("dict") is not QUERY_KERNELS.get("auto")
+        assert set(QUERY_KERNELS) == {"dict", "columnar", "auto"}
+        assert QUERY_KERNELS["auto"] is QUERY_KERNELS["columnar"]
+        assert QUERY_KERNELS["dict"] is not QUERY_KERNELS["auto"]
 
     def test_auto_resolves_columnar_on_v2(self, artifact_path):
         with open_with(artifact_path, "auto") as service:
@@ -326,13 +323,13 @@ class TestProbe:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module", params=[2, 3], ids=["k2", "k3"])
 def loaded(request, kernel_graph, tmp_path_factory):
-    """``(hierarchy, sub-artifact paths)`` of one loaded build per ``k``."""
+    """One loaded build per ``k``."""
     k = request.param
     path = str(tmp_path_factory.mktemp(f"select-k{k}") / "hierarchy.artifact")
     config = ServingConfig(artifact_path=path, build=BuildConfig(k=k, seed=5),
                            cache=CacheConfig(capacity=0))
     open_service(config, graph=kernel_graph).close()
-    return load_hierarchy(path)[0], write_shard_artifacts(path, 2)
+    return load_hierarchy(path)[0]
 
 
 def record_kernel(pivot_rows, bunch_rows, k, pivot_blob=None, bunch_blob=None):
@@ -392,7 +389,7 @@ class TestSelectBatch:
     @pytest.mark.parametrize("shape", ["uniform", "zipf"])
     def test_matches_select_level_pair_for_pair(self, loaded, kernel_graph,
                                                 shape, batch):
-        hierarchy, _ = loaded
+        hierarchy = loaded
         kernel = hierarchy.query_kernel("columnar")
         nodes = kernel_graph.nodes()
         pairs = make_workload(shape, kernel_graph, 1024, seed=21).pairs
@@ -443,7 +440,7 @@ class TestSelectBatch:
                         reason="the vectorised path needs numpy")
     def test_batches_past_the_chunk_size_match_the_loop(self, loaded,
                                                         kernel_graph):
-        hierarchy, _ = loaded
+        hierarchy = loaded
         kernel = hierarchy.query_kernel("columnar")
         pairs = make_workload("zipf", kernel_graph, 3 * VECTOR_CHUNK_PAIRS + 5,
                               seed=23).pairs
@@ -471,27 +468,42 @@ class TestSelectBatch:
         assert max(sizes) <= VECTOR_CHUNK_PAIRS
 
     @pytest.mark.parametrize("padding", [0, VECTOR_MIN_PAIRS])
-    def test_slice_refuses_foreign_sources_in_the_same_words(
-            self, loaded, kernel_graph, hand_offs, padding):
-        _, sub_paths = loaded
-        hierarchy = load_hierarchy(sub_paths[0])[0]
-        nodes = kernel_graph.nodes()
-        foreign = next(v for v in nodes if stable_node_hash(v) % 2 != 0)
-        locals_ = [v for v in nodes if stable_node_hash(v) % 2 == 0]
-        local = locals_[0]
+    def test_absent_row_is_a_key_error_in_the_same_words(self, hand_offs,
+                                                         padding):
+        """A node with no bunch at a level has an ``ABSENT`` row; probing
+        it is the mapping's ``KeyError``, word for word, on the loop and
+        (handing its batch to the loop) on the vectorised path."""
+        k = 2
+        pivot_rows = [[(1, 0.5)], [(0, 1.5)], [(0, 2.0)]]
+        # Level 0: v2 has no bunch; level 1: everyone has one.
+        bunch_rows = [[(1, 1.0)], [(0, 1.0)], None,
+                      [(1, 2.0)], [(0, 2.0)], [(0, 3.0)]]
+        kernel = record_kernel(pivot_rows, bunch_rows, k)
+        absent = InternedBunchLevel(kernel._bunch_table, kernel._intern,
+                                    0, 3)
         with pytest.raises(KeyError) as per_pair:
-            hierarchy._select_level(foreign, local)
-        # Above the constant the vectorised path meets the absent row and
-        # hands the batch to the loop, which raises.
-        pairs = [(local, foreign), (foreign, local)] + [
-            (local, target) for target in locals_[1:padding + 1]]
+            absent["v2"]
+        assert per_pair.value.args == (
+            "bunch row for node 'v2' (level 0) is not present in this "
+            "artifact",)
+        pairs = [("v0", "v1"), ("v2", "v0")] + [("v1", "v0")] * padding
         with pytest.raises(KeyError) as batched:
-            hierarchy.query_kernel("columnar").select_batch(pairs)
+            kernel.select_batch(pairs)
         assert batched.value.args == per_pair.value.args
-        assert "not present in this artifact slice" in per_pair.value.args[0]
         vectorised = (tables_module.HAVE_NUMPY
                       and len(pairs) >= VECTOR_MIN_PAIRS)
         assert hand_offs == ([True] if vectorised else [])
+
+    def test_absent_row_reads_as_missing_not_empty(self):
+        """``ABSENT`` (a node with no bunch at a level) is not an empty
+        row: the mapping leaves it out, where an empty row is present."""
+        bunch_rows = [[(1, 1.0)], [], None]
+        table = OffsetRecordTable(OffsetRecordTable.encode(bunch_rows))
+        level = InternedBunchLevel(table, NodeInternTable(["v0", "v1", "v2"]),
+                                   0, 3)
+        assert [table.has_row(row) for row in range(3)] == [True, True, False]
+        assert "v1" in level and dict(level["v1"].items()) == {}
+        assert "v2" not in level and level.get("v2") is None
 
     @pytest.mark.parametrize("damage", ["index entry", "pivot table"])
     def test_bad_rows_raise_the_same_error_on_both_paths(self, hand_offs,

@@ -4,8 +4,7 @@ The contract every artifact reader and writer keeps, through the typed
 entry points (``save_*`` / ``load_*`` / ``artifact_info`` /
 ``verify_artifact``): what the header says, which bytes are refused, and
 that a reload answers like the original.  The section layout itself, lazy
-loading, per-section corruption and sub-artifact slicing are covered by
-``test_artifact_v2.py``.
+loading and per-section corruption are covered by ``test_artifact_v2.py``.
 """
 
 import hashlib

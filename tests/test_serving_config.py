@@ -21,7 +21,6 @@ def nondefault_serving_config() -> ServingConfig:
         graph_spec="er:n=40,p=0.1,seed=2",
         save_artifact=False,
         workers=3,
-        partitioner="hash_pair",
         batch_size=32,
         kind="distance",
         start_method="spawn",
@@ -133,6 +132,27 @@ class TestUnknownKeys:
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, argv", [
+        ("partitioner", "hash_source", ["--partitioner", "hash_source"]),
+        ("sub_artifacts", True, ["--sub-artifacts"]),
+    ])
+    def test_sharding_policy_is_not_a_setting(self, key, value, argv,
+                                              capsys):
+        """Every worker maps the full artifact and one round-robin table
+        scatters: a stored ``serving_config`` that names a partitioner or
+        sub-artifacts is refused with the known-key list, and so is the
+        flag that set it."""
+        refusal = (rf"unknown ServingConfig key\(s\) \['{key}'\]; "
+                   rf"known keys: \['admission', 'artifact_path', ")
+        with pytest.raises(ValueError, match=refusal):
+            ServingConfig.from_dict({"workers": 2, key: value})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--graph", "er:n=30,p=0.2", "--artifact", "/tmp/a",
+                  "--workers", "2"] + argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv)}" \
+            in capsys.readouterr().err
+
 
 class TestValidation:
     def test_invalid_values_rejected(self):
@@ -196,8 +216,7 @@ class TestCliParity:
             "--skew", "1.7", "--burst-length", "15", "--burst-rate", "0.1",
             "--burst-intensity", "0.5", "--drift-period", "50",
             "--batch-size", "16", "--cache-size", "99",
-            "--kind", "distance", "--workers", "2",
-            "--partitioner", "hash_pair"])
+            "--kind", "distance", "--workers", "2"])
         config = config_from_args(args, parser)
         assert config.graph_spec == "grid:rows=4,cols=4"
         assert config.artifact_path == "/tmp/a.artifact"
@@ -213,7 +232,6 @@ class TestCliParity:
         assert config.kind == "distance"
         assert config.cache.capacity == 99
         assert config.workers == 2
-        assert config.partitioner == "hash_pair"
         # No flag default can drift from its dataclass field: flags left
         # unset land on exactly the config's own defaults.
         spec = "grid:rows=4,cols=4"
@@ -238,14 +256,11 @@ class TestCliParity:
             "--workers", "3", "--fleet", "--heartbeat-interval", "0.2",
             "--respawn-limit", "7"])
         config = config_from_args(args, parser)
-        assert config.partitioner == "hash_source"
         assert config.fleet_config() == FleetConfig(heartbeat_interval=0.2,
                                                     respawn_limit=7)
 
     @pytest.mark.parametrize("argv, message", [
         (["--workers", "1", "--fleet"], "requires workers >= 2"),
-        (["--workers", "3", "--fleet", "--partitioner", "round_robin"],
-         "--fleet routes by source hash"),
     ])
     def test_fleet_flag_refusals(self, argv, message, capsys):
         parser = build_parser()

@@ -349,14 +349,14 @@ class TestCli:
         argv = ["--graph", "er:n=25,p=0.2,seed=2,weights=uniform:1:20",
                 "--artifact", artifact, "--k", "2", "--workload", "zipf",
                 "--queries", "120", "--batch-size", "30",
-                "--workers", "2", "--partitioner", "hash_pair", "--json"]
+                "--workers", "2", "--json"]
         assert serve_main(argv) == 0
         import json as json_module
         record = json_module.loads(capsys.readouterr().out)
         assert record["queries"] == 120
         assert record["delivered"] == 120
         assert record["extra"]["workers"] == 2
-        assert record["extra"]["partitioner"] == "hash_pair"
+        assert "partitioner" not in record["extra"]
 
     def test_workers_require_artifact(self):
         with pytest.raises(SystemExit):

@@ -1,10 +1,12 @@
-"""ShardedRoutingService: partitioning, answer identity, stats merging, lifecycle."""
+"""ShardedRoutingService: the round-robin table, answer identity, stats
+merging, lifecycle."""
 
 import pytest
 
 from repro import graphs
 from repro.serving import (
     BuildConfig,
+    RoutingEpoch,
     RoutingService,
     ServingConfig,
     ServingStats,
@@ -14,7 +16,6 @@ from repro.serving import (
     build_or_load_service,
     make_workload,
     open_service,
-    partition_pairs,
 )
 
 
@@ -55,8 +56,8 @@ class TestServingStatsMerge:
         assert merged.extra["merged_from"] == 2
 
     def test_counters_tuple_names_every_field(self):
-        """``as_dict``/``from_dict``/``merge`` and the worker's cover fold
-        read ``COUNTERS``; a field missing from it would be dropped."""
+        """``as_dict``/``from_dict``/``merge`` read ``COUNTERS``; a field
+        missing from it would be dropped."""
         import dataclasses
         names = [f.name for f in dataclasses.fields(ServingStats)]
         assert names == [*ServingStats.COUNTERS, *ServingStats.OPTIONALS,
@@ -86,45 +87,75 @@ class TestServingStatsMerge:
         assert "worker_id" not in merged.extra
 
 
-class TestPartitionPairs:
-    PAIRS = [(0, 1), (2, 3), (0, 1), (4, 5), (2, 3), (6, 7)]
+def round_robin_split(pairs, num_shards):
+    """The split the plain front-end made before both modes shared one
+    table (the ``round_robin`` partitioner): item ``i`` to shard ``i %
+    num_shards``, empty shards left out."""
+    shards = [[] for _ in range(num_shards)]
+    for index, pair in enumerate(pairs):
+        shards[index % num_shards].append((index, pair))
+    return [(slot, shard) for slot, shard in enumerate(shards) if shard]
 
-    def test_round_robin_balances_and_preserves_order(self):
-        shards = partition_pairs(self.PAIRS, 2, strategy="round_robin")
-        assert [idx for idx, _ in shards[0]] == [0, 2, 4]
-        assert [idx for idx, _ in shards[1]] == [1, 3, 5]
-        assert abs(len(shards[0]) - len(shards[1])) <= 1
 
-    def test_hash_pair_groups_duplicates(self):
-        shards = partition_pairs(self.PAIRS, 3, strategy="hash_pair")
-        shard_of = {}
-        for shard_id, shard in enumerate(shards):
-            for index, pair in shard:
-                assert self.PAIRS[index] == pair
-                shard_of.setdefault(pair, set()).add(shard_id)
-        # Every occurrence of a pair lands on exactly one shard.
-        assert all(len(shard_ids) == 1 for shard_ids in shard_of.values())
-        # Indices inside a shard keep stream order.
-        for shard in shards:
-            indices = [index for index, _ in shard]
-            assert indices == sorted(indices)
+def loads_of(assignments):
+    return {slot: len(shard) for slot, shard in assignments}
 
-    def test_hash_pair_is_deterministic(self):
-        first = partition_pairs(self.PAIRS, 4, strategy="hash_pair")
-        second = partition_pairs(self.PAIRS, 4, strategy="hash_pair")
-        assert first == second
 
-    def test_everything_assigned_exactly_once(self):
-        for strategy in ("round_robin", "hash_pair"):
-            shards = partition_pairs(self.PAIRS, 4, strategy=strategy)
-            indices = sorted(index for shard in shards for index, _ in shard)
-            assert indices == list(range(len(self.PAIRS)))
+class TestRoundRobinTable:
+    """One table scatters for the plain and the fleet front-end alike."""
 
-    def test_bad_arguments_rejected(self):
-        with pytest.raises(ValueError, match="num_shards"):
-            partition_pairs(self.PAIRS, 0)
-        with pytest.raises(ValueError, match="unknown partition strategy"):
-            partition_pairs(self.PAIRS, 2, strategy="random")
+    PAIRS = [(i % 7, (3 * i + 1) % 11) for i in range(61)]
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    @pytest.mark.parametrize("size", [1, 2, 5, 32, 61])
+    def test_all_live_is_the_round_robin_split(self, workers, size):
+        pairs = self.PAIRS[:size]
+        table = RoutingEpoch(0, workers, range(workers))
+        assert table.assign(enumerate(pairs)) \
+            == round_robin_split(pairs, workers)
+        assert [table.slot_of(i) for i in range(size)] \
+            == [i % workers for i in range(size)]
+
+    @pytest.mark.parametrize("workers, dead", [(2, 0), (3, 1), (4, 0),
+                                               (4, 2), (4, 3)])
+    def test_dead_slot_gets_nothing_and_loads_stay_level(self, workers,
+                                                         dead):
+        live = [slot for slot in range(workers) if slot != dead]
+        table = RoutingEpoch(1, workers, live)
+        for size in range(1, len(self.PAIRS) + 1):
+            loads = loads_of(table.assign(enumerate(self.PAIRS[:size])))
+            assert dead not in loads
+            counts = [loads.get(slot, 0) for slot in live]
+            assert sum(counts) == size
+            assert max(counts) - min(counts) <= 1
+
+    @pytest.mark.parametrize("workers, dead", [(2, 1), (3, 0), (3, 2),
+                                               (4, 1)])
+    def test_rescatter_follows_the_same_rule(self, workers, dead):
+        full = RoutingEpoch(1, workers, range(workers))
+        holed = RoutingEpoch(2, workers, [slot for slot in range(workers)
+                                          if slot != dead])
+        orphaned = dict(full.assign(enumerate(self.PAIRS)))[dead]
+        moved = holed.assign(orphaned)
+        assert dead not in loads_of(moved)
+        for slot, shard in moved:
+            assert all(holed.slot_of(index) == slot for index, _ in shard)
+            assert [i for i, _ in shard] == sorted(i for i, _ in shard)
+        assert sorted(item for _, shard in moved for item in shard) \
+            == orphaned
+
+    def test_workers_answer_their_round_robin_share(self, shard_graph,
+                                                    artifact_path):
+        """The plain front-end scatters through the table: worker ``w``
+        answers exactly the batch positions ``i % 3 == w``."""
+        pairs = make_workload("zipf", shard_graph, 40, seed=3).pairs
+        with ShardedRoutingService(artifact_path, num_workers=3) as sharded:
+            assert sharded.table.routable == (0, 1, 2)
+            sharded.distance_batch(pairs)
+            sharded.route_batch(pairs[:7])
+            per_worker = [stats.queries for stats in sharded.worker_stats()]
+        assert per_worker == [len(range(w, 40, 3)) + len(range(w, 7, 3))
+                              for w in range(3)]
 
 
 class TestShardedIdentity:
@@ -143,16 +174,14 @@ class TestShardedIdentity:
                                               for t in expected_routes]
         assert dists == expected_dists
 
-    @pytest.mark.parametrize("partitioner", ["round_robin", "hash_pair"])
     def test_order_preserved_with_duplicates(self, shard_graph, artifact_path,
-                                             reference_service, partitioner):
+                                             reference_service):
         nodes = shard_graph.nodes()
         pairs = [(nodes[0], nodes[5]), (nodes[3], nodes[8]),
                  (nodes[0], nodes[5]), (nodes[9], nodes[2]),
                  (nodes[3], nodes[8]), (nodes[0], nodes[5])] * 5
         expected = reference_service.distance_batch(pairs)
-        with ShardedRoutingService(artifact_path, num_workers=3,
-                                   partitioner=partitioner) as sharded:
+        with ShardedRoutingService(artifact_path, num_workers=3) as sharded:
             assert sharded.distance_batch(pairs) == expected
             assert sharded.route_batch([]) == []
 
@@ -220,6 +249,27 @@ class TestMergedStats:
         assert merged.extra["merged_from"] == 2
 
 
+class TestFullArtifactWorkers:
+    def test_every_worker_maps_the_full_artifact(self, shard_graph,
+                                                 artifact_path):
+        """No worker holds a slice: each maps every table byte, so the
+        merged (additive) count is workers x the artifact."""
+        from repro.serving import artifact_info
+
+        payload = artifact_info(artifact_path).payload_bytes
+        pairs = make_workload("uniform", shard_graph, 30, seed=8).pairs
+        with ShardedRoutingService(artifact_path, num_workers=3) as sharded:
+            sharded.distance_batch(pairs)
+            per_worker = sharded.worker_stats()
+            merged = sharded.merged_stats()
+        assert [s.extra["loaded_table_bytes"] for s in per_worker] \
+            == [payload] * 3
+        assert merged.extra["loaded_table_bytes"] == 3 * payload
+        for key in ("partitioner", "sub_artifacts", "sub_artifact_shard",
+                    "cover_queries"):
+            assert key not in merged.extra
+
+
 class TestLifecycle:
     def test_missing_artifact_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="does not exist"):
@@ -228,8 +278,6 @@ class TestLifecycle:
     def test_bad_parameters_rejected(self, artifact_path):
         with pytest.raises(ValueError, match="num_workers"):
             ShardedRoutingService(artifact_path, num_workers=0)
-        with pytest.raises(ValueError, match="partition strategy"):
-            ShardedRoutingService(artifact_path, partitioner="modulo")
 
     def test_build_or_load_creates_artifact(self, shard_graph, tmp_path):
         path = str(tmp_path / "fresh.artifact")

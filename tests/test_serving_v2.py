@@ -1,4 +1,4 @@
-"""Serving API v2: QueryBackend protocol, open_service, registries."""
+"""Serving API v2: QueryBackend protocol, open_service, name tables."""
 
 import dataclasses
 import gc
@@ -13,21 +13,24 @@ from repro.serving import (
     BuildConfig,
     CacheConfig,
     ClientSession,
+    GRAPH_FAMILIES,
+    QUERY_KERNELS,
     QueryBackend,
-    Registry,
     RoutingServer,
     RoutingService,
     ServingConfig,
     ShardedRoutingService,
+    WORKLOADS,
     WORKLOAD_NAMES,
     WorkloadConfig,
     answer_batch,
     make_workload,
     open_service,
     parse_endpoint,
-    register_workload,
+    parse_graph_spec,
+    resolve_query_kernel,
 )
-from repro.serving.registry import WORKLOADS
+from repro.serving import cli
 from repro.serving.wire import encode_answers, encode_frame
 
 
@@ -148,8 +151,7 @@ class TestOpenServiceIdentity:
         nearly every miss), never what is answered — down to the bytes of
         an ``answers`` frame, since a ``wire_text`` rebuilt after an
         eviction is the same text."""
-        shape = {} if backend == "local" else {"workers": 2,
-                                               "partitioner": "hash_pair"}
+        shape = {} if backend == "local" else {"workers": 2}
         config = dataclasses.replace(
             v2_config, cache=CacheConfig(capacity=capacity), **shape)
         with open_service(config, graph=v2_graph) as service:
@@ -243,42 +245,42 @@ class TestShardedConfigRejections:
         assert time.perf_counter() - start < 1.0   # rejected pre-build
 
 
-class TestRegistries:
-    def test_duplicate_registration_rejected_unless_replace(self):
-        registry = Registry("widget")
-        registry.register("a", lambda: 1)
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("a", lambda: 2)
-        registry.register("a", lambda: 3, replace=True)
-        assert registry.get("a")() == 3
+class TestNameTables:
+    """Workloads, query kernels and graph families are plain dicts owned by
+    the modules that fill them; a typo anywhere still fails loudly, listing
+    what is available."""
 
-    def test_unknown_lookup_lists_available(self):
-        registry = Registry("widget")
-        registry.register("only", lambda: 1)
-        with pytest.raises(ValueError, match="unknown widget .*only"):
-            registry.get("missing")
+    @pytest.mark.parametrize("noun, table, lookup", [
+        ("workload", WORKLOADS,
+         lambda graph: make_workload("zipff", graph, 5)),
+        ("query kernel", QUERY_KERNELS,
+         lambda graph: resolve_query_kernel("vectorised", None)),
+        ("graph family", GRAPH_FAMILIES,
+         lambda graph: parse_graph_spec("err:n=5")),
+    ], ids=["workload", "kernel", "graph"])
+    def test_unknown_name_lists_the_available_ones(self, v2_graph, noun,
+                                                   table, lookup):
+        assert type(table) is dict and table
+        with pytest.raises(ValueError) as error:
+            lookup(v2_graph)
+        message = str(error.value)
+        assert message.startswith(f"unknown {noun} ")
+        assert message.endswith("available: " + ", ".join(sorted(table)))
 
-    def test_register_workload_extends_make_workload(self, v2_graph):
-        name = "test-fixed-pair"
+    @pytest.mark.parametrize("flag, value, table", [
+        ("--workload", "zipff", WORKLOADS),
+        ("--kernel", "vectorised", QUERY_KERNELS),
+    ], ids=["workload", "kernel"])
+    def test_cli_typo_exits_with_the_choices(self, capsys, flag, value,
+                                             table):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["--graph", "er:n=10,p=0.3", flag, value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{value}'" in err
+        assert all(repr(name) in err for name in table)
 
-        @register_workload(name)
-        def fixed_pair(graph, num_queries, seed=0, **params):
-            nodes = graph.nodes()
-            from repro.serving import QueryWorkload
-            return QueryWorkload(name=name,
-                                 pairs=[(nodes[0], nodes[1])] * num_queries)
-
-        try:
-            workload = make_workload(name, v2_graph, 7)
-            assert len(workload) == 7 and workload.distinct_pairs() == 1
-        finally:
-            WORKLOADS._entries.pop(name)
-
-    def test_decorator_returns_the_callable(self):
-        registry = Registry("widget")
-
-        @registry.register("fn")
-        def fn():
-            return 42
-
-        assert fn() == 42 and registry.get("fn") is fn
+    def test_cli_graph_typo_names_the_families(self):
+        with pytest.raises(ValueError, match="unknown graph family 'err'.*"
+                                             "available: ba, er, fattree"):
+            cli.main(["--graph", "err:n=10", "--queries", "1"])
