@@ -5,15 +5,17 @@ compact-routing hierarchy is built (Corollary 4.14's expensive phase), a
 :class:`RoutingService` should sustain far higher query throughput on
 realistic (skewed) traffic than naive one-at-a-time querying, because
 
-* batched queries amortize per-target label lookups, and
+* a batch's level selection is one columnar-kernel pass over the mapped
+  tables instead of one per pair, and
 * the LRU result cache absorbs the repeats that Zipf/locality streams are
   full of.
 
 For each workload shape (uniform / zipf / locality) this benchmark measures
 route-query throughput in three configurations over the same query stream:
 
-* ``cold_single``  — result cache disabled, one query at a time, runtime
-  caches cleared first (the naive baseline);
+* ``cold_single``  — result cache disabled, one query at a time on a
+  freshly opened backend (the naive baseline; each query is selected by the
+  kernel as a batch of one);
 * ``cold_batch``   — result cache disabled, batched API (isolates the
   batching win);
 * ``warm_batch``   — result cache enabled and pre-warmed with one pass
@@ -26,9 +28,9 @@ callers use.
 
 A second measurement compares the batch *query kernels* head to head: the
 same cold (cache-disabled) distance stream answered once with
-``kernel="dict"`` (per-pair probes through the mapping adapters) and once
-with ``kernel="columnar"`` (the array-native kernel reading the v2 record
-slices directly), on uniform and zipf streams.  Answers are asserted
+``kernel="dict"`` (the kernel's per-pair loop, one pair at a time) and once
+with ``kernel="columnar"`` (the whole batch selected in one kernel call),
+on uniform and zipf streams.  Answers are asserted
 identical; the recorded numbers are the measured columnar speedup.
 
 Run as a script to produce a run directory in the ``repro-experiment``
@@ -163,8 +165,8 @@ def run_kernel_benchmark(n: int, seed: int = 0, k: int = 3,
 
     Result caches are disabled and each kernel gets a freshly-opened
     backend (cold runtime caches by construction), so the measured gap is
-    purely the probing strategy: per-pair dict probes vs the columnar
-    record-slice kernel.  Distances are asserted list-for-list identical
+    purely the selection strategy: the kernel one pair at a time vs one
+    call per batch.  Distances are asserted list-for-list identical
     before any timing is reported.
     """
     graph = make_serving_graph(n, seed=seed)

@@ -24,7 +24,6 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -44,10 +43,6 @@ __all__ = [
     "NodeInternTable",
     "PivotRowTable",
     "OffsetRecordTable",
-    "InternedPivotView",
-    "InternedBunchRow",
-    "InternedBunchLevel",
-    "PivotRowBackend",
     "ColumnarQueryKernel",
     "HAVE_NUMPY",
 ]
@@ -236,11 +231,9 @@ class RouteTrace:
 # * the constructors wrap a ``memoryview`` (typically over an ``mmap``)
 #   and answer point lookups without copying or materialising the table.
 #
-# ``Interned*View`` adapters then present those tables through the exact
-# mapping interface the in-memory :class:`~repro.routing.tz_hierarchy.
-# CompactRoutingHierarchy` uses (``pivots[l][v]``, ``bunches[v][s]``), so a
-# lazily-loaded hierarchy answers queries through the same code path as an
-# eager one.
+# A loaded hierarchy selects levels only through :class:`ColumnarQueryKernel`
+# below; the tables are decoded into the build's plain dicts only for the
+# APIs that read them whole (state export, reports, re-save).
 
 
 class RecordTableError(ValueError):
@@ -360,9 +353,6 @@ class NodeInternTable:
         index = self._index
         return [index[node] for node in nodes]
 
-    def get_index(self, node: Hashable) -> Optional[int]:
-        return self._index.get(node)
-
     def node_at(self, index: int) -> Hashable:
         return self._nodes[index]
 
@@ -444,15 +434,6 @@ class PivotRowTable:
             raise RecordTableError(
                 f"pivot table is {len(self._buf)} bytes, header implies "
                 f"{expected}")
-
-    def record(self, node_index: int, level_offset: int) -> Tuple[int, float]:
-        if not 0 <= node_index < self.num_nodes:
-            raise RecordTableError(f"node index {node_index} out of range")
-        if not 0 <= level_offset < self.num_levels:
-            raise RecordTableError(f"level offset {level_offset} out of range")
-        pos = self._HEADER.size + (node_index * self.num_levels
-                                   + level_offset) * self._RECORD.size
-        return self._RECORD.unpack_from(self._buf, pos)
 
     def row(self, node_index: int) -> List[Tuple[int, float]]:
         """All ``(pivot_index, distance)`` records of one node (contiguous)."""
@@ -562,12 +543,6 @@ class OffsetRecordTable:
         _, count = self._entry(row_index)
         return count != self.ABSENT
 
-    def row_count(self, row_index: int) -> int:
-        offset, count = self._entry(row_index)
-        if count == self.ABSENT:
-            raise RecordTableError(f"row {row_index} is absent from this table")
-        return count
-
     def row_items(self, row_index: int) -> List[Tuple[int, float]]:
         offset, count = self._extent(row_index)
         start = self._data_base + offset * self._RECORD.size
@@ -619,214 +594,6 @@ class OffsetRecordTable:
                                count=self.num_records, offset=self._data_base))
         return views
 
-    def probe(self, row_index: int, key: int) -> Optional[float]:
-        """The value stored for ``key`` in the row, or ``None``.
-
-        One index read, one membership test over the row's key column
-        (rows are ``O~(n^{1/k})`` entries), and one float64 unpacked for
-        the record that matched — no other record is decoded.
-        """
-        offset, keys = self.row_keys(row_index)
-        if key in keys:
-            return self.value_at(offset + keys.index(key))
-        return None
-
-
-# ----------------------------------------------------------------------
-# mapping adapters: record tables presented as the hierarchy's dicts
-# ----------------------------------------------------------------------
-class InternedPivotView:
-    """One pivot level as a read-only mapping ``{node: pivot}`` (or
-    ``{node: distance}``), decoding records straight from the table."""
-
-    _PIVOT = 0
-    _DIST = 1
-
-    __slots__ = ("_table", "_intern", "_level", "_field")
-
-    def __init__(self, table: PivotRowTable, intern: NodeInternTable,
-                 level_offset: int, field: int) -> None:
-        self._table = table
-        self._intern = intern
-        self._level = level_offset
-        self._field = field
-
-    @classmethod
-    def pivots(cls, table, intern, level_offset) -> "InternedPivotView":
-        return cls(table, intern, level_offset, cls._PIVOT)
-
-    @classmethod
-    def distances(cls, table, intern, level_offset) -> "InternedPivotView":
-        return cls(table, intern, level_offset, cls._DIST)
-
-    def __getitem__(self, node: Hashable):
-        index = self._intern.index_of(node)   # KeyError for unknown nodes
-        pivot_index, dist = self._table.record(index, self._level)
-        if self._field == self._DIST:
-            return dist
-        return None if pivot_index < 0 else self._intern.node_at(pivot_index)
-
-    def get(self, node: Hashable, default=None):
-        try:
-            return self[node]
-        except KeyError:
-            return default
-
-    def __contains__(self, node: Hashable) -> bool:
-        return node in self._intern
-
-    def __len__(self) -> int:
-        return len(self._intern)
-
-    def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._intern.nodes())
-
-    def keys(self) -> Iterator[Hashable]:
-        return iter(self._intern.nodes())
-
-    def items(self) -> Iterator[Tuple[Hashable, Any]]:
-        for node in self._intern.nodes():
-            yield node, self[node]
-
-    def values(self) -> Iterator[Any]:
-        for node in self._intern.nodes():
-            yield self[node]
-
-
-class InternedBunchRow:
-    """One bunch row as a read-only mapping ``{source: estimate}``.
-
-    Membership tests and lookups scan the row's records (bunch rows are
-    ``O~(n^{1/k})`` entries by construction), decoding nothing but the
-    records touched.
-    """
-
-    __slots__ = ("_table", "_intern", "_row")
-
-    def __init__(self, table: OffsetRecordTable, intern: NodeInternTable,
-                 row_index: int) -> None:
-        self._table = table
-        self._intern = intern
-        self._row = row_index
-
-    def __contains__(self, node: Hashable) -> bool:
-        index = self._intern.get_index(node)
-        if index is None:
-            return False
-        return self._table.probe(self._row, index) is not None
-
-    def __getitem__(self, node: Hashable) -> float:
-        index = self._intern.get_index(node)
-        value = None if index is None else self._table.probe(self._row, index)
-        if value is None:
-            raise KeyError(node)
-        return value
-
-    def get(self, node: Hashable, default=None):
-        index = self._intern.get_index(node)
-        if index is None:
-            return default
-        value = self._table.probe(self._row, index)
-        return default if value is None else value
-
-    def __len__(self) -> int:
-        return self._table.row_count(self._row)
-
-    def __iter__(self) -> Iterator[Hashable]:
-        for index, _ in self._table.row_items(self._row):
-            yield self._intern.node_at(index)
-
-    def keys(self) -> Iterator[Hashable]:
-        return iter(self)
-
-    def items(self) -> Iterator[Tuple[Hashable, float]]:
-        for index, value in self._table.row_items(self._row):
-            yield self._intern.node_at(index), value
-
-    def values(self) -> Iterator[float]:
-        for _, value in self._table.row_items(self._row):
-            yield value
-
-
-class InternedBunchLevel:
-    """One level's bunches as a read-only mapping ``{node: bunch_row}``.
-
-    Row indices are ``level * num_nodes + node_index`` into one shared
-    :class:`OffsetRecordTable` holding every level's rows.  Accessing an
-    absent row raises ``KeyError`` with an explanatory message.
-    """
-
-    __slots__ = ("_table", "_intern", "_level", "_num_nodes")
-
-    def __init__(self, table: OffsetRecordTable, intern: NodeInternTable,
-                 level: int, num_nodes: int) -> None:
-        self._table = table
-        self._intern = intern
-        self._level = level
-        self._num_nodes = num_nodes
-
-    def _row_index(self, node: Hashable) -> int:
-        return self._level * self._num_nodes + self._intern.index_of(node)
-
-    def __getitem__(self, node: Hashable) -> InternedBunchRow:
-        row = self._row_index(node)    # KeyError for unknown nodes
-        if not self._table.has_row(row):
-            raise KeyError(
-                f"bunch row for node {node!r} (level {self._level}) is not "
-                f"present in this artifact")
-        return InternedBunchRow(self._table, self._intern, row)
-
-    def get(self, node: Hashable, default=None):
-        try:
-            return self[node]
-        except KeyError:
-            return default
-
-    def __contains__(self, node: Hashable) -> bool:
-        index = self._intern.get_index(node)
-        if index is None:
-            return False
-        return self._table.has_row(self._level * self._num_nodes + index)
-
-    def __len__(self) -> int:
-        return sum(1 for node in self._intern.nodes() if node in self)
-
-    def __iter__(self) -> Iterator[Hashable]:
-        for node in self._intern.nodes():
-            if node in self:
-                yield node
-
-    def keys(self) -> Iterator[Hashable]:
-        return iter(self)
-
-    def items(self) -> Iterator[Tuple[Hashable, InternedBunchRow]]:
-        for node in self:
-            yield node, self[node]
-
-
-class PivotRowBackend:
-    """Zero-copy ``pivot_row`` provider for an mmap-loaded hierarchy.
-
-    ``CompactRoutingHierarchy.pivot_row`` delegates here when present: the
-    full per-level pivot row of a target is one contiguous record-slice
-    read straight from the page cache, instead of ``k`` dict lookups over
-    eagerly materialised pivot maps.
-    """
-
-    __slots__ = ("_table", "_intern")
-
-    def __init__(self, table: PivotRowTable, intern: NodeInternTable) -> None:
-        self._table = table
-        self._intern = intern
-
-    def pivot_row(self, target: Hashable) -> Tuple[Optional[Hashable], ...]:
-        index = self._intern.index_of(target)
-        row: List[Optional[Hashable]] = [target]   # level 0 pivot is the target
-        node_at = self._intern.node_at
-        for pivot_index, _dist in self._table.row(index):
-            row.append(None if pivot_index < 0 else node_at(pivot_index))
-        return tuple(row)
-
 
 def _distinct_sorted(values):
     """The distinct elements of a numpy array, sorted (``np.unique`` costs
@@ -838,12 +605,11 @@ def _distinct_sorted(values):
 
 
 class ColumnarQueryKernel:
-    """Array-native batch query kernel over the v2 record tables.
+    """The level selection of a loaded hierarchy, over the v2 record tables.
 
-    The per-pair query path answers ``distance(s, t)`` through the mapping
-    adapters above: one ``InternedBunchRow`` object per probe, one label
-    dict lookup per touch, one full-row scan per level.  This kernel
-    answers a whole batch straight from the record slices instead.  Every
+    Every query on a loaded artifact selects its level here — a batch in
+    one call, a single query as a batch of one — straight from the record
+    slices; the tables are never decoded into dicts on this path.  Every
     label is resolved to its interned id exactly once
     (:meth:`NodeInternTable.indices_of`); then one of two paths selects
     the levels.
@@ -871,12 +637,12 @@ class ColumnarQueryKernel:
       (:meth:`OffsetRecordTable.row_keys`); every pair in the group is a
       membership test on that list, and only a hit unpacks a value.
 
-    Both paths give answers bit-identical to the per-pair path — same
-    float records, same ``estimate + tail`` arithmetic, same ``KeyError``
-    for unknown labels or absent bunch rows — and the
-    same ``stats``: batches / pairs / source groups / distinct ``(level,
-    source)`` bunch rows the loop touches (``bunch_rows_decoded``), for the
-    serving layer's ``--json`` report.
+    Both paths give answers bit-identical to the in-memory build's dict
+    path — same float records, same ``estimate + tail`` arithmetic, the
+    same ``KeyError`` for unknown labels — and the same ``stats``: batches
+    / pairs / source groups / distinct ``(level, source)`` bunch rows the
+    loop touches (``bunch_rows_decoded``), for the serving layer's
+    ``--json`` report.
     """
 
     __slots__ = ("_intern", "_pivot_table", "_bunch_table", "_k",
@@ -916,7 +682,8 @@ class ColumnarQueryKernel:
         except RecordTableError:
             if self._bunch_table.has_row(row_index):
                 raise
-            # Same KeyError contract as InternedBunchLevel.__getitem__.
+            # A node with no bunch at a level: the decoded bunches leave
+            # it out, so a lookup of it is a KeyError there too.
             node = self._intern.node_at(source_index)
             raise KeyError(
                 f"bunch row for node {node!r} (level {level}) is not "
@@ -926,7 +693,7 @@ class ColumnarQueryKernel:
                      ) -> List[Optional[Tuple[int, Optional[int], float]]]:
         """Level selections ``(level, pivot_index, estimate)`` per pair.
 
-        Mirrors ``CompactRoutingHierarchy._select_level`` exactly: the
+        The rule of ``CompactRoutingHierarchy._select_level``: the
         minimal level whose target pivot lands in the source's bunch, with
         ``(k, None, inf)`` when no level hits.  Pairs whose source equals
         their target return ``None`` — the query paths short-circuit
@@ -1093,6 +860,6 @@ class ColumnarQueryKernel:
     def distance_batch(self, pairs: Sequence[Tuple[Hashable, Hashable]]
                        ) -> List[float]:
         """Distance estimates for ``pairs``, list-for-list identical to
-        the per-pair dict path (equal pairs are 0.0 by definition)."""
+        the in-memory build's dict path (equal pairs are 0.0 by definition)."""
         return [0.0 if selection is None else selection[2]
                 for selection in self.select_batch(pairs)]

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
@@ -52,64 +51,25 @@ from .tz_exact import sample_levels
 from .stretch import evaluate_routing
 
 __all__ = ["CompactRoutingHierarchy", "HierarchyBuildReport", "LazyLevelData",
-           "PIVOT_ROW_CACHE_CAP"]
+           "QUERY_KERNELS", "wants_columnar"]
 
 #: Sentinel distinguishing "absent from the bunch" from any real estimate.
 _ABSENT = object()
 
-#: The bound on the per-hierarchy pivot-row cache.  On mmap backends a
-#: pivot row is one contiguous record-slice read, so caching buys little and
-#: an unbounded dict just mirrors the pivot table into Python objects under
-#: uniform workloads; the bound keeps the win for skewed streams without
-#: the footprint.
-PIVOT_ROW_CACHE_CAP = 65536
+#: Query-kernel selectors, and whether each selects levels through a
+#: loaded artifact's columnar kernel.  ``auto`` and ``columnar`` are one
+#: rule; ``dict`` selects pair by pair.  An in-memory build has no kernel and
+#: takes its dict path under any name.
+QUERY_KERNELS = {"dict": False, "columnar": True, "auto": True}
 
 
-class _PivotRowCache:
-    """Bounded LRU for resolved pivot rows, with hit/eviction counters.
-
-    Counters are cumulative across :meth:`clear` so serving stats see
-    lifetime totals.
-    """
-
-    __slots__ = ("capacity", "hits", "misses", "evictions", "_entries")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: "OrderedDict[Hashable, Tuple[Optional[Hashable], ...]]" = \
-            OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Hashable):
-        row = self._entries.get(key)
-        if row is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._entries.move_to_end(key)
-        return row
-
-    def put(self, key: Hashable, row) -> None:
-        self._entries[key] = row
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def info(self) -> Dict[str, int]:
-        return {"capacity": self.capacity, "size": len(self._entries),
-                "hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions}
+def wants_columnar(kernel: str) -> bool:
+    """Whether selector ``kernel`` asks for the columnar kernel; an unknown
+    selector raises ``ValueError`` naming the available ones."""
+    if kernel not in QUERY_KERNELS:
+        raise ValueError(f"unknown query kernel {kernel!r}; available: "
+                         f"{', '.join(sorted(QUERY_KERNELS))}")
+    return QUERY_KERNELS[kernel]
 
 
 @dataclass
@@ -153,27 +113,30 @@ class _LevelData:
 class LazyLevelData:
     """Duck-typed :class:`_LevelData` backed by artifact-v2 sections.
 
-    The query hot path only ever touches ``bunches`` (an mmap-backed
-    mapping view), ``trees`` (needed for route queries, unpickled from its
-    own section on first access) and the scalar flags.  The remaining
-    fields — ``sources`` / ``estimates`` / ``next_pivot`` /
-    ``next_pivot_dist`` — are construction-time state that only
-    ``export_state`` and the build reports read; they materialise from the
-    level's aux section on first access (an artifact without that section
-    raises there).
+    The query path touches only ``trees`` (needed for route queries,
+    unpickled from its own section on first access) and the scalar flags;
+    it selects levels through the columnar kernel, never through this
+    object.  ``bunches`` is decoded from the level's rows of the bunch
+    record table, and ``sources`` / ``estimates`` / ``next_pivot`` /
+    ``next_pivot_dist`` from the level's aux section (an artifact without
+    that section raises there), each once, on first access, by the APIs
+    that read them whole: ``export_state``, ``table_of``, the build reports
+    and re-save.
     """
 
-    __slots__ = ("bunches", "h", "sigma", "skeleton_level", "overflow_count",
-                 "_aux_loader", "_aux", "_trees_loader", "_trees",
-                 "_trees_loaded")
+    __slots__ = ("h", "sigma", "skeleton_level", "overflow_count",
+                 "_bunches_loader", "_bunches", "_aux_loader", "_aux",
+                 "_trees_loader", "_trees", "_trees_loaded")
 
-    def __init__(self, bunches, h: int, sigma: int, skeleton_level: bool,
-                 overflow_count: int, aux_loader, trees_loader) -> None:
-        self.bunches = bunches
+    def __init__(self, h: int, sigma: int, skeleton_level: bool,
+                 overflow_count: int, bunches_loader, aux_loader,
+                 trees_loader) -> None:
         self.h = h
         self.sigma = sigma
         self.skeleton_level = skeleton_level
         self.overflow_count = overflow_count
+        self._bunches_loader = bunches_loader
+        self._bunches = None
         self._aux_loader = aux_loader
         self._aux = None
         self._trees_loader = trees_loader
@@ -184,6 +147,12 @@ class LazyLevelData:
         if self._aux is None:
             self._aux = self._aux_loader()
         return self._aux
+
+    @property
+    def bunches(self) -> Dict[Hashable, Dict[Hashable, float]]:
+        if self._bunches is None:
+            self._bunches = self._bunches_loader()
+        return self._bunches
 
     @property
     def sources(self) -> Set[Hashable]:
@@ -237,16 +206,9 @@ class CompactRoutingHierarchy:
         self.metrics = metrics
         self.build_params: Dict[str, object] = {}
         self._skeleton_tail_tables: Dict[Tuple[int, Hashable], Tuple[Dict, Dict]] = {}
-        self._pivot_row_cache = _PivotRowCache(PIVOT_ROW_CACHE_CAP)
-        #: Optional zero-copy pivot-row provider (set by the artifact-v2
-        #: loader to a :class:`~repro.routing.tables.PivotRowBackend`); when
-        #: present, :meth:`pivot_row` reads one contiguous record slice from
-        #: the mmapped pivot table instead of k per-level dict lookups.
-        self._pivot_backend = None
-        #: Optional batch-query kernel (set by the artifact-v2 loader to a
-        #: :class:`~repro.routing.tables.ColumnarQueryKernel`); when present
-        #: the batch APIs can answer whole groups of pairs straight from the
-        #: mapped record slices instead of per-pair dict probes.
+        #: The level selection of a loaded artifact (set by the artifact-v2
+        #: loader to a :class:`~repro.routing.tables.ColumnarQueryKernel`);
+        #: ``None`` on an in-memory build, which selects from its dicts.
         self._columnar_kernel = None
         #: Telemetry registry for batch-query spans (``metrics`` is taken by
         #: the paper-side :class:`CongestMetrics` accounting).  The no-op
@@ -571,33 +533,6 @@ class CompactRoutingHierarchy:
     # ==================================================================
     # queries
     # ==================================================================
-    def _target_pivot(self, target: Hashable, level: int) -> Hashable:
-        return target if level == 0 else self.pivots[level][target]
-
-    def pivot_row(self, target: Hashable) -> Tuple[Optional[Hashable], ...]:
-        """The per-level pivots ``(s'_0(target), ..., s'_{k-1}(target))``.
-
-        This is the label-derived part of every query against ``target``;
-        it is cached so that query streams hitting the same destinations
-        (the serving layer's batched APIs) pay the lookup once.  On an
-        mmap-loaded hierarchy (artifact format v2) the row is one
-        contiguous fixed-width record-slice read from the page cache —
-        answers are identical either way.
-        """
-        row = self._pivot_row_cache.get(target)
-        if row is None:
-            if self._pivot_backend is not None:
-                row = self._pivot_backend.pivot_row(target)
-            else:
-                row = tuple(self._target_pivot(target, l) for l in range(self.k))
-            self._pivot_row_cache.put(target, row)
-        return row
-
-    def pivot_row_cache_info(self) -> Dict[str, int]:
-        """Lifetime counters for the pivot-row LRU (capacity/size/hits/
-        misses/evictions) — surfaced through serving stats."""
-        return self._pivot_row_cache.info()
-
     def set_metrics_registry(self, registry) -> None:
         """Attach a telemetry registry for batch-query spans.
 
@@ -612,15 +547,12 @@ class CompactRoutingHierarchy:
 
     def _select_level(self, source: Hashable, target: Hashable
                       ) -> Tuple[int, Hashable, float]:
-        """The minimal level ``l`` with ``s'_l(target)`` in ``source``'s bunch."""
-        row = self.pivot_row(target)
+        """The minimal level ``l`` with ``s'_l(target)`` in ``source``'s bunch,
+        read from the build's dicts level by level (the identity oracle)."""
         for l in range(self.k):
-            pivot = row[l]
+            pivot = target if l == 0 else self.pivots[l][target]
             if pivot is None:
                 continue
-            # One .get instead of a membership test plus a lookup: on an
-            # mmap-loaded hierarchy each bunch access scans the source's
-            # record row, so probing once per level halves the hot path.
             estimate = self.level_data[l].bunches[source].get(pivot, _ABSENT)
             if estimate is not _ABSENT:
                 tail = 0.0 if l == 0 else self.pivot_dists[l][target]
@@ -641,19 +573,15 @@ class CompactRoutingHierarchy:
         return self._columnar_kernel is not None
 
     def query_kernel(self, kernel: str = "auto"):
-        """Resolve a kernel selector to the kernel object (or ``None``).
+        """Resolve a :data:`QUERY_KERNELS` selector to the kernel a batch is
+        selected by, or ``None`` for pair by pair.
 
-        ``"dict"`` always returns ``None`` (the per-pair path);
-        ``"columnar"`` and ``"auto"`` return the attached columnar kernel
-        when the backing store provides one, falling back to ``None`` for
-        in-memory hierarchies whose levels have no record tables.
+        ``"dict"`` always returns ``None``; ``"columnar"`` and ``"auto"``
+        return the attached columnar kernel when the backing store provides
+        one, falling back to ``None`` for in-memory hierarchies whose
+        levels have no record tables.
         """
-        if kernel == "dict":
-            return None
-        if kernel in ("columnar", "auto"):
-            return self._columnar_kernel
-        raise ValueError(f"unknown query kernel {kernel!r} "
-                         f"(expected dict/columnar/auto)")
+        return self._columnar_kernel if wants_columnar(kernel) else None
 
     def distance_batch(self, pairs: List[Tuple[Hashable, Hashable]],
                        kernel: str = "auto") -> List[float]:
@@ -663,10 +591,10 @@ class CompactRoutingHierarchy:
         the batch is answered straight from the record tables: labels are
         interned once, pairs are grouped by source, and each ``(level,
         source)`` bunch row is decoded at most once for the whole batch.
-        Otherwise — in-memory hierarchies, or ``kernel="dict"`` —
-        this is per-pair :meth:`distance` with label-lookup amortization
-        in the shared :meth:`pivot_row` cache.  Answers are list-for-list
-        identical between the two paths.
+        Otherwise — in-memory hierarchies, or ``kernel="dict"`` — this is
+        :meth:`distance` pair by pair: the build's dicts on an in-memory
+        hierarchy, the kernel's loop one pair at a time on a loaded one.
+        Answers are list-for-list identical between the paths.
         """
         kern = self.query_kernel(kernel)
         obs = getattr(self, "_obs_metrics", NULL_REGISTRY)
@@ -706,15 +634,14 @@ class CompactRoutingHierarchy:
             return traces
 
     def clear_runtime_caches(self) -> None:
-        """Drop query-time caches (pivot rows) and the derived per-pivot
-        skeleton tables with the anchors chosen through them.
+        """Drop the derived per-pivot skeleton tables with the anchors
+        chosen through them.
 
-        All are pure functions of the built state — answers are identical
+        They are pure functions of the built state — answers are identical
         with or without them.  Benchmarks call this to measure cold-query
         cost.
         """
         self._skeleton_tail_tables.clear()
-        self._pivot_row_cache.clear()
 
     def route(self, source: Hashable, target: Hashable) -> RouteTrace:
         if source == target:

@@ -51,8 +51,9 @@ on the same backends via :class:`~repro.obs.trace.TraceRecorder` and the
 
 Names resolve through three plain dicts, each owned by the module that
 fills it: :data:`WORKLOADS` (``workloads``), :data:`QUERY_KERNELS`
-(``service``) and :data:`GRAPH_FAMILIES` (``specs``); an unknown name
-raises ``ValueError`` listing the available ones.
+(``repro.routing.tz_hierarchy``, re-exported by ``service``) and
+:data:`GRAPH_FAMILIES` (``specs``); an unknown name raises ``ValueError``
+listing the available ones.
 """
 
 from .artifacts import (

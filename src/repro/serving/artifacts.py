@@ -56,11 +56,8 @@ from ..graphs.weighted_graph import WeightedGraph
 from ..routing.cluster_trees import TreeFamily
 from ..routing.tables import (
     ColumnarQueryKernel,
-    InternedBunchLevel,
-    InternedPivotView,
     NodeInternTable,
     OffsetRecordTable,
-    PivotRowBackend,
     PivotRowTable,
     RecordTableError,
 )
@@ -511,31 +508,43 @@ def _hierarchy_sections(hierarchy: CompactRoutingHierarchy
 
 
 class _LazyHierarchy(CompactRoutingHierarchy):
-    """A hierarchy whose heavy sections materialise on first access.
+    """A hierarchy served from a mapped artifact.
 
-    Bunches and pivot rows are mmap-backed mapping views (zero-copy; the
-    query hot path reads fixed-width records straight from the page
-    cache); per-level aux/tree sections and the skeleton-mode structures
-    unpickle lazily.  Query answers are identical to the eagerly-loaded
-    hierarchy — the views implement the exact mapping contract the query
-    code already uses.
+    Every query selects its level through the columnar kernel over the
+    mapped record tables — a batch in one call, a single query as a batch
+    of one — so the query path decodes no table and answers exactly as the
+    built original.  The build's dicts come back only for the APIs that
+    read them whole (``export_state``, ``table_of``, ``label_of``, the
+    build reports, re-save): ``pivots`` / ``pivot_dists`` decoded from the
+    pivot table, each level's ``bunches`` from its rows of the bunch table,
+    the per-level aux/tree sections and the skeleton-mode structures
+    unpickled — each once, on first access, and published whole.
     """
 
     _SKELETON_ATTRS = ("pde_skel", "skeleton_graph", "attach_trees",
                        "skeleton_trees")
+    _PIVOT_ATTRS = ("pivots", "pivot_dists")
 
-    def __init__(self, reader: ArtifactV2Reader, **kwargs) -> None:
-        super().__init__(pde_skel=None, skeleton_graph=None, attach_trees=None,
+    def __init__(self, reader: ArtifactV2Reader, kernel: ColumnarQueryKernel,
+                 pivots_loader, **kwargs) -> None:
+        super().__init__(pivots=None, pivot_dists=None, pde_skel=None,
+                         skeleton_graph=None, attach_trees=None,
                          skeleton_trees={}, **kwargs)
-        # The skeleton attributes come back through __getattr__, which only
-        # fires for *missing* instance attributes — drop the placeholders.
-        for name in self._SKELETON_ATTRS:
+        # These attributes come back through __getattr__, which only fires
+        # for *missing* instance attributes — drop the placeholders.
+        for name in self._SKELETON_ATTRS + self._PIVOT_ATTRS:
             del self.__dict__[name]
         self._artifact_reader = reader
+        self._columnar_kernel = kernel
+        self._pivots_loader = pivots_loader
 
     def __getattr__(self, name: str):
         if name in type(self)._SKELETON_ATTRS:
             self._materialise_skeleton()
+            return self.__dict__[name]
+        if name in type(self)._PIVOT_ATTRS:
+            pivots, pivot_dists = self._pivots_loader()
+            self.__dict__.update(pivots=pivots, pivot_dists=pivot_dists)
             return self.__dict__[name]
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -565,6 +574,40 @@ class _LazyHierarchy(CompactRoutingHierarchy):
             raise ArtifactError(f"{reader.path}: section 'skeleton' is "
                                 f"invalid: {exc}") from exc
         self.__dict__.update(materialised)
+
+    def _select_level(self, source, target):
+        """The kernel's selection of one pair (its per-pair loop), with the
+        pivot's interned id mapped back to its label."""
+        kernel = self._columnar_kernel
+        level, pivot, estimate = kernel.select_batch([(source, target)])[0]
+        return (level, None if pivot is None else kernel.node_label(pivot),
+                estimate)
+
+
+def _decode_pivots(intern: NodeInternTable, pivot_table: PivotRowTable,
+                   k: int) -> Tuple[Dict[int, Dict], Dict[int, Dict]]:
+    """The build's ``pivots`` and ``pivot_dists`` dicts, from the pivot
+    table (the inverse of :func:`_hierarchy_sections`)."""
+    pivots: Dict[int, Dict] = {level: {} for level in range(1, k)}
+    pivot_dists: Dict[int, Dict] = {level: {} for level in range(1, k)}
+    for index, node in enumerate(intern.nodes()):
+        for level, (pivot, dist) in enumerate(pivot_table.row(index), 1):
+            pivots[level][node] = (None if pivot < 0      # NO_PIVOT
+                                   else intern.node_at(pivot))
+            pivot_dists[level][node] = dist
+    return pivots, pivot_dists
+
+
+def _decode_bunches(intern: NodeInternTable, bunch_table: OffsetRecordTable,
+                    level: int) -> Dict[Any, Dict[Any, float]]:
+    """One level's ``bunches`` dict, from its rows of the bunch table; a
+    node whose row is ``ABSENT`` (no bunch at this level) is left out."""
+    node_at = intern.node_at
+    base = level * len(intern)
+    return {node_at(index): {node_at(key): value for key, value
+                             in bunch_table.row_items(base + index)}
+            for index in range(len(intern))
+            if bunch_table.has_row(base + index)}
 
 
 def _load_level_aux(reader: ArtifactV2Reader, level: int) -> Dict[str, Any]:
@@ -601,7 +644,8 @@ def load_hierarchy(path: str) -> Tuple[CompactRoutingHierarchy, ArtifactInfo]:
     """Load a hierarchy artifact; returns ``(hierarchy, info)``.
 
     The hierarchy comes back mmap-backed and lazy: query answers are
-    identical to the built original, but tables page in on demand.
+    identical to the built original, selected by the columnar kernel from
+    tables that page in on demand.
     """
     reader = ArtifactV2Reader(path, expected_kind=KIND_HIERARCHY)
     try:
@@ -638,33 +682,25 @@ def load_hierarchy(path: str) -> Tuple[CompactRoutingHierarchy, ArtifactInfo]:
 
         level_data = [
             LazyLevelData(
-                bunches=InternedBunchLevel(bunch_table, intern, level, n),
                 h=entry["h"],
                 sigma=entry["sigma"],
                 skeleton_level=entry["skeleton_level"],
                 overflow_count=entry["overflow_count"],
+                bunches_loader=partial(_decode_bunches, intern, bunch_table,
+                                       level),
                 aux_loader=partial(_load_level_aux, reader, level),
                 trees_loader=partial(_load_level_trees, reader, level, graph),
             )
             for level, entry in enumerate(meta["level_meta"])
         ]
-        pivots = {level: InternedPivotView.pivots(pivot_table, intern, level - 1)
-                  for level in range(1, k)}
-        pivot_dists = {
-            level: InternedPivotView.distances(pivot_table, intern, level - 1)
-            for level in range(1, k)}
-
         hierarchy = _LazyHierarchy(
-            reader,
+            reader, ColumnarQueryKernel(intern, pivot_table, bunch_table, k),
+            partial(_decode_pivots, intern, pivot_table, k),
             graph=graph, k=k, epsilon=meta["epsilon"], mode=meta["mode"],
             l0=meta["l0"], levels=dict(levels_state["levels"]),
             level_sets=[set(s) for s in levels_state["level_sets"]],
-            level_data=level_data, pivots=pivots, pivot_dists=pivot_dists,
-            metrics=metrics)
+            level_data=level_data, metrics=metrics)
         hierarchy.build_params = dict(meta["build_params"])
-        hierarchy._pivot_backend = PivotRowBackend(pivot_table, intern)
-        hierarchy._columnar_kernel = ColumnarQueryKernel(
-            intern, pivot_table, bunch_table, k)
         # Bulk kernel scans walk the record sections front to back; hint
         # the kernel so readahead stages the pages before the first batch.
         hierarchy._madvise_sections = tuple(

@@ -169,8 +169,8 @@ class ServingConfig:
     ``graph_spec`` is an optional ``name:key=value,...`` generator spec (see
     :func:`~repro.serving.specs.parse_graph_spec`) used when no in-memory
     graph is passed to :func:`~repro.serving.backend.open_service`.
-    ``kernel`` names a :data:`~repro.serving.service.QUERY_KERNELS` entry
-    (``dict`` / ``columnar`` / ``auto``) selecting how batch queries probe
+    ``kernel`` names a :data:`~repro.routing.tz_hierarchy.QUERY_KERNELS`
+    entry (``dict`` / ``columnar`` / ``auto``) selecting how queries probe
     the routing tables; it is validated when the service opens.
     ``telemetry`` enables per-stage span recording (artifact load, cache
     probes, kernel batches, scatter/gather) into a live metrics registry,

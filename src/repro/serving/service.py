@@ -10,16 +10,16 @@ cache.  Everything the service does is observable through its
 Layering (top to bottom)::
 
     RoutingService          query API, result caches, stats
-      CompactRoutingHierarchy   tables/labels, pivot-row cache (batch hook)
+      CompactRoutingHierarchy   tables/labels, level selection
+        ColumnarQueryKernel     selection over a loaded artifact's tables
         artifacts               persistence (build once, serve anywhere)
 
 Every query — single or batched, route or distance — goes through one
 routine (:meth:`RoutingService._answer`): result cache, then the
 hierarchy, once per *distinct* pair, fanning the result out to every
-duplicate.  Batched queries additionally amortize label lookups: all of a
-batch's misses reach the hierarchy as one call, which resolves each distinct
-target's per-level pivot row once (see
-:meth:`~repro.routing.tz_hierarchy.CompactRoutingHierarchy.pivot_row`).
+duplicate.  All of a batch's misses reach the hierarchy as one call, which
+on a loaded artifact the columnar kernel selects in one pass (see
+:class:`~repro.routing.tables.ColumnarQueryKernel`).
 """
 
 from __future__ import annotations
@@ -32,7 +32,11 @@ from ..graphs.weighted_graph import WeightedGraph
 from ..obs.metrics import NULL_REGISTRY, make_registry
 from ..routing.compact import build_compact_routing
 from ..routing.tables import RouteTrace
-from ..routing.tz_hierarchy import CompactRoutingHierarchy
+from ..routing.tz_hierarchy import (
+    QUERY_KERNELS,
+    CompactRoutingHierarchy,
+    wants_columnar,
+)
 from .artifacts import (
     ArtifactError,
     ArtifactInfo,
@@ -55,39 +59,18 @@ _MISS = object()
 _UNSET = object()
 
 
-# ======================================================================
-# query kernels (batch probing strategy, selected by name)
-# ======================================================================
-def _dict_kernel(hierarchy: CompactRoutingHierarchy) -> str:
-    """The per-pair path: label-keyed dict probes, always available."""
-    return "dict"
-
-
-def _columnar_kernel(hierarchy: CompactRoutingHierarchy) -> str:
-    """Array-native batch kernel over v2 record tables whenever the
-    backing store has them (a loaded artifact), the dict path otherwise
-    (an in-memory build).  ``auto`` and ``columnar`` are this one rule."""
-    return "columnar" if hierarchy.has_columnar_kernel() else "dict"
-
-
-#: Kernel selector -> ``resolver(hierarchy)`` returning the concrete
-#: kernel name.
-QUERY_KERNELS = {"dict": _dict_kernel, "auto": _columnar_kernel,
-                 "columnar": _columnar_kernel}
-
-
 def resolve_query_kernel(kernel: str,
                          hierarchy: CompactRoutingHierarchy) -> str:
-    """Resolve a kernel selector against a hierarchy's backing store.
+    """Resolve a :data:`QUERY_KERNELS` selector against a hierarchy's
+    backing store.
 
     Returns the *concrete* kernel name (``"dict"`` or ``"columnar"``) that
-    batch queries will actually use; unknown selectors raise with the
-    available names.
+    batch queries will actually use: ``columnar`` and ``auto`` are
+    ``"columnar"`` whenever the hierarchy is a loaded artifact.  Unknown
+    selectors raise with the available names.
     """
-    if kernel not in QUERY_KERNELS:
-        raise ValueError(f"unknown query kernel {kernel!r}; available: "
-                         f"{', '.join(sorted(QUERY_KERNELS))}")
-    return QUERY_KERNELS[kernel](hierarchy)
+    return ("columnar" if wants_columnar(kernel)
+            and hierarchy.has_columnar_kernel() else "dict")
 
 
 class RoutingService:
@@ -236,8 +219,8 @@ class RoutingService:
     def distance_batch(self, pairs: Sequence[_Pair]) -> List[float]:
         """Distance estimates for a batch of pairs.
 
-        Each distinct pair is computed at most once; distinct targets
-        resolve their pivot rows once via the hierarchy's batch hook.
+        Each distinct pair is computed at most once; the misses reach the
+        hierarchy as one batch.
         """
         return self._answer("distance", list(pairs), batched=True)
 
@@ -329,12 +312,9 @@ class RoutingService:
     def query_stats(self) -> ServingStats:
         """This service's counters (the QueryBackend stats accessor).
 
-        Refreshes the hierarchy-level snapshots (pivot-row cache counters,
-        columnar-kernel group stats) into ``stats.extra`` so readers get
-        current values without poking hierarchy internals.
+        Refreshes the columnar kernel's group stats into ``stats.extra`` so
+        readers get current values without poking hierarchy internals.
         """
-        self.stats.extra["pivot_row_cache"] = \
-            self.hierarchy.pivot_row_cache_info()
         kern = self.hierarchy.query_kernel(self._kernel_active)
         if kern is not None:
             self.stats.extra["kernel_stats"] = dict(kern.stats)

@@ -13,9 +13,11 @@ list-for-list identical to a single-process :class:`RoutingService` on the
 same workload.  Sharding changes *where* a query is answered, never *what*
 the answer is: every worker maps the full artifact, so any worker can answer
 any pair.  One round-robin table (:class:`RoutingEpoch`) scatters every
-batch: item ``i`` goes to ``routable[i % len(routable)]`` — slot ``i % N``
-while all ``N`` slots are live — which balances load to within one pair per
-batch whatever the stream holds.
+batch, and the rotation runs on across batches: with ``start`` the number of
+pairs scattered before, item ``i`` goes to ``routable[(start + i) %
+len(routable)]`` — slot ``(start + i) % N`` while all ``N`` slots are live —
+which keeps the live slots' loads within one pair of each other whatever
+the stream holds, one-pair batches included.
 
 Sharding buys two things:
 
@@ -122,12 +124,14 @@ class ShardError(RuntimeError):
 class RoutingEpoch:
     """One immutable published routing table: the slots a scatter may use.
 
-    Item ``(index, pair)`` goes to ``routable[index % len(routable)]``.
-    With every slot live that is slot ``index % base_slots``; with a slot
-    dead its share spreads over the survivors, whose loads differ by at
-    most one item per batch.  A fresh scatter and the re-scatter of a dead
-    slot's shards apply the same rule, and the table is replaced, never
-    mutated, so one batch is never split by two tables.
+    Item ``(index, pair)`` goes to ``routable[(start + index) %
+    len(routable)]``, where ``start`` is where the front-end's rotation
+    stands (the pairs it scattered before).  With every slot live that is
+    slot ``(start + index) % base_slots``; with a slot dead its share
+    spreads over the survivors, whose loads differ by at most one item.  A
+    fresh scatter and the re-scatter of a dead slot's shards apply the same
+    rule, and the table is replaced, never mutated, so one batch is never
+    split by two tables.
     """
 
     __slots__ = ("epoch", "base_slots", "routable")
@@ -138,12 +142,12 @@ class RoutingEpoch:
         self.base_slots = base_slots
         self.routable = tuple(sorted(routable))
 
-    def slot_of(self, index: int) -> int:
+    def slot_of(self, index: int, start: int = 0) -> int:
         if not self.routable:
             raise ShardError("no routable workers (all slots dead)")
-        return self.routable[index % len(self.routable)]
+        return self.routable[(start + index) % len(self.routable)]
 
-    def assign(self, items) -> List[Tuple[int, List]]:
+    def assign(self, items, start: int = 0) -> List[Tuple[int, List]]:
         """Group ``(index, pair)`` items by slot: ``[(slot, [item, ...]),
         ...]`` in slot order, stream order kept within a slot."""
         routable = self.routable
@@ -152,7 +156,8 @@ class RoutingEpoch:
         width = len(routable)
         shards: Dict[int, List] = {}
         for item in items:
-            shards.setdefault(routable[item[0] % width], []).append(item)
+            shards.setdefault(routable[(start + item[0]) % width],
+                              []).append(item)
         return sorted(shards.items())
 
     def __repr__(self) -> str:
@@ -334,6 +339,10 @@ class ShardedRoutingService:
         self._pipe_snapshot: Optional[Tuple[List, List]] = None
         self._next_probe = 0.0      # the clocked is_alive() backstop
         self._request_counter = 0
+        # Pairs scattered so far (re-scatters included): where the table's
+        # rotation starts for the next batch.  Read and advanced under
+        # ``_lock``.
+        self._scattered = 0
         self._started = False
         self._closed = False
         self._final_worker_stats: List[ServingStats] = []
@@ -460,7 +469,9 @@ class ShardedRoutingService:
                 ticket.outstanding.setdefault(_DEFERRED_SLOT,
                                               []).append(items)
                 continue
-            for target, shard in table.assign(items):
+            assignments = table.assign(items, self._scattered)
+            self._scattered += len(items)
+            for target, shard in assignments:
                 ticket.outstanding.setdefault(target, []).append(shard)
                 self._inflight[target] = self._inflight.get(target, 0) + 1
                 # Never waits (this may be the collector thread): the
@@ -851,9 +862,9 @@ class ShardedRoutingService:
                 self._count_batch(kind, 0)
                 return _BatchTicket(0, kind, text, 0)
             scatter_start = time.perf_counter()
-            table = self.table
-            assignments = (table.assign(enumerate(pairs)) if table.routable
-                           else [])
+            table, start = self.table, self._scattered
+            assignments = (table.assign(enumerate(pairs), start)
+                           if table.routable else [])
             assign_seconds = time.perf_counter() - scatter_start
             wait_start = time.perf_counter()
             while True:
@@ -861,11 +872,12 @@ class ShardedRoutingService:
                     raise self._failure
                 if self._closed:
                     raise ShardError("sharded service is closed")
-                if table is not self.table:
-                    # A death or a rejoin published a new table while this
-                    # submitter waited: never scatter through a stale one.
-                    table = self.table
-                    assignments = (table.assign(enumerate(pairs))
+                if table is not self.table or start != self._scattered:
+                    # A death or a rejoin published a new table, or another
+                    # batch was scattered, while this submitter waited:
+                    # never scatter through a stale table or rotation.
+                    table, start = self.table, self._scattered
+                    assignments = (table.assign(enumerate(pairs), start)
                                    if table.routable else [])
                 targets = [worker_id for worker_id, _ in assignments]
                 depth_ok = len(self._tickets) < self.pipeline_depth
@@ -887,6 +899,7 @@ class ShardedRoutingService:
             waited = time.perf_counter() - wait_start
             # Counted only once admitted: a bounced submission was not served.
             self._count_batch(kind, len(pairs))
+            self._scattered += len(pairs)
             self._request_counter += 1
             request_id = self._request_counter
             ticket = _BatchTicket(request_id, kind, text, len(pairs),

@@ -145,6 +145,23 @@ def _slot_states():
     return found
 
 
+def _cache_classes():
+    """``(file, class)`` for every class named ``*Cache`` in ``repro``."""
+    found = []
+    for directory, _, files in os.walk(PACKAGE_ROOT):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            found += [(os.path.relpath(path, PACKAGE_ROOT).replace(os.sep, "/"),
+                       node.name) for node in ast.walk(tree)
+                      if isinstance(node, ast.ClassDef)
+                      and node.name.endswith("Cache")]
+    return sorted(found)
+
+
 def test_option_census():
     """Every independently settable value of the serving surface, counted:
     a change that adds a flag, a config field, a name table (or an entry),
@@ -159,7 +176,11 @@ def test_option_census():
     ``--sub-artifacts``) and ``ServingConfig`` 23 → 21 fields
     (``partitioner``, ``sub_artifacts``); the four ``Registry`` instances
     became three plain dicts (partitioners are gone) and the
-    ``register_*`` / ``get_*`` functions 8 → 0."""
+    ``register_*`` / ``get_*`` functions 8 → 0.  One kernel reading a
+    mapped artifact took the pivot-row LRU out of ``routing/`` (the one
+    cache class left anywhere in ``repro`` is ``LRUCache``) and its
+    ``pivot_row_cache`` stats extra; the kernel names live in one table in
+    ``routing``, which ``serving`` re-exports."""
     import dataclasses
 
     from repro.serving import (
@@ -175,6 +196,7 @@ def test_option_census():
         specs,
         workloads,
     )
+    from repro.routing import tz_hierarchy
     from repro.serving.cli import FLAGS
 
     def field_names(config):
@@ -193,6 +215,7 @@ def test_option_census():
               "QUERY_KERNELS": service.QUERY_KERNELS,
               "GRAPH_FAMILIES": specs.GRAPH_FAMILIES}
     assert all(type(table) is dict for table in tables.values())
+    assert service.QUERY_KERNELS is tz_hierarchy.QUERY_KERNELS
     assert {name: tuple(sorted(table))
             for name, table in tables.items()} == {
         "WORKLOADS": ("bursty", "locality", "trace", "uniform", "zipf"),
@@ -203,8 +226,9 @@ def test_option_census():
     assert [name for module in (workloads, service, specs)
             for name in vars(module)
             if name.startswith(("register_", "get_"))] == []
-    assert [name for name in vars(cache) if name.endswith("Cache")] \
-        == ["LRUCache"]
+    assert _cache_classes() == [("serving/cache.py", "LRUCache")]
+    assert ServingStats.ADDITIVE_EXTRAS == ("loaded_table_bytes",
+                                            "kernel_stats")
     assert ServingStats.COUNTERS == (
         "queries", "route_queries", "distance_queries", "batches",
         "batched_queries", "cache_hits", "cache_misses")

@@ -1,11 +1,11 @@
-"""Columnar batch-query kernel: identity, fallback, stats, cache bounds.
+"""Columnar query kernel: identity, fallback, stats, an undecoded path.
 
 The kernel's contract is strict: whatever the probing strategy, answers are
-list-for-list identical to the per-pair dict path — across workload shapes,
-input orderings, duplicate pairs, backing stores, and deployment shapes
-(local and sharded).  These tests pin that contract, plus the satellites
-that ride along: the bounded pivot-row LRU and the numpy-optional twin
-paths.
+list-for-list identical to the in-memory build's dict path (the identity
+oracle) — across workload shapes, input orderings, duplicate pairs and
+deployment shapes (local and sharded).  These tests pin that contract, plus
+the numpy-optional twin paths and that a loaded artifact's queries never
+decode its tables into dicts.
 """
 
 import dataclasses
@@ -22,13 +22,11 @@ from repro.routing.tables import (
     VECTOR_CHUNK_PAIRS,
     VECTOR_MIN_PAIRS,
     ColumnarQueryKernel,
-    InternedBunchLevel,
     NodeInternTable,
     OffsetRecordTable,
     PivotRowTable,
     RecordTableError,
 )
-from repro.routing.tz_hierarchy import _PivotRowCache
 from repro.serving import (
     BuildConfig,
     CacheConfig,
@@ -39,6 +37,7 @@ from repro.serving import (
     open_service,
     resolve_query_kernel,
 )
+from repro.serving.artifacts import _decode_bunches
 
 WORKLOAD_SHAPES = ("uniform", "zipf", "locality", "bursty")
 
@@ -60,6 +59,16 @@ def artifact_path(kernel_graph, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def built(kernel_graph):
+    """The in-memory build of the same config: the dict-path oracle."""
+    config = ServingConfig(build=BuildConfig(k=3, seed=5),
+                           cache=CacheConfig(capacity=0), kernel="dict")
+    service = open_service(config, graph=kernel_graph)
+    assert service.query_stats().extra["kernel_active"] == "dict"
+    return service
+
+
 def open_with(artifact_path, kernel, **overrides):
     config = ServingConfig(artifact_path=artifact_path,
                            build=BuildConfig(k=3, seed=5),
@@ -71,27 +80,34 @@ def open_with(artifact_path, kernel, **overrides):
 
 
 class TestKernelIdentity:
+    @pytest.mark.parametrize("kernel", ["dict", "columnar"])
     @pytest.mark.parametrize("shape", WORKLOAD_SHAPES)
-    def test_distance_batch_matches_dict_path(self, artifact_path,
-                                              kernel_graph, shape):
+    def test_distance_batch_matches_dict_path(self, artifact_path, built,
+                                              kernel_graph, shape, kernel):
         pairs = make_workload(shape, kernel_graph, 400, seed=9).pairs
-        with open_with(artifact_path, "dict") as baseline, \
-                open_with(artifact_path, "columnar") as columnar:
-            assert baseline.query_stats().extra["kernel_active"] == "dict"
-            assert columnar.query_stats().extra["kernel_active"] == "columnar"
-            assert (baseline.distance_batch(pairs)
-                    == columnar.distance_batch(pairs))
+        with open_with(artifact_path, kernel) as loaded:
+            assert loaded.query_stats().extra["kernel_active"] == kernel
+            assert built.distance_batch(pairs) == loaded.distance_batch(pairs)
 
+    @pytest.mark.parametrize("kernel", ["dict", "columnar"])
     @pytest.mark.parametrize("shape", WORKLOAD_SHAPES)
-    def test_route_batch_matches_dict_path(self, artifact_path,
-                                           kernel_graph, shape):
+    def test_route_batch_matches_dict_path(self, artifact_path, built,
+                                           kernel_graph, shape, kernel):
         pairs = make_workload(shape, kernel_graph, 150, seed=3).pairs
-        with open_with(artifact_path, "dict") as baseline, \
-                open_with(artifact_path, "columnar") as columnar:
-            assert (baseline.route_batch(pairs)
-                    == columnar.route_batch(pairs))
+        with open_with(artifact_path, kernel) as loaded:
+            assert built.route_batch(pairs) == loaded.route_batch(pairs)
 
-    def test_unsorted_duplicate_and_equal_pairs(self, artifact_path,
+    def test_single_queries_match_dict_path(self, artifact_path, built,
+                                            kernel_graph):
+        pairs = make_workload("uniform", kernel_graph, 120, seed=8).pairs
+        with open_with(artifact_path, "columnar") as loaded:
+            for source, target in pairs:
+                assert (loaded.distance_estimate(source, target)
+                        == built.distance_estimate(source, target))
+                assert (loaded.route(source, target)
+                        == built.route(source, target))
+
+    def test_unsorted_duplicate_and_equal_pairs(self, artifact_path, built,
                                                 kernel_graph):
         nodes = kernel_graph.nodes()
         # Deliberately adversarial ordering: descending sources, duplicated
@@ -100,11 +116,9 @@ class TestKernelIdentity:
                  for i in range(200)]
         pairs = sorted(pairs, key=repr, reverse=True)
         pairs += pairs[::4] + [(nodes[0], nodes[0]), (nodes[5], nodes[5])]
-        with open_with(artifact_path, "dict") as baseline, \
-                open_with(artifact_path, "columnar") as columnar:
-            assert (baseline.distance_batch(pairs)
-                    == columnar.distance_batch(pairs))
-            assert baseline.route_batch(pairs) == columnar.route_batch(pairs)
+        with open_with(artifact_path, "columnar") as columnar:
+            assert built.distance_batch(pairs) == columnar.distance_batch(pairs)
+            assert built.route_batch(pairs) == columnar.route_batch(pairs)
 
     def test_self_pairs_are_zero_and_delivered(self, artifact_path,
                                                kernel_graph):
@@ -181,17 +195,16 @@ class TestKernelStats:
 
 
 class TestShardedKernel:
-    def test_sharded_columnar_matches_local_dict(self, artifact_path,
+    def test_sharded_columnar_matches_local_dict(self, artifact_path, built,
                                                  kernel_graph):
         pairs = make_workload("bursty", kernel_graph, 200, seed=4).pairs
         sharded_config = ServingConfig(artifact_path=artifact_path,
                                        build=BuildConfig(k=3, seed=5),
                                        cache=CacheConfig(capacity=0),
                                        workers=2, kernel="columnar")
-        with open_with(artifact_path, "dict") as baseline, \
-                open_service(sharded_config) as sharded:
-            expected_distances = baseline.distance_batch(pairs)
-            expected_routes = baseline.route_batch(pairs)
+        with open_service(sharded_config) as sharded:
+            expected_distances = built.distance_batch(pairs)
+            expected_routes = built.route_batch(pairs)
             assert sharded.distance_batch(pairs) == expected_distances
             assert sharded.route_batch(pairs) == expected_routes
             merged = sharded.query_stats()
@@ -200,19 +213,27 @@ class TestShardedKernel:
             assert merged.extra["kernel_stats"]["pairs"] >= len(set(pairs))
 
 
-class TestPivotRowCacheBound:
-    def test_lru_bound_and_evictions(self, artifact_path, kernel_graph):
-        pairs = make_workload("uniform", kernel_graph, 300, seed=6).pairs
-        with open_with(artifact_path, "dict") as service:
-            hierarchy = service.hierarchy
-            hierarchy._pivot_row_cache = _PivotRowCache(8)
+class TestServingPathDecodesNothing:
+    @pytest.mark.parametrize("kernel", ["dict", "columnar"])
+    def test_queries_leave_the_tables_undecoded(self, artifact_path,
+                                                kernel_graph, kernel):
+        """Batch and single route and distance queries on a loaded artifact
+        select through the kernel: no pivot or bunch table is decoded into
+        the build's dicts, under either selector."""
+        pairs = make_workload("zipf", kernel_graph, 80, seed=14).pairs
+        with open_with(artifact_path, kernel) as service:
+            service.route_batch(pairs)
             service.distance_batch(pairs)
-            info = hierarchy.pivot_row_cache_info()
-            assert info["capacity"] == 8
-            assert info["size"] <= 8
-            assert info["evictions"] > 0
-            assert info["misses"] > 0
-            assert service.query_stats().extra["pivot_row_cache"] == info
+            for source, target in pairs[:10]:
+                service.route(source, target)
+                service.distance_estimate(source, target)
+            hierarchy = service.hierarchy
+            assert "pivots" not in vars(hierarchy)
+            assert "pivot_dists" not in vars(hierarchy)
+            assert [data._bunches for data in hierarchy.level_data] \
+                == [None] * hierarchy.k
+            # Single selections count in the kernel's stats too.
+            assert hierarchy.query_kernel("columnar").stats["pairs"] > 0
 
 
 class TestNumpyOptional:
@@ -249,7 +270,7 @@ class TestNumpyOptional:
 
 
 # ----------------------------------------------------------------------
-# OffsetRecordTable.probe: a table lookup that decodes one value
+# OffsetRecordTable.row_keys / value_at: a row's keys, then one value
 # ----------------------------------------------------------------------
 INT32 = st.integers(-2 ** 31, 2 ** 31 - 1)
 VALUES = st.floats(allow_nan=False)
@@ -270,30 +291,32 @@ TABLE_ROWS = st.tuples(
 ).map(lambda parts: parts[0] + [parts[1]] + parts[2])
 
 
-def assert_probe_is_a_dict_lookup(rows):
+def assert_rows_read_back(rows):
+    """Each row's ``row_keys`` are its keys in order, and ``value_at`` of
+    each key's record number is that key's value."""
     table = OffsetRecordTable(OffsetRecordTable.encode(rows))
     for index, row in enumerate(rows):
         if row is None:
             assert not table.has_row(index)
-            with pytest.raises(RecordTableError, match="is absent"):
-                table.probe(index, 0)
+            for read in (table.row_keys, table.row_items):
+                with pytest.raises(RecordTableError, match="is absent"):
+                    read(index)
             continue
-        expected = dict(table.row_items(index))
-        assert expected == dict(row)
-        missing = next(key for key in range(-2, 2 ** 31) if key not in expected)
-        # Every stored key (first and last among them) and one that is not.
-        for key in [*expected, missing]:
-            assert table.probe(index, key) == expected.get(key)
+        assert table.row_items(index) == row
+        offset, keys = table.row_keys(index)
+        assert keys == [key for key, _ in row]
+        assert [table.value_at(offset + position)
+                for position in range(len(keys))] == [v for _, v in row]
     for index in (-1, len(rows)):
         with pytest.raises(RecordTableError, match="out of range"):
-            table.probe(index, 0)
+            table.row_keys(index)
 
 
 class TestProbe:
     @settings(max_examples=40, deadline=None)
     @given(rows=TABLE_ROWS)
-    def test_probe_is_a_dict_lookup(self, rows):
-        assert_probe_is_a_dict_lookup(rows)
+    def test_row_keys_and_values_read_back(self, rows):
+        assert_rows_read_back(rows)
 
     def test_big_endian_host_lists_keys_record_by_record(self, monkeypatch):
         """``memoryview.cast("i")`` is native-endian and the records are
@@ -304,32 +327,33 @@ class TestProbe:
             is not None
         monkeypatch.setattr(tables_module, "_LITTLE_ENDIAN", False)
         assert OffsetRecordTable(OffsetRecordTable.encode(rows))._words is None
-        assert_probe_is_a_dict_lookup(rows)
+        assert_rows_read_back(rows)
 
     def test_row_pointing_past_the_record_area(self):
         blob = bytearray(OffsetRecordTable.encode([[(1, 1.0)], [(2, 2.0)]]))
         # Row 1's index entry: offset 1 -> 2, count 1 (two records in all).
         struct.pack_into("<QI", blob, 16 + 12, 2, 1)
         table = OffsetRecordTable(bytes(blob))
-        assert table.probe(0, 1) == 1.0
-        for read in (table.probe, lambda row, _key: table.row_items(row)):
+        assert table.row_keys(0) == (0, [1])
+        assert table.value_at(0) == 1.0
+        for read in (table.row_keys, table.row_items):
             with pytest.raises(RecordTableError,
                                match="points past the record area"):
-                read(1, 2)
+                read(1)
 
 
 # ----------------------------------------------------------------------
-# select_batch == _select_level, pair for pair, on loaded artifacts
+# select_batch == the in-memory build's _select_level, pair for pair
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module", params=[2, 3], ids=["k2", "k3"])
-def loaded(request, kernel_graph, tmp_path_factory):
-    """One loaded build per ``k``."""
+def builds(request, kernel_graph, tmp_path_factory):
+    """``(in-memory build, its loaded artifact)`` per ``k``."""
     k = request.param
     path = str(tmp_path_factory.mktemp(f"select-k{k}") / "hierarchy.artifact")
     config = ServingConfig(artifact_path=path, build=BuildConfig(k=k, seed=5),
                            cache=CacheConfig(capacity=0))
-    open_service(config, graph=kernel_graph).close()
-    return load_hierarchy(path)[0]
+    with open_service(config, graph=kernel_graph) as service:
+        return service.hierarchy, load_hierarchy(path)[0]
 
 
 def record_kernel(pivot_rows, bunch_rows, k, pivot_blob=None, bunch_blob=None):
@@ -387,10 +411,10 @@ class TestSelectBatch:
     @pytest.mark.parametrize("batch", [1, VECTOR_MIN_PAIRS - 1,
                                        VECTOR_MIN_PAIRS, 64, 1024])
     @pytest.mark.parametrize("shape", ["uniform", "zipf"])
-    def test_matches_select_level_pair_for_pair(self, loaded, kernel_graph,
+    def test_matches_select_level_pair_for_pair(self, builds, kernel_graph,
                                                 shape, batch):
-        hierarchy = loaded
-        kernel = hierarchy.query_kernel("columnar")
+        hierarchy, loaded = builds
+        kernel = loaded.query_kernel("columnar")
         nodes = kernel_graph.nodes()
         pairs = make_workload(shape, kernel_graph, 1024, seed=21).pairs
         pairs[5], pairs[700] = (nodes[3], nodes[3]), (nodes[9], nodes[9])
@@ -411,7 +435,8 @@ class TestSelectBatch:
                     source, target)
                 rows.update((l, source) for l in range(min(level + 1,
                                                            hierarchy.k))
-                            if hierarchy.pivot_row(target)[l] is not None)
+                            if l == 0 or hierarchy.pivots[l][target]
+                            is not None)
             touched += len(rows)
         # The stat counts distinct (level, source) rows touched per batch.
         assert kernel.stats["bunch_rows_decoded"] - before == touched
@@ -438,10 +463,9 @@ class TestSelectBatch:
 
     @pytest.mark.skipif(not tables_module.HAVE_NUMPY,
                         reason="the vectorised path needs numpy")
-    def test_batches_past_the_chunk_size_match_the_loop(self, loaded,
+    def test_batches_past_the_chunk_size_match_the_loop(self, builds,
                                                         kernel_graph):
-        hierarchy = loaded
-        kernel = hierarchy.query_kernel("columnar")
+        kernel = builds[1].query_kernel("columnar")
         pairs = make_workload("zipf", kernel_graph, 3 * VECTOR_CHUNK_PAIRS + 5,
                               seed=23).pairs
 
@@ -471,39 +495,33 @@ class TestSelectBatch:
     def test_absent_row_is_a_key_error_in_the_same_words(self, hand_offs,
                                                          padding):
         """A node with no bunch at a level has an ``ABSENT`` row; probing
-        it is the mapping's ``KeyError``, word for word, on the loop and
-        (handing its batch to the loop) on the vectorised path."""
+        it is a ``KeyError`` in these words on the loop and (handing its
+        batch to the loop) on the vectorised path."""
         k = 2
         pivot_rows = [[(1, 0.5)], [(0, 1.5)], [(0, 2.0)]]
         # Level 0: v2 has no bunch; level 1: everyone has one.
         bunch_rows = [[(1, 1.0)], [(0, 1.0)], None,
                       [(1, 2.0)], [(0, 2.0)], [(0, 3.0)]]
         kernel = record_kernel(pivot_rows, bunch_rows, k)
-        absent = InternedBunchLevel(kernel._bunch_table, kernel._intern,
-                                    0, 3)
-        with pytest.raises(KeyError) as per_pair:
-            absent["v2"]
-        assert per_pair.value.args == (
-            "bunch row for node 'v2' (level 0) is not present in this "
-            "artifact",)
         pairs = [("v0", "v1"), ("v2", "v0")] + [("v1", "v0")] * padding
         with pytest.raises(KeyError) as batched:
             kernel.select_batch(pairs)
-        assert batched.value.args == per_pair.value.args
+        assert batched.value.args == (
+            "bunch row for node 'v2' (level 0) is not present in this "
+            "artifact",)
         vectorised = (tables_module.HAVE_NUMPY
                       and len(pairs) >= VECTOR_MIN_PAIRS)
         assert hand_offs == ([True] if vectorised else [])
 
     def test_absent_row_reads_as_missing_not_empty(self):
         """``ABSENT`` (a node with no bunch at a level) is not an empty
-        row: the mapping leaves it out, where an empty row is present."""
+        row: the decoded bunches leave it out, where an empty row is
+        present."""
         bunch_rows = [[(1, 1.0)], [], None]
         table = OffsetRecordTable(OffsetRecordTable.encode(bunch_rows))
-        level = InternedBunchLevel(table, NodeInternTable(["v0", "v1", "v2"]),
-                                   0, 3)
+        level = _decode_bunches(NodeInternTable(["v0", "v1", "v2"]), table, 0)
         assert [table.has_row(row) for row in range(3)] == [True, True, False]
-        assert "v1" in level and dict(level["v1"].items()) == {}
-        assert "v2" not in level and level.get("v2") is None
+        assert level == {"v0": {"v1": 1.0}, "v1": {}}
 
     @pytest.mark.parametrize("damage", ["index entry", "pivot table"])
     def test_bad_rows_raise_the_same_error_on_both_paths(self, hand_offs,

@@ -111,10 +111,32 @@ class TestRoundRobinTable:
     def test_all_live_is_the_round_robin_split(self, workers, size):
         pairs = self.PAIRS[:size]
         table = RoutingEpoch(0, workers, range(workers))
-        assert table.assign(enumerate(pairs)) \
-            == round_robin_split(pairs, workers)
-        assert [table.slot_of(i) for i in range(size)] \
-            == [i % workers for i in range(size)]
+        # A rotation standing at a multiple of N splits as a fresh one.
+        for start in (0, 3 * workers):
+            assert table.assign(enumerate(pairs), start) \
+                == round_robin_split(pairs, workers)
+            assert [table.slot_of(i, start) for i in range(size)] \
+                == [i % workers for i in range(size)]
+
+    @pytest.mark.parametrize("workers, dead", [(2, None), (3, 1), (4, None),
+                                               (4, 0), (4, 3)])
+    def test_rotation_keeps_loads_level_over_any_run_of_batches(self,
+                                                                workers,
+                                                                dead):
+        """The rotation runs on across batches, so the live slots' loads
+        over any run of consecutive batches differ by at most one pair."""
+        live = [slot for slot in range(workers) if slot != dead]
+        table = RoutingEpoch(1, workers, live)
+        sizes = [1, 1, 2, 5, 1, 3, 7, 1, 4, 2, 1, 1, 6, 1, 1]
+        starts = [sum(sizes[:i]) for i in range(len(sizes))]
+        batches = [loads_of(table.assign(enumerate(self.PAIRS[:size]), start))
+                   for size, start in zip(sizes, starts)]
+        for first in range(len(batches)):
+            for last in range(first, len(batches)):
+                counts = [sum(batch.get(slot, 0)
+                              for batch in batches[first:last + 1])
+                          for slot in live]
+                assert max(counts) - min(counts) <= 1
 
     @pytest.mark.parametrize("workers, dead", [(2, 0), (3, 1), (4, 0),
                                                (4, 2), (4, 3)])
@@ -147,15 +169,27 @@ class TestRoundRobinTable:
     def test_workers_answer_their_round_robin_share(self, shard_graph,
                                                     artifact_path):
         """The plain front-end scatters through the table: worker ``w``
-        answers exactly the batch positions ``i % 3 == w``."""
+        answers exactly the positions ``(start + i) % 3 == w``, where the
+        second batch starts its rotation at 40, after the first."""
         pairs = make_workload("zipf", shard_graph, 40, seed=3).pairs
         with ShardedRoutingService(artifact_path, num_workers=3) as sharded:
             assert sharded.table.routable == (0, 1, 2)
             sharded.distance_batch(pairs)
             sharded.route_batch(pairs[:7])
             per_worker = [stats.queries for stats in sharded.worker_stats()]
-        assert per_worker == [len(range(w, 40, 3)) + len(range(w, 7, 3))
-                              for w in range(3)]
+        assert per_worker == [len(range(w, 47, 3)) for w in range(3)] \
+            == [16, 16, 15]
+
+    def test_one_pair_batches_rotate_over_the_workers(self, shard_graph,
+                                                      artifact_path):
+        """16 one-pair batches on 4 workers put 4 pairs on each: a batch
+        does not restart the rotation at slot 0."""
+        pairs = make_workload("uniform", shard_graph, 16, seed=5).pairs
+        with ShardedRoutingService(artifact_path, num_workers=4) as sharded:
+            for pair in pairs:
+                sharded.distance_batch([pair])
+            per_worker = [stats.queries for stats in sharded.worker_stats()]
+        assert per_worker == [4, 4, 4, 4]
 
 
 class TestShardedIdentity:
