@@ -1,7 +1,8 @@
 """Fleet recovery — SIGKILL a worker mid-stream, answers stay identical.
 
-The fleet supervisor (``ShardedRoutingService(fleet=...)``) turns
-worker death from a service outage into a bounded latency blip:
+The fleet supervisor every sharded service runs, given a respawn budget
+(``ShardedRoutingService(respawn_limit=3)``), turns worker death from a
+service outage into a bounded latency blip:
 
 * **liveness** — the front-end's collector sees a killed worker's result
   pipe reach EOF within one ``select`` round (the heartbeat only catches
@@ -15,7 +16,7 @@ worker death from a service outage into a bounded latency blip:
 
 This benchmark replays a **bursty** workload (temporally correlated bursts
 over Zipf skew — the traffic shape where a blackout would be most visible)
-through a fleet front-end, SIGKILLs one worker when a third of the stream
+through a front-end with a respawn budget, SIGKILLs one worker when a third of the stream
 has been served, and records the per-batch latency series.  The series
 shows the recovery spike: a handful of batches pay the detection +
 re-scatter cost, then latency returns to baseline while the respawned
@@ -51,7 +52,6 @@ from repro.obs.experiment import record_benchmark_run
 from repro.serving import (
     BuildConfig,
     CacheConfig,
-    FleetConfig,
     ServingConfig,
     ShardedRoutingService,
     bursty_workload,
@@ -109,14 +109,13 @@ def run_fleet_recovery(n: int, workers: int = 4, seed: int = 0,
         reference = [trace for chunk in chunks
                      for trace in parent.route_batch(chunk)]
 
-        fleet = FleetConfig(heartbeat_interval=heartbeat_interval,
-                            respawn_limit=3)
         latencies = []
         answers = []
         with ShardedRoutingService(
                 artifact, num_workers=workers,
                 cache_config=CacheConfig(capacity=1024),
-                graph=graph, fleet=fleet) as sharded:
+                graph=graph, heartbeat_interval=heartbeat_interval,
+                respawn_limit=3) as sharded:
             start = time.perf_counter()
             for index, chunk in enumerate(chunks):
                 if index == kill_batch:

@@ -22,13 +22,11 @@ The public surface (API v2) is one typed contract:
   processes, each mapping the same full artifact;
 * :mod:`repro.serving.worker`    — one such worker: the framed pipes, the
   process's main loop and its parent-side ``Worker`` endpoint;
-* :mod:`repro.serving.fleet`     — the :class:`FleetSupervisor` recovery
-  policy over the sharded backend (``ServingConfig.fleet``): worker
-  respawn, siblings taking a dead worker's share through an
-  epoch-versioned routing table, and a heartbeat for hung workers
-  (``heartbeat_interval`` and ``respawn_limit`` are the two
-  :class:`FleetConfig` fields; the hang timeout is a module constant
-  there);
+* :mod:`repro.serving.fleet`     — the :class:`FleetSupervisor` every
+  sharded backend runs: a heartbeat for hung workers, and, within
+  ``ServingConfig.respawn_limit`` (default 0: fail-stop), worker respawn
+  with siblings taking a dead worker's share through an epoch-versioned
+  routing table (the hang timeout is a module constant there);
 * :mod:`repro.serving.cache`     — LRU result caching and the
   :class:`ServingStats` counters;
 * :mod:`repro.serving.workloads` — reproducible uniform / Zipf / locality /
@@ -78,7 +76,7 @@ from .service import (
     resolve_query_kernel,
 )
 from .sharded import RoutingEpoch, ShardError, ShardedRoutingService
-from .fleet import FleetConfig, FleetError, FleetSupervisor
+from .fleet import FleetSupervisor
 from .backend import QueryBackend, open_service
 from .wire import (
     MAX_FRAME_BYTES,
@@ -142,8 +140,6 @@ __all__ = [
     "answer_batch",
     "ShardedRoutingService",
     "ShardError",
-    "FleetConfig",
-    "FleetError",
     "FleetSupervisor",
     "RoutingEpoch",
     # transport: wire protocol, sessions, server

@@ -193,4 +193,5 @@ def open_service(config: ServingConfig,
         warm_timeout=config.warm_timeout, reply_timeout=config.reply_timeout,
         graph=graph, stats=stats, kernel=config.kernel,
         telemetry=config.telemetry,
-        fleet=config.fleet_config() if config.fleet else None)
+        heartbeat_interval=config.heartbeat_interval,
+        respawn_limit=config.respawn_limit)

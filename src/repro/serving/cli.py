@@ -168,16 +168,15 @@ FLAGS: Tuple[Flag, ...] = (
          "at the pipeline bounds: 'block' delays submitters, 'reject' "
          "raises BackpressureError",
          choices=("block", "reject")),
-    Flag("--fleet", "fleet",
-         "supervise the shard workers for recovery: a dead or hung worker "
-         "is respawned while its siblings take its share (--workers > 1; "
-         "the worker count never changes; answers stay identical)"),
     Flag("--heartbeat-interval", "heartbeat_interval",
-         "fleet supervisor beat period in seconds (--fleet): hang checks "
-         "and respawns happen on this cadence"),
+         "shard supervisor beat period in seconds (--workers > 1): hang "
+         "checks and respawns happen on this cadence"),
     Flag("--respawn-limit", "respawn_limit",
-         "worker respawns tolerated before the fleet degrades to a "
-         "FleetError (--fleet)"),
+         "dead or hung shard workers respawned while their siblings take "
+         "their share, before the next one fail-stops the service with a "
+         "ShardError; 0 (the default) fail-stops on the first (> 0 needs "
+         "--workers > 1; the worker count never changes; answers stay "
+         "identical)"),
     Flag("--trace-out", None,
          "capture the served query stream (pairs, kinds, batch boundaries, "
          "arrival offsets) into a trace artifact at PATH, replayable later "

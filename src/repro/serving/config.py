@@ -186,14 +186,14 @@ class ServingConfig:
     in-flight window): at the bound, ``admission="block"`` delays
     submitters and ``admission="reject"`` raises
     :class:`~repro.serving.wire.BackpressureError`.
-    ``fleet`` puts the sharded front-end under a
-    :class:`~repro.serving.fleet.FleetSupervisor`: dead workers are
-    respawned (``respawn_limit`` deaths tolerated; respawns and hang
-    checks run every ``heartbeat_interval`` seconds) while siblings take
-    their share from the moment the death is seen; the worker count never
-    changes.  These two fields are the fleet's
-    :class:`~repro.serving.fleet.FleetConfig` (:meth:`fleet_config`).
-    Fleet mode requires ``workers >= 2``.
+    ``heartbeat_interval`` / ``respawn_limit`` are the settings of the
+    :class:`~repro.serving.fleet.FleetSupervisor` every sharded front-end
+    runs: hang checks and respawns happen every ``heartbeat_interval``
+    seconds, and ``respawn_limit`` worker deaths (or hangs) are healed —
+    siblings take the dead worker's share from the moment the death is
+    seen — before one latches a ``ShardError``.  The default budget ``0``
+    fail-stops on the first; a budget above ``0`` requires
+    ``workers >= 2``.  The worker count never changes.
     """
 
     artifact_path: Optional[str] = None
@@ -211,9 +211,8 @@ class ServingConfig:
     start_method: Optional[str] = None
     warm_timeout: float = 120.0
     reply_timeout: float = 300.0
-    fleet: bool = False
     heartbeat_interval: float = 0.5
-    respawn_limit: int = 3
+    respawn_limit: int = 0
     build: BuildConfig = field(default_factory=BuildConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
@@ -245,15 +244,9 @@ class ServingConfig:
         if self.kind not in ("route", "distance"):
             raise ValueError(f"kind must be route or distance, "
                              f"got {self.kind!r}")
-        self.fleet_config()
-        if self.fleet:
-            if self.workers < 2:
-                raise ValueError(
-                    "fleet=True requires workers >= 2 (siblings take a "
-                    "dead worker's share)")
-            if self.connect is not None:
-                raise ValueError("fleet=True is a deployment-side option; "
-                                 "connect sessions cannot request it")
+        from .fleet import check_settings
+        check_settings(self.workers, self.heartbeat_interval,
+                       self.respawn_limit)
         for name, value in (("build", self.build), ("cache", self.cache),
                             ("workload", self.workload)):
             expected = {"build": BuildConfig, "cache": CacheConfig,
@@ -280,15 +273,6 @@ class ServingConfig:
         if "workload" in data:
             data["workload"] = WorkloadConfig.from_dict(data["workload"])
         return cls(**data)
-
-    def fleet_config(self):
-        """The :class:`~repro.serving.fleet.FleetConfig` these fields
-        describe; constructing it is their validation."""
-        from .fleet import FleetConfig
-
-        return FleetConfig(
-            heartbeat_interval=self.heartbeat_interval,
-            respawn_limit=self.respawn_limit)
 
     def workload_seed(self) -> int:
         """The effective traffic seed (inherits the build seed when unset)."""

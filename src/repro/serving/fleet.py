@@ -1,13 +1,14 @@
-"""Shard fleet recovery: the policy that respawns dead or hung workers.
+"""Shard fleet supervision: the policy that covers, respawns or latches.
 
-:class:`~repro.serving.sharded.ShardedRoutingService` on its own is
-fail-stop: one worker death latches a :class:`ShardError` and the whole
-front-end goes down.  That is the right contract for a batch benchmark, but
-a long-lived serving session wants the opposite — worker processes *will*
-die (OOM kills, node maintenance, plain bugs) and the session should keep
-answering, identically, while the fleet heals.
+Every :class:`~repro.serving.sharded.ShardedRoutingService` runs one
+:class:`FleetSupervisor`.  Worker processes *will* die (OOM kills, node
+maintenance, plain bugs) or hang, and the supervisor decides what the
+front-end does about it; ``respawn_limit`` is the only difference between
+a fail-stop service (``0``, the default: the first death latches a
+:class:`~repro.serving.sharded.ShardError` and the front-end goes down) and
+one that keeps answering, identically, while it heals.
 
-:class:`FleetSupervisor` is that session's *policy*, and only that: the
+:class:`FleetSupervisor` is *policy*, and only that: the
 front-end owns the slots, the tickets and the pipes, notices deaths and
 re-scatters; the supervisor decides when the routing table changes, and
 owns the respawn budget and the heartbeat; it drives the front-end
@@ -27,15 +28,17 @@ its tests need.  It does five things, none of which ever changes an answer:
   in-flight and subsequent batches stay list-for-list identical to
   single-process serving, only latency spikes;
 * past the budget, the next death is answered with a typed
-  :class:`FleetError` for the front-end to latch.
+  :class:`~repro.serving.sharded.ShardError` (``worker N died (...)`` or
+  ``worker N hung (...)``) for the front-end to latch.
 
 The worker count never changes and nothing rebalances: a table is
 published only at start, on a death and when a respawned worker turns
 ready, so ``epoch == 1 + worker_deaths + respawns``.
 
-:class:`FleetConfig` holds the two settings a deployment can choose
-(``heartbeat_interval``, ``respawn_limit``); the hang timeout is the
-module constant :data:`HANG_TIMEOUT`.
+A deployment chooses two settings, ``heartbeat_interval`` and
+``respawn_limit`` (plain keyword arguments, validated by
+:func:`check_settings`); the hang timeout is the module constant
+:data:`HANG_TIMEOUT`.
 
 Routing goes through the front-end's **epoch-versioned table**
 (:class:`~repro.serving.sharded.RoutingEpoch`), round-robin over the live
@@ -54,7 +57,6 @@ into ``extra["fleet"]``.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 import weakref
@@ -62,37 +64,27 @@ from typing import Dict, List, Optional
 
 from .sharded import RoutingEpoch, ShardError
 
-__all__ = ["FleetConfig", "FleetError", "FleetSupervisor", "RoutingEpoch"]
-
-
-class FleetError(ShardError):
-    """The fleet could not keep the session alive (budget exhausted).
-
-    Raised through the front-end's failure latch, so every in-flight and
-    future caller sees it; ``pending_request_ids`` names the batches that
-    were lost, exactly as on the base :class:`ShardError`.
-    """
+__all__ = ["FleetSupervisor", "RoutingEpoch", "check_settings"]
 
 
 #: A worker that has not answered a ping for ``HANG_TIMEOUT`` seconds is
-#: reported dead.
+#: reported hung.  Pings queue behind queries in the FIFO task pipe, so
+#: this also bounds how long one shard's compute may take.
 HANG_TIMEOUT = 30.0
 
 
-@dataclasses.dataclass(frozen=True)
-class FleetConfig:
-    """The supervisor's two settings, each validated here and only here."""
-
-    heartbeat_interval: float = 0.5
-    respawn_limit: int = 3
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_interval <= 0:
-            raise ValueError(f"heartbeat_interval must be > 0, "
-                             f"got {self.heartbeat_interval}")
-        if self.respawn_limit < 0:
-            raise ValueError(f"respawn_limit must be >= 0, "
-                             f"got {self.respawn_limit}")
+def check_settings(num_workers: int, heartbeat_interval: float,
+                   respawn_limit: int) -> None:
+    """Validate the supervisor's two settings against a worker count."""
+    if heartbeat_interval <= 0:
+        raise ValueError(f"heartbeat_interval must be > 0, "
+                         f"got {heartbeat_interval}")
+    if respawn_limit < 0:
+        raise ValueError(f"respawn_limit must be >= 0, got {respawn_limit}")
+    if respawn_limit > 0 and num_workers < 2:
+        raise ValueError(
+            f"respawn_limit > 0 requires workers >= 2 (siblings take a "
+            f"dead worker's share), got {num_workers}")
 
 
 def _supervisor_main(supervisor: "FleetSupervisor",
@@ -103,7 +95,7 @@ def _supervisor_main(supervisor: "FleetSupervisor",
     service weakly — a garbage-collected front-end still gets its
     unclosed-service warning, exactly like the collector thread.
     """
-    interval = supervisor.config.heartbeat_interval
+    interval = supervisor.heartbeat_interval
     while not stop.wait(interval):
         try:
             if not supervisor.beat():
@@ -126,8 +118,12 @@ class FleetSupervisor:
     :meth:`pong` with that lock held, after it has updated the slot.
     """
 
-    def __init__(self, service, config: FleetConfig) -> None:
-        self.config = config
+    def __init__(self, service, heartbeat_interval: float = 0.5,
+                 respawn_limit: int = 0) -> None:
+        check_settings(service.num_workers, heartbeat_interval,
+                       respawn_limit)
+        self.heartbeat_interval = heartbeat_interval
+        self.respawn_limit = respawn_limit
         self._service_ref = weakref.ref(service)
         self._lock = service.lock
         # Monotonic counters, exposed via status() whether or not the
@@ -190,31 +186,33 @@ class FleetSupervisor:
         self._publish(service)
 
     def worker_failed(self, worker_id: int,
-                      summary: str) -> Optional[FleetError]:
+                      summary: str) -> Optional[ShardError]:
         """A respawned worker could not load its artifact: retried within
         the budget."""
         return self._queue_respawn(
             worker_id, f"failed to warm up after respawn ({summary})")
 
-    def worker_died(self, worker_id: int, why: str) -> Optional[FleetError]:
-        """A serving slot died: publish a table without it and queue the
-        background respawn.  Returns the error to latch when the respawn
-        budget is exhausted — the session degrades loudly instead of
-        hanging — and ``None`` when the front-end should re-scatter."""
+    def worker_died(self, worker_id: int,
+                    what: str) -> Optional[ShardError]:
+        """A serving slot died or hung (``what`` says which, and why):
+        publish a table without it and queue the background respawn.
+        Returns the error to latch when the respawn budget is exhausted —
+        the session degrades loudly instead of hanging — and ``None`` when
+        the front-end should re-scatter."""
         service = self._service_ref()
         self.worker_deaths += 1
         self._death_time[worker_id] = time.monotonic()
         if service.metrics.enabled:
             service.metrics.counter("fleet_worker_deaths").inc()
         self._publish(service)
-        return self._queue_respawn(worker_id, f"died ({why})")
+        return self._queue_respawn(worker_id, what)
 
     def _queue_respawn(self, worker_id: int,
-                       what: str) -> Optional[FleetError]:
-        if self._respawns_started >= self.config.respawn_limit:
-            return FleetError(
+                       what: str) -> Optional[ShardError]:
+        if self._respawns_started >= self.respawn_limit:
+            return ShardError(
                 f"worker {worker_id} {what} and the respawn budget "
-                f"({self.config.respawn_limit}) is exhausted; raise "
+                f"({self.respawn_limit}) is exhausted; raise "
                 f"respawn_limit or investigate the crashes")
         self._respawns_started += 1
         self._respawn_queue.append(worker_id)
@@ -287,8 +285,8 @@ class FleetSupervisor:
             "routable": list(table.routable),
             "worker_deaths": self.worker_deaths,
             "respawns": self.respawns,
-            "respawn_limit": self.config.respawn_limit,
-            "heartbeat_interval": self.config.heartbeat_interval,
+            "respawn_limit": self.respawn_limit,
+            "heartbeat_interval": self.heartbeat_interval,
             "workers": {str(w.worker_id): w.state for w in service.workers},
         }
 

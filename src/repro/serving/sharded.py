@@ -56,24 +56,24 @@ message tuples and the worker process; this module owns the *slots* (the
 list of endpoints and each one's ``state``), the *tickets* (which shard of
 which batch is still owed by which slot), the *windows* (per-slot
 in-flight counts) and the routing *table* (:class:`RoutingEpoch`, the one
-scatter rule); the optional :class:`~repro.serving.fleet.FleetSupervisor`
+scatter rule); its :class:`~repro.serving.fleet.FleetSupervisor`
 makes every policy decision, including when a new table is published.
 A worker's death has one path, :meth:`ShardedRoutingService.worker_died`,
 whoever notices it — the collector (the result pipe's EOF), a submitter
-(a task write found no reader) or the supervisor (a hung worker it
-terminated).  Without a supervisor the death latches a
-:class:`ShardError` and fail-stops the front-end (all workers are shut
-down, every in-flight ticket completes with the error); with one, the
-supervisor either supplies the error (budget exhausted) or the dead
-slot's unanswered shards are re-scattered to siblings by the one
-re-scatter, :meth:`ShardedRoutingService._reassign`.
+(a task write found no reader) or the supervisor's heartbeat (a hung
+worker it then kills).  The supervisor either supplies the error, a
+:class:`ShardError` that fail-stops the front-end (all workers are shut
+down, every in-flight ticket completes with the error) — at once under
+the default ``respawn_limit=0``, otherwise once the respawn budget is
+spent — or the dead slot's unanswered shards are re-scattered to
+siblings by the one re-scatter, :meth:`ShardedRoutingService._reassign`.
 
 Worker lifecycle: spawn → warm (load the artifact, signal ready) → serve
 query batches (order-preserving scatter/gather) → drain and shut down, each
 worker returning its final :class:`~repro.serving.cache.ServingStats`, which
 :meth:`ServingStats.merge` folds into one aggregate.  Workers are daemonic;
-an exception inside a worker's query fail-stops the front-end in either
-mode.
+an exception inside a worker's query fail-stops the front-end whatever the
+respawn budget.
 """
 
 from __future__ import annotations
@@ -257,6 +257,14 @@ class ShardedRoutingService:
         :class:`~repro.serving.wire.BackpressureError` immediately.
     start_method:
         ``multiprocessing`` start method (``None`` = platform default).
+    warm_timeout, reply_timeout:
+        Seconds to wait for every worker to warm up, and for one batch's
+        (or stats request's) answers.  A worker that is alive but stuck
+        is caught sooner: one that answers no heartbeat ping for
+        :data:`~repro.serving.fleet.HANG_TIMEOUT` (30 s) is reported hung.
+        Pings queue behind queries, so that constant also bounds one
+        shard's compute on every service — far above the largest batch a
+        benchmark here sends (500 pairs, a few milliseconds).
     graph:
         Optional graph handle kept for workload generation; queries are
         *not* validated against it in the parent — an invalid node raises in
@@ -264,10 +272,12 @@ class ShardedRoutingService:
     stats:
         Front-end counters (scatter batches, query volumes).  Per-worker
         serving stats live in the workers; see :meth:`merged_stats`.
-    fleet:
-        A :class:`~repro.serving.fleet.FleetConfig` puts the front-end
-        under a :class:`~repro.serving.fleet.FleetSupervisor`; ``None``
-        (the default) keeps it fail-stop.
+    heartbeat_interval, respawn_limit:
+        The :class:`~repro.serving.fleet.FleetSupervisor`'s beat period
+        (hang checks, respawns) and respawn budget.  ``respawn_limit=0``
+        (the default) fail-stops on the first death or hang; a budget
+        above 0 needs ``num_workers >= 2``, since siblings take a dead
+        worker's share.
     """
 
     def __init__(self, artifact_path: str, num_workers: int = 2,
@@ -279,7 +289,8 @@ class ShardedRoutingService:
                  graph: Optional[WeightedGraph] = None,
                  stats: Optional[ServingStats] = None,
                  kernel: str = "auto", telemetry: bool = False,
-                 fleet=None) -> None:
+                 heartbeat_interval: float = 0.5,
+                 respawn_limit: int = 0) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if pipeline_depth < 1:
@@ -321,9 +332,9 @@ class ShardedRoutingService:
         self._reply_timeout = reply_timeout
         #: The slots: ``_workers[i].worker_id == i`` always.
         self._workers: List[Worker] = []
-        #: The published routing table: every slot, until a fleet
-        #: supervisor publishes one without a dead slot (fail-stop mode
-        #: never replaces it).  Read and replaced under ``_lock``.
+        #: The published routing table: every slot, until the supervisor
+        #: publishes one without a dead slot.  Read and replaced under
+        #: ``_lock``.
         self.table = RoutingEpoch(0, num_workers, range(num_workers))
         # Parsed-but-undelivered worker messages; consumed by exactly one
         # thread at a time (warm-up, then the collector, then the drain).
@@ -360,21 +371,12 @@ class ShardedRoutingService:
         self._collector_stop = threading.Event()
         self._failure: Optional[ShardError] = None
         self._close_lock = threading.Lock()
-        # Fleet mode: a FleetSupervisor decides respawns and publishes
-        # the routing table.  Imported lazily so the base sharded path
-        # never touches the fleet module.
-        self._fleet = None
-        if fleet is not None:
-            from .fleet import FleetConfig, FleetSupervisor
-            if not isinstance(fleet, FleetConfig):
-                raise ValueError(f"fleet must be a FleetConfig or None, "
-                                 f"got {fleet!r}")
-            if num_workers < 2:
-                raise ValueError(
-                    f"fleet mode needs num_workers >= 2 (siblings take a "
-                    f"dead worker's share), got {num_workers}")
-            self._fleet = FleetSupervisor(self, fleet)
-            self.stats.extra.setdefault("fleet", True)
+        # The policy: decides respawns, hangs and latches, and publishes
+        # the routing table.  Imported here because it imports this
+        # module's table and error.
+        from .fleet import FleetSupervisor
+        self._fleet = FleetSupervisor(self, heartbeat_interval,
+                                      respawn_limit)
 
     # ==================================================================
     # slots: what the fleet supervisor sees and drives (it is handed
@@ -424,17 +426,18 @@ class ShardedRoutingService:
             self._inflight[worker_id] = 0
         return True
 
-    def worker_died(self, worker: Worker, why: str) -> None:
+    def worker_died(self, worker: Worker, what: str) -> None:
         """The one death path: ``worker`` will never answer again.
 
-        Reached from the collector's scan (:meth:`_scan_liveness`), from a
-        task write that found no reader (:meth:`_finish_sends`) and from
-        the supervisor's hang detector; idempotent per endpoint, so it
-        does not matter who gets here first.  Marks the slot dead, zeroes
-        its window and asks the supervisor — if there is one — whether
-        the fleet can go on.  It is the only place that chooses between
-        recovering (re-scatter what the slot still owed) and latching;
-        static mode differs only in supplying the error itself.
+        ``what`` completes "worker N ...": ``died (why)`` or ``hung
+        (why)``.  Reached from the collector's scan
+        (:meth:`_scan_liveness`), from a task write that found no reader
+        (:meth:`_finish_sends`) and from the supervisor's hang detector;
+        idempotent per endpoint, so it does not matter who gets here
+        first.  Marks the slot dead, zeroes its window and asks the
+        supervisor whether the fleet can go on: it is the only place that
+        chooses between recovering (re-scatter what the slot still owed)
+        and latching the supervisor's error.
         """
         with self._can_submit:
             if (self.closed or worker.state != "alive"
@@ -442,10 +445,7 @@ class ShardedRoutingService:
                 return      # teardown, known, or a respawn replaced it
             worker.state = "dead"
             self._inflight[worker.worker_id] = 0
-            if self._fleet is None:
-                error = ShardError(f"worker {worker.worker_id} died ({why})")
-            else:
-                error = self._fleet.worker_died(worker.worker_id, why)
+            error = self._fleet.worker_died(worker.worker_id, what)
             if error is not None:
                 self.fail(error)
                 return
@@ -543,8 +543,7 @@ class ShardedRoutingService:
             name="repro-shard-collector", daemon=True)
         self._collector.start()
         self._started = True
-        if self._fleet is not None:
-            self._fleet.start()
+        self._fleet.start()
         return self
 
     def close(self, drain: bool = True,
@@ -564,10 +563,9 @@ class ShardedRoutingService:
             self._closed = True
             if not self._started:
                 return []
-            if self._fleet is not None:
-                # Stop the supervisor first: no respawn may race the
-                # teardown below.
-                self._fleet.stop()
+            # Stop the supervisor first: no respawn may race the teardown
+            # below.
+            self._fleet.stop()
             deadline = time.monotonic() + timeout
             if drain:
                 # In-flight tickets complete through the collector before
@@ -650,13 +648,10 @@ class ShardedRoutingService:
     def is_running(self) -> bool:
         if not self._started or self._closed:
             return False
-        if self._fleet is not None:
-            # Fleet mode survives individual deaths: running means at
-            # least one routable worker (the supervisor is respawning the
-            # rest, or has latched a FleetError if it cannot).
-            return self._failure is None and any(
-                w.is_alive() for w in self.serving)
-        return all(w.is_alive() for w in self._workers)
+        # Running means no latched failure and at least one routable
+        # worker (the supervisor is respawning the rest within its budget).
+        return self._failure is None and any(
+            w.is_alive() for w in self.serving)
 
     # ==================================================================
     # collector: completes tickets from the per-worker result pipes
@@ -696,15 +691,8 @@ class ShardedRoutingService:
     def _scan_liveness(self) -> None:
         """Notice workers that died without a word (OOM kill, segfault),
         serving or still warming — see :meth:`Worker.lost` for the signal.
-        Called on every collector pass; the ``is_alive()`` backstop inside
-        it is clocked to one probe per 0.1 s."""
-        if self._fleet is None:
-            with self._lock:
-                if not self._tickets and not self._stats_waiters:
-                    # Static mode fail-stops, so an idle dead worker is
-                    # left for the submit that finds it (which still
-                    # returns its ticket, completed with the error).
-                    return
+        Called on every collector pass, idle or not; the ``is_alive()``
+        backstop inside it is clocked to one probe per 0.1 s."""
         now = time.monotonic()
         probe = now >= self._next_probe
         if probe:
@@ -715,7 +703,7 @@ class ShardedRoutingService:
             if why is None:
                 continue
             if state == "alive":
-                self.worker_died(worker, why)
+                self.worker_died(worker, f"died ({why})")
             else:
                 with self._can_submit:
                     self._warm_up_failed(worker, f"died while warming ({why})")
@@ -734,7 +722,8 @@ class ShardedRoutingService:
         """
         for worker in workers:
             if not worker.finish_sends(deadline):
-                self.worker_died(worker, "its task pipe has no reader")
+                self.worker_died(worker,
+                                 "died (its task pipe has no reader)")
 
     def _dispatch(self, message) -> None:
         tag, worker_id = message[0], message[1]
@@ -775,8 +764,8 @@ class ShardedRoutingService:
             worker = self._workers[worker_id]
             if tag == "stats":
                 self._fill_stats(worker_id, message[2])
-            elif self._fleet is None or self.closed:
-                return  # nobody to tell (start() consumed its own warm-up)
+            elif self.closed:
+                return  # nobody to tell
             elif tag == "pong":
                 self._fleet.pong(worker_id)
             elif tag == "ready" and worker.state == "warming":
@@ -1027,8 +1016,7 @@ class ShardedRoutingService:
                 front_end = self.metrics.export()
             merged.extra["telemetry"] = merge_exports(
                 [merged.extra.get("telemetry", {}), front_end])
-        if self._fleet is not None:
-            merged.extra["fleet"] = self._fleet.status()
+        merged.extra["fleet"] = self._fleet.status()
         if self._undrained_workers:
             merged.extra["undrained_workers"] = list(self._undrained_workers)
         return merged

@@ -289,10 +289,10 @@ class Worker:
     """Parent-side endpoint of one worker: its process and the parent ends
     of its two private pipes — ``tasks`` (written) and ``results`` (read).
 
-    ``state`` is the slot lifecycle, written by the front-end only
-    (always ``"alive"`` outside fleet mode, until the worker dies):
+    ``state`` is the slot lifecycle, written by the front-end only:
     ``alive`` → serving; ``warming`` → respawned, loading its artifact;
-    ``dead`` → exited unexpectedly, awaiting a respawn.
+    ``dead`` → exited unexpectedly or hung, awaiting a respawn (forever,
+    under a spent or zero respawn budget).
 
     The four requests frame one message onto the task pipe and never
     block, so they are safe under the service lock — which is what keeps
@@ -400,13 +400,15 @@ class Worker:
         return None
 
     def stop(self, grace: float = 0.0) -> None:
-        """Reap the process, terminating it if it outlives ``grace``."""
+        """Reap the process, killing it if it outlives ``grace`` (SIGKILL:
+        a hung worker may be stopped, and a stopped process ignores
+        SIGTERM until continued)."""
         if self.process is None:
             return
         if grace:
             self.process.join(timeout=grace)
         if self.process.is_alive():
-            self.process.terminate()
+            self.process.kill()
         self.process.join(timeout=5.0)
 
     def retire(self) -> None:

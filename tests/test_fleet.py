@@ -1,15 +1,16 @@
 """Fleet recovery: chaos kills, epoch routing, respawns, failure semantics.
 
-The chaos tests SIGKILL a live worker process mid-stream and assert the
-fleet's one hard contract: every answer stays list-for-list identical to
-single-process serving, with the death and the respawn visible in the
-supervisor counters.  The unit tests pin the deterministic pieces — the
-epoch table, the config validation, the typed degradation when the
-respawn budget runs out — without needing worker processes at all.  The
-fleet never changes its worker count: an idle fleet keeps every worker.
+Every sharded service runs a supervisor; these tests give it a respawn
+budget.  The chaos tests SIGKILL a live worker process mid-stream and
+assert the fleet's one hard contract: every answer stays list-for-list
+identical to single-process serving, with the death and the respawn
+visible in the supervisor counters.  The unit tests pin the deterministic
+pieces — the epoch table, the settings validation, the typed degradation
+when the respawn budget runs out — without needing worker processes at
+all.  The fleet never changes its worker count: an idle fleet keeps every
+worker.
 """
 
-import dataclasses
 import os
 import signal
 import threading
@@ -22,8 +23,6 @@ from repro.obs.metrics import make_registry
 from repro.serving import fleet as fleet_module
 from repro.serving import (
     BuildConfig,
-    FleetConfig,
-    FleetError,
     FleetSupervisor,
     RoutingEpoch,
     RoutingService,
@@ -60,8 +59,8 @@ def reference_service(artifact_path):
 def open_fleet(artifact_path, num_workers=3, **knobs):
     knobs.setdefault("heartbeat_interval", 0.05)
     knobs.setdefault("respawn_limit", 5)
-    return ShardedRoutingService(
-        artifact_path, num_workers=num_workers, fleet=FleetConfig(**knobs))
+    return ShardedRoutingService(artifact_path, num_workers=num_workers,
+                                 **knobs)
 
 
 def kill_worker(service, worker_id):
@@ -94,7 +93,7 @@ class TestPolicyConstants:
         # A hang is many missed beats at the default cadence, never one
         # late pong.
         assert fleet_module.HANG_TIMEOUT \
-            > 10 * FleetConfig().heartbeat_interval
+            > 10 * ServingConfig().heartbeat_interval
 
 
 class TestRoutingEpoch:
@@ -136,48 +135,39 @@ class TestRoutingEpoch:
 
 
 class TestConfigValidation:
-    def test_fleet_config_defaults_valid(self):
-        assert dataclasses.asdict(FleetConfig()) == {
-            "heartbeat_interval": 0.5, "respawn_limit": 3}
+    def test_defaults_fail_stop(self):
+        config = ServingConfig()
+        assert (config.heartbeat_interval, config.respawn_limit) == (0.5, 0)
+
+    def test_serving_config_sets_both_settings(self):
+        config = ServingConfig(workers=3, heartbeat_interval=0.2,
+                               respawn_limit=7)
+        assert (config.heartbeat_interval, config.respawn_limit) == (0.2, 7)
 
     @pytest.mark.parametrize("bad", [
         {"heartbeat_interval": 0.0},
         {"heartbeat_interval": -0.5},
         {"respawn_limit": -1},
     ])
-    def test_fleet_config_rejects(self, bad):
-        with pytest.raises(ValueError):
-            FleetConfig(**bad)
-
-    def test_serving_config_sets_every_fleet_field(self):
-        config = ServingConfig(workers=3, fleet=True, heartbeat_interval=0.2,
-                               respawn_limit=7)
-        assert config.fleet_config() == FleetConfig(
-            heartbeat_interval=0.2, respawn_limit=7)
-
-    @pytest.mark.parametrize("bad", [
-        {"heartbeat_interval": 0.0},
-        {"respawn_limit": -1},
-    ])
-    def test_serving_config_validates_fleet_fields(self, bad):
+    def test_serving_config_validates_both_settings(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
-            ServingConfig(workers=3, fleet=True, **bad)
+            ServingConfig(workers=3, **bad)
 
-    def test_serving_config_fleet_needs_workers(self):
+    def test_serving_config_respawns_need_workers(self):
+        ServingConfig(workers=1, respawn_limit=0)
         with pytest.raises(ValueError, match="workers >= 2"):
-            ServingConfig(workers=1, fleet=True)
+            ServingConfig(workers=1, respawn_limit=3)
 
-    def test_sharded_rejects_fleet_misuse(self, artifact_path):
-        with pytest.raises(ValueError, match="num_workers >= 2"):
-            ShardedRoutingService(artifact_path, num_workers=1,
-                                  fleet=FleetConfig())
-        with pytest.raises(ValueError, match="FleetConfig or None"):
-            ShardedRoutingService(artifact_path, num_workers=2, fleet=True)
+    @pytest.mark.parametrize("bad, message", [
+        ({"num_workers": 1, "respawn_limit": 1}, "workers >= 2"),
+        ({"heartbeat_interval": 0.0}, "heartbeat_interval"),
+        ({"respawn_limit": -1}, "respawn_limit"),
+    ])
+    def test_sharded_validates_both_settings(self, artifact_path, bad,
+                                             message):
+        with pytest.raises(ValueError, match=message):
+            ShardedRoutingService(artifact_path, **{"num_workers": 2, **bad})
 
-    @pytest.mark.parametrize("fleet", ["yes", {"min_workers": 1}])
-    def test_sharded_fleet_takes_only_a_config(self, artifact_path, fleet):
-        with pytest.raises(ValueError, match="FleetConfig or None"):
-            ShardedRoutingService(artifact_path, num_workers=2, fleet=fleet)
 
 class TestPendingRequestIds:
     """Satellite: a latched ShardError names the in-flight batches."""
@@ -269,7 +259,7 @@ class TestChaosRecovery:
         assert status["worker_deaths"] == 1     # the warm-up death is a
         assert status["respawns"] == 1          # failed respawn, not a death
 
-    def test_budget_exhaustion_degrades_to_fleet_error(self, fleet_graph,
+    def test_budget_exhaustion_degrades_to_shard_error(self, fleet_graph,
                                                        artifact_path):
         nodes = fleet_graph.nodes()
         pairs = [(nodes[i % len(nodes)], nodes[(i * 7 + 1) % len(nodes)])
@@ -279,22 +269,24 @@ class TestChaosRecovery:
             sharded.route_batch(pairs)  # healthy first
             kill_worker(sharded, 0)
             deadline = time.monotonic() + 20.0
-            with pytest.raises(FleetError, match="respawn budget"):
+            with pytest.raises(ShardError,
+                               match=r"^worker 0 died \(.*respawn budget"):
                 while time.monotonic() < deadline:
                     sharded.route_batch(pairs)
             assert not sharded.is_running
 
-    def test_fleet_error_is_a_shard_error(self):
-        error = FleetError("out of budget")
-        assert isinstance(error, ShardError)
+    def test_spent_budget_latches_a_plain_shard_error(self):
+        front = StubFrontEnd(2, respawn_limit=0)
+        error = front.die(1)
+        assert type(error) is ShardError
+        assert str(error).startswith("worker 1 died (stubbed out)")
         assert error.pending_request_ids == ()
 
     def test_telemetry_counters_exported(self, fleet_graph, artifact_path):
         workload = make_workload("uniform", fleet_graph, 120, seed=11)
         with ShardedRoutingService(
                 artifact_path, num_workers=2, telemetry=True,
-                fleet=FleetConfig(heartbeat_interval=0.05,
-                                  respawn_limit=5)) as sharded:
+                heartbeat_interval=0.05, respawn_limit=5) as sharded:
             sharded.route_batch(workload.pairs[:60])
             kill_worker(sharded, 1)
             sharded.route_batch(workload.pairs[60:])
@@ -479,7 +471,7 @@ class StubFrontEnd:
     — the members below, no more — with no process behind any slot.  Like
     the real one it updates the slot first, then tells the supervisor."""
 
-    def __init__(self, num_workers=2, **knobs):
+    def __init__(self, num_workers=2, respawn_limit=3):
         self.num_workers = num_workers
         self.lock = threading.RLock()
         self.workers = [StubWorker(i) for i in range(num_workers)]
@@ -488,8 +480,8 @@ class StubFrontEnd:
         self.metrics = make_registry(False)
         self.failure = None
         self.events = []
-        self.fleet = FleetSupervisor(self, FleetConfig(
-            heartbeat_interval=60.0, **knobs))
+        self.fleet = FleetSupervisor(self, heartbeat_interval=60.0,
+                                     respawn_limit=respawn_limit)
         self.fleet.start()      # publishes the initial table ...
         self.fleet.stop()       # ... and no beat ever runs by itself
 
@@ -511,7 +503,7 @@ class StubFrontEnd:
 
     def die(self, worker_id):
         self.workers[worker_id].state = "dead"
-        return self.fleet.worker_died(worker_id, "stubbed out")
+        return self.fleet.worker_died(worker_id, "died (stubbed out)")
 
     def warm(self, worker_id, failure=None):
         if failure is not None:
@@ -548,7 +540,7 @@ class TestSupervisorPolicy:
         front = StubFrontEnd(3, respawn_limit=1)
         assert front.die(0) is None
         error = front.die(1)
-        assert isinstance(error, FleetError)
+        assert isinstance(error, ShardError)
         assert "respawn budget" in str(error) and "worker 1" in str(error)
         assert front.installs() == [0]      # the second was never queued
 
@@ -559,7 +551,7 @@ class TestSupervisorPolicy:
         assert front.warm(0, failure="ArtifactError: gone") is None
         assert front.installs() == [0]
         error = front.warm(0, failure="ArtifactError: gone")
-        assert isinstance(error, FleetError)
+        assert isinstance(error, ShardError)
         assert "respawn budget" in str(error) and "gone" in str(error)
 
     def test_only_start_deaths_and_rejoins_publish(self):

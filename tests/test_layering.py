@@ -180,13 +180,17 @@ def test_option_census():
     mapped artifact took the pivot-row LRU out of ``routing/`` (the one
     cache class left anywhere in ``repro`` is ``LRUCache``) and its
     ``pivot_row_cache`` stats extra; the kernel names live in one table in
-    ``routing``, which ``serving`` re-exports."""
+    ``routing``, which ``serving`` re-exports.  One sharded mode (every
+    sharded service is supervised, fail-stop is ``respawn_limit=0``) took
+    ``FLAGS`` 33 → 32 (``--fleet``) and ``ServingConfig`` 21 → 20 fields
+    (``fleet``), and deleted ``FleetConfig``: the supervisor's two settings
+    are plain keyword arguments, validated against ``ServingConfig``'s
+    two fields of the same names."""
     import dataclasses
 
     from repro.serving import (
         BuildConfig,
         CacheConfig,
-        FleetConfig,
         ServingConfig,
         ServingStats,
         WorkloadConfig,
@@ -202,13 +206,12 @@ def test_option_census():
     def field_names(config):
         return tuple(field.name for field in dataclasses.fields(config))
 
-    assert len(FLAGS) == 33
+    assert len(FLAGS) == 32
     assert field_names(CacheConfig) == ("capacity",)
-    assert field_names(FleetConfig) == ("heartbeat_interval", "respawn_limit")
     assert [name for name in vars(fleet) if name.isupper()] \
         == ["HANG_TIMEOUT"]
     assert _slot_states() == {"alive", "warming", "dead"}
-    assert len(field_names(ServingConfig)) == 21
+    assert len(field_names(ServingConfig)) == 20
     assert len(field_names(BuildConfig)) == 5
     assert len(field_names(WorkloadConfig)) == 4
     tables = {"WORKLOADS": workloads.WORKLOADS,

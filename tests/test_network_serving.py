@@ -37,12 +37,12 @@ from hypothesis import strategies as st
 from helpers import watchdog
 from repro import graphs
 from repro.obs.metrics import make_registry
+from repro.serving import fleet as fleet_module
 from repro.serving import (
     BuildConfig,
     BackpressureError,
     CacheConfig,
     ClientSession,
-    FleetConfig,
     FrameError,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -1047,12 +1047,15 @@ class TestServerPipelining:
                     client.distance_batch(pairs[:4])
 
     @watchdog(60.0)
-    def test_submit_to_a_dead_worker_enters_the_death_path(self, net_config,
-                                                           net_graph):
+    def test_submit_to_a_dead_worker_enters_the_death_path(
+            self, net_config, net_graph, monkeypatch):
         config = dataclasses.replace(net_config, workers=2)
         pairs = zipf_workload(net_graph.nodes(), 64, seed=3).pairs
         with open_service(config, graph=net_graph) as service:
             service.distance_batch(pairs)
+            # The collector's scan would latch the idle death first; with
+            # it silenced the submit's write is the only thing that can.
+            monkeypatch.setattr(service, "_scan_liveness", lambda: None)
             victim = service._workers[1].process
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10.0)
@@ -1063,6 +1066,52 @@ class TestServerPipelining:
             assert isinstance(service._failure, ShardError)
             with pytest.raises(ShardError, match="worker 1 died"):
                 service.wait_batch(ticket)
+
+    @watchdog(60.0)
+    def test_idle_death_latches_without_a_submit(self, net_config,
+                                                 net_graph):
+        """At ``respawn_limit=0`` nobody has to ask: the collector's scan
+        finds an idle worker's death and latches it."""
+        config = dataclasses.replace(net_config, workers=2)
+        pairs = zipf_workload(net_graph.nodes(), 64, seed=3).pairs
+        with open_service(config, graph=net_graph) as service:
+            service.distance_batch(pairs)
+            assert service.is_running
+            os.kill(service._workers[1].process.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 1.0
+            while service.is_running and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not service.is_running
+            assert str(service._failure).startswith("worker 1 died (")
+
+    @watchdog(5.0)
+    def test_hung_worker_fails_typed_at_the_default_budget(
+            self, net_config, net_graph, monkeypatch):
+        """A worker that is alive but answers nothing is reported by the
+        heartbeat and latched at the default ``respawn_limit=0``: the
+        waiting batch fails with the slot named, within ``HANG_TIMEOUT``
+        and not at ``reply_timeout`` (300 s)."""
+        monkeypatch.setattr(fleet_module, "HANG_TIMEOUT", 1.0)
+        config = dataclasses.replace(net_config, workers=2,
+                                     heartbeat_interval=0.05)
+        assert config.reply_timeout == 300.0
+        pairs = zipf_workload(net_graph.nodes(), 64, seed=3).pairs
+        with open_service(config, graph=net_graph) as service:
+            service.distance_batch(pairs)
+            victim = service._workers[1].process
+            # Stopped, the victim takes its share into its pipe and never
+            # answers it, nor any ping.
+            os.kill(victim.pid, signal.SIGSTOP)
+            try:
+                ticket = service.submit_batch("distance", pairs)
+                started = time.monotonic()
+                with pytest.raises(ShardError, match=r"^worker 1 hung \("):
+                    service.wait_batch(ticket)
+                assert time.monotonic() - started < 3.0
+                assert not victim.is_alive()
+            finally:
+                if victim.is_alive():
+                    os.kill(victim.pid, signal.SIGKILL)
 
 
     @watchdog(30.0)
@@ -1325,7 +1374,7 @@ class TestEncodeOnce:
         pairs = zipf_workload(net_graph.nodes(), 300, seed=31).pairs
         service = ShardedRoutingService(
             net_config.artifact_path, num_workers=3, reply_timeout=30.0,
-            fleet=FleetConfig(heartbeat_interval=0.05, respawn_limit=5))
+            heartbeat_interval=0.05, respawn_limit=5)
         with service, RoutingServer(service, "127.0.0.1:0") as srv, \
                 _RawClient(srv.address) as raw:
             victim = service._workers[0].process

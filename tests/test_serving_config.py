@@ -7,7 +7,6 @@ import pytest
 from repro.serving import (
     BuildConfig,
     CacheConfig,
-    FleetConfig,
     ServingConfig,
     WorkloadConfig,
 )
@@ -26,6 +25,8 @@ def nondefault_serving_config() -> ServingConfig:
         start_method="spawn",
         warm_timeout=60.0,
         reply_timeout=90.0,
+        heartbeat_interval=0.25,
+        respawn_limit=2,
         build=BuildConfig(k=4, epsilon=0.5, seed=7, mode="budget",
                           build_workers=2),
         cache=CacheConfig(capacity=512),
@@ -124,24 +125,27 @@ class TestUnknownKeys:
         known-key list, and so is the flag that set it."""
         refusal = rf"unknown ServingConfig key\(s\) \['{key}'\]"
         with pytest.raises(ValueError, match=refusal):
-            ServingConfig.from_dict({"workers": 3, "fleet": True, key: 2})
+            ServingConfig.from_dict({"workers": 3, "respawn_limit": 3,
+                                     key: 2})
         flag = "--" + key.replace("_", "-")
         with pytest.raises(SystemExit) as exit_info:
-            main(["--graph", "er:n=30,p=0.2", "--workers", "3", "--fleet",
-                  flag, "2"])
+            main(["--graph", "er:n=30,p=0.2", "--workers", "3",
+                  "--respawn-limit", "3", flag, "2"])
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, argv", [
         ("partitioner", "hash_source", ["--partitioner", "hash_source"]),
         ("sub_artifacts", True, ["--sub-artifacts"]),
+        ("fleet", True, ["--fleet"]),
     ])
     def test_sharding_policy_is_not_a_setting(self, key, value, argv,
                                               capsys):
-        """Every worker maps the full artifact and one round-robin table
-        scatters: a stored ``serving_config`` that names a partitioner or
-        sub-artifacts is refused with the known-key list, and so is the
-        flag that set it."""
+        """Every worker maps the full artifact, one round-robin table
+        scatters and one supervisor runs every sharded service: a stored
+        ``serving_config`` that names a partitioner, sub-artifacts or a
+        fleet mode is refused with the known-key list, and so is the flag
+        that set it."""
         refusal = (rf"unknown ServingConfig key\(s\) \['{key}'\]; "
                    rf"known keys: \['admission', 'artifact_path', ")
         with pytest.raises(ValueError, match=refusal):
@@ -253,14 +257,13 @@ class TestCliParity:
         parser = build_parser()
         args = parser.parse_args([
             "--graph", "grid:rows=4,cols=4", "--artifact", "/tmp/a.artifact",
-            "--workers", "3", "--fleet", "--heartbeat-interval", "0.2",
+            "--workers", "3", "--heartbeat-interval", "0.2",
             "--respawn-limit", "7"])
         config = config_from_args(args, parser)
-        assert config.fleet_config() == FleetConfig(heartbeat_interval=0.2,
-                                                    respawn_limit=7)
+        assert (config.heartbeat_interval, config.respawn_limit) == (0.2, 7)
 
     @pytest.mark.parametrize("argv, message", [
-        (["--workers", "1", "--fleet"], "requires workers >= 2"),
+        (["--workers", "1", "--respawn-limit", "3"], "requires workers >= 2"),
     ])
     def test_fleet_flag_refusals(self, argv, message, capsys):
         parser = build_parser()

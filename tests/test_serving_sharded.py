@@ -102,7 +102,8 @@ def loads_of(assignments):
 
 
 class TestRoundRobinTable:
-    """One table scatters for the plain and the fleet front-end alike."""
+    """One table scatters for every front-end, whatever its respawn
+    budget."""
 
     PAIRS = [(i % 7, (3 * i + 1) % 11) for i in range(61)]
 
