@@ -22,8 +22,8 @@ its tests need.  It does five things, none of which ever changes an answer:
 * the front-end re-scatters the slot's unanswered shards to siblings
   through that table (every worker maps the full artifact, so any worker
   can answer any query);
-* a heartbeat ``ping``/``pong`` over the existing pipes catches the one
-  death a pipe cannot show: a worker that is alive but hung;
+* a heartbeat ``ping``/``pong`` catches the one death a pipe cannot
+  show: a worker that is alive but makes no progress;
 * it respawns the dead worker in the background within ``respawn_limit``;
   in-flight and subsequent batches stay list-for-list identical to
   single-process serving, only latency spikes;
@@ -35,10 +35,8 @@ The worker count never changes and nothing rebalances: a table is
 published only at start, on a death and when a respawned worker turns
 ready, so ``epoch == 1 + worker_deaths + respawns``.
 
-A deployment chooses two settings, ``heartbeat_interval`` and
-``respawn_limit`` (plain keyword arguments, validated by
-:func:`check_settings`); the hang timeout is the module constant
-:data:`HANG_TIMEOUT`.
+Two settings, ``heartbeat_interval`` and ``respawn_limit``, are plain
+keyword arguments (:func:`check_settings`); :data:`HANG_TIMEOUT` is not.
 
 Routing goes through the front-end's **epoch-versioned table**
 (:class:`~repro.serving.sharded.RoutingEpoch`), round-robin over the live
@@ -68,8 +66,8 @@ __all__ = ["FleetSupervisor", "RoutingEpoch", "check_settings"]
 
 
 #: A worker that has not answered a ping for ``HANG_TIMEOUT`` seconds is
-#: reported hung.  Pings queue behind queries in the FIFO task pipe, so
-#: this also bounds how long one shard's compute may take.
+#: reported hung.  Workers answer pings ahead of queued queries while
+#: they compute, so this never bounds how long a shard may take.
 HANG_TIMEOUT = 30.0
 
 
@@ -243,12 +241,8 @@ class FleetSupervisor:
             worker.ping(self._ping_seq)
 
     def _check_hangs(self, service) -> None:
-        """Report hung-but-alive workers dead and terminate them.
-
-        A worker grinding through a long batch answers pings late (the
-        task pipe is FIFO), so :data:`HANG_TIMEOUT` must dominate the worst
-        expected batch; 30 s is far above any benchmarked batch here.
-        """
+        """Report hung-but-alive workers (no progress, so no pong, for
+        :data:`HANG_TIMEOUT`) dead and terminate them."""
         now = time.monotonic()
         with self._lock:
             hung = [w for w in service.serving

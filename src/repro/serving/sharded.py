@@ -259,12 +259,11 @@ class ShardedRoutingService:
         ``multiprocessing`` start method (``None`` = platform default).
     warm_timeout, reply_timeout:
         Seconds to wait for every worker to warm up, and for one batch's
-        (or stats request's) answers.  A worker that is alive but stuck
-        is caught sooner: one that answers no heartbeat ping for
-        :data:`~repro.serving.fleet.HANG_TIMEOUT` (30 s) is reported hung.
-        Pings queue behind queries, so that constant also bounds one
-        shard's compute on every service — far above the largest batch a
-        benchmark here sends (500 pairs, a few milliseconds).
+        (or stats request's) answers; ``reply_timeout`` is the only bound
+        on a long shard's compute.  A worker that makes no progress
+        answers no heartbeat ping and is reported hung within
+        :data:`~repro.serving.fleet.HANG_TIMEOUT` (30 s); a busy one
+        answers pings ahead of its queued queries.
     graph:
         Optional graph handle kept for workload generation; queries are
         *not* validated against it in the parent — an invalid node raises in

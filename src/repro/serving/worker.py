@@ -34,24 +34,24 @@ __all__ = ["Worker"]
 class _FramedPipe:
     """One end of a one-way pipe carrying length-framed pickles.
 
-    Every worker has two of these pipes, each with exactly one writing
-    process and one reading process: *tasks* (front-end → worker) and
-    *results* (worker → front-end).  A ``multiprocessing.Queue`` is *not*
-    kill-safe in either direction: it moves every message through a
+    Every worker has three of these pipes, each with one writing process
+    and one reading process: *tasks* and *heartbeat* (front-end → worker)
+    and *results* (worker → front-end).  A ``multiprocessing.Queue`` is
+    *not* kill-safe in either direction: it moves every message through a
     feeder thread that takes a cross-process lock, and a SIGKILL landing
     while a worker's feeder holds the shared result queue's write lock
     leaves it acquired forever, silently wedging every sibling's replies —
     the exact failure mode the fleet supervisor exists to survive.  A
     private pipe has no lock to poison: a kill mid-write only truncates
     the dying worker's own last result frame, a kill mid-read only loses
-    the task frame it was reading, and the front-end discards both pipes
+    the task frame it was reading, and the front-end discards the pipes
     with the dead worker (tickets say which shards to re-scatter).
     Writing from the calling thread also means no feeder thread and no
     scheduler hop between ``put`` and the pipe.
 
     Writer end — :meth:`put` frames one message and writes it.  On the
-    front-end's task pipes the fd is non-blocking: what a full pipe does
-    not take stays queued here, in order, and :meth:`flush` sends more
+    front-end's ends the fd is non-blocking: what a full pipe does not
+    take stays queued here, in order, and :meth:`flush` sends more
     once ``select`` reports the pipe writable, so ``put`` never blocks a
     thread that holds a service lock.  A worker's result pipe is blocking
     and ``put`` returns with the frame written.  A write to a pipe whose
@@ -201,7 +201,7 @@ def _poll_channels(channels, backlog, timeout: float, senders=()):
 
 def _shard_worker(worker_id: int, artifact_path: str,
                   cache_config: CacheConfig, kernel: str, telemetry: bool,
-                  task_conn, result_conn) -> None:
+                  task_conn, heartbeat_conn, result_conn) -> None:
     """Worker main loop (module-level so it stays picklable under spawn).
 
     Each worker maps the full artifact and applies the
@@ -221,7 +221,8 @@ def _shard_worker(worker_id: int, artifact_path: str,
       owns the result cache, so it builds a route's text once and keeps it
       with the entry (:func:`~repro.serving.wire.encode_answer_texts`)
     * in  ``("stats",)``    → out ``("stats", worker_id, ServingStats)``
-    * in  ``("ping", seq)`` → out ``("pong", worker_id, seq)``
+    * in  ``("ping", seq)`` on the heartbeat pipe → out ``("pong",
+      worker_id, seq)`` from :func:`_answer_pings`, never behind queries
     * in  ``("shutdown",)`` → out ``("bye", worker_id, ServingStats)``, exit
 
     The task pipe is FIFO, so several ``query`` messages may be queued at
@@ -232,10 +233,10 @@ def _shard_worker(worker_id: int, artifact_path: str,
 
     Warm-up emits ``("ready", worker_id, load_seconds)`` on success or
     ``("failed", worker_id, summary)`` if the artifact cannot be loaded.
-    Tasks arrive over ``task_conn`` and replies leave over ``result_conn``,
-    this worker's two private pipes (see :class:`_FramedPipe` for why
-    neither is a shared queue).  The worker also exits if the task pipe
-    reaches EOF: every write end is closed, so no task can ever arrive.
+    Tasks arrive over ``task_conn``, pings over ``heartbeat_conn``,
+    replies leave over ``result_conn`` (private pipes: see
+    :class:`_FramedPipe` for why none is a shared queue).  The worker
+    exits if the task pipe reaches EOF: no task can ever arrive.
     """
     tasks = _FramedPipe(task_conn)
     results = _FramedPipe(result_conn)
@@ -248,11 +249,18 @@ def _shard_worker(worker_id: int, artifact_path: str,
         return
     service.stats.extra["worker_id"] = worker_id
     results.put(("ready", worker_id, service.stats.load_seconds))
+    busy = threading.Event()
+    threading.Thread(target=_answer_pings,
+                     args=(worker_id, _FramedPipe(heartbeat_conn), results,
+                           busy),
+                     name="repro-shard-pings", daemon=True).start()
     while True:
+        busy.clear()
         try:
             message = tasks.get()
         except EOFError:
             return
+        busy.set()
         tag = message[0]
         if tag == "shutdown":
             # query_stats() refreshes the hierarchy-level snapshots (pivot
@@ -261,9 +269,6 @@ def _shard_worker(worker_id: int, artifact_path: str,
             return
         if tag == "stats":
             results.put(("stats", worker_id, service.query_stats()))
-            continue
-        if tag == "ping":
-            results.put(("pong", worker_id, message[1]))
             continue
         if tag != "query":
             results.put(("error", worker_id, None,
@@ -285,33 +290,61 @@ def _shard_worker(worker_id: int, artifact_path: str,
         results.put(("ok", worker_id, request_id, indexed_values))
 
 
+def _answer_pings(worker_id: int, pings: _FramedPipe, results: _FramedPipe,
+                  busy: threading.Event) -> None:
+    """Ping thread: pongs each ping while the worker makes progress — its
+    main loop is idle (``busy`` clear) or has used CPU since the last pong.
+
+    A long shard keeps pongs coming (this thread takes the GIL at the
+    interpreter's switch interval); a stopped process, or a main loop
+    blocked mid-task, sends none.  ``put`` holds the result pipe's send
+    lock per frame, so the two writers never interleave.
+    """
+    # The main loop's CPU time: the process's less this thread's own.
+    answered_at = time.process_time() - time.thread_time()
+    try:
+        while True:
+            seq = pings.get()[1]
+            spent = time.process_time() - time.thread_time()
+            # Past a millisecond: the two clock reads themselves jitter.
+            if not busy.is_set() or spent - answered_at > 1e-3:
+                answered_at = spent
+                results.put(("pong", worker_id, seq))
+    except (EOFError, OSError):
+        pass
+
+
 class Worker:
     """Parent-side endpoint of one worker: its process and the parent ends
-    of its two private pipes — ``tasks`` (written) and ``results`` (read).
+    of its private pipes — ``tasks`` and ``heartbeat`` (written) and
+    ``results`` (read).
 
     ``state`` is the slot lifecycle, written by the front-end only:
     ``alive`` → serving; ``warming`` → respawned, loading its artifact;
     ``dead`` → exited unexpectedly or hung, awaiting a respawn (forever,
     under a spent or zero respawn budget).
 
-    The four requests frame one message onto the task pipe and never
-    block, so they are safe under the service lock — which is what keeps
-    a worker's frames in the order the lock handed out its window slots:
-    what a full pipe does not take stays queued in the pipe object and
-    goes out through :meth:`finish_sends` or the collector's flush.  Each
-    returns False when the reader is gone (the pipe is then
-    ``exhausted``); the ``OSError`` never escapes.
+    The four requests frame one message onto the task pipe (a ping onto
+    the heartbeat pipe) and never block, so they are safe under the
+    service lock — which keeps a worker's frames in the order the lock
+    handed out its window slots: what a full pipe does not take stays
+    queued in the pipe object and goes out through :meth:`finish_sends`
+    or the collector's flush.  Each returns False when the reader is
+    gone (the pipe is then ``exhausted``); the ``OSError`` never escapes.
     """
 
-    __slots__ = ("worker_id", "process", "tasks", "results", "state")
+    __slots__ = ("worker_id", "process", "tasks", "heartbeat", "results",
+                 "state")
 
     def __init__(self, worker_id: int, process=None,
                  tasks: Optional[_FramedPipe] = None,
+                 heartbeat: Optional[_FramedPipe] = None,
                  results: Optional[_FramedPipe] = None,
                  state: str = "dead") -> None:
         self.worker_id = worker_id
         self.process = process
         self.tasks = tasks
+        self.heartbeat = heartbeat
         self.results = results
         self.state = state
 
@@ -322,29 +355,32 @@ class Worker:
         """Start one worker process (see :func:`_shard_worker` for the
         arguments) and return its endpoint; ``ready`` arrives later."""
         task_reader, task_writer = ctx.Pipe(duplex=False)
+        beat_reader, beat_writer = ctx.Pipe(duplex=False)
         result_reader, result_writer = ctx.Pipe(duplex=False)
-        # Only this end: O_NONBLOCK belongs to the open file description,
+        # Only these ends: O_NONBLOCK belongs to the open file description,
         # and the worker's read end of the same pipe is another one.
         os.set_blocking(task_writer.fileno(), False)
+        os.set_blocking(beat_writer.fileno(), False)
         process = ctx.Process(
             target=_shard_worker,
             args=(worker_id, artifact_path, cache_config, kernel, telemetry,
-                  task_reader, result_writer),
+                  task_reader, beat_reader, result_writer),
             daemon=True, name=f"repro-shard-{worker_id}")
         process.start()
         # The child owns these ends now; dropping the parent's copies keeps
         # the fd table bounded across respawns, lets a write to a dead
         # worker fail (no reader left) instead of filling the pipe, and
         # makes the result pipe's EOF mean exactly "the worker is gone".
-        task_reader.close()
-        result_writer.close()
+        for end in (task_reader, beat_reader, result_writer):
+            end.close()
         return cls(worker_id, process, _FramedPipe(task_writer),
-                   _FramedPipe(result_reader), state="alive")
+                   _FramedPipe(beat_writer), _FramedPipe(result_reader),
+                   state="alive")
 
     # -- requests (the only place a request tuple is built) --------------
-    def _send(self, message) -> bool:
+    def _send(self, message, pipe: Optional[_FramedPipe] = None) -> bool:
         try:
-            self.tasks.put(message)
+            (pipe or self.tasks).put(message)
         except OSError:
             return False
         return True
@@ -357,7 +393,7 @@ class Worker:
         return self._send(("stats",))
 
     def ping(self, seq: int) -> bool:
-        return self._send(("ping", seq))
+        return self._send(("ping", seq), self.heartbeat)
 
     def shutdown(self) -> bool:
         return self._send(("shutdown",))
@@ -421,9 +457,10 @@ class Worker:
         """
         if self.tasks is not None:
             self.tasks.close()
+            self.heartbeat.close()
             self.results.exhausted = True
 
     def close(self) -> None:
-        for pipe in (self.tasks, self.results):
+        for pipe in (self.tasks, self.heartbeat, self.results):
             if pipe is not None:
                 pipe.close()

@@ -38,6 +38,7 @@ from helpers import watchdog
 from repro import graphs
 from repro.obs.metrics import make_registry
 from repro.serving import fleet as fleet_module
+from repro.serving import worker as worker_module
 from repro.serving import (
     BuildConfig,
     BackpressureError,
@@ -1084,7 +1085,7 @@ class TestServerPipelining:
             assert not service.is_running
             assert str(service._failure).startswith("worker 1 died (")
 
-    @watchdog(5.0)
+    @watchdog(60.0)
     def test_hung_worker_fails_typed_at_the_default_budget(
             self, net_config, net_graph, monkeypatch):
         """A worker that is alive but answers nothing is reported by the
@@ -1112,6 +1113,39 @@ class TestServerPipelining:
             finally:
                 if victim.is_alive():
                     os.kill(victim.pid, signal.SIGKILL)
+
+    @watchdog(60.0)
+    def test_slow_shard_is_not_a_hang_at_the_default_budget(
+            self, net_config, net_graph, local_backend, monkeypatch):
+        """A worker answers pings ahead of its queued queries, so a shard
+        that computes for longer than ``HANG_TIMEOUT`` is answered, not
+        reported hung: at ``respawn_limit=0`` a false hang would fail-stop
+        the whole service."""
+        monkeypatch.setattr(fleet_module, "HANG_TIMEOUT", 1.0)
+        answer_batch = worker_module.answer_batch
+
+        def slow_answer_batch(service, kind, pairs):
+            # Busy, not asleep: a long shard holds the GIL between the
+            # interpreter's switch points, and so does this loop.
+            until = time.monotonic() + 2.5
+            while time.monotonic() < until:
+                pass
+            return answer_batch(service, kind, pairs)
+
+        # Forked workers inherit the patched module.
+        monkeypatch.setattr(worker_module, "answer_batch", slow_answer_batch)
+        config = dataclasses.replace(net_config, workers=2,
+                                     heartbeat_interval=0.05,
+                                     start_method="fork")
+        assert config.respawn_limit == 0
+        pairs = zipf_workload(net_graph.nodes(), 64, seed=3).pairs
+        with open_service(config, graph=net_graph) as service:
+            started = time.monotonic()
+            assert service.route_batch(pairs) == \
+                local_backend.route_batch(pairs)
+            assert time.monotonic() - started > 2.5
+            assert service.is_running
+            assert service.query_stats().extra["fleet"]["worker_deaths"] == 0
 
 
     @watchdog(30.0)
