@@ -66,6 +66,6 @@ def test_apsp_round_scaling(benchmark, scaling_sizes):
 
 @pytest.mark.benchmark(group="apsp")
 def test_apsp_wallclock(benchmark, apsp_workloads):
-    """Wall-clock of the logical engine itself (for harness users)."""
+    """Wall-clock of ``approximate_apsp`` on its default ``batched`` engine."""
     g = apsp_workloads["er_uniform_n24"]
     benchmark(approximate_apsp, g, 0.5)

@@ -1,25 +1,23 @@
-"""Engine scaling — the batched multi-source detection engine vs per-source.
+"""Engine scaling — the batched multi-source detection engine as ``n`` grows.
 
-The per-source ``"logical"`` engine runs ``|S|`` pruned Dijkstras per
-rounding level (``O(|S| * (m + n log n))``); the ``"batched"`` engine runs a
-single sigma-truncated multi-source bucket-queue search (``O(sigma * m)``
-queue operations), so its advantage grows with ``|S| / sigma``.  This
-benchmark measures one full `solve_pde` call per engine at
+The ``"batched"`` engine runs a single sigma-truncated multi-source
+bucket-queue search per rounding level (``O(sigma * m)`` queue operations,
+independent of ``|S|``).  This benchmark times one full `solve_pde` call at
 ``|S| = ceil(sqrt(n) * ln n)`` sources — the regime of the paper's routing
-hierarchies — and verifies the outputs are identical.
+hierarchies.  Correctness is not checked here: the tier-1 tests compare
+``batched`` with the per-source reference in ``tests/helpers.py``
+(``test_detection_core.py::test_matches_logical_on_engine_matrix``,
+``test_engine_batched.py::test_matches_logical_randomized``).
 
 Run as a script to produce the JSON artifact consumed by CI:
 
     PYTHONPATH=src python benchmarks/bench_engine_scaling.py \
         --sizes 300 1000 3000 --out BENCH_engine_scaling.json
 
-By default the per-source engine is skipped above ``--logical-cutoff`` nodes
-(it takes minutes at n=3000); pass a larger cutoff to measure it everywhere.
-The batched engine is timed ``--repeats`` times: ``batched_seconds`` is the
-median and ``batched_samples`` the sorted samples, so the spread is on
-record (the per-source engine, minutes at scale, is timed once).
-The pytest entry point (``pytest benchmarks/bench_engine_scaling.py``) runs a
-small smoke configuration and asserts the speedup.
+Each size is timed ``--repeats`` times: ``batched_seconds`` is the median and
+``batched_samples`` the sorted samples, so the spread is on record.  The
+pytest entry point (``pytest benchmarks/bench_engine_scaling.py``) runs a
+small smoke configuration.
 """
 
 import argparse
@@ -46,55 +44,27 @@ def make_workload(n: int, seed: int = 0):
     return graph, sources, h, sigma
 
 
-def _lists_identical(a, b, nodes):
-    for v in nodes:
-        pa = [(e.estimate, e.source) for e in a.lists[v]]
-        pb = [(e.estimate, e.source) for e in b.lists[v]]
-        if pa != pb:
-            return False
-    return True
-
-
-def run_engine_comparison(n: int, seed: int = 0, epsilon: float = 0.5,
-                          include_logical: bool = True,
-                          repeats: int = 1) -> dict:
-    """Time solve_pde per engine on one workload; verify output identity."""
+def run_engine_timing(n: int, seed: int = 0, epsilon: float = 0.5,
+                      repeats: int = 1) -> dict:
+    """Time solve_pde on the batched engine for one workload."""
     graph, sources, h, sigma = make_workload(n, seed=seed)
-    record = {
-        "n": n,
-        "m": graph.num_edges,
-        "sources": len(sources),
-        "h": h,
-        "sigma": sigma,
-        "epsilon": epsilon,
-        "levels": None,
-        "batched_seconds": None,
-        "batched_samples": None,
-        "logical_seconds": None,
-        "speedup": None,
-        "lists_identical": None,
-    }
-
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
         batched = solve_pde(graph, sources, h=h, sigma=sigma, epsilon=epsilon,
                             engine="batched", store_levels=False)
         samples.append(round(time.perf_counter() - start, 4))
-    record["batched_samples"] = sorted(samples)
-    record["batched_seconds"] = round(statistics.median(samples), 4)
-    record["levels"] = batched.rounding.num_levels
-
-    if include_logical:
-        start = time.perf_counter()
-        logical = solve_pde(graph, sources, h=h, sigma=sigma, epsilon=epsilon,
-                            engine="logical", store_levels=False)
-        record["logical_seconds"] = round(time.perf_counter() - start, 4)
-        record["speedup"] = round(
-            record["logical_seconds"] / max(record["batched_seconds"], 1e-9), 2)
-        record["lists_identical"] = _lists_identical(logical, batched,
-                                                     graph.nodes())
-    return record
+    return {
+        "n": n,
+        "m": graph.num_edges,
+        "sources": len(sources),
+        "h": h,
+        "sigma": sigma,
+        "epsilon": epsilon,
+        "levels": batched.rounding.num_levels,
+        "batched_seconds": round(statistics.median(samples), 4),
+        "batched_samples": sorted(samples),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -102,17 +72,12 @@ def run_engine_comparison(n: int, seed: int = 0, epsilon: float = 0.5,
 # ----------------------------------------------------------------------
 @pytest.mark.benchmark(group="engine")
 def test_engine_scaling_smoke(benchmark):
-    record = benchmark.pedantic(lambda: run_engine_comparison(300),
+    record = benchmark.pedantic(lambda: run_engine_timing(300),
                                 iterations=1, rounds=1)
     print()
     print(f"n={record['n']} |S|={record['sources']} sigma={record['sigma']} "
-          f"levels={record['levels']}: logical {record['logical_seconds']}s, "
-          f"batched {record['batched_seconds']}s "
-          f"({record['speedup']}x, identical={record['lists_identical']})")
-    assert record["lists_identical"]
-    # |S|/sigma ~ 8 at n=300; demand a conservative fraction of that margin
-    # so the assertion stays robust on loaded CI machines.
-    assert record["speedup"] >= 1.5
+          f"levels={record['levels']}: batched {record['batched_seconds']}s")
+    assert record["levels"] > 1 and record["batched_seconds"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -124,8 +89,6 @@ def main(argv=None) -> int:
                         default=[300, 1000, 3000])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--epsilon", type=float, default=0.5)
-    parser.add_argument("--logical-cutoff", type=int, default=1000,
-                        help="skip the per-source engine above this n")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed batched solves per size (median kept)")
     parser.add_argument("--out", default="BENCH_engine_scaling.json")
@@ -137,32 +100,25 @@ def main(argv=None) -> int:
 
     records = []
     for n in args.sizes:
-        include_logical = n <= args.logical_cutoff
-        record = run_engine_comparison(n, seed=args.seed, epsilon=args.epsilon,
-                                       include_logical=include_logical,
-                                       repeats=args.repeats)
+        record = run_engine_timing(n, seed=args.seed, epsilon=args.epsilon,
+                                   repeats=args.repeats)
         records.append(record)
-        speedup = (f"{record['speedup']}x speedup"
-                   if record["speedup"] is not None else "logical skipped")
         print(f"n={n:>5} |S|={record['sources']:>4} sigma={record['sigma']:>3} "
               f"levels={record['levels']:>2}  "
-              f"batched={record['batched_seconds']:>8}s  "
-              f"logical={record['logical_seconds'] or '-':>8}  {speedup}")
+              f"batched={record['batched_seconds']:>8}s")
 
     payload = {
         "benchmark": "engine_scaling",
-        "description": "solve_pde batched vs per-source logical engine",
+        "description": "solve_pde on the batched engine",
         "workload": "ER avg-degree-6, weights 1..32, |S|=ceil(sqrt(n) ln n)",
         "records": records,
     }
     record_benchmark_run(
         "bench_engine_scaling", payload,
         {"sizes": args.sizes, "seed": args.seed, "epsilon": args.epsilon,
-         "logical_cutoff": args.logical_cutoff, "repeats": args.repeats},
+         "repeats": args.repeats},
         out_path=args.out, run_dir=args.run_dir)
-
-    mismatches = [r for r in records if r["lists_identical"] is False]
-    return 1 if mismatches else 0
+    return 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ tree of the network:
 * announcing globally-known structures such as the skeleton spanner
   (Theorem 4.5).
 
-This module provides a logical BFS-tree construction plus the standard
+This module provides a centralized BFS-tree construction plus the standard
 round-complexity accounting for pipelined broadcast/convergecast over such a
 tree, and a faithful distributed BFS algorithm for the simulator (used in
 tests to validate the round bound ``D``).
@@ -108,7 +108,7 @@ def global_broadcast_metrics(graph: WeightedGraph, num_messages: int,
                              root: Optional[Hashable] = None) -> CongestMetrics:
     """Analytic metrics for broadcasting ``num_messages`` messages network-wide.
 
-    Used by logical engines to account for phases of the form "make X known
+    Used by centralized computations to account for phases of the form "make X known
     to all nodes via a BFS tree" (e.g. the skeleton spanner in Theorem 4.5 or
     the simulated skeleton rounds in Lemma 4.12).
     """

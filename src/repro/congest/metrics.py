@@ -3,8 +3,9 @@
 The quantities the paper bounds — number of rounds, number of broadcasts per
 node (Lemma 3.4), and congestion across cuts (Figure 1) — are all collected
 here.  The metrics object is produced by the simulator for faithful runs and
-synthesised from the paper's formulas by the logical engines (clearly marked
-via :attr:`CongestMetrics.measured`).
+synthesised from the paper's formulas by the centralized computations (the
+``batched`` detection engine among them; clearly marked via
+:attr:`CongestMetrics.measured`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class CongestMetrics:
     measured:
         ``True`` if the numbers come from an actual round-by-round
         simulation; ``False`` if they are analytic bounds reported by a
-        logical engine.
+        centralized computation.
     """
 
     rounds: int = 0

@@ -6,14 +6,13 @@ from .source_detection import (
     SourceDetectionResult,
     detect_sources,
     detect_sources_batched,
-    detect_sources_logical,
     run_source_detection_simulation,
     LenzenPelegSourceDetection,
     expand_with_edge_lengths,
     lemma34_message_cap,
 )
 from .weight_rounding import RoundingScheme
-from .pde import PDEEntry, PDEResult, pde_engine_names, solve_pde
+from .pde import PDEEntry, PDEResult, solve_pde
 from .detection_exact import (
     ExactDetectionEntry,
     ExactDetectionResult,
@@ -29,7 +28,6 @@ __all__ = [
     "SourceDetectionResult",
     "detect_sources",
     "detect_sources_batched",
-    "detect_sources_logical",
     "run_source_detection_simulation",
     "LenzenPelegSourceDetection",
     "expand_with_edge_lengths",
@@ -37,7 +35,6 @@ __all__ = [
     "RoundingScheme",
     "PDEEntry",
     "PDEResult",
-    "pde_engine_names",
     "solve_pde",
     "ExactDetectionEntry",
     "ExactDetectionResult",

@@ -19,18 +19,17 @@ The solver follows the construction of Theorem 3.3 exactly:
 3. Combine: ``wd~(v, s) = min_i b(i) * hd_i(v, s)`` over levels where ``s``
    appears in the level list ``L_{v,i}``; output the top ``sigma`` entries.
 
-Three engines are available (the registry of
+Two engines are available (the registry of
 :mod:`repro.core.source_detection`):
 
 * ``engine="batched"`` (default) — per-level detection via one ``sigma``-
-  truncated multi-source bucket-queue search on the graph interned once per
-  solve; fastest, cost independent of ``|S|``, output identical to
-  ``"logical"``.
-* ``engine="logical"`` — per-level detection computed centrally with one
-  pruned Dijkstra per source (identical output, analytic round/message
-  bounds).
+  truncated multi-source bucket-queue search
+  (:func:`~repro.core.source_detection.bucket_detect`) on the graph interned
+  once per solve; cost independent of ``|S|``, analytic round/message
+  bounds.  The only engine a build may fan out to a pool.
 * ``engine="simulate"`` — per-level detection run faithfully on the CONGEST
-  simulator over the materialised virtual graph; metrics are measured.
+  simulator over the materialised virtual graph; metrics are measured, so
+  it runs in-process.
 
 Per Corollary 3.5 the expected cost is ``O((h + sigma)/eps^2 * log n + D)``
 rounds and ``O(sigma^2 / eps * log n)`` broadcasts per node.
@@ -39,7 +38,7 @@ rounds and ``O(sigma^2 / eps * log n)`` broadcasts per node.
 a task list and a fold: :func:`level_stream` turns ``(S, h, sigma)``
 instances into one ``(instance, rounding level)`` task each, solved by
 :func:`_solve_level` (the only place an ``engine`` name picks the code that
-solves a level), and hands the list to
+solves a level: the kernel, or the simulator), and hands the list to
 :func:`~repro.core.build_runner.run_tasks`; :func:`solve_pde` folds its
 instance's replies in level order (:func:`fold_detection_lists`, then
 :func:`finalize_pde_result`).  ``build_workers`` only tells the runner
@@ -76,25 +75,15 @@ from .weight_rounding import RoundingScheme
 __all__ = [
     "PDEEntry",
     "PDEResult",
-    "PARALLEL_PDE_ENGINES",
     "PDEInstance",
     "solve_pde",
     "solve_pde_instances",
-    "pde_engine_names",
     "validate_pde_instance",
     "level_adjacency",
     "intern_detection_lists",
     "fold_detection_lists",
     "finalize_pde_result",
 ]
-
-#: Engines whose per-level detections may be fanned out to pool workers
-#: (``build_workers > 1``, see :func:`level_stream`): those that are pure
-#: functions of ``(graph, S, h', sigma)`` with analytic metrics.  The
-#: faithful CONGEST simulator is excluded — its measured metrics are the
-#: point of running it, and they must be produced by one coherent run.
-PARALLEL_PDE_ENGINES = ("logical", "batched")
-
 
 class PDEEntry(NamedTuple):
     """One entry of a node's PDE output list ``L_v``."""
@@ -268,8 +257,8 @@ def level_adjacency(weights: List[int], base: float) -> List[int]:
     :class:`~repro.core.source_detection.GraphCSR` — bit-identical to routing
     every weight through
     :meth:`~repro.core.weight_rounding.RoundingScheme.edge_length_fn`, which
-    is what keeps the interned detections indistinguishable from the
-    per-level callback path of the labelled engines.
+    is what keeps the kernel's detections indistinguishable from the
+    simulator's, which walks the callback on the labelled graph.
     """
     return [max(1, math.ceil(w / base)) for w in weights]
 
@@ -278,7 +267,7 @@ def intern_detection_lists(lists: Dict[Hashable, List[DetectionEntry]],
                            node_id: Dict[Hashable, int],
                            rank: Dict[Hashable, int],
                            ) -> Dict[int, List[Tuple[int, int, int]]]:
-    """Translate a labelled engine's lists to the int space the fold works in."""
+    """Translate labelled detection lists to the int space the fold works in."""
     return {node_id[v]: [(d, rank[s], node_id.get(hop, -1))
                          for d, s, hop in entries]
             for v, entries in lists.items()}
@@ -364,35 +353,25 @@ class PDEInstance:
 
 
 class _LevelGraph:
-    """One graph as level tasks see it: interned always, labelled on demand.
+    """One graph as level tasks see it: interned, and labelled in-process.
 
-    Pickles as its :class:`~repro.core.source_detection.GraphCSR` alone (the
-    smaller pickle); a pool worker rebuilds the labelled graph the
-    ``logical`` engine walks on first use and keeps it for its later tasks.
+    Pickles as its :class:`~repro.core.source_detection.GraphCSR` alone: a
+    pool runs only ``batched`` tasks, which read nothing else, while the
+    simulator walks the labelled graph and runs in-process only.
     """
 
     def __init__(self, graph: Optional[WeightedGraph],
                  csr: Optional[GraphCSR] = None) -> None:
         self.csr = csr if csr is not None else GraphCSR.from_graph(graph)
         self.node_id = self.csr.node_ids()
-        self._graph = graph
+        self.graph = graph
 
     def __reduce__(self):
         return _LevelGraph, (None, self.csr)
 
-    @property
-    def graph(self) -> WeightedGraph:
-        if self._graph is None:
-            nodes, indptr, indices, weights = self.csr
-            # Row order is adjacency order, so this is the parent's graph.
-            self._graph = WeightedGraph.from_state({"nodes": nodes, "adjacency": [
-                (v, [(nodes[indices[j]], weights[j]) for j in range(a, b)])
-                for v, a, b in zip(nodes, indptr, indptr[1:])]})
-        return self._graph
-
 
 def _solve_level(task: dict, graphs: Dict[str, _LevelGraph]):
-    """Solve one ``(instance, rounding level)`` detection with any engine.
+    """Solve one ``(instance, rounding level)`` detection with its engine.
 
     Returns ``(lists, metrics, seconds)``: the int-space ``{node id:
     [(distance, source rank, from id), ...]}`` lists the fold consumes, the
@@ -403,35 +382,32 @@ def _solve_level(task: dict, graphs: Dict[str, _LevelGraph]):
     (see :func:`level_stream`).
     """
     started = time.perf_counter()
-    interned = graphs[task["token"]]
-    csr, source_ids, ranks = interned.csr, task["source_ids"], task["ranks"]
-    rounding, level, engine = task["rounding"], task["level"], task["engine"]
+    level_graph = graphs[task["token"]]
+    csr, source_ids, ranks = level_graph.csr, task["source_ids"], task["ranks"]
+    rounding, level = task["rounding"], task["level"]
+    horizon, sigma = task["horizon"], task["sigma"]
+    metrics = CongestMetrics(rounds=horizon + sigma, measured=False)
     if not source_ids:
-        metrics = CongestMetrics(rounds=task["horizon"] + task["sigma"],
-                                 measured=False)
         return {}, metrics, time.perf_counter() - started
-    if engine == "batched":
-        detection = detect_sources(
-            None, None, task["horizon"], task["sigma"], engine=engine,
-            interned=(csr, source_ids,
-                      level_adjacency(csr.weights, rounding.base(level))))
-        lists = detection.lists
+    if task["engine"] == "batched":
+        lengths = level_adjacency(csr.weights, rounding.base(level))
+        lists = dict(enumerate(
+            bucket_detect(csr, lengths, source_ids, horizon, sigma)))
         if ranks is not None:
             # Positions in the subset -> instance ranks; the map is
             # increasing, so each node's (distance, rank) order is kept.
             lists = {v: [(d, ranks[p], f) for d, p, f in entries]
                      for v, entries in lists.items()}
-    else:
-        labels = [csr.nodes[i] for i in source_ids]
-        engine_kwargs = ({"message_cap": task["message_cap"]}
-                         if engine == "simulate" else {})
-        detection = detect_sources(
-            interned.graph, set(labels), task["horizon"], task["sigma"],
-            edge_length=rounding.edge_length_fn(level), engine=engine,
-            **engine_kwargs)
-        lists = intern_detection_lists(
-            detection.lists, interned.node_id,
-            dict(zip(labels, range(len(labels)) if ranks is None else ranks)))
+        return lists, metrics, time.perf_counter() - started
+    # The simulator searches every source (ranks is None): its rounds are
+    # measured on the labelled graph.
+    labels = [csr.nodes[i] for i in source_ids]
+    detection = detect_sources(
+        level_graph.graph, set(labels), horizon, sigma,
+        edge_length=rounding.edge_length_fn(level), engine=task["engine"],
+        message_cap=task["message_cap"])
+    lists = intern_detection_lists(detection.lists, level_graph.node_id,
+                                   {s: r for r, s in enumerate(labels)})
     return lists, detection.metrics, time.perf_counter() - started
 
 
@@ -493,20 +469,13 @@ def level_stream(instances: Sequence[PDEInstance],
     truncated and sources never interact, so a source whose whole component
     lies within ``h'`` of it (:func:`_unsettled_ranks`) has, after level 0,
     an entry at every node of its component, and no later level can add or
-    replace one.  The plan is made here, in the driving process, for the pure
-    engines (:data:`PARALLEL_PDE_ENGINES`; ``simulate`` searches everything,
-    its measured rounds are the point): level 0 searches every source, each
-    later task carries only the unsettled ranks, and a task with none returns
-    empty lists — tasks stay pure functions of their payloads, and the result,
-    insertion order included, is the one searching everything gives.
+    replace one.  The plan is made here, in the driving process, for
+    ``batched`` (``simulate`` searches everything, its measured rounds are
+    the point): level 0 searches every source, each later task carries only
+    the unsettled ranks, and a task with none returns empty lists — tasks
+    stay pure functions of their payloads, and the result, insertion order
+    included, is the one searching everything gives.
     """
-    if build_workers > 1:
-        for inst in instances:
-            if inst.engine not in PARALLEL_PDE_ENGINES:
-                raise ValueError(
-                    f"engine {inst.engine!r} does not support parallel "
-                    f"builds; build_workers > 1 requires one of "
-                    f"{sorted(PARALLEL_PDE_ENGINES)}")
     shared = {token: _LevelGraph(g) for token, g in graphs.items()}
     tasks = []
     for inst in instances:
@@ -517,10 +486,14 @@ def level_stream(instances: Sequence[PDEInstance],
                              f"token {inst.token!r}") from None
         ranked, rounding, horizon = _plan_instance(
             graph, inst.sources, inst.h, inst.sigma, inst.epsilon, inst.engine)
+        if build_workers > 1 and inst.engine != "batched":
+            raise ValueError(f"engine {inst.engine!r} does not support "
+                             f"parallel builds; build_workers > 1 requires "
+                             f"'batched'")
         level_graph = shared[inst.token]
         source_ids = [level_graph.node_id[s] for s in ranked]
         every = later = (None, source_ids)  # (ranks, ids); None: every rank
-        if (inst.engine in PARALLEL_PDE_ENGINES and inst.sigma >= len(ranked)
+        if (inst.engine == "batched" and inst.sigma >= len(ranked)
                 and rounding.imax):
             ranks = _unsettled_ranks(level_graph.csr, source_ids, horizon)
             if len(ranks) < len(ranked):
@@ -558,10 +531,9 @@ def solve_pde(graph: WeightedGraph, sources: Iterable[Hashable], h: int, sigma: 
     epsilon:
         Approximation parameter (``wd' <= (1+eps) wd`` within ``h`` hops).
     engine:
-        Per-level detection engine: ``"batched"`` (default; fastest, analytic
-        metrics), ``"logical"`` (per-source searches, identical output) or
-        ``"simulate"`` (faithful CONGEST execution on the materialised
-        virtual graphs, measured metrics).
+        Per-level detection engine: ``"batched"`` (default; the bucket-queue
+        kernel, analytic metrics) or ``"simulate"`` (faithful CONGEST
+        execution on the materialised virtual graphs, measured metrics).
     message_cap:
         Apply the Lemma 3.4 per-node broadcast cap in the simulator.
     store_levels:
@@ -575,7 +547,7 @@ def solve_pde(graph: WeightedGraph, sources: Iterable[Hashable], h: int, sigma: 
         The default ``1`` runs each level in-process when the fold reaches
         it; ``> 1`` runs the same task list on a spawn-based pool
         (:mod:`repro.core.build_runner`) — the result is identical.  Only
-        the pure engines (:data:`PARALLEL_PDE_ENGINES`) support it.
+        ``"batched"`` supports it.
     registry:
         Optional telemetry registry: each level's solve time lands in the
         ``level_solve`` histogram and each level's fold under a
@@ -636,7 +608,3 @@ def solve_pde_instances(instances: Sequence[PDEInstance],
                           _levels=levels)
                 for inst in instances]
 
-
-def pde_engine_names() -> List[str]:
-    """The available per-level detection engine names."""
-    return sorted(DETECTION_ENGINES)

@@ -7,28 +7,27 @@ pairs among sources within ``h`` hops.  On unweighted graphs this is solvable
 deterministically in ``h + sigma`` rounds, and — crucially for Lemma 3.4 — a
 node needs to broadcast at most ``O(sigma^2)`` messages overall.
 
-This module provides three interchangeable engines, selectable by name via
-the :data:`DETECTION_ENGINES` registry / :func:`detect_sources` dispatcher:
+The problem is deterministic, so its output is unique.  This module provides
+two engines that compute it, selectable by name via the
+:data:`DETECTION_ENGINES` registry / :func:`detect_sources` dispatcher:
 
-* ``"logical"`` — :func:`detect_sources_logical`, a centralized computation
-  of the exact output the distributed algorithm produces (the problem is
-  deterministic, so the output is unique).  One pruned Dijkstra *per source*;
-  supports integer *edge lengths*, which is how the virtual subdivided graphs
-  ``G_i`` of Section 3 are handled without materialising them.
-* ``"batched"`` — :func:`detect_sources_batched`, a single lexicographic
-  multi-source search in which every node retains at most ``sigma``
-  ``(distance, source)`` labels and only surviving labels propagate.  This is
-  the centralized mirror of the paper's key insight (a node never needs more
-  than its top-``sigma`` labels): total cost ``O(sigma * m)`` queue
-  operations *independent of* ``|S|``, versus ``O(|S| * (m + n log n))`` for
-  the per-source engine.  Output lists are identical to ``"logical"``.
+* ``"batched"`` — :func:`detect_sources_batched`, a centralized computation
+  of the exact output the distributed algorithm produces: a single
+  lexicographic multi-source search in which every node retains at most
+  ``sigma`` ``(distance, source)`` labels and only surviving labels
+  propagate.  This is the centralized mirror of the paper's key insight (a
+  node never needs more than its top-``sigma`` labels): total cost
+  ``O(sigma * m)`` queue operations *independent of* ``|S|``.  It supports
+  integer *edge lengths*, which is how the virtual subdivided graphs ``G_i``
+  of Section 3 are handled without materialising them.
 * ``"simulate"`` — :class:`LenzenPelegSourceDetection`, the faithful
   per-round CONGEST algorithm, run via
   :class:`~repro.congest.network.CongestNetwork` on an explicitly subdivided
   graph (see :func:`expand_with_edge_lengths`).  It measures real rounds and
   per-node broadcast counts and optionally applies the Lemma 3.4 message cap.
 
-Tests assert the engines agree list-for-list.
+Tests assert that both engines agree list-for-list with a per-source
+reference (one pruned Dijkstra per source) kept in the test suite.
 
 **Rounds are buckets.**  The distributed algorithm proceeds round by round
 over integer distances, and so does the batched kernel
@@ -58,8 +57,9 @@ lexicographic source order as integer comparisons).  The kernel sees only
 those ints plus one flat list of per-edge integer lengths, and emits plain
 ``(distance, rank, from id)`` triples; :class:`DetectionEntry` objects and
 ``Hashable`` labels exist only on the outside of
-:func:`materialize_detection`.  The PDE solver folds the triples as they are,
-and parallel build workers receive the same ``GraphCSR`` and run the same
+:func:`materialize_detection`.  The PDE solver calls :func:`bucket_detect`
+itself on a graph it interned once and folds the triples as they are;
+parallel build workers receive the same ``GraphCSR`` and run the same
 kernel.
 
 Boundary semantics: the detection engines accept the degenerate parameters
@@ -72,7 +72,6 @@ Theorem 3.3 are vacuous there; see its docstring.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional, Set,
                     Tuple)
@@ -89,7 +88,6 @@ __all__ = [
     "DETECTION_ENGINES",
     "GraphCSR",
     "detect_sources",
-    "detect_sources_logical",
     "detect_sources_batched",
     "bucket_detect",
     "materialize_detection",
@@ -127,7 +125,7 @@ class SourceDetectionResult:
         The instance parameters.
     metrics:
         Round/message accounting (measured for the simulator, analytic for
-        the logical engine).
+        the batched engine).
     """
 
     lists: Dict[Hashable, List[DetectionEntry]]
@@ -149,73 +147,6 @@ class SourceDetectionResult:
 def lemma34_message_cap(sigma: int) -> int:
     """The broadcast cap of Lemma 3.4: ``sum_{i=1}^{sigma} i`` messages per node."""
     return sigma * (sigma + 1) // 2
-
-
-# ----------------------------------------------------------------------
-# logical engine
-# ----------------------------------------------------------------------
-def detect_sources_logical(graph: WeightedGraph, sources: Set[Hashable], h: int,
-                           sigma: int, edge_length: Optional[LengthFn] = None,
-                           ) -> SourceDetectionResult:
-    """Compute the exact output of ``(S, h, sigma)``-detection.
-
-    ``edge_length`` reinterprets each edge as a path of that many unit edges
-    (the virtual graph ``G_i`` of Section 3); by default every edge has
-    length 1, i.e. the graph is treated as unweighted.
-
-    The per-node output is the lexicographically-sorted prefix of
-    ``{(d(v, s), s) : s in S, d(v, s) <= h}`` of length at most ``sigma``,
-    where ``d`` is the (length-weighted) hop distance.  Next hops point along
-    a corresponding shortest path.
-
-    The degenerate boundaries ``h = 0`` (sources detect only themselves) and
-    ``sigma = 0`` (all lists empty) are accepted; only negative parameters
-    are rejected.  Note that :func:`repro.core.pde.solve_pde` is stricter and
-    requires ``h >= 1`` and ``sigma >= 1`` (see the module docstring).
-    """
-    if h < 0 or sigma < 0:
-        raise ValueError("h and sigma must be non-negative")
-    length = edge_length if edge_length is not None else (lambda u, v, w: 1)
-
-    best: Dict[Hashable, Dict[Hashable, Tuple[int, Optional[Hashable]]]] = {
-        v: {} for v in graph.nodes()
-    }
-    for s in sorted(sources, key=repr):
-        if not graph.has_node(s):
-            raise ValueError(f"source {s!r} is not a node of the graph")
-        # Dijkstra with integer edge lengths, pruned at distance h.
-        dist: Dict[Hashable, int] = {s: 0}
-        parent: Dict[Hashable, Optional[Hashable]] = {s: None}
-        heap: List[Tuple[int, Hashable]] = [(0, s)]
-        settled: Set[Hashable] = set()
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in settled or d > h:
-                continue
-            settled.add(u)
-            for v, w in graph.neighbor_weights(u).items():
-                nd = d + max(1, int(length(u, v, w)))
-                if nd <= h and nd < dist.get(v, h + 1):
-                    dist[v] = nd
-                    parent[v] = u
-                    heapq.heappush(heap, (nd, v))
-        for v, d in dist.items():
-            if d <= h:
-                # ``parent[v]`` is the predecessor on the path from s to v,
-                # i.e. the next hop from v toward s.
-                best[v][s] = (d, parent[v])
-
-    lists: Dict[Hashable, List[DetectionEntry]] = {}
-    for v in graph.nodes():
-        entries = [
-            DetectionEntry(distance=d, source=s, next_hop=nh)
-            for s, (d, nh) in best[v].items()
-        ]
-        entries.sort(key=lambda e: e.key())
-        lists[v] = entries[:sigma]
-
-    metrics = CongestMetrics(rounds=h + sigma, measured=False)
-    return SourceDetectionResult(lists=lists, h=h, sigma=sigma, metrics=metrics)
 
 
 # ----------------------------------------------------------------------
@@ -383,8 +314,6 @@ def materialize_detection(result: "SourceDetectionResult",
 
 def detect_sources_batched(graph: WeightedGraph, sources: Set[Hashable], h: int,
                            sigma: int, edge_length: Optional[LengthFn] = None,
-                           interned: Optional[Tuple[GraphCSR, List[int],
-                                                    List[int]]] = None,
                            ) -> SourceDetectionResult:
     """Compute ``(S, h, sigma)``-detection with one multi-source search.
 
@@ -397,48 +326,37 @@ def detect_sources_batched(graph: WeightedGraph, sources: Set[Hashable], h: int,
     ``v``-``s`` path, then ``s`` is among the ``sigma`` smallest for ``w`` as
     well (any label beating ``s`` at ``w`` extends to a label beating ``s``
     at ``v``).  Hence truncating to ``sigma`` labels per node never loses an
-    output entry, and the produced lists are identical to
-    :func:`detect_sources_logical`.
+    output entry, and the produced lists are identical to those of one
+    pruned Dijkstra per source.
 
-    Cost is ``O(sigma * m)`` queue operations, independent of ``|S|``.  Next
-    hops point along a shortest path realising the listed distance (they may
-    differ from the per-source engine's choice when multiple shortest paths
-    exist; the ``(distance, source)`` lists do not).
+    ``edge_length`` reinterprets each edge as a path of that many unit edges
+    (the virtual graph ``G_i`` of Section 3); by default every edge has
+    length 1.  Cost is ``O(sigma * m)`` queue operations, independent of
+    ``|S|``.  Next hops point along a shortest path realising the listed
+    distance (they may differ from a per-source search's choice when
+    multiple shortest paths exist; the ``(distance, source)`` lists do not).
 
-    Accepts the same degenerate boundaries as the logical engine: ``h = 0``
-    and ``sigma = 0``.
-
-    ``interned`` optionally supplies ``(csr, source_ids, lengths)`` — the
-    arguments of :func:`bucket_detect` — so callers solving many instances on
-    one graph (the PDE solver iterating rounding levels) intern once instead
-    of per call.  ``graph``, ``sources`` and ``edge_length`` are then ignored
-    (the caller owns the equivalence) and the result stays in int space:
-    ``lists`` is keyed by node id and holds the kernel's plain triples;
-    :func:`materialize_detection` translates it.
+    The degenerate boundaries ``h = 0`` (sources detect only themselves) and
+    ``sigma = 0`` (all lists empty) are accepted; only negative parameters
+    are rejected.
     """
     if h < 0 or sigma < 0:
         raise ValueError("h and sigma must be non-negative")
-    if interned is not None:
-        csr, source_ids, lengths = interned
+    for s in sources:
+        if not graph.has_node(s):
+            raise ValueError(f"source {s!r} is not a node of the graph")
+    csr = GraphCSR.from_graph(graph)
+    if edge_length is None:
+        lengths = [1] * len(csr.indices)
     else:
-        for s in sources:
-            if not graph.has_node(s):
-                raise ValueError(f"source {s!r} is not a node of the graph")
-        csr = GraphCSR.from_graph(graph)
-        if edge_length is None:
-            lengths = [1] * len(csr.indices)
-        else:
-            lengths = [max(1, int(edge_length(v, u, w))) for v in csr.nodes
-                       for u, w in graph.neighbor_weights(v).items()]
-        node_id = csr.node_ids()
-        ranked = sorted(sources, key=repr)
-        source_ids = [node_id[s] for s in ranked]
-    lists = bucket_detect(csr, lengths, source_ids, h, sigma)
+        lengths = [max(1, int(edge_length(v, u, w))) for v in csr.nodes
+                   for u, w in graph.neighbor_weights(v).items()]
+    node_id = csr.node_ids()
+    ranked = sorted(sources, key=repr)
+    lists = bucket_detect(csr, lengths, [node_id[s] for s in ranked], h, sigma)
     result = SourceDetectionResult(
         lists=dict(enumerate(lists)), h=h, sigma=sigma,
         metrics=CongestMetrics(rounds=h + sigma, measured=False))
-    if interned is not None:
-        return result
     return materialize_detection(result, csr.nodes, ranked)
 
 
@@ -617,10 +535,9 @@ def run_source_detection_simulation(graph: WeightedGraph, sources: Set[Hashable]
 # ----------------------------------------------------------------------
 # engine registry
 # ----------------------------------------------------------------------
-#: Named detection engines.  All produce identical ``(distance, source)``
+#: Named detection engines.  Both produce identical ``(distance, source)``
 #: lists; they differ in cost model and metrics (see the module docstring).
 DETECTION_ENGINES: Dict[str, Callable[..., SourceDetectionResult]] = {
-    "logical": detect_sources_logical,
     "batched": detect_sources_batched,
     "simulate": run_source_detection_simulation,
 }
@@ -633,7 +550,7 @@ def detect_sources(graph: WeightedGraph, sources: Set[Hashable], h: int,
     """Solve ``(S, h, sigma)``-detection with the named engine.
 
     ``engine`` selects from :data:`DETECTION_ENGINES` (``"batched"`` by
-    default — the fastest engine with output identical to ``"logical"``).
+    default — the fast engine; ``"simulate"`` replays the CONGEST rounds).
     Extra keyword arguments are forwarded to the engine; only ``"simulate"``
     accepts any (``message_cap``).
     """

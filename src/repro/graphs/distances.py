@@ -9,8 +9,8 @@ distance notion the paper uses:
 * minimum-hop shortest weighted paths and the shortest path diameter ``SPD``.
 
 These are used both as ground truth in tests and benchmarks (stretch is
-always measured against ``wd``) and as the computational core of the fast
-"logical" execution engine for the distributed algorithms.
+always measured against ``wd``) and as the computational core of the
+centralized (non-simulated) computations of the distributed algorithms.
 """
 
 from __future__ import annotations

@@ -239,18 +239,18 @@ class CompactRoutingHierarchy:
             Optional upper bound on the shortest-path diameter for
             ``mode="spd"`` (computed exactly when omitted).
         engine:
-            Per-level PDE detection engine (forwarded to
-            :func:`repro.core.pde.solve_pde`).  Skeleton-level instances are
-            globally simulated per Lemma 4.12, so ``"simulate"`` falls back
-            to ``"logical"`` there (the rounds are accounted analytically).
+            Per-level PDE detection engine, ``"batched"`` or ``"simulate"``
+            (forwarded to :func:`repro.core.pde.solve_pde`).  Skeleton-level
+            instances are globally simulated per Lemma 4.12, so they build
+            with ``"batched"`` under either engine (the rounds are accounted
+            analytically).
         build_workers:
             Processes the level stream runs on.  The per-level instances
             are always put on one stream
             (:func:`repro.core.pde.solve_pde_instances`); ``1`` (default)
             solves each rounding level in-process as its fold comes up,
-            ``> 1`` (pure engines ``"logical"``/``"batched"`` only) on a
-            pool.  The built hierarchy is *identical* either way — down to
-            the artifact checksum.
+            ``> 1`` (``"batched"`` only) on a pool.  The built hierarchy is
+            *identical* either way — down to the artifact checksum.
         registry:
             Optional telemetry registry for build-stage spans
             (``level_solve``, ``build_scatter``, ``build_merge``).
@@ -348,8 +348,8 @@ class CompactRoutingHierarchy:
 
             bfs_height = build_bfs_tree(graph, graph.nodes()[0]).height
             # The skeleton computation is simulated globally (Lemma 4.12),
-            # so the faithful CONGEST engine does not apply here.
-            skeleton_engine = "logical" if engine == "simulate" else engine
+            # so the faithful CONGEST engine does not apply here: skeleton
+            # levels always build with the default "batched" engine.
             # Every S_l is non-empty (the top level is), and a skeleton with
             # no edges — a single node, say — is solved like any other: its
             # PDE is the identity, wd'_sk(t, t) = 0.
@@ -364,8 +364,7 @@ class CompactRoutingHierarchy:
                 skel_levels.append((l, h_skel, sigma))
             sk_instances = {
                 l: PDEInstance(token="skeleton", sources=tuple(level_sets[l]),
-                               h=h_skel, sigma=sigma, epsilon=epsilon,
-                               engine=skeleton_engine)
+                               h=h_skel, sigma=sigma, epsilon=epsilon)
                 for l, h_skel, sigma in skel_levels}
             sk_solved = dict(zip(sk_instances, solve_pde_instances(
                 list(sk_instances.values()), {"skeleton": skeleton_graph},

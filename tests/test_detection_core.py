@@ -33,7 +33,6 @@ from repro import graphs
 from repro.core import (
     detect_sources,
     detect_sources_batched,
-    detect_sources_logical,
     solve_pde,
 )
 from repro.core.source_detection import (GraphCSR, _detect_pruned,
@@ -42,6 +41,8 @@ from repro.graphs import WeightedGraph
 from repro.routing.compact import build_compact_routing
 from repro.serving import parse_graph_spec
 from repro.serving.artifacts import artifact_info, save_hierarchy
+
+from helpers import detect_sources_logical
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "golden_build_checksums.json")

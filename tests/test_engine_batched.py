@@ -1,9 +1,10 @@
 """Tests for the batched multi-source detection engine and the engine registry.
 
-The batched engine must be *list-for-list identical* to both existing engines
-(the detection problem is deterministic, so the ``(distance, source)`` output
-is unique); next hops may differ between engines only among equally short
-paths, so they are verified semantically (each realises the listed distance).
+The batched engine must be *list-for-list identical* to the per-source
+reference (:func:`helpers.detect_sources_logical`) and to the simulator (the
+detection problem is deterministic, so the ``(distance, source)`` output is
+unique); next hops may differ only among equally short paths, so they are
+verified semantically (each realises the listed distance).
 """
 
 import random
@@ -15,11 +16,13 @@ from repro.core import (
     DETECTION_ENGINES,
     detect_sources,
     detect_sources_batched,
-    detect_sources_logical,
     run_source_detection_simulation,
     solve_pde,
 )
 from repro.graphs import WeightedGraph
+from repro.routing import build_compact_routing
+
+from helpers import detect_sources_logical, unplanned_pde
 
 
 def _pairs(result, node):
@@ -33,7 +36,7 @@ def _assert_lists_identical(graph, a, b):
 
 class TestRegistry:
     def test_registry_names(self):
-        assert set(DETECTION_ENGINES) == {"logical", "batched", "simulate"}
+        assert set(DETECTION_ENGINES) == {"batched", "simulate"}
 
     def test_dispatch_default_is_batched(self, grid):
         sources = set(list(grid.nodes())[:4])
@@ -43,7 +46,7 @@ class TestRegistry:
 
     def test_dispatch_by_name(self, grid):
         sources = set(list(grid.nodes())[:4])
-        for name in ("logical", "batched", "simulate"):
+        for name in ("batched", "simulate"):
             result = detect_sources(grid, sources, h=6, sigma=3, engine=name)
             assert result.h == 6 and result.sigma == 3
 
@@ -58,9 +61,16 @@ class TestRegistry:
             detect_sources(grid, {grid.nodes()[0]}, h=3, sigma=2, engine="bogus")
 
     def test_solve_pde_unknown_engine_raises(self, grid):
-        with pytest.raises(ValueError, match="unknown engine"):
-            solve_pde(grid, grid.nodes(), h=3, sigma=2, epsilon=0.5,
-                      engine="bogus")
+        # "logical" is the tests' per-source reference, not an engine.
+        unknown = r"unknown engine .*available: \['batched', 'simulate'\]"
+        for engine in ("bogus", "logical"):
+            with pytest.raises(ValueError, match=unknown):
+                solve_pde(grid, grid.nodes(), h=3, sigma=2, epsilon=0.5,
+                          engine=engine)
+            for workers in (1, 2):
+                with pytest.raises(ValueError, match=unknown):
+                    build_compact_routing(grid, k=2, engine=engine,
+                                          build_workers=workers)
 
 
 class TestBatchedIdentity:
@@ -133,7 +143,7 @@ class TestBatchedIdentity:
         with pytest.raises(ValueError):
             detect_sources_batched(unit_path, {99}, h=3, sigma=2)
         # Validation must fire even on the sigma=0 early-return path, matching
-        # the logical engine (the engines are interchangeable).
+        # the per-source reference.
         with pytest.raises(ValueError):
             detect_sources_batched(unit_path, {99}, h=3, sigma=0)
 
@@ -177,9 +187,11 @@ class TestBatchedNextHops:
 class TestPDEBatchedEngine:
     def test_pde_lists_identical_to_logical(self, small_weighted_graph,
                                             mixed_scale_graph):
+        # Against the per-source reference at every rounding level.  Next
+        # hops are not compared: the reference breaks ties differently.
         for g in (small_weighted_graph, mixed_scale_graph):
-            logical = solve_pde(g, g.nodes(), h=6, sigma=5, epsilon=0.25,
-                                engine="logical")
+            logical, _ = unplanned_pde(g, g.nodes(), h=6, sigma=5,
+                                       epsilon=0.25, reference=True)
             batched = solve_pde(g, g.nodes(), h=6, sigma=5, epsilon=0.25,
                                 engine="batched")
             for v in g.nodes():

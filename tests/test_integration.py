@@ -2,7 +2,7 @@
 
 These tests tie all subsystems together the way the benchmarks do:
 generator -> PDE/APSP -> routing schemes -> stretch audit, and
-faithful-simulation vs logical-engine agreement on a non-trivial instance.
+faithful-simulation vs batched-engine agreement on a non-trivial instance.
 """
 
 import pytest
@@ -76,13 +76,13 @@ class TestEnginesAgree:
     def test_pde_engines_agree_on_weighted_graph(self):
         g = graphs.grid_graph(3, 5, graphs.uniform_weights(1, 12), seed=9)
         sources = list(g.nodes())[:6]
-        logical = solve_pde(g, sources, h=6, sigma=4, epsilon=0.5, engine="logical")
+        batched = solve_pde(g, sources, h=6, sigma=4, epsilon=0.5, engine="batched")
         simulated = solve_pde(g, sources, h=6, sigma=4, epsilon=0.5, engine="simulate")
         for v in g.nodes():
-            assert [(e.estimate, e.source) for e in logical.lists[v]] == \
+            assert [(e.estimate, e.source) for e in batched.lists[v]] == \
                 [(e.estimate, e.source) for e in simulated.lists[v]]
         # The simulated run really measured its cost.
-        assert simulated.metrics.measured and not logical.metrics.measured
+        assert simulated.metrics.measured and not batched.metrics.measured
 
 
 class TestSeedStability:

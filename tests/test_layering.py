@@ -185,7 +185,10 @@ def test_option_census():
     ``FLAGS`` 33 → 32 (``--fleet``) and ``ServingConfig`` 21 → 20 fields
     (``fleet``), and deleted ``FleetConfig``: the supervisor's two settings
     are plain keyword arguments, validated against ``ServingConfig``'s
-    two fields of the same names."""
+    two fields of the same names.  One detection engine builds (the
+    per-source search is the tests' reference, not an engine) pinned
+    ``DETECTION_ENGINES`` to ``batched`` and ``simulate``, and left
+    ``repro.core.pde`` without a pool-eligibility table."""
     import dataclasses
 
     from repro.serving import (
@@ -200,6 +203,7 @@ def test_option_census():
         specs,
         workloads,
     )
+    from repro.core import pde, source_detection
     from repro.routing import tz_hierarchy
     from repro.serving.cli import FLAGS
 
@@ -216,7 +220,8 @@ def test_option_census():
     assert len(field_names(WorkloadConfig)) == 4
     tables = {"WORKLOADS": workloads.WORKLOADS,
               "QUERY_KERNELS": service.QUERY_KERNELS,
-              "GRAPH_FAMILIES": specs.GRAPH_FAMILIES}
+              "GRAPH_FAMILIES": specs.GRAPH_FAMILIES,
+              "DETECTION_ENGINES": source_detection.DETECTION_ENGINES}
     assert all(type(table) is dict for table in tables.values())
     assert service.QUERY_KERNELS is tz_hierarchy.QUERY_KERNELS
     assert {name: tuple(sorted(table))
@@ -225,7 +230,9 @@ def test_option_census():
         "QUERY_KERNELS": ("auto", "columnar", "dict"),
         "GRAPH_FAMILIES": ("ba", "er", "fattree", "geometric", "grid",
                            "path", "powerlaw", "road", "tree"),
+        "DETECTION_ENGINES": ("batched", "simulate"),
     }
+    assert not hasattr(pde, "PARALLEL_PDE_ENGINES")
     assert [name for module in (workloads, service, specs)
             for name in vars(module)
             if name.startswith(("register_", "get_"))] == []

@@ -43,14 +43,13 @@ def _checksum(hierarchy, tmp, name):
 # ----------------------------------------------------------------------
 # solve_pde level
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ["logical", "batched"])
-def test_solve_pde_parallel_identity(engine):
+def test_solve_pde_parallel_identity():
     graph = small_graph()
     sources = sorted(graph.nodes())[:6]
     seq = solve_pde(graph, sources, h=6, sigma=3, epsilon=0.25,
-                    engine=engine, store_levels=True)
+                    store_levels=True)
     par = solve_pde(graph, sources, h=6, sigma=3, epsilon=0.25,
-                    engine=engine, store_levels=True, build_workers=2)
+                    store_levels=True, build_workers=2)
     assert par.export_state() == seq.export_state()
 
 
@@ -120,13 +119,12 @@ def test_solve_pde_rejects_bad_build_workers():
 
 
 # ----------------------------------------------------------------------
-# full hierarchy: checksum identity across modes and engines
+# full hierarchy: checksum identity across modes
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", ["budget", "spd", "truncated"])
-@pytest.mark.parametrize("engine", ["logical", "batched"])
-def test_parallel_build_checksum_identical(mode, engine):
+def test_parallel_build_checksum_identical(mode):
     graph = small_graph()
-    kwargs = dict(k=3, epsilon=0.25, seed=7, mode=mode, engine=engine)
+    kwargs = dict(k=3, epsilon=0.25, seed=7, mode=mode)
     if mode == "truncated":
         kwargs["l0"] = 2
     seq = build_compact_routing(graph, **kwargs)

@@ -6,13 +6,10 @@ from hypothesis import strategies as st
 
 from repro import graphs
 from repro.core import DETECTION_ENGINES, solve_pde
-from repro.core.pde import (finalize_pde_result, fold_detection_lists,
-                            intern_detection_lists, level_adjacency)
-from repro.core.source_detection import (GraphCSR, SourceDetectionResult,
-                                         detect_sources, materialize_detection)
-from repro.core.weight_rounding import RoundingScheme
 from repro.graphs import (WeightedGraph, all_pairs_weighted_distances,
                           dijkstra_with_hops)
+
+from helpers import unplanned_pde
 
 
 def _feasibility_check(graph, pde, epsilon):
@@ -134,16 +131,6 @@ class TestLogicalEngine:
 
 
 class TestSimulatedEngine:
-    def test_simulation_matches_logical(self):
-        g = graphs.erdos_renyi_graph(16, 0.25, graphs.uniform_weights(1, 30), seed=8)
-        sources = list(g.nodes())[:5]
-        logical = solve_pde(g, sources, h=6, sigma=3, epsilon=0.5, engine="logical")
-        simulated = solve_pde(g, sources, h=6, sigma=3, epsilon=0.5, engine="simulate")
-        for v in g.nodes():
-            log_pairs = [(e.estimate, e.source) for e in logical.lists[v]]
-            sim_pairs = [(e.estimate, e.source) for e in simulated.lists[v]]
-            assert log_pairs == sim_pairs
-
     def test_simulation_metrics_measured(self):
         g = graphs.grid_graph(3, 4, graphs.uniform_weights(1, 5), seed=1)
         simulated = solve_pde(g, g.nodes()[:3], h=4, sigma=2, epsilon=0.5,
@@ -190,41 +177,6 @@ class TestSimulatedEngine:
 # ----------------------------------------------------------------------
 # level planning: a rounding level searches only the sources it can change
 # ----------------------------------------------------------------------
-def _unplanned_pde(graph, sources, h, sigma, epsilon, engine):
-    """The oracle: every rounding level searches every source, then the fold.
-
-    Returns the result and each level's labelled detection lists.
-    """
-    ranked = sorted(set(sources), key=repr)
-    rounding = RoundingScheme(epsilon=epsilon, max_weight=graph.max_weight())
-    horizon = rounding.horizon(h)
-    csr = GraphCSR.from_graph(graph)
-    node_id = csr.node_ids()
-    table = [{} for _ in csr.nodes]
-    metrics, per_level = [], {}
-    for level in rounding.levels():
-        if engine == "batched":
-            detection = detect_sources(
-                None, None, horizon, sigma, engine=engine,
-                interned=(csr, [node_id[s] for s in ranked],
-                          level_adjacency(csr.weights, rounding.base(level))))
-            lists = detection.lists
-        else:
-            detection = detect_sources(
-                graph, set(ranked), horizon, sigma,
-                edge_length=rounding.edge_length_fn(level), engine=engine)
-            lists = intern_detection_lists(
-                detection.lists, node_id, {s: r for r, s in enumerate(ranked)})
-        metrics.append(detection.metrics)
-        fold_detection_lists(lists, rounding, level, table)
-        per_level[level] = materialize_detection(
-            SourceDetectionResult(lists=lists, h=horizon, sigma=sigma),
-            csr.nodes, ranked).lists
-    result = finalize_pde_result(csr.nodes, ranked, h, sigma, epsilon,
-                                 rounding, table, metrics, {}, False)
-    return result, per_level
-
-
 def _planning_graph(kind, n, high, seed):
     weights = graphs.uniform_weights(1, high)
     if kind == "er":
@@ -259,15 +211,14 @@ def test_planned_levels_equal_searching_every_source(data):
     # sigma < |S|: the plan must be inert — every level searches everything.
     sigma = data.draw(st.sampled_from(
         [len(sources), len(sources) + 1, n, max(1, len(sources) - 1)]))
-    for engine in ("batched", "logical"):
-        planned = solve_pde(graph, sources, h, sigma, epsilon, engine=engine)
-        oracle, per_level = _unplanned_pde(graph, sources, h, sigma, epsilon,
-                                           engine)
-        assert planned.export_state() == oracle.export_state(), engine
-        assert planned.per_level[0].lists == per_level[0]
-        if sigma < len(sources):
-            assert {level: detection.lists for level, detection
-                    in planned.per_level.items()} == per_level
+    # The plan is batched-only, so batched is what it is checked on.
+    planned = solve_pde(graph, sources, h, sigma, epsilon)
+    oracle, per_level = unplanned_pde(graph, sources, h, sigma, epsilon)
+    assert planned.export_state() == oracle.export_state()
+    assert planned.per_level[0].lists == per_level[0]
+    if sigma < len(sources):
+        assert {level: detection.lists for level, detection
+                in planned.per_level.items()} == per_level
 
 
 def test_levels_above_zero_search_nothing_when_the_diameter_fits():
@@ -298,5 +249,5 @@ def test_a_horizon_cut_source_keeps_searching():
     assert all(searched[level] == {10}
                for level in pde.rounding.levels() if level)
     assert max(pde.levels_used[13].values()) > 0
-    oracle, _ = _unplanned_pde(graph, [0, 10], 1, 2, 0.5, "batched")
+    oracle, _ = unplanned_pde(graph, [0, 10], 1, 2, 0.5)
     assert pde.export_state() == oracle.export_state()

@@ -1,6 +1,6 @@
 """Seeded property tests for the PDE guarantees of Definition 2.2.
 
-For every engine and every generator family the two defining properties of
+For both engines and every generator family the two defining properties of
 ``(1+eps)``-approximate ``(S, h, sigma)``-estimation must hold:
 
 * soundness — ``wd'(v, s) >= wd(v, s)`` for *all* ``v`` and detected ``s``
@@ -11,7 +11,7 @@ For every engine and every generator family the two defining properties of
 
 The CONGEST simulator is exercised on the smaller instances only (it
 materialises the virtual graphs level by level and is orders of magnitude
-slower than the centralized engines).
+slower than the batched engine).
 """
 
 import random
@@ -21,8 +21,6 @@ import pytest
 from repro import graphs
 from repro.core import solve_pde
 from repro.graphs import all_pairs_weighted_distances, dijkstra_with_hops
-
-ENGINES = ["logical", "batched", "simulate"]
 
 #: (name, factory) pairs covering the generator suite.
 GENERATOR_CASES = [
@@ -41,7 +39,7 @@ GENERATOR_CASES = [
 SEEDS = [1, 2, 3]
 
 
-def _check_guarantees(graph, sources, h, epsilon, engine):
+def _check_guarantees(graph, sources, h, epsilon, engine="batched"):
     """Assert both Definition 2.2 properties with sigma >= |S|."""
     source_set = set(sources)
     pde = solve_pde(graph, source_set, h=h, sigma=len(source_set),
@@ -61,18 +59,17 @@ def _check_guarantees(graph, sources, h, epsilon, engine):
 
 
 class TestGuaranteesAcrossGenerators:
-    @pytest.mark.parametrize("engine", ["logical", "batched"])
     @pytest.mark.parametrize("name,factory", GENERATOR_CASES,
                              ids=[c[0] for c in GENERATOR_CASES])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_centralized_engines(self, name, factory, seed, engine):
+    def test_batched_engine(self, name, factory, seed):
         g = factory(seed)
         rng = random.Random(seed)
         nodes = g.nodes()
         sources = rng.sample(nodes, max(2, len(nodes) // 3))
         h = rng.randint(1, max(2, g.num_nodes // 2))
         epsilon = rng.choice([0.25, 0.5, 1.0])
-        _check_guarantees(g, sources, h, epsilon, engine)
+        _check_guarantees(g, sources, h, epsilon)
 
     @pytest.mark.parametrize("name,factory", GENERATOR_CASES,
                              ids=[c[0] for c in GENERATOR_CASES])
@@ -86,14 +83,10 @@ class TestGuaranteesAcrossGenerators:
 class TestGuaranteesFullInstance:
     """S = V, sigma = n, h = n: every pair is covered (the Theorem 4.1 regime)."""
 
-    @pytest.mark.parametrize("engine", ["logical", "batched"])
-    def test_all_pairs_regime(self, small_weighted_graph, engine):
+    def test_all_pairs_regime(self, small_weighted_graph):
         g = small_weighted_graph
-        _check_guarantees(g, g.nodes(), h=g.num_nodes, epsilon=0.25,
-                          engine=engine)
+        _check_guarantees(g, g.nodes(), h=g.num_nodes, epsilon=0.25)
 
-    @pytest.mark.parametrize("engine", ["logical", "batched"])
-    def test_mixed_scale_weights(self, mixed_scale_graph, engine):
+    def test_mixed_scale_weights(self, mixed_scale_graph):
         g = mixed_scale_graph
-        _check_guarantees(g, g.nodes(), h=g.num_nodes, epsilon=0.5,
-                          engine=engine)
+        _check_guarantees(g, g.nodes(), h=g.num_nodes, epsilon=0.5)

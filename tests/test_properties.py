@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import graphs
-from repro.core import RoundingScheme, approximate_apsp, detect_sources_logical, solve_pde
+from repro.core import RoundingScheme, approximate_apsp, solve_pde
 from repro.graphs import (
     WeightedGraph,
     all_pairs_weighted_distances,
@@ -39,7 +39,7 @@ from repro.congest import build_bfs_tree
 from repro.serving import parse_graph_spec
 from repro.serving.artifacts import load_hierarchy, save_hierarchy
 
-from helpers import assert_routes_realise_estimates
+from helpers import assert_routes_realise_estimates, detect_sources_logical
 
 
 # ----------------------------------------------------------------------

@@ -172,13 +172,15 @@ class TestBuildOrLoad:
     def test_artifact_of_another_engine_is_stale(self, service_graph,
                                                  tmp_path):
         """A service builds only with ``batched``: an artifact another
-        engine built is refused under a build intent, loaded without one."""
+        engine built is refused under a build intent, loaded without one.
+        The header names the other engine through ``metadata`` (merged over
+        the build parameters), which spares the slow ``simulate`` build."""
         from repro.serving import ArtifactError
 
-        path = str(tmp_path / "logical.artifact")
-        RoutingService.build(service_graph, k=2, seed=4,
-                             engine="logical").save(path)
-        with pytest.raises(ArtifactError, match="engine='logical'"):
+        path = str(tmp_path / "simulate.artifact")
+        RoutingService.build(service_graph, k=2, seed=4).save(
+            path, metadata={"engine": "simulate"})
+        with pytest.raises(ArtifactError, match="engine='simulate'"):
             build_or_load_service(path, graph=service_graph,
                                   build=BuildConfig(k=2, seed=4))
         build_or_load_service(path)

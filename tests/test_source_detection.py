@@ -5,7 +5,6 @@ import pytest
 from repro import graphs
 from repro.core import (
     detect_sources_batched,
-    detect_sources_logical,
     expand_with_edge_lengths,
     lemma34_message_cap,
     run_source_detection_simulation,
@@ -14,12 +13,17 @@ from repro.core import (
 from repro.core.source_detection import _map_next_hop
 from repro.graphs import WeightedGraph, bfs_hop_distances
 
+from helpers import detect_sources_logical
+
 
 def _pairs(result, node):
     return [(e.distance, e.source) for e in result.lists[node]]
 
 
 class TestLogicalEngine:
+    """The per-source reference (``helpers.detect_sources_logical``) on
+    hand-checked instances: the engines are compared against it."""
+
     def test_path_all_sources(self, unit_path):
         sources = set(unit_path.nodes())
         result = detect_sources_logical(unit_path, sources, h=3, sigma=2)

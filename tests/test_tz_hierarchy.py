@@ -11,7 +11,8 @@ from repro.routing import (
     choose_truncation_level,
     sample_levels,
 )
-from repro.routing.stretch import evaluate_distance_estimates, evaluate_routing
+from repro.routing.stretch import (evaluate_distance_estimates,
+                                   evaluate_routing, validate_route)
 import random
 
 
@@ -111,6 +112,22 @@ class TestCompactHierarchy:
         assert report.max_stretch <= hierarchy.theoretical_stretch_bound() + 1e-6
         assert report.over_estimate == 0
         assert hierarchy.audit()["over_estimate"] == 0
+
+    def test_truncated_simulate_skeleton_runs_batched(self):
+        # Under engine="simulate" the skeleton levels (simulated globally,
+        # Lemma 4.12) build with batched; the direct levels replay rounds.
+        # Next hops may break ties differently, distances may not.
+        g = graphs.erdos_renyi_graph(12, 0.3, graphs.uniform_weights(1, 30),
+                                     seed=19)
+        kwargs = dict(k=3, epsilon=0.25, seed=9, mode="truncated", l0=2)
+        simulated = CompactRoutingHierarchy.build(g, engine="simulate",
+                                                  **kwargs)
+        batched = CompactRoutingHierarchy.build(g, **kwargs)
+        assert simulated.skeleton_graph.num_edges > 0
+        for u in g.nodes():
+            for v in g.nodes():
+                assert simulated.distance(u, v) == batched.distance(u, v)
+                assert validate_route(g, simulated.route(u, v)), (u, v)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_various_k(self, base_graph, k):
