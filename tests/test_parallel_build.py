@@ -4,7 +4,7 @@ The contract under test is absolute: ``build_workers`` may change wall
 clock and nothing else.  A hierarchy built on N processes must be
 *artifact-checksum-identical* to the one-worker build — same
 ``payload_sha256``, not merely the same answers — across every
-construction mode and pool-eligible engine (both run the same task list
+construction mode and pool size (every pool runs the same task list
 through :func:`repro.core.build_runner.run_tasks`).  A worker crash
 mid-build must surface a typed error without hanging and without leaving a
 partial artifact behind; the in-process path never honours the crash hook.
@@ -43,13 +43,14 @@ def _checksum(hierarchy, tmp, name):
 # ----------------------------------------------------------------------
 # solve_pde level
 # ----------------------------------------------------------------------
-def test_solve_pde_parallel_identity():
+@pytest.mark.parametrize("workers", [2, 3])
+def test_solve_pde_parallel_identity(workers):
     graph = small_graph()
     sources = sorted(graph.nodes())[:6]
     seq = solve_pde(graph, sources, h=6, sigma=3, epsilon=0.25,
                     store_levels=True)
     par = solve_pde(graph, sources, h=6, sigma=3, epsilon=0.25,
-                    store_levels=True, build_workers=2)
+                    store_levels=True, build_workers=workers)
     assert par.export_state() == seq.export_state()
 
 
@@ -119,16 +120,17 @@ def test_solve_pde_rejects_bad_build_workers():
 
 
 # ----------------------------------------------------------------------
-# full hierarchy: checksum identity across modes
+# full hierarchy: checksum identity across modes and pool sizes
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", ["budget", "spd", "truncated"])
-def test_parallel_build_checksum_identical(mode):
+@pytest.mark.parametrize("workers", [2, 3])
+def test_parallel_build_checksum_identical(mode, workers):
     graph = small_graph()
     kwargs = dict(k=3, epsilon=0.25, seed=7, mode=mode)
     if mode == "truncated":
         kwargs["l0"] = 2
     seq = build_compact_routing(graph, **kwargs)
-    par = build_compact_routing(graph, build_workers=2, **kwargs)
+    par = build_compact_routing(graph, build_workers=workers, **kwargs)
     with tempfile.TemporaryDirectory() as tmp:
         assert (_checksum(par, tmp, "par") == _checksum(seq, tmp, "seq"))
 

@@ -131,6 +131,19 @@ class TestLogicalEngine:
 
 
 class TestSimulatedEngine:
+    def test_simulation_matches_logical(self):
+        # simulate against batched and against the per-source reference.
+        g = graphs.erdos_renyi_graph(16, 0.25, graphs.uniform_weights(1, 30), seed=8)
+        sources = list(g.nodes())[:5]
+        batched = solve_pde(g, sources, h=6, sigma=3, epsilon=0.5)
+        reference, _ = unplanned_pde(g, sources, 6, 3, 0.5, reference=True)
+        simulated = solve_pde(g, sources, h=6, sigma=3, epsilon=0.5, engine="simulate")
+        for v in g.nodes():
+            sim_pairs = [(e.estimate, e.source) for e in simulated.lists[v]]
+            for other in (batched, reference):
+                assert [(e.estimate, e.source) for e in other.lists[v]] \
+                    == sim_pairs, v
+
     def test_simulation_metrics_measured(self):
         g = graphs.grid_graph(3, 4, graphs.uniform_weights(1, 5), seed=1)
         simulated = solve_pde(g, g.nodes()[:3], h=4, sigma=2, epsilon=0.5,

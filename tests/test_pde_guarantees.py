@@ -1,6 +1,8 @@
 """Seeded property tests for the PDE guarantees of Definition 2.2.
 
-For both engines and every generator family the two defining properties of
+For both engines, the per-source reference the engines are checked against
+(``tests/helpers.py``) and every generator family the two defining
+properties of
 ``(1+eps)``-approximate ``(S, h, sigma)``-estimation must hold:
 
 * soundness — ``wd'(v, s) >= wd(v, s)`` for *all* ``v`` and detected ``s``
@@ -22,6 +24,11 @@ from repro import graphs
 from repro.core import solve_pde
 from repro.graphs import all_pairs_weighted_distances, dijkstra_with_hops
 
+from helpers import unplanned_pde
+
+#: The centralized solvers: the batched engine and the per-source reference.
+CENTRALIZED = ["batched", "reference"]
+
 #: (name, factory) pairs covering the generator suite.
 GENERATOR_CASES = [
     ("er", lambda seed: graphs.erdos_renyi_graph(
@@ -40,10 +47,18 @@ SEEDS = [1, 2, 3]
 
 
 def _check_guarantees(graph, sources, h, epsilon, engine="batched"):
-    """Assert both Definition 2.2 properties with sigma >= |S|."""
+    """Assert both Definition 2.2 properties with sigma >= |S|.
+
+    ``engine="reference"`` runs the per-source reference at every rounding
+    level instead of an engine of :func:`solve_pde`.
+    """
     source_set = set(sources)
-    pde = solve_pde(graph, source_set, h=h, sigma=len(source_set),
-                    epsilon=epsilon, engine=engine, store_levels=False)
+    if engine == "reference":
+        pde, _ = unplanned_pde(graph, source_set, h, len(source_set),
+                               epsilon, reference=True)
+    else:
+        pde = solve_pde(graph, source_set, h=h, sigma=len(source_set),
+                        epsilon=epsilon, engine=engine, store_levels=False)
     exact = all_pairs_weighted_distances(graph)
     for v in graph.nodes():
         _, hops = dijkstra_with_hops(graph, v)
@@ -59,17 +74,18 @@ def _check_guarantees(graph, sources, h, epsilon, engine="batched"):
 
 
 class TestGuaranteesAcrossGenerators:
+    @pytest.mark.parametrize("engine", CENTRALIZED)
     @pytest.mark.parametrize("name,factory", GENERATOR_CASES,
                              ids=[c[0] for c in GENERATOR_CASES])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_batched_engine(self, name, factory, seed):
+    def test_centralized_engines(self, name, factory, seed, engine):
         g = factory(seed)
         rng = random.Random(seed)
         nodes = g.nodes()
         sources = rng.sample(nodes, max(2, len(nodes) // 3))
         h = rng.randint(1, max(2, g.num_nodes // 2))
         epsilon = rng.choice([0.25, 0.5, 1.0])
-        _check_guarantees(g, sources, h, epsilon)
+        _check_guarantees(g, sources, h, epsilon, engine)
 
     @pytest.mark.parametrize("name,factory", GENERATOR_CASES,
                              ids=[c[0] for c in GENERATOR_CASES])
@@ -83,10 +99,14 @@ class TestGuaranteesAcrossGenerators:
 class TestGuaranteesFullInstance:
     """S = V, sigma = n, h = n: every pair is covered (the Theorem 4.1 regime)."""
 
-    def test_all_pairs_regime(self, small_weighted_graph):
+    @pytest.mark.parametrize("engine", CENTRALIZED)
+    def test_all_pairs_regime(self, small_weighted_graph, engine):
         g = small_weighted_graph
-        _check_guarantees(g, g.nodes(), h=g.num_nodes, epsilon=0.25)
+        _check_guarantees(g, g.nodes(), h=g.num_nodes, epsilon=0.25,
+                          engine=engine)
 
-    def test_mixed_scale_weights(self, mixed_scale_graph):
+    @pytest.mark.parametrize("engine", CENTRALIZED)
+    def test_mixed_scale_weights(self, mixed_scale_graph, engine):
         g = mixed_scale_graph
-        _check_guarantees(g, g.nodes(), h=g.num_nodes, epsilon=0.5)
+        _check_guarantees(g, g.nodes(), h=g.num_nodes, epsilon=0.5,
+                          engine=engine)
