@@ -116,7 +116,7 @@ def run_pipeline_comparison(n: int, workers: int = 4, seed: int = 0,
         with ShardedRoutingService(
                 artifact, num_workers=workers,
                 cache_config=CacheConfig(capacity=2 * num_queries),
-                pipeline_depth=2 * window, max_inflight=window,
+                pipeline_depth=window,
                 graph=graph) as sharded:
             # One unmeasured pass warms every worker cache: both drivers
             # then replay an all-hit stream, so the comparison isolates

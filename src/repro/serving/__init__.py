@@ -82,7 +82,6 @@ from .wire import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     SUPPORTED_VERSIONS,
-    BackpressureError,
     FrameError,
     ProtocolVersionError,
     RemoteError,
@@ -150,7 +149,6 @@ __all__ = [
     "FrameError",
     "ProtocolVersionError",
     "SessionClosedError",
-    "BackpressureError",
     "RemoteError",
     "read_frame",
     "write_frame",

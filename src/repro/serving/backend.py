@@ -26,7 +26,6 @@ list-for-list identically to a directly constructed local
 
 from __future__ import annotations
 
-import os
 from typing import (
     Hashable,
     List,
@@ -143,8 +142,7 @@ def open_service(config: ServingConfig,
         if config.artifact_path is not None:
             return build_or_load_service(
                 config.artifact_path, graph=graph, build=config.build,
-                cache=config.cache, save=config.save_artifact,
-                metadata=provenance, kernel=config.kernel,
+                cache=config.cache, metadata=provenance, kernel=config.kernel,
                 telemetry=config.telemetry)
         if graph is None:
             raise ValueError(
@@ -162,22 +160,13 @@ def open_service(config: ServingConfig,
         raise ValueError("sharded serving (workers > 1) requires "
                          "config.artifact_path — workers load the hierarchy "
                          "by path")
-    if not config.save_artifact and not os.path.exists(config.artifact_path):
-        # Reject before paying the build: with save_artifact=False nothing
-        # would reach disk, and the workers (which only ever load by path)
-        # could never find the hierarchy.
-        raise ValueError(
-            f"sharded serving cannot honour save_artifact=False when the "
-            f"artifact {config.artifact_path!r} does not exist yet — "
-            f"workers load the hierarchy from disk")
     # Build intent (or a load plus the freshness check) in the parent,
     # exactly as for local serving; the parent's hierarchy is dropped
     # immediately — only the graph handle survives, for workload
     # generation — so resident memory is the workers', not 1 + N copies.
     parent = build_or_load_service(
         config.artifact_path, graph=graph, build=config.build,
-        cache=CacheConfig(capacity=0), save=config.save_artifact,
-        metadata=provenance)
+        cache=CacheConfig(capacity=0), metadata=provenance)
     graph = parent.hierarchy.graph
     stats = ServingStats(build_seconds=parent.stats.build_seconds,
                          load_seconds=parent.stats.load_seconds,
@@ -187,9 +176,6 @@ def open_service(config: ServingConfig,
         config.artifact_path, num_workers=config.workers,
         cache_config=config.cache,
         pipeline_depth=config.pipeline_depth,
-        max_inflight=config.max_inflight,
-        admission=config.admission,
-        start_method=config.start_method,
         warm_timeout=config.warm_timeout, reply_timeout=config.reply_timeout,
         graph=graph, stats=stats, kernel=config.kernel,
         telemetry=config.telemetry,

@@ -160,14 +160,9 @@ FLAGS: Tuple[Flag, ...] = (
          "belong to the server)",
          metavar="HOST:PORT"),
     Flag("--pipeline-depth", "pipeline_depth",
-         "max batches in flight through the pipelined scatter/gather (also "
-         "the --connect client's in-flight window)"),
-    Flag("--max-inflight", "max_inflight",
-         "max outstanding batches per shard worker (--workers > 1)"),
-    Flag("--admission", "admission",
-         "at the pipeline bounds: 'block' delays submitters, 'reject' "
-         "raises BackpressureError",
-         choices=("block", "reject")),
+         "max batches in flight: the sharded front-end's bound (a "
+         "submitter past it waits), the server's reply queue and the "
+         "--connect client's window"),
     Flag("--heartbeat-interval", "heartbeat_interval",
          "shard supervisor beat period in seconds (--workers > 1): hang "
          "checks and respawns happen on this cadence"),

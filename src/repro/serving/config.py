@@ -181,11 +181,9 @@ class ServingConfig:
     build/cache/artifact fields then belong to the server, so they must
     stay at their defaults, and ``workers`` must be 1 (the server owns the
     deployment shape).
-    ``pipeline_depth`` / ``max_inflight`` / ``admission`` bound the
-    pipelined scatter/gather (and, for ``connect`` sessions, the client's
-    in-flight window): at the bound, ``admission="block"`` delays
-    submitters and ``admission="reject"`` raises
-    :class:`~repro.serving.wire.BackpressureError`.
+    ``pipeline_depth`` is the one bound on work in flight: the batches
+    the sharded front-end holds (a submitter past it waits), the server
+    session's reply queue, and a ``connect`` session's client window.
     ``heartbeat_interval`` / ``respawn_limit`` are the settings of the
     :class:`~repro.serving.fleet.FleetSupervisor` every sharded front-end
     runs: hang checks and respawns happen every ``heartbeat_interval``
@@ -198,7 +196,6 @@ class ServingConfig:
 
     artifact_path: Optional[str] = None
     graph_spec: Optional[str] = None
-    save_artifact: bool = True
     workers: int = 1
     batch_size: int = 64
     kind: str = "route"
@@ -206,9 +203,6 @@ class ServingConfig:
     telemetry: bool = False
     connect: Optional[str] = None
     pipeline_depth: int = 8
-    max_inflight: int = 4
-    admission: str = "block"
-    start_method: Optional[str] = None
     warm_timeout: float = 120.0
     reply_timeout: float = 300.0
     heartbeat_interval: float = 0.5
@@ -223,12 +217,6 @@ class ServingConfig:
         if self.pipeline_depth < 1:
             raise ValueError(f"pipeline_depth must be >= 1, "
                              f"got {self.pipeline_depth}")
-        if self.max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, "
-                             f"got {self.max_inflight}")
-        if self.admission not in ("block", "reject"):
-            raise ValueError(f"admission must be 'block' or 'reject', "
-                             f"got {self.admission!r}")
         if self.connect is not None:
             if self.workers != 1:
                 raise ValueError(

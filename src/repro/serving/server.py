@@ -21,8 +21,8 @@ and the session's one serve loop does the rest —
   and wire time with each other's compute;
 * a **sharded** front-end advertises ``submit_batch`` / ``wait_batch``
   (the pipelined scatter/gather, internally synchronised), so readers
-  feed the worker pipeline concurrently and admission control /
-  per-worker in-flight windows provide the backpressure.
+  feed the worker pipeline concurrently, and its ``pipeline_depth``
+  bound makes a submitter wait when the pipeline is full.
 
 Graceful shutdown honours in-flight work: :meth:`close` stops accepting,
 waits up to ``drain_timeout`` for busy sessions — ``busy`` covers every

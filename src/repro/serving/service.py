@@ -337,11 +337,10 @@ class RoutingService:
 def build_or_load_service(path: str, graph: Optional[WeightedGraph] = None,
                           build: Optional[BuildConfig] = None,
                           cache: Optional[CacheConfig] = None,
-                          save: bool = True,
                           metadata: Optional[Dict[str, Any]] = None,
                           kernel: str = "auto", telemetry: bool = False,
                           **build_kwargs) -> RoutingService:
-    """Load the artifact at ``path`` if it exists, else build (and save).
+    """Load the artifact at ``path`` if it exists, else build and save it.
 
     This is the serving workflow: the first process to reference an
     artifact pays the preprocessing cost, every later one just loads.
@@ -403,12 +402,11 @@ def build_or_load_service(path: str, graph: Optional[WeightedGraph] = None,
         graph, k=build.k, epsilon=build.epsilon, seed=build.seed,
         mode=build.mode, cache_config=cache,
         kernel=kernel, telemetry=telemetry, **build_kwargs)
-    if save:
-        info = service.save(path, metadata=metadata)
-        service.stats.artifact_bytes = info.payload_bytes
-        service.stats.extra["artifact_path"] = path
-        service.stats.extra["artifact_format"] = info.format_version
-        service.stats.extra["artifact_load"] = "built"
+    info = service.save(path, metadata=metadata)
+    service.stats.artifact_bytes = info.payload_bytes
+    service.stats.extra["artifact_path"] = path
+    service.stats.extra["artifact_format"] = info.format_version
+    service.stats.extra["artifact_load"] = "built"
     return service
 
 

@@ -69,7 +69,6 @@ from .config import ServingConfig
 from .service import answer_batch
 from .wire import (
     PROTOCOL_VERSION,
-    BackpressureError,
     FrameError,
     ProtocolVersionError,
     RemoteError,
@@ -346,8 +345,6 @@ def _error_message(code: str, text: str, **fields) -> Dict[str, Any]:
 
 def _failure_message(request_id, exc: Exception) -> Dict[str, Any]:
     """The per-request ``error`` frame for a backend exception."""
-    if isinstance(exc, BackpressureError):
-        return _error_message("backpressure", str(exc), id=request_id)
     return _error_message("backend", f"{type(exc).__name__}: {exc}",
                           id=request_id)
 
@@ -535,11 +532,7 @@ class ClientSession:
         if kind == "error":
             request_id = message.get("id")
             code = message.get("code", "error")
-            exc: WireError
-            if code == "backpressure":
-                exc = BackpressureError(message.get("message", ""))
-            else:
-                exc = RemoteError(code, message.get("message", ""))
+            exc = RemoteError(code, message.get("message", ""))
             if request_id is not None and request_id in self._pending:
                 self._pending.pop(request_id)
                 self._results[request_id] = exc

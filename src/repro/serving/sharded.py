@@ -30,21 +30,20 @@ Sharding buys two things:
 
 Scatter/gather is **pipelined** (the PR-8 transport refactor): the
 front-end may keep several batches in flight at once.  :meth:`submit_batch`
-assigns a batch through the table, applies admission control, and hands
-each shard to its :class:`~repro.serving.worker.Worker` endpoint without
-waiting for answers; a background *collector* thread multiplexes the
+waits while the pipeline is full, assigns a batch through the table and
+hands each shard to its :class:`~repro.serving.worker.Worker` endpoint
+without waiting for answers; a background *collector* thread multiplexes the
 workers' result pipes and completes tickets as workers answer;
 :meth:`wait_batch` blocks on one ticket.  ``route_batch`` /
 ``distance_batch`` stay strictly synchronous (submit + wait), so
 sequential callers see exactly the old behaviour, while pipelined
 drivers (a network session's reader thread, concurrent sessions, the
 benchmarks) overlap batch serialization with worker compute and keep
-every worker's task pipe non-empty.  Two knobs bound the pipeline:
-``pipeline_depth`` caps front-end-wide outstanding batches and
-``max_inflight`` caps per-worker outstanding batches; at either bound
-``admission="block"`` delays the submitter (the ``inflight_wait``
-telemetry span) and ``admission="reject"`` raises
-:class:`~repro.serving.wire.BackpressureError` instead.
+every worker's task pipe non-empty.  One bound, ``pipeline_depth``, caps
+the batches in flight; at the bound the submitter waits (the
+``inflight_wait`` telemetry span).  Workers answer in FIFO order and a
+batch of at least ``N`` pairs gives every live worker a shard, so the
+depth bounds each worker's queue too.
 
 A ticket remembers the *form* its submitter wants — objects
 (``submit_batch``, every in-process caller) or each answer's canonical
@@ -54,10 +53,10 @@ it travels with every shard, including those re-sent after a death.
 One owner per fact.  :mod:`repro.serving.worker` owns the pipes, the
 message tuples and the worker process; this module owns the *slots* (the
 list of endpoints and each one's ``state``), the *tickets* (which shard of
-which batch is still owed by which slot), the *windows* (per-slot
-in-flight counts) and the routing *table* (:class:`RoutingEpoch`, the one
-scatter rule); its :class:`~repro.serving.fleet.FleetSupervisor`
-makes every policy decision, including when a new table is published.
+which batch is still owed by which slot) and the routing *table*
+(:class:`RoutingEpoch`, the one scatter rule); its
+:class:`~repro.serving.fleet.FleetSupervisor` makes every policy
+decision, including when a new table is published.
 A worker's death has one path, :meth:`ShardedRoutingService.worker_died`,
 whoever notices it — the collector (the result pipe's EOF), a submitter
 (a task write found no reader) or the supervisor's heartbeat (a hung
@@ -91,11 +90,9 @@ from ..graphs.weighted_graph import WeightedGraph
 from ..obs.metrics import make_registry, merge_exports
 from .cache import ServingStats
 from .config import CacheConfig
-from .wire import BackpressureError
 from .worker import Worker, _poll_channels
 
-__all__ = ["ShardedRoutingService", "ShardError", "BackpressureError",
-           "RoutingEpoch"]
+__all__ = ["ShardedRoutingService", "ShardError", "RoutingEpoch"]
 
 _Pair = Tuple[Hashable, Hashable]
 
@@ -246,15 +243,8 @@ class ShardedRoutingService:
         ``num_workers * cache_config.capacity``.  Defaults to
         ``CacheConfig()``.
     pipeline_depth:
-        Maximum batches in flight front-end-wide; :meth:`submit_batch`
-        past this bound blocks or rejects per ``admission``.
-    max_inflight:
-        Maximum outstanding batches per worker (the in-flight window that
-        overlaps batch serialization with worker compute).
-    admission:
-        ``"block"`` delays submitters at the bounds (recorded in the
-        ``inflight_wait`` span); ``"reject"`` raises
-        :class:`~repro.serving.wire.BackpressureError` immediately.
+        Maximum batches in flight; :meth:`submit_batch` past this bound
+        waits (recorded in the ``inflight_wait`` span).
     start_method:
         ``multiprocessing`` start method (``None`` = platform default).
     warm_timeout, reply_timeout:
@@ -281,8 +271,7 @@ class ShardedRoutingService:
 
     def __init__(self, artifact_path: str, num_workers: int = 2,
                  cache_config: Optional[CacheConfig] = None,
-                 pipeline_depth: int = 8, max_inflight: int = 4,
-                 admission: str = "block",
+                 pipeline_depth: int = 8,
                  start_method: Optional[str] = None,
                  warm_timeout: float = 120.0, reply_timeout: float = 300.0,
                  graph: Optional[WeightedGraph] = None,
@@ -295,12 +284,6 @@ class ShardedRoutingService:
         if pipeline_depth < 1:
             raise ValueError(f"pipeline_depth must be >= 1, "
                              f"got {pipeline_depth}")
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, "
-                             f"got {max_inflight}")
-        if admission not in ("block", "reject"):
-            raise ValueError(f"admission must be 'block' or 'reject', "
-                             f"got {admission!r}")
         if not os.path.exists(artifact_path):
             raise FileNotFoundError(
                 f"artifact {artifact_path!r} does not exist; build it first "
@@ -311,8 +294,6 @@ class ShardedRoutingService:
         self.num_workers = num_workers
         self.cache_config = cache_config
         self.pipeline_depth = pipeline_depth
-        self.max_inflight = max_inflight
-        self.admission = admission
         self.kernel = kernel
         self.telemetry = telemetry
         #: Front-end registry: scatter/gather/inflight_wait spans and the
@@ -357,14 +338,12 @@ class ShardedRoutingService:
         self._closed = False
         self._final_worker_stats: List[ServingStats] = []
         self._undrained_workers: List[int] = []
-        # Pipeline state: one lock/condition guards tickets, per-worker
-        # in-flight counts, stats waiters, the routing table and the
-        # metrics registry; the collector thread completes tickets and
-        # notifies.
+        # Pipeline state: one lock/condition guards tickets, stats
+        # waiters, the routing table and the metrics registry; the
+        # collector thread completes tickets and notifies.
         self._lock = threading.RLock()
         self._can_submit = threading.Condition(self._lock)
         self._tickets: Dict[int, _BatchTicket] = {}
-        self._inflight: Dict[int, int] = {}
         self._stats_waiters: List[Dict] = []
         self._collector: Optional[threading.Thread] = None
         self._collector_stop = threading.Event()
@@ -422,7 +401,6 @@ class ShardedRoutingService:
             self._retired.append(old)
             self._workers[worker_id] = fresh
             self._pipe_snapshot = None
-            self._inflight[worker_id] = 0
         return True
 
     def worker_died(self, worker: Worker, what: str) -> None:
@@ -433,17 +411,16 @@ class ShardedRoutingService:
         (:meth:`_scan_liveness`), from a task write that found no reader
         (:meth:`_finish_sends`) and from the supervisor's hang detector;
         idempotent per endpoint, so it does not matter who gets here
-        first.  Marks the slot dead, zeroes its window and asks the
-        supervisor whether the fleet can go on: it is the only place that
-        chooses between recovering (re-scatter what the slot still owed)
-        and latching the supervisor's error.
+        first.  Marks the slot dead and asks the supervisor whether the
+        fleet can go on: it is the only place that chooses between
+        recovering (re-scatter what the slot still owed) and latching the
+        supervisor's error.
         """
         with self._can_submit:
             if (self.closed or worker.state != "alive"
                     or self._workers[worker.worker_id] is not worker):
                 return      # teardown, known, or a respawn replaced it
             worker.state = "dead"
-            self._inflight[worker.worker_id] = 0
             error = self._fleet.worker_died(worker.worker_id, what)
             if error is not None:
                 self.fail(error)
@@ -472,7 +449,6 @@ class ShardedRoutingService:
             self._scattered += len(items)
             for target, shard in assignments:
                 ticket.outstanding.setdefault(target, []).append(shard)
-                self._inflight[target] = self._inflight.get(target, 0) + 1
                 # Never waits (this may be the collector thread): the
                 # collector finishes what a full pipe does not take, and
                 # a sibling that is dead too is caught by the next scan.
@@ -534,7 +510,6 @@ class ShardedRoutingService:
                     load_seconds.append(message[2])
         if load_seconds:
             self.stats.extra["worker_load_seconds_max"] = max(load_seconds)
-        self._inflight = {w.worker_id: 0 for w in self._workers}
         self._collector_stop.clear()
         self._collector = threading.Thread(
             target=_collector_main,
@@ -746,8 +721,6 @@ class ShardedRoutingService:
                 shards.pop(0)
                 if not shards:
                     del ticket.outstanding[worker_id]
-                self._inflight[worker_id] = max(
-                    0, self._inflight.get(worker_id, 0) - 1)
                 if not ticket.outstanding:
                     del self._tickets[request_id]
                     ticket.done.set()
@@ -824,14 +797,10 @@ class ShardedRoutingService:
     def submit_batch(self, kind: str, pairs: Sequence[_Pair]) -> _BatchTicket:
         """Scatter one batch without waiting for its answers.
 
-        Returns a ticket for :meth:`wait_batch`.  Applies admission
-        control first: when ``pipeline_depth`` batches are already in
-        flight, or any target worker is at its ``max_inflight`` window,
-        the call blocks (``admission="block"``, timed into the
-        ``inflight_wait`` span) or raises
-        :class:`~repro.serving.wire.BackpressureError`
-        (``admission="reject"``).  Thread-safe: the network server's
-        sessions submit concurrently.
+        Returns a ticket for :meth:`wait_batch`.  While ``pipeline_depth``
+        batches are in flight, or no slot is routable, the call waits
+        (timed into the ``inflight_wait`` span).  Thread-safe: the
+        network server's sessions submit concurrently.
         """
         return self._submit(kind, pairs, False)
 
@@ -849,43 +818,26 @@ class ShardedRoutingService:
             if not pairs:
                 self._count_batch(kind, 0)
                 return _BatchTicket(0, kind, text, 0)
-            scatter_start = time.perf_counter()
-            table, start = self.table, self._scattered
-            assignments = (table.assign(enumerate(pairs), start)
-                           if table.routable else [])
-            assign_seconds = time.perf_counter() - scatter_start
             wait_start = time.perf_counter()
             while True:
                 if self._failure is not None:
                     raise self._failure
                 if self._closed:
                     raise ShardError("sharded service is closed")
-                if table is not self.table or start != self._scattered:
-                    # A death or a rejoin published a new table, or another
-                    # batch was scattered, while this submitter waited:
-                    # never scatter through a stale table or rotation.
-                    table, start = self.table, self._scattered
-                    assignments = (table.assign(enumerate(pairs), start)
-                                   if table.routable else [])
-                targets = [worker_id for worker_id, _ in assignments]
-                depth_ok = len(self._tickets) < self.pipeline_depth
-                window_ok = all(self._inflight.get(w, 0) < self.max_inflight
-                                for w in targets)
-                if table.routable and depth_ok and window_ok:
+                if (self.table.routable
+                        and len(self._tickets) < self.pipeline_depth):
                     break
-                if self.admission == "reject":
-                    raise BackpressureError(
-                        f"pipeline full ({len(self._tickets)}/"
-                        f"{self.pipeline_depth} batches in flight, "
-                        f"per-worker window {self.max_inflight}); retry "
-                        f"later or use admission='block'")
                 if not self._can_submit.wait(timeout=0.2) \
                         and time.monotonic() >= deadline:
                     raise ShardError(
                         f"admission control made no progress within "
                         f"{self._reply_timeout}s")
             waited = time.perf_counter() - wait_start
-            # Counted only once admitted: a bounced submission was not served.
+            # Assigned only once admitted, so the table and the rotation
+            # are the ones current now, whatever changed during the wait.
+            scatter_start = time.perf_counter()
+            assignments = self.table.assign(enumerate(pairs),
+                                            self._scattered)
             self._count_batch(kind, len(pairs))
             self._scattered += len(pairs)
             self._request_counter += 1
@@ -894,19 +846,15 @@ class ShardedRoutingService:
                                   {worker_id: [shard]
                                    for worker_id, shard in assignments})
             self._tickets[request_id] = ticket
-            enqueue_start = time.perf_counter()
             recipients = [self._workers[worker_id]
                           for worker_id, _ in assignments]
-            for worker, (worker_id, shard) in zip(recipients, assignments):
-                self._inflight[worker_id] = \
-                    self._inflight.get(worker_id, 0) + 1
+            for worker, (_, shard) in zip(recipients, assignments):
                 worker.query(request_id, kind, shard, text)
             if self.metrics.enabled:
                 # scatter = assign + enqueue; the admission wait is its
                 # own span so backpressure is visible, not folded in.
                 self.metrics.histogram("scatter").observe(
-                    assign_seconds
-                    + (time.perf_counter() - enqueue_start))
+                    time.perf_counter() - scatter_start)
                 self.metrics.histogram("inflight_wait").observe(waited)
                 self.metrics.histogram("queue_depth", lo=1.0,
                                        hi=4096.0).observe(len(self._tickets))
@@ -1004,9 +952,7 @@ class ShardedRoutingService:
         merged.extra["workers"] = self.num_workers
         merged.extra["artifact_path"] = self.artifact_path
         merged.extra["scatter_batches"] = self.stats.batches
-        merged.extra["pipeline"] = {"depth": self.pipeline_depth,
-                                    "max_inflight": self.max_inflight,
-                                    "admission": self.admission}
+        merged.extra["pipeline"] = {"depth": self.pipeline_depth}
         if self.metrics.enabled:
             # Fold the front-end's own spans (scatter/gather/inflight_wait
             # and the queue-depth histogram) into the per-worker telemetry

@@ -80,7 +80,6 @@ __all__ = [
     "FrameError",
     "ProtocolVersionError",
     "SessionClosedError",
-    "BackpressureError",
     "RemoteError",
     "encode_message",
     "decode_payload",
@@ -136,14 +135,9 @@ class SessionClosedError(WireError):
     a peer disconnect, not a corrupted frame."""
 
 
-class BackpressureError(WireError):
-    """Admission control rejected new work because queue depth is at its
-    bound (``admission="reject"``)."""
-
-
 class RemoteError(WireError):
     """The server reported a failure; ``code`` is its machine-readable
-    class (``"bad-request"``, ``"backend"``, ``"backpressure"``, ...)."""
+    class (``"bad-request"``, ``"backend"``, ...)."""
 
     def __init__(self, code: str, message: str) -> None:
         super().__init__(f"[{code}] {message}")

@@ -188,9 +188,14 @@ def test_option_census():
     two fields of the same names.  One detection engine builds (the
     per-source search is the tests' reference, not an engine) pinned
     ``DETECTION_ENGINES`` to ``batched`` and ``simulate``, and left
-    ``repro.core.pde`` without a pool-eligibility table."""
+    ``repro.core.pde`` without a pool-eligibility table.  One bound on
+    work in flight (``pipeline_depth``) took ``FLAGS`` 32 → 30
+    (``--max-inflight``, ``--admission``) and ``ServingConfig`` 20 → 16
+    fields (those two, plus ``save_artifact`` and ``start_method``, which
+    nothing set), and deleted ``BackpressureError``."""
     import dataclasses
 
+    import repro.serving
     from repro.serving import (
         BuildConfig,
         CacheConfig,
@@ -210,12 +215,13 @@ def test_option_census():
     def field_names(config):
         return tuple(field.name for field in dataclasses.fields(config))
 
-    assert len(FLAGS) == 32
+    assert len(FLAGS) == 30
     assert field_names(CacheConfig) == ("capacity",)
     assert [name for name in vars(fleet) if name.isupper()] \
         == ["HANG_TIMEOUT"]
     assert _slot_states() == {"alive", "warming", "dead"}
-    assert len(field_names(ServingConfig)) == 20
+    assert len(field_names(ServingConfig)) == 16
+    assert not hasattr(repro.serving, "BackpressureError")
     assert len(field_names(BuildConfig)) == 5
     assert len(field_names(WorkloadConfig)) == 4
     tables = {"WORKLOADS": workloads.WORKLOADS,

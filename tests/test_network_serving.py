@@ -11,7 +11,7 @@ Three layers under test, bottom up:
   several concurrent ones, and must negotiate config/graph and fold wire
   telemetry into stats;
 * the pipelined sharded front-end — ``submit_batch`` / ``wait_batch``
-  with bounded in-flight windows and admission control.
+  with one bound on the batches in flight (``pipeline_depth``).
 """
 
 import contextlib
@@ -41,7 +41,6 @@ from repro.serving import fleet as fleet_module
 from repro.serving import worker as worker_module
 from repro.serving import (
     BuildConfig,
-    BackpressureError,
     CacheConfig,
     ClientSession,
     FrameError,
@@ -307,16 +306,23 @@ class TestHandshake:
             client.distance_batch([(nodes[0], nodes[1])])
         client.close()
 
-    @pytest.mark.parametrize("corrupt", [
-        {"served": {"queries": "many", "batches": 1}},   # not an integer
-        {"served": {"queries": None}},
-        {"served": {"queries": [1]}},
-        {"served": {"queries": float("inf")}},
-        {"values": ["abc"]}, {"values": [None]}, {"values": [[1]]},
-        {"values": 5}, {"values": None},
+    @pytest.mark.parametrize("corrupt, error, match", [
+        *[(corrupt, FrameError, "malformed") for corrupt in (
+            {"served": {"queries": "many", "batches": 1}},  # not an integer
+            {"served": {"queries": None}},
+            {"served": {"queries": [1]}},
+            {"served": {"queries": float("inf")}},
+            {"values": ["abc"]}, {"values": [None]}, {"values": [[1]]},
+            {"values": 5}, {"values": None})],
+        # an error code this version has no class for (a peer that still
+        # bounces at admission sends "backpressure") is a RemoteError
+        # carrying the peer's code
+        ({"type": "error", "code": "backpressure",
+          "message": "pipeline full"}, RemoteError,
+         r"\[backpressure\] pipeline full"),
     ])
     def test_malformed_answers_frame_fails_its_own_request_typed(
-            self, corrupt):
+            self, corrupt, error, match):
         # A well-framed reply with hostile contents used to escape gather
         # as a bare ValueError/TypeError; now it is that request's
         # FrameError and, the stream being in step, the session goes on.
@@ -330,8 +336,9 @@ class TestHandshake:
         first = client.submit("distance", [(0, 1)])
         second = client.submit("distance", [(0, 2)])
         assert client.gather(second) == [2.5]
-        with pytest.raises(FrameError, match="malformed"):
+        with pytest.raises(error, match=match) as raised:
             client.gather(first)
+        assert getattr(raised.value, "code", None) == corrupt.get("code")
         with pytest.raises(KeyError):       # resolved, not left pending
             client.gather(first)
         client._teardown()
@@ -679,51 +686,43 @@ class TestPipelinedSharded:
             assert sharded_service.wait_batch(ticket) == \
                 local_backend.route_batch(batch)
 
-    def test_admission_reject_raises_backpressure(self, net_config,
-                                                  net_graph):
-        config = dataclasses.replace(net_config, workers=2,
-                                     pipeline_depth=1, admission="reject")
-        pairs = zipf_workload(net_graph.nodes(), 64, seed=2).pairs
+    @watchdog(60.0)
+    @pytest.mark.parametrize("batch_size", [32, 1])
+    def test_admission_block_completes_beyond_depth(self, net_config,
+                                                    net_graph, local_backend,
+                                                    batch_size):
+        """``pipeline_depth`` is the one bound on work in flight: with the
+        workers stopped, ``depth`` submits return and the next one waits
+        until they answer.  A 32-pair batch gives both workers a shard, a
+        1-pair batch only one of them; neither gets past the bound."""
+        config = dataclasses.replace(net_config, workers=2, pipeline_depth=2)
+        pairs = uniform_workload(net_graph.nodes(), 3 * batch_size,
+                                 seed=4).pairs
+        batches = [pairs[lo:lo + batch_size]
+                   for lo in range(0, len(pairs), batch_size)]
+        third = {}
         with open_service(config, graph=net_graph) as service:
             service.distance_batch(pairs[:4])   # warm: spawn cost paid
             with _frozen(service):
-                first = service.submit_batch("distance", pairs)
-                # depth 1 is occupied until the collector drains `first`;
-                # a second submission must bounce, not queue — and a
-                # bounced submission was not served, so no counter may
-                # move.
-                before = dataclasses.replace(service.stats)
-                with pytest.raises(BackpressureError, match="pipeline full"):
-                    service.submit_batch("distance", pairs[:4])
-                for name in ("queries", "route_queries", "distance_queries",
-                             "batches", "batched_queries"):
-                    assert getattr(service.stats, name) \
-                        == getattr(before, name)
-            assert len(service.wait_batch(first)) == len(pairs)
-            assert service.stats.queries == len(pairs) + 4
-            merged = service.merged_stats()
-            assert merged.queries == service.stats.queries
-            assert merged.extra["scatter_batches"] == 2
-
-    def test_admission_block_completes_beyond_depth(self, net_config,
-                                                    net_graph):
-        config = dataclasses.replace(net_config, workers=2,
-                                     pipeline_depth=2, max_inflight=1)
-        workload = uniform_workload(net_graph.nodes(), 120, seed=4)
-        batches = _batches(workload, 8)
-        with open_service(config, graph=net_graph) as service:
-            tickets = [service.submit_batch("distance", batch)
+                tickets = [service.submit_batch("distance", batch)
+                           for batch in batches[:2]]
+                submitter = threading.Thread(
+                    target=lambda: third.update(ticket=service.submit_batch(
+                        "distance", batches[2])), daemon=True)
+                submitter.start()
+                submitter.join(0.5)
+                assert submitter.is_alive(), \
+                    "a third batch was admitted past pipeline_depth=2"
+            submitter.join(20.0)
+            assert not submitter.is_alive()
+            tickets.append(third["ticket"])
+            got = [service.wait_batch(ticket) for ticket in tickets]
+        assert got == [local_backend.distance_batch(batch)
                        for batch in batches]
-            results = [service.wait_batch(ticket) for ticket in tickets]
-        flat = [value for batch in results for value in batch]
-        assert len(flat) == len(workload.pairs)
 
     def test_merged_stats_report_pipeline_shape(self, sharded_service):
         stats = sharded_service.merged_stats()
-        pipeline = stats.extra["pipeline"]
-        assert pipeline["depth"] == sharded_service.pipeline_depth
-        assert pipeline["max_inflight"] == sharded_service.max_inflight
-        assert pipeline["admission"] in ("block", "reject")
+        assert stats.extra["pipeline"] == {"depth": 8}
 
     def test_server_over_sharded_backend_identical(self, sharded_service,
                                                    local_backend, net_config,
@@ -779,7 +778,7 @@ class FakePipelinedBackend:
         self.events = []              # ("submit"|"wait"|"stats", number)
         self.in_flight = 0
         self.max_in_flight = 0
-        self.reject = set()           # ticket numbers bounced at submit
+        self.fail = set()             # ticket numbers that fail at submit
         self._lock = threading.Lock()
 
     def submit_batch(self, kind, pairs):
@@ -787,8 +786,8 @@ class FakePipelinedBackend:
             number = len(self.tickets) + 1
             ticket = _Ticket(number, kind, list(pairs))
             self.tickets.append(ticket)
-            if number in self.reject:
-                raise BackpressureError("pipeline full (fake)")
+            if number in self.fail:
+                raise ShardError("sharded service is closed")
             self.events.append(("submit", number))
             self.in_flight += 1
             self.max_in_flight = max(self.max_in_flight, self.in_flight)
@@ -873,56 +872,24 @@ class TestServerPipelining:
                                       ("submit", 3)]
 
     @watchdog(30.0)
-    def test_bad_request_and_backpressure_are_errors_in_their_own_slot(
+    def test_bad_request_and_failed_submit_are_errors_in_their_own_slot(
             self):
         backend = FakePipelinedBackend()
-        backend.reject = {2}          # the second batch that reaches submit
+        backend.fail = {2}            # the second batch that reaches submit
         replies = _serve_frames(
             backend,
             _query(1, [(1, 1)]),
             _query(2, [(2, 2)], kind="teleport"),     # never reaches submit
-            _query(3, [(3, 3)]),                      # bounced by admission
+            _query(3, [(3, 3)]),                      # its submit raises
             _query(4, [(4, 4)]),
             encode_frame({"type": "close"}))
         assert [(r["type"], r.get("id"), r.get("code")) for r in replies] == [
             ("answers", 1, None), ("error", 2, "bad-request"),
-            ("error", 3, "backpressure"), ("answers", 4, None),
+            ("error", 3, "backend"), ("answers", 4, None),
             ("bye", None, None)]
+        assert "ShardError: sharded service is closed" in replies[2]["message"]
         # the session survived both: the bye still counts two served batches
         assert replies[-1]["served"] == {"queries": 2, "batches": 2}
-
-    @watchdog(30.0)
-    def test_backpressure_from_a_real_rejecting_front_end(self, net_config,
-                                                          net_graph):
-        config = dataclasses.replace(net_config, workers=2, pipeline_depth=1,
-                                     admission="reject")
-        pairs = zipf_workload(net_graph.nodes(), 64, seed=2).pairs
-        bounced = threading.Event()
-        with open_service(config, graph=net_graph) as service:
-            service.distance_batch(pairs[:4])       # spawn cost paid
-            submit_batch = service.submit_batch
-
-            def spy(kind, pairs):
-                try:
-                    return submit_batch(kind, pairs)
-                except BackpressureError:
-                    bounced.set()
-                    raise
-
-            service.submit_batch = spy
-            with RoutingServer(service, "127.0.0.1:0") as srv, \
-                    ClientSession.connect(srv.address, timeout=5.0,
-                                          reply_timeout=30.0) as client:
-                with _frozen(service):
-                    first = client.submit("distance", pairs)
-                    second = client.submit("distance", pairs[:4])
-                    # replies keep arrival order, so the client cannot see
-                    # the bounce before `first` is answered
-                    assert bounced.wait(10.0)
-                assert len(client.gather(first)) == len(pairs)
-                with pytest.raises(BackpressureError, match="pipeline full"):
-                    client.gather(second)
-                assert len(client.distance_batch(pairs[:4])) == 4
 
     @watchdog(30.0)
     def test_stats_is_answered_after_the_answers_pending_before_it(self):
@@ -1134,18 +1101,17 @@ class TestServerPipelining:
 
         # Forked workers inherit the patched module.
         monkeypatch.setattr(worker_module, "answer_batch", slow_answer_batch)
-        config = dataclasses.replace(net_config, workers=2,
-                                     heartbeat_interval=0.05,
-                                     start_method="fork")
-        assert config.respawn_limit == 0
         pairs = zipf_workload(net_graph.nodes(), 64, seed=3).pairs
-        with open_service(config, graph=net_graph) as service:
+        with ShardedRoutingService(net_config.artifact_path, num_workers=2,
+                                   heartbeat_interval=0.05,
+                                   start_method="fork") as service:
             started = time.monotonic()
             assert service.route_batch(pairs) == \
                 local_backend.route_batch(pairs)
             assert time.monotonic() - started > 2.5
             assert service.is_running
-            assert service.query_stats().extra["fleet"]["worker_deaths"] == 0
+            fleet = service.query_stats().extra["fleet"]
+            assert (fleet["respawn_limit"], fleet["worker_deaths"]) == (0, 0)
 
 
     @watchdog(30.0)

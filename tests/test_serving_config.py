@@ -18,11 +18,10 @@ def nondefault_serving_config() -> ServingConfig:
     return ServingConfig(
         artifact_path="/tmp/x.artifact",
         graph_spec="er:n=40,p=0.1,seed=2",
-        save_artifact=False,
         workers=3,
         batch_size=32,
         kind="distance",
-        start_method="spawn",
+        pipeline_depth=3,
         warm_timeout=60.0,
         reply_timeout=90.0,
         heartbeat_interval=0.25,
@@ -138,18 +137,28 @@ class TestUnknownKeys:
         ("partitioner", "hash_source", ["--partitioner", "hash_source"]),
         ("sub_artifacts", True, ["--sub-artifacts"]),
         ("fleet", True, ["--fleet"]),
+        ("max_inflight", 2, ["--max-inflight", "2"]),
+        ("admission", "reject", ["--admission", "reject"]),
+        ("save_artifact", False, []),
+        ("start_method", "fork", []),
     ])
     def test_sharding_policy_is_not_a_setting(self, key, value, argv,
                                               capsys):
         """Every worker maps the full artifact, one round-robin table
-        scatters and one supervisor runs every sharded service: a stored
-        ``serving_config`` that names a partitioner, sub-artifacts or a
-        fleet mode is refused with the known-key list, and so is the flag
-        that set it."""
+        scatters, one supervisor runs every sharded service and
+        ``pipeline_depth`` is the one bound on work in flight: a stored
+        ``serving_config`` that names a partitioner, sub-artifacts, a
+        fleet mode, a per-worker window or an admission mode is refused
+        with the known-key list, and so is the flag that set it.  The
+        build path always saves and workers start the platform's way, so
+        ``save_artifact`` and ``start_method`` (which no flag ever set)
+        are refused too."""
         refusal = (rf"unknown ServingConfig key\(s\) \['{key}'\]; "
-                   rf"known keys: \['admission', 'artifact_path', ")
+                   rf"known keys: \['artifact_path', 'batch_size', ")
         with pytest.raises(ValueError, match=refusal):
             ServingConfig.from_dict({"workers": 2, key: value})
+        if not argv:
+            return
         with pytest.raises(SystemExit) as exit_info:
             main(["--graph", "er:n=30,p=0.2", "--artifact", "/tmp/a",
                   "--workers", "2"] + argv)

@@ -228,23 +228,6 @@ class TestResourceWarningOnImplicitTeardown:
             gc.collect()
 
 
-class TestShardedConfigRejections:
-    def test_unsaveable_sharded_build_rejected_before_building(
-            self, v2_graph, tmp_path):
-        """Regression: workers>1 + save_artifact=False with no artifact on
-        disk used to pay the full build and then crash on the missing
-        file."""
-        import time
-
-        config = ServingConfig(
-            artifact_path=str(tmp_path / "never-written.artifact"),
-            workers=2, save_artifact=False)
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="save_artifact=False"):
-            open_service(config, graph=v2_graph)
-        assert time.perf_counter() - start < 1.0   # rejected pre-build
-
-
 class TestNameTables:
     """Workloads, query kernels and graph families are plain dicts owned by
     the modules that fill them; a typo anywhere still fails loudly, listing
