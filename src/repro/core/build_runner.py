@@ -1,9 +1,8 @@
 """The ordered task runner behind every build fan-out.
 
 How many processes execute a build is not part of the algorithm: Theorem
-3.3's rounding levels, Section 4.3's hierarchy levels and the per-shard
-artifact slices are each a list of independent tasks whose results are
-consumed in list order.  :func:`run_tasks` is the one place that decides how
+3.3's rounding levels and Section 4.3's hierarchy levels are each a list of
+independent tasks whose results are consumed in list order.  :func:`run_tasks` is the one place that decides how
 such a list runs:
 
 * one worker (or a single task) — in-process and lazily: each task runs when

@@ -96,15 +96,13 @@ class HierarchyBuildReport:
 
 @dataclass
 class _LevelData:
-    """Everything derived from the level-``l`` estimation."""
+    """What queries, tables and reports read of level ``l``: its budgets,
+    bunches and trees (the estimates they were cut from die with the
+    build)."""
 
-    sources: Set[Hashable]
     h: int
     sigma: int
-    estimates: Dict[Hashable, Dict[Hashable, float]] = field(default_factory=dict)
     bunches: Dict[Hashable, Dict[Hashable, float]] = field(default_factory=dict)
-    next_pivot: Dict[Hashable, Optional[Hashable]] = field(default_factory=dict)
-    next_pivot_dist: Dict[Hashable, float] = field(default_factory=dict)
     trees: Optional[TreeFamily] = None
     skeleton_level: bool = False
     overflow_count: int = 0
@@ -117,58 +115,31 @@ class LazyLevelData:
     unpickled from its own section on first access) and the scalar flags;
     it selects levels through the columnar kernel, never through this
     object.  ``bunches`` is decoded from the level's rows of the bunch
-    record table, and ``sources`` / ``estimates`` / ``next_pivot`` /
-    ``next_pivot_dist`` from the level's aux section (an artifact without
-    that section raises there), each once, on first access, by the APIs
-    that read them whole: ``export_state``, ``table_of``, the build reports
-    and re-save.
+    record table once, on first access, by the APIs that read it whole:
+    ``export_state``, ``table_of``, the build reports and re-save.
     """
 
     __slots__ = ("h", "sigma", "skeleton_level", "overflow_count",
-                 "_bunches_loader", "_bunches", "_aux_loader", "_aux",
+                 "_bunches_loader", "_bunches",
                  "_trees_loader", "_trees", "_trees_loaded")
 
     def __init__(self, h: int, sigma: int, skeleton_level: bool,
-                 overflow_count: int, bunches_loader, aux_loader,
-                 trees_loader) -> None:
+                 overflow_count: int, bunches_loader, trees_loader) -> None:
         self.h = h
         self.sigma = sigma
         self.skeleton_level = skeleton_level
         self.overflow_count = overflow_count
         self._bunches_loader = bunches_loader
         self._bunches = None
-        self._aux_loader = aux_loader
-        self._aux = None
         self._trees_loader = trees_loader
         self._trees = None
         self._trees_loaded = False
-
-    def _load_aux(self) -> Dict[str, object]:
-        if self._aux is None:
-            self._aux = self._aux_loader()
-        return self._aux
 
     @property
     def bunches(self) -> Dict[Hashable, Dict[Hashable, float]]:
         if self._bunches is None:
             self._bunches = self._bunches_loader()
         return self._bunches
-
-    @property
-    def sources(self) -> Set[Hashable]:
-        return self._load_aux()["sources"]
-
-    @property
-    def estimates(self) -> Dict[Hashable, Dict[Hashable, float]]:
-        return self._load_aux()["estimates"]
-
-    @property
-    def next_pivot(self) -> Dict[Hashable, Optional[Hashable]]:
-        return self._load_aux()["next_pivot"]
-
-    @property
-    def next_pivot_dist(self) -> Dict[Hashable, float]:
-        return self._load_aux()["next_pivot_dist"]
 
     @property
     def trees(self) -> Optional[TreeFamily]:
@@ -294,6 +265,9 @@ class CompactRoutingHierarchy:
             return h, sigma
 
         level_data: List[_LevelData] = []
+        # Each level's estimate lists: the bunches and pivots below are cut
+        # from them, and the hierarchy keeps none of them.
+        estimates: List[Dict[Hashable, Dict[Hashable, float]]] = []
         level_metrics: List[CongestMetrics] = []
         pde_results: List[Optional[PDEResult]] = []
 
@@ -327,8 +301,8 @@ class CompactRoutingHierarchy:
             h, sigma = direct_budgets[l]
             pde_results.append(pde)
             level_metrics.append(pde.metrics)
-            level_data.append(_LevelData(sources=level_sets[l], h=h, sigma=sigma,
-                                         estimates=pde.estimates))
+            level_data.append(_LevelData(h=h, sigma=sigma))
+            estimates.append(pde.estimates)
 
         skeleton_graph: Optional[WeightedGraph] = None
         attach_trees: Optional[TreeFamily] = None
@@ -394,19 +368,23 @@ class CompactRoutingHierarchy:
                             if total < row.get(s, float("inf")):
                                 row[s] = total
                     combined[v] = row
-                level_data.append(_LevelData(sources=level_sets[l], h=h_skel,
-                                             sigma=sigma, estimates=combined,
+                level_data.append(_LevelData(h=h_skel, sigma=sigma,
                                              skeleton_level=True))
+                estimates.append(combined)
 
         # --- bunches, pivots, trees ----------------------------------------
         pivots: Dict[int, Dict[Hashable, Hashable]] = {}
         pivot_dists: Dict[int, Dict[Hashable, float]] = {}
+        next_pivot: List[Dict[Hashable, Optional[Hashable]]] = [
+            {} for _ in range(k)]
+        next_pivot_dist: List[Dict[Hashable, float]] = [{} for _ in range(k)]
 
         for l in range(k):
             data = level_data[l]
+            sources = level_sets[l]
             upper = level_sets[l + 1] if l + 1 < k else None
             for v in graph.nodes():
-                row = data.estimates.get(v, {})
+                row = estimates[l].get(v, {})
                 # Closest next-level node according to this level's estimates.
                 if upper is not None:
                     best = None
@@ -414,20 +392,20 @@ class CompactRoutingHierarchy:
                         if s in upper and (best is None or (est, repr(s)) < best[:2]):
                             best = (est, repr(s), s)
                     if best is not None:
-                        data.next_pivot[v] = best[2]
-                        data.next_pivot_dist[v] = best[0]
+                        next_pivot[l][v] = best[2]
+                        next_pivot_dist[l][v] = best[0]
                     else:
-                        data.next_pivot[v] = None
-                        data.next_pivot_dist[v] = float("inf")
+                        next_pivot[l][v] = None
+                        next_pivot_dist[l][v] = float("inf")
                         data.overflow_count += 1
                 else:
-                    data.next_pivot[v] = None
-                    data.next_pivot_dist[v] = float("inf")
+                    next_pivot[l][v] = None
+                    next_pivot_dist[l][v] = float("inf")
                 # Bunch: level-l nodes strictly closer than the next pivot.
-                cutoff = (data.next_pivot_dist[v], repr(data.next_pivot[v]))
+                cutoff = (next_pivot_dist[l][v], repr(next_pivot[l][v]))
                 bunch = {}
                 for s, est in row.items():
-                    if s not in data.sources:
+                    if s not in sources:
                         continue
                     if upper is None or (est, repr(s)) < cutoff:
                         bunch[s] = est
@@ -437,22 +415,21 @@ class CompactRoutingHierarchy:
         for l in range(1, k):
             pivots[l] = {}
             pivot_dists[l] = {}
-            prev = level_data[l - 1]
-            cur = level_data[l]
+            sources = level_sets[l]
             for v in graph.nodes():
-                source = prev.next_pivot.get(v)
-                dist = prev.next_pivot_dist.get(v, float("inf"))
+                source = next_pivot[l - 1].get(v)
+                dist = next_pivot_dist[l - 1].get(v, float("inf"))
                 if source is None:
                     # Fall back to the closest level-l node seen at level l.
-                    row = cur.estimates.get(v, {})
+                    row = estimates[l].get(v, {})
                     best = None
                     for s, est in row.items():
-                        if s in cur.sources and (best is None or (est, repr(s)) < best[:2]):
+                        if s in sources and (best is None or (est, repr(s)) < best[:2]):
                             best = (est, repr(s), s)
                     if best is not None:
                         source, dist = best[2], best[0]
-                if source is None and cur.sources:
-                    source = min(cur.sources, key=repr)
+                if source is None and sources:
+                    source = min(sources, key=repr)
                     dist = float("inf")
                 pivots[l][v] = source
                 pivot_dists[l][v] = 0.0 if v == source else dist
@@ -461,14 +438,14 @@ class CompactRoutingHierarchy:
         for l in direct_levels:
             data = level_data[l]
             pde = pde_results[l]
-            members: Dict[Hashable, Set[Hashable]] = {s: set() for s in data.sources}
+            members: Dict[Hashable, Set[Hashable]] = {s: set() for s in level_sets[l]}
             for v in graph.nodes():
                 for s in data.bunches[v]:
                     members[s].add(v)
                 if l >= 1 and pivots[l].get(v) in members:
                     members[pivots[l][v]].add(v)
             data.trees = build_destination_trees(graph, pde, destinations=sorted(
-                data.sources, key=repr), members_of=members)
+                level_sets[l], key=repr), members_of=members)
 
         metrics = merge_metrics(*level_metrics, sequential=True)
         hierarchy = cls(graph=graph, k=k, epsilon=epsilon, mode=mode, l0=l0,
@@ -826,13 +803,9 @@ class CompactRoutingHierarchy:
             "level_sets": [sorted(s, key=repr) for s in self.level_sets],
             "level_data": [
                 {
-                    "sources": sorted(data.sources, key=repr),
                     "h": data.h,
                     "sigma": data.sigma,
-                    "estimates": {v: dict(row) for v, row in data.estimates.items()},
                     "bunches": {v: dict(row) for v, row in data.bunches.items()},
-                    "next_pivot": dict(data.next_pivot),
-                    "next_pivot_dist": dict(data.next_pivot_dist),
                     "trees": family_state(data.trees),
                     "skeleton_level": data.skeleton_level,
                     "overflow_count": data.overflow_count,

@@ -23,9 +23,10 @@ node) bunch rows — are fixed-width binary records (stdlib ``struct``; see
 arithmetic: nothing is deserialised until a query touches it, first answers
 arrive after reading only the pages they need, and co-located workers
 serving the same artifact share the physical pages through the OS page
-cache instead of holding N private copies.  Construction-time state
-(per-level estimates, destination trees, skeleton structures) lives in
-separate pickled sections materialised lazily on first access.
+cache instead of holding N private copies.  The rest (graph, level sets,
+destination trees, skeleton structures, metrics) lives in separate pickled
+sections materialised lazily on first access; a build's per-level
+estimates are not stored at all, since no query or report reads them.
 
 Every section carries its own SHA-256.  Opening an artifact validates the
 header and section bounds (truncation and out-of-range offsets fail fast)
@@ -290,9 +291,6 @@ class ArtifactV2Reader:
     def section_names(self) -> Tuple[str, ...]:
         return tuple(self.info.sections)
 
-    def has_section(self, name: str) -> bool:
-        return name in self.info.sections
-
     def _entry(self, name: str) -> Dict[str, Any]:
         try:
             return self.info.sections[name]
@@ -435,9 +433,6 @@ def _hierarchy_meta(hierarchy: CompactRoutingHierarchy,
             for data in hierarchy.level_data
         ],
         "build_params": dict(hierarchy.build_params),
-        # Reserved: always null, read by nothing (kept so no artifact
-        # byte moves).
-        "sub_artifact": None,
     }
 
 
@@ -483,14 +478,7 @@ def _hierarchy_sections(hierarchy: CompactRoutingHierarchy
         "level_sets": [sorted(s, key=repr) for s in hierarchy.level_sets],
     })
     for level in range(k):
-        data = hierarchy.level_data[level]
-        sections[f"level_aux_{level}"] = _dumps({
-            "sources": sorted(data.sources, key=repr),
-            "estimates": {v: dict(row) for v, row in data.estimates.items()},
-            "next_pivot": dict(data.next_pivot),
-            "next_pivot_dist": dict(data.next_pivot_dist),
-        })
-        trees = data.trees
+        trees = hierarchy.level_data[level].trees
         sections[f"level_trees_{level}"] = _dumps(
             None if trees is None else trees.export_state())
     sections["skeleton"] = _dumps({
@@ -517,7 +505,7 @@ class _LazyHierarchy(CompactRoutingHierarchy):
     read them whole (``export_state``, ``table_of``, ``label_of``, the
     build reports, re-save): ``pivots`` / ``pivot_dists`` decoded from the
     pivot table, each level's ``bunches`` from its rows of the bunch table,
-    the per-level aux/tree sections and the skeleton-mode structures
+    the per-level tree sections and the skeleton-mode structures
     unpickled — each once, on first access, and published whole.
     """
 
@@ -610,21 +598,6 @@ def _decode_bunches(intern: NodeInternTable, bunch_table: OffsetRecordTable,
             if bunch_table.has_row(base + index)}
 
 
-def _load_level_aux(reader: ArtifactV2Reader, level: int) -> Dict[str, Any]:
-    name = f"level_aux_{level}"
-    if not reader.has_section(name):
-        raise ArtifactError(
-            f"{reader.path}: section {name!r} is not present; this "
-            f"hierarchy cannot be exported or reported on")
-    state = reader.load_pickle(name)
-    return {
-        "sources": set(state["sources"]),
-        "estimates": {v: dict(row) for v, row in state["estimates"].items()},
-        "next_pivot": dict(state["next_pivot"]),
-        "next_pivot_dist": dict(state["next_pivot_dist"]),
-    }
-
-
 def _load_level_trees(reader: ArtifactV2Reader, level: int,
                       graph: WeightedGraph) -> Optional[TreeFamily]:
     """One level's trees, each checked against the served ``graph``."""
@@ -688,7 +661,6 @@ def load_hierarchy(path: str) -> Tuple[CompactRoutingHierarchy, ArtifactInfo]:
                 overflow_count=entry["overflow_count"],
                 bunches_loader=partial(_decode_bunches, intern, bunch_table,
                                        level),
-                aux_loader=partial(_load_level_aux, reader, level),
                 trees_loader=partial(_load_level_trees, reader, level, graph),
             )
             for level, entry in enumerate(meta["level_meta"])

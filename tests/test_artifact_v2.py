@@ -83,18 +83,6 @@ class TestLayout:
             position += entry["length"]
         assert position == header["payload_bytes"] == written.payload_bytes
 
-    def test_meta_keeps_the_reserved_sub_artifact_key(self, saved_artifact):
-        """``"sub_artifact": null`` stays in every hierarchy's meta section
-        (reserved, read by nothing) so no artifact byte moved when slices
-        were removed."""
-        _, _, v2_path, _ = saved_artifact
-        reader = ArtifactV2Reader(v2_path)
-        try:
-            meta = reader.load_json("meta")
-        finally:
-            reader.close()
-        assert "sub_artifact" in meta and meta["sub_artifact"] is None
-
     def test_artifact_info_reports_format_2(self, saved_artifact):
         graph, hierarchy, v2_path, _ = saved_artifact
         info = artifact_info(v2_path)
@@ -135,6 +123,32 @@ class TestRoundTrip:
         for u, v in itertools.islice(
                 itertools.permutations(graph.nodes(), 2), 100):
             assert again.distance(u, v) == built.distance(u, v)
+
+    def test_artifact_with_level_aux_sections_still_serves(
+            self, saved_artifact, tmp_path):
+        """An artifact written before the build's per-level estimates were
+        dropped still carries ``level_aux_*`` sections; the loader never
+        reads them, so even unreadable ones leave every answer, export,
+        table, report and re-saved byte as they are."""
+        graph, _, v2_path, info = saved_artifact
+
+        def add_level_aux(sections):
+            sections["level_aux_0"] = b"not a pickle"
+
+        old_path = _rewritten(v2_path, str(tmp_path / "old.artifact"),
+                              add_level_aux)
+        assert "level_aux_0" in verify_artifact(old_path).sections
+        clean, _ = load_hierarchy(v2_path)
+        old, _ = load_hierarchy(old_path)
+        pairs = list(itertools.permutations(graph.nodes(), 2))
+        assert old.distance_batch(pairs) == clean.distance_batch(pairs)
+        assert old.route_batch(pairs) == clean.route_batch(pairs)
+        assert old.export_state() == clean.export_state()
+        for node in graph.nodes():
+            assert old.table_of(node) == clean.table_of(node)
+        assert old.build_report() == clean.build_report()
+        resaved = save_hierarchy(old, str(tmp_path / "resaved.artifact"))
+        assert resaved.payload_sha256 == info.payload_sha256
 
     def test_pde_v2_round_trip(self, tmp_path):
         graph = graphs.random_geometric_graph(25, 0.35, None, seed=9)

@@ -17,7 +17,10 @@ kept its bytes.  They were re-recorded again when the tree states gained
 ``dist`` (each member's pointer-chain weight) and the hierarchy's state
 version went 1 -> 2: the ``level_trees_*`` and ``skeleton`` sections equal
 the previous ones with ``dist`` dropped, ``meta`` differs only in its
-``state_version``, and every other section kept its bytes.
+``state_version``, and every other section kept its bytes.  The latest
+re-record came when the hierarchy stopped keeping its build's per-level
+estimates: the ``level_aux_*`` sections left, ``meta`` differs only by its
+dropped ``sub_artifact`` key, and every other section kept its bytes.
 """
 
 import json

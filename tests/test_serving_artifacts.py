@@ -218,14 +218,17 @@ class TestHierarchyRoundTrip:
             assert loaded.estimate == fresh.estimate
 
     def test_reload_of_reload_is_stable(self, saved_hierarchy, tmp_path):
-        _, _, path, _ = saved_hierarchy
+        """Save -> load -> save -> load -> save is a fixed point, in the
+        exported state and in the payload bytes."""
+        _, _, path, info = saved_hierarchy
         reloaded, _ = load_hierarchy(path)
         again_path = str(tmp_path / "again.artifact")
-        save_hierarchy(reloaded, again_path)
-        # Save -> load -> save must be a fixed point at the state level (the
-        # raw bytes may differ through pickle string-interning memo effects).
+        again_info = save_hierarchy(reloaded, again_path)
         again, _ = load_hierarchy(again_path)
         assert again.export_state() == reloaded.export_state()
+        third_info = save_hierarchy(again, str(tmp_path / "third.artifact"))
+        assert (info.payload_sha256 == again_info.payload_sha256
+                == third_info.payload_sha256)
 
     def test_graph_adjacency_order_survives(self, saved_hierarchy):
         graph, _, path, _ = saved_hierarchy
