@@ -1,10 +1,10 @@
 """Artifact cold-load latency and time-to-first-answer.
 
-Artifacts store the query-hot tables as mmap-able fixed-width record
-sections: loading parses the header, maps the file, and unpickles only the
-small eager sections (graph, level sets, metrics); the pivot and bunch
-records page in as queries touch them, shared across processes through the
-OS page cache.
+Artifacts store the query-hot tables as fixed-width record sections:
+loading parses the header, maps the file, unpickles the small eager
+sections (graph, level sets, metrics) and decodes the pivot and bunch
+records into the build's dicts, which every loading process holds for
+itself.  The tree and skeleton sections are unpickled on first access.
 
 Per configuration this benchmark forks a fresh probe process (cold
 Python-level caches, honest RSS deltas) and records:
@@ -21,7 +21,7 @@ Run as a script to produce the JSON artifact consumed by CI:
         --n 500 --queries 512 --out BENCH_artifact_load.json
 
 Every probe's answers are checked against the in-memory built hierarchy
-served through the per-pair ``dict`` kernel — the load path must never
+— the load path must never
 change an answer (the script exits non-zero otherwise).  The pytest entry
 point runs a smoke configuration and asserts that identity.
 """
@@ -129,10 +129,8 @@ def run_artifact_load(n: int, seed: int = 0, k: int = 3, queries: int = 512,
     hierarchy = build_compact_routing(graph, k=k, seed=seed)
     build_seconds = time.perf_counter() - build_start
 
-    # The identity reference: the built hierarchy, never persisted, served
-    # through the per-pair dict kernel.
-    built = RoutingService(hierarchy, cache_config=CacheConfig(capacity=0),
-                           kernel="dict")
+    # The identity reference: the built hierarchy, never persisted.
+    built = RoutingService(hierarchy, cache_config=CacheConfig(capacity=0))
     expected_of = dict(zip(pairs, _comparable(
         kind, answer_batch(built, kind, pairs))))
 
@@ -205,11 +203,12 @@ def main(argv=None) -> int:
     payload = {
         "benchmark": "artifact_load",
         "description": "Cold artifact load and time-to-first-answer "
-                       "(mmap + lazy sections); the probe runs in a fresh "
+                       "(mmap, tables decoded at load, trees lazy); the "
+                       "probe runs in a fresh "
                        "forked process and records load/TTFA wall clock, "
                        "VmRSS delta and the table bytes its artifact holds, "
                        "and its answers are checked against the in-memory "
-                       "built hierarchy (dict kernel)",
+                       "built hierarchy",
         "workload": "ER avg-degree-6, weights 1..8, k=3 hierarchy; one cold "
                     "Zipf batch answered per probe",
         "records": records,

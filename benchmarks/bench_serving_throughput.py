@@ -5,8 +5,7 @@ compact-routing hierarchy is built (Corollary 4.14's expensive phase), a
 :class:`RoutingService` should sustain far higher query throughput on
 realistic (skewed) traffic than naive one-at-a-time querying, because
 
-* a batch's level selection is one columnar-kernel pass over the mapped
-  tables instead of one per pair, and
+* a batch answers each distinct pair once, however often it repeats, and
 * the LRU result cache absorbs the repeats that Zipf/locality streams are
   full of.
 
@@ -14,8 +13,7 @@ For each workload shape (uniform / zipf / locality) this benchmark measures
 route-query throughput in three configurations over the same query stream:
 
 * ``cold_single``  — result cache disabled, one query at a time on a
-  freshly opened backend (the naive baseline; each query is selected by the
-  kernel as a batch of one);
+  freshly opened backend (the naive baseline);
 * ``cold_batch``   — result cache disabled, batched API (isolates the
   batching win);
 * ``warm_batch``   — result cache enabled and pre-warmed with one pass
@@ -25,13 +23,6 @@ All three configurations are opened through the serving API v2 — a
 ``ServingConfig`` per configuration, ``open_service`` per backend — over one
 shared artifact, so the benchmark exercises exactly the surface production
 callers use.
-
-A second measurement compares the batch *query kernels* head to head: the
-same cold (cache-disabled) distance stream answered once with
-``kernel="dict"`` (the kernel's per-pair loop, one pair at a time) and once
-with ``kernel="columnar"`` (the whole batch selected in one kernel call),
-on uniform and zipf streams.  Answers are asserted
-identical; the recorded numbers are the measured columnar speedup.
 
 Run as a script to produce a run directory in the ``repro-experiment``
 layout (``config.json`` / ``metrics.json`` / ``environment.json``, so
@@ -158,60 +149,6 @@ def run_serving_benchmark(n: int, seed: int = 0, k: int = 3,
     return record
 
 
-def run_kernel_benchmark(n: int, seed: int = 0, k: int = 3,
-                         epsilon: float = 0.25, num_queries: int = 2000,
-                         batch_size: int = 64) -> dict:
-    """Cold-cache kernel-vs-dict comparison over one mmap'd v2 artifact.
-
-    Result caches are disabled and each kernel gets a freshly-opened
-    backend (cold runtime caches by construction), so the measured gap is
-    purely the selection strategy: the kernel one pair at a time vs one
-    call per batch.  Distances are asserted list-for-list identical
-    before any timing is reported.
-    """
-    graph = make_serving_graph(n, seed=seed)
-    with tempfile.TemporaryDirectory(prefix="repro-kernel-bench-") as tmp:
-        artifact = os.path.join(tmp, "hierarchy.artifact")
-        base = ServingConfig(
-            artifact_path=artifact,
-            build=BuildConfig(k=k, epsilon=epsilon, seed=seed),
-            cache=CacheConfig(capacity=0),
-            batch_size=batch_size, kind="distance")
-        open_service(base, graph=graph).close()   # build + save once
-
-        record = {"n": n, "m": graph.num_edges, "k": k,
-                  "num_queries": num_queries, "batch_size": batch_size,
-                  "workloads": {}}
-        for shape in ("uniform", "zipf"):
-            workload = make_workload(shape, graph, num_queries, seed=seed)
-            pairs = workload.pairs
-            timings = {}
-            answers = {}
-            for kernel in ("dict", "columnar"):
-                config = dataclasses.replace(base, kernel=kernel)
-                with open_service(config) as service:
-                    assert service.query_stats().extra["kernel_active"] \
-                        == kernel, "artifact must be v2 for the columnar leg"
-                    start = time.perf_counter()
-                    results = []
-                    for lo in range(0, len(pairs), batch_size):
-                        results.extend(
-                            service.distance_batch(pairs[lo:lo + batch_size]))
-                    timings[kernel] = time.perf_counter() - start
-                    answers[kernel] = results
-            assert answers["dict"] == answers["columnar"], \
-                "kernels must answer list-for-list identically"
-            record["workloads"][shape] = {
-                **workload.skew_summary(),
-                "dict_qps": round(num_queries / max(timings["dict"], 1e-9), 1),
-                "columnar_qps": round(
-                    num_queries / max(timings["columnar"], 1e-9), 1),
-                "columnar_speedup": round(
-                    timings["dict"] / max(timings["columnar"], 1e-9), 2),
-            }
-    return record
-
-
 # ----------------------------------------------------------------------
 # pytest entry point (smoke scale)
 # ----------------------------------------------------------------------
@@ -235,32 +172,12 @@ def test_serving_throughput_smoke(benchmark):
     assert zipf["batch_speedup"] >= 0.8
 
 
-@pytest.mark.benchmark(group="serving")
-def test_kernel_throughput_smoke(benchmark):
-    record = benchmark.pedantic(
-        lambda: run_kernel_benchmark(150, num_queries=800),
-        iterations=1, rounds=1)
-    print()
-    for shape, stats in record["workloads"].items():
-        print(f"{shape:>9}: dict {stats['dict_qps']:>9} q/s  "
-              f"columnar {stats['columnar_qps']:>9} q/s  "
-              f"(speedup {stats['columnar_speedup']}x)")
-    # Identity is asserted inside run_kernel_benchmark; at smoke scale only
-    # require the columnar kernel not to be a regression beyond noise.
-    for stats in record["workloads"].values():
-        assert stats["columnar_speedup"] >= 0.7
-
-
 # ----------------------------------------------------------------------
 # CLI entry point (full scale, JSON artifact)
 # ----------------------------------------------------------------------
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", type=int, nargs="+", default=[120, 500])
-    parser.add_argument("--kernel-sizes", type=int, nargs="+",
-                        default=[500],
-                        help="graph sizes for the cold-cache kernel-vs-dict "
-                             "comparison (uniform + zipf)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--k", type=int, default=3)
     parser.add_argument("--queries", type=int, default=2000)
@@ -285,18 +202,6 @@ def main(argv=None) -> int:
                   f"warm-batch {stats['warm_batch_qps']:>10} q/s  "
                   f"warm-speedup {stats['warm_speedup']}x")
 
-    kernel_records = []
-    for n in args.kernel_sizes:
-        record = run_kernel_benchmark(n, seed=args.seed, k=args.k,
-                                      num_queries=args.queries,
-                                      batch_size=args.batch_size)
-        kernel_records.append(record)
-        print(f"n={n:>5} kernel comparison (cold cache, distance)")
-        for shape, stats in record["workloads"].items():
-            print(f"  {shape:>9}: dict {stats['dict_qps']:>10} q/s  "
-                  f"columnar {stats['columnar_qps']:>10} q/s  "
-                  f"columnar-speedup {stats['columnar_speedup']}x")
-
     payload = {
         "benchmark": "serving_throughput",
         "description": "RoutingService route-query throughput: cold vs warm "
@@ -304,12 +209,6 @@ def main(argv=None) -> int:
         "workload": "ER avg-degree-6, weights 1..8, k=3 hierarchy; "
                     "uniform/zipf/locality query streams",
         "records": records,
-        "kernel_comparison": {
-            "description": "cold-cache distance throughput, dict vs "
-                           "columnar batch kernel over one mmap'd v2 "
-                           "artifact (answers asserted identical)",
-            "records": kernel_records,
-        },
     }
     run_dir = args.run_dir
     if run_dir is None:
@@ -319,7 +218,6 @@ def main(argv=None) -> int:
     write_run_directory(run_dir, payload, {
         "name": "bench_serving_throughput",
         "sizes": args.sizes,
-        "kernel_sizes": args.kernel_sizes,
         "seed": args.seed,
         "k": args.k,
         "queries": args.queries,
@@ -335,14 +233,7 @@ def main(argv=None) -> int:
 
     # Exit non-zero if the headline claims fail at the largest size.
     largest = max(records, key=lambda r: r["n"])
-    ok = largest["workloads"]["zipf"]["warm_speedup"] >= 2.0
-    if kernel_records:
-        largest_kernel = max(kernel_records, key=lambda r: r["n"])
-        # The columnar kernel must beat the dict path on cold uniform
-        # traffic at scale — the measured win the refactor exists for.
-        ok = ok and all(stats["columnar_speedup"] > 1.0 for stats
-                        in largest_kernel["workloads"].values())
-    return 0 if ok else 1
+    return 0 if largest["workloads"]["zipf"]["warm_speedup"] >= 2.0 else 1
 
 
 if __name__ == "__main__":

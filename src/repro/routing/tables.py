@@ -12,11 +12,8 @@ table sizes.
 from __future__ import annotations
 
 import math
-import os
 import pickle
 import struct
-import sys
-from array import array
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -30,8 +27,6 @@ from typing import (
     Tuple,
 )
 
-from ..obs.metrics import NULL_REGISTRY
-
 __all__ = [
     "Label",
     "RoutingTable",
@@ -43,55 +38,7 @@ __all__ = [
     "NodeInternTable",
     "PivotRowTable",
     "OffsetRecordTable",
-    "ColumnarQueryKernel",
-    "HAVE_NUMPY",
 ]
-
-# Optional accelerator for batch level selection only: a batch of at least
-# ``VECTOR_MIN_PAIRS`` pairs is selected by array operations over zero-copy
-# views of the pivot and bunch tables.  Per row, array set-up costs more than
-# it saves; per batch it is paid once.  The per-pair loop is the stdlib twin
-# producing bit-identical answers and stats, so numpy's absence (or
-# REPRO_NO_NUMPY=1, which the CI matrix uses to pin the loop) changes speed,
-# never results.
-try:
-    import numpy as _np
-except ImportError:          # pragma: no cover - depends on environment
-    _np = None
-if _np is not None and os.environ.get("REPRO_NO_NUMPY"):
-    _np = None
-
-HAVE_NUMPY = _np is not None
-
-#: The ``<int32, float64>`` record layout shared by the pivot and bunch
-#: tables, as a packed numpy structured dtype (itemsize 12, no padding).
-_RECORD_DTYPE = (None if _np is None
-                 else _np.dtype([("key", "<i4"), ("value", "<f8")]))
-
-#: ``OffsetRecordTable``'s ``<record_offset uint64, count uint32>`` index
-#: entry as a packed numpy structured dtype (itemsize 12, no padding).
-_INDEX_DTYPE = (None if _np is None
-                else _np.dtype([("offset", "<u8"), ("count", "<u4")]))
-
-#: Smallest batch :meth:`ColumnarQueryKernel.select_batch` selects with
-#: array operations; smaller batches take the per-pair loop.  Over three
-#: runs on a 2-core x86 host, the ``sweep`` lines of
-#: ``benchmarks/profile_local_query.py`` put the crossover at 10-12 pairs
-#: on the ``query_local_er`` shape and 16-24 on the k=2 zipf shape (one run
-#: is ``benchmarks/profiles/local_query_pr31.txt``), so 24 slows neither.
-#: ``benchmarks/profiles/kernel_batches_pr31.txt`` records the batch sizes
-#: the ledger workloads send to ``select_batch``: 32-64 pairs where the
-#: kernel is on the timed path, 2-23 in the remote workload's warm-up.
-VECTOR_MIN_PAIRS = 24
-
-#: Most pairs one pass of the vectorised selection holds in its arrays (a
-#: probed row's records are expanded per pair, so they grow with the
-#: chunk); a larger batch is selected in even chunks of at most this many.
-VECTOR_CHUNK_PAIRS = 1024
-
-#: Whether a native int32 view of the little-endian records reads them right.
-_LITTLE_ENDIAN = sys.byteorder == "little"
-
 
 def payload_words(value: Any) -> int:
     """Number of ``O(log n)``-bit words needed to encode ``value``."""
@@ -223,17 +170,16 @@ class RouteTrace:
 # The serving layer's artifact format v2 stores the query-hot tables —
 # per-node pivot rows and per-(level, node) bunch rows — as fixed-width
 # binary records over *interned* node indices, so a reader can locate any
-# record by pure offset arithmetic and ``mmap`` the table instead of
-# deserialising it.  Everything below is stdlib ``struct``/``array``-style
+# record by pure offset arithmetic.  Everything below is stdlib ``struct``
 # encoding; no third-party dependencies.  The classes come in pairs:
 #
 # * ``encode`` classmethods produce the section bytes at save time;
 # * the constructors wrap a ``memoryview`` (typically over an ``mmap``)
-#   and answer point lookups without copying or materialising the table.
+#   and read it back row by row, every row bounds-checked.
 #
-# A loaded hierarchy selects levels only through :class:`ColumnarQueryKernel`
-# below; the tables are decoded into the build's plain dicts only for the
-# APIs that read them whole (state export, reports, re-save).
+# The loader decodes both tables into the build's plain dicts once, at
+# load, so a loaded hierarchy selects levels exactly as the in-memory
+# build does (``CompactRoutingHierarchy._select_level``).
 
 
 class RecordTableError(ValueError):
@@ -343,12 +289,12 @@ class NodeInternTable:
         return self._index[node]
 
     def indices_of(self, nodes: Iterable[Hashable]) -> List[int]:
-        """Dense indices for a whole batch of labels in one pass.
+        """Dense indices for a whole batch of labels in one pass (unknown
+        labels raise ``KeyError``, as :meth:`index_of` does).
 
-        The batch-query kernel resolves every label exactly once through
-        this instead of one dict probe per (pair, level) touch.  Unknown
-        labels raise ``KeyError`` naming the offending label, matching
-        :meth:`index_of`.
+        No query path calls this: it is kept only for the ledger's intern
+        timing in ``benchmarks/e2e/peel.py``, and leaves with it in the
+        follow-up benchmark change that drops ``kernel=``.
         """
         index = self._index
         return [index[node] for node in nodes]
@@ -443,41 +389,6 @@ class PivotRowTable:
         stop = start + self.num_levels * self._RECORD.size
         return list(self._RECORD.iter_unpack(self._buf[start:stop]))
 
-    def _np_records(self):
-        """The whole record area as a ``(num_nodes, num_levels)`` structured
-        numpy view over the mapped bytes (built once, zero-copy)."""
-        table = getattr(self, "_np_table", None)
-        if table is None:
-            flat = _np.frombuffer(self._buf, dtype=_RECORD_DTYPE,
-                                  offset=self._HEADER.size)
-            table = flat.reshape(self.num_nodes, self.num_levels)
-            self._np_table = table
-        return table
-
-    def rows_batch(self, node_indices: Sequence[int]
-                   ) -> Tuple[Sequence[int], Sequence[float]]:
-        """Packed pivot records for a batch of nodes.
-
-        Returns ``(pivots, dists)`` as two flat parallel sequences, row
-        major with ``num_levels`` entries per node in ``node_indices``
-        order — the columnar twin of calling :meth:`row` per node, as
-        ``array('i')`` / ``array('d')`` blocks filled from the contiguous
-        record slices.
-        """
-        pivots = array("i")
-        dists = array("d")
-        base = self._HEADER.size
-        stride = self.num_levels * self._RECORD.size
-        for node_index in node_indices:
-            if not 0 <= node_index < self.num_nodes:
-                raise RecordTableError(f"node index {node_index} out of range")
-            start = base + node_index * stride
-            for pivot_index, dist in self._RECORD.iter_unpack(
-                    self._buf[start:start + stride]):
-                pivots.append(pivot_index)
-                dists.append(dist)
-        return pivots, dists
-
 
 class OffsetRecordTable:
     """Variable-length rows of fixed-width records behind an offset index.
@@ -527,11 +438,6 @@ class OffsetRecordTable:
             raise RecordTableError(
                 f"offset table is {len(self._buf)} bytes, header implies "
                 f"{expected}")
-        # The record area as int32 words: record j's key is word 3j.  A
-        # memoryview cast is native-endian and the records are ``<i``, so a
-        # big-endian host decodes key columns record by record instead.
-        self._words = (self._buf[self._data_base:].cast("i")
-                       if _LITTLE_ENDIAN else None)
 
     def _entry(self, row_index: int) -> Tuple[int, int]:
         if not 0 <= row_index < self.num_rows:
@@ -560,306 +466,3 @@ class OffsetRecordTable:
                 f"row {row_index} points past the record area "
                 f"(offset {offset}, count {count}, {self.num_records} records)")
         return offset, count
-
-    def row_keys(self, row_index: int) -> Tuple[int, List[int]]:
-        """``(record offset, keys)`` of a row — the keys only, as a list.
-
-        A packed ``<id`` record is three int32 words with the key first, so
-        the key column is one strided slice of the word view; a value is
-        read on its own, by record number, through :meth:`value_at`.
-        """
-        offset, count = self._extent(row_index)
-        if self._words is None:
-            return offset, [key for key, _ in self.row_items(row_index)]
-        return offset, self._words[3 * offset:3 * (offset + count):3].tolist()
-
-    def value_at(self, record: int) -> float:
-        """The float64 value of record number ``record`` (as numbered by
-        :meth:`row_keys`: its row's offset plus its position in the row),
-        read from behind the record's 4-byte key."""
-        return _F64.unpack_from(
-            self._buf, self._data_base + record * self._RECORD.size + 4)[0]
-
-    def _np_views(self):
-        """``(index, records)``: the index entries and the record area as
-        structured numpy views over the mapped bytes (built once,
-        zero-copy).  Entries are unchecked; a reader checks the ones it
-        gathers against ``ABSENT`` and ``num_records``."""
-        views = getattr(self, "_np_table", None)
-        if views is None:
-            views = self._np_table = (
-                _np.frombuffer(self._buf, dtype=_INDEX_DTYPE,
-                               count=self.num_rows, offset=self._index_base),
-                _np.frombuffer(self._buf, dtype=_RECORD_DTYPE,
-                               count=self.num_records, offset=self._data_base))
-        return views
-
-
-def _distinct_sorted(values):
-    """The distinct elements of a numpy array, sorted (``np.unique`` costs
-    more on the short arrays of one batch)."""
-    values = _np.sort(values)
-    if len(values) > 1:
-        values = values[_np.concatenate(([True], values[1:] != values[:-1]))]
-    return values
-
-
-class ColumnarQueryKernel:
-    """The level selection of a loaded hierarchy, over the v2 record tables.
-
-    Every query on a loaded artifact selects its level here — a batch in
-    one call, a single query as a batch of one — straight from the record
-    slices; the tables are never decoded into dicts on this path.  Every
-    label is resolved to its interned id exactly once
-    (:meth:`NodeInternTable.indices_of`); then one of two paths selects
-    the levels.
-
-    A batch of at least :data:`VECTOR_MIN_PAIRS` pairs, when numpy is
-    importable, is selected by array operations over zero-copy views of
-    the tables (:meth:`PivotRowTable._np_records`,
-    :meth:`OffsetRecordTable._np_views`): each pair's ``k`` candidate
-    ``(bunch row, pivot, tail)`` triples are gathered at once, those rows'
-    key columns expanded into one segment array and compared with the
-    pivots, and each pair takes its first level that hits.  Larger batches
-    are cut into even chunks of at most :data:`VECTOR_CHUNK_PAIRS` pairs,
-    since the expanded records grow with the pairs.  If a gathered
-    index entry is absent or points past the record area, the batch is
-    handed to the loop, which raises what it always raised.
-
-    Smaller batches, and hosts without numpy, take the per-pair loop:
-
-    * pairs are grouped by source and the groups visited in index order,
-      so bunch-row reads walk the mapped section monotonically;
-    * each distinct target's pivot row is gathered once into one packed
-      block (:meth:`PivotRowTable.rows_batch`);
-    * each ``(level, source)`` bunch row has its index entry read and its
-      key column listed at most once per batch
-      (:meth:`OffsetRecordTable.row_keys`); every pair in the group is a
-      membership test on that list, and only a hit unpacks a value.
-
-    Both paths give answers bit-identical to the in-memory build's dict
-    path — same float records, same ``estimate + tail`` arithmetic, the
-    same ``KeyError`` for unknown labels — and the same ``stats``: batches
-    / pairs / source groups / distinct ``(level, source)`` bunch rows the
-    loop touches (``bunch_rows_decoded``), for the serving layer's
-    ``--json`` report.
-    """
-
-    __slots__ = ("_intern", "_pivot_table", "_bunch_table", "_k",
-                 "_num_nodes", "stats", "metrics")
-
-    def __init__(self, intern: NodeInternTable, pivot_table: PivotRowTable,
-                 bunch_table: OffsetRecordTable, k: int) -> None:
-        if pivot_table.num_levels != k - 1:
-            raise RecordTableError(
-                f"pivot table has {pivot_table.num_levels} levels, "
-                f"expected k-1 = {k - 1}")
-        if bunch_table.num_rows != k * len(intern):
-            raise RecordTableError(
-                f"bunch table has {bunch_table.num_rows} rows, "
-                f"expected k*n = {k * len(intern)}")
-        self._intern = intern
-        self._pivot_table = pivot_table
-        self._bunch_table = bunch_table
-        self._k = k
-        self._num_nodes = len(intern)
-        self.stats: Dict[str, int] = {"batches": 0, "pairs": 0, "groups": 0,
-                                      "bunch_rows_decoded": 0}
-        #: Telemetry registry for per-group decode spans; the serving layer
-        #: swaps in a live registry when telemetry is enabled (the no-op
-        #: singleton costs one attribute access per group otherwise).
-        self.metrics = NULL_REGISTRY
-
-    def node_label(self, index: int) -> Hashable:
-        """The node label behind an interned index (for route selections)."""
-        return self._intern.node_at(index)
-
-    def _bunch_keys(self, level: int, source_index: int
-                    ) -> Tuple[int, List[int]]:
-        row_index = level * self._num_nodes + source_index
-        try:
-            return self._bunch_table.row_keys(row_index)
-        except RecordTableError:
-            if self._bunch_table.has_row(row_index):
-                raise
-            # A node with no bunch at a level: the decoded bunches leave
-            # it out, so a lookup of it is a KeyError there too.
-            node = self._intern.node_at(source_index)
-            raise KeyError(
-                f"bunch row for node {node!r} (level {level}) is not "
-                f"present in this artifact") from None
-
-    def select_batch(self, pairs: Sequence[Tuple[Hashable, Hashable]]
-                     ) -> List[Optional[Tuple[int, Optional[int], float]]]:
-        """Level selections ``(level, pivot_index, estimate)`` per pair.
-
-        The rule of ``CompactRoutingHierarchy._select_level``: the
-        minimal level whose target pivot lands in the source's bunch, with
-        ``(k, None, inf)`` when no level hits.  Pairs whose source equals
-        their target return ``None`` — the query paths short-circuit
-        equality before level selection, so selection is undefined there.
-        """
-        pairs = list(pairs)
-        intern = self._intern
-        source_ids = intern.indices_of(s for s, _ in pairs)
-        target_ids = intern.indices_of(t for _, t in pairs)
-        selected = None
-        if _np is not None and len(pairs) >= VECTOR_MIN_PAIRS:
-            selected = self._select_vector(source_ids, target_ids)
-        if selected is None:
-            selected = self._select_loop(source_ids, target_ids)
-        results, groups, decoded = selected
-        self.stats["batches"] += 1
-        self.stats["pairs"] += len(pairs)
-        self.stats["groups"] += groups
-        self.stats["bunch_rows_decoded"] += decoded
-        return results
-
-    def _select_loop(self, source_ids: List[int], target_ids: List[int]):
-        """``(selections, source groups, rows touched)``, pair by pair."""
-        # Distinct targets resolve their pivot rows once, as one packed block.
-        slot_of: Dict[int, int] = {}
-        distinct_targets: List[int] = []
-        for t in target_ids:
-            if t not in slot_of:
-                slot_of[t] = len(distinct_targets)
-                distinct_targets.append(t)
-        pivots, pivot_dists = self._pivot_table.rows_batch(distinct_targets)
-        stride = self._k - 1
-
-        groups: Dict[int, List[int]] = {}
-        for position, s in enumerate(source_ids):
-            groups.setdefault(s, []).append(position)
-
-        k = self._k
-        value_at = self._bunch_table.value_at
-        results: List[Optional[Tuple[int, Optional[int], float]]] = \
-            [None] * len(source_ids)
-        decoded = 0
-        no_hit = (k, None, float("inf"))
-        for s in sorted(groups):
-            with self.metrics.span("kernel_group_decode"):
-                bunch_rows: List[Optional[Tuple[int, List[int]]]] = [None] * k
-                for position in groups[s]:
-                    t = target_ids[position]
-                    if s == t:
-                        continue       # equality sentinel: stays None
-                    base = slot_of[t] * stride
-                    selection = no_hit
-                    for level in range(k):
-                        if level == 0:
-                            # level-0 pivot is the target itself
-                            pivot, tail = t, 0.0
-                        else:
-                            pivot = pivots[base + level - 1]
-                            if pivot < 0:      # NO_PIVOT
-                                continue
-                            tail = pivot_dists[base + level - 1]
-                        row = bunch_rows[level]
-                        if row is None:
-                            row = bunch_rows[level] = self._bunch_keys(level, s)
-                            decoded += 1
-                        offset, keys = row
-                        if pivot in keys:
-                            selection = (level, pivot, value_at(
-                                offset + keys.index(pivot)) + tail)
-                            break
-                    results[position] = selection
-        return results, len(groups), decoded
-
-    def _select_vector(self, source_ids: List[int], target_ids: List[int]):
-        """What :meth:`_select_loop` returns, from array operations over
-        even chunks of at most :data:`VECTOR_CHUNK_PAIRS` pairs, so that the
-        arrays stay bounded however large the batch; ``None`` when a
-        gathered row is absent or out of range, so that the loop raises the
-        error."""
-        np = _np
-        count = len(source_ids)
-        sources = np.fromiter(source_ids, np.intp, count)
-        targets = np.fromiter(target_ids, np.intp, count)
-        chunks = -(-count // VECTOR_CHUNK_PAIRS)
-        results: List[Optional[Tuple[int, Optional[int], float]]] = []
-        touched = []
-        for chunk in range(chunks):
-            lo, hi = count * chunk // chunks, count * (chunk + 1) // chunks
-            selected = self._select_chunk(sources[lo:hi], targets[lo:hi])
-            if selected is None:
-                return None
-            results += selected[0]
-            touched.append(selected[1])
-        # Rows touched in several chunks count once, as in the loop.
-        rows = (touched[0] if chunks == 1
-                else _distinct_sorted(np.concatenate(touched)))
-        return results, len(set(source_ids)), len(rows)
-
-    def _select_chunk(self, sources, targets):
-        """``(selections, distinct rows touched)`` of one chunk of pairs,
-        or ``None`` when a gathered row is absent or out of range."""
-        np = _np
-        k = self._k
-        count = len(sources)
-        index, records = self._bunch_table._np_views()
-        try:
-            gathered = self._pivot_table._np_records()[targets]
-        except IndexError:
-            return None
-        # Each (pair, level) cell holds a candidate pivot, the tail behind
-        # it and the bunch row it is looked up in; level 0's is the target.
-        pivots = np.empty((count, k), np.intp)
-        pivots[:, 0] = targets
-        pivots[:, 1:] = gathered["key"]
-        tails = np.zeros((count, k))
-        tails[:, 1:] = gathered["value"]
-        rows = sources[:, None] + self._num_nodes * np.arange(k)
-        distinct = sources != targets
-        probed = (pivots >= 0) & distinct[:, None]
-        cells = np.flatnonzero(probed)      # row-major: by pair, then level
-        entries = index[rows.ravel()[cells]]
-        offsets = entries["offset"]
-        counts = entries["count"].astype(np.uint64)
-        limit = np.uint64(self._bunch_table.num_records)
-        if ((counts == OffsetRecordTable.ABSENT) | (counts > limit)
-                | (offsets > limit - counts)).any():
-            return None
-        # The probed rows' records end to end, one segment per cell: the
-        # segment of cell ``c`` ends before position ``ends[c]``.
-        lengths = counts.astype(np.intp)
-        ends = np.cumsum(lengths)
-        record = np.repeat(offsets.astype(np.intp) - ends + lengths, lengths)
-        record += np.arange(len(record))
-        hits = np.flatnonzero(records["key"][record]
-                              == np.repeat(pivots.ravel()[cells], lengths))
-        # A pair's first hit is at its lowest level (and, within a row, the
-        # first matching record, as ``keys.index`` finds it).
-        hit_cells = cells[np.searchsorted(ends, hits, side="right")]
-        pair = hit_cells // k
-        first = np.ones(len(pair), bool)
-        first[1:] = pair[1:] != pair[:-1]
-        pair, hit_cells, hits = pair[first], hit_cells[first], hits[first]
-        levels = hit_cells - pair * k
-
-        # The loop reads a pair's rows up to its hit level (all, on a miss).
-        reached = np.full(count, k)
-        reached[pair] = levels
-        touched = _distinct_sorted(
-            rows[probed & (np.arange(k) <= reached[:, None])])
-        results: List[Optional[Tuple[int, Optional[int], float]]] = \
-            [(k, None, float("inf"))] * count
-        for position in np.flatnonzero(~distinct).tolist():
-            results[position] = None
-        # ``estimate + tail`` is added as Python floats, as the loop adds it
-        # (numpy would warn where the sum overflows).
-        for position, level, pivot, estimate, tail in zip(
-                pair.tolist(), levels.tolist(),
-                pivots.ravel()[hit_cells].tolist(),
-                records["value"][record[hits]].tolist(),
-                tails.ravel()[hit_cells].tolist()):
-            results[position] = (level, pivot, estimate + tail)
-        return results, touched
-
-    def distance_batch(self, pairs: Sequence[Tuple[Hashable, Hashable]]
-                       ) -> List[float]:
-        """Distance estimates for ``pairs``, list-for-list identical to
-        the in-memory build's dict path (equal pairs are 0.0 by definition)."""
-        return [0.0 if selection is None else selection[2]
-                for selection in self.select_batch(pairs)]

@@ -51,25 +51,17 @@ from .tz_exact import sample_levels
 from .stretch import evaluate_routing
 
 __all__ = ["CompactRoutingHierarchy", "HierarchyBuildReport", "LazyLevelData",
-           "QUERY_KERNELS", "wants_columnar"]
+           "QUERY_KERNELS"]
 
 #: Sentinel distinguishing "absent from the bunch" from any real estimate.
 _ABSENT = object()
 
-#: Query-kernel selectors, and whether each selects levels through a
-#: loaded artifact's columnar kernel.  ``auto`` and ``columnar`` are one
-#: rule; ``dict`` selects pair by pair.  An in-memory build has no kernel and
-#: takes its dict path under any name.
-QUERY_KERNELS = {"dict": False, "columnar": True, "auto": True}
-
-
-def wants_columnar(kernel: str) -> bool:
-    """Whether selector ``kernel`` asks for the columnar kernel; an unknown
-    selector raises ``ValueError`` naming the available ones."""
-    if kernel not in QUERY_KERNELS:
-        raise ValueError(f"unknown query kernel {kernel!r}; available: "
-                         f"{', '.join(sorted(QUERY_KERNELS))}")
-    return QUERY_KERNELS[kernel]
+#: Query-kernel names, kept only so that ``kernel=`` arguments still
+#: validate: the name selects nothing, since every hierarchy selects levels
+#: through :meth:`CompactRoutingHierarchy._select_level` over plain dicts.
+#: The follow-up benchmark change that drops ``kernel=`` from
+#: ``benchmarks/e2e`` deletes it, with ``kernel=`` and ``--kernel``.
+QUERY_KERNELS = {"dict": "dict", "columnar": "dict", "auto": "dict"}
 
 
 @dataclass
@@ -111,35 +103,26 @@ class _LevelData:
 class LazyLevelData:
     """Duck-typed :class:`_LevelData` backed by artifact-v2 sections.
 
-    The query path touches only ``trees`` (needed for route queries,
-    unpickled from its own section on first access) and the scalar flags;
-    it selects levels through the columnar kernel, never through this
-    object.  ``bunches`` is decoded from the level's rows of the bunch
-    record table once, on first access, by the APIs that read it whole:
-    ``export_state``, ``table_of``, the build reports and re-save.
+    ``bunches`` is the build's dict, decoded from the level's rows of the
+    bunch record table at load; ``trees`` is unpickled from its own section
+    on first access (route queries and the reports read it).
     """
 
-    __slots__ = ("h", "sigma", "skeleton_level", "overflow_count",
-                 "_bunches_loader", "_bunches",
+    __slots__ = ("h", "sigma", "skeleton_level", "overflow_count", "bunches",
                  "_trees_loader", "_trees", "_trees_loaded")
 
     def __init__(self, h: int, sigma: int, skeleton_level: bool,
-                 overflow_count: int, bunches_loader, trees_loader) -> None:
+                 overflow_count: int,
+                 bunches: Dict[Hashable, Dict[Hashable, float]],
+                 trees_loader) -> None:
         self.h = h
         self.sigma = sigma
         self.skeleton_level = skeleton_level
         self.overflow_count = overflow_count
-        self._bunches_loader = bunches_loader
-        self._bunches = None
+        self.bunches = bunches
         self._trees_loader = trees_loader
         self._trees = None
         self._trees_loaded = False
-
-    @property
-    def bunches(self) -> Dict[Hashable, Dict[Hashable, float]]:
-        if self._bunches is None:
-            self._bunches = self._bunches_loader()
-        return self._bunches
 
     @property
     def trees(self) -> Optional[TreeFamily]:
@@ -177,10 +160,6 @@ class CompactRoutingHierarchy:
         self.metrics = metrics
         self.build_params: Dict[str, object] = {}
         self._skeleton_tail_tables: Dict[Tuple[int, Hashable], Tuple[Dict, Dict]] = {}
-        #: The level selection of a loaded artifact (set by the artifact-v2
-        #: loader to a :class:`~repro.routing.tables.ColumnarQueryKernel`);
-        #: ``None`` on an in-memory build, which selects from its dicts.
-        self._columnar_kernel = None
         #: Telemetry registry for batch-query spans (``metrics`` is taken by
         #: the paper-side :class:`CongestMetrics` accounting).  The no-op
         #: singleton by default; the serving layer swaps in a live registry
@@ -512,19 +491,16 @@ class CompactRoutingHierarchy:
     def set_metrics_registry(self, registry) -> None:
         """Attach a telemetry registry for batch-query spans.
 
-        Forwarded to the columnar kernel (per-group decode spans) when one
-        is attached.  Pass :data:`~repro.obs.metrics.NULL_REGISTRY` to
-        detach.  Called by the serving layer; harmless to leave at the
-        default no-op registry.
+        Pass :data:`~repro.obs.metrics.NULL_REGISTRY` to detach.  Called by
+        the serving layer; harmless to leave at the default no-op registry.
         """
         self._obs_metrics = registry
-        if self._columnar_kernel is not None:
-            self._columnar_kernel.metrics = registry
 
     def _select_level(self, source: Hashable, target: Hashable
                       ) -> Tuple[int, Hashable, float]:
         """The minimal level ``l`` with ``s'_l(target)`` in ``source``'s bunch,
-        read from the build's dicts level by level (the identity oracle)."""
+        read from the dicts level by level — on a built and on a loaded
+        hierarchy alike: at most ``k`` dict probes."""
         for l in range(self.k):
             pivot = target if l == 0 else self.pivots[l][target]
             if pivot is None:
@@ -543,71 +519,33 @@ class CompactRoutingHierarchy:
         return estimate
 
     # -- batch queries ----------------------------------------------------
-    def has_columnar_kernel(self) -> bool:
-        """Whether this hierarchy is backed by v2 record tables with a
-        columnar batch kernel attached (mmap-loaded format-2 artifacts)."""
-        return self._columnar_kernel is not None
-
-    def query_kernel(self, kernel: str = "auto"):
-        """Resolve a :data:`QUERY_KERNELS` selector to the kernel a batch is
-        selected by, or ``None`` for pair by pair.
-
-        ``"dict"`` always returns ``None``; ``"columnar"`` and ``"auto"``
-        return the attached columnar kernel when the backing store provides
-        one, falling back to ``None`` for in-memory hierarchies whose
-        levels have no record tables.
-        """
-        return self._columnar_kernel if wants_columnar(kernel) else None
+    @staticmethod
+    def query_kernel(kernel: str = "auto") -> None:
+        """Check that ``kernel`` names a :data:`QUERY_KERNELS` entry, and
+        return ``None``: the name selects nothing, every hierarchy selects
+        levels through :meth:`_select_level`.  Kept for the callers in
+        ``benchmarks/e2e``; the follow-up benchmark change that drops
+        ``kernel=`` deletes it."""
+        if kernel not in QUERY_KERNELS:
+            raise ValueError(f"unknown query kernel {kernel!r}; available: "
+                             f"{', '.join(sorted(QUERY_KERNELS))}")
 
     def distance_batch(self, pairs: List[Tuple[Hashable, Hashable]],
                        kernel: str = "auto") -> List[float]:
-        """Distance estimates for many pairs, in input order.
-
-        With a columnar kernel attached (mmap-loaded format-2 artifacts)
-        the batch is answered straight from the record tables: labels are
-        interned once, pairs are grouped by source, and each ``(level,
-        source)`` bunch row is decoded at most once for the whole batch.
-        Otherwise — in-memory hierarchies, or ``kernel="dict"`` — this is
-        :meth:`distance` pair by pair: the build's dicts on an in-memory
-        hierarchy, the kernel's loop one pair at a time on a loaded one.
-        Answers are list-for-list identical between the paths.
-        """
-        kern = self.query_kernel(kernel)
-        obs = getattr(self, "_obs_metrics", NULL_REGISTRY)
-        with obs.span("kernel_batch"):
-            if kern is None:
-                return [self.distance(s, t) for s, t in pairs]
-            return kern.distance_batch(pairs)
+        """Distance estimates for many pairs, in input order: :meth:`distance`
+        pair by pair.  ``kernel`` is only validated (see
+        :meth:`query_kernel`)."""
+        self.query_kernel(kernel)
+        with self._obs_metrics.span("kernel_batch"):
+            return [self.distance(s, t) for s, t in pairs]
 
     def route_batch(self, pairs: List[Tuple[Hashable, Hashable]],
                     kernel: str = "auto") -> List[RouteTrace]:
-        """Route traces for many pairs, in input order.
-
-        The columnar kernel only accelerates level selection (the
-        pivot/bunch probes); path materialisation is shared with
-        :meth:`route`, so traces are identical between kernels.
-        """
-        kern = self.query_kernel(kernel)
-        obs = getattr(self, "_obs_metrics", NULL_REGISTRY)
-        with obs.span("kernel_batch"):
-            if kern is None:
-                return [self.route(s, t) for s, t in pairs]
-            traces: List[Optional[RouteTrace]] = [None] * len(pairs)
-            selections = kern.select_batch(pairs)
-            for position, (source, target) in enumerate(pairs):
-                selection = selections[position]
-                if selection is None:      # source == target
-                    traces[position] = RouteTrace(
-                        source=source, target=target, path=[source],
-                        delivered=True, weight=0.0, estimate=0.0)
-                    continue
-                level, pivot_index, estimate = selection
-                pivot = (None if pivot_index is None
-                         else kern.node_label(pivot_index))
-                traces[position] = self._route_selected(source, target,
-                                                        level, pivot,
-                                                        estimate)
-            return traces
+        """Route traces for many pairs, in input order: :meth:`route` pair by
+        pair.  ``kernel`` is only validated (see :meth:`query_kernel`)."""
+        self.query_kernel(kernel)
+        with self._obs_metrics.span("kernel_batch"):
+            return [self.route(s, t) for s, t in pairs]
 
     def clear_runtime_caches(self) -> None:
         """Drop the derived per-pivot skeleton tables with the anchors
@@ -620,24 +558,18 @@ class CompactRoutingHierarchy:
         self._skeleton_tail_tables.clear()
 
     def route(self, source: Hashable, target: Hashable) -> RouteTrace:
+        """Route ``source`` to ``target`` at the level :meth:`_select_level`
+        picks.
+
+        The route follows only the trees the estimate was summed over, and
+        its weight is summed from their ``dist`` tables — no graph is read;
+        a pair they do not connect (no pivot in range, a disconnected graph)
+        comes back undelivered with an infinite estimate.
+        """
         if source == target:
             return RouteTrace(source=source, target=target, path=[source],
                               delivered=True, weight=0.0, estimate=0.0)
         level, pivot, estimate = self._select_level(source, target)
-        return self._route_selected(source, target, level, pivot, estimate)
-
-    def _route_selected(self, source: Hashable, target: Hashable, level: int,
-                        pivot: Optional[Hashable], estimate: float
-                        ) -> RouteTrace:
-        """Materialise the route for an already-selected ``(level, pivot)``.
-
-        Shared by :meth:`route` (per-pair selection) and :meth:`route_batch`
-        (columnar selection) so both produce identical traces.  The route
-        follows only the trees the estimate was summed over, and its weight
-        is summed from their ``dist`` tables — no graph is read; a pair they
-        do not connect (no pivot in range, a disconnected graph) comes back
-        undelivered with an infinite estimate.
-        """
         path = None
         if pivot is not None and self.level_data[level].skeleton_level:
             up = self._route_via_skeleton(source, pivot, level)

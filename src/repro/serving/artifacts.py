@@ -19,20 +19,21 @@ with a typed :class:`ArtifactError` before a payload byte is read::
 
 The query-hot tables — node intern table, per-node pivot rows, per-(level,
 node) bunch rows — are fixed-width binary records (stdlib ``struct``; see
-:mod:`repro.routing.tables`) that the loader ``mmap``\\ s and reads by offset
-arithmetic: nothing is deserialised until a query touches it, first answers
-arrive after reading only the pages they need, and co-located workers
-serving the same artifact share the physical pages through the OS page
-cache instead of holding N private copies.  The rest (graph, level sets,
-destination trees, skeleton structures, metrics) lives in separate pickled
-sections materialised lazily on first access; a build's per-level
-estimates are not stored at all, since no query or report reads them.
+:mod:`repro.routing.tables`) that the loader maps, bounds-checks
+row by row and decodes into the build's plain dicts once, at load: a
+loaded hierarchy selects levels through the same dict lookups as the
+in-memory build, and a structurally bad table fails at load, not
+mid-query.  The rest (graph, level sets, destination trees, skeleton
+structures, metrics) lives in separate pickled sections; the trees and
+the skeleton structures are materialised lazily on first access.  A
+build's per-level estimates are not stored at all, since no query or
+report reads them.
 
 Every section carries its own SHA-256.  Opening an artifact validates the
 header and section bounds (truncation and out-of-range offsets fail fast)
-and verifies the query-hot record tables' checksums — a sequential hash
-over the mapping, no deserialisation — so corrupt records can never answer
-queries; lazily-pickled sections are verified when they first materialise,
+and verifies the query-hot record tables' checksums before decoding
+them, so corrupt records can never answer queries; lazily-pickled
+sections are verified when they first materialise,
 and :func:`verify_artifact` checks every section on
 demand (the CI smoke job and the corruption tests use it).  Artifacts are trusted
 local files (pickle is not safe against adversarial bytes — checksums
@@ -56,7 +57,6 @@ from ..core.pde import PDEResult
 from ..graphs.weighted_graph import WeightedGraph
 from ..routing.cluster_trees import TreeFamily
 from ..routing.tables import (
-    ColumnarQueryKernel,
     NodeInternTable,
     OffsetRecordTable,
     PivotRowTable,
@@ -249,11 +249,8 @@ class ArtifactV2Reader:
     Opening validates the header and that every section lies within the
     mapped payload (truncated files and out-of-range offsets raise
     immediately).  Section *bytes* are then served as zero-copy memoryviews
-    over the mapping: :meth:`section_view` for the fixed-width record
-    tables that are read incrementally by the query path, and
-    :meth:`section_bytes` (checksum verified on first materialisation) for
-    sections that are decoded whole.  :meth:`verify` checks every
-    section's checksum.
+    over the mapping by :meth:`section_bytes`, checksum verified on first
+    use.  :meth:`verify` checks every section's checksum.
 
     The reader must outlive any views handed out; the lazy hierarchy keeps
     a reference for exactly that reason.
@@ -300,9 +297,7 @@ class ArtifactV2Reader:
                 f"{', '.join(self.info.sections)}") from None
 
     def section_view(self, name: str):
-        """Zero-copy view of a section (no checksum; used for the record
-        tables the query path reads incrementally — :func:`verify_artifact`
-        covers them on demand)."""
+        """Zero-copy view of a section, its checksum not checked."""
         entry = self._entry(name)
         start = self._payload_start + entry["offset"]
         return self._view[start:start + entry["length"]]
@@ -313,44 +308,6 @@ class ArtifactV2Reader:
         if name not in self._verified:
             self.verify_section(name)
         return view
-
-    #: Advice names accepted by :meth:`advise`, mapped to mmap flag names.
-    _ADVICE_FLAGS = {"willneed": "MADV_WILLNEED",
-                     "sequential": "MADV_SEQUENTIAL",
-                     "random": "MADV_RANDOM"}
-
-    def advise(self, name: str, advice: str = "willneed") -> bool:
-        """Readahead hint for one section's pages; ``True`` if applied.
-
-        Bulk kernel scans walk the record sections front to back, so the
-        loader issues ``WILLNEED`` on them at open.  Strictly a hint: on
-        platforms without ``mmap.madvise`` (or without the requested flag)
-        this is a no-op returning ``False``, and failures of the syscall
-        itself are swallowed — answers never depend on it.
-        """
-        try:
-            flag_name = self._ADVICE_FLAGS[advice]
-        except KeyError:
-            raise ValueError(f"unknown madvise advice {advice!r}; expected "
-                             f"one of {sorted(self._ADVICE_FLAGS)}") from None
-        flag = getattr(mmap, flag_name, None)
-        if flag is None or not hasattr(self._mmap, "madvise"):
-            return False
-        entry = self._entry(name)
-        start = self._payload_start + entry["offset"]
-        # madvise requires a page-aligned start: round down and widen the
-        # length by the same delta, clamped to the mapping.
-        page = mmap.PAGESIZE
-        aligned = start - (start % page)
-        length = min(entry["length"] + (start - aligned),
-                     len(self._mmap) - aligned)
-        if length <= 0:
-            return False
-        try:
-            self._mmap.madvise(flag, aligned, length)
-        except (OSError, ValueError):
-            return False
-        return True
 
     def verify_section(self, name: str) -> None:
         entry = self._entry(name)
@@ -498,41 +455,28 @@ def _hierarchy_sections(hierarchy: CompactRoutingHierarchy
 class _LazyHierarchy(CompactRoutingHierarchy):
     """A hierarchy served from a mapped artifact.
 
-    Every query selects its level through the columnar kernel over the
-    mapped record tables — a batch in one call, a single query as a batch
-    of one — so the query path decodes no table and answers exactly as the
-    built original.  The build's dicts come back only for the APIs that
-    read them whole (``export_state``, ``table_of``, ``label_of``, the
-    build reports, re-save): ``pivots`` / ``pivot_dists`` decoded from the
-    pivot table, each level's ``bunches`` from its rows of the bunch table,
-    the per-level tree sections and the skeleton-mode structures
-    unpickled — each once, on first access, and published whole.
+    Its ``pivots``, ``pivot_dists`` and every level's ``bunches`` are the
+    build's dicts, decoded at load, so it selects levels and answers exactly
+    as the built original.  The per-level tree sections and the
+    skeleton-mode structures are unpickled on first access and published
+    whole.
     """
 
     _SKELETON_ATTRS = ("pde_skel", "skeleton_graph", "attach_trees",
                        "skeleton_trees")
-    _PIVOT_ATTRS = ("pivots", "pivot_dists")
 
-    def __init__(self, reader: ArtifactV2Reader, kernel: ColumnarQueryKernel,
-                 pivots_loader, **kwargs) -> None:
-        super().__init__(pivots=None, pivot_dists=None, pde_skel=None,
-                         skeleton_graph=None, attach_trees=None,
-                         skeleton_trees={}, **kwargs)
+    def __init__(self, reader: ArtifactV2Reader, **kwargs) -> None:
+        super().__init__(pde_skel=None, skeleton_graph=None,
+                         attach_trees=None, skeleton_trees={}, **kwargs)
         # These attributes come back through __getattr__, which only fires
         # for *missing* instance attributes — drop the placeholders.
-        for name in self._SKELETON_ATTRS + self._PIVOT_ATTRS:
+        for name in self._SKELETON_ATTRS:
             del self.__dict__[name]
         self._artifact_reader = reader
-        self._columnar_kernel = kernel
-        self._pivots_loader = pivots_loader
 
     def __getattr__(self, name: str):
         if name in type(self)._SKELETON_ATTRS:
             self._materialise_skeleton()
-            return self.__dict__[name]
-        if name in type(self)._PIVOT_ATTRS:
-            pivots, pivot_dists = self._pivots_loader()
-            self.__dict__.update(pivots=pivots, pivot_dists=pivot_dists)
             return self.__dict__[name]
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -563,25 +507,30 @@ class _LazyHierarchy(CompactRoutingHierarchy):
                                 f"invalid: {exc}") from exc
         self.__dict__.update(materialised)
 
-    def _select_level(self, source, target):
-        """The kernel's selection of one pair (its per-pair loop), with the
-        pivot's interned id mapped back to its label."""
-        kernel = self._columnar_kernel
-        level, pivot, estimate = kernel.select_batch([(source, target)])[0]
-        return (level, None if pivot is None else kernel.node_label(pivot),
-                estimate)
+
+def _labels(intern: NodeInternTable) -> Dict[int, Any]:
+    """Interned id -> node label, as a dict: an id outside the table (a
+    negative one too) is a ``KeyError``, never a wrapped list index."""
+    return dict(enumerate(intern.nodes()))
 
 
 def _decode_pivots(intern: NodeInternTable, pivot_table: PivotRowTable,
                    k: int) -> Tuple[Dict[int, Dict], Dict[int, Dict]]:
     """The build's ``pivots`` and ``pivot_dists`` dicts, from the pivot
     table (the inverse of :func:`_hierarchy_sections`)."""
+    label = _labels(intern)
     pivots: Dict[int, Dict] = {level: {} for level in range(1, k)}
     pivot_dists: Dict[int, Dict] = {level: {} for level in range(1, k)}
-    for index, node in enumerate(intern.nodes()):
+    for index, node in label.items():
         for level, (pivot, dist) in enumerate(pivot_table.row(index), 1):
-            pivots[level][node] = (None if pivot < 0      # NO_PIVOT
-                                   else intern.node_at(pivot))
+            if pivot < 0:                               # NO_PIVOT
+                pivots[level][node] = None
+            elif pivot in label:
+                pivots[level][node] = label[pivot]
+            else:
+                raise RecordTableError(
+                    f"pivot row {index} (level {level}) names node id "
+                    f"{pivot}, outside the intern table of {len(label)}")
             pivot_dists[level][node] = dist
     return pivots, pivot_dists
 
@@ -590,12 +539,20 @@ def _decode_bunches(intern: NodeInternTable, bunch_table: OffsetRecordTable,
                     level: int) -> Dict[Any, Dict[Any, float]]:
     """One level's ``bunches`` dict, from its rows of the bunch table; a
     node whose row is ``ABSENT`` (no bunch at this level) is left out."""
-    node_at = intern.node_at
-    base = level * len(intern)
-    return {node_at(index): {node_at(key): value for key, value
+    label = _labels(intern)
+    base = level * len(label)
+    bunches: Dict[Any, Dict[Any, float]] = {}
+    for index, node in label.items():
+        if not bunch_table.has_row(base + index):
+            continue
+        try:
+            bunches[node] = {label[key]: value for key, value
                              in bunch_table.row_items(base + index)}
-            for index in range(len(intern))
-            if bunch_table.has_row(base + index)}
+        except KeyError as exc:
+            raise RecordTableError(
+                f"bunch row {base + index} names node id {exc.args[0]}, "
+                f"outside the intern table of {len(label)}") from None
+    return bunches
 
 
 def _load_level_trees(reader: ArtifactV2Reader, level: int,
@@ -616,9 +573,11 @@ def _load_level_trees(reader: ArtifactV2Reader, level: int,
 def load_hierarchy(path: str) -> Tuple[CompactRoutingHierarchy, ArtifactInfo]:
     """Load a hierarchy artifact; returns ``(hierarchy, info)``.
 
-    The hierarchy comes back mmap-backed and lazy: query answers are
-    identical to the built original, selected by the columnar kernel from
-    tables that page in on demand.
+    The pivot and bunch tables are checksum-verified, bounds-checked and
+    decoded into the build's dicts here, so query answers are identical to
+    the built original and a bad row raises :class:`ArtifactError` now, not
+    when a query reaches it.  The trees and the skeleton structures stay in
+    the mapping until first access.
     """
     reader = ArtifactV2Reader(path, expected_kind=KIND_HIERARCHY)
     try:
@@ -629,10 +588,6 @@ def load_hierarchy(path: str) -> Tuple[CompactRoutingHierarchy, ArtifactInfo]:
                 f"{path}: unsupported hierarchy state version {version!r} "
                 f"(expected {CompactRoutingHierarchy.STATE_VERSION})")
         intern = NodeInternTable.decode(reader.section_bytes("nodes"))
-        # section_bytes (not section_view): the record tables are verified
-        # once at open — a sequential hash over the mapping, no
-        # deserialisation — so a flipped byte cannot silently answer
-        # queries; afterwards the views stay zero-copy.
         pivot_table = PivotRowTable(reader.section_bytes("pivots"))
         bunch_table = OffsetRecordTable(reader.section_bytes("bunches"))
         k = meta["k"]
@@ -649,6 +604,7 @@ def load_hierarchy(path: str) -> Tuple[CompactRoutingHierarchy, ArtifactInfo]:
             raise ArtifactError(
                 f"{path}: bunch table has {bunch_table.num_rows} rows, "
                 f"expected {k * n}")
+        pivots, pivot_dists = _decode_pivots(intern, pivot_table, k)
         graph = WeightedGraph.from_state(reader.load_pickle("graph"))
         levels_state = reader.load_pickle("levels")
         metrics = CongestMetrics.from_state(reader.load_pickle("metrics"))
@@ -659,25 +615,19 @@ def load_hierarchy(path: str) -> Tuple[CompactRoutingHierarchy, ArtifactInfo]:
                 sigma=entry["sigma"],
                 skeleton_level=entry["skeleton_level"],
                 overflow_count=entry["overflow_count"],
-                bunches_loader=partial(_decode_bunches, intern, bunch_table,
-                                       level),
+                bunches=_decode_bunches(intern, bunch_table, level),
                 trees_loader=partial(_load_level_trees, reader, level, graph),
             )
             for level, entry in enumerate(meta["level_meta"])
         ]
         hierarchy = _LazyHierarchy(
-            reader, ColumnarQueryKernel(intern, pivot_table, bunch_table, k),
-            partial(_decode_pivots, intern, pivot_table, k),
-            graph=graph, k=k, epsilon=meta["epsilon"], mode=meta["mode"],
-            l0=meta["l0"], levels=dict(levels_state["levels"]),
+            reader, graph=graph, k=k, epsilon=meta["epsilon"],
+            mode=meta["mode"], l0=meta["l0"],
+            levels=dict(levels_state["levels"]),
             level_sets=[set(s) for s in levels_state["level_sets"]],
-            level_data=level_data, metrics=metrics)
+            level_data=level_data, pivots=pivots, pivot_dists=pivot_dists,
+            metrics=metrics)
         hierarchy.build_params = dict(meta["build_params"])
-        # Bulk kernel scans walk the record sections front to back; hint
-        # the kernel so readahead stages the pages before the first batch.
-        hierarchy._madvise_sections = tuple(
-            name for name in ("nodes", "pivots", "bunches")
-            if reader.advise(name, "willneed"))
         return hierarchy, reader.info
     except RecordTableError as exc:
         reader.close()

@@ -138,10 +138,7 @@ class ServingStats:
     #: dropping them when workers disagree — an operator watching a sharded
     #: service still sees, e.g., the total table bytes the workers mapped
     #: (every worker maps the full artifact, so this is workers × bytes).
-    #: ``kernel_stats`` (columnar batch / pair / group / row-decode counts,
-    #: single queries on a loaded artifact included) is a per-worker
-    #: dict-of-scalar counter, so its merged value is a fleet total too.
-    ADDITIVE_EXTRAS = ("loaded_table_bytes", "kernel_stats")
+    ADDITIVE_EXTRAS = ("loaded_table_bytes",)
 
     #: The additive integer counters, in export order.  ``as_dict``,
     #: ``from_dict`` and :meth:`merge` all read this tuple, so a counter

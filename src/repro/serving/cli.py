@@ -129,10 +129,9 @@ FLAGS: Tuple[Flag, ...] = (
          "result-cache capacity (per worker when sharded)"),
     Flag("--kind", "kind", choices=("route", "distance")),
     Flag("--kernel", "kernel",
-         "batch query kernel: 'columnar' answers batches straight from the "
-         "artifact's record tables, 'dict' is the per-pair path, 'auto' "
-         "picks columnar whenever the backing store supports it (answers "
-         "are identical either way)",
+         "accepted and validated, selects nothing: every hierarchy selects "
+         "levels through the same dict lookups (the flag leaves with the "
+         "benchmark change that drops kernel=)",
          choices=tuple(sorted(QUERY_KERNELS))),
     Flag("--build-workers", "build.build_workers",
          "process-pool width for hierarchy construction; the parallel "
@@ -397,8 +396,7 @@ def run_serving_session(config: ServingConfig,
     record = {
         "workload": workload.name,
         "kind": config.kind,
-        # The *resolved* kernel (what answered the batches), not just the
-        # request; per-batch group stats ride along in extra.kernel_stats.
+        # Always "dict": the one level-selection path.
         "kernel": stats.extra.get("kernel_active", config.kernel),
         "queries": len(workload),
         "delivered": delivered,

@@ -170,8 +170,10 @@ class ServingConfig:
     :func:`~repro.serving.specs.parse_graph_spec`) used when no in-memory
     graph is passed to :func:`~repro.serving.backend.open_service`.
     ``kernel`` names a :data:`~repro.routing.tz_hierarchy.QUERY_KERNELS`
-    entry (``dict`` / ``columnar`` / ``auto``) selecting how queries probe
-    the routing tables; it is validated when the service opens.
+    entry (``dict`` / ``columnar`` / ``auto``); it is validated when the
+    service opens and selects nothing (every hierarchy selects levels
+    through the same dict lookups).  It leaves with the benchmark change
+    that drops ``kernel=`` from ``benchmarks/e2e``.
     ``telemetry`` enables per-stage span recording (artifact load, cache
     probes, kernel batches, scatter/gather) into a live metrics registry,
     exported through ``query_stats().extra["telemetry"]``; off by default

@@ -10,16 +10,15 @@ cache.  Everything the service does is observable through its
 Layering (top to bottom)::
 
     RoutingService          query API, result caches, stats
-      CompactRoutingHierarchy   tables/labels, level selection
-        ColumnarQueryKernel     selection over a loaded artifact's tables
+      CompactRoutingHierarchy   tables/labels, level selection (dicts)
         artifacts               persistence (build once, serve anywhere)
 
 Every query — single or batched, route or distance — goes through one
 routine (:meth:`RoutingService._answer`): result cache, then the
 hierarchy, once per *distinct* pair, fanning the result out to every
 duplicate.  All of a batch's misses reach the hierarchy as one call, which
-on a loaded artifact the columnar kernel selects in one pass (see
-:class:`~repro.routing.tables.ColumnarQueryKernel`).
+selects each pair's level through the same dict lookups whether the
+hierarchy was built in this process or loaded from an artifact.
 """
 
 from __future__ import annotations
@@ -32,11 +31,7 @@ from ..graphs.weighted_graph import WeightedGraph
 from ..obs.metrics import NULL_REGISTRY, make_registry
 from ..routing.compact import build_compact_routing
 from ..routing.tables import RouteTrace
-from ..routing.tz_hierarchy import (
-    QUERY_KERNELS,
-    CompactRoutingHierarchy,
-    wants_columnar,
-)
+from ..routing.tz_hierarchy import QUERY_KERNELS, CompactRoutingHierarchy
 from .artifacts import (
     ArtifactError,
     ArtifactInfo,
@@ -60,17 +55,17 @@ _UNSET = object()
 
 
 def resolve_query_kernel(kernel: str,
-                         hierarchy: CompactRoutingHierarchy) -> str:
-    """Resolve a :data:`QUERY_KERNELS` selector against a hierarchy's
-    backing store.
+                         hierarchy: Optional[CompactRoutingHierarchy]) -> str:
+    """Always ``"dict"``, once ``kernel`` is checked against
+    :data:`QUERY_KERNELS` (unknown names raise with the available ones).
 
-    Returns the *concrete* kernel name (``"dict"`` or ``"columnar"``) that
-    batch queries will actually use: ``columnar`` and ``auto`` are
-    ``"columnar"`` whenever the hierarchy is a loaded artifact.  Unknown
-    selectors raise with the available names.
+    The name selects nothing: every hierarchy, built or loaded, selects
+    levels through the same dict lookups.  Kept for the callers in
+    ``benchmarks/e2e``; the follow-up benchmark change that drops
+    ``kernel=`` deletes it.
     """
-    return ("columnar" if wants_columnar(kernel)
-            and hierarchy.has_columnar_kernel() else "dict")
+    CompactRoutingHierarchy.query_kernel(kernel)
+    return "dict"
 
 
 class RoutingService:
@@ -91,14 +86,11 @@ class RoutingService:
         — the benchmarks use this as the cold baseline.  Defaults to
         ``CacheConfig()``.
     kernel:
-        Query-kernel selector (``"dict"`` / ``"columnar"`` / ``"auto"``,
-        resolved through :data:`QUERY_KERNELS`).  Controls how batch
-        queries probe the routing tables; answers are identical across
-        kernels, so ``"auto"`` (columnar whenever the backing store is a
-        loaded mmap artifact) is safe everywhere.
+        A :data:`QUERY_KERNELS` name, validated and otherwise ignored (see
+        :func:`resolve_query_kernel`).
     telemetry:
-        When true, per-stage spans (cache probes, kernel batches, group
-        decodes) record into a live
+        When true, per-stage spans (cache probes, kernel batches) record
+        into a live
         :class:`~repro.obs.metrics.MetricsRegistry`, exported through
         ``query_stats().extra["telemetry"]``.  Off by default: the no-op
         registry keeps the hot path allocation-free.
@@ -120,7 +112,7 @@ class RoutingService:
         self.kernel = kernel
         self.metrics = metrics if metrics is not None \
             else make_registry(telemetry)
-        self._kernel_active = resolve_query_kernel(kernel, hierarchy)
+        kernel_active = resolve_query_kernel(kernel, hierarchy)
         hierarchy.set_metrics_registry(self.metrics)
         self.stats = stats if stats is not None else ServingStats()
         self.route_cache = LRUCache(cache_config.capacity)
@@ -129,7 +121,7 @@ class RoutingService:
         self.stats.extra.setdefault("k", hierarchy.k)
         self.stats.extra.setdefault("mode", hierarchy.mode)
         self.stats.extra.setdefault("kernel_requested", kernel)
-        self.stats.extra.setdefault("kernel_active", self._kernel_active)
+        self.stats.extra.setdefault("kernel_active", kernel_active)
 
     # ==================================================================
     # construction
@@ -166,10 +158,10 @@ class RoutingService:
              ) -> "RoutingService":
         """Load a persisted hierarchy artifact and serve from it.
 
-        The file is mapped and its tables page in lazily; the stats extras
-        (``artifact_format`` / ``artifact_load`` / ``loaded_table_bytes``)
-        record how this service got its tables, so ``repro-serve --json``
-        can report it.
+        The file is mapped and its pivot and bunch tables decoded; the stats
+        extras (``artifact_format`` / ``artifact_load`` /
+        ``loaded_table_bytes``) record how this service got its tables, so
+        ``repro-serve --json`` can report it.
         """
         stats = ServingStats()
         metrics = make_registry(telemetry)
@@ -182,7 +174,6 @@ class RoutingService:
         stats.extra["artifact_format"] = info.format_version
         stats.extra["artifact_load"] = "mmap"
         stats.extra["loaded_table_bytes"] = info.payload_bytes
-        stats.extra["madvise_sections"] = list(hierarchy._madvise_sections)
         return cls(hierarchy, stats=stats, cache_config=cache_config,
                    kernel=kernel, metrics=metrics)
 
@@ -232,7 +223,7 @@ class RoutingService:
         """Result cache, then the hierarchy — the one probe.
 
         Probes run once per *distinct* pair.  A batch sends all its misses
-        to the hierarchy as one call through the active query kernel, counts
+        to the hierarchy as one call, counts
         as a batch and times its two halves under ``cache_probe`` /
         ``cache_miss_fill``; a single query asks the hierarchy per pair and
         records neither.
@@ -271,8 +262,7 @@ class RoutingService:
             with metrics.span("cache_miss_fill"):
                 if batched:
                     answers = (hierarchy.route_batch if route
-                               else hierarchy.distance_batch)(
-                        misses, kernel=self._kernel_active)
+                               else hierarchy.distance_batch)(misses)
                 else:
                     answer = hierarchy.route if route else hierarchy.distance
                     answers = [answer(*key) for key in misses]
@@ -310,14 +300,7 @@ class RoutingService:
         return self.hierarchy.graph.num_nodes
 
     def query_stats(self) -> ServingStats:
-        """This service's counters (the QueryBackend stats accessor).
-
-        Refreshes the columnar kernel's group stats into ``stats.extra`` so
-        readers get current values without poking hierarchy internals.
-        """
-        kern = self.hierarchy.query_kernel(self._kernel_active)
-        if kern is not None:
-            self.stats.extra["kernel_stats"] = dict(kern.stats)
+        """This service's counters (the QueryBackend stats accessor)."""
         if self.metrics.enabled:
             self.stats.extra["telemetry"] = self.metrics.export()
         return self.stats

@@ -257,7 +257,13 @@ class ServerSession:
         return {"type": "stats_reply", "stats": self._stats_dict()}, None
 
     def _bye(self) -> _Reply:
-        return {"type": "bye", "stats": self._stats_dict(),
+        """Always a ``bye``: a backend that cannot give its stats (a
+        fail-stopped sharded service) sends ``null`` in their place."""
+        try:
+            stats = self._stats_dict()
+        except Exception:
+            stats = None
+        return {"type": "bye", "stats": stats,
                 "served": {"queries": self.served_queries,
                            "batches": self.served_batches}}, None
 
@@ -318,7 +324,12 @@ class ServerSession:
                 if reply is None:
                     return
                 if self._write_error is None:
-                    message, texts = reply()
+                    try:
+                        message, texts = reply()
+                    except Exception as exc:
+                        # The reply cannot be built (the stats of a
+                        # fail-stopped backend): say so in its slot.
+                        message, texts = _failure_message(None, exc), None
                     try:
                         self._send(message, texts)
                     except WireError as exc:
@@ -327,9 +338,10 @@ class ServerSession:
                         self._send(_error_message("backend", str(exc),
                                                   id=message.get("id")))
             except Exception as exc:
-                # The peer is gone (or the stream is unusable): stop
-                # writing, but keep taking thunks so the reader can never
-                # block on a full FIFO; it stops at its next frame.
+                # Only a failing send gets here: the peer is gone (or the
+                # stream is unusable).  Stop writing, but keep taking
+                # thunks so the reader can never block on a full FIFO; it
+                # stops at its next frame.
                 self._write_error = exc
             finally:
                 self._replies.task_done()
@@ -456,7 +468,7 @@ class ClientSession:
                     self._final_stats = ServingStats.from_dict(
                         bye.get("stats"))
                 except ValueError:
-                    pass  # stats this version cannot read: keep none
+                    pass  # null (no stats to give), or unreadable: keep none
         except (WireError, OSError):
             pass  # the peer may already be gone; close is best-effort
         finally:
@@ -621,6 +633,11 @@ class ClientSession:
                 self._read_answer()
             write_frame(self.wfile, {"type": "stats"}, self.metrics)
             reply = self._read_message()
+            if reply.get("type") == "error":
+                # The backend has no stats to give (it fail-stopped); the
+                # stream is still in step, so the session goes on.
+                raise RemoteError(reply.get("code", "error"),
+                                  reply.get("message", ""))
             if reply.get("type") != "stats_reply":
                 raise FrameError(f"expected stats_reply, got "
                                  f"{reply.get('type')!r}")

@@ -21,10 +21,12 @@ welcome    server→client negotiated version, resolved ``ServingConfig``
 query      client→server one query batch: ``id``, ``kind``, packed pairs
 answers    server→client matching results + incremental serving counters
 stats      client→server request a full ``ServingStats`` snapshot
-stats_reply server→client the snapshot (``ServingStats.as_dict()`` form)
+stats_reply server→client the snapshot (``ServingStats.as_dict()`` form),
+                        or an ``error`` (``backend``) when there is none
 error      server→client typed failure; ``code`` selects the client error
 close      client→server end of session (server drains, then replies)
-bye        server→client final per-session stats; the stream then closes
+bye        server→client final per-session stats (``null`` when there are
+                        none); the stream then closes
 ========== ============ ====================================================
 
 Serialization is *canonical* — sorted keys, compact separators — so a

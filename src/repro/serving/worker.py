@@ -206,9 +206,7 @@ def _shard_worker(worker_id: int, artifact_path: str,
 
     Each worker maps the full artifact and applies the
     :class:`CacheConfig` locally — its result caches hold only the pairs
-    scattered to it.  The query ``kernel`` selector is likewise applied
-    per worker against its own loaded artifact (``auto`` resolves to
-    ``columnar`` on v2 artifacts).
+    scattered to it.  ``kernel`` is only validated (it selects nothing).
 
     Protocol (all messages are tuples; the first element is the tag):
 
@@ -263,8 +261,8 @@ def _shard_worker(worker_id: int, artifact_path: str,
         busy.set()
         tag = message[0]
         if tag == "shutdown":
-            # query_stats() refreshes the hierarchy-level snapshots (pivot
-            # cache, kernel groups) so the merged stats see final values.
+            # query_stats() refreshes the telemetry export so the merged
+            # stats see final values.
             results.put(("bye", worker_id, service.query_stats()))
             return
         if tag == "stats":

@@ -23,7 +23,7 @@ dispatches through it for ``repro-serve --workload <name>`` and
 :class:`~repro.serving.config.WorkloadConfig`.
 
 Only the Python standard library is used (explicit Zipf weights sampled via
-``bisect`` over the cumulative distribution — no numpy/scipy dependency).
+``bisect`` over the cumulative distribution — no third-party dependency).
 """
 
 from __future__ import annotations

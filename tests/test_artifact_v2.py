@@ -8,7 +8,8 @@ the section-table layout itself:
 * the on-disk layout is what the docstring promises (magic, header section
   table, offset-addressed sections);
 * per-section integrity: truncation, flipped bytes and wrong offsets are
-  all detected;
+  all detected, and a checksum-valid record table with a bad row is
+  refused at load;
 * a tampered destination tree is refused when its section materialises.
 """
 
@@ -16,6 +17,7 @@ import itertools
 import json
 import os
 import pickle
+import struct
 
 import pytest
 
@@ -95,6 +97,36 @@ class TestLayout:
     def test_verify_artifact_passes_on_clean_file(self, saved_artifact):
         _, _, v2_path, _ = saved_artifact
         assert verify_artifact(v2_path).format_version == 2
+
+
+def _bunch_row_past_the_records(blob):
+    # Row 0's index entry ``<offset, count>`` := ``<num_records, 1>``.
+    _, num_records = struct.unpack_from("<QQ", blob, 0)
+    struct.pack_into("<QI", blob, 16, num_records, 1)
+
+
+def _bunch_key_out_of_range(blob):
+    # The first record's key := -2 (no node; -1 is no sentinel here).
+    num_rows, _ = struct.unpack_from("<QQ", blob, 0)
+    struct.pack_into("<i", blob, 16 + 12 * num_rows, -2)
+
+
+def _pivot_id_out_of_range(blob):
+    # Node 0's level-1 pivot := num_nodes, one past the last interned id.
+    num_nodes, _ = struct.unpack_from("<II", blob, 0)
+    struct.pack_into("<i", blob, 8, num_nodes)
+
+
+#: ``name -> (section, mutation, ArtifactError message)``: record tables
+#: whose bytes are well-formed but whose rows are not.
+TABLE_DAMAGES = {
+    "bunch row past the record area": (
+        "bunches", _bunch_row_past_the_records, "points past the record area"),
+    "bunch key out of range": (
+        "bunches", _bunch_key_out_of_range, "outside the intern table"),
+    "pivot id out of range": (
+        "pivots", _pivot_id_out_of_range, "outside the intern table"),
+}
 
 
 class TestRoundTrip:
@@ -239,6 +271,25 @@ class TestIntegrity:
                                     name=f"{section}.artifact")
             with pytest.raises(ArtifactError, match="checksum mismatch"):
                 load_hierarchy(corrupt)
+
+    @pytest.mark.parametrize("damage", sorted(TABLE_DAMAGES))
+    def test_checksum_valid_bad_table_fails_at_load(self, saved_artifact,
+                                                    tmp_path, damage):
+        """A record table whose checksum holds but whose rows do not — a
+        bunch row past the record area, a node id outside the intern table
+        — is refused by ``load_hierarchy`` itself, before any query."""
+        _, _, v2_path, _ = saved_artifact
+        section, mutate, message = TABLE_DAMAGES[damage]
+
+        def spoil(sections):
+            blob = bytearray(sections[section])
+            mutate(blob)
+            sections[section] = bytes(blob)
+
+        bad = _rewritten(v2_path, str(tmp_path / "bad.artifact"), spoil)
+        verify_artifact(bad)                        # every checksum holds
+        with pytest.raises(ArtifactError, match=message):
+            load_hierarchy(bad)
 
     def test_corrupt_lazy_section_raises_on_access(self, saved_artifact,
                                                    tmp_path):

@@ -243,8 +243,7 @@ def test_option_census():
             for name in vars(module)
             if name.startswith(("register_", "get_"))] == []
     assert _cache_classes() == [("serving/cache.py", "LRUCache")]
-    assert ServingStats.ADDITIVE_EXTRAS == ("loaded_table_bytes",
-                                            "kernel_stats")
+    assert ServingStats.ADDITIVE_EXTRAS == ("loaded_table_bytes",)
     assert ServingStats.COUNTERS == (
         "queries", "route_queries", "distance_queries", "batches",
         "batched_queries", "cache_hits", "cache_misses")

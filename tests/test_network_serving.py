@@ -1014,6 +1014,42 @@ class TestServerPipelining:
                 with pytest.raises(RemoteError, match="ShardError"):
                     client.distance_batch(pairs[:4])
 
+    @watchdog(30.0)
+    def test_fail_stopped_service_answers_stats_and_close_at_once(
+            self, net_config, net_graph):
+        """A latched sharded service has no stats to give: ``stats`` is a
+        typed ``error`` in its own slot, and ``close`` still gets its
+        ``bye`` (with ``null`` stats) — neither waits out the client's
+        reply timeout."""
+        config = dataclasses.replace(net_config, workers=2)
+        pairs = zipf_workload(net_graph.nodes(), 64, seed=3).pairs
+        with open_service(config, graph=net_graph) as service:
+            service.distance_batch(pairs[:4])
+            with RoutingServer(service, "127.0.0.1:0") as srv:
+                client = ClientSession.connect(srv.address, timeout=30.0,
+                                               reply_timeout=30.0)
+                try:
+                    os.kill(service._workers[1].process.pid, signal.SIGKILL)
+                    deadline = time.monotonic() + 5.0
+                    while service.is_running and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    assert not service.is_running
+                    started = time.monotonic()
+                    with pytest.raises(RemoteError, match="ShardError") as err:
+                        client.query_stats()
+                    assert err.value.code == "backend"
+                    assert time.monotonic() - started < 1.0
+                    # the session goes on: a later query gets the typed error
+                    with pytest.raises(RemoteError, match="ShardError"):
+                        client.distance_batch(pairs)
+                    started = time.monotonic()
+                    client.close()
+                    assert time.monotonic() - started < 1.0
+                finally:
+                    client.close()
+                # the bye carried no stats: the closed session keeps none
+                assert client.query_stats().queries == 0
+
     @watchdog(60.0)
     def test_submit_to_a_dead_worker_enters_the_death_path(
             self, net_config, net_graph, monkeypatch):

@@ -223,5 +223,5 @@ class TestRouteRealisesEstimate:
         path = str(tmp_path / "h.artifact")
         save_hierarchy(hierarchy, path)
         loaded, _ = load_hierarchy(path)
-        assert loaded.has_columnar_kernel()
         assert loaded.route_batch(pairs, kernel="columnar") == traces
+        assert loaded.distance_batch(pairs) == hierarchy.distance_batch(pairs)
