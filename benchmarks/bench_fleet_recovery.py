@@ -14,10 +14,10 @@ service outage into a bounded latency blip:
   a worker is SIGKILLed mid-stream is list-for-list identical (paths *and*
   weights) to single-process serving of the same stream.
 
-This benchmark replays a **bursty** workload (temporally correlated bursts
-over Zipf skew — the traffic shape where a blackout would be most visible)
-through a front-end with a respawn budget, SIGKILLs one worker when a third of the stream
-has been served, and records the per-batch latency series.  The series
+This benchmark drives a **Zipf** workload (a few hot pairs dominate the
+stream, so every worker's cache holds entries a blackout would cost)
+through a front-end with a respawn budget, SIGKILLs one worker when a third
+of the stream has been served, and records the per-batch latency series.  The series
 shows the recovery spike: a handful of batches pay the detection +
 re-scatter cost, then latency returns to baseline while the respawned
 worker warms in the background.  ``recovery_spike_batches`` counts batches
@@ -54,8 +54,8 @@ from repro.serving import (
     CacheConfig,
     ServingConfig,
     ShardedRoutingService,
-    bursty_workload,
     open_service,
+    zipf_workload,
 )
 
 
@@ -95,7 +95,7 @@ def run_fleet_recovery(n: int, workers: int = 4, seed: int = 0,
     the respawned worker rejoining — none of it may change an answer.
     """
     graph = make_serving_graph(n, seed=seed)
-    workload = bursty_workload(graph.nodes(), num_queries, seed=seed)
+    workload = zipf_workload(graph.nodes(), num_queries, seed=seed)
     chunks = [workload.pairs[lo:lo + batch_size]
               for lo in range(0, len(workload.pairs), batch_size)]
     kill_batch = max(1, int(len(chunks) * kill_at_fraction))
@@ -235,7 +235,7 @@ def main(argv=None) -> int:
     payload = {
         "benchmark": "fleet_recovery",
         "description": "SIGKILL one of N fleet workers mid-stream under "
-                       "bursty load: the front-end sees the death on the "
+                       "Zipf load: the front-end sees the death on the "
                        "worker's result pipe (EOF), re-scatters its pending "
                        "queries to survivors behind the supervisor's "
                        "epoch-versioned routing table, and the supervisor "
@@ -244,8 +244,8 @@ def main(argv=None) -> int:
                        "list-for-list identical (paths and weights) to "
                        "single-process serving, and the per-batch latency "
                        "series bounds the recovery blip",
-        "workload": "ER avg-degree-6, weights 1..8, k=3 hierarchy; bursty "
-                    "(Zipf skew + temporal bursts + diurnal drift) stream",
+        "workload": "ER avg-degree-6, weights 1..8, k=3 hierarchy; Zipf "
+                    "(skew 1.2) stream",
         "records": [record],
     }
     record_benchmark_run(

@@ -6,10 +6,9 @@ compact-routing hierarchy is built (Corollary 4.14's expensive phase), a
 realistic (skewed) traffic than naive one-at-a-time querying, because
 
 * a batch answers each distinct pair once, however often it repeats, and
-* the LRU result cache absorbs the repeats that Zipf/locality streams are
-  full of.
+* the LRU result cache absorbs the repeats that Zipf streams are full of.
 
-For each workload shape (uniform / zipf / locality) this benchmark measures
+For each workload shape (uniform / zipf) this benchmark measures
 route-query throughput in three configurations over the same query stream:
 
 * ``cold_single``  — result cache disabled, one query at a time on a
@@ -56,7 +55,7 @@ from repro.serving import (
     open_service,
 )
 
-WORKLOAD_SHAPES = ("uniform", "zipf", "locality", "bursty")
+WORKLOAD_SHAPES = ("uniform", "zipf")
 
 
 def make_serving_graph(n: int, seed: int = 0):
@@ -207,7 +206,7 @@ def main(argv=None) -> int:
         "description": "RoutingService route-query throughput: cold vs warm "
                        "cache, single vs batched, per workload shape",
         "workload": "ER avg-degree-6, weights 1..8, k=3 hierarchy; "
-                    "uniform/zipf/locality query streams",
+                    "uniform/zipf query streams",
         "records": records,
     }
     run_dir = args.run_dir

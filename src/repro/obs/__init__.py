@@ -1,9 +1,9 @@
-"""Observability: metrics registries, trace capture/replay, experiments.
+"""Observability: metrics registries and experiments.
 
 Layering contract: this package is a **dependency leaf** for its eagerly
-imported modules — :mod:`repro.obs.metrics` and :mod:`repro.obs.trace`
-import nothing from the rest of ``repro`` at module level, so routing
-kernels and every serving layer can import them without cycles.
+imported module — :mod:`repro.obs.metrics` imports nothing from the rest
+of ``repro`` at module level, so routing kernels and every serving layer
+can import it without cycles.
 
 :mod:`repro.obs.experiment` (the ``repro-experiment`` harness) sits on
 *top* of ``repro.serving`` and is therefore deliberately **not**
@@ -21,17 +21,6 @@ from .metrics import (
     make_registry,
     merge_exports,
 )
-from .trace import (
-    TRACE_MAGIC,
-    TRACE_VERSION,
-    SessionTrace,
-    TraceBatch,
-    TraceError,
-    TraceRecorder,
-    load_trace,
-    replay_trace,
-    save_trace,
-)
 
 __all__ = [
     "Counter",
@@ -42,13 +31,4 @@ __all__ = [
     "NULL_REGISTRY",
     "make_registry",
     "merge_exports",
-    "TRACE_MAGIC",
-    "TRACE_VERSION",
-    "SessionTrace",
-    "TraceBatch",
-    "TraceError",
-    "TraceRecorder",
-    "save_trace",
-    "load_trace",
-    "replay_trace",
 ]

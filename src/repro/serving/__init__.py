@@ -29,8 +29,8 @@ The public surface (API v2) is one typed contract:
   routing table (the hang timeout is a module constant there);
 * :mod:`repro.serving.cache`     — LRU result caching and the
   :class:`ServingStats` counters;
-* :mod:`repro.serving.workloads` — reproducible uniform / Zipf / locality /
-  bursty query-stream generators;
+* :mod:`repro.serving.workloads` — reproducible uniform / Zipf
+  query-stream generators;
 * :mod:`repro.serving.wire`      — the framed message layer for networked
   serving (versioned frames, canonical JSON, typed wire errors);
 * :mod:`repro.serving.session`   — :class:`ServerSession` /
@@ -43,9 +43,8 @@ The public surface (API v2) is one typed contract:
 Telemetry (:mod:`repro.obs`) threads through the whole stack behind
 ``ServingConfig.telemetry``: per-stage span histograms ride along in
 ``ServingStats.extra["telemetry"]`` and merge additively across shard
-workers; trace capture/replay and the ``repro-experiment`` harness build
-on the same backends via :class:`~repro.obs.trace.TraceRecorder` and the
-``trace`` workload.
+workers; the ``repro-experiment`` harness drives the same backends
+through :func:`~repro.serving.cli.run_serving_session`.
 
 Names resolve through three plain dicts, each owned by the module that
 fills it: :data:`WORKLOADS` (``workloads``), :data:`QUERY_KERNELS`
@@ -97,9 +96,6 @@ from .specs import GRAPH_FAMILIES, parse_graph_spec
 from .workloads import (
     WORKLOADS,
     QueryWorkload,
-    WORKLOAD_NAMES,
-    bursty_workload,
-    locality_workload,
     make_workload,
     uniform_workload,
     workload_names,
@@ -158,11 +154,8 @@ __all__ = [
     "RoutingServer",
     # workloads
     "QueryWorkload",
-    "WORKLOAD_NAMES",
     "workload_names",
     "uniform_workload",
     "zipf_workload",
-    "locality_workload",
-    "bursty_workload",
     "make_workload",
 ]

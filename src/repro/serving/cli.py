@@ -12,8 +12,8 @@ is derived from the table (each flag's type and default are read off the
 dataclass field, so neither can drift from the config family) and so is
 the config (``ServingConfig.from_dict`` over the dotted paths).  A session
 parses flags into a config, opens the backend it describes (local for
-``--workers 1``, sharded above that), replays the requested query workload
-in batches, and prints throughput plus the
+``--workers 1``, sharded above that), drives the requested query workload
+through it in batches, and prints throughput plus the
 :class:`~repro.serving.cache.ServingStats` counters.
 
 Graph specs are ``name:key=value,key=value`` with an optional
@@ -42,7 +42,6 @@ from typing import (
 )
 
 from ..obs.metrics import Histogram
-from ..obs.trace import TraceRecorder
 from .backend import open_service
 from .config import ServingConfig
 from .service import QUERY_KERNELS, answer_batch
@@ -63,12 +62,12 @@ class Flag(NamedTuple):
 
     ``path`` is dotted from :class:`ServingConfig`; ``workload.params.<key>``
     lands in the workload's free-form params dict and ``None`` marks a flag
-    that configures no declarative field (a deployment mode, a capture
-    target, an output format).  A flag backed by a dataclass field takes
-    its type and default from that field; ``type`` / ``default`` are for
-    the flags that have none.  ``shapes`` lists the workload shapes a
-    ``workload.params`` flag applies to (any other ``--workload`` makes the
-    flag an error).
+    that configures no declarative field (a deployment mode, an output
+    format).  A flag backed by a dataclass field takes its type and default
+    from that field; ``type`` / ``default`` are for the flags that have
+    none.  ``shapes`` lists the workload shapes a
+    ``workload.params`` flag applies to (``--skew``: ``zipf`` only); any
+    other ``--workload`` makes the flag an error.
     """
 
     name: str
@@ -97,33 +96,8 @@ FLAGS: Tuple[Flag, ...] = (
     Flag("--workload", "workload.name", choices=workload_names()),
     Flag("--queries", "workload.num_queries"),
     Flag("--skew", "workload.params.skew",
-         "Zipf exponent (zipf/bursty workloads only; default 1.2)",
-         type=float, shapes=("zipf", "bursty")),
-    Flag("--hop-radius", "workload.params.hop_radius",
-         "locality ball radius in hops (locality workload only; default 2)",
-         type=int, shapes=("locality",)),
-    Flag("--bias", "workload.params.bias",
-         "probability a target is drawn from the source's ball (locality "
-         "workload only; default 0.8)",
-         type=float, shapes=("locality",)),
-    Flag("--burst-rate", "workload.params.burst_rate",
-         "probability a query starts a burst (bursty workload only; "
-         "default 0.02)",
-         type=float, shapes=("bursty",)),
-    Flag("--burst-length", "workload.params.burst_length",
-         "queries per burst phase (bursty workload only; default 40)",
-         type=int, shapes=("bursty",)),
-    Flag("--burst-intensity", "workload.params.burst_intensity",
-         "probability an in-burst query repeats the burst pair (bursty "
-         "workload only; default 0.8)",
-         type=float, shapes=("bursty",)),
-    Flag("--drift-period", "workload.params.drift_period",
-         "queries per full rotation of the popularity ranking (bursty "
-         "workload only; default 500)",
-         type=int, shapes=("bursty",)),
-    Flag("--trace-path", "workload.params.trace_path",
-         "trace artifact to replay (--workload trace only)",
-         shapes=("trace",)),
+         "Zipf exponent (zipf workload only; default 1.2)",
+         type=float, shapes=("zipf",)),
     Flag("--batch-size", "batch_size"),
     Flag("--cache-size", "cache.capacity",
          "result-cache capacity (per worker when sharded)"),
@@ -149,12 +123,12 @@ FLAGS: Tuple[Flag, ...] = (
     # Where to bind, not what to serve: every serving field stays
     # declarative.
     Flag("--serve", None,
-         "serve the opened backend on a TCP endpoint instead of replaying "
+         "serve the opened backend on a TCP endpoint instead of running "
          "a workload; port 0 binds an ephemeral port (printed on stdout). "
          "Shut down gracefully with SIGINT/SIGTERM",
          metavar="HOST:PORT"),
     Flag("--connect", "connect",
-         "replay the workload against a running --serve server instead of "
+         "run the workload against a running --serve server instead of "
          "opening a backend in-process (graph/artifact/cache flags then "
          "belong to the server)",
          metavar="HOST:PORT"),
@@ -171,10 +145,6 @@ FLAGS: Tuple[Flag, ...] = (
          "ShardError; 0 (the default) fail-stops on the first (> 0 needs "
          "--workers > 1; the worker count never changes; answers stay "
          "identical)"),
-    Flag("--trace-out", None,
-         "capture the served query stream (pairs, kinds, batch boundaries, "
-         "arrival offsets) into a trace artifact at PATH, replayable later "
-         "with --workload trace --trace-path PATH"),
     Flag("--json", None, "emit the result record as JSON on stdout",
          type=bool),
 )
@@ -240,11 +210,6 @@ def config_from_args(args: argparse.Namespace,
                          "(one process is either the server or a client)")
     elif args.graph is None and args.artifact is None:
         parser.error("provide --graph, --artifact, or both")
-    if args.serve is not None:
-        if args.trace_out is not None:
-            parser.error("--trace-out captures a replayed workload; a "
-                         "--serve process replays none (capture on the "
-                         "client instead)")
 
     # Workload parameters are validated here instead of silently ignored:
     # a flag that does not apply to the chosen shape is an error.
@@ -252,13 +217,10 @@ def config_from_args(args: argparse.Namespace,
         if (flag.shapes and getattr(args, flag.dest) is not None
                 and args.workload not in flag.shapes):
             parser.error(
-                f"{flag.name} applies to the {'/'.join(flag.shapes)} "
-                f"workload{'s' if len(flag.shapes) > 1 else ''} only "
-                f"(got --workload {args.workload})")
+                f"{flag.name} applies to --workload "
+                f"{'/'.join(flag.shapes)} only (got --workload "
+                f"{args.workload})")
 
-    if args.workload == "trace" and args.trace_path is None:
-        parser.error("--workload trace requires --trace-path FILE "
-                     "(record one with --trace-out)")
     if args.workers > 1 and args.artifact is None:
         parser.error("--workers > 1 requires --artifact "
                      "(workers load the hierarchy by path)")
@@ -292,8 +254,8 @@ def _round_opt(value: Optional[float], digits: int = 4) -> Optional[float]:
     return None if value is None else round(value, digits)
 
 
-def _answered(target, batches, window: int):
-    """``(kind, chunk, seconds, results)`` per batch, in stream order.
+def _answered(target, kind: str, batches, window: int):
+    """``(chunk, seconds, results)`` per batch, in stream order.
 
     ``window > 1`` says ``target`` is a session with ``submit`` /
     ``gather`` (``--connect``): its window is kept full — ``submit`` only
@@ -304,27 +266,25 @@ def _answered(target, batches, window: int):
     inflight: collections.deque = collections.deque()
 
     def gathered():
-        kind, chunk, start, ticket = inflight.popleft()
+        chunk, start, ticket = inflight.popleft()
         results = target.gather(ticket)
-        return kind, chunk, time.perf_counter() - start, results
+        return chunk, time.perf_counter() - start, results
 
-    for kind, chunk in batches:
+    for chunk in batches:
         start = time.perf_counter()
         if window > 1:
-            inflight.append((kind, chunk, start, target.submit(kind, chunk)))
+            inflight.append((chunk, start, target.submit(kind, chunk)))
             if len(inflight) >= window:
                 yield gathered()
         else:
             results = answer_batch(target, kind, chunk)
-            yield kind, chunk, time.perf_counter() - start, results
+            yield chunk, time.perf_counter() - start, results
     while inflight:
         yield gathered()
 
 
-def run_serving_session(config: ServingConfig,
-                        trace_out: Optional[str] = None
-                        ) -> Tuple[Dict, object, bool]:
-    """Open the configured backend, replay its workload, return the record.
+def run_serving_session(config: ServingConfig) -> Tuple[Dict, object, bool]:
+    """Open the configured backend, run its workload, return the record.
 
     The shared session engine behind ``repro-serve`` and the
     ``repro-experiment`` harness.  Returns ``(record, stats, ok)``:
@@ -338,44 +298,37 @@ def run_serving_session(config: ServingConfig,
     :class:`~repro.obs.metrics.Histogram` (always on: one ``observe`` per
     batch is nothing next to the batch itself; a ``--connect`` session
     keeps its window full, see :func:`_answered`) and reports the
-    build/load/query stage split under ``stage_seconds``.  With
-    ``trace_out`` the query stream is captured through a
-    :class:`~repro.obs.trace.TraceRecorder` and saved as a replayable
-    trace artifact once the session completes.
+    build/load/query stage split under ``stage_seconds``.  The backend is
+    owned from the moment it opens, so it is closed on every exit,
+    including a workload that cannot be made.
     """
-    backend = open_service(config)
-    if backend.graph is None:
-        backend.close()
-        raise ValueError(
-            f"the backend exposes no graph to generate the "
-            f"{config.workload.name!r} workload from — a --connect "
-            f"session needs the server to advertise a graph spec (start "
-            f"it with --graph, or from an artifact whose header records "
-            f"the spec that built it)")
-    workload = make_workload(config.workload.name, backend.graph,
-                             config.workload.num_queries,
-                             seed=config.workload_seed(),
-                             **config.workload.params)
-
-    recorder = TraceRecorder(backend) if trace_out else None
-    target = recorder if recorder is not None else backend
-    # A recorder captures batches at route_batch / distance_batch, so a
-    # recorded session stays closed-loop.
-    window = getattr(backend, "window", 1) if recorder is None else 1
     latency = Histogram()
     delivered = 0
     route_total = route_delivered = 0
 
-    with backend:
-        # For sharded backends, entering the context spawns and warms the
-        # workers outside the timed window, so the reported throughput is
-        # serving cost, not one-time process start-up.
+    with open_service(config) as backend:
+        if backend.graph is None:
+            raise ValueError(
+                f"the backend exposes no graph to generate the "
+                f"{config.workload.name!r} workload from — a --connect "
+                f"session needs the server to advertise a graph spec "
+                f"(start it with --graph, or from an artifact whose header "
+                f"records the spec that built it)")
+        workload = make_workload(config.workload.name, backend.graph,
+                                 config.workload.num_queries,
+                                 seed=config.workload_seed(),
+                                 **config.workload.params)
+        pairs, size = workload.pairs, config.batch_size
+        batches = (pairs[lo:lo + size] for lo in range(0, len(pairs), size))
+        window = getattr(backend, "window", 1)
+        # For sharded backends, entering the context spawned and warmed
+        # the workers outside the timed window, so the reported throughput
+        # is serving cost, not one-time process start-up.
         start = time.perf_counter()
-        for batch_kind, chunk, seconds, results in _answered(
-                target, workload.iter_batches(config.batch_size, config.kind),
-                window):
+        for chunk, seconds, results in _answered(backend, config.kind,
+                                                 batches, window):
             latency.observe(seconds)
-            if batch_kind == "route":
+            if config.kind == "route":
                 route_total += len(chunk)
                 good = sum(1 for trace in results if trace.delivered)
                 route_delivered += good
@@ -384,13 +337,6 @@ def run_serving_session(config: ServingConfig,
                 delivered += sum(1 for est in results if est != float("inf"))
         elapsed = time.perf_counter() - start
         stats = backend.query_stats()
-        if recorder is not None:
-            recorder.save(trace_out, meta={
-                "workload": workload.name,
-                "default_kind": config.kind,
-                "batch_size": config.batch_size,
-                "graph_spec": config.graph_spec,
-            })
     qps = len(workload) / elapsed if elapsed > 0 else float("inf")
 
     record = {
@@ -493,7 +439,7 @@ def main(argv=None) -> int:
     if args.serve is not None:
         return run_server_mode(config, args.serve)
 
-    record, stats, ok = run_serving_session(config, trace_out=args.trace_out)
+    record, stats, ok = run_serving_session(config)
     if args.json:
         json.dump(record, sys.stdout, indent=2, default=str)
         print()
@@ -515,8 +461,7 @@ def main(argv=None) -> int:
         print(f"stages: {stage_text}")
         print(stats.describe())
     # Routes must always deliver (on a connected graph every route is a
-    # path through the hierarchy's trees); trace replays may mix kinds per
-    # batch, so the check is per-batch, not on the configured default kind.
+    # path through the hierarchy's trees); distance sessions always pass.
     return 0 if ok else 1
 
 

@@ -126,9 +126,8 @@ class WorkloadConfig:
     """Which query stream to run against the service.
 
     ``name`` is a :data:`~repro.serving.workloads.WORKLOADS` entry
-    (``uniform`` / ``zipf`` / ``locality`` / ``bursty`` / ``trace``);
-    ``params`` holds the shape-specific keyword arguments (``skew``,
-    ``hop_radius``, ``burst_length``, ...).
+    (``uniform`` / ``zipf``); ``params`` holds the shape-specific keyword
+    arguments (``skew`` for ``zipf``).
     ``seed = None`` means "inherit the build seed" — the CLI and the
     experiment runners keep graph generation and traffic generation on one
     seed unless told otherwise.

@@ -13,6 +13,16 @@ from repro.core.source_detection import (DetectionEntry, GraphCSR,
                                          SourceDetectionResult, bucket_detect,
                                          materialize_detection)
 from repro.core.weight_rounding import RoundingScheme
+from repro.serving import workload_names
+
+#: ``(shape, params)`` query streams for the list-for-list identity tests:
+#: every workload shape with its defaults, plus Zipf at two more skews, so
+#: each identity test runs on four streams.
+IDENTITY_STREAMS = [pytest.param(name, {}, id=name)
+                    for name in workload_names()] + [
+    pytest.param("zipf", {"skew": 2.0}, id="zipf-skew2"),
+    pytest.param("zipf", {"skew": 0.8}, id="zipf-skew0.8"),
+]
 
 
 def watchdog(seconds):

@@ -187,12 +187,14 @@ class TestPendingRequestIds:
 
 
 class TestChaosRecovery:
-    @pytest.mark.parametrize("shape", ["uniform", "zipf", "bursty"])
+    @pytest.mark.parametrize("shape,params", [
+        ("uniform", {}), ("zipf", {}), ("zipf", {"skew": 2.0})],
+        ids=["uniform", "zipf", "zipf-skew2"])
     def test_kill_mid_stream_keeps_answers_identical(self, fleet_graph,
                                                      artifact_path,
                                                      reference_service,
-                                                     shape):
-        workload = make_workload(shape, fleet_graph, 240, seed=9)
+                                                     shape, params):
+        workload = make_workload(shape, fleet_graph, 240, seed=9, **params)
         expected = reference_service.route_batch(workload.pairs)
         batches = [workload.pairs[i:i + 40]
                    for i in range(0, len(workload.pairs), 40)]

@@ -9,7 +9,10 @@ only the module-level ones.
 """
 
 import ast
+import importlib
 import os
+
+import pytest
 
 import repro
 
@@ -192,7 +195,10 @@ def test_option_census():
     work in flight (``pipeline_depth``) took ``FLAGS`` 32 → 30
     (``--max-inflight``, ``--admission``) and ``ServingConfig`` 20 → 16
     fields (those two, plus ``save_artifact`` and ``start_method``, which
-    nothing set), and deleted ``BackpressureError``."""
+    nothing set), and deleted ``BackpressureError``.  Leaving the query
+    streams at the two generators the ledger uses took ``FLAGS`` 30 → 22
+    (six ``locality`` / ``bursty`` parameters, ``--trace-path`` and
+    ``--trace-out``) and ``WORKLOADS`` to ``uniform`` and ``zipf``."""
     import dataclasses
 
     import repro.serving
@@ -215,7 +221,7 @@ def test_option_census():
     def field_names(config):
         return tuple(field.name for field in dataclasses.fields(config))
 
-    assert len(FLAGS) == 30
+    assert len(FLAGS) == 22
     assert field_names(CacheConfig) == ("capacity",)
     assert [name for name in vars(fleet) if name.isupper()] \
         == ["HANG_TIMEOUT"]
@@ -232,7 +238,7 @@ def test_option_census():
     assert service.QUERY_KERNELS is tz_hierarchy.QUERY_KERNELS
     assert {name: tuple(sorted(table))
             for name, table in tables.items()} == {
-        "WORKLOADS": ("bursty", "locality", "trace", "uniform", "zipf"),
+        "WORKLOADS": ("uniform", "zipf"),
         "QUERY_KERNELS": ("auto", "columnar", "dict"),
         "GRAPH_FAMILIES": ("ba", "er", "fattree", "geometric", "grid",
                            "path", "powerlaw", "road", "tree"),
@@ -249,3 +255,22 @@ def test_option_census():
         "batched_queries", "cache_hits", "cache_misses")
     assert ServingStats.OPTIONALS == ("build_seconds", "load_seconds",
                                       "artifact_bytes")
+
+
+def test_removed_workload_surface_is_gone():
+    """Removed, not renamed: the trace module and the two retired
+    generators leave no alias behind in either package's exports."""
+    import importlib
+
+    import pytest
+
+    import repro.obs
+    import repro.serving
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.obs.trace")
+    for name in ("locality_workload", "bursty_workload", "WORKLOAD_NAMES"):
+        assert not hasattr(repro.serving, name), name
+    for name in ("TraceRecorder", "TraceError", "SessionTrace",
+                 "replay_trace"):
+        assert not hasattr(repro.obs, name), name

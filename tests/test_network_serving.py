@@ -77,7 +77,7 @@ from repro.serving.wire import (
     unpack_node,
     unpack_pairs,
 )
-from repro.serving.workloads import bursty_workload, uniform_workload
+from repro.serving.workloads import uniform_workload
 
 
 @pytest.fixture(scope="module")
@@ -428,7 +428,7 @@ class TestNetworkedIdentity:
         nodes = net_graph.nodes()
         workloads = [zipf_workload(nodes, 80, seed=21),
                      uniform_workload(nodes, 80, seed=22),
-                     bursty_workload(nodes, 80, seed=23)]
+                     zipf_workload(nodes, 80, skew=2.0, seed=23)]
         expected = [[local_backend.route_batch(batch)
                      for batch in _batches(w, 16)] for w in workloads]
         failures = []
@@ -728,7 +728,8 @@ class TestPipelinedSharded:
                                                    local_backend, net_config,
                                                    net_graph):
         workloads = [zipf_workload(net_graph.nodes(), 60, seed=31),
-                     bursty_workload(net_graph.nodes(), 60, seed=32)]
+                     zipf_workload(net_graph.nodes(), 60, skew=2.0,
+                                   seed=32)]
         expected = [[local_backend.route_batch(batch)
                      for batch in _batches(w, 12)] for w in workloads]
         failures = []

@@ -37,7 +37,8 @@ from repro.serving import (
 )
 from repro.serving.artifacts import _decode_bunches, save_hierarchy
 
-WORKLOAD_SHAPES = ("uniform", "zipf", "locality", "bursty")
+from helpers import IDENTITY_STREAMS
+
 HIERARCHY_MODES = ("budget", "spd", "truncated")
 GRAPH_SPECS = ("er:n=60,p=0.08,seed=1", "road:rows=8,cols=8",
                "powerlaw:n=80,seed=1", "fattree:k=4")
@@ -79,15 +80,19 @@ def open_with(artifact_path, kernel="auto", **overrides):
 
 
 class TestLoadedEqualsBuilt:
-    @pytest.mark.parametrize("shape", WORKLOAD_SHAPES)
-    def test_distance_batch(self, artifact_path, built, kernel_graph, shape):
-        pairs = make_workload(shape, kernel_graph, 400, seed=9).pairs
+    @pytest.mark.parametrize("shape,params", IDENTITY_STREAMS)
+    def test_distance_batch(self, artifact_path, built, kernel_graph, shape,
+                            params):
+        pairs = make_workload(shape, kernel_graph, 400, seed=9,
+                              **params).pairs
         with open_with(artifact_path) as loaded:
             assert built.distance_batch(pairs) == loaded.distance_batch(pairs)
 
-    @pytest.mark.parametrize("shape", WORKLOAD_SHAPES)
-    def test_route_batch(self, artifact_path, built, kernel_graph, shape):
-        pairs = make_workload(shape, kernel_graph, 150, seed=3).pairs
+    @pytest.mark.parametrize("shape,params", IDENTITY_STREAMS)
+    def test_route_batch(self, artifact_path, built, kernel_graph, shape,
+                         params):
+        pairs = make_workload(shape, kernel_graph, 150, seed=3,
+                              **params).pairs
         with open_with(artifact_path) as loaded:
             assert built.route_batch(pairs) == loaded.route_batch(pairs)
 
@@ -209,7 +214,8 @@ class TestKernelNames:
 
 class TestSharded:
     def test_sharded_matches_local(self, artifact_path, built, kernel_graph):
-        pairs = make_workload("bursty", kernel_graph, 200, seed=4).pairs
+        pairs = make_workload("zipf", kernel_graph, 200, seed=4,
+                              skew=2.0).pairs
         with open_with(artifact_path, workers=2) as sharded:
             assert sharded.distance_batch(pairs) == built.distance_batch(pairs)
             assert sharded.route_batch(pairs) == built.route_batch(pairs)

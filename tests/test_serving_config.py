@@ -29,8 +29,8 @@ def nondefault_serving_config() -> ServingConfig:
         build=BuildConfig(k=4, epsilon=0.5, seed=7, mode="budget",
                           build_workers=2),
         cache=CacheConfig(capacity=512),
-        workload=WorkloadConfig(name="bursty", num_queries=250, seed=9,
-                                params={"skew": 1.5, "burst_length": 20}),
+        workload=WorkloadConfig(name="zipf", num_queries=250, seed=9,
+                                params={"skew": 1.5}),
     )
 
 
@@ -42,8 +42,8 @@ class TestRoundTrips:
         CacheConfig(capacity=0),
         CacheConfig(capacity=7),
         WorkloadConfig(),
-        WorkloadConfig(name="locality", num_queries=10, seed=1,
-                       params={"hop_radius": 3, "bias": 0.5}),
+        WorkloadConfig(name="zipf", num_queries=10, seed=1,
+                       params={"skew": 3.0}),
         ServingConfig(),
     ])
     def test_from_dict_of_to_dict_is_identity(self, config):
@@ -225,9 +225,7 @@ class TestCliParity:
         args = parser.parse_args([
             "--graph", "grid:rows=4,cols=4", "--artifact", "/tmp/a.artifact",
             "--k", "4", "--epsilon", "0.5", "--mode", "budget", "--seed", "6",
-            "--workload", "bursty", "--queries", "77",
-            "--skew", "1.7", "--burst-length", "15", "--burst-rate", "0.1",
-            "--burst-intensity", "0.5", "--drift-period", "50",
+            "--workload", "zipf", "--queries", "77", "--skew", "1.7",
             "--batch-size", "16", "--cache-size", "99",
             "--kind", "distance", "--workers", "2"])
         config = config_from_args(args, parser)
@@ -235,12 +233,9 @@ class TestCliParity:
         assert config.artifact_path == "/tmp/a.artifact"
         assert config.build == BuildConfig(k=4, epsilon=0.5, seed=6,
                                            mode="budget")
-        assert config.workload.name == "bursty"
+        assert config.workload.name == "zipf"
         assert config.workload.num_queries == 77
-        assert config.workload.params == {"skew": 1.7, "burst_length": 15,
-                                          "burst_rate": 0.1,
-                                          "burst_intensity": 0.5,
-                                          "drift_period": 50}
+        assert config.workload.params == {"skew": 1.7}
         assert config.batch_size == 16
         assert config.kind == "distance"
         assert config.cache.capacity == 99
@@ -251,16 +246,37 @@ class TestCliParity:
         assert (config_from_args(parser.parse_args(["--graph", spec]), parser)
                 == ServingConfig(graph_spec=spec))
 
-    @pytest.mark.parametrize("bad_argv", [
-        ["--workload", "zipf", "--burst-length", "5"],
-        ["--workload", "uniform", "--drift-period", "10"],
-        ["--workload", "bursty", "--hop-radius", "2"],
-    ])
-    def test_inapplicable_bursty_flags_rejected(self, bad_argv):
+    def test_inapplicable_bursty_flags_rejected(self):
         parser = build_parser()
-        args = parser.parse_args(["--graph", "grid:rows=4,cols=4"] + bad_argv)
+        args = parser.parse_args(["--graph", "grid:rows=4,cols=4",
+                                  "--workload", "uniform", "--skew", "1.5"])
         with pytest.raises(SystemExit):
             config_from_args(args, parser)
+
+    @pytest.mark.parametrize("name", ["bursty", "locality", "trace"])
+    def test_removed_workload_names_do_not_parse(self, name, capsys):
+        """Removed, not renamed: ``--workload`` offers only the shapes
+        that ``workload_names()`` registers."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["--graph", "grid:rows=4,cols=4",
+                                       "--workload", name])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--hop-radius", "2"), ("--bias", "0.5"), ("--burst-rate", "0.1"),
+        ("--burst-length", "8"), ("--burst-intensity", "0.9"),
+        ("--drift-period", "100"), ("--trace-path", "/tmp/s.trace"),
+        ("--trace-out", "/tmp/s.trace"),
+    ])
+    def test_removed_shape_flags_do_not_parse(self, flag, value, capsys):
+        """The flags that only fed the removed shapes are gone from the
+        parser, not kept as no-ops."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["--graph", "grid:rows=4,cols=4",
+                                       "--workload", "zipf", flag, value])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_fleet_flags_land_in_the_fleet_config(self):
         parser = build_parser()

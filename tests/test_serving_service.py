@@ -10,6 +10,7 @@ from repro.serving import (
     LRUCache,
     RoutingService,
     ServingStats,
+    WorkloadConfig,
     build_or_load_service,
     zipf_workload,
 )
@@ -316,35 +317,124 @@ class TestCli:
         out = capsys.readouterr().out
         assert '"load_seconds"' in out and '"queries": 200' in out
 
-    @pytest.mark.parametrize("bad_argv", [
-        ["--workload", "uniform", "--skew", "1.5"],
-        ["--workload", "locality", "--skew", "1.5"],
-        ["--workload", "zipf", "--hop-radius", "2"],
-        ["--workload", "uniform", "--bias", "0.5"],
-    ])
-    def test_inapplicable_workload_flags_rejected(self, tmp_path, bad_argv):
-        """Regression: --skew used to be silently ignored off-zipf, and
-        locality had no way to set hop_radius/bias at all."""
+    def test_inapplicable_workload_flags_rejected(self):
+        """Regression: --skew used to be silently ignored off-zipf."""
         argv = ["--graph", "grid:rows=4,cols=5", "--k", "2",
-                "--queries", "50"] + bad_argv
+                "--queries", "50", "--workload", "uniform", "--skew", "1.5"]
         with pytest.raises(SystemExit):
             serve_main(argv)
 
-    def test_locality_flags_are_forwarded(self, capsys):
-        import json as json_module
+    @pytest.mark.parametrize("workload", [
+        WorkloadConfig(name="nope"),
+        WorkloadConfig(name="uniform", params={"skew": 2.0}),
+    ], ids=["unknown-name", "inapplicable-param"])
+    def test_session_closes_backend_when_workload_fails(self, monkeypatch,
+                                                        workload):
+        """Regression: the backend was opened before the workload was
+        made, so a workload that raised left it open (a live socket for
+        ``--connect``)."""
+        from repro.serving import ServingConfig, cli
 
-        from repro.serving import locality_workload
+        closes = []
+        real_open = cli.open_service
 
-        argv = ["--graph", "grid:rows=5,cols=6,seed=3", "--k", "2",
-                "--seed", "3", "--workload", "locality", "--queries", "150",
-                "--hop-radius", "1", "--bias", "1.0", "--json"]
-        assert serve_main(argv) == 0
-        record = json_module.loads(capsys.readouterr().out)
-        expected = locality_workload(parse_graph_spec("grid:rows=5,cols=6,seed=3"),
-                                     150, hop_radius=1, bias=1.0, seed=3)
-        assert record["distinct_pairs"] == expected.distinct_pairs()
-        assert (record["hottest_pair_share"]
-                == expected.skew_summary()["hottest_pair_share"])
+        def spy(config):
+            backend = real_open(config)
+            real_close = backend.close
+
+            def close():
+                closes.append(config.workload.name)
+                real_close()
+
+            backend.close = close
+            return backend
+
+        monkeypatch.setattr(cli, "open_service", spy)
+        config = ServingConfig(graph_spec="grid:rows=4,cols=4",
+                               build=BuildConfig(k=2), workload=workload)
+        with pytest.raises((ValueError, TypeError)):
+            cli.run_serving_session(config)
+        assert closes == [workload.name]
+
+    def test_session_closes_backend_once_on_success(self, monkeypatch):
+        from repro.serving import ServingConfig, cli
+
+        closes = []
+        real_open = cli.open_service
+
+        def spy(config):
+            backend = real_open(config)
+            real_close = backend.close
+
+            def close():
+                closes.append(config.workload.name)
+                real_close()
+
+            backend.close = close
+            return backend
+
+        monkeypatch.setattr(cli, "open_service", spy)
+        config = ServingConfig(graph_spec="grid:rows=4,cols=4",
+                               build=BuildConfig(k=2),
+                               workload=WorkloadConfig(num_queries=30))
+        record, _, ok = cli.run_serving_session(config)
+        assert ok and record["queries"] == 30
+        assert closes == [config.workload.name]
+
+    @pytest.mark.parametrize("queries, batch_size, batches", [
+        (200, 25, 8), (201, 25, 9), (10, 64, 1),
+    ], ids=["exact", "ragged-tail", "one-short-batch"])
+    def test_session_chunks_the_stream_by_batch_size(self, monkeypatch,
+                                                     queries, batch_size,
+                                                     batches):
+        """The driver cuts ``workload.pairs`` into ``batch_size`` chunks in
+        stream order, the last one short; nothing is dropped or reordered."""
+        from repro.serving import ServingConfig, cli, make_workload
+
+        issued = []
+        real_answer = cli.answer_batch
+
+        def spy(target, kind, pairs):
+            issued.append(list(pairs))
+            return real_answer(target, kind, pairs)
+
+        monkeypatch.setattr(cli, "answer_batch", spy)
+        config = ServingConfig(graph_spec="grid:rows=4,cols=4",
+                               build=BuildConfig(k=2), batch_size=batch_size,
+                               workload=WorkloadConfig(name="zipf",
+                                                       num_queries=queries))
+        record, _, _ = cli.run_serving_session(config)
+        assert record["latency_ms"]["batches"] == batches
+        assert [len(chunk) for chunk in issued[:-1]] == \
+            [batch_size] * (batches - 1)
+        stream = make_workload("zipf", parse_graph_spec(config.graph_spec),
+                               queries, seed=config.workload_seed())
+        assert [pair for chunk in issued for pair in chunk] == stream.pairs
+
+    @pytest.mark.parametrize("kind", ["route", "distance"])
+    def test_session_issues_every_batch_with_the_config_kind(self,
+                                                             monkeypatch,
+                                                             kind):
+        from repro.serving import ServingConfig, cli
+
+        kinds = []
+        real_answer = cli.answer_batch
+
+        def spy(target, batch_kind, pairs):
+            kinds.append(batch_kind)
+            return real_answer(target, batch_kind, pairs)
+
+        monkeypatch.setattr(cli, "answer_batch", spy)
+        config = ServingConfig(graph_spec="grid:rows=4,cols=5",
+                               build=BuildConfig(k=2), kind=kind,
+                               batch_size=16,
+                               workload=WorkloadConfig(num_queries=64))
+        record, _, ok = cli.run_serving_session(config)
+        assert kinds == [kind] * 4
+        assert record["kind"] == kind
+        # A connected grid: every route arrives and every estimate is
+        # finite, so both kinds deliver the whole stream.
+        assert ok and record["delivered"] == 64
 
     def test_workers_flag_serves_sharded(self, tmp_path, capsys):
         artifact = str(tmp_path / "sharded-cli.artifact")

@@ -12,11 +12,12 @@ from repro.serving import (
     ServingStats,
     ShardError,
     ShardedRoutingService,
-    WORKLOAD_NAMES,
     build_or_load_service,
     make_workload,
     open_service,
 )
+
+from helpers import IDENTITY_STREAMS
 
 
 @pytest.fixture(scope="module")
@@ -194,11 +195,12 @@ class TestRoundRobinTable:
 
 
 class TestShardedIdentity:
-    @pytest.mark.parametrize("shape", WORKLOAD_NAMES)
+    @pytest.mark.parametrize("shape,params", IDENTITY_STREAMS)
     def test_matches_single_process_per_workload(self, shard_graph,
                                                  artifact_path,
-                                                 reference_service, shape):
-        workload = make_workload(shape, shard_graph, 150, seed=9)
+                                                 reference_service, shape,
+                                                 params):
+        workload = make_workload(shape, shard_graph, 150, seed=9, **params)
         expected_routes = reference_service.route_batch(workload.pairs)
         expected_dists = reference_service.distance_batch(workload.pairs)
         with ShardedRoutingService(artifact_path, num_workers=2) as sharded:

@@ -21,7 +21,6 @@ from repro.serving import (
     ServingConfig,
     ShardedRoutingService,
     WORKLOADS,
-    WORKLOAD_NAMES,
     WorkloadConfig,
     answer_batch,
     make_workload,
@@ -32,6 +31,8 @@ from repro.serving import (
 )
 from repro.serving import cli
 from repro.serving.wire import encode_answers, encode_frame
+
+from helpers import IDENTITY_STREAMS
 
 
 @pytest.fixture(scope="module")
@@ -95,10 +96,10 @@ class TestOpenServiceIdentity:
     """Acceptance: every ``open_service`` backend answers identically to a
     directly constructed service."""
 
-    @pytest.mark.parametrize("shape", WORKLOAD_NAMES)
+    @pytest.mark.parametrize("shape,params", IDENTITY_STREAMS)
     def test_local_backend_matches_v1_service(self, v2_graph, v2_config,
-                                              shape):
-        workload = make_workload(shape, v2_graph, 150, seed=9)
+                                              shape, params):
+        workload = make_workload(shape, v2_graph, 150, seed=9, **params)
         v1 = RoutingService.build(v2_graph, k=3, seed=4)     # direct path
         v2 = open_service(v2_config)
         v1_routes = v1.route_batch(workload.pairs)
@@ -108,12 +109,12 @@ class TestOpenServiceIdentity:
         assert (v2.distance_batch(workload.pairs)
                 == v1.distance_batch(workload.pairs))
 
-    @pytest.mark.parametrize("shape", WORKLOAD_NAMES)
+    @pytest.mark.parametrize("shape,params", IDENTITY_STREAMS)
     def test_sharded_backend_matches_v1_sharded(self, v2_graph, v2_config,
-                                                artifact_path, shape):
+                                                artifact_path, shape, params):
         import dataclasses
 
-        workload = make_workload(shape, v2_graph, 120, seed=5)
+        workload = make_workload(shape, v2_graph, 120, seed=5, **params)
         v1 = ShardedRoutingService(artifact_path, num_workers=2,
                                    graph=v2_graph)           # direct path
         with v1:
@@ -127,27 +128,27 @@ class TestOpenServiceIdentity:
         assert v2_dists == v1_dists
 
     @pytest.fixture(scope="class")
-    def bursty_batches(self, v2_graph):
-        pairs = make_workload("bursty", v2_graph, 200, seed=3).pairs
+    def zipf_batches(self, v2_graph):
+        pairs = make_workload("zipf", v2_graph, 200, seed=3).pairs
         return [pairs[lo:lo + 50] for lo in range(0, len(pairs), 50)]
 
     @pytest.fixture(scope="class")
-    def uncached(self, v2_config, bursty_batches):
+    def uncached(self, v2_config, zipf_batches):
         """What the per-pair path answers with no cache at all."""
         oracle = open_service(dataclasses.replace(
             v2_config, kernel="dict", cache=CacheConfig(capacity=0)))
         return {kind: [answer_batch(oracle, kind, batch)
-                       for batch in bursty_batches]
+                       for batch in zipf_batches]
                 for kind in ("route", "distance")}
 
     @pytest.mark.parametrize("kind", ["route", "distance"])
     @pytest.mark.parametrize("backend", ["local", "sharded", "server"])
     @pytest.mark.parametrize("capacity", [0, 1, 4096])
     def test_answers_ignore_cache_size(self, v2_graph, v2_config,
-                                       bursty_batches, uncached,
+                                       zipf_batches, uncached,
                                        capacity, backend, kind):
         """An answer is a pure function of (artifact, pair): the capacity
-        decides which entries stay resident (at 1 a bursty stream evicts on
+        decides which entries stay resident (at 1 a Zipf stream evicts on
         nearly every miss), never what is answered — down to the bytes of
         an ``answers`` frame, since a ``wire_text`` rebuilt after an
         eviction is the same text."""
@@ -157,7 +158,7 @@ class TestOpenServiceIdentity:
         with open_service(config, graph=v2_graph) as service:
             if backend != "server":
                 assert [answer_batch(service, kind, batch)
-                        for batch in bursty_batches] == uncached[kind]
+                        for batch in zipf_batches] == uncached[kind]
                 return
             with RoutingServer(service, "127.0.0.1:0") as srv:
                 sock = socket.create_connection(parse_endpoint(srv.address),
@@ -167,7 +168,7 @@ class TestOpenServiceIdentity:
                 with ClientSession(replies, sock.makefile("wb"),
                                    sock=sock) as client:
                     answers = [client.gather(client.submit(kind, batch))
-                               for batch in bursty_batches]
+                               for batch in zipf_batches]
         assert answers == uncached[kind]
         # welcome, one answers frame per batch, bye: the middle is the same
         # bytes whatever the capacity, because it equals the one oracle.

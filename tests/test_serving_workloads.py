@@ -3,16 +3,17 @@
 import pytest
 
 from repro import graphs
-from repro.graphs.distances import bfs_hop_distances
 from repro.serving import (
     QueryWorkload,
-    WORKLOAD_NAMES,
-    bursty_workload,
-    locality_workload,
     make_workload,
     uniform_workload,
+    workload_names,
     zipf_workload,
 )
+
+
+#: Every built-in shape's generator, called on a bare node sequence.
+GENERATORS = {"uniform": uniform_workload, "zipf": zipf_workload}
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,7 @@ def workload_graph():
 
 
 class TestCommonProperties:
-    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    @pytest.mark.parametrize("name", workload_names())
     def test_deterministic_given_seed(self, workload_graph, name):
         a = make_workload(name, workload_graph, 200, seed=5)
         b = make_workload(name, workload_graph, 200, seed=5)
@@ -30,7 +31,7 @@ class TestCommonProperties:
         assert a.pairs == b.pairs
         assert a.pairs != c.pairs
 
-    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    @pytest.mark.parametrize("name", workload_names())
     def test_pairs_are_valid(self, workload_graph, name):
         workload = make_workload(name, workload_graph, 300, seed=1)
         assert len(workload) == 300
@@ -39,18 +40,64 @@ class TestCommonProperties:
             assert s in nodes and t in nodes
             assert s != t
 
+    @pytest.mark.parametrize("name", workload_names())
+    def test_params_record_seed_and_population(self, workload_graph, name):
+        workload = make_workload(name, workload_graph, 20, seed=9)
+        assert workload.name == name
+        assert workload.params["seed"] == 9
+        assert workload.params["nodes"] == workload_graph.num_nodes
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_seed_defaults_to_zero(self, workload_graph, name):
+        assert (make_workload(name, workload_graph, 50).pairs
+                == make_workload(name, workload_graph, 50, seed=0).pairs)
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_zero_queries_is_an_empty_stream(self, workload_graph, name):
+        workload = make_workload(name, workload_graph, 0, seed=3)
+        assert len(workload) == 0 and list(workload) == []
+        assert workload.skew_summary() == {
+            "queries": 0, "distinct_pairs": 0,
+            "repeat_rate": 0.0, "hottest_pair_share": 0.0}
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_unknown_param_rejected(self, workload_graph, name):
+        """A param no shape takes is an error, never silently dropped."""
+        with pytest.raises(TypeError):
+            make_workload(name, workload_graph, 10, hop_radius=2)
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_dispatch_matches_the_generator(self, workload_graph, name):
+        direct = GENERATORS[name](workload_graph.nodes(), 120, seed=4)
+        assert make_workload(name, workload_graph, 120, seed=4).pairs \
+            == direct.pairs
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_any_hashable_labels(self, name):
+        nodes = ["depot", "dock", ("yard", 1), ("yard", 2), 7]
+        workload = GENERATORS[name](nodes, 100, seed=2)
+        assert all(s in nodes and t in nodes and s != t
+                   for s, t in workload)
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_two_nodes_only_alternate(self, name):
+        """With two nodes every draw collides half the time; the redraw
+        must still terminate and leave only the two ordered pairs."""
+        workload = GENERATORS[name](["a", "b"], 200, seed=8)
+        assert set(workload.pairs) <= {("a", "b"), ("b", "a")}
+        assert len(workload) == 200
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_generators_reject_fewer_than_two_nodes(self, name):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            GENERATORS[name](["only"], 5)
+
     def test_unknown_name_rejected(self, workload_graph):
         with pytest.raises(ValueError, match="unknown workload"):
             make_workload("tidal", workload_graph, 10)
 
     def test_builtin_names_registered(self):
-        assert set(WORKLOAD_NAMES) == {"uniform", "zipf", "locality",
-                                       "bursty"}
-        # the trace replay workload is registered but is not a generator
-        # shape, so it stays out of the WORKLOAD_NAMES snapshot
-        from repro.serving.workloads import workload_names
-        assert "trace" in workload_names()
-        assert "trace" not in WORKLOAD_NAMES
+        assert workload_names() == ("uniform", "zipf")
 
     def test_too_few_nodes_rejected(self):
         tiny = graphs.path_graph(1)
@@ -85,6 +132,40 @@ class TestShapes:
         with pytest.raises(ValueError, match="skew"):
             zipf_workload(workload_graph.nodes(), 10, skew=0.0)
 
+    def test_zipf_negative_skew_rejected(self, workload_graph):
+        with pytest.raises(ValueError, match="skew"):
+            zipf_workload(workload_graph.nodes(), 10, skew=-1.2)
+
+    def test_zipf_records_its_skew(self, workload_graph):
+        workload = make_workload("zipf", workload_graph, 10, seed=1, skew=1.7)
+        assert workload.params["skew"] == 1.7
+
+    def test_zipf_hottest_source_is_the_top_ranked_node(self):
+        """The source ranking is the seed's first shuffle, so at a steep
+        skew its head must be the stream's most frequent source."""
+        import random
+        from collections import Counter
+
+        nodes = list(range(30))
+        ranking = list(nodes)
+        random.Random(11).shuffle(ranking)
+        workload = zipf_workload(nodes, 2000, skew=2.0, seed=11)
+        counts = Counter(s for s, _ in workload.pairs)
+        assert counts.most_common(1)[0][0] == ranking[0]
+
+    def test_uniform_reaches_every_source(self, workload_graph):
+        workload = uniform_workload(workload_graph.nodes(), 1000, seed=3)
+        assert ({s for s, _ in workload.pairs}
+                == set(workload_graph.nodes()))
+
+    def test_uniform_stream_extends_as_a_prefix(self, workload_graph):
+        """Uniform draws are sequential: a longer stream from the same
+        seed starts with the shorter one."""
+        nodes = workload_graph.nodes()
+        short = uniform_workload(nodes, 100, seed=6)
+        longer = uniform_workload(nodes, 300, seed=6)
+        assert longer.pairs[:100] == short.pairs
+
     def test_zipf_collision_fallback_keeps_skew(self):
         """Regression: when a drawn pair collided (s == t) the replacement
         target used to be drawn *uniformly*, diluting the Zipf shape exactly
@@ -114,94 +195,6 @@ class TestShapes:
         # Zipf-conditioned replacement keeps rank2 ~ (1/8)/(1/27) = 3.4x
         # rank3; the old uniform fallback pushed this ratio towards 1.
         assert counts[target_ranking[1]] / counts[target_ranking[2]] > 2.0
-
-    def test_locality_full_bias_stays_in_ball(self, workload_graph):
-        radius = 2
-        workload = locality_workload(workload_graph, 300, hop_radius=radius,
-                                     bias=1.0, seed=5)
-        balls = {}
-        for s, t in workload:
-            if s not in balls:
-                balls[s] = bfs_hop_distances(workload_graph, s)
-            assert balls[s][t] <= radius
-
-    def test_locality_zero_bias_is_uniform_style(self, workload_graph):
-        workload = locality_workload(workload_graph, 300, bias=0.0, seed=5)
-        # With bias 0 no BFS ball is ever consulted; targets roam globally.
-        hop = {}
-        far = 0
-        for s, t in workload:
-            if s not in hop:
-                hop[s] = bfs_hop_distances(workload_graph, s)
-            if hop[s][t] > 2:
-                far += 1
-        assert far > 0
-
-    def test_locality_parameter_validation(self, workload_graph):
-        with pytest.raises(ValueError, match="bias"):
-            locality_workload(workload_graph, 10, bias=1.5)
-        with pytest.raises(ValueError, match="hop_radius"):
-            locality_workload(workload_graph, 10, hop_radius=0)
-
-
-class TestBurstyShape:
-    def test_bursts_concentrate_traffic(self, workload_graph):
-        nodes = workload_graph.nodes()
-        calm = bursty_workload(nodes, 1000, burst_rate=0.0, seed=7)
-        stormy = bursty_workload(nodes, 1000, burst_rate=0.05,
-                                 burst_length=60, burst_intensity=0.9, seed=7)
-        # Bursts repeat one pair for stretches of the stream, so the bursty
-        # stream is strictly more repetitive than its burst-free base.
-        assert stormy.distinct_pairs() < calm.distinct_pairs()
-        assert (stormy.skew_summary()["hottest_pair_share"]
-                > calm.skew_summary()["hottest_pair_share"])
-
-    def test_saturated_burst_is_one_pair(self, workload_graph):
-        workload = bursty_workload(workload_graph.nodes(), 200,
-                                   burst_rate=1.0, burst_length=10 ** 6,
-                                   burst_intensity=1.0, seed=3)
-        # The first organic query starts a burst that never ends; with
-        # intensity 1.0 every later query repeats its pair.
-        assert workload.distinct_pairs() == 1
-
-    def test_diurnal_drift_rotates_the_hot_set(self):
-        from collections import Counter
-
-        nodes = list(range(12))
-        # Extreme skew concentrates nearly all mass on rank 0, so each
-        # window's most common source tracks the rotating ranking head.
-        workload = bursty_workload(nodes, 240, skew=6.0, burst_rate=0.0,
-                                   drift_period=240, seed=11)
-        sources = [s for s, _ in workload.pairs]
-        early = Counter(sources[:40]).most_common(1)[0][0]
-        late = Counter(sources[120:160]).most_common(1)[0][0]
-        assert early != late
-
-    def test_no_drift_keeps_hot_set_static(self):
-        from collections import Counter
-
-        nodes = list(range(12))
-        workload = bursty_workload(nodes, 240, skew=6.0, burst_rate=0.0,
-                                   drift_period=10 ** 9, seed=11)
-        sources = [s for s, _ in workload.pairs]
-        early = Counter(sources[:40]).most_common(1)[0][0]
-        late = Counter(sources[120:160]).most_common(1)[0][0]
-        assert early == late
-
-    def test_parameter_validation(self, workload_graph):
-        nodes = workload_graph.nodes()
-        with pytest.raises(ValueError, match="skew"):
-            bursty_workload(nodes, 10, skew=0.0)
-        with pytest.raises(ValueError, match="burst_rate"):
-            bursty_workload(nodes, 10, burst_rate=1.5)
-        with pytest.raises(ValueError, match="burst_length"):
-            bursty_workload(nodes, 10, burst_length=0)
-        with pytest.raises(ValueError, match="burst_intensity"):
-            bursty_workload(nodes, 10, burst_intensity=-0.1)
-        with pytest.raises(ValueError, match="drift_period"):
-            bursty_workload(nodes, 10, drift_period=0)
-        with pytest.raises(ValueError, match="at least 2 nodes"):
-            bursty_workload([0], 10)
 
 
 class TestQueryWorkloadContainer:
