@@ -1,10 +1,11 @@
 """Artifact cold-load latency and time-to-first-answer.
 
 Artifacts store the query-hot tables as fixed-width record sections:
-loading parses the header, maps the file, unpickles the small eager
-sections (graph, level sets, metrics) and decodes the pivot and bunch
-records into the build's dicts, which every loading process holds for
-itself.  The tree and skeleton sections are unpickled on first access.
+loading parses the header, reads the file once, verifies every section,
+decodes the pivot and bunch records into the build's dicts and unpickles
+the rest (graph, level sets, destination trees, skeleton structures,
+metrics), then closes the file.  Every loading process holds the whole
+hierarchy for itself; a query reads nothing more from disk.
 
 Per configuration this benchmark forks a fresh probe process (cold
 Python-level caches, honest RSS deltas) and records:
@@ -203,7 +204,7 @@ def main(argv=None) -> int:
     payload = {
         "benchmark": "artifact_load",
         "description": "Cold artifact load and time-to-first-answer "
-                       "(mmap, tables decoded at load, trees lazy); the "
+                       "(every section decoded at load, file closed); the "
                        "probe runs in a fresh "
                        "forked process and records load/TTFA wall clock, "
                        "VmRSS delta and the table bytes its artifact holds, "

@@ -21,10 +21,10 @@ the *loaded objects* (the program carries no counters):
                        ``_route_via_skeleton``, per route;
 ``adjacency_lookups``  lookups in the graph's adjacency map made during the
                        whole ``route_batch`` pass, per hop of the routed
-                       paths.  The tree sections are materialised first
-                       (loading a tree checks it against the graph once);
-                       after that a route is weighed from the trees' ``dist``
-                       tables, so this reads 0.
+                       paths.  The load checks every tree against the
+                       graph once, before the stand-in is hung; a route is
+                       weighed from the trees' ``dist`` tables, so this
+                       reads 0.
 
 The counts repeat exactly on any host; CI diffs the ``==`` and ``counts``
 lines against ``benchmarks/profiles/local_query_pr43.txt``.  ``time`` lines
@@ -94,7 +94,6 @@ def instrument(hierarchy, counts):
     for data in hierarchy.level_data:
         data.bunches = {node: CountingBunch(row, counts)
                         for node, row in data.bunches.items()}
-        data.trees      # every tree section is materialised (and checked)
 
     if hierarchy.pde_skel is not None:      # a truncated-mode build
         estimates = hierarchy.pde_skel.estimates

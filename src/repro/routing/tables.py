@@ -12,7 +12,6 @@ table sizes.
 from __future__ import annotations
 
 import math
-import pickle
 import struct
 from dataclasses import dataclass, field
 from typing import (
@@ -174,8 +173,8 @@ class RouteTrace:
 # encoding; no third-party dependencies.  The classes come in pairs:
 #
 # * ``encode`` classmethods produce the section bytes at save time;
-# * the constructors wrap a ``memoryview`` (typically over an ``mmap``)
-#   and read it back row by row, every row bounds-checked.
+# * the constructors wrap a section's bytes and read them back row by
+#   row, every row bounds-checked.
 #
 # The loader decodes both tables into the build's plain dicts once, at
 # load, so a loaded hierarchy selects levels exactly as the in-memory
@@ -193,15 +192,15 @@ _TAG_INT = b"I"
 _TAG_FLOAT = b"F"
 _TAG_STR = b"S"
 _TAG_TUPLE = b"U"
-_TAG_PICKLE = b"P"
 
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
 
 def _encode_value(value: Any, out: bytearray) -> None:
-    """Tagged binary encoding of one node label (int/str/float/bool/None/
-    tuple natively; anything else falls back to an embedded pickle)."""
+    """Tagged binary encoding of one node label: ``None``, a ``bool``, a
+    64-bit ``int``, a ``float``, a ``str`` or a tuple of these; any other
+    label is a :class:`RecordTableError`."""
     if value is None:
         out += _TAG_NONE
     elif value is True:
@@ -225,10 +224,9 @@ def _encode_value(value: Any, out: bytearray) -> None:
         for item in value:
             _encode_value(item, out)
     else:
-        raw = pickle.dumps(value, protocol=4)
-        out += _TAG_PICKLE
-        out += _U32.pack(len(raw))
-        out += raw
+        raise RecordTableError(
+            f"node label {value!r} has no intern-table encoding (None, "
+            f"bool, 64-bit int, float, str or a tuple of these)")
 
 
 def _decode_value(buf: memoryview, pos: int) -> Tuple[Any, int]:
@@ -256,10 +254,6 @@ def _decode_value(buf: memoryview, pos: int) -> Tuple[Any, int]:
             item, pos = _decode_value(buf, pos)
             items.append(item)
         return tuple(items), pos
-    if tag == _TAG_PICKLE:
-        (length,) = _U32.unpack_from(buf, pos)
-        pos += 4
-        return pickle.loads(bytes(buf[pos:pos + length])), pos + length
     raise RecordTableError(f"unknown intern-table value tag {tag!r}")
 
 

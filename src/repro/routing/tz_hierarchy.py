@@ -50,8 +50,7 @@ from .tables import Label, RouteTrace, RoutingTable
 from .tz_exact import sample_levels
 from .stretch import evaluate_routing
 
-__all__ = ["CompactRoutingHierarchy", "HierarchyBuildReport", "LazyLevelData",
-           "QUERY_KERNELS"]
+__all__ = ["CompactRoutingHierarchy", "HierarchyBuildReport", "QUERY_KERNELS"]
 
 #: Sentinel distinguishing "absent from the bunch" from any real estimate.
 _ABSENT = object()
@@ -98,38 +97,6 @@ class _LevelData:
     trees: Optional[TreeFamily] = None
     skeleton_level: bool = False
     overflow_count: int = 0
-
-
-class LazyLevelData:
-    """Duck-typed :class:`_LevelData` backed by artifact-v2 sections.
-
-    ``bunches`` is the build's dict, decoded from the level's rows of the
-    bunch record table at load; ``trees`` is unpickled from its own section
-    on first access (route queries and the reports read it).
-    """
-
-    __slots__ = ("h", "sigma", "skeleton_level", "overflow_count", "bunches",
-                 "_trees_loader", "_trees", "_trees_loaded")
-
-    def __init__(self, h: int, sigma: int, skeleton_level: bool,
-                 overflow_count: int,
-                 bunches: Dict[Hashable, Dict[Hashable, float]],
-                 trees_loader) -> None:
-        self.h = h
-        self.sigma = sigma
-        self.skeleton_level = skeleton_level
-        self.overflow_count = overflow_count
-        self.bunches = bunches
-        self._trees_loader = trees_loader
-        self._trees = None
-        self._trees_loaded = False
-
-    @property
-    def trees(self) -> Optional[TreeFamily]:
-        if not self._trees_loaded:
-            self._trees = self._trees_loader()
-            self._trees_loaded = True
-        return self._trees
 
 
 class CompactRoutingHierarchy:

@@ -11,7 +11,7 @@ The public surface (API v2) is one typed contract:
   (:class:`BuildConfig`, :class:`CacheConfig`, :class:`WorkloadConfig`,
   :class:`ServingConfig`) with lossless ``to_dict``/``from_dict``
   round-trips and artifact-header provenance;
-* :mod:`repro.serving.artifacts` — the one mmap-able artifact format:
+* :mod:`repro.serving.artifacts` — the one section-table artifact format:
   save/load of built hierarchies and PDE results with integrity checking
   and lossless round-trips;
 * :mod:`repro.serving.service`   — the :class:`RoutingService` local
@@ -19,7 +19,7 @@ The public surface (API v2) is one typed contract:
   ``distance_estimate`` / full-path queries;
 * :mod:`repro.serving.sharded`   — the :class:`ShardedRoutingService`
   backend: one query stream scattered round-robin across N worker
-  processes, each mapping the same full artifact;
+  processes, each loading the same full artifact;
 * :mod:`repro.serving.worker`    — one such worker: the framed pipes, the
   process's main loop and its parent-side ``Worker`` endpoint;
 * :mod:`repro.serving.fleet`     — the :class:`FleetSupervisor` every

@@ -7,9 +7,9 @@ number of serving processes load it back and answer queries *identically* to
 the in-memory original (the round-trip tests assert bit-for-bit equal query
 answers).
 
-One on-disk format (a section table, mmap-able); any other version in the
-magic line — including the retired monolithic-pickle format 1 — is refused
-with a typed :class:`ArtifactError` before a payload byte is read::
+One on-disk format (a section table); any other version in the magic
+line — including the retired monolithic-pickle format 1 — is refused with
+a typed :class:`ArtifactError` before a payload byte is read::
 
     REPRO-ARTIFACT v2\\n                      <- magic + format version
     {header JSON}\\n                          <- kind, state version, metadata,
@@ -19,25 +19,21 @@ with a typed :class:`ArtifactError` before a payload byte is read::
 
 The query-hot tables — node intern table, per-node pivot rows, per-(level,
 node) bunch rows — are fixed-width binary records (stdlib ``struct``; see
-:mod:`repro.routing.tables`) that the loader maps, bounds-checks
-row by row and decodes into the build's plain dicts once, at load: a
-loaded hierarchy selects levels through the same dict lookups as the
-in-memory build, and a structurally bad table fails at load, not
-mid-query.  The rest (graph, level sets, destination trees, skeleton
-structures, metrics) lives in separate pickled sections; the trees and
-the skeleton structures are materialised lazily on first access.  A
+:mod:`repro.routing.tables`), bounds-checked row by row and decoded into
+the build's plain dicts.  The rest (graph, level sets, destination trees,
+skeleton structures, metrics) lives in separate pickled sections.  A
 build's per-level estimates are not stored at all, since no query or
 report reads them.
 
-Every section carries its own SHA-256.  Opening an artifact validates the
-header and section bounds (truncation and out-of-range offsets fail fast)
-and verifies the query-hot record tables' checksums before decoding
-them, so corrupt records can never answer queries; lazily-pickled
-sections are verified when they first materialise,
-and :func:`verify_artifact` checks every section on
-demand (the CI smoke job and the corruption tests use it).  Artifacts are trusted
-local files (pickle is not safe against adversarial bytes — checksums
-detect corruption, not tampering).
+Loading reads the file once, verifies every section's SHA-256 and decodes
+every section, every tree checked against the graph it is served on; the
+file is closed before :func:`load_hierarchy` returns, and what it returns
+is a plain :class:`CompactRoutingHierarchy`, the object the build makes.
+A corrupt or tampered section therefore fails the load, never a query.
+:func:`verify_artifact` checks every section's bounds and checksum without
+decoding (the CI smoke job and the corruption tests use it).  Artifacts
+are trusted local files (pickle is not safe against adversarial bytes —
+checksums detect corruption, not tampering).
 """
 
 from __future__ import annotations
@@ -45,11 +41,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import mmap
 import os
 import pickle
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..congest.metrics import CongestMetrics
@@ -62,7 +56,7 @@ from ..routing.tables import (
     PivotRowTable,
     RecordTableError,
 )
-from ..routing.tz_hierarchy import CompactRoutingHierarchy, LazyLevelData
+from ..routing.tz_hierarchy import CompactRoutingHierarchy, _LevelData
 
 __all__ = [
     "ArtifactError",
@@ -244,16 +238,13 @@ def write_artifact_v2(path: str, kind: str, sections: Dict[str, bytes],
 
 
 class ArtifactV2Reader:
-    """mmap-backed reader for one artifact.
+    """Reader for one artifact, its payload read into memory at open.
 
     Opening validates the header and that every section lies within the
-    mapped payload (truncated files and out-of-range offsets raise
-    immediately).  Section *bytes* are then served as zero-copy memoryviews
-    over the mapping by :meth:`section_bytes`, checksum verified on first
-    use.  :meth:`verify` checks every section's checksum.
-
-    The reader must outlive any views handed out; the lazy hierarchy keeps
-    a reference for exactly that reason.
+    payload (truncated files and out-of-range offsets raise immediately),
+    reads the payload and closes the file.  :meth:`section_bytes` returns a
+    section's bytes with its checksum verified; :meth:`verify` checks every
+    section's checksum.
     """
 
     def __init__(self, path: str, expected_kind: Optional[str] = None) -> None:
@@ -264,12 +255,6 @@ class ArtifactV2Reader:
                 raise ArtifactError(
                     f"{path}: artifact holds a {self.info.kind!r}, expected "
                     f"{expected_kind!r}")
-            self._payload_start = fh.tell()
-            available = os.fstat(fh.fileno()).st_size - self._payload_start
-            if available < self.info.payload_bytes:
-                raise ArtifactError(
-                    f"{path}: truncated payload ({available} bytes, header "
-                    f"says {self.info.payload_bytes})")
             for name, entry in self.info.sections.items():
                 offset, length = entry["offset"], entry["length"]
                 if (not isinstance(offset, int) or not isinstance(length, int)
@@ -279,44 +264,32 @@ class ArtifactV2Reader:
                         f"{path}: section {name!r} is out of bounds "
                         f"(offset {offset}, length {length}, payload "
                         f"{self.info.payload_bytes} bytes)")
-            self._mmap = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        self._view = memoryview(self._mmap)
-        self._verified: set = set()
-        self._closed = False
+            self._payload = fh.read(self.info.payload_bytes)
+        if len(self._payload) < self.info.payload_bytes:
+            raise ArtifactError(
+                f"{path}: truncated payload ({len(self._payload)} bytes, "
+                f"header says {self.info.payload_bytes})")
 
     # -- sections -------------------------------------------------------
-    def section_names(self) -> Tuple[str, ...]:
-        return tuple(self.info.sections)
+    def section_bytes(self, name: str) -> bytes:
+        """A section's bytes, its checksum verified."""
+        return self.verify_section(name)
 
-    def _entry(self, name: str) -> Dict[str, Any]:
+    def verify_section(self, name: str) -> bytes:
+        """Check one section's checksum; returns its bytes."""
         try:
-            return self.info.sections[name]
+            entry = self.info.sections[name]
         except KeyError:
             raise ArtifactError(
                 f"{self.path}: artifact has no section {name!r}; available: "
                 f"{', '.join(self.info.sections)}") from None
-
-    def section_view(self, name: str):
-        """Zero-copy view of a section, its checksum not checked."""
-        entry = self._entry(name)
-        start = self._payload_start + entry["offset"]
-        return self._view[start:start + entry["length"]]
-
-    def section_bytes(self, name: str):
-        """Section view with its checksum verified (once per section)."""
-        view = self.section_view(name)
-        if name not in self._verified:
-            self.verify_section(name)
-        return view
-
-    def verify_section(self, name: str) -> None:
-        entry = self._entry(name)
-        digest = hashlib.sha256(self.section_view(name)).hexdigest()
+        blob = self._payload[entry["offset"]:entry["offset"] + entry["length"]]
+        digest = hashlib.sha256(blob).hexdigest()
         if digest != entry["sha256"]:
             raise ArtifactError(
                 f"{self.path}: section {name!r} checksum mismatch "
                 f"({digest} != {entry['sha256']})")
-        self._verified.add(name)
+        return blob
 
     def verify(self) -> ArtifactInfo:
         """Verify every section's checksum; returns the header info."""
@@ -336,7 +309,7 @@ class ArtifactV2Reader:
 
     def load_json(self, name: str) -> Any:
         try:
-            return json.loads(bytes(self.section_bytes(name)).decode("utf-8"))
+            return json.loads(self.section_bytes(name).decode("utf-8"))
         except ArtifactError:
             raise
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -345,16 +318,8 @@ class ArtifactV2Reader:
                 f"{exc}") from exc
 
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._view.release()
-            try:
-                self._mmap.close()
-            except BufferError:
-                # A section view handed out earlier is still alive; the
-                # mapping is released when the last view is garbage
-                # collected instead.
-                pass
+        """Drop the payload (the file itself was closed at open)."""
+        self._payload = b""
 
 
 def verify_artifact(path: str) -> ArtifactInfo:
@@ -452,60 +417,29 @@ def _hierarchy_sections(hierarchy: CompactRoutingHierarchy
     return sections
 
 
-class _LazyHierarchy(CompactRoutingHierarchy):
-    """A hierarchy served from a mapped artifact.
-
-    Its ``pivots``, ``pivot_dists`` and every level's ``bunches`` are the
-    build's dicts, decoded at load, so it selects levels and answers exactly
-    as the built original.  The per-level tree sections and the
-    skeleton-mode structures are unpickled on first access and published
-    whole.
-    """
-
-    _SKELETON_ATTRS = ("pde_skel", "skeleton_graph", "attach_trees",
-                       "skeleton_trees")
-
-    def __init__(self, reader: ArtifactV2Reader, **kwargs) -> None:
-        super().__init__(pde_skel=None, skeleton_graph=None,
-                         attach_trees=None, skeleton_trees={}, **kwargs)
-        # These attributes come back through __getattr__, which only fires
-        # for *missing* instance attributes — drop the placeholders.
-        for name in self._SKELETON_ATTRS:
-            del self.__dict__[name]
-        self._artifact_reader = reader
-
-    def __getattr__(self, name: str):
-        if name in type(self)._SKELETON_ATTRS:
-            self._materialise_skeleton()
-            return self.__dict__[name]
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def _materialise_skeleton(self) -> None:
-        """Decode the skeleton section, its trees checked against the graph
-        each is served on (the attach trees against ``G``, the skeleton
-        trees against the skeleton graph); set all four attributes or
-        none."""
-        reader = self._artifact_reader
-        state = reader.load_pickle("skeleton")
-        try:
-            skeleton_graph = (WeightedGraph.from_state(state["skeleton_graph"])
-                              if state["skeleton_graph"] is not None else None)
-            materialised = {
-                "pde_skel": (PDEResult.from_state(state["pde_skel"])
-                             if state["pde_skel"] is not None else None),
-                "skeleton_graph": skeleton_graph,
-                "attach_trees": (
-                    TreeFamily.from_state(state["attach_trees"], self.graph)
-                    if state["attach_trees"] is not None else None),
-                "skeleton_trees": {
-                    level: TreeFamily.from_state(tree_state, skeleton_graph)
-                    for level, tree_state in state["skeleton_trees"].items()},
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArtifactError(f"{reader.path}: section 'skeleton' is "
-                                f"invalid: {exc}") from exc
-        self.__dict__.update(materialised)
+def _load_skeleton(reader: ArtifactV2Reader, graph: WeightedGraph
+                   ) -> Tuple[Optional[PDEResult], Optional[WeightedGraph],
+                              Optional[TreeFamily], Dict[int, TreeFamily]]:
+    """The skeleton section's ``pde_skel``, ``skeleton_graph``,
+    ``attach_trees`` and ``skeleton_trees``, each tree checked against the
+    graph it is served on (the attach trees against ``graph``, the
+    skeleton trees against the skeleton graph)."""
+    state = reader.load_pickle("skeleton")
+    try:
+        skeleton_graph = (WeightedGraph.from_state(state["skeleton_graph"])
+                          if state["skeleton_graph"] is not None else None)
+        return (
+            (PDEResult.from_state(state["pde_skel"])
+             if state["pde_skel"] is not None else None),
+            skeleton_graph,
+            (TreeFamily.from_state(state["attach_trees"], graph)
+             if state["attach_trees"] is not None else None),
+            {level: TreeFamily.from_state(tree_state, skeleton_graph)
+             for level, tree_state in state["skeleton_trees"].items()},
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{reader.path}: section 'skeleton' is "
+                            f"invalid: {exc}") from exc
 
 
 def _labels(intern: NodeInternTable) -> Dict[int, Any]:
@@ -573,11 +507,12 @@ def _load_level_trees(reader: ArtifactV2Reader, level: int,
 def load_hierarchy(path: str) -> Tuple[CompactRoutingHierarchy, ArtifactInfo]:
     """Load a hierarchy artifact; returns ``(hierarchy, info)``.
 
-    The pivot and bunch tables are checksum-verified, bounds-checked and
-    decoded into the build's dicts here, so query answers are identical to
-    the built original and a bad row raises :class:`ArtifactError` now, not
-    when a query reaches it.  The trees and the skeleton structures stay in
-    the mapping until first access.
+    Every section is checksum-verified and decoded here — the record
+    tables into the build's dicts, every tree checked against its graph —
+    and the file is closed before this returns.  The hierarchy is the
+    plain :class:`CompactRoutingHierarchy` the build makes, so its answers
+    are identical to the built original's, and a bad section raises
+    :class:`ArtifactError` now, not when a query reaches it.
     """
     reader = ArtifactV2Reader(path, expected_kind=KIND_HIERARCHY)
     try:
@@ -608,36 +543,36 @@ def load_hierarchy(path: str) -> Tuple[CompactRoutingHierarchy, ArtifactInfo]:
         graph = WeightedGraph.from_state(reader.load_pickle("graph"))
         levels_state = reader.load_pickle("levels")
         metrics = CongestMetrics.from_state(reader.load_pickle("metrics"))
-
         level_data = [
-            LazyLevelData(
+            _LevelData(
                 h=entry["h"],
                 sigma=entry["sigma"],
+                bunches=_decode_bunches(intern, bunch_table, level),
+                trees=_load_level_trees(reader, level, graph),
                 skeleton_level=entry["skeleton_level"],
                 overflow_count=entry["overflow_count"],
-                bunches=_decode_bunches(intern, bunch_table, level),
-                trees_loader=partial(_load_level_trees, reader, level, graph),
             )
             for level, entry in enumerate(meta["level_meta"])
         ]
-        hierarchy = _LazyHierarchy(
-            reader, graph=graph, k=k, epsilon=meta["epsilon"],
+        pde_skel, skeleton_graph, attach_trees, skeleton_trees = \
+            _load_skeleton(reader, graph)
+        hierarchy = CompactRoutingHierarchy(
+            graph=graph, k=k, epsilon=meta["epsilon"],
             mode=meta["mode"], l0=meta["l0"],
             levels=dict(levels_state["levels"]),
             level_sets=[set(s) for s in levels_state["level_sets"]],
             level_data=level_data, pivots=pivots, pivot_dists=pivot_dists,
+            pde_skel=pde_skel, skeleton_graph=skeleton_graph,
+            attach_trees=attach_trees, skeleton_trees=skeleton_trees,
             metrics=metrics)
         hierarchy.build_params = dict(meta["build_params"])
         return hierarchy, reader.info
     except RecordTableError as exc:
-        reader.close()
         raise ArtifactError(f"{path}: corrupt record table: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
-        reader.close()
         raise ArtifactError(f"{path}: invalid hierarchy sections: {exc}") from exc
-    except BaseException:
+    finally:
         reader.close()
-        raise
 
 
 def _require_supported_format(format: int) -> None:

@@ -115,7 +115,7 @@ def open_service(config: ServingConfig,
       first in the parent when missing.  The front-end is *not* started —
       enter its context (or call ``start()``) to spawn and warm the
       workers; the first query batch also starts it lazily.  Every worker
-      maps the full artifact.
+      loads the full artifact.
 
     ``graph`` supplies the build-path graph (and the freshness check's
     expected size); when omitted, ``config.graph_spec`` is parsed instead.

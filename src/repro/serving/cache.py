@@ -136,8 +136,8 @@ class ServingStats:
     #: ``extra`` keys that are per-worker additive counters: :meth:`merge`
     #: sums them (scalars, or dict-of-scalars per sub-key) instead of
     #: dropping them when workers disagree — an operator watching a sharded
-    #: service still sees, e.g., the total table bytes the workers mapped
-    #: (every worker maps the full artifact, so this is workers × bytes).
+    #: service still sees, e.g., the total table bytes the workers loaded
+    #: (every worker loads the full artifact, so this is workers × bytes).
     ADDITIVE_EXTRAS = ("loaded_table_bytes",)
 
     #: The additive integer counters, in export order.  ``as_dict``,

@@ -163,7 +163,7 @@ class ServingConfig:
 
     ``workers == 1`` serves locally (a :class:`RoutingService`);
     ``workers > 1`` serves through the multi-process sharded front-end and
-    requires ``artifact_path`` (every worker maps the full artifact by
+    requires ``artifact_path`` (every worker loads the full artifact by
     path; batches are scattered round-robin).
     ``graph_spec`` is an optional ``name:key=value,...`` generator spec (see
     :func:`~repro.serving.specs.parse_graph_spec`) used when no in-memory

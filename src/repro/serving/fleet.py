@@ -20,7 +20,7 @@ its tests need.  It does five things, none of which ever changes an answer:
 * when the front-end reports a death, it publishes a table without the
   slot;
 * the front-end re-scatters the slot's unanswered shards to siblings
-  through that table (every worker maps the full artifact, so any worker
+  through that table (every worker loads the full artifact, so any worker
   can answer any query);
 * a heartbeat ``ping``/``pong`` catches the one death a pipe cannot
   show: a worker that is alive but makes no progress;

@@ -158,7 +158,7 @@ class RoutingService:
              ) -> "RoutingService":
         """Load a persisted hierarchy artifact and serve from it.
 
-        The file is mapped and its pivot and bunch tables decoded; the stats
+        The file is read, every section decoded and the file closed; the stats
         extras (``artifact_format`` / ``artifact_load`` /
         ``loaded_table_bytes``) record how this service got its tables, so
         ``repro-serve --json`` can report it.
@@ -172,7 +172,7 @@ class RoutingService:
         stats.artifact_bytes = info.payload_bytes
         stats.extra["artifact_path"] = path
         stats.extra["artifact_format"] = info.format_version
-        stats.extra["artifact_load"] = "mmap"
+        stats.extra["artifact_load"] = "file"
         stats.extra["loaded_table_bytes"] = info.payload_bytes
         return cls(hierarchy, stats=stats, cache_config=cache_config,
                    kernel=kernel, metrics=metrics)

@@ -11,7 +11,7 @@ stream with a local :class:`RoutingService`.
 :class:`ShardedRoutingService` keeps one hard invariant: its answers are
 list-for-list identical to a single-process :class:`RoutingService` on the
 same workload.  Sharding changes *where* a query is answered, never *what*
-the answer is: every worker maps the full artifact, so any worker can answer
+the answer is: every worker loads the full artifact, so any worker can answer
 any pair.  One round-robin table (:class:`RoutingEpoch`) scatters every
 batch, and the rotation runs on across batches: with ``start`` the number of
 pairs scattered before, item ``i`` goes to ``routable[(start + i) %

@@ -204,7 +204,7 @@ def _shard_worker(worker_id: int, artifact_path: str,
                   task_conn, heartbeat_conn, result_conn) -> None:
     """Worker main loop (module-level so it stays picklable under spawn).
 
-    Each worker maps the full artifact and applies the
+    Each worker loads the full artifact and applies the
     :class:`CacheConfig` locally — its result caches hold only the pairs
     scattered to it.  ``kernel`` is only validated (it selects nothing).
 

@@ -1,16 +1,17 @@
-"""Artifact format v2: mmap layout, lazy loads, corruption, hostile trees.
+"""Artifact format v2: section layout, eager loads, corruption, hostile trees.
 
 The format-agnostic contract (headers, refused bytes, reload identity over
 every pair) is pinned by ``test_serving_artifacts.py``; this module covers
 the section-table layout itself:
 
-* the lazy mmap reload exports the built hierarchy's exact state;
+* a reload is a plain ``CompactRoutingHierarchy`` that exports the built
+  hierarchy's exact state and needs nothing of the file once loaded;
 * the on-disk layout is what the docstring promises (magic, header section
   table, offset-addressed sections);
 * per-section integrity: truncation, flipped bytes and wrong offsets are
   all detected, and a checksum-valid record table with a bad row is
   refused at load;
-* a tampered destination tree is refused when its section materialises.
+* a tampered destination tree is refused at load.
 """
 
 import itertools
@@ -23,7 +24,7 @@ import pytest
 
 from repro import graphs
 from repro.core import solve_pde
-from repro.routing import build_compact_routing
+from repro.routing import CompactRoutingHierarchy, build_compact_routing
 from repro.serving import (
     ArtifactError,
     ArtifactV2Reader,
@@ -138,13 +139,30 @@ class TestRoundTrip:
         for node in graph.nodes():
             assert from_v2.label_of(node) == built.label_of(node)
 
-    def test_lazy_hierarchy_exports_original_state(self, saved_artifact):
-        """Materialising every lazy section reproduces the exact export —
-        nothing is lost to the section split."""
+    def test_loaded_hierarchy_exports_original_state(self, saved_artifact):
+        """Decoding every section reproduces the exact export — nothing is
+        lost to the section split."""
         _, built, v2_path, _ = saved_artifact
         from_v2, _ = load_hierarchy(v2_path)
         assert from_v2.export_state() == built.export_state()
         assert from_v2.build_params == built.build_params
+
+    def test_loaded_hierarchy_outlives_its_file(self, saved_artifact,
+                                                tmp_path):
+        """A load reads the file once and keeps nothing of it: overwriting
+        the artifact in place and unlinking it moves no answer."""
+        graph, built, v2_path, _ = saved_artifact
+        path = tmp_path / "doomed.artifact"
+        path.write_bytes(open(v2_path, "rb").read())
+        loaded, _ = load_hierarchy(str(path))
+        with open(path, "r+b") as fh:
+            fh.write(b"\0" * os.path.getsize(path))
+        path.unlink()
+        assert type(loaded) is CompactRoutingHierarchy
+        pairs = list(itertools.permutations(graph.nodes(), 2))
+        assert loaded.route_batch(pairs) == built.route_batch(pairs)
+        assert loaded.distance_batch(pairs) == built.distance_batch(pairs)
+        assert loaded.export_state() == built.export_state()
 
     def test_resave_of_v2_load_round_trips(self, saved_artifact, tmp_path):
         graph, built, v2_path, _ = saved_artifact
@@ -291,12 +309,13 @@ class TestIntegrity:
         with pytest.raises(ArtifactError, match=message):
             load_hierarchy(bad)
 
-    def test_corrupt_lazy_section_raises_on_access(self, saved_artifact,
-                                                   tmp_path):
-        """A flipped byte in a lazily-loaded pickled section surfaces as
-        ArtifactError when (and only when) that section materialises."""
+    @pytest.mark.parametrize("section", ["skeleton", "level_trees_0"])
+    def test_corrupt_pickled_section_fails_at_load(self, saved_artifact,
+                                                   tmp_path, section):
+        """A flipped byte in a pickled section fails ``load_hierarchy``
+        itself, not the first query that reads the section."""
         _, _, v2_path, info = saved_artifact
-        entry = info.sections["skeleton"]
+        entry = info.sections[section]
         with open(v2_path, "rb") as fh:
             fh.readline()
             fh.readline()
@@ -305,11 +324,9 @@ class TestIntegrity:
         corrupt = self._corrupt(v2_path, tmp_path,
                                 lambda blob: blob.__setitem__(
                                     position, blob[position] ^ 0xFF))
-        hierarchy, _ = load_hierarchy(corrupt)       # opens fine
-        nodes = hierarchy.graph.nodes()
-        hierarchy.distance(nodes[0], nodes[1])       # hot path untouched
-        with pytest.raises(ArtifactError, match="checksum mismatch"):
-            hierarchy.pde_skel                       # materialises skeleton
+        with pytest.raises(ArtifactError,
+                           match=f"section {section!r} checksum mismatch"):
+            load_hierarchy(corrupt)
 
     def test_kind_mismatch_is_detected(self, tmp_path):
         graph = graphs.random_geometric_graph(20, 0.4, None, seed=2)
@@ -340,9 +357,9 @@ def _rewritten(path, out, mutate, state_version=None):
 
 
 class TestHostileTrees:
-    """Trees are checked against the served graph when their section
-    materialises: every pointer an edge, ``dist`` an int consistent with its
-    parent's.  A tampered tree is an ``ArtifactError``, never a delivered
+    """Trees are checked against the served graph at load: every pointer an
+    edge, ``dist`` an int consistent with its parent's.  A tampered tree is
+    an ``ArtifactError`` from ``load_hierarchy``, never a delivered
     route."""
 
     @pytest.fixture(scope="class")
@@ -351,22 +368,13 @@ class TestHostileTrees:
         base = tmp_path_factory.mktemp("hostile_trees")
         full = str(base / "full.artifact")
         save_hierarchy(build_compact_routing(graph, k=k, seed=7), full)
-        return graph, {"full": (full, graph.nodes())}
-
-    @staticmethod
-    def _pairs(hierarchy, sources, levels):
-        """Pairs from ``sources`` whose selected level is in ``levels``."""
-        pairs = [(s, t) for s in sources for t in hierarchy.graph.nodes()
-                 if s != t and hierarchy._select_level(s, t)[0] in levels]
-        assert pairs
-        return pairs
+        return graph, {"full": full}
 
     @pytest.mark.parametrize("where", ["full"])
     @pytest.mark.parametrize("tamper", sorted(TREE_TAMPERS))
     def test_tampered_level_tree_is_refused(self, artifacts, tmp_path,
                                             where, tamper):
         graph, paths = artifacts
-        path, sources = paths[where]
 
         def spoil(sections):
             trees = pickle.loads(sections["level_trees_0"])
@@ -374,18 +382,14 @@ class TestHostileTrees:
             TREE_TAMPERS[tamper](victim, graph)
             sections["level_trees_0"] = pickle.dumps(trees)
 
-        hierarchy, _ = load_hierarchy(
-            _rewritten(path, str(tmp_path / "bad.artifact"), spoil))
+        bad = _rewritten(paths[where], str(tmp_path / "bad.artifact"), spoil)
         with pytest.raises(ArtifactError, match="level_trees_0"):
-            hierarchy.route_batch(self._pairs(hierarchy, sources, {0}))
-        with pytest.raises(ArtifactError, match="level_trees_0"):
-            hierarchy.level_data[0].trees
+            load_hierarchy(bad)
 
     @pytest.mark.parametrize("where", ["full"])
     def test_tampered_skeleton_tree_is_refused(self, artifacts, tmp_path,
                                                where):
         graph, paths = artifacts
-        path, sources = paths[where]
 
         def spoil(sections):
             state = pickle.loads(sections["skeleton"])
@@ -394,12 +398,9 @@ class TestHostileTrees:
             TREE_TAMPERS["inconsistent dist"](victim, graph)
             sections["skeleton"] = pickle.dumps(state)
 
-        hierarchy, _ = load_hierarchy(
-            _rewritten(path, str(tmp_path / "bad.artifact"), spoil))
-        skeleton_levels = set(range(hierarchy.l0, hierarchy.k))
+        bad = _rewritten(paths[where], str(tmp_path / "bad.artifact"), spoil)
         with pytest.raises(ArtifactError, match="skeleton"):
-            hierarchy.route_batch(
-                self._pairs(hierarchy, sources, skeleton_levels))
+            load_hierarchy(bad)
 
     @pytest.mark.parametrize("where", ["full"])
     def test_state_version_1_is_refused(self, artifacts, tmp_path, where):
@@ -411,7 +412,7 @@ class TestHostileTrees:
             meta["state_version"] = 1
             sections["meta"] = json.dumps(meta, sort_keys=True).encode("utf-8")
 
-        old = _rewritten(paths[where][0], str(tmp_path / "v1.artifact"),
+        old = _rewritten(paths[where], str(tmp_path / "v1.artifact"),
                          downgrade, state_version=1)
         assert artifact_info(old).state_version == 1
         with pytest.raises(ArtifactError,
@@ -433,7 +434,7 @@ class TestOpenServiceIntegration:
         with open_service(config, graph=graph) as loaded:
             extras = loaded.query_stats().extra
             assert extras["artifact_format"] == 2
-            assert extras["artifact_load"] == "mmap"
+            assert extras["artifact_load"] == "file"
             assert extras["loaded_table_bytes"] == artifact_info(
                 path).payload_bytes
 
@@ -475,6 +476,35 @@ class TestNodeInternTable:
         # Hand-assembled bytes: a count of 2, then "a" twice.
         blob = b"\x02\x00\x00\x00" + b"S\x01\x00\x00\x00a" * 2
         with pytest.raises(RecordTableError, match="duplicate"):
+            NodeInternTable.decode(blob)
+
+    def test_label_without_an_encoding_is_refused_at_save(self, tmp_path):
+        """A label outside ``None`` / ``bool`` / 64-bit ``int`` / ``float``
+        / ``str`` / tuples of these is refused before any file is written."""
+        from repro.routing.tables import NodeInternTable, RecordTableError
+
+        for label in (frozenset({1}), 2 ** 63, ("x", frozenset())):
+            with pytest.raises(RecordTableError, match="no intern-table"):
+                NodeInternTable(["a", label]).encode()
+        graph = graphs.WeightedGraph()
+        graph.add_edge(frozenset({1}), 2, 3)
+        graph.add_edge(2, 3, 1)
+        hierarchy = build_compact_routing(graph, k=2, seed=7)
+        path = tmp_path / "frozen.artifact"
+        with pytest.raises(RecordTableError, match="frozenset"):
+            save_hierarchy(hierarchy, str(path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_pickle_tag_is_an_unknown_tag(self):
+        """A hand-assembled ``P`` (the retired pickle fallback) is refused
+        like any other unknown tag, never unpickled."""
+        from repro.routing.tables import NodeInternTable, RecordTableError
+
+        raw = pickle.dumps(frozenset({1}), protocol=4)
+        blob = (b"\x01\x00\x00\x00" + b"P"
+                + struct.pack("<I", len(raw)) + raw)
+        with pytest.raises(RecordTableError,
+                           match="unknown intern-table value tag b'P'"):
             NodeInternTable.decode(blob)
 
     def test_unknown_value_tag_is_refused(self):

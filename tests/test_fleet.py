@@ -64,11 +64,14 @@ def open_fleet(artifact_path, num_workers=3, **knobs):
 
 
 def kill_worker(service, worker_id):
-    """SIGKILL one live worker process, as the OOM killer would."""
-    process = service._workers[worker_id].process
-    os.kill(process.pid, signal.SIGKILL)
-    process.join(timeout=10.0)
-    assert not process.is_alive()
+    """SIGKILL one live worker process, as the OOM killer would, and wait
+    until the service has recorded the death.  The helper never reaps the
+    process itself: a second thread polling a forked child races the
+    service's own reaping (the loser's ``is_alive()`` reads True)."""
+    worker = service._workers[worker_id]
+    os.kill(worker.process.pid, signal.SIGKILL)
+    wait_for(lambda: worker.state == "dead",
+             message=f"worker {worker_id}'s death recorded")
 
 
 def wait_for(predicate, deadline=20.0, message="condition"):
