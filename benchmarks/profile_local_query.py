@@ -8,8 +8,9 @@ cannot drift): the workload's own — ``k=3``, 20,000 uniform pairs in batches
 of 64 — and ``k=2`` under a zipf stream, whose bunch rows are longer and
 whose sources repeat within a batch.  Each hierarchy is built, saved and
 loaded back, then routed over the whole stream.  A loaded hierarchy selects
-levels as the build does (``CompactRoutingHierarchy._select_level``): per
-level, one probe of the source's bunch dict for the target's pivot.
+levels as the build does, in one pass per batch
+(``CompactRoutingHierarchy._select_levels``): per pair and level, one probe
+of the source's bunch dict for the target's pivot.
 
 ``counts`` lines say how much work that took, from counting stand-ins hung on
 the *loaded objects* (the program carries no counters):
@@ -18,7 +19,7 @@ the *loaded objects* (the program carries no counters):
                        selection stops at the first level that hits, and
                        skips a level without a pivot);
 ``anchor_entries``     skeleton-list entries handed to the anchor scan of
-                       ``_route_via_skeleton``, per route;
+                       ``_skeleton_route``, per route;
 ``adjacency_lookups``  lookups in the graph's adjacency map made during the
                        whole ``route_batch`` pass, per hop of the routed
                        paths.  The load checks every tree against the
@@ -27,7 +28,7 @@ the *loaded objects* (the program carries no counters):
                        reads 0.
 
 The counts repeat exactly on any host; CI diffs the ``==`` and ``counts``
-lines against ``benchmarks/profiles/local_query_pr43.txt``.  ``time`` lines
+lines against ``benchmarks/profiles/local_query_pr47.txt``.  ``time`` lines
 are best-of-three microseconds per pair on un-instrumented objects —
 informational; ``benchmarks/e2e/run.py`` measures.
 """

@@ -178,7 +178,7 @@ class RouteTrace:
 #
 # The loader decodes both tables into the build's plain dicts once, at
 # load, so a loaded hierarchy selects levels exactly as the in-memory
-# build does (``CompactRoutingHierarchy._select_level``).
+# build does (``CompactRoutingHierarchy._select_levels``).
 
 
 class RecordTableError(ValueError):

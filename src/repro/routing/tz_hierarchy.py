@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
 from ..congest.bfs import build_bfs_tree, pipelined_broadcast_rounds
 from ..congest.metrics import CongestMetrics, merge_metrics
@@ -57,7 +57,7 @@ _ABSENT = object()
 
 #: Query-kernel names, kept only so that ``kernel=`` arguments still
 #: validate: the name selects nothing, since every hierarchy selects levels
-#: through :meth:`CompactRoutingHierarchy._select_level` over plain dicts.
+#: through :meth:`CompactRoutingHierarchy._select_levels` over plain dicts.
 #: The follow-up benchmark change that drops ``kernel=`` from
 #: ``benchmarks/e2e`` deletes it, with ``kernel=`` and ``--kernel``.
 QUERY_KERNELS = {"dict": "dict", "columnar": "dict", "auto": "dict"}
@@ -463,138 +463,136 @@ class CompactRoutingHierarchy:
         """
         self._obs_metrics = registry
 
-    def _select_level(self, source: Hashable, target: Hashable
-                      ) -> Tuple[int, Hashable, float]:
-        """The minimal level ``l`` with ``s'_l(target)`` in ``source``'s bunch,
-        read from the dicts level by level — on a built and on a loaded
-        hierarchy alike: at most ``k`` dict probes."""
-        for l in range(self.k):
-            pivot = target if l == 0 else self.pivots[l][target]
-            if pivot is None:
-                continue
-            estimate = self.level_data[l].bunches[source].get(pivot, _ABSENT)
+    def _select_levels(self, pairs) -> Iterator[Tuple[int, Hashable, float]]:
+        """Per pair, ``(l, s'_l(target), estimate)`` for the minimal level
+        ``l`` with ``s'_l(target)`` in ``source``'s bunch: at most ``k`` bunch
+        probes a pair, each level's dicts fetched once a call; ``(k, None,
+        inf)`` if none, and ``(0, target, 0.0)`` unprobed when ``s == t``."""
+        upper = [(l, self.pivots[l], self.pivot_dists[l],
+                  self.level_data[l].bunches) for l in range(1, self.k)]
+        bunches = self.level_data[0].bunches
+        for source, target in pairs:
+            estimate = 0.0 if source == target \
+                else bunches[source].get(target, _ABSENT)
             if estimate is not _ABSENT:
-                tail = 0.0 if l == 0 else self.pivot_dists[l][target]
-                return l, pivot, estimate + tail
-        return self.k, None, float("inf")
+                yield 0, target, estimate
+                continue
+            for l, pivots, dists, level_bunches in upper:
+                pivot = pivots[target]
+                if pivot is not None:
+                    estimate = level_bunches[source].get(pivot, _ABSENT)
+                    if estimate is not _ABSENT:
+                        yield l, pivot, estimate + dists[target]
+                        break
+            else:
+                yield self.k, None, float("inf")
 
     def distance(self, source: Hashable, target: Hashable) -> float:
         """Distance estimate from ``source``'s table and ``target``'s label."""
-        if source == target:
-            return 0.0
-        _, _, estimate = self._select_level(source, target)
-        return estimate
+        return next(self._select_levels([(source, target)]))[2]
 
-    # -- batch queries ----------------------------------------------------
     @staticmethod
     def query_kernel(kernel: str = "auto") -> None:
-        """Check that ``kernel`` names a :data:`QUERY_KERNELS` entry, and
-        return ``None``: the name selects nothing, every hierarchy selects
-        levels through :meth:`_select_level`.  Kept for the callers in
-        ``benchmarks/e2e``; the follow-up benchmark change that drops
-        ``kernel=`` deletes it."""
+        """Check that ``kernel`` names a :data:`QUERY_KERNELS` entry; the name
+        selects nothing.  Kept for the callers in ``benchmarks/e2e``; the
+        benchmark change that drops ``kernel=`` deletes it."""
         if kernel not in QUERY_KERNELS:
             raise ValueError(f"unknown query kernel {kernel!r}; available: "
                              f"{', '.join(sorted(QUERY_KERNELS))}")
 
     def distance_batch(self, pairs: List[Tuple[Hashable, Hashable]],
                        kernel: str = "auto") -> List[float]:
-        """Distance estimates for many pairs, in input order: :meth:`distance`
-        pair by pair.  ``kernel`` is only validated (see
-        :meth:`query_kernel`)."""
+        """:meth:`distance` per pair, in one pass; ``kernel`` is validated."""
         self.query_kernel(kernel)
         with self._obs_metrics.span("kernel_batch"):
-            return [self.distance(s, t) for s, t in pairs]
+            return [estimate for _, _, estimate in self._select_levels(pairs)]
 
     def route_batch(self, pairs: List[Tuple[Hashable, Hashable]],
                     kernel: str = "auto") -> List[RouteTrace]:
-        """Route traces for many pairs, in input order: :meth:`route` pair by
-        pair.  ``kernel`` is only validated (see :meth:`query_kernel`)."""
+        """:meth:`route` per pair, in one pass; ``kernel`` is validated."""
         self.query_kernel(kernel)
         with self._obs_metrics.span("kernel_batch"):
-            return [self.route(s, t) for s, t in pairs]
+            return self._routes(pairs)
 
     def clear_runtime_caches(self) -> None:
-        """Drop the derived per-pivot skeleton tables with the anchors
-        chosen through them.
-
-        They are pure functions of the built state — answers are identical
-        with or without them.  Benchmarks call this to measure cold-query
-        cost.
-        """
+        """Drop the derived per-pivot skeleton tables with the anchors chosen
+        through them: pure functions of the built state, so answers are the
+        same without them.  Benchmarks call this to measure cold queries."""
         self._skeleton_tail_tables.clear()
 
     def route(self, source: Hashable, target: Hashable) -> RouteTrace:
-        """Route ``source`` to ``target`` at the level :meth:`_select_level`
-        picks.
+        """Route ``source`` to ``target`` at the level :meth:`_select_levels`
+        picks, along only the trees its estimate was summed over, weighed
+        from their ``dist`` (no graph is read); a pair they do not connect
+        (no pivot in range, a disconnected graph) is undelivered, at ``inf``."""
+        return self._routes([(source, target)])[0]
 
-        The route follows only the trees the estimate was summed over, and
-        its weight is summed from their ``dist`` tables — no graph is read;
-        a pair they do not connect (no pivot in range, a disconnected graph)
-        comes back undelivered with an infinite estimate.
-        """
-        if source == target:
-            return RouteTrace(source=source, target=target, path=[source],
-                              delivered=True, weight=0.0, estimate=0.0)
-        level, pivot, estimate = self._select_level(source, target)
-        path = None
-        if pivot is not None and self.level_data[level].skeleton_level:
-            up = self._route_via_skeleton(source, pivot, level)
-            down = self._route_via_skeleton(target, pivot, level)
-            if up is not None and down is not None:
-                path = up[0] + down[0][-2::-1]
-                weight = up[1] + down[1]
-        elif pivot is not None:
-            tree = self.level_data[level].trees.get(pivot)
-            if tree is not None and tree.contains(source) and tree.contains(target):
-                path, weight = tree.tree_route(source, target)
-        if path is None:
-            return RouteTrace(source=source, target=target, path=[source],
-                              estimate=float("inf"))
-        return RouteTrace(source=source, target=target, path=path,
-                          delivered=True, weight=weight, estimate=estimate)
+    def _routes(self, pairs) -> List[RouteTrace]:
+        level_data, traces = self.level_data, []
+        for (source, target), (level, pivot, estimate) in zip(
+                pairs, self._select_levels(pairs)):
+            path = None
+            if source == target:
+                path, weight = [source], 0.0
+            elif pivot is not None and level_data[level].skeleton_level:
+                path, weight = self._skeleton_route(source, target, pivot,
+                                                    level)
+            elif pivot is not None:
+                tree = level_data[level].trees.get(pivot)
+                if tree is not None and tree.contains(source) \
+                        and tree.contains(target):
+                    path, weight = tree.tree_route(source, target)
+            traces.append(
+                RouteTrace(source=source, target=target, path=[source],
+                           estimate=float("inf")) if path is None else
+                RouteTrace(source=source, target=target, path=path,
+                           delivered=True, weight=weight, estimate=estimate))
+        return traces
 
-    # -- truncated-mode routing -----------------------------------------
-    def _route_via_skeleton(self, node: Hashable, pivot: Hashable, level: int
-                            ) -> Optional[Tuple[List[Hashable], int]]:
-        """Path from ``node`` to ``pivot`` through the level-``l0`` skeleton,
-        and its weight.
-
-        Leaves through the anchor ``t`` the table estimate was computed
-        through: the first minimum of ``wd'(node, t) + wd'_sk(t, pivot)`` in
-        the iteration order of ``node``'s skeleton list (where a skeleton
-        node finds itself at 0, and the pivot with an empty tail), so the
-        route is no heavier than the estimate it was selected on.  The scan
-        runs once per ``(level, pivot, node)``; its choice is kept beside the
-        pivot's tails (one dict store of a pure function: racing threads
-        store the same value).  ``None`` when no anchor reaches the pivot.
-        """
-        if node == pivot:
-            return [node], 0
+    def _skeleton_route(self, source, target, pivot, level: int
+                        ) -> Tuple[Optional[List[Hashable]], int]:
+        """The route through the level-``l0`` skeleton as one list (the up
+        walk to ``source``'s anchor, its tail, ``target``'s half reversed)
+        and its weight, or ``(None, 0)`` if an end has no anchor.  An end
+        leaves through the anchor its estimate was summed over (the pivot
+        through itself): the first minimum of ``wd'(node, t) + wd'_sk(t,
+        pivot)`` over its skeleton list (a skeleton node finds itself at 0,
+        the pivot with an empty tail), scanned once per ``(level, pivot,
+        node)`` and kept beside the pivot's tails (one dict store of a pure
+        function: racing threads store the same value)."""
         tails, anchors = self._skeleton_tails(level, pivot)
-        anchor = anchors.get(node, _ABSENT)
-        if anchor is _ABSENT:
-            anchor, best = None, float("inf")
-            for t, dt in self.pde_skel.estimates.get(node, {}).items():
-                row = tails.get(t)
-                if row is not None and dt + row[0] < best:
-                    anchor, best = t, dt + row[0]
-            anchors[node] = anchor
-        if anchor is None:
-            return None
-        tree = self.attach_trees[anchor]
-        if not tree.contains(node):
-            return None
-        _, tail, tail_weight = tails[anchor]
-        path = tree.path_to_root(node)
-        path.extend(tail)
-        return path, tree.dist[node] + tail_weight
+        halves = []
+        for node in (source, target):
+            anchor = pivot if node == pivot else anchors.get(node, _ABSENT)
+            if anchor is _ABSENT:
+                anchor, best = None, float("inf")
+                for t, dt in self.pde_skel.estimates.get(node, {}).items():
+                    row = tails.get(t)
+                    if row is not None and dt + row[0] < best:
+                        anchor, best = t, dt + row[0]
+                anchors[node] = anchor
+            tree = None if anchor is None else self.attach_trees.trees[anchor]
+            if tree is None or node not in tree.parent:
+                halves.append(None)     # the other end is still scanned
+                continue
+            half, parent, step = [], tree.parent, node
+            while step is not None:
+                half.append(step)
+                step = parent[step]
+            _, tail, tail_weight = tails[anchor]
+            half.extend(tail)
+            halves.append((half, tree.dist[node] + tail_weight))
+        if None in halves:
+            return None, 0
+        (path, up_weight), (down, down_weight) = halves
+        path.extend(down[-2::-1])       # the pivot ends the up half
+        return path, up_weight + down_weight
 
     def _skeleton_tails(self, level: int, pivot: Hashable) -> Tuple[
             Dict[Hashable, Tuple[int, Tuple[Hashable, ...], int]],
             Dict[Hashable, Optional[Hashable]]]:
         """What the skeleton nodes store for ``pivot`` (Theorem 4.13), and
-        the anchors :meth:`_route_via_skeleton` has chosen through it.
+        the anchors :meth:`_skeleton_route` has chosen through it.
 
         ``anchor t -> (t's distance to the pivot in the skeleton tree, that
         tree path expanded to a path in G — without ``t`` itself — and the

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterable, Optional
+from typing import (Any, Dict, Hashable, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ..obs.metrics import Histogram, merge_exports
 
@@ -49,12 +50,15 @@ def _sum_additive(values):
 
 
 class LRUCache:
-    """A least-recently-used cache with a fixed capacity.
+    """A least-recently-used cache with a fixed capacity, read and written a
+    batch of keys at a time.
 
-    ``capacity == 0`` disables the cache: every :meth:`get` misses and
-    :meth:`put` is a no-op.  Hit/miss counters are kept on the cache itself
+    ``capacity == 0`` disables the cache: every :meth:`probe` misses and
+    :meth:`fill` is a no-op.  Hit/miss counters are kept on the cache itself
     so multiple caches (route results, distance estimates) can be aggregated
-    by :class:`ServingStats`.
+    by :class:`ServingStats`.  A batch leaves the entries' order and the
+    counters exactly as looking its keys up (or inserting them) one at a
+    time would.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -73,25 +77,37 @@ class LRUCache:
         """Membership test without touching recency or hit/miss counters."""
         return key in self._entries
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        """Return the cached value (marking it most recently used) or ``default``."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return self._entries[key]
-        self.misses += 1
-        return default
+    def probe(self, keys: Sequence[Hashable]
+              ) -> Tuple[Dict[Hashable, Any], List[Hashable]]:
+        """Look ``keys`` up in order, each hit becoming the most recently
+        used entry: ``({key: value} of the hits, the missed keys in order)``.
+        Every occurrence of a key counts as a hit or a miss."""
+        entries = self._entries
+        found: Dict[Hashable, Any] = {}
+        missed: List[Hashable] = []
+        for key in keys:
+            if key in entries:
+                entries.move_to_end(key)
+                found[key] = entries[key]
+            else:
+                missed.append(key)
+        self.hits += len(keys) - len(missed)
+        self.misses += len(missed)
+        return found, missed
 
-    def put(self, key: Hashable, value: Any) -> None:
-        """Insert or refresh an entry, evicting the LRU entry when full."""
+    def fill(self, items: Iterable[Tuple[Hashable, Any]]) -> None:
+        """Insert or refresh each ``(key, value)`` in order, evicting the
+        least recently used entry whenever the cache is over capacity."""
         if self.capacity == 0:
             return
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = value
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
+        entries = self._entries
+        for key, value in items:
+            if key in entries:
+                entries.move_to_end(key)
+            entries[key] = value
+            if len(entries) > self.capacity:
+                entries.popitem(last=False)
+                self.evictions += 1
 
     def reset(self) -> None:
         """Drop all entries and zero the counters."""

@@ -14,11 +14,12 @@ Layering (top to bottom)::
         artifacts               persistence (build once, serve anywhere)
 
 Every query — single or batched, route or distance — goes through one
-routine (:meth:`RoutingService._answer`): result cache, then the
-hierarchy, once per *distinct* pair, fanning the result out to every
-duplicate.  All of a batch's misses reach the hierarchy as one call, which
-selects each pair's level through the same dict lookups whether the
-hierarchy was built in this process or loaded from an artifact.
+routine (:meth:`RoutingService._answer`), one pass per batch over its
+*distinct* pairs: validate them, probe the result cache once, send all the
+misses to the hierarchy as one call, fill the cache once, and fan each
+answer out to every duplicate.  The hierarchy selects every pair's level in
+one loop through the same dict lookups whether it was built in this process
+or loaded from an artifact.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ __all__ = ["RoutingService", "build_or_load_service", "answer_batch",
            "resolve_query_kernel", "QUERY_KERNELS"]
 
 _Pair = Tuple[Hashable, Hashable]
-
-#: Sentinel distinguishing "not cached" from legitimately cached falsy values.
-_MISS = object()
 
 #: Sentinel for "key absent from an artifact header" in freshness checks.
 _UNSET = object()
@@ -188,10 +186,6 @@ class RoutingService:
     # ==================================================================
     # single queries
     # ==================================================================
-    def _validate_node(self, node: Hashable) -> None:
-        if not self.hierarchy.graph.has_node(node):
-            raise ValueError(f"unknown node {node!r}")
-
     def distance_estimate(self, source: Hashable, target: Hashable) -> float:
         """Distance estimate for one pair (cached)."""
         return self._answer("distance", [(source, target)], batched=False)[0]
@@ -220,17 +214,23 @@ class RoutingService:
         return self._answer("route", list(pairs), batched=True)
 
     def _answer(self, kind: str, pairs: List[_Pair], batched: bool) -> List:
-        """Result cache, then the hierarchy — the one probe.
+        """One pass over the batch's distinct pairs: validate them, probe
+        the result cache with them, send the misses to the hierarchy and
+        fill the cache with its answers, then fan each answer out to every
+        duplicate.
 
-        Probes run once per *distinct* pair.  A batch sends all its misses
-        to the hierarchy as one call, counts
-        as a batch and times its two halves under ``cache_probe`` /
-        ``cache_miss_fill``; a single query asks the hierarchy per pair and
-        records neither.
+        An unknown node raises ``ValueError`` — the first one in pair
+        order — before anything is counted or cached.  A batch sends its
+        misses to the hierarchy as one call, counts as a batch and times its
+        two halves under ``cache_probe`` / ``cache_miss_fill``; a single
+        query records neither.
         """
-        for s, t in pairs:
-            self._validate_node(s)
-            self._validate_node(t)
+        distinct = list(dict.fromkeys(pairs))
+        has_node = self.hierarchy.graph.has_node
+        for s, t in distinct:
+            if not (has_node(s) and has_node(t)):
+                raise ValueError(
+                    f"unknown node {(t if has_node(s) else s)!r}")
         route = kind == "route"
         cache = self.route_cache if route else self.distance_cache
         stats, hierarchy = self.stats, self.hierarchy
@@ -245,19 +245,10 @@ class RoutingService:
             stats.batches += 1
             stats.batched_queries += len(pairs)
 
-        resolved: Dict[_Pair, Any] = {}     # _MISS while a pair is pending
-        misses: List[_Pair] = []
         with metrics.span("cache_probe"):
-            for key in pairs:
-                if key in resolved:
-                    continue
-                value = cache.get(key, _MISS)
-                if value is not _MISS:
-                    stats.cache_hits += 1
-                else:
-                    stats.cache_misses += 1
-                    misses.append(key)
-                resolved[key] = value
+            resolved, misses = cache.probe(distinct)
+        stats.cache_hits += len(resolved)
+        stats.cache_misses += len(misses)
         if misses:
             with metrics.span("cache_miss_fill"):
                 if batched:
@@ -266,9 +257,8 @@ class RoutingService:
                 else:
                     answer = hierarchy.route if route else hierarchy.distance
                     answers = [answer(*key) for key in misses]
-                for key, value in zip(misses, answers):
-                    resolved[key] = value
-                    cache.put(key, value)
+                resolved.update(zip(misses, answers))
+                cache.fill(zip(misses, answers))
         return [resolved[key] for key in pairs]
 
     # ==================================================================

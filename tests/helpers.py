@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro import graphs
 from repro.congest.metrics import CongestMetrics
 from repro.core.pde import (finalize_pde_result, fold_detection_lists,
                             intern_detection_lists, level_adjacency)
@@ -13,11 +14,16 @@ from repro.core.source_detection import (DetectionEntry, GraphCSR,
                                          SourceDetectionResult, bucket_detect,
                                          materialize_detection)
 from repro.core.weight_rounding import RoundingScheme
+from repro.graphs.weighted_graph import WeightedGraph
+from repro.routing.tables import RouteTrace
 from repro.serving import workload_names
 
 #: ``(shape, params)`` query streams for the list-for-list identity tests:
 #: every workload shape with its defaults, plus Zipf at two more skews, so
 #: each identity test runs on four streams.
+#: Sentinel for "absent from a bunch" in the query reference.
+_ABSENT = object()
+
 IDENTITY_STREAMS = [pytest.param(name, {}, id=name)
                     for name in workload_names()] + [
     pytest.param("zipf", {"skew": 2.0}, id="zipf-skew2"),
@@ -94,6 +100,91 @@ def assert_routes_realise_estimates(traces):
         assert trace.estimate != float("inf"), pair
         assert trace.delivered, pair
         assert trace.weight <= trace.estimate * (1 + 1e-9), pair
+
+
+def disconnected_er(n, seed):
+    """Two ER components side by side, so some pairs have no estimate."""
+    g = WeightedGraph()
+    half = n // 2
+    for offset, size in ((0, half), (half, n - half)):
+        part = graphs.erdos_renyi_graph(size, 0.3, graphs.uniform_weights(1, 30),
+                                        seed=seed + offset)
+        for v in part.nodes():
+            g.add_node(v + offset)
+        for u, v, w in part.edges():
+            g.add_edge(u + offset, v + offset, w)
+    return g
+
+
+def select_level_reference(hierarchy, source, target):
+    """The per-pair level selection the batch loop replaced: the minimal
+    level ``l`` with ``s'_l(target)`` in ``source``'s bunch, as ``(l, pivot,
+    estimate)``, or ``(k, None, inf)``."""
+    for l in range(hierarchy.k):
+        pivot = target if l == 0 else hierarchy.pivots[l][target]
+        if pivot is None:
+            continue
+        estimate = hierarchy.level_data[l].bunches[source].get(pivot, _ABSENT)
+        if estimate is not _ABSENT:
+            tail = 0.0 if l == 0 else hierarchy.pivot_dists[l][target]
+            return l, pivot, estimate + tail
+    return hierarchy.k, None, float("inf")
+
+
+def _skeleton_leg_reference(hierarchy, node, pivot, level):
+    """``node``'s path to ``pivot`` through the skeleton and its weight, or
+    ``None``: the first-minimum anchor scanned afresh for every call (the
+    hierarchy memoises it), then the anchor's attach-tree path and tail."""
+    if node == pivot:
+        return [node], 0
+    tails, _ = hierarchy._skeleton_tails(level, pivot)
+    anchor, best = None, float("inf")
+    for t, dt in hierarchy.pde_skel.estimates.get(node, {}).items():
+        row = tails.get(t)
+        if row is not None and dt + row[0] < best:
+            anchor, best = t, dt + row[0]
+    if anchor is None:
+        return None
+    tree = hierarchy.attach_trees[anchor]
+    if not tree.contains(node):
+        return None
+    _, tail, tail_weight = tails[anchor]
+    path = tree.path_to_root(node)
+    path.extend(tail)
+    return path, tree.dist[node] + tail_weight
+
+
+def route_reference(hierarchy, source, target):
+    """The per-pair route the batch loop replaced: both skeleton legs built
+    separately and joined as ``up + down[-2::-1]``."""
+    if source == target:
+        return RouteTrace(source=source, target=target, path=[source],
+                          delivered=True, weight=0.0, estimate=0.0)
+    level, pivot, estimate = select_level_reference(hierarchy, source, target)
+    path = None
+    if pivot is not None and hierarchy.level_data[level].skeleton_level:
+        up = _skeleton_leg_reference(hierarchy, source, pivot, level)
+        down = _skeleton_leg_reference(hierarchy, target, pivot, level)
+        if up is not None and down is not None:
+            path = up[0] + down[0][-2::-1]
+            weight = up[1] + down[1]
+    elif pivot is not None:
+        tree = hierarchy.level_data[level].trees.get(pivot)
+        if tree is not None and tree.contains(source) \
+                and tree.contains(target):
+            path, weight = tree.tree_route(source, target)
+    if path is None:
+        return RouteTrace(source=source, target=target, path=[source],
+                          estimate=float("inf"))
+    return RouteTrace(source=source, target=target, path=path,
+                      delivered=True, weight=weight, estimate=estimate)
+
+
+def distance_reference(hierarchy, source, target):
+    """The per-pair distance estimate the batch loop replaced."""
+    if source == target:
+        return 0.0
+    return select_level_reference(hierarchy, source, target)[2]
 
 
 def detect_sources_logical(graph, sources, h, sigma, edge_length=None):

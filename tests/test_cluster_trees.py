@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from repro import graphs
 from repro.core import RoundingScheme, solve_pde
 from repro.core.pde import PDEEntry, PDEResult
-from repro.graphs import WeightedGraph, all_pairs_weighted_distances, path_weight
+from repro.graphs import all_pairs_weighted_distances, path_weight
 from repro.routing import TreeFamily, build_compact_routing, build_destination_trees
 from repro.serving import parse_graph_spec
 
-from helpers import TREE_TAMPERS
+from helpers import TREE_TAMPERS, disconnected_er
 
 
 @pytest.fixture(scope="module")
@@ -223,24 +223,10 @@ def test_every_hierarchy_tree_weighs_its_dist(spec, mode):
                     assert weight == path_weight(graph, path)
 
 
-def _disconnected_er(n, seed):
-    """Two ER components side by side, so some pairs have no estimate."""
-    g = WeightedGraph()
-    half = n // 2
-    for offset, size in ((0, half), (half, n - half)):
-        part = graphs.erdos_renyi_graph(size, 0.3, graphs.uniform_weights(1, 30),
-                                        seed=seed + offset)
-        for v in part.nodes():
-            g.add_node(v + offset)
-        for u, v, w in part.edges():
-            g.add_edge(u + offset, v + offset, w)
-    return g
-
-
 _FAMILIES = {
     "er": lambda n, seed: graphs.erdos_renyi_graph(
         n, 0.25, graphs.uniform_weights(1, 40), seed=seed),
-    "disconnected_er": _disconnected_er,
+    "disconnected_er": disconnected_er,
     "grid": lambda n, seed: graphs.grid_graph(
         3, max(2, n // 3), graphs.uniform_weights(1, 20), seed=seed),
     "path": lambda n, seed: graphs.path_graph(

@@ -132,8 +132,8 @@ class TestRecordedOffenders:
         source, target = case["pair"]
         exact = dijkstra(graph, source)[0][target]
         assert exact == case["exact"]
-        assert hierarchy._select_level(source, target) == (
-            case["level"], case["pivot"], case["estimate"])
+        assert list(hierarchy._select_levels([(source, target)])) == [(
+            case["level"], case["pivot"], case["estimate"])]
         # The record is of a real defect: the old route broke the invariant.
         assert case["weight_before"] > case["estimate"]
 

@@ -1,14 +1,15 @@
 """A loaded artifact answers exactly as its built original.
 
 Every hierarchy, built or loaded, selects levels through
-``CompactRoutingHierarchy._select_level`` over plain dicts; a loaded
+``CompactRoutingHierarchy._select_levels`` over plain dicts; a loaded
 artifact decodes its pivot and bunch tables into those dicts at load.
 These tests pin that the loaded copy is indistinguishable from the build —
 list for list, across workload shapes, batch sizes, graph families, build
 modes, input orderings, duplicate, self and unknown-node pairs, and
 deployment shapes (local and sharded) — that the
 ``kernel=`` names are still validated while selecting nothing, and that the
-record tables read back what was encoded.
+record tables read back what was encoded.  Both answer list for list as
+the per-pair query reference in ``tests/helpers.py`` does.
 """
 
 import dataclasses
@@ -37,7 +38,8 @@ from repro.serving import (
 )
 from repro.serving.artifacts import _decode_bunches, save_hierarchy
 
-from helpers import IDENTITY_STREAMS
+from helpers import (IDENTITY_STREAMS, disconnected_er, distance_reference,
+                     route_reference)
 
 HIERARCHY_MODES = ("budget", "spd", "truncated")
 GRAPH_SPECS = ("er:n=60,p=0.08,seed=1", "road:rows=8,cols=8",
@@ -150,9 +152,60 @@ class TestLoadedEqualsBuilt:
         for source in nodes:
             for target in nodes:
                 if source != target:
-                    assert (loaded._select_level(source, target)
-                            == hierarchy._select_level(source, target))
+                    pair = [(source, target)]
+                    assert (list(loaded._select_levels(pair))
+                            == list(hierarchy._select_levels(pair)))
         assert loaded.export_state() == hierarchy.export_state()
+
+
+class TestPerPairReference:
+    """The batch loop against the per-pair selection and route it replaced,
+    on a built and a loaded hierarchy, so the loop is not only compared
+    with itself."""
+
+    GRAPHS = {
+        "er": lambda: graphs.erdos_renyi_graph(
+            40, 0.12, graphs.uniform_weights(1, 20), seed=3),
+        "disconnected": lambda: disconnected_er(40, seed=3),
+    }
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("mode", ["budget", "truncated"])
+    @pytest.mark.parametrize("family", sorted(GRAPHS))
+    def test_batches_match_the_reference(self, family, mode, k, tmp_path):
+        graph = self.GRAPHS[family]()
+        hierarchy = build_compact_routing(graph, k=k, epsilon=0.25,
+                                          mode=mode, seed=2)
+        assert hierarchy.mode == mode
+        path = str(tmp_path / "hierarchy.artifact")
+        save_hierarchy(hierarchy, path)
+        loaded, _ = load_hierarchy(path)
+        nodes = graph.nodes()
+        pairs = [(s, t) for s in nodes for t in nodes]     # s == t included
+        for subject in (hierarchy, loaded):
+            subject.clear_runtime_caches()
+            for lo in range(0, len(pairs), 97):
+                batch = pairs[lo:lo + 97]
+                batch += batch[::5]                        # duplicates
+                got = subject.route_batch(batch)
+                want = [route_reference(subject, s, t) for s, t in batch]
+                assert [(r.path, r.weight, r.estimate, r.delivered)
+                        for r in got] == [
+                    (r.path, r.weight, r.estimate, r.delivered)
+                    for r in want]
+                assert subject.distance_batch(batch) == [
+                    distance_reference(subject, s, t) for s, t in batch]
+        skeleton_levels = [data.skeleton_level
+                           for data in hierarchy.level_data]
+        assert any(skeleton_levels) == (mode == "truncated")
+        if family == "disconnected":
+            half = len(nodes) // 2
+            across = [(s, t) for s, t in pairs if (s < half) != (t < half)]
+            for trace in loaded.route_batch(across):
+                assert not trace.delivered
+                assert trace.estimate == float("inf")
+                assert trace.path == [trace.source]
+            assert set(loaded.distance_batch(across)) == {float("inf")}
 
 
 @pytest.fixture(scope="module", params=[2, 3], ids=["k2", "k3"])

@@ -1,6 +1,9 @@
 """RoutingService: caching, batching, build-or-load, CLI, stretch round-trip."""
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import graphs
 from repro.routing import build_compact_routing, evaluate_routing, sample_pairs
@@ -17,6 +20,10 @@ from repro.serving import (
 from repro.serving.cli import main as serve_main, parse_graph_spec
 
 
+#: Sentinel for "the sequential model missed".
+MISSING = object()
+
+
 @pytest.fixture(scope="module")
 def service_graph():
     return graphs.erdos_renyi_graph(30, 0.15, graphs.uniform_weights(1, 50),
@@ -28,20 +35,53 @@ def built_service(service_graph):
     return RoutingService.build(service_graph, k=3, seed=4)
 
 
+class SequentialLRU:
+    """The one-key-at-a-time LRU that a batch probe and fill must match: the
+    ``get`` / ``put`` the service called once per pair before it went batch
+    by batch."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.hits = self.misses = self.evictions = 0
+        self._entries = OrderedDict()
+
+    def get(self, key, default=None):
+        if key in self._entries:
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return self._entries[key]
+        self.misses += 1
+        return default
+
+    def put(self, key, value):
+        if self.capacity == 0:
+            return
+        if key in self._entries:
+            self._entries.move_to_end(key)
+        self._entries[key] = value
+        if len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+
+
+def _cache_state(cache):
+    return (list(cache._entries.items()), cache.hits, cache.misses,
+            cache.evictions)
+
+
 class TestLRUCache:
     def test_eviction_order(self):
         cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")          # refresh "a"; "b" becomes LRU
-        cache.put("c", 3)
+        cache.fill([("a", 1), ("b", 2)])
+        cache.probe(["a"])      # refresh "a"; "b" becomes LRU
+        cache.fill([("c", 3)])
         assert "a" in cache and "c" in cache and "b" not in cache
         assert cache.evictions == 1
 
     def test_zero_capacity_disables(self):
         cache = LRUCache(0)
-        cache.put("a", 1)
-        assert cache.get("a") is None
+        cache.fill([("a", 1)])
+        assert cache.probe(["a"]) == ({}, ["a"])
         assert len(cache) == 0
         assert cache.misses == 1 and cache.hits == 0
 
@@ -51,12 +91,37 @@ class TestLRUCache:
 
     def test_counters_and_reset(self):
         cache = LRUCache(4)
-        cache.put("k", "v")
-        assert cache.get("k") == "v"
-        assert cache.get("absent") is None
+        cache.fill([("k", "v")])
+        assert cache.probe(["k", "absent"]) == ({"k": "v"}, ["absent"])
         assert (cache.hits, cache.misses) == (1, 1)
         cache.reset()
         assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.sampled_from([0, 1, 2, 5]),
+           steps=st.lists(st.tuples(
+               st.booleans(),
+               st.lists(st.integers(0, 6), max_size=8)), max_size=12))
+    def test_batches_match_one_key_at_a_time(self, capacity, steps):
+        """A probe (or a fill) of a batch — duplicates, hits and misses
+        mixed — leaves the same entry order, values and counters as the
+        sequential model, and reports each occurrence as it would."""
+        cache, model = LRUCache(capacity), SequentialLRU(capacity)
+        for index, (probing, keys) in enumerate(steps):
+            if probing:
+                found, missed = cache.probe(keys)
+                expected = [model.get(key, MISSING) for key in keys]
+                assert missed == [key for key, value in zip(keys, expected)
+                                  if value is MISSING]
+                assert found == {key: value for key, value
+                                 in zip(keys, expected) if value is not MISSING}
+            else:
+                items = [(key, (index, key)) for key in keys]
+                cache.fill(items)
+                for key, value in items:
+                    model.put(key, value)
+            assert _cache_state(cache) == _cache_state(model)
+            assert len(cache) <= capacity
 
 
 class TestSingleQueries:
@@ -132,6 +197,42 @@ class TestBatchedQueries:
         assert service.stats.route_queries == 20
         assert service.stats.distance_queries == 20
         assert service.stats.batches == 2
+
+
+    @pytest.mark.parametrize("kind", ["route", "distance"])
+    @pytest.mark.parametrize("case", ["first", "mid-batch", "only-target",
+                                      "self-pair"])
+    def test_unknown_node_in_a_batch_changes_nothing(
+            self, service_graph, built_service, kind, case):
+        """The first unknown node in pair order is named, and the call
+        leaves every counter and both caches as they were."""
+        service = RoutingService(built_service.hierarchy,
+                                 cache_config=CacheConfig(capacity=3))
+        n = service_graph.nodes()
+        warm = [(n[0], n[1]), (n[2], n[3]), (n[4], n[5]), (n[6], n[7])]
+        service.route_batch(warm)
+        service.distance_batch(warm)
+        service.distance_estimate(n[2], n[3])
+        ghost = "ghost"
+        batch = {
+            "first": [(ghost, n[0]), (n[2], n[3]), (n[1], "later")],
+            "mid-batch": [(n[4], n[5]), (n[6], n[7]), (n[0], n[9]),
+                          (ghost, n[1]), ("later", n[2])],
+            "only-target": [(n[6], n[7]), (n[6], n[7]), (n[8], ghost),
+                            (ghost, "later")],
+            "self-pair": [(n[4], n[5]), (n[3], n[3]), (ghost, ghost)],
+        }[case]
+
+        def snapshot():
+            return (service.stats.as_dict(),
+                    [_cache_state(cache) for cache in
+                     (service.route_cache, service.distance_cache)])
+
+        before = snapshot()
+        with pytest.raises(ValueError) as raised:
+            getattr(service, f"{kind}_batch")(batch)
+        assert str(raised.value) == f"unknown node {ghost!r}"
+        assert snapshot() == before
 
 
 class TestBuildOrLoad:
