@@ -19,7 +19,13 @@ the *loaded objects* (the program carries no counters):
                        selection stops at the first level that hits, and
                        skips a level without a pivot);
 ``anchor_entries``     skeleton-list entries handed to the anchor scan of
-                       ``_skeleton_route``, per route;
+                       ``_skeleton_half``, per route: a node's list is
+                       scanned once per ``(level, pivot)``, when its
+                       half-route to the pivot is first needed;
+``halves_stored``      entries of the half-route tables after the pass
+                       (``_skeleton_tails``: one flat tuple per ``(level,
+                       pivot, node)`` routed, the pivot's own included), so
+                       a skeleton route is two table probes and one list;
 ``adjacency_lookups``  lookups in the graph's adjacency map made during the
                        whole ``route_batch`` pass, per hop of the routed
                        paths.  The load checks every tree against the
@@ -28,7 +34,7 @@ the *loaded objects* (the program carries no counters):
                        reads 0.
 
 The counts repeat exactly on any host; CI diffs the ``==`` and ``counts``
-lines against ``benchmarks/profiles/local_query_pr47.txt``.  ``time`` lines
+lines against ``benchmarks/profiles/local_query_pr48.txt``.  ``time`` lines
 are best-of-three microseconds per pair on un-instrumented objects —
 informational; ``benchmarks/e2e/run.py`` measures.
 """
@@ -114,6 +120,8 @@ def count_pass(path, batches):
         counts["hops"] += sum(trace.hops
                               for trace in hierarchy.route_batch(batch))
     counts["adjacency_lookups"] = adjacency.lookups
+    counts["halves_stored"] = sum(
+        len(halves) for _, halves in hierarchy._skeleton_tail_tables.values())
     return counts
 
 
@@ -158,7 +166,7 @@ def profile_shape(name, k, stream_kind, seed, workdir, out):
     hops = counts.pop("hops")
     for unit, total, names in (
             ("pair", pairs, ("levels_probed",)),
-            ("route", pairs, ("anchor_entries",)),
+            ("route", pairs, ("anchor_entries", "halves_stored")),
             ("hop", hops, ("adjacency_lookups",))):
         out.write(f"counts per {unit:<6}({total} {unit}s)" + "".join(
             f"  {key} {counts[key]} = {counts[key] / total:.3f}"

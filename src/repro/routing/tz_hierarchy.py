@@ -472,8 +472,8 @@ class CompactRoutingHierarchy:
                   self.level_data[l].bunches) for l in range(1, self.k)]
         bunches = self.level_data[0].bunches
         for source, target in pairs:
-            estimate = 0.0 if source == target \
-                else bunches[source].get(target, _ABSENT)
+            row = bunches[source]       # an unknown node raises, even alone
+            estimate = 0.0 if source == target else row.get(target, _ABSENT)
             if estimate is not _ABSENT:
                 yield 0, target, estimate
                 continue
@@ -515,9 +515,9 @@ class CompactRoutingHierarchy:
             return self._routes(pairs)
 
     def clear_runtime_caches(self) -> None:
-        """Drop the derived per-pivot skeleton tables with the anchors chosen
-        through them: pure functions of the built state, so answers are the
-        same without them.  Benchmarks call this to measure cold queries."""
+        """Drop the derived per-pivot skeleton and half-route tables: pure
+        functions of the built state, so answers are the same without them.
+        Tests call this to compare cold queries with warm ones."""
         self._skeleton_tail_tables.clear()
 
     def route(self, source: Hashable, target: Hashable) -> RouteTrace:
@@ -528,7 +528,7 @@ class CompactRoutingHierarchy:
         return self._routes([(source, target)])[0]
 
     def _routes(self, pairs) -> List[RouteTrace]:
-        level_data, traces = self.level_data, []
+        level_data, traces, inf = self.level_data, [], float("inf")
         for (source, target), (level, pivot, estimate) in zip(
                 pairs, self._select_levels(pairs)):
             path = None
@@ -542,65 +542,64 @@ class CompactRoutingHierarchy:
                 if tree is not None and tree.contains(source) \
                         and tree.contains(target):
                     path, weight = tree.tree_route(source, target)
-            traces.append(
-                RouteTrace(source=source, target=target, path=[source],
-                           estimate=float("inf")) if path is None else
-                RouteTrace(source=source, target=target, path=path,
-                           delivered=True, weight=weight, estimate=estimate))
+            traces.append(RouteTrace(source, target, [source], False, inf, inf)
+                          if path is None else
+                          RouteTrace(source, target, path, True, weight, estimate))
         return traces
 
     def _skeleton_route(self, source, target, pivot, level: int
                         ) -> Tuple[Optional[List[Hashable]], int]:
-        """The route through the level-``l0`` skeleton as one list (the up
-        walk to ``source``'s anchor, its tail, ``target``'s half reversed)
-        and its weight, or ``(None, 0)`` if an end has no anchor.  An end
-        leaves through the anchor its estimate was summed over (the pivot
-        through itself): the first minimum of ``wd'(node, t) + wd'_sk(t,
-        pivot)`` over its skeleton list (a skeleton node finds itself at 0,
-        the pivot with an empty tail), scanned once per ``(level, pivot,
-        node)`` and kept beside the pivot's tails (one dict store of a pure
-        function: racing threads store the same value)."""
-        tails, anchors = self._skeleton_tails(level, pivot)
-        halves = []
-        for node in (source, target):
-            anchor = pivot if node == pivot else anchors.get(node, _ABSENT)
-            if anchor is _ABSENT:
-                anchor, best = None, float("inf")
-                for t, dt in self.pde_skel.estimates.get(node, {}).items():
-                    row = tails.get(t)
-                    if row is not None and dt + row[0] < best:
-                        anchor, best = t, dt + row[0]
-                anchors[node] = anchor
-            tree = None if anchor is None else self.attach_trees.trees[anchor]
-            if tree is None or node not in tree.parent:
-                halves.append(None)     # the other end is still scanned
-                continue
-            half, parent, step = [], tree.parent, node
-            while step is not None:
-                half.append(step)
-                step = parent[step]
-            _, tail, tail_weight = tails[anchor]
-            half.extend(tail)
-            halves.append((half, tree.dist[node] + tail_weight))
-        if None in halves:
+        """The route through the level-``l0`` skeleton as one new list
+        (``source``'s half-route to the pivot, ``target``'s reversed) and its
+        weight, or ``(None, 0)`` if an end has no half: two probes of the
+        pivot's half-route table, whose tuples are copied, never handed out."""
+        tails, halves = self._skeleton_tails(level, pivot)
+        up = halves.get(source, _ABSENT)
+        if up is _ABSENT:
+            up = self._skeleton_half(tails, halves, source)
+        down = halves.get(target, _ABSENT)
+        if down is _ABSENT:
+            down = self._skeleton_half(tails, halves, target)
+        if up is None or down is None:
             return None, 0
-        (path, up_weight), (down, down_weight) = halves
-        path.extend(down[-2::-1])       # the pivot ends the up half
-        return path, up_weight + down_weight
+        path = list(up[1:])
+        path.extend(down[-2:0:-1])      # the pivot ends the up half
+        return path, up[0] + down[0]
+
+    def _skeleton_half(self, tails, halves, node) -> Optional[Tuple]:
+        """Store and return ``node``'s half-route ``(weight, node, …, anchor,
+        …tail…, pivot)`` or ``None``: up the attach tree of the first minimum
+        ``t`` of ``wd'(node, t) + wd'_sk(t, pivot)`` over its skeleton list
+        (the anchor its estimate was summed over), then along ``t``'s tail.
+        One dict store of a pure function: racing threads store the same."""
+        anchor, best, half = None, float("inf"), None
+        for t, dt in self.pde_skel.estimates.get(node, {}).items():
+            row = tails.get(t)
+            if row is not None and dt + row[0] < best:
+                anchor, best = t, dt + row[0]
+        tree = None if anchor is None else self.attach_trees.trees[anchor]
+        if tree is not None and node in tree.parent:
+            parent, step, (_, tail, tail_weight) = tree.parent, node, tails[anchor]
+            walk = [tree.dist[node] + tail_weight]
+            while step is not None:
+                walk.append(step)
+                step = parent[step]
+            half = tuple(walk) + tail
+        halves[node] = half
+        return half
 
     def _skeleton_tails(self, level: int, pivot: Hashable) -> Tuple[
             Dict[Hashable, Tuple[int, Tuple[Hashable, ...], int]],
-            Dict[Hashable, Optional[Hashable]]]:
+            Dict[Hashable, Optional[Tuple]]]:
         """What the skeleton nodes store for ``pivot`` (Theorem 4.13), and
-        the anchors :meth:`_skeleton_route` has chosen through it.
+        the half-routes :meth:`_skeleton_route` has built through it.
 
         ``anchor t -> (t's distance to the pivot in the skeleton tree, that
         tree path expanded to a path in G — without ``t`` itself — and the
         expansion's weight in G)``, derived once per ``(level, pivot)`` from
         the skeleton tree and the attach trees' paths and ``dist``; ``node ->
-        its anchor`` starts empty and grows by one reference per node routed
-        through this pivot.
-        """
+        its half-route`` holds the pivot's ``(0, pivot)``, then one tuple per
+        node routed through it (at most ``n·Σ_{l≥l0}|S_l|`` in all)."""
         entry = self._skeleton_tail_tables.get((level, pivot))
         if entry is None:
             # Every skeleton level has one tree per source, and a pivot of
@@ -622,7 +621,8 @@ class CompactRoutingHierarchy:
                     tails[a] = (tree.dist[a], tuple(hop[1:]) + tail,
                                 hop_weight + weight)
             # Published whole: a concurrent reader never sees half a table.
-            entry = self._skeleton_tail_tables[(level, pivot)] = (tails, {})
+            entry = self._skeleton_tail_tables[(level, pivot)] = (
+                tails, {pivot: (0, pivot)})
         return entry
 
     # ==================================================================

@@ -1,7 +1,7 @@
 """Boundary behaviour of the Corollary 4.14 truncation-level choice, the
 recorded truncated-mode routes that once outweighed their own estimate,
 the table-summed route weights of both routing schemes against a walk of
-their paths in the graph, and the anchor memo those routes go through."""
+their paths in the graph, and the half-route table those routes go through."""
 
 import dataclasses
 import functools
@@ -24,7 +24,7 @@ from repro.routing import (
 )
 from repro.serving import parse_graph_spec
 
-from helpers import assert_routes_realise_estimates
+from helpers import _skeleton_leg_reference, assert_routes_realise_estimates
 
 with open(os.path.join(os.path.dirname(__file__), "data",
                        "truncated_route_offenders.json"),
@@ -240,8 +240,9 @@ class TestRouteWalk:
 
 
 class TestAnchorMemo:
-    """The anchor a node's scan chose is remembered per ``(level, pivot)``:
-    derived state, so no answer may depend on it."""
+    """Each node's half-route to a pivot, through the anchor its scan chose,
+    is stored per ``(level, pivot)`` as one flat tuple ``(weight, node, …,
+    pivot)``: derived state, so no answer may depend on it."""
 
     SMALL_BUILDS = [b for b in OFFENDER_BUILDS if "rows=20" not in b[0]]
 
@@ -253,9 +254,9 @@ class TestAnchorMemo:
         hierarchy.clear_runtime_caches()
         assert not hierarchy._skeleton_tail_tables
         cold = hierarchy.route_batch(pairs, kernel="dict")
-        remembered = sum(len(anchors) for _, anchors
-                         in hierarchy._skeleton_tail_tables.values())
-        assert 0 < remembered <= graph.num_nodes * sum(
+        stored = sum(len(halves) for _, halves
+                     in hierarchy._skeleton_tail_tables.values())
+        assert 0 < stored <= graph.num_nodes * sum(
             len(hierarchy.level_sets[l])
             for l in range(hierarchy.l0, hierarchy.k))
         warm = hierarchy.route_batch(pairs, kernel="dict")
@@ -263,6 +264,46 @@ class TestAnchorMemo:
         hierarchy.clear_runtime_caches()
         assert not hierarchy._skeleton_tail_tables
         assert hierarchy.route_batch(pairs, kernel="dict") == cold
+
+    @pytest.mark.parametrize("build", SMALL_BUILDS,
+                             ids=[f"{b[0]}-k{b[1]}" for b in SMALL_BUILDS])
+    def test_every_stored_half_equals_the_unmemoised_leg(self, build):
+        graph, hierarchy = offender_build(*build)
+        hierarchy.clear_runtime_caches()
+        hierarchy.route_batch(list(itertools.permutations(graph.nodes(), 2)))
+        checked = 0
+        for (level, pivot), (_, halves) in list(
+                hierarchy._skeleton_tail_tables.items()):
+            for node, half in halves.items():
+                leg = _skeleton_leg_reference(hierarchy, node, pivot, level)
+                assert (None if half is None
+                        else (list(half[1:]), half[0])) == leg, (node, pivot)
+                checked += 1
+        assert checked > len(hierarchy._skeleton_tail_tables)
+
+    def test_mutating_a_returned_path_changes_no_later_answer(self):
+        """Paths are the caller's: editing one must not reach the stored
+        halves that the same pair, or a pair sharing a half, is built from."""
+        graph, hierarchy = offender_build(*self.SMALL_BUILDS[0])
+        nodes = graph.nodes()[:40]
+        pairs = list(itertools.permutations(nodes, 2))
+        hierarchy.clear_runtime_caches()
+        want = [(t.path[:], t.weight, t.estimate, t.delivered)
+                for t in hierarchy.route_batch(pairs)]
+        assert hierarchy._skeleton_tail_tables        # halves are shared
+        edits = (lambda path: path.append("stranger"), list.reverse,
+                 list.clear)
+        for round_ in range(3):
+            for i, trace in enumerate(hierarchy.route_batch(pairs)):
+                edits[(i + round_) % 3](trace.path)
+            for (source, target), expected in zip(pairs[::7], want[::7]):
+                trace = hierarchy.route(source, target)
+                edits[round_](trace.path)
+                trace = hierarchy.route(source, target)
+                assert (trace.path, trace.weight, trace.estimate,
+                        trace.delivered) == expected
+        assert [(t.path, t.weight, t.estimate, t.delivered)
+                for t in hierarchy.route_batch(pairs)] == want
 
     def test_threads_filling_the_memo_agree_with_the_serial_answer(self):
         graph, hierarchy = offender_build(*self.SMALL_BUILDS[0])

@@ -137,6 +137,29 @@ class TestLoadedEqualsBuilt:
             with pytest.raises(KeyError):
                 service.hierarchy.distance_batch(pairs)
 
+    def test_self_pair_of_an_unknown_node_raises(self, builds,
+                                                 artifact_path, kernel_graph):
+        """``(x, x)`` of a node not in G is a ``KeyError`` like every other
+        pair naming it, never a delivered one-node route; the service still
+        names it in its own ``ValueError``."""
+        known = kernel_graph.nodes()[0]
+        batch = [(known, known), ("ghost", "ghost")]
+        for subject in builds:                  # built, then loaded
+            for call, args in ((subject.distance, ("ghost", "ghost")),
+                               (subject.route, ("ghost", "ghost")),
+                               (subject.distance_batch, (batch,)),
+                               (subject.route_batch, (batch,))):
+                with pytest.raises(KeyError):
+                    call(*args)
+        with open_with(artifact_path) as service:
+            for call, args in ((service.distance_estimate, ("ghost", "ghost")),
+                               (service.route, ("ghost", "ghost")),
+                               (service.distance_batch, (batch,)),
+                               (service.route_batch, (batch,))):
+                with pytest.raises(ValueError) as error:
+                    call(*args)
+                assert str(error.value) == "unknown node 'ghost'"
+
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("mode", HIERARCHY_MODES)
     @pytest.mark.parametrize("spec", GRAPH_SPECS)
