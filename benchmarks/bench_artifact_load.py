@@ -2,10 +2,11 @@
 
 Artifacts store the query-hot tables as fixed-width record sections:
 loading parses the header, reads the file once, verifies every section,
-decodes the pivot and bunch records into the build's dicts and unpickles
-the rest (graph, level sets, destination trees, skeleton structures,
-metrics), then closes the file.  Every loading process holds the whole
-hierarchy for itself; a query reads nothing more from disk.
+decodes the pivot, bunch and skeleton anchor records into the build's
+dicts and unpickles the rest (graph, node levels, destination trees,
+skeleton graph and trees, metrics), then closes the file.  Every loading
+process holds the whole hierarchy for itself; a query reads nothing more
+from disk.
 
 Per configuration this benchmark starts ``PROBES`` fresh interpreters
 (``spawn``: cold Python-level caches, honest RSS deltas, and none of the

@@ -102,10 +102,10 @@ def instrument(hierarchy, counts):
         data.bunches = {node: CountingBunch(row, counts)
                         for node, row in data.bunches.items()}
 
-    if hierarchy.pde_skel is not None:      # a truncated-mode build
-        estimates = hierarchy.pde_skel.estimates
-        for node, row in estimates.items():
-            estimates[node] = CountingRow(row, counts)
+    if hierarchy.skeleton_anchors is not None:      # a truncated-mode build
+        anchors = hierarchy.skeleton_anchors
+        for node, row in anchors.items():
+            anchors[node] = CountingRow(row, counts)
 
     adjacency = CountingAdjacency(hierarchy.graph._adj)
     hierarchy.graph._adj = adjacency

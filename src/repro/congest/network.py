@@ -121,7 +121,3 @@ class CongestNetwork:
             node: self.algorithm.output(view, self._states[node])
             for node, view in self._views.items()
         }
-
-    def state_of(self, node: Hashable) -> Any:
-        """Access the raw state of a node (for tests and debugging)."""
-        return self._states[node]

@@ -151,9 +151,6 @@ class PDEResult:
     def in_list(self, node: Hashable, source: Hashable) -> bool:
         return any(entry.source == source for entry in self.lists.get(node, []))
 
-    def detected_sources(self, node: Hashable) -> List[Hashable]:
-        return [entry.source for entry in self.lists.get(node, [])]
-
     def closest_source_in(self, node: Hashable,
                           subset: Set[Hashable]) -> Optional[PDEEntry]:
         """The entry minimising ``(wd'(node, s), s)`` among ``s in subset``.

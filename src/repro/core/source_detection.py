@@ -140,9 +140,6 @@ class SourceDetectionResult:
                 return entry.distance
         return None
 
-    def sources_of(self, node: Hashable) -> List[Hashable]:
-        return [entry.source for entry in self.lists.get(node, [])]
-
 
 def lemma34_message_cap(sigma: int) -> int:
     """The broadcast cap of Lemma 3.4: ``sum_{i=1}^{sigma} i`` messages per node."""

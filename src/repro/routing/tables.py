@@ -293,9 +293,6 @@ class NodeInternTable:
         index = self._index
         return [index[node] for node in nodes]
 
-    def node_at(self, index: int) -> Hashable:
-        return self._nodes[index]
-
     def nodes(self) -> List[Hashable]:
         """The node labels in index order (a copy)."""
         return list(self._nodes)

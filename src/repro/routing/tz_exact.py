@@ -25,7 +25,7 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 from ..graphs.distances import dijkstra
 from ..graphs.weighted_graph import WeightedGraph
 
-__all__ = ["ExactThorupZwickOracle", "sample_levels"]
+__all__ = ["ExactThorupZwickOracle", "level_sets_of", "sample_levels"]
 
 
 def sample_levels(nodes: List[Hashable], k: int, rng: random.Random) -> Dict[Hashable, int]:
@@ -50,6 +50,11 @@ def sample_levels(nodes: List[Hashable], k: int, rng: random.Random) -> Dict[Has
     return levels
 
 
+def level_sets_of(levels: Dict[Hashable, int], k: int) -> List[Set[Hashable]]:
+    """``S_l``, the nodes of level at least ``l``, for ``l < k``."""
+    return [{v for v, lvl in levels.items() if lvl >= l} for l in range(k)]
+
+
 @dataclass
 class _Bunch:
     """Per-node exact TZ structures."""
@@ -71,9 +76,7 @@ class ExactThorupZwickOracle:
         rng = random.Random(seed)
         self.levels = levels if levels is not None else sample_levels(
             graph.nodes(), k, rng)
-        self.level_sets: List[Set[Hashable]] = [
-            {v for v, lvl in self.levels.items() if lvl >= l} for l in range(k)
-        ]
+        self.level_sets = level_sets_of(self.levels, k)
         self._structures: Dict[Hashable, _Bunch] = {}
         self._build()
 
@@ -116,9 +119,6 @@ class ExactThorupZwickOracle:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def bunch_of(self, node: Hashable) -> Dict[Hashable, float]:
-        return dict(self._structures[node].bunch)
-
     def bunch_size(self, node: Hashable) -> int:
         return len(self._structures[node].bunch)
 

@@ -47,7 +47,7 @@ from ..obs.metrics import NULL_REGISTRY
 from .cluster_trees import TreeFamily, build_destination_trees
 from .skeleton import skeleton_graph_from_pde
 from .tables import Label, RouteTrace, RoutingTable
-from .tz_exact import sample_levels
+from .tz_exact import level_sets_of, sample_levels
 from .stretch import evaluate_routing
 
 __all__ = ["CompactRoutingHierarchy", "HierarchyBuildReport", "QUERY_KERNELS"]
@@ -107,7 +107,8 @@ class CompactRoutingHierarchy:
                  level_sets: List[Set[Hashable]], level_data: List[_LevelData],
                  pivots: Dict[int, Dict[Hashable, Hashable]],
                  pivot_dists: Dict[int, Dict[Hashable, float]],
-                 pde_skel: Optional[PDEResult], skeleton_graph: Optional[WeightedGraph],
+                 skeleton_anchors: Optional[Dict[Hashable, Dict[Hashable, float]]],
+                 skeleton_graph: Optional[WeightedGraph],
                  attach_trees: Optional[TreeFamily], skeleton_trees: Dict[int, TreeFamily],
                  metrics: CongestMetrics) -> None:
         self.graph = graph
@@ -120,7 +121,9 @@ class CompactRoutingHierarchy:
         self.level_data = level_data
         self.pivots = pivots
         self.pivot_dists = pivot_dists
-        self.pde_skel = pde_skel
+        #: Theorem 4.13's skeleton lists, ``node -> {t in S_l0: wd'(node, t)}``
+        #: in the skeleton PDE's order; ``None`` unless truncated.
+        self.skeleton_anchors = skeleton_anchors
         self.skeleton_graph = skeleton_graph
         self.attach_trees = attach_trees
         self.skeleton_trees = skeleton_trees
@@ -190,25 +193,26 @@ class CompactRoutingHierarchy:
         n = graph.num_nodes
         rng = random.Random(seed)
         levels = sample_levels(graph.nodes(), k, rng)
-        level_sets = [
-            {v for v, lvl in levels.items() if lvl >= l} for l in range(k)
-        ]
+        level_sets = level_sets_of(levels, k)
 
         log_n = max(1.0, math.log(max(2, n)))
         spd_value = None
         if mode == "spd":
             spd_value = spd if spd is not None else shortest_path_diameter(graph)
 
+        # Lemma 4.7's budgets: ceil(c n^{steps/k} ln n) clamped to [1, cap]; a
+        # list length sigma is its steps = 1 case, but S_{k-1} is kept whole.
+        def budget(steps: int, cap: int) -> int:
+            return max(1, min(cap, math.ceil(budget_constant * n ** (steps / k) * log_n)))
+
+        def sigma_of(l: int) -> int:
+            size = len(level_sets[l])
+            return max(1, size) if l == k - 1 else budget(1, size)
+
         def level_budgets(l: int) -> Tuple[int, int]:
-            sigma = max(1, min(len(level_sets[l]),
-                               int(math.ceil(budget_constant * n ** (1.0 / k) * log_n))))
-            if l == k - 1:
-                return n, max(1, len(level_sets[l]))
-            if mode == "spd":
-                return max(1, int(spd_value)), sigma
-            h = max(1, min(n, int(math.ceil(
-                budget_constant * n ** ((l + 1) / k) * log_n))))
-            return h, sigma
+            h = (n if l == k - 1 else max(1, int(spd_value)) if mode == "spd"
+                 else budget(l + 1, n))
+            return h, sigma_of(l)
 
         level_data: List[_LevelData] = []
         # Each level's estimate lists: the bunches and pivots below are cut
@@ -231,11 +235,9 @@ class CompactRoutingHierarchy:
             for l in direct_levels
         ]
         if mode == "truncated":
-            h_l0 = max(1, min(n, int(math.ceil(
-                budget_constant * n ** (l0 / k) * log_n))))
             instances.append(
                 PDEInstance(token="graph", sources=tuple(level_sets[l0]),
-                            h=h_l0, sigma=max(1, len(level_sets[l0])),
+                            h=budget(l0, n), sigma=max(1, len(level_sets[l0])),
                             epsilon=epsilon, engine=engine))
         direct_pdes = solve_pde_instances(instances, {"graph": graph},
                                           build_workers=build_workers,
@@ -250,6 +252,7 @@ class CompactRoutingHierarchy:
             level_data.append(_LevelData(h=h, sigma=sigma))
             estimates.append(pde.estimates)
 
+        skeleton_anchors: Optional[Dict[Hashable, Dict[Hashable, float]]] = None
         skeleton_graph: Optional[WeightedGraph] = None
         attach_trees: Optional[TreeFamily] = None
         skeleton_trees: Dict[int, TreeFamily] = {}
@@ -259,6 +262,8 @@ class CompactRoutingHierarchy:
             level_metrics.append(pde_skel.metrics)
             skeleton_graph = skeleton_graph_from_pde(pde_skel, level_sets[l0])
             attach_trees = build_destination_trees(graph, pde_skel)
+            # sigma = |S_l0| cuts no list, so the estimates are the lists.
+            skeleton_anchors = pde_skel.estimates
             # A skeleton route expands each skeleton edge through the attach
             # trees; every edge is a detection, so this holds by construction.
             if any(attach_trees.edge_path(a, b) is None
@@ -273,15 +278,8 @@ class CompactRoutingHierarchy:
             # Every S_l is non-empty (the top level is), and a skeleton with
             # no edges — a single node, say — is solved like any other: its
             # PDE is the identity, wd'_sk(t, t) = 0.
-            skel_levels: List[Tuple[int, int, int]] = []
-            for l in range(l0, k):
-                sigma = max(1, min(len(level_sets[l]),
-                                   int(math.ceil(budget_constant * n ** (1.0 / k) * log_n))))
-                if l == k - 1:
-                    sigma = max(1, len(level_sets[l]))
-                h_skel = max(1, min(max(1, skeleton_graph.num_nodes), int(math.ceil(
-                    budget_constant * n ** ((l + 1 - l0) / k) * log_n))))
-                skel_levels.append((l, h_skel, sigma))
+            skel_levels = [(l, budget(l + 1 - l0, max(1, skeleton_graph.num_nodes)),
+                            sigma_of(l)) for l in range(l0, k)]
             sk_instances = {
                 l: PDEInstance(token="skeleton", sources=tuple(level_sets[l]),
                                h=h_skel, sigma=sigma, epsilon=epsilon)
@@ -305,7 +303,7 @@ class CompactRoutingHierarchy:
                 combined: Dict[Hashable, Dict[Hashable, float]] = {}
                 for v in graph.nodes():
                     row: Dict[Hashable, float] = {}
-                    anchors = dict(pde_skel.estimates.get(v, {}))
+                    anchors = dict(skeleton_anchors.get(v, {}))
                     if v in level_sets[l0]:
                         anchors[v] = 0.0
                     for t, dt in anchors.items():
@@ -396,7 +394,8 @@ class CompactRoutingHierarchy:
         metrics = merge_metrics(*level_metrics, sequential=True)
         hierarchy = cls(graph=graph, k=k, epsilon=epsilon, mode=mode, l0=l0,
                         levels=levels, level_sets=level_sets, level_data=level_data,
-                        pivots=pivots, pivot_dists=pivot_dists, pde_skel=pde_skel,
+                        pivots=pivots, pivot_dists=pivot_dists,
+                        skeleton_anchors=skeleton_anchors,
                         skeleton_graph=skeleton_graph, attach_trees=attach_trees,
                         skeleton_trees=skeleton_trees, metrics=metrics)
         hierarchy.build_params = {
@@ -444,9 +443,9 @@ class CompactRoutingHierarchy:
             if data.trees is not None:
                 memberships.extend((l, d) for d in data.trees.trees_containing(node))
         table.extra["tree_memberships"] = memberships
-        if self.pde_skel is not None:
-            table.extra["skeleton_list"] = {
-                e.source: e.estimate for e in self.pde_skel.list_of(node)}
+        if self.skeleton_anchors is not None:
+            table.extra["skeleton_list"] = dict(
+                self.skeleton_anchors.get(node, {}))
         return table
 
     def table_words(self, node: Hashable) -> int:
@@ -573,7 +572,7 @@ class CompactRoutingHierarchy:
         (the anchor its estimate was summed over), then along ``t``'s tail.
         One dict store of a pure function: racing threads store the same."""
         anchor, best, half = None, float("inf"), None
-        for t, dt in self.pde_skel.estimates.get(node, {}).items():
+        for t, dt in self.skeleton_anchors.get(node, {}).items():
             row = tails.get(t)
             if row is not None and dt + row[0] < best:
                 anchor, best = t, dt + row[0]
@@ -671,8 +670,9 @@ class CompactRoutingHierarchy:
     # state export (serving artifacts)
     # ==================================================================
     #: Bumped whenever :meth:`export_state` changes shape incompatibly
-    #: (2: every destination tree carries ``dist``).
-    STATE_VERSION = 2
+    #: (2: every destination tree carries ``dist``; 3: the skeleton PDE is
+    #: kept only as ``skeleton_anchors``).
+    STATE_VERSION = 3
 
     def export_state(self) -> Dict[str, object]:
         """Snapshot of all query-relevant state as plain builtins.
@@ -684,7 +684,7 @@ class CompactRoutingHierarchy:
         Runtime caches and raw per-level PDE results are excluded; dict
         insertion orders are preserved because query tie-breaking follows
         iteration order (a skeleton route leaves through the *first* anchor
-        of ``pde_skel.estimates[node]`` minimising the combined estimate).
+        of ``skeleton_anchors[node]`` minimising the combined estimate).
         """
         def family_state(trees: Optional[TreeFamily]):
             return None if trees is None else trees.export_state()
@@ -711,8 +711,8 @@ class CompactRoutingHierarchy:
             ],
             "pivots": {l: dict(m) for l, m in self.pivots.items()},
             "pivot_dists": {l: dict(m) for l, m in self.pivot_dists.items()},
-            "pde_skel": (self.pde_skel.export_state()
-                         if self.pde_skel is not None else None),
+            "skeleton_anchors": None if self.skeleton_anchors is None else {
+                v: dict(row) for v, row in self.skeleton_anchors.items()},
             "skeleton_graph": (self.skeleton_graph.export_state()
                                if self.skeleton_graph is not None else None),
             "attach_trees": family_state(self.attach_trees),

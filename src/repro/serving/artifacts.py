@@ -18,12 +18,13 @@ a typed :class:`ArtifactError` before a payload byte is read::
     <section bytes, concatenated>             <- offsets relative to payload
 
 The query-hot tables — node intern table, per-node pivot rows, per-(level,
-node) bunch rows — are fixed-width binary records (stdlib ``struct``; see
-:mod:`repro.routing.tables`), bounds-checked row by row and decoded into
-the build's plain dicts.  The rest (graph, level sets, destination trees,
-skeleton structures, metrics) lives in separate pickled sections.  A
-build's per-level estimates are not stored at all, since no query or
-report reads them.
+node) bunch rows, per-node skeleton anchor rows — are fixed-width binary
+records (stdlib ``struct``; see :mod:`repro.routing.tables`), bounds-checked
+row by row and decoded into the build's plain dicts.  The rest (graph, node
+levels, destination trees, skeleton graph and trees, metrics) lives in
+separate pickled sections.  A build's per-level estimates and the rest of
+its skeleton PDE (lists, next hops, rounding) are not stored at all, since
+no query or report reads them; the level sets are derived from the levels.
 
 Loading reads the file once, verifies every section's SHA-256 and decodes
 every section, every tree checked against the graph it is served on; the
@@ -56,6 +57,7 @@ from ..routing.tables import (
     PivotRowTable,
     RecordTableError,
 )
+from ..routing.tz_exact import level_sets_of
 from ..routing.tz_hierarchy import CompactRoutingHierarchy, _LevelData
 
 __all__ = [
@@ -377,35 +379,29 @@ def _hierarchy_sections(hierarchy: CompactRoutingHierarchy
                         else index_of(pivot), float(dist)))
         pivot_rows.append(row)
 
-    bunch_rows: List[Optional[List[Tuple[int, float]]]] = []
-    for level in range(k):
-        bunches = hierarchy.level_data[level].bunches
-        for node in graph_nodes:
-            row = bunches.get(node)
-            if row is None:
-                bunch_rows.append(None)
-            else:
-                bunch_rows.append([(index_of(s), float(est))
-                                   for s, est in row.items()])
+    def node_rows(rows: Dict[Any, Dict[Any, float]]
+                  ) -> List[Optional[List[Tuple[int, float]]]]:
+        # One record row per interned node, absent (None) if not in ``rows``.
+        return [None if node not in rows else
+                [(index_of(s), float(value)) for s, value in rows[node].items()]
+                for node in graph_nodes]
 
     sections: Dict[str, bytes] = {}
     sections["meta"] = json.dumps(_hierarchy_meta(hierarchy, n),
                                   sort_keys=True).encode("utf-8")
     sections["nodes"] = intern.encode()
     sections["pivots"] = PivotRowTable.encode(n, k - 1, pivot_rows)
-    sections["bunches"] = OffsetRecordTable.encode(bunch_rows)
+    sections["bunches"] = OffsetRecordTable.encode(
+        row for data in hierarchy.level_data for row in node_rows(data.bunches))
+    sections["anchors"] = OffsetRecordTable.encode(
+        node_rows(hierarchy.skeleton_anchors or {}))
     sections["graph"] = _dumps(hierarchy.graph.export_state())
-    sections["levels"] = _dumps({
-        "levels": dict(hierarchy.levels),
-        "level_sets": [sorted(s, key=repr) for s in hierarchy.level_sets],
-    })
+    sections["levels"] = _dumps(dict(hierarchy.levels))
     for level in range(k):
         trees = hierarchy.level_data[level].trees
         sections[f"level_trees_{level}"] = _dumps(
             None if trees is None else trees.export_state())
     sections["skeleton"] = _dumps({
-        "pde_skel": (hierarchy.pde_skel.export_state()
-                     if hierarchy.pde_skel is not None else None),
         "skeleton_graph": (hierarchy.skeleton_graph.export_state()
                            if hierarchy.skeleton_graph is not None else None),
         "attach_trees": (hierarchy.attach_trees.export_state()
@@ -418,19 +414,17 @@ def _hierarchy_sections(hierarchy: CompactRoutingHierarchy
 
 
 def _load_skeleton(reader: ArtifactV2Reader, graph: WeightedGraph
-                   ) -> Tuple[Optional[PDEResult], Optional[WeightedGraph],
-                              Optional[TreeFamily], Dict[int, TreeFamily]]:
-    """The skeleton section's ``pde_skel``, ``skeleton_graph``,
-    ``attach_trees`` and ``skeleton_trees``, each tree checked against the
-    graph it is served on (the attach trees against ``graph``, the
-    skeleton trees against the skeleton graph)."""
+                   ) -> Tuple[Optional[WeightedGraph], Optional[TreeFamily],
+                              Dict[int, TreeFamily]]:
+    """The skeleton section's ``skeleton_graph``, ``attach_trees`` and
+    ``skeleton_trees``, each tree checked against the graph it is served on
+    (the attach trees against ``graph``, the skeleton trees against the
+    skeleton graph)."""
     state = reader.load_pickle("skeleton")
     try:
         skeleton_graph = (WeightedGraph.from_state(state["skeleton_graph"])
                           if state["skeleton_graph"] is not None else None)
         return (
-            (PDEResult.from_state(state["pde_skel"])
-             if state["pde_skel"] is not None else None),
             skeleton_graph,
             (TreeFamily.from_state(state["attach_trees"], graph)
              if state["attach_trees"] is not None else None),
@@ -442,17 +436,10 @@ def _load_skeleton(reader: ArtifactV2Reader, graph: WeightedGraph
                             f"invalid: {exc}") from exc
 
 
-def _labels(intern: NodeInternTable) -> Dict[int, Any]:
-    """Interned id -> node label, as a dict: an id outside the table (a
-    negative one too) is a ``KeyError``, never a wrapped list index."""
-    return dict(enumerate(intern.nodes()))
-
-
-def _decode_pivots(intern: NodeInternTable, pivot_table: PivotRowTable,
+def _decode_pivots(label: Dict[int, Any], pivot_table: PivotRowTable,
                    k: int) -> Tuple[Dict[int, Dict], Dict[int, Dict]]:
     """The build's ``pivots`` and ``pivot_dists`` dicts, from the pivot
     table (the inverse of :func:`_hierarchy_sections`)."""
-    label = _labels(intern)
     pivots: Dict[int, Dict] = {level: {} for level in range(1, k)}
     pivot_dists: Dict[int, Dict] = {level: {} for level in range(1, k)}
     for index, node in label.items():
@@ -469,24 +456,23 @@ def _decode_pivots(intern: NodeInternTable, pivot_table: PivotRowTable,
     return pivots, pivot_dists
 
 
-def _decode_bunches(intern: NodeInternTable, bunch_table: OffsetRecordTable,
-                    level: int) -> Dict[Any, Dict[Any, float]]:
-    """One level's ``bunches`` dict, from its rows of the bunch table; a
-    node whose row is ``ABSENT`` (no bunch at this level) is left out."""
-    label = _labels(intern)
-    base = level * len(label)
-    bunches: Dict[Any, Dict[Any, float]] = {}
+def _decode_rows(label: Dict[int, Any], table: OffsetRecordTable,
+                 base: int, name: str) -> Dict[Any, Dict[Any, float]]:
+    """``node -> {node: value}`` from the ``len(label)`` rows of ``table``
+    from ``base`` on (one level's bunches, or the skeleton anchors); a node
+    whose row is ``ABSENT`` is left out."""
+    rows: Dict[Any, Dict[Any, float]] = {}
     for index, node in label.items():
-        if not bunch_table.has_row(base + index):
+        if not table.has_row(base + index):
             continue
         try:
-            bunches[node] = {label[key]: value for key, value
-                             in bunch_table.row_items(base + index)}
+            rows[node] = {label[key]: value for key, value
+                          in table.row_items(base + index)}
         except KeyError as exc:
             raise RecordTableError(
-                f"bunch row {base + index} names node id {exc.args[0]}, "
+                f"{name} row {base + index} names node id {exc.args[0]}, "
                 f"outside the intern table of {len(label)}") from None
-    return bunches
+    return rows
 
 
 def _load_level_trees(reader: ArtifactV2Reader, level: int,
@@ -525,6 +511,7 @@ def load_hierarchy(path: str) -> Tuple[CompactRoutingHierarchy, ArtifactInfo]:
         intern = NodeInternTable.decode(reader.section_bytes("nodes"))
         pivot_table = PivotRowTable(reader.section_bytes("pivots"))
         bunch_table = OffsetRecordTable(reader.section_bytes("bunches"))
+        anchor_table = OffsetRecordTable(reader.section_bytes("anchors"))
         k = meta["k"]
         n = meta["num_nodes"]
         if len(intern) != n:
@@ -535,34 +522,46 @@ def load_hierarchy(path: str) -> Tuple[CompactRoutingHierarchy, ArtifactInfo]:
             raise ArtifactError(
                 f"{path}: pivot table shape {pivot_table.num_nodes}x"
                 f"{pivot_table.num_levels} does not match n={n}, k={k}")
-        if bunch_table.num_rows != k * n:
-            raise ArtifactError(
-                f"{path}: bunch table has {bunch_table.num_rows} rows, "
-                f"expected {k * n}")
-        pivots, pivot_dists = _decode_pivots(intern, pivot_table, k)
+        for name, table, rows in (("bunch", bunch_table, k * n),
+                                  ("anchor", anchor_table, n)):
+            if table.num_rows != rows:
+                raise ArtifactError(f"{path}: {name} table has "
+                                    f"{table.num_rows} rows, expected {rows}")
+        label = dict(enumerate(intern.nodes()))     # an id outside: KeyError
+        pivots, pivot_dists = _decode_pivots(label, pivot_table, k)
         graph = WeightedGraph.from_state(reader.load_pickle("graph"))
-        levels_state = reader.load_pickle("levels")
+        levels = dict(reader.load_pickle("levels"))
+        level_sets = level_sets_of(levels, k)
         metrics = CongestMetrics.from_state(reader.load_pickle("metrics"))
         level_data = [
             _LevelData(
                 h=entry["h"],
                 sigma=entry["sigma"],
-                bunches=_decode_bunches(intern, bunch_table, level),
+                bunches=_decode_rows(label, bunch_table, level * n, "bunch"),
                 trees=_load_level_trees(reader, level, graph),
                 skeleton_level=entry["skeleton_level"],
                 overflow_count=entry["overflow_count"],
             )
             for level, entry in enumerate(meta["level_meta"])
         ]
-        pde_skel, skeleton_graph, attach_trees, skeleton_trees = \
-            _load_skeleton(reader, graph)
+        skeleton_graph, attach_trees, skeleton_trees = _load_skeleton(
+            reader, graph)
+        l0 = meta["l0"]
+        anchors = _decode_rows(label, anchor_table, 0, "anchor")
+        # A skeleton route climbs the anchor's attach tree from the node.
+        usable = (set() if l0 is None
+                  else level_sets[l0] & attach_trees.trees.keys())
+        for node, row in anchors.items():
+            for anchor in row.keys() - usable:
+                raise RecordTableError(
+                    f"anchor row of {node!r} names {anchor!r}, not a "
+                    f"skeleton node with an attach tree")
         hierarchy = CompactRoutingHierarchy(
-            graph=graph, k=k, epsilon=meta["epsilon"],
-            mode=meta["mode"], l0=meta["l0"],
-            levels=dict(levels_state["levels"]),
-            level_sets=[set(s) for s in levels_state["level_sets"]],
+            graph=graph, k=k, epsilon=meta["epsilon"], mode=meta["mode"],
+            l0=l0, levels=levels, level_sets=level_sets,
             level_data=level_data, pivots=pivots, pivot_dists=pivot_dists,
-            pde_skel=pde_skel, skeleton_graph=skeleton_graph,
+            skeleton_anchors=None if l0 is None else anchors,
+            skeleton_graph=skeleton_graph,
             attach_trees=attach_trees, skeleton_trees=skeleton_trees,
             metrics=metrics)
         hierarchy.build_params = dict(meta["build_params"])

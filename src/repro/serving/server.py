@@ -124,11 +124,6 @@ class RoutingServer:
         self._started = True
         return self
 
-    def serve_forever(self) -> None:
-        """Start (if needed) and block until :meth:`close` is called."""
-        self.start()
-        self._stop.wait()
-
     def _accept_loop(self) -> None:
         while not self._stop.is_set():
             try:

@@ -139,7 +139,7 @@ def _skeleton_leg_reference(hierarchy, node, pivot, level):
         return [node], 0
     tails, _ = hierarchy._skeleton_tails(level, pivot)
     anchor, best = None, float("inf")
-    for t, dt in hierarchy.pde_skel.estimates.get(node, {}).items():
+    for t, dt in hierarchy.skeleton_anchors.get(node, {}).items():
         row = tails.get(t)
         if row is not None and dt + row[0] < best:
             anchor, best = t, dt + row[0]

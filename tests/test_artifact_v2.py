@@ -74,7 +74,7 @@ class TestLayout:
             assert fh.readline() == b"REPRO-ARTIFACT v2\n"
             header = json.loads(fh.readline().decode("utf-8"))
         assert header["kind"] == "routing_hierarchy"
-        for name in ("meta", "nodes", "pivots", "bunches", "graph",
+        for name in ("meta", "nodes", "pivots", "bunches", "anchors", "graph",
                      "levels", "skeleton", "metrics"):
             assert name in header["sections"]
         # Offsets tile the payload exactly: sorted by offset, each section
@@ -100,16 +100,20 @@ class TestLayout:
         assert verify_artifact(v2_path).format_version == 2
 
 
-def _bunch_row_past_the_records(blob):
+def _row_past_the_records(blob):
     # Row 0's index entry ``<offset, count>`` := ``<num_records, 1>``.
     _, num_records = struct.unpack_from("<QQ", blob, 0)
     struct.pack_into("<QI", blob, 16, num_records, 1)
 
 
-def _bunch_key_out_of_range(blob):
-    # The first record's key := -2 (no node; -1 is no sentinel here).
+def _first_key_set_to(blob, key):
+    # The first record's key := ``key``.
     num_rows, _ = struct.unpack_from("<QQ", blob, 0)
-    struct.pack_into("<i", blob, 16 + 12 * num_rows, -2)
+    struct.pack_into("<i", blob, 16 + 12 * num_rows, key)
+
+
+def _bunch_key_out_of_range(blob):
+    _first_key_set_to(blob, -2)         # no node; -1 is no sentinel here
 
 
 def _pivot_id_out_of_range(blob):
@@ -122,7 +126,9 @@ def _pivot_id_out_of_range(blob):
 #: whose bytes are well-formed but whose rows are not.
 TABLE_DAMAGES = {
     "bunch row past the record area": (
-        "bunches", _bunch_row_past_the_records, "points past the record area"),
+        "bunches", _row_past_the_records, "points past the record area"),
+    "anchor row past the record area": (
+        "anchors", _row_past_the_records, "points past the record area"),
     "bunch key out of range": (
         "bunches", _bunch_key_out_of_range, "outside the intern table"),
     "pivot id out of range": (
@@ -273,14 +279,15 @@ class TestIntegrity:
 
     def test_corrupt_record_table_fails_at_load(self, saved_artifact,
                                                 tmp_path):
-        """The query-hot sections (pivots, bunches) are hash-verified at
-        open — a flipped record byte can never silently answer queries."""
+        """The query-hot sections (pivots, bunches, anchors) are
+        hash-verified at open — a flipped record byte can never silently
+        answer queries."""
         _, _, v2_path, info = saved_artifact
         with open(v2_path, "rb") as fh:
             fh.readline()
             fh.readline()
             payload_start = fh.tell()
-        for section in ("pivots", "bunches"):
+        for section in ("pivots", "bunches", "anchors"):
             entry = info.sections[section]
             position = payload_start + entry["offset"] + entry["length"] // 2
             corrupt = self._corrupt(v2_path, tmp_path,
@@ -403,21 +410,68 @@ class TestHostileTrees:
             load_hierarchy(bad)
 
     @pytest.mark.parametrize("where", ["full"])
-    def test_state_version_1_is_refused(self, artifacts, tmp_path, where):
-        """An artifact written before trees carried ``dist``."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_state_version_is_refused(self, artifacts, tmp_path, where,
+                                          version):
+        """An artifact written before trees carried ``dist`` (1), or while
+        the skeleton PDE was pickled whole (2)."""
         _, paths = artifacts
 
         def downgrade(sections):
             meta = json.loads(sections["meta"])
-            meta["state_version"] = 1
+            meta["state_version"] = version
             sections["meta"] = json.dumps(meta, sort_keys=True).encode("utf-8")
 
-        old = _rewritten(paths[where], str(tmp_path / "v1.artifact"),
-                         downgrade, state_version=1)
-        assert artifact_info(old).state_version == 1
-        with pytest.raises(ArtifactError,
-                           match="unsupported hierarchy state version 1"):
+        old = _rewritten(paths[where], str(tmp_path / "old.artifact"),
+                         downgrade, state_version=version)
+        assert artifact_info(old).state_version == version
+        with pytest.raises(ArtifactError, match="unsupported hierarchy state "
+                                                f"version {version}"):
             load_hierarchy(old)
+
+
+class TestHostileAnchors:
+    """An anchor row names a skeleton node with an attach tree, or the
+    load fails: a skeleton route climbs that tree from the anchored node."""
+
+    @pytest.fixture(scope="class")
+    def truncated(self, tmp_path_factory):
+        graph, k = _graph_family()["er_k3"]
+        hierarchy = build_compact_routing(graph, k=k, seed=7)
+        assert hierarchy.mode == "truncated"
+        path = str(tmp_path_factory.mktemp("hostile_anchors") / "t.artifact")
+        save_hierarchy(hierarchy, path)
+        return hierarchy, path
+
+    def test_anchor_id_outside_the_intern_table_is_refused(self, truncated,
+                                                            tmp_path):
+        hierarchy, path = truncated
+        n = hierarchy.graph.num_nodes
+
+        def spoil(sections):
+            blob = bytearray(sections["anchors"])
+            _first_key_set_to(blob, n)
+            sections["anchors"] = bytes(blob)
+
+        bad = _rewritten(path, str(tmp_path / "bad.artifact"), spoil)
+        with pytest.raises(ArtifactError, match="outside the intern table"):
+            load_hierarchy(bad)
+
+    def test_non_skeleton_anchor_is_refused(self, truncated, tmp_path):
+        hierarchy, path = truncated
+        nodes = hierarchy.graph.nodes()
+        skeleton = hierarchy.level_sets[hierarchy.l0]
+        stranger = next(i for i, v in enumerate(nodes) if v not in skeleton)
+
+        def spoil(sections):
+            blob = bytearray(sections["anchors"])
+            _first_key_set_to(blob, stranger)
+            sections["anchors"] = bytes(blob)
+
+        bad = _rewritten(path, str(tmp_path / "bad.artifact"), spoil)
+        verify_artifact(bad)                        # every checksum holds
+        with pytest.raises(ArtifactError, match="not a skeleton node"):
+            load_hierarchy(bad)
 
 
 class TestOpenServiceIntegration:

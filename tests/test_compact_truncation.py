@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro import graphs
+from repro.core import solve_pde
 from repro.graphs import dijkstra, path_weight
 from repro.routing import (
     RelabelingRoutingScheme,
@@ -22,7 +23,7 @@ from repro.routing import (
     build_compact_routing,
     choose_truncation_level,
 )
-from repro.serving import parse_graph_spec
+from repro.serving import load_hierarchy, parse_graph_spec, save_hierarchy
 
 from helpers import _skeleton_leg_reference, assert_routes_realise_estimates
 
@@ -160,6 +161,35 @@ class TestEdgelessSkeleton:
         traces = hierarchy.route_batch(
             list(itertools.permutations(graph.nodes(), 2)), kernel="dict")
         assert_routes_realise_estimates(traces)
+
+
+class TestSkeletonLists:
+    """A node's skeleton list (Theorem 4.13) is its anchor row: the
+    skeleton instance ``(S_l0, h_l0, sigma = |S_l0|)`` cuts no list, so the
+    estimates the hierarchy keeps are every node's whole list."""
+
+    @pytest.mark.parametrize("spec,k,l0", [
+        ("er:n=80,p=0.06,seed=1,weights=uniform:1:64", 3, 1),
+        ("powerlaw:n=80,seed=1,weights=uniform:1:32", 3, 1),
+        ("road:rows=8,cols=8", 4, 2),
+        ("road:rows=8,cols=8", 3, 2)])            # a one-node skeleton
+    def test_skeleton_list_is_the_solved_list(self, spec, k, l0, tmp_path):
+        graph = parse_graph_spec(spec)
+        built = build_compact_routing(graph, k=k, epsilon=0.25,
+                                      mode="truncated", l0=l0)
+        path = str(tmp_path / "truncated.artifact")
+        save_hierarchy(built, path)
+        loaded, _ = load_hierarchy(path)
+        n = graph.num_nodes
+        skeleton = built.level_sets[l0]
+        h_l0 = max(1, min(n, math.ceil(built.build_params["budget_constant"]
+                                       * n ** (l0 / k) * math.log(n))))
+        pde = solve_pde(graph, tuple(skeleton), h=h_l0, sigma=len(skeleton),
+                        epsilon=built.epsilon)
+        for v in graph.nodes():
+            want = {e.source: e.estimate for e in pde.list_of(v)}
+            assert built.table_of(v).extra["skeleton_list"] == want, v
+            assert loaded.table_of(v).extra["skeleton_list"] == want, v
 
 
 def reference_walk(graph, source, target, path, estimate):

@@ -17,10 +17,16 @@ kept its bytes.  They were re-recorded again when the tree states gained
 ``dist`` (each member's pointer-chain weight) and the hierarchy's state
 version went 1 -> 2: the ``level_trees_*`` and ``skeleton`` sections equal
 the previous ones with ``dist`` dropped, ``meta`` differs only in its
-``state_version``, and every other section kept its bytes.  The latest
-re-record came when the hierarchy stopped keeping its build's per-level
+``state_version``, and every other section kept its bytes.  They were
+re-recorded when the hierarchy stopped keeping its build's per-level
 estimates: the ``level_aux_*`` sections left, ``meta`` differs only by its
-dropped ``sub_artifact`` key, and every other section kept its bytes.
+dropped ``sub_artifact`` key, and every other section kept its bytes.  The
+latest re-record came when the skeleton PDE was cut down to its anchor
+table and the state version went 2 -> 3: the new ``anchors`` record table
+holds the skeleton estimates (every row absent outside truncated mode),
+``skeleton`` lost its pickled ``pde_skel``, ``levels`` lost its stored
+``level_sets`` (they are derived from the levels at load), ``meta`` moved
+only by its ``state_version``, and every other section kept its bytes.
 """
 
 import json

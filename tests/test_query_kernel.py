@@ -20,11 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import graphs
 from repro.routing import build_compact_routing
-from repro.routing.tables import (
-    NodeInternTable,
-    OffsetRecordTable,
-    RecordTableError,
-)
+from repro.routing.tables import OffsetRecordTable, RecordTableError
 from repro.serving import (
     BuildConfig,
     CacheConfig,
@@ -36,7 +32,7 @@ from repro.serving import (
     parse_graph_spec,
     resolve_query_kernel,
 )
-from repro.serving.artifacts import _decode_bunches, save_hierarchy
+from repro.serving.artifacts import _decode_rows, save_hierarchy
 
 from helpers import (IDENTITY_STREAMS, disconnected_er, distance_reference,
                      route_reference)
@@ -344,6 +340,7 @@ class TestRecordRows:
         present."""
         bunch_rows = [[(1, 1.0)], [], None]
         table = OffsetRecordTable(OffsetRecordTable.encode(bunch_rows))
-        level = _decode_bunches(NodeInternTable(["v0", "v1", "v2"]), table, 0)
+        label = dict(enumerate(["v0", "v1", "v2"]))
+        level = _decode_rows(label, table, 0, "bunch")
         assert [table.has_row(row) for row in range(3)] == [True, True, False]
         assert level == {"v0": {"v1": 1.0}, "v1": {}}
